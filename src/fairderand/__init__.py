@@ -17,16 +17,13 @@ from .core import (
     threshold_count,
 )
 from .derandomize import (
+    Derandomizer,
     GridBucketer,
     IdentityBucketer,
-    LsClassifier,
     LsDerandomizer,
-    PiClassifier,
     PiDerandomizer,
-    RtClassifier,
     RtDerandomizer,
-    default_bucketer,
-    enumerate_family,
+    ThresholdClassifier,
 )
 from .hashing import (
     BitBudget,

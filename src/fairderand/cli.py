@@ -32,15 +32,13 @@ from .dataio import load_dataset, save_dataset
 from .derandomize import (
     GridBucketer,
     IdentityBucketer,
-    LsClassifier,
     LsDerandomizer,
-    PiClassifier,
     PiDerandomizer,
-    RtClassifier,
     RtDerandomizer,
 )
 from .errors import (
     DataFormatError,
+    EmptyPairSetError,
     FairderandError,
     FamilyTooLargeError,
     InvalidParameterError,
@@ -58,7 +56,6 @@ from .measure import (
     empirical_fairness_curve,
     metric_fairness_check,
     rt_variance_bound,
-    select_pairs,
     worst_case_aggregate_bound,
 )
 from .metrics import Angular, JaccardDistance, NormalizedHamming, ScaledEuclidean
@@ -97,6 +94,10 @@ def _resolve(config: dict, args) -> dict:
     merged.setdefault("mode", "exact")
     merged.setdefault("trials", 100_000)
     merged.setdefault("pairs_cap", 200_000)
+    if "tau" in merged and not 0 <= float(merged["tau"]) <= 1:
+        raise ConfigError("tau must lie in [0, 1]")
+    if "delta" in merged and not 0 < float(merged["delta"]) < 1:
+        raise ConfigError("delta must lie in (0, 1)")
     return merged
 
 
@@ -105,8 +106,6 @@ def _estimator(config: dict) -> EstimatorConfig:
         mode=config["mode"],
         trials=int(config["trials"]),
         seed=int(config["seed"]),
-        pair_threshold=float(config.get("tau", 1.0)),
-        confidence=float(config.get("delta", 0.25)),
         pairs_cap=int(config["pairs_cap"]),
     )
 
@@ -172,24 +171,6 @@ def _build_derandomizer(config: dict, dataset: Dataset, scorer):
     raise ConfigError(f"scheme must be one of pi|rt|ls, got {scheme!r}")
 
 
-def _classifier_params(clf) -> dict:
-    if isinstance(clf, RtClassifier):
-        return {"u": clf.u, "k": clf.k}
-    if isinstance(clf, PiClassifier):
-        return {"a": clf.h.a, "c": clf.h.c, "k": clf.family.k}
-    if isinstance(clf, LsClassifier):
-        params = {"a": clf.h.a, "c": clf.h.c, "k": clf.family.k}
-        member = clf.member
-        if hasattr(member, "index"):
-            params["lsh_member"] = {"kind": "coordinate", "index": member.index}
-        elif hasattr(member, "ranks"):
-            params["lsh_member"] = {"kind": "permutation", "ranks": list(member.ranks)}
-        else:
-            params["lsh_member"] = {"kind": "hyperplane", "normal": list(member.normal)}
-        return params
-    return {}
-
-
 def _jsonable(value):
     if isinstance(value, Fraction):
         return float(value)
@@ -228,7 +209,7 @@ def cmd_derandomize(config: dict) -> Path:
         {
             "scheme": config["scheme"],
             "seed": int(config["seed"]),
-            "classifier": _classifier_params(clf),
+            "classifier": clf.params(),
             "bit_budget": clf.budget.as_dict(),
             "predictions": {p.id: clf.predict(p) for p in dataset},
         }
@@ -303,9 +284,8 @@ def cmd_audit(config: dict) -> Path:
             writer.writerows(curve)
         payload["fairness_curve"] = "fairness_curve.csv"
 
-    n_pairs = len(dataset) * (len(dataset) - 1) // 2
-    if n_pairs > cfg.pairs_cap:
-        payload["pair_sample_seed"] = select_pairs(len(dataset), cfg.pairs_cap, cfg.seed)[1]
+    if "pair_sample_seed" in fairness:
+        payload["pair_sample_seed"] = fairness["pair_sample_seed"]["value"]
 
     return _write_report(out_dir, "audit.json", payload)
 
@@ -427,7 +407,7 @@ def main(argv=None) -> int:
     try:
         config = _resolve(_load_config(args.config), args)
         path = COMMANDS[args.command](config)
-    except (ConfigError, InvalidParameterError) as exc:
+    except (ConfigError, InvalidParameterError, EmptyPairSetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataFormatError, UnknownPointError, FileNotFoundError) as exc:

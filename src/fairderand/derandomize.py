@@ -1,24 +1,31 @@
-"""The three derandomization schemes.
+"""The derandomized classifier family, and the three schemes as bucketings.
 
-Each scheme is a uniform family of deterministic threshold classifiers:
+A derandomized classifier predicts 1 at x iff u(x) <= floor(score(x) * k),
+which realizes the closed comparison score >= u/k exactly, with
 
-* random threshold: one shared threshold u/k, u uniform in {1..k};
-* hashed threshold: per-point threshold h(pi(x))/k from a pairwise-
-  independent hash of a fixed bucketing of the input;
-* locality-sensitive threshold: per-point threshold h(g(x))/k where g is
-  a sampled locality-sensitive hash, so close points usually share a
-  threshold.
+    u(x) = ((a * e(x) + c) mod k) + 1.
 
-All three use the closed comparison score >= u/k, realized exactly as
-u <= floor(score * k).  Samplers draw through a CountingRng and attach
-the consumed bit budget to the classifier they return.
+Here e(x) is the embedded bucket of x under a member drawn from a
+bucketing family, and (a, c) is drawn from the affine pairwise-independent
+family over that family's buckets.  The paper's three schemes are this one
+construction with three bucketing families:
+
+* random threshold (RT): every point in one bucket, so u = c + 1 is one
+  shared threshold on the grid {1/k, ..., k/k};
+* hashed threshold (Pi): a fixed bucketing of the input, over the buckets
+  realized on the working dataset;
+* locality-sensitive threshold (LS): a sampled locality-sensitive hash, so
+  close points usually share a threshold.
+
+Samplers draw through a CountingRng (the bucketing member, then a, then c)
+and attach the consumed bit budget to the classifier they return.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable
 
 from .core import (
     Dataset,
@@ -31,21 +38,25 @@ from .errors import InvalidParameterError, NotEnumerableError
 from .hashing import (
     ENUMERATION_CAP,
     BitBudget,
+    BucketingFamily,
+    BucketingMember,
     FamilyTooLargeError,
-    LshFamily,
-    LshMember,
+    FixedFamily,
     PiFamily,
     PiHash,
 )
 from .rng import CountingRng
 
 
-class Bucketer:
+class Bucketer(BucketingMember):
     """Deterministic discretization of the input space; equal points map to
     equal buckets."""
 
     def bucket(self, point: Point) -> Hashable:
         raise NotImplementedError
+
+    def apply(self, point: Point) -> Hashable:
+        return self.bucket(point)
 
 
 @dataclass(frozen=True)
@@ -73,9 +84,11 @@ class IdentityBucketer(Bucketer):
         return point.id
 
 
-def default_bucketer(dataset: Dataset, resolution: float) -> GridBucketer:
-    del dataset  # resolution fully determines the grid
-    return GridBucketer(resolution)
+class SharedBucketer(Bucketer):
+    """Every point in the same bucket."""
+
+    def bucket(self, point: Point) -> int:
+        return 0
 
 
 def realized_buckets(bucketer: Bucketer, dataset: Dataset) -> tuple[Hashable, ...]:
@@ -87,33 +100,11 @@ def realized_buckets(bucketer: Bucketer, dataset: Dataset) -> tuple[Hashable, ..
 
 
 @dataclass(frozen=True)
-class RtClassifier(DeterministicClassifier):
+class ThresholdClassifier(DeterministicClassifier):
+    """One member of a derandomized family: 1 iff u(x) <= floor(score(x) * k)."""
+
     scorer: StochasticScorer
-    k: int
-    u: int
-    budget: BitBudget | None = None
-
-    def predict(self, point: Point) -> int:
-        return 1 if self.u <= threshold_count(self.scorer.score(point), self.k) else 0
-
-
-@dataclass(frozen=True)
-class PiClassifier(DeterministicClassifier):
-    scorer: StochasticScorer
-    bucketer: Bucketer
-    family: PiFamily
-    h: PiHash
-    budget: BitBudget | None = None
-
-    def predict(self, point: Point) -> int:
-        u = self.family.value(self.h, self.bucketer.bucket(point))
-        return 1 if u <= threshold_count(self.scorer.score(point), self.family.k) else 0
-
-
-@dataclass(frozen=True)
-class LsClassifier(DeterministicClassifier):
-    scorer: StochasticScorer
-    member: LshMember
+    member: BucketingMember
     family: PiFamily
     h: PiHash
     budget: BitBudget | None = None
@@ -122,24 +113,48 @@ class LsClassifier(DeterministicClassifier):
         u = self.family.value(self.h, self.member.apply(point))
         return 1 if u <= threshold_count(self.scorer.score(point), self.family.k) else 0
 
+    def params(self) -> dict:
+        """The classifier's entry in a derandomize report."""
+        return {**self.family.params(self.h), **self.member.params()}
+
 
 class Derandomizer:
-    """A sampleable family of deterministic classifiers."""
+    """The uniform family of threshold classifiers over a bucketing family:
+    every bucketing member paired with every affine hash over its buckets."""
 
-    scorer: StochasticScorer
-    k: int
+    def __init__(self, scorer: StochasticScorer, bucketing: BucketingFamily, k: int):
+        self.scorer = scorer
+        self.bucketing = bucketing
+        self.pi_family = PiFamily(k, bucketing.bucket_values)
+        self.k = k
 
-    def sample(self, rng: CountingRng) -> DeterministicClassifier:
-        raise NotImplementedError
+    def sample(self, rng: CountingRng) -> ThresholdClassifier:
+        start = rng.bits_consumed
+        member = self.bucketing.sample(rng)
+        lsh_bits = rng.bits_consumed - start
+        h = self.pi_family.sample(rng)
+        pi_bits = rng.bits_consumed - start - lsh_bits
+        return ThresholdClassifier(
+            self.scorer, member, self.pi_family, h, BitBudget(pi_bits, lsh_bits)
+        )
 
     @property
     def family_size(self) -> int | None:
         """Number of members, or None when the family is not finite."""
-        raise NotImplementedError
+        size = self.bucketing.enumerable_size
+        if size is None:
+            return None
+        return size * self.pi_family.size
 
-    def enumerate_members(self) -> list[DeterministicClassifier]:
+    def enumerate_members(self) -> list[ThresholdClassifier]:
         """The full uniform family, for exact-expectation oracles."""
-        raise NotImplementedError
+        self._check_enumerable()
+        hashes = self.pi_family.enumerate()
+        return [
+            ThresholdClassifier(self.scorer, member, self.pi_family, h)
+            for member in self.bucketing.enumerate()
+            for h in hashes
+        ]
 
     def _check_enumerable(self):
         size = self.family_size
@@ -157,35 +172,12 @@ class RtDerandomizer(Derandomizer):
     """
 
     def __init__(self, scorer: StochasticScorer, k: int):
-        if k < 1:
-            raise InvalidParameterError("k must be positive")
-        self.scorer = scorer
-        self.k = k
-
-    def sample(self, rng: CountingRng) -> RtClassifier:
-        before = rng.bits_consumed
-        u = rng.uniform_int(self.k) + 1
-        budget = BitBudget(pi_bits=rng.bits_consumed - before, lsh_bits=0)
-        return RtClassifier(self.scorer, self.k, u, budget)
-
-    @property
-    def family_size(self) -> int:
-        return self.k
-
-    def enumerate_members(self) -> list[RtClassifier]:
-        self._check_enumerable()
-        return [RtClassifier(self.scorer, self.k, u) for u in range(1, self.k + 1)]
+        super().__init__(scorer, FixedFamily(SharedBucketer(), (0,)), k)
 
 
 class PiDerandomizer(Derandomizer):
     """Per-point pseudo-random threshold via a pairwise-independent hash of
     a fixed bucketing."""
-
-    def __init__(self, scorer: StochasticScorer, bucketer: Bucketer, pi_family: PiFamily):
-        self.scorer = scorer
-        self.bucketer = bucketer
-        self.pi_family = pi_family
-        self.k = pi_family.k
 
     @classmethod
     def build(
@@ -196,69 +188,15 @@ class PiDerandomizer(Derandomizer):
         k: int,
     ) -> "PiDerandomizer":
         """Fix the bucket set to those realized on the working dataset."""
-        return cls(scorer, bucketer, PiFamily(k, realized_buckets(bucketer, dataset)))
-
-    def sample(self, rng: CountingRng) -> PiClassifier:
-        before = rng.bits_consumed
-        h = self.pi_family.sample(rng)
-        budget = BitBudget(pi_bits=rng.bits_consumed - before, lsh_bits=0)
-        return PiClassifier(self.scorer, self.bucketer, self.pi_family, h, budget)
-
-    @property
-    def family_size(self) -> int:
-        return self.pi_family.size
-
-    def enumerate_members(self) -> list[PiClassifier]:
-        self._check_enumerable()
-        return [
-            PiClassifier(self.scorer, self.bucketer, self.pi_family, h)
-            for h in self.pi_family.enumerate()
-        ]
+        return cls(scorer, FixedFamily(bucketer, realized_buckets(bucketer, dataset)), k)
 
 
 class LsDerandomizer(Derandomizer):
     """Locality-sensitive bucketing composed with a pairwise-independent
-    threshold hash.
+    threshold hash: ``LsDerandomizer(scorer, lsh_family, k)``.
 
     When points carry dedicated fairness features, the locality-sensitive
     hash (and the fairness metric) reads those, while the scorer keeps
     reading inference features; the fairness guarantees are then stated
     against the fairness-feature metric.
     """
-
-    def __init__(self, scorer: StochasticScorer, lsh_family: LshFamily, k: int):
-        self.scorer = scorer
-        self.lsh_family = lsh_family
-        self.pi_family = PiFamily(k, lsh_family.bucket_values)
-        self.k = k
-
-    def sample(self, rng: CountingRng) -> LsClassifier:
-        start = rng.bits_consumed
-        member = self.lsh_family.sample(rng)
-        lsh_bits = rng.bits_consumed - start
-        h = self.pi_family.sample(rng)
-        pi_bits = rng.bits_consumed - start - lsh_bits
-        return LsClassifier(
-            self.scorer, member, self.pi_family, h, BitBudget(pi_bits, lsh_bits)
-        )
-
-    @property
-    def family_size(self) -> int | None:
-        lsh_size = self.lsh_family.enumerable_size
-        if lsh_size is None:
-            return None
-        return lsh_size * self.pi_family.size
-
-    def enumerate_members(self) -> list[LsClassifier]:
-        self._check_enumerable()
-        hashes = self.pi_family.enumerate()
-        return [
-            LsClassifier(self.scorer, member, self.pi_family, h)
-            for member in self.lsh_family.enumerate()
-            for h in hashes
-        ]
-
-
-def enumerate_family(derandomizer: Derandomizer) -> list[DeterministicClassifier]:
-    """Module-level alias for the family enumeration oracle."""
-    return derandomizer.enumerate_members()

@@ -1,19 +1,30 @@
 """Hash families with exactly known distributional properties.
 
-Two kinds live here:
+Every classifier in this package thresholds a point x at
 
-* an affine pairwise-independent family over Z_k: for any two embedded
+    u(x) = ((a * e(x) + c) mod k) + 1,
+
+where e(x) is the embedded bucket of x under a bucketing, and (a, c) is a
+member of the affine family over that bucketing's bucket set.  Two kinds
+of family live here:
+
+* the affine pairwise-independent family over Z_k: for any two embedded
   buckets, the joint distribution of their hash values is exactly uniform
-  over [k]^2 (each cell hit by exactly one (a, c) coefficient pair);
+  over [k]^2 (each cell hit by exactly one (a, c) coefficient pair;
+  Carter & Wegman 1979), so the threshold construction needs to know
+  nothing about where the buckets came from;
 
-* atomic locality-sensitive families (bit sampling, min-wise permutation
-  hashing, random-hyperplane signs) whose collision probability for a
-  uniformly sampled member equals exactly 1 - d(x, x') for the paired
-  metric.  Members are never concatenated: amplification would turn the
-  collision probability into (1 - d)^m and break the fairness analysis.
+* bucketing families, from which e is drawn: a fixed bucketing (one
+  member, no random bits), or an atomic locality-sensitive family (bit
+  sampling, min-wise permutation hashing, random-hyperplane signs) whose
+  collision probability for a uniformly sampled member equals exactly
+  1 - d(x, x') for the paired metric.  LSH members are never
+  concatenated: amplification would turn the collision probability into
+  (1 - d)^m and break the fairness analysis.
 
-Both support full-family enumeration at small scale, which is the exact
-expectation oracle the audits are built on.
+Each family draws one member through a CountingRng, draws a batch of
+members from a numpy generator, and, at small scale, enumerates itself,
+which is the exact expectation oracle the audits are built on.
 """
 
 from __future__ import annotations
@@ -22,7 +33,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Sequence
+from functools import cached_property
+from typing import Callable, Hashable, Sequence
+
+import numpy as np
 
 from .core import Point
 from .errors import (
@@ -74,6 +88,10 @@ class PiFamily:
     embedded as consecutive integers 0..|B|-1, so the condition is
     gcd(j, k) = 1 for j = 1..|B|-1; any prime k >= |B| qualifies, and so
     does any k when there are at most two buckets.
+
+    Over a single bucket a * 0 = 0, so a is fixed at 0 and not drawn: the
+    family is the k shared thresholds u = c + 1, drawn with ceil(log2 k)
+    bits.
     """
 
     def __init__(self, k: int, buckets: Sequence[Hashable]):
@@ -95,6 +113,7 @@ class PiFamily:
         self.k = k
         self.buckets = buckets
         self.embed = {b: i for i, b in enumerate(buckets)}
+        self.a_range = k if len(buckets) > 1 else 1
 
     def embed_value(self, bucket: Hashable) -> int:
         try:
@@ -107,36 +126,66 @@ class PiFamily:
         return (h.a * self.embed_value(bucket) + h.c) % self.k + 1
 
     def sample(self, rng: CountingRng) -> PiHash:
-        """Uniform (a, c) over Z_k^2; rejection keeps uniformity exact."""
-        return PiHash(rng.uniform_int(self.k), rng.uniform_int(self.k))
+        """Uniform (a, c), a first; rejection keeps uniformity exact."""
+        return PiHash(rng.uniform_int(self.a_range), rng.uniform_int(self.k))
+
+    def sample_batch(
+        self, gen: np.random.Generator, trials: int
+    ) -> Callable[[np.ndarray | int], np.ndarray]:
+        """``trials`` uniform members (a drawn first) from a numpy generator,
+        as a map from embedded buckets to the residues (a * e + c) mod k,
+        which are the hash values minus one."""
+        a = gen.integers(0, self.a_range, size=trials, dtype=np.int64)
+        c = gen.integers(0, self.k, size=trials, dtype=np.int64)
+        if self.a_range == 1:
+            return lambda e: c  # a = 0: one shared threshold per member
+        return lambda e: (a * e + c) % self.k
 
     @property
     def size(self) -> int:
-        return self.k * self.k
+        return self.a_range * self.k
 
     def enumerate(self) -> list[PiHash]:
-        """All k^2 members, each of weight 1/k^2."""
+        """All members, each of equal weight."""
         if self.size > ENUMERATION_CAP:
             raise FamilyTooLargeError(f"{self.size} members exceeds cap {ENUMERATION_CAP}")
-        return [PiHash(a, c) for a in range(self.k) for c in range(self.k)]
+        return [PiHash(a, c) for a in range(self.a_range) for c in range(self.k)]
+
+    @cached_property
+    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
+        """(a, c) arrays of every member, in enumeration order."""
+        a = np.repeat(np.arange(self.a_range, dtype=np.int64), self.k)
+        c = np.tile(np.arange(self.k, dtype=np.int64), self.a_range)
+        return a, c
+
+    def params(self, h: PiHash) -> dict:
+        """The member's entry in a derandomize report; over one bucket it is
+        the shared threshold u."""
+        if self.a_range == 1:
+            return {"u": h.c + 1, "k": self.k}
+        return {"a": h.a, "c": h.c, "k": self.k}
 
 
-class LshMember:
-    """One sampled locality-sensitive hash function."""
+class BucketingMember:
+    """One bucketing function: point -> bucket."""
 
     def apply(self, point: Point) -> Hashable:
         raise NotImplementedError
 
+    def params(self) -> dict:
+        """The member's entry in a derandomize report."""
+        return {}
 
-class LshFamily:
-    """A family with Pr_h[h(x) != h(x')] exactly equal to the paired metric."""
+
+class BucketingFamily:
+    """A uniform family of bucketings into the finite set ``bucket_values``."""
 
     bucket_values: tuple[Hashable, ...]
 
-    def sample(self, rng: CountingRng) -> LshMember:
+    def sample(self, rng: CountingRng) -> BucketingMember:
         raise NotImplementedError
 
-    def enumerate(self) -> list[LshMember]:
+    def enumerate(self) -> list[BucketingMember]:
         raise NotImplementedError
 
     @property
@@ -144,9 +193,48 @@ class LshFamily:
         """Family size when enumeration is supported, else None."""
         return None
 
+    def sample_batch(
+        self, gen: np.random.Generator, trials: int, embed: Callable[[Hashable], int]
+    ) -> Callable[[Point], np.ndarray]:
+        """``trials`` uniform members drawn from a numpy generator, as a map
+        from a point to embed(member(point)) for each member (a scalar when
+        all members agree).  By default the members are drawn as indices
+        into the enumeration."""
+        members = self.enumerate()
+        idx = gen.integers(0, len(members), size=trials)
+
+        def embeds(point: Point) -> np.ndarray:
+            per_member = np.array([embed(m.apply(point)) for m in members], dtype=np.int64)
+            return per_member[idx]
+
+        return embeds
+
+
+class FixedFamily(BucketingFamily):
+    """A deterministic bucketing as a one-member family: sampling it draws
+    no bits, and a batch of it draws nothing."""
+
+    def __init__(self, member: BucketingMember, bucket_values: Sequence[Hashable]):
+        self.member = member
+        self.bucket_values = tuple(bucket_values)
+
+    def sample(self, rng: CountingRng) -> BucketingMember:
+        return self.member
+
+    def enumerate(self) -> list[BucketingMember]:
+        return [self.member]
+
+    @property
+    def enumerable_size(self) -> int:
+        return 1
+
+    def sample_batch(self, gen, trials, embed):
+        member = self.member
+        return lambda point: embed(member.apply(point))
+
 
 @dataclass(frozen=True)
-class BitSamplingMember(LshMember):
+class BitSamplingMember(BucketingMember):
     index: int
 
     def apply(self, point: Point) -> int:
@@ -156,8 +244,11 @@ class BitSamplingMember(LshMember):
             raise InvalidParameterError("bit sampling requires 0/1 features")
         return int(value)
 
+    def params(self) -> dict:
+        return {"lsh_member": {"kind": "coordinate", "index": self.index}}
 
-class BitSamplingFamily(LshFamily):
+
+class BitSamplingFamily(BucketingFamily):
     """Sample one coordinate of a {0,1}^n vector; paired with normalized
     Hamming distance."""
 
@@ -179,7 +270,7 @@ class BitSamplingFamily(LshFamily):
 
 
 @dataclass(frozen=True)
-class MinHashMember(LshMember):
+class MinHashMember(BucketingMember):
     """A permutation of the universe, stored as rank[element]; a set hashes
     to its minimum-rank element."""
 
@@ -191,8 +282,11 @@ class MinHashMember(LshMember):
             raise InvalidParameterError("min-wise hashing is undefined on the empty set")
         return min(support, key=lambda e: self.ranks[e])
 
+    def params(self) -> dict:
+        return {"lsh_member": {"kind": "permutation", "ranks": list(self.ranks)}}
 
-class MinHashFamily(LshFamily):
+
+class MinHashFamily(BucketingFamily):
     """Min-wise permutation hashing over a universe of feature indices;
     paired with Jaccard distance.  Buckets are the universe elements."""
 
@@ -218,9 +312,24 @@ class MinHashFamily(LshFamily):
             )
         return [MinHashMember(p) for p in itertools.permutations(range(self.universe_size))]
 
+    def sample_batch(self, gen, trials, embed):
+        if self.universe_size <= MINHASH_ENUM_MAX:
+            return super().sample_batch(gen, trials, embed)
+        # uniform permutations, one row of ranks per trial
+        ranks = np.argsort(gen.random((trials, self.universe_size)), axis=1).argsort(axis=1)
+
+        def embeds(point: Point) -> np.ndarray:
+            support = sorted(binary_support(point.fairness_vector))
+            if not support:
+                raise InvalidParameterError("min-wise hashing is undefined on the empty set")
+            values = np.array([embed(e) for e in support], dtype=np.int64)
+            return values[np.argmin(ranks[:, support], axis=1)]
+
+        return embeds
+
 
 @dataclass(frozen=True)
-class SimHashMember(LshMember):
+class SimHashMember(BucketingMember):
     normal: tuple[float, ...]
 
     def apply(self, point: Point) -> int:
@@ -230,8 +339,11 @@ class SimHashMember(LshMember):
         dot = sum(a * b for a, b in zip(self.normal, vector))
         return 1 if dot >= 0.0 else 0
 
+    def params(self) -> dict:
+        return {"lsh_member": {"kind": "hyperplane", "normal": list(self.normal)}}
 
-class SimHashFamily(LshFamily):
+
+class SimHashFamily(BucketingFamily):
     """Random-hyperplane sign hashing; paired with angular distance.
     The family is continuous, so enumeration is unsupported."""
 
@@ -244,11 +356,18 @@ class SimHashFamily(LshFamily):
     def sample(self, rng: CountingRng) -> SimHashMember:
         return SimHashMember(rng.unit_vector(self.dim))
 
-    def enumerate(self) -> list[LshMember]:
+    def enumerate(self) -> list[BucketingMember]:
         raise NotEnumerableError("hyperplane families are continuous")
 
+    def sample_batch(self, gen, trials, embed):
+        normals = gen.standard_normal((trials, self.dim))
+        above, below = embed(1), embed(0)
+        return lambda point: np.where(
+            normals @ np.asarray(point.fairness_vector) >= 0.0, above, below
+        )
 
-def exact_collision_probability(family: LshFamily, x: Point, y: Point) -> Fraction:
+
+def exact_collision_probability(family: BucketingFamily, x: Point, y: Point) -> Fraction:
     """Collision probability of a uniform member, by full enumeration.
 
     Exact-rational oracle; raises NotEnumerableError for families without

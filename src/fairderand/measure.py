@@ -24,19 +24,13 @@ from .core import (
     StochasticScorer,
     threshold_count,
 )
-from .derandomize import (
-    Derandomizer,
-    LsDerandomizer,
-    PiDerandomizer,
-    RtDerandomizer,
-)
+from .derandomize import Derandomizer, LsDerandomizer, RtDerandomizer
 from .errors import (
     EmptyPairSetError,
     InvalidParameterError,
     NotEnumerableError,
 )
-from .hashing import MinHashFamily, SimHashFamily
-from .metrics import Metric, binary_support
+from .metrics import Metric
 from .rng import CountingRng
 
 Number = Union[Fraction, float, int]
@@ -52,8 +46,6 @@ class EstimatorConfig:
     mode: str = "exact"
     trials: int = 100_000
     seed: int = 0
-    pair_threshold: float = 1.0
-    confidence: float = 0.25
     pairs_cap: int = DEFAULT_PAIRS_CAP
 
     def __post_init__(self):
@@ -61,10 +53,6 @@ class EstimatorConfig:
             raise InvalidParameterError(f"unknown estimator mode {self.mode!r}")
         if self.trials < 1:
             raise InvalidParameterError("trials must be at least 1")
-        if not 0 < self.confidence < 1:
-            raise InvalidParameterError("confidence must lie in (0, 1)")
-        if not 0 <= self.pair_threshold <= 1:
-            raise InvalidParameterError("pair threshold must lie in [0, 1]")
 
     @property
     def exact(self) -> bool:
@@ -156,29 +144,16 @@ def select_pairs(
 
 def _enumerated_bits(derand: Derandomizer, point: Point) -> np.ndarray:
     """Prediction bit of every family member at the point, in enumeration
-    order.  This is the exact-expectation oracle's workhorse."""
+    order.  This is the exact-expectation oracle's workhorse: one row of
+    hash values per distinct embedded bucket, gathered per bucketing."""
     derand._check_enumerable()
+    family = derand.pi_family
     t = threshold_count(derand.scorer.score(point), derand.k)
-    k = derand.k
-    if isinstance(derand, RtDerandomizer):
-        u = np.arange(1, k + 1, dtype=np.int64)
-    elif isinstance(derand, PiDerandomizer):
-        e = derand.pi_family.embed_value(derand.bucketer.bucket(point))
-        a = np.repeat(np.arange(k, dtype=np.int64), k)
-        c = np.tile(np.arange(k, dtype=np.int64), k)
-        u = (a * e + c) % k + 1
-    elif isinstance(derand, LsDerandomizer):
-        members = derand.lsh_family.enumerate()
-        embeds = np.array(
-            [derand.pi_family.embed_value(m.apply(point)) for m in members],
-            dtype=np.int64,
-        )
-        a = np.repeat(np.arange(k, dtype=np.int64), k)
-        c = np.tile(np.arange(k, dtype=np.int64), k)
-        u = ((embeds[:, None] * a[None, :] + c[None, :]) % k + 1).reshape(-1)
-    else:
-        raise NotEnumerableError(f"cannot enumerate {type(derand).__name__}")
-    return u <= t
+    embeds = [family.embed_value(m.apply(point)) for m in derand.bucketing.enumerate()]
+    distinct, inverse = np.unique(np.array(embeds, dtype=np.int64), return_inverse=True)
+    a, c = family.coefficients
+    rows = (distinct[:, None] * a + c) % derand.k < t  # u = residue + 1 <= t
+    return rows[inverse].reshape(-1)
 
 
 def _exact_mean(derand: Derandomizer, point: Point) -> Fraction:
@@ -192,67 +167,20 @@ def _exact_mean(derand: Derandomizer, point: Point) -> Fraction:
 class _ClassifierBatch:
     """A vectorized batch of classifiers sampled uniformly from the family.
 
-    Parameters are drawn once and shared across point evaluations, so
-    pairwise quantities see each sampled classifier at both points.
+    Parameters are drawn once (a, then c, then the bucketings) and shared
+    across point evaluations, so pairwise quantities see each sampled
+    classifier at both points.
     """
 
     def __init__(self, derand: Derandomizer, trials: int, gen: np.random.Generator):
         self.derand = derand
         self.trials = trials
-        k = derand.k
-        if isinstance(derand, RtDerandomizer):
-            self.u = gen.integers(1, k + 1, size=trials, dtype=np.int64)
-        elif isinstance(derand, PiDerandomizer):
-            self.a = gen.integers(0, k, size=trials, dtype=np.int64)
-            self.c = gen.integers(0, k, size=trials, dtype=np.int64)
-        elif isinstance(derand, LsDerandomizer):
-            self.a = gen.integers(0, k, size=trials, dtype=np.int64)
-            self.c = gen.integers(0, k, size=trials, dtype=np.int64)
-            fam = derand.lsh_family
-            if isinstance(fam, SimHashFamily):
-                self.normals = gen.standard_normal((trials, fam.dim))
-            elif fam.enumerable_size is not None:
-                self.members = fam.enumerate()
-                self.member_idx = gen.integers(0, len(self.members), size=trials)
-            elif isinstance(fam, MinHashFamily):
-                # uniform permutations, one row per trial
-                self.ranks = np.argsort(
-                    gen.random((trials, fam.universe_size)), axis=1
-                ).argsort(axis=1)
-            else:
-                raise NotEnumerableError(f"cannot sample {type(fam).__name__} in batch")
-        else:
-            raise InvalidParameterError(f"unknown family {type(derand).__name__}")
-
-    def _embeds(self, point: Point) -> np.ndarray:
-        derand = self.derand
-        fam = derand.lsh_family
-        if isinstance(fam, SimHashFamily):
-            x = np.asarray(point.fairness_vector)
-            return (self.normals @ x >= 0.0).astype(np.int64)
-        if hasattr(self, "members"):
-            per_member = np.array(
-                [derand.pi_family.embed_value(m.apply(point)) for m in self.members],
-                dtype=np.int64,
-            )
-            return per_member[self.member_idx]
-        support = sorted(binary_support(point.fairness_vector))
-        if not support:
-            raise InvalidParameterError("min-wise hashing is undefined on the empty set")
-        cols = self.ranks[:, support]
-        return np.asarray(support, dtype=np.int64)[np.argmin(cols, axis=1)]
+        self.residues = derand.pi_family.sample_batch(gen, trials)
+        self.embeds = derand.bucketing.sample_batch(gen, trials, derand.pi_family.embed_value)
 
     def bits(self, point: Point) -> np.ndarray:
-        derand = self.derand
-        t = threshold_count(derand.scorer.score(point), derand.k)
-        k = derand.k
-        if isinstance(derand, RtDerandomizer):
-            return self.u <= t
-        if isinstance(derand, PiDerandomizer):
-            e = derand.pi_family.embed_value(derand.bucketer.bucket(point))
-            return (self.a * e + self.c) % k + 1 <= t
-        e = self._embeds(point)
-        return (self.a * e + self.c) % k + 1 <= t
+        t = threshold_count(self.derand.scorer.score(point), self.derand.k)
+        return self.residues(self.embeds(point)) < t  # u = residue + 1 <= t
 
 
 def _mean_with_stderr(bits: np.ndarray) -> Estimate:
@@ -473,9 +401,9 @@ def aggregate_fairness_tail_check(
     """Sample classifiers and check the high-probability aggregate bound:
     at most a delta fraction may split more than (1 + 1/sqrt(delta)) times
     the family's certified pairwise budget (alpha*tau + beta)."""
+    rhos = sampled_aggregate_fairness(derand, dataset, metric, tau, n_classifiers, rng)
     beta = family_beta(derand, dataset, metric, alpha, cfg)
     bound = aggregate_tail_bound(alpha, beta, tau, delta)
-    rhos = sampled_aggregate_fairness(derand, dataset, metric, tau, n_classifiers, rng)
     violating = sum(float(r) > bound for r in rhos)
     fraction = violating / n_classifiers
     report = FairnessReport()

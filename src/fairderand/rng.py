@@ -122,16 +122,3 @@ class CountingRng:
             norm = math.sqrt(sum(v * v for v in values))
             if norm > 0.0:
                 return tuple(v / norm for v in values)
-
-    def spawn(self, index: int) -> "CountingRng":
-        """Child rng with a seed derived deterministically from (seed, index).
-
-        Parallel work uses one child per task so that results do not depend
-        on scheduling.
-        """
-        return CountingRng(_mix64(self.seed ^ _mix64((index + 1) * _GOLDEN & _MASK64)))
-
-
-def derive_seed(seed: int, index: int) -> int:
-    """Deterministic child seed for (seed, task index), without an rng object."""
-    return _mix64((int(seed) & _MASK64) ^ _mix64((index + 1) * _GOLDEN & _MASK64))

@@ -131,7 +131,7 @@ class TestViolationSearch:
     def test_single_step_classifier(self):
         # the classifier 1{x >= 0.5} on [0, 1]
         family = [RtDerandomizer(AffineScorer((1.0,)), 2).enumerate_members()[0]]
-        assert family[0].u == 1 and family[0].k == 2
+        assert family[0].h.c + 1 == 1 and family[0].family.k == 2  # u = c + 1
         grid = unit_interval_grid(1001)
         found = finite_family_violation_search(
             family, ScaledEuclidean(1.0), grid, alpha=1.0, beta=0.1

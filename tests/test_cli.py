@@ -112,6 +112,33 @@ class TestDerandomizeCommand:
             report["bit_budget"]["pi_bits"] + report["bit_budget"]["lsh_bits"]
         )
 
+    @pytest.mark.parametrize(
+        "overrides,keys,member",
+        [
+            (dict(scheme="rt"), {"u", "k"}, None),
+            (dict(scheme="pi", k=11, bucketer={"kind": "identity"}), {"a", "c", "k"}, None),
+            # one realized bucket: the affine family is the shared threshold u
+            (dict(scheme="pi", k=11, bucketer={"kind": "grid", "resolution": 10.0}), {"u", "k"}, None),
+            (dict(scheme="ls", k=11, lsh={"kind": "bit_sampling"}), {"a", "c", "k", "lsh_member"},
+             ("coordinate", "index")),
+            (dict(scheme="ls", k=11, lsh={"kind": "minhash"}), {"a", "c", "k", "lsh_member"},
+             ("permutation", "ranks")),
+            (dict(scheme="ls", k=11, lsh={"kind": "simhash"}), {"a", "c", "k", "lsh_member"},
+             ("hyperplane", "normal")),
+        ],
+    )
+    def test_classifier_keys(self, scored_csv, config_factory, tmp_path, overrides, keys, member):
+        config = config_factory(input=str(scored_csv), **overrides)
+        assert main(["derandomize", "--config", str(config)]) == 0
+        report = json.loads((tmp_path / "reports" / "derandomize.json").read_text())
+        clf = report["classifier"]
+        assert set(clf) == keys
+        assert clf["k"] == overrides.get("k", 10)
+        if member is not None:
+            kind, field = member
+            assert clf["lsh_member"]["kind"] == kind
+            assert set(clf["lsh_member"]) == {"kind", field}
+
     def test_missing_score_column_is_data_error(self, tmp_path, config_factory, capsys):
         path = tmp_path / "noscore.csv"
         write_dataset(path, [["a", 1], ["b", 0]], ["id", "feat_0"])
@@ -155,6 +182,24 @@ class TestAuditCommand:
             input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "simhash"},
         )
         assert main(["audit", "--config", str(config)]) == 4
+
+    def test_no_pair_within_tau_is_config_error(self, scored_csv, config_factory, capsys):
+        # the LS block's default tau (0.05) is below 1/3, the smallest
+        # Hamming distance between distinct 3-bit points
+        config = config_factory(
+            input=str(scored_csv), scheme="ls", k=11,
+            lsh={"kind": "bit_sampling"}, n_classifiers=5,
+        )
+        assert main(["audit", "--config", str(config)]) == 2
+        assert "config error: no pairs within distance" in capsys.readouterr().err
+
+    def test_subsampled_audit_reports_pair_seed(self, scored_csv, config_factory, tmp_path):
+        config = config_factory(input=str(scored_csv), pairs_cap=3)
+        assert main(["audit", "--config", str(config)]) == 0
+        report = json.loads((tmp_path / "reports" / "audit.json").read_text())
+        fairness = report["quantities"]["metric_fairness"]
+        assert report["pair_sample_seed"] == fairness["pair_sample_seed"]["value"] == 7
+        assert fairness["pairs_checked"]["value"] == 3
 
     def test_curve_csv_emitted(self, scored_csv, config_factory, tmp_path):
         config = config_factory(
@@ -251,6 +296,12 @@ class TestConfigHandling:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["audit", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("overrides", [dict(delta=1.0), dict(delta=0), dict(tau=1.5)])
+    def test_out_of_range_tau_or_delta_exits_2(self, scored_csv, config_factory, capsys, overrides):
+        config = config_factory(input=str(scored_csv), **overrides)
+        assert main(["audit", "--config", str(config)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_input_file_exits_3(self, config_factory):
         config = config_factory(input="/nonexistent/data.csv")

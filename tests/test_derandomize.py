@@ -17,8 +17,6 @@ from fairderand import (
     RtDerandomizer,
     SimHashFamily,
     TabularScorer,
-    default_bucketer,
-    enumerate_family,
 )
 from fairderand.derandomize import realized_buckets
 from fairderand.errors import InvalidParameterError, NotEnumerableError
@@ -46,7 +44,7 @@ class TestBucketers:
 
     def test_realized_buckets_first_seen_order(self):
         ds = Dataset([Point("a", (0.2,)), Point("b", (5.3,)), Point("c", (0.7,))])
-        assert realized_buckets(default_bucketer(ds, 1.0), ds) == ((0,), (5,))
+        assert realized_buckets(GridBucketer(1.0), ds) == ((0,), (5,))
 
     def test_resolution_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -78,7 +76,7 @@ class TestFamilySizes:
     def test_pi(self):
         ds = two_point_dataset()
         derand = PiDerandomizer.build(ConstantScorer(0), ds, IdentityBucketer(), 3)
-        assert len(enumerate_family(derand)) == 9
+        assert len(derand.enumerate_members()) == 9
 
     def test_ls(self):
         derand = LsDerandomizer(ConstantScorer(0), BitSamplingFamily(2), 5)
@@ -108,7 +106,7 @@ class TestRtScheme:
         scorer = TabularScorer({"x1": 1.0, "x2": 0.999})
         members = RtDerandomizer(scorer, 4).enumerate_members()
         top = members[-1]
-        assert top.u == 4
+        assert top.h.c + 1 == 4  # the shared threshold u = c + 1
         assert top.predict(Point("x1", (0.0,))) == 1
         assert top.predict(Point("x2", (0.0,))) == 0
 

@@ -9,6 +9,7 @@ from fairderand import (
     ConstantScorer,
     Dataset,
     EstimatorConfig,
+    GridBucketer,
     IdentityBucketer,
     LsDerandomizer,
     MinHashFamily,
@@ -18,6 +19,7 @@ from fairderand import (
     SimHashFamily,
     TableClassifier,
     TabularScorer,
+    threshold_count,
 )
 from fairderand.errors import (
     EmptyPairSetError,
@@ -50,10 +52,11 @@ from fairderand.measure import (
     sampled_aggregate_fairness,
     scorer_beta,
     select_pairs,
+    threshold_fairness_check,
     worst_case_aggregate_bound,
     worst_case_pairwise_bound,
 )
-from fairderand.metrics import JaccardDistance, NormalizedHamming
+from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming
 from fairderand.rng import CountingRng
 
 from conftest import (
@@ -81,6 +84,7 @@ def small_families(dataset, scorer, k=5):
     return [
         RtDerandomizer(scorer, k),
         PiDerandomizer.build(scorer, dataset, IdentityBucketer(), k),
+        PiDerandomizer.build(scorer, dataset, GridBucketer(10.0), k),  # one bucket
         LsDerandomizer(scorer, BitSamplingFamily(2), k),
         LsDerandomizer(scorer, MinHashFamily(2), k),
     ]
@@ -131,6 +135,29 @@ class TestOracleAgreement:
         mc = EstimatorConfig(mode="mc", trials=200_000, seed=3)
         est = pointwise_bias(derand, ds[0], mc)
         assert abs(est.value) <= 1 / 25 + 4 * est.stderr
+
+    @pytest.mark.parametrize(
+        "family,metric,x,y",
+        [
+            # universe of 8 > MINHASH_ENUM_MAX: the batch draws rank rows
+            (MinHashFamily(8), JaccardDistance(),
+             (1, 1, 1, 0, 1, 0, 0, 1), (0, 1, 1, 1, 1, 0, 1, 0)),
+            (SimHashFamily(8), Angular(), (0.9, -0.2, 0.4, 0.1, -0.7, 0.3, 0.5, 0.2),
+             (0.1, 0.3, 0.8, -0.4, -0.6, 0.2, 0.1, 0.9)),
+        ],
+    )
+    def test_monte_carlo_pairwise_gap_matches_closed_form(self, family, metric, x, y):
+        # a shared bucket (probability p = 1 - d) gives the same threshold;
+        # distinct buckets give independent uniform thresholds
+        k = 11
+        px, py = Point("x", tuple(map(float, x))), Point("y", tuple(map(float, y)))
+        scorer = TabularScorer({"x": "0.3", "y": "0.75"})
+        tx, ty = threshold_count(scorer.score(px), k), threshold_count(scorer.score(py), k)
+        p = 1 - float(metric.distance(px, py))
+        expected = p * abs(tx - ty) / k + (1 - p) * (tx * (k - ty) + ty * (k - tx)) / k**2
+        mc = EstimatorConfig(mode="mc", trials=200_000, seed=13)
+        est = pairwise_unfairness(LsDerandomizer(scorer, family, k), px, py, mc)
+        assert abs(est.value - expected) <= 4 * est.stderr
 
     def test_exact_mode_rejects_simhash(self):
         derand = LsDerandomizer(ConstantScorer(0.5), SimHashFamily(2), 5)
@@ -202,7 +229,7 @@ class TestVariance:
         value = aggregate_variance(derand, ds, EXACT).value
         mean_fvar = sum((s := scorer.score(p)) * (1 - s) for p in ds) / len(ds)
         # mean over members of the max bucket mass, exact
-        members = derand.lsh_family.enumerate()
+        members = derand.bucketing.enumerate()
         masses = []
         for m in members:
             counts: dict = {}
@@ -287,6 +314,47 @@ class TestMetricFairnessCheck:
             RtDerandomizer(ConstantScorer(0.5), 4), ds, NormalizedHamming(2), 1, 0, EXACT
         )
         assert report["fairness_violations"]["value"] == 0
+
+
+class TestThresholdFairnessCheck:
+    """Each scheme reports the threshold-fairness guarantee the paper gives
+    it: RT the 1/k grid bound, LS with k >= 4/sigma the sigma + tau bound,
+    Pi neither."""
+
+    SIGMA, TAU = 0.5, 0.5
+
+    def check(self, derand):
+        ds = binary_dataset()
+        return threshold_fairness_check(
+            derand, ds, NormalizedHamming(2), self.SIGMA, self.TAU, EXACT
+        )
+
+    def test_rt_reports_grid_guarantee(self):
+        derand = RtDerandomizer(TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9}), 11)
+        report = self.check(derand)
+        ds = binary_dataset()
+        gaps = [pairwise_unfairness(derand, ds[i], ds[j], EXACT).value
+                for i, j in ((0, 2), (1, 2))]  # the pairs within sigma
+        assert report["pairs_within_sigma"]["value"] == 2
+        assert report["max_gap"]["value"] == max(gaps)
+        assert report["max_gap_vs_grid_guarantee"]["bound"] == self.TAU + Fraction(1, 11)
+        assert "max_gap_vs_preserved_guarantee" not in report
+
+    def test_ls_reports_preserved_guarantee_when_k_is_large(self):
+        scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
+        report = self.check(LsDerandomizer(scorer, BitSamplingFamily(2), 11))  # 11 >= 4/0.5
+        assert report["max_gap_vs_preserved_guarantee"]["bound"] == self.SIGMA + self.TAU
+        assert "max_gap_vs_grid_guarantee" not in report
+        small_k = self.check(LsDerandomizer(scorer, BitSamplingFamily(2), 7))
+        assert "max_gap_vs_preserved_guarantee" not in small_k
+
+    def test_pi_reports_neither(self):
+        scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
+        derand = PiDerandomizer.build(scorer, binary_dataset(), IdentityBucketer(), 11)
+        report = self.check(derand)
+        assert "max_gap" in report
+        assert "max_gap_vs_grid_guarantee" not in report
+        assert "max_gap_vs_preserved_guarantee" not in report
 
 
 class TestAggregateFairness:
@@ -469,5 +537,3 @@ def test_estimator_config_validation():
         EstimatorConfig(mode="bogus")
     with pytest.raises(InvalidParameterError):
         EstimatorConfig(trials=0)
-    with pytest.raises(InvalidParameterError):
-        EstimatorConfig(confidence=1.0)

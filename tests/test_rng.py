@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairderand.errors import InvalidParameterError
-from fairderand.rng import BERNOULLI_BITS, CountingRng, derive_seed
+from fairderand.rng import BERNOULLI_BITS, CountingRng
 
 
 def test_equal_seeds_replay_identically():
@@ -119,14 +119,6 @@ def test_unit_vector_has_unit_norm():
         v = rng.unit_vector(dim)
         assert len(v) == dim
         assert math.isclose(sum(x * x for x in v), 1.0, rel_tol=1e-12)
-
-
-def test_spawn_and_derive_seed_agree_and_are_deterministic():
-    rng = CountingRng(99)
-    child = rng.spawn(4)
-    assert child.seed == derive_seed(99, 4)
-    assert CountingRng(99).spawn(4).draw_bits(64) == child.draw_bits(64)
-    assert derive_seed(99, 4) != derive_seed(99, 5)
 
 
 def test_invalid_arguments():
