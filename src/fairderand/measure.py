@@ -6,6 +6,16 @@ bounds like 1/k are free of float noise.  Monte Carlo mode samples
 classifiers with a seeded numpy generator, vectorized over trials, and
 reports standard errors; the acceptance convention is agreement within
 four standard errors.
+
+Pair quantities run on one array path.  ``select_pairs`` returns index
+arrays (i, j); ``Metric.pair_distances`` maps the pairs to codes into the
+distinct distances; ``_pair_disagreements`` asks the oracle once per point
+that occurs in a pair, packs each prediction row into bits, and counts the
+members (or trials) that split each pair with a popcount of the XOR.  The
+reductions then evaluate their Python expression once per distinct
+(distance, count) class and weight it by the class size, so exact results
+stay rationals and int, Fraction and float parameters keep their usual
+arithmetic.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,7 +40,7 @@ from .errors import (
     InvalidParameterError,
     NotEnumerableError,
 )
-from .metrics import Metric
+from .metrics import Distance, Metric, over_pair_chunks
 from .rng import CountingRng
 
 Number = Union[Fraction, float, int]
@@ -53,6 +63,8 @@ class EstimatorConfig:
             raise InvalidParameterError(f"unknown estimator mode {self.mode!r}")
         if self.trials < 1:
             raise InvalidParameterError("trials must be at least 1")
+        if self.pairs_cap < 1:
+            raise InvalidParameterError("pairs_cap must be at least 1")
 
     @property
     def exact(self) -> bool:
@@ -123,20 +135,38 @@ class FairnessReport:
 
 def select_pairs(
     n_points: int, cap: int = DEFAULT_PAIRS_CAP, seed: int = 0
-) -> tuple[list[tuple[int, int]], Optional[int]]:
-    """Unordered distinct index pairs; uniformly subsampled without
-    replacement above the cap (the seed used is returned for the report)."""
+) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
+    """Index arrays (i, j) of unordered distinct pairs, i < j, sorted;
+    uniformly subsampled without replacement above the cap (the seed used
+    is returned for the report).
+
+    The subsample is the first ``cap`` distinct pairs of the stream of
+    draws (i, j) from ``default_rng(seed)``, skipping i == j.  The stream
+    is drawn in blocks; one array draw yields the same values as the same
+    number of scalar draws."""
     total = n_points * (n_points - 1) // 2
     if total <= cap:
-        return [(i, j) for i in range(n_points) for j in range(i + 1, n_points)], None
+        return (*np.triu_indices(n_points, 1), None)
     gen = np.random.default_rng(seed)
-    chosen: set[tuple[int, int]] = set()
-    while len(chosen) < cap:
-        i = int(gen.integers(0, n_points))
-        j = int(gen.integers(0, n_points))
-        if i != j:
-            chosen.add((min(i, j), max(i, j)))
-    return sorted(chosen), seed
+    keys = np.zeros(0, dtype=np.int64)  # i * n + j, distinct, sorted
+    first = np.zeros(0, dtype=np.int64)  # stream position of each key
+    drawn = 0
+    while keys.size < cap:
+        # about twice the draws the missing pairs need at the current
+        # repeat rate, in blocks small enough to keep temporaries small
+        missing = cap - keys.size
+        block = min(2 * missing * total // (total - keys.size) + 64, 1 << 16)
+        draws = gen.integers(0, n_points, size=2 * block).reshape(block, 2)
+        lo, hi = draws.min(axis=1), draws.max(axis=1)
+        position = np.flatnonzero(lo != hi)
+        keys, at = np.unique(
+            np.concatenate([keys, lo[position] * n_points + hi[position]]),
+            return_index=True,
+        )
+        first = np.concatenate([first, position + drawn])[at]
+        drawn += block
+    keys = np.sort(keys[np.argsort(first, kind="stable")[:cap]])
+    return keys // n_points, keys % n_points, seed
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +184,78 @@ def _enumerated_bits(derand: Derandomizer, point: Point) -> np.ndarray:
     a, c = family.coefficients
     rows = (distinct[:, None] * a + c) % derand.k < t  # u = residue + 1 <= t
     return rows[inverse].reshape(-1)
+
+
+def _pair_disagreements(
+    derand: Derandomizer,
+    dataset: Dataset,
+    i: np.ndarray,
+    j: np.ndarray,
+    cfg: EstimatorConfig,
+) -> tuple[np.ndarray, int]:
+    """(counts, size): the number of family members (exact) or sampled
+    classifiers (Monte Carlo, one seeded batch) that predict differently at
+    dataset[i[p]] and dataset[j[p]], out of size, for every pair p."""
+    present = np.zeros(len(dataset), dtype=bool)
+    present[i] = True
+    present[j] = True
+    row_of = np.cumsum(present) - 1
+    batch = None
+    if not cfg.exact:
+        batch = _ClassifierBatch(derand, cfg.trials, np.random.default_rng(cfg.seed))
+    packed = None
+    for r, index in enumerate(np.flatnonzero(present).tolist()):
+        point = dataset[index]
+        bits = _enumerated_bits(derand, point) if batch is None else batch.bits(point)
+        if packed is None:
+            size = bits.size
+            packed = np.empty((row_of[-1] + 1, (size + 7) // 8), dtype=np.uint8)
+        packed[r] = np.packbits(bits)
+    if packed is None:
+        return np.zeros(0, dtype=np.int64), 0
+
+    def split(a, b):
+        return np.bitwise_count(packed[row_of[a]] ^ packed[row_of[b]]).sum(axis=1, dtype=np.int64)
+
+    return over_pair_chunks(split, i, j, packed.shape[1]), size
+
+
+def _pair_excesses(
+    derand: Derandomizer,
+    dataset: Dataset,
+    metric: Metric,
+    i: np.ndarray,
+    j: np.ndarray,
+    cfg: EstimatorConfig,
+    budget: Callable[[Distance], Number],
+) -> list[tuple[Number, int]]:
+    """gap - budget(d) for each distinct (family gap, distance d) over the
+    pairs, with the number of pairs that have it.  The gap is an exact
+    rational in exact mode and a float in Monte Carlo mode, as
+    ``pairwise_unfairness`` gives; budget runs once per distinct distance."""
+    counts, size = _pair_disagreements(derand, dataset, i, j, cfg)
+    codes, values = metric.pair_distances(dataset, i, j)
+    budgets = [budget(d) for d in values]
+    codes *= size + 1  # one key per (distance, split count), in place
+    codes += counts
+    del counts
+    keys, weights = np.unique(codes, return_counts=True)
+    excesses = []
+    for key, weight in zip(keys.tolist(), weights.tolist()):
+        code, n_diff = divmod(key, size + 1)
+        gap = Fraction(n_diff, size) if cfg.exact else n_diff / size
+        excesses.append((gap - budgets[code], weight))
+    return excesses
+
+
+def _close_pairs(
+    dataset: Dataset, metric: Metric, tau: Number
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the pairs within distance tau, in row order."""
+    i, j = np.triu_indices(len(dataset), 1)
+    codes, values = metric.pair_distances(dataset, i, j)
+    close = np.array([d <= tau for d in values], dtype=bool)[codes]
+    return i[close], j[close]
 
 
 def _exact_mean(derand: Derandomizer, point: Point) -> Fraction:
@@ -296,37 +398,20 @@ def metric_fairness_check(
 ) -> FairnessReport:
     """Check E[|f(x) - f(x')|] <= alpha*d + beta on every pair (or a
     seeded subsample above the pair cap)."""
-    pairs, pair_seed = select_pairs(len(dataset), cfg.pairs_cap, cfg.seed)
-    batch = None
-    cache: dict[int, np.ndarray] = {}
-
-    def bits_for(i: int) -> np.ndarray:
-        if i not in cache:
-            cache[i] = (
-                _enumerated_bits(derand, dataset[i])
-                if cfg.exact
-                else batch.bits(dataset[i])
-            )
-        return cache[i]
-
-    if not cfg.exact:
-        batch = _ClassifierBatch(derand, cfg.trials, np.random.default_rng(cfg.seed))
-
+    i, j, pair_seed = select_pairs(len(dataset), cfg.pairs_cap, cfg.seed)
+    if i.size == 0:
+        raise EmptyPairSetError(f"no pairs to check among {len(dataset)} point(s)")
     violations = 0
     worst_excess: Number = -math.inf
-    for i, j in pairs:
-        bx, by = bits_for(i), bits_for(j)
-        n_diff = int((bx != by).sum())
-        value: Number = Fraction(n_diff, bx.size) if cfg.exact else n_diff / bx.size
-        d = metric.distance(dataset[i], dataset[j])
-        excess = value - (alpha * d + beta)
+    excesses = _pair_excesses(derand, dataset, metric, i, j, cfg, lambda d: alpha * d + beta)
+    for excess, weight in excesses:
         if excess > 0:
-            violations += 1
+            violations += weight
         if excess > worst_excess:
             worst_excess = excess
 
     report = FairnessReport()
-    report.add("pairs_checked", len(pairs))
+    report.add("pairs_checked", int(i.size))
     if pair_seed is not None:
         report.add("pair_sample_seed", pair_seed)
     report.add(
@@ -348,17 +433,11 @@ def aggregate_fairness(
 ) -> Fraction:
     """Fraction of tau-close pairs to which the classifier assigns
     different predictions."""
-    bits = [classifier.predict(p) for p in dataset]
-    close = 0
-    split = 0
-    for i, j in dataset.index_pairs():
-        if metric.distance(dataset[i], dataset[j]) <= tau:
-            close += 1
-            if bits[i] != bits[j]:
-                split += 1
-    if close == 0:
+    bits = np.array([classifier.predict(p) for p in dataset])
+    i, j = _close_pairs(dataset, metric, tau)
+    if i.size == 0:
         raise EmptyPairSetError(f"no pairs within distance {tau}")
-    return Fraction(split, close)
+    return Fraction(int((bits[i] != bits[j]).sum()), i.size)
 
 
 def sampled_aggregate_fairness(
@@ -370,20 +449,15 @@ def sampled_aggregate_fairness(
     rng: CountingRng,
 ) -> list[Fraction]:
     """Split fraction of tau-close pairs for each of n sampled classifiers."""
-    close_pairs = [
-        (i, j)
-        for i, j in dataset.index_pairs()
-        if metric.distance(dataset[i], dataset[j]) <= tau
-    ]
-    if not close_pairs:
+    i, j = _close_pairs(dataset, metric, tau)
+    if i.size == 0:
         raise EmptyPairSetError(f"no pairs within distance {tau}")
-    values = []
+    fractions = []
     for _ in range(n_classifiers):
         clf = derand.sample(rng)
-        bits = [clf.predict(p) for p in dataset]
-        split = sum(bits[i] != bits[j] for i, j in close_pairs)
-        values.append(Fraction(split, len(close_pairs)))
-    return values
+        bits = np.array([clf.predict(p) for p in dataset])
+        fractions.append(Fraction(int((bits[i] != bits[j]).sum()), i.size))
+    return fractions
 
 
 def aggregate_fairness_tail_check(
@@ -432,26 +506,21 @@ def threshold_fairness_check(
     k >= 4/sigma, also against the preserved guarantee sigma + tau."""
     if not (0 < sigma < 1 and 0 < tau < 1):
         raise InvalidParameterError("sigma and tau must lie in (0, 1)")
-    close = [
-        (i, j)
-        for i, j in dataset.index_pairs()
-        if metric.distance(dataset[i], dataset[j]) <= sigma
-    ]
+    i, j = _close_pairs(dataset, metric, sigma)
     report = FairnessReport()
-    report.add("pairs_within_sigma", len(close))
-    if not close:
+    report.add("pairs_within_sigma", int(i.size))
+    if i.size == 0:
         report.add("max_gap", 0, bound=tau, bound_source="threshold fairness (vacuous)", satisfied=True)
         return report
 
-    worst: Number = 0
-    scorer_worst: Number = 0
-    for i, j in close:
-        value = pairwise_unfairness(derand, dataset[i], dataset[j], cfg).value
-        if value > worst:
-            worst = value
-        gap = abs(derand.scorer.score(dataset[i]) - derand.scorer.score(dataset[j]))
-        if gap > scorer_worst:
-            scorer_worst = gap
+    counts, size = _pair_disagreements(derand, dataset, i, j, cfg)
+    n_diff = int(counts.max())
+    # max() keeps its first maximal argument: an int 0 when no pair differs
+    worst: Number = max(0, Fraction(n_diff, size) if cfg.exact else n_diff / size)
+    score = derand.scorer.score
+    scorer_worst: Number = max(
+        [0, *(abs(score(dataset[a]) - score(dataset[b])) for a, b in zip(i.tolist(), j.tolist()))]
+    )
 
     report.add("scorer_max_gap", scorer_worst)
     report.add(
@@ -596,18 +665,19 @@ def empirical_fairness_curve(
     (gap = expected prediction gap over the family).
     """
     cfg = cfg or EstimatorConfig()
-    pairs, _ = select_pairs(len(dataset), cfg.pairs_cap, cfg.seed)
-    if not pairs:
+    i, j, _ = select_pairs(len(dataset), cfg.pairs_cap, cfg.seed)
+    if i.size == 0:
         raise InvalidParameterError("need at least 2 points")
-    gaps, dists = [], []
-    for i, j in pairs:
-        if isinstance(source, StochasticScorer):
-            gaps.append(float(abs(source.score(dataset[i]) - source.score(dataset[j]))))
-        else:
-            gaps.append(float(pairwise_unfairness(source, dataset[i], dataset[j], cfg).value))
-        dists.append(float(metric.distance(dataset[i], dataset[j])))
-    g = np.asarray(gaps)
-    d = np.asarray(dists)
+    if isinstance(source, StochasticScorer):
+        score = source.score
+        g = np.array(
+            [float(abs(score(dataset[a]) - score(dataset[b]))) for a, b in zip(i.tolist(), j.tolist())]
+        )
+    else:
+        counts, size = _pair_disagreements(source, dataset, i, j, cfg)
+        g = counts / size
+    codes, values = metric.pair_distances(dataset, i, j)
+    d = np.array([float(v) for v in values])[codes]
     return [(float(a), float(np.maximum(g - float(a) * d, 0.0).mean())) for a in alphas]
 
 
@@ -634,24 +704,9 @@ def family_beta(
 ) -> Number:
     """Smallest beta for which the family is (alpha, beta)-fair on the
     dataset pairs, from exact (or estimated) pairwise gaps."""
+    i, j = np.triu_indices(len(dataset), 1)
     worst: Number = 0
-    cache: dict[int, np.ndarray] = {}
-    batch = None
-    if not cfg.exact:
-        batch = _ClassifierBatch(derand, cfg.trials, np.random.default_rng(cfg.seed))
-    for i, j in dataset.index_pairs():
-        for idx in (i, j):
-            if idx not in cache:
-                cache[idx] = (
-                    _enumerated_bits(derand, dataset[idx])
-                    if cfg.exact
-                    else batch.bits(dataset[idx])
-                )
-        n_diff = int((cache[i] != cache[j]).sum())
-        gap: Number = (
-            Fraction(n_diff, cache[i].size) if cfg.exact else n_diff / cache[i].size
-        )
-        excess = gap - alpha * metric.distance(dataset[i], dataset[j])
+    for excess, _ in _pair_excesses(derand, dataset, metric, i, j, cfg, lambda d: alpha * d):
         if excess > worst:
             worst = excess
     return worst

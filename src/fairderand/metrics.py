@@ -7,18 +7,27 @@ float noise; angular and scaled Euclidean distances return floats.
 Metrics read each point's fairness vector (dedicated fairness features
 when present, inference features otherwise), matching what the
 locality-sensitive hashes see.
+
+``Metric.pair_distances`` evaluates many pairs at once as codes into a
+list of distinct values.  The two exact metrics compute it from integer
+count arrays; every other metric, and any subclass that overrides
+``distance``, calls ``distance`` once per pair.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from .core import Point
 from .errors import DimensionMismatchError, InvalidParameterError, ZeroVectorError
 
 Distance = Union[Fraction, float]
+
+PAIR_CHUNK_BYTES = 1 << 18
 
 
 def _vectors(x: Point, y: Point) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -41,9 +50,65 @@ def binary_support(vector: tuple[float, ...]) -> frozenset[int]:
     return frozenset(support)
 
 
+def over_pair_chunks(
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    i: np.ndarray,
+    j: np.ndarray,
+    row_bytes: int,
+) -> np.ndarray:
+    """The int64 array of fn(i[s], j[s]) over consecutive slices s of the
+    pairs.  Each slice gathers about PAIR_CHUNK_BYTES of rows per side, so
+    the temporaries stay small however many pairs there are."""
+    out = np.empty(len(i), dtype=np.int64)
+    step = max(1, PAIR_CHUNK_BYTES // max(row_bytes, 1))
+    for s in range(0, len(i), step):
+        out[s : s + step] = fn(i[s : s + step], j[s : s + step])
+    return out
+
+
+def _rank_in_place(keys: np.ndarray) -> list[int]:
+    """Replace each key by its index among the sorted distinct keys, and
+    return those keys."""
+    distinct = np.unique(keys)
+    step = PAIR_CHUNK_BYTES // keys.itemsize
+    for s in range(0, keys.size, step):
+        keys[s : s + step] = np.searchsorted(distinct, keys[s : s + step])
+    return distinct.tolist()
+
+
+def _defined_in(obj, name: str) -> type:
+    return next(cls for cls in type(obj).__mro__ if name in vars(cls))
+
+
+def _uniform_matrix(points: Sequence[Point]) -> Optional[np.ndarray]:
+    """The fairness vectors as rows of one float matrix, or None when their
+    lengths differ (the per-pair path then raises the mismatch)."""
+    vectors = [p.fairness_vector for p in points]
+    if len({len(v) for v in vectors}) != 1:
+        return None
+    return np.array(vectors, dtype=float)
+
+
 class Metric:
     def distance(self, x: Point, y: Point) -> Distance:
         raise NotImplementedError
+
+    def pair_distances(
+        self, points: Sequence[Point], i: np.ndarray, j: np.ndarray
+    ) -> tuple[np.ndarray, list[Distance]]:
+        """(codes, values) with distance(points[i[p]], points[j[p]]) ==
+        values[codes[p]], of the same type, for every pair index p.  codes
+        is a new int64 array that the caller may overwrite."""
+        index: dict = {}
+        values: list[Distance] = []
+        codes = np.empty(len(i), dtype=np.int64)
+        for p, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+            d = self.distance(points[a], points[b])
+            code = index.setdefault((type(d), d), len(values))
+            if code == len(values):
+                values.append(d)
+            codes[p] = code
+        return codes, values
 
 
 class NormalizedHamming(Metric):
@@ -59,6 +124,15 @@ class NormalizedHamming(Metric):
         if len(u) != self.n:
             raise DimensionMismatchError(f"expected dimension {self.n}, got {len(u)}")
         return Fraction(sum(a != b for a, b in zip(u, v)), self.n)
+
+    def pair_distances(self, points, i, j):
+        x = _uniform_matrix(points) if _defined_in(self, "distance") is NormalizedHamming else None
+        if x is None or x.shape[1] != self.n:
+            return super().pair_distances(points, i, j)
+        codes = over_pair_chunks(
+            lambda a, b: (x[a] != x[b]).sum(axis=1, dtype=np.int64), i, j, x[0].nbytes
+        )
+        return codes, [Fraction(c, self.n) for c in _rank_in_place(codes)]
 
 
 class Angular(Metric):
@@ -90,6 +164,24 @@ class JaccardDistance(Metric):
         if not union:
             return Fraction(0)
         return Fraction(1) - Fraction(len(a & b), len(union))
+
+    def pair_distances(self, points, i, j):
+        x = _uniform_matrix(points) if _defined_in(self, "distance") is JaccardDistance else None
+        if x is None or not np.isin(x, (0.0, 1.0)).all():
+            return super().pair_distances(points, i, j)
+        sets = x.astype(bool)
+        width = sets.shape[1] + 1
+
+        def sizes(a, b):  # |A n B| * width + |A u B|, one integer per pair
+            inter = (sets[a] & sets[b]).sum(axis=1, dtype=np.int64)
+            return inter * width + (sets[a] | sets[b]).sum(axis=1, dtype=np.int64)
+
+        codes = over_pair_chunks(sizes, i, j, width)
+        values = []
+        for key in _rank_in_place(codes):
+            inter, union = divmod(key, width)
+            values.append(Fraction(1) - Fraction(inter, union) if union else Fraction(0))
+        return codes, values
 
 
 class ScaledEuclidean(Metric):

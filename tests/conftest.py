@@ -5,12 +5,14 @@ The oracles evaluate every enumerated classifier through its public
 enumeration path must agree with them exactly.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from fairderand import Dataset, Point, TabularScorer
+from fairderand.measure import pairwise_unfairness
 
 
 def random_binary_dataset(rng: random.Random, n_points: int, dim: int) -> Dataset:
@@ -64,6 +66,37 @@ def brute_aggregate_variance(derand, dataset) -> Fraction:
     ]
     overall = sum(means) / len(means)
     return sum((m - overall) ** 2 for m in means) / len(means)
+
+
+def reference_gap(derand, x, y, cfg):
+    """The family's expected prediction gap at one pair: brute force in
+    exact mode, the seeded batch's estimate in Monte Carlo mode."""
+    return brute_pairwise(derand, x, y) if cfg.exact else pairwise_unfairness(derand, x, y, cfg).value
+
+
+def reference_fairness_check(derand, dataset, metric, alpha, beta, cfg, pairs):
+    """(violations, worst excess) of gap <= alpha*d + beta, pair by pair."""
+    violations, worst = 0, -math.inf
+    for i, j in pairs:
+        gap = reference_gap(derand, dataset[i], dataset[j], cfg)
+        excess = gap - (alpha * metric.distance(dataset[i], dataset[j]) + beta)
+        if excess > 0:
+            violations += 1
+        if excess > worst:
+            worst = excess
+    return violations, worst
+
+
+def reference_family_beta(derand, dataset, metric, alpha, cfg):
+    """max(0, max over all pairs of gap - alpha*d), pair by pair."""
+    worst = 0
+    for i, j in dataset.index_pairs():
+        excess = reference_gap(derand, dataset[i], dataset[j], cfg) - alpha * metric.distance(
+            dataset[i], dataset[j]
+        )
+        if excess > worst:
+            worst = excess
+    return worst
 
 
 @pytest.fixture

@@ -303,6 +303,21 @@ class TestConfigHandling:
         assert main(["audit", "--config", str(config)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_single_point_audit_exits_2(self, tmp_path, config_factory, capsys):
+        # one point has no pairs: no fairness verdict and no -Infinity in the report
+        path = tmp_path / "one.csv"
+        write_dataset(path, [["a", 1, 0, "0.5"]], ["id", "feat_0", "feat_1", "score"])
+        config = config_factory(input=str(path))
+        assert main(["audit", "--config", str(config)]) == 2
+        assert "config error: no pairs to check" in capsys.readouterr().err
+        assert not (tmp_path / "reports" / "audit.json").exists()
+
+    def test_zero_pairs_cap_exits_2(self, scored_csv, config_factory, capsys, tmp_path):
+        config = config_factory(input=str(scored_csv))
+        assert main(["audit", "--config", str(config), "--pairs-cap", "0"]) == 2
+        assert "config error: pairs_cap must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "reports" / "audit.json").exists()
+
     def test_missing_input_file_exits_3(self, config_factory):
         config = config_factory(input="/nonexistent/data.csv")
         assert main(["audit", "--config", str(config)]) == 3

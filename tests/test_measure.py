@@ -2,7 +2,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairderand import (
     BitSamplingFamily,
@@ -65,6 +67,8 @@ from conftest import (
     brute_pairwise,
     random_binary_dataset,
     random_scorer,
+    reference_fairness_check,
+    reference_family_beta,
 )
 
 EXACT = EstimatorConfig(mode="exact")
@@ -315,6 +319,60 @@ class TestMetricFairnessCheck:
         )
         assert report["fairness_violations"]["value"] == 0
 
+    def test_single_point_has_no_pairs_to_check(self):
+        ds = Dataset([Point("a", (0.0, 1.0))])
+        with pytest.raises(EmptyPairSetError):
+            metric_fairness_check(
+                RtDerandomizer(ConstantScorer(0.5), 4), ds, NormalizedHamming(2), 1, 0, EXACT
+            )
+
+
+PARAMETERS = [1, 2, Fraction(3, 2), Fraction(1, 20), 1.25, 0.05, 0]
+
+
+class TestPairPathMatchesReferenceLoop:
+    """The array pair path equals the per-pair loops in conftest: same
+    counts, same values and the same int, Fraction or float type."""
+
+    @staticmethod
+    def family(kind, scorer, dataset, k):
+        if kind == "rt":
+            return RtDerandomizer(scorer, k), NormalizedHamming(3)
+        if kind == "pi":
+            return PiDerandomizer.build(scorer, dataset, IdentityBucketer(), 11), NormalizedHamming(3)
+        if kind == "bit_sampling":
+            return LsDerandomizer(scorer, BitSamplingFamily(3), k), NormalizedHamming(3)
+        return LsDerandomizer(scorer, MinHashFamily(3), k), JaccardDistance()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n_points=st.integers(2, 7),
+        kind=st.sampled_from(["rt", "pi", "bit_sampling", "minhash"]),
+        k=st.sampled_from([5, 7]),
+        mc=st.booleans(),
+        alpha=st.sampled_from([a for a in PARAMETERS if a >= 1]),
+        beta=st.sampled_from(PARAMETERS),
+        pairs_cap=st.sampled_from([4, 200_000]),
+    )
+    def test_fairness_check_and_family_beta(self, seed, n_points, kind, k, mc, alpha, beta, pairs_cap):
+        rng = random.Random(seed)
+        ds = random_binary_dataset(rng, n_points, 3)
+        derand, metric = self.family(kind, random_scorer(rng, ds, 20), ds, k)
+        cfg = EstimatorConfig(mode="mc" if mc else "exact", trials=300, seed=seed, pairs_cap=pairs_cap)
+        i, j, _ = select_pairs(len(ds), cfg.pairs_cap, cfg.seed)
+        violations, worst = reference_fairness_check(
+            derand, ds, metric, alpha, beta, cfg, zip(i.tolist(), j.tolist())
+        )
+        report = metric_fairness_check(derand, ds, metric, alpha, beta, cfg)
+        assert report["fairness_violations"]["value"] == violations
+        got = report["worst_excess"]["value"]
+        assert got == worst and type(got) is type(worst)
+
+        got = family_beta(derand, ds, metric, alpha, cfg)
+        expected = reference_family_beta(derand, ds, metric, alpha, cfg)
+        assert got == expected and type(got) is type(expected)
+
 
 class TestThresholdFairnessCheck:
     """Each scheme reports the threshold-fairness guarantee the paper gives
@@ -347,6 +405,20 @@ class TestThresholdFairnessCheck:
         assert "max_gap_vs_grid_guarantee" not in report
         small_k = self.check(LsDerandomizer(scorer, BitSamplingFamily(2), 7))
         assert "max_gap_vs_preserved_guarantee" not in small_k
+
+    def test_monte_carlo_max_gap_is_max_of_pairwise_estimates(self, py_rng):
+        ds = random_binary_dataset(py_rng, 8, 4)
+        derand = LsDerandomizer(random_scorer(py_rng, ds), BitSamplingFamily(4), 11)
+        metric = NormalizedHamming(4)
+        mc = EstimatorConfig(mode="mc", trials=500, seed=4)
+        report = threshold_fairness_check(derand, ds, metric, 0.3, 0.5, mc)
+        gaps = [
+            pairwise_unfairness(derand, ds[i], ds[j], mc).value
+            for i, j in ds.index_pairs()
+            if metric.distance(ds[i], ds[j]) <= 0.3
+        ]
+        assert report["pairs_within_sigma"]["value"] == len(gaps)
+        assert report["max_gap"]["value"] == max(gaps)
 
     def test_pi_reports_neither(self):
         scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
@@ -488,17 +560,45 @@ class TestFairnessCurve:
 
 class TestPairSelection:
     def test_under_cap_returns_all(self):
-        pairs, seed = select_pairs(5, cap=100, seed=9)
-        assert len(pairs) == 10
+        i, j, seed = select_pairs(5, cap=100, seed=9)
+        assert len(i) == len(j) == 10
         assert seed is None
 
     def test_over_cap_samples_deterministically(self):
-        pairs_a, seed_a = select_pairs(100, cap=50, seed=9)
-        pairs_b, seed_b = select_pairs(100, cap=50, seed=9)
-        assert pairs_a == pairs_b
+        i_a, j_a, seed_a = select_pairs(100, cap=50, seed=9)
+        i_b, j_b, seed_b = select_pairs(100, cap=50, seed=9)
+        assert (i_a == i_b).all() and (j_a == j_b).all()
         assert seed_a == seed_b == 9
-        assert len(pairs_a) == 50
-        assert all(i < j for i, j in pairs_a)
+        assert len(i_a) == len(j_a) == 50
+        assert (i_a < j_a).all()
+
+    def test_under_cap_is_row_order(self):
+        i, j, _ = select_pairs(6, cap=15, seed=0)
+        assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a in range(6) for b in range(a + 1, 6)]
+
+    @staticmethod
+    def rejection_loop(n_points, cap, seed):
+        """The scalar rejection sampler that the array draws must reproduce."""
+        gen = np.random.default_rng(seed)
+        chosen = set()
+        while len(chosen) < cap:
+            i = int(gen.integers(0, n_points))
+            j = int(gen.integers(0, n_points))
+            if i != j:
+                chosen.add((min(i, j), max(i, j)))
+        return sorted(chosen)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "n_points,cap",
+        # (70, 2000) needs more than one block of draws: 2000 of the 2415
+        # pairs take about 4,300 draws, the first block 4,064
+        [(3, 1), (3, 2), (10, 1), (10, 20), (10, 44), (70, 20), (70, 2000), (300, 2000)],
+    )
+    def test_over_cap_equals_rejection_loop(self, n_points, cap, seed):
+        i, j, used_seed = select_pairs(n_points, cap=cap, seed=seed)
+        assert used_seed == seed
+        assert list(zip(i.tolist(), j.tolist())) == self.rejection_loop(n_points, cap, seed)
 
 
 class TestBounds:

@@ -2,10 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fairderand import Angular, JaccardDistance, NormalizedHamming, Point, ScaledEuclidean
-from fairderand.errors import DimensionMismatchError, ZeroVectorError
+from fairderand.errors import DimensionMismatchError, InvalidParameterError, ZeroVectorError
 
 
 def pt(*coords, z=None):
@@ -98,3 +99,65 @@ class TestAxioms:
             ScaledEuclidean(4.0),
             lambda rng: pt(*[rng.uniform(-1, 1) for _ in range(3)]),
         )
+
+
+class HalvedHamming(NormalizedHamming):
+    """A subclass whose own distance the pair path must call."""
+
+    def distance(self, x, y):
+        return super().distance(x, y) / 2
+
+
+def binary_points(rng, n, dim):
+    """n random 0/1 points and the empty set."""
+    return [pt(*[rng.randint(0, 1) for _ in range(dim)]) for _ in range(n)] + [pt(*[0] * dim)]
+
+
+def real_points(rng, n, dim):
+    return [pt(*[rng.uniform(-1, 1) for _ in range(dim)]) for _ in range(n)]
+
+
+class TestPairDistances:
+    """pair_distances gives, pair by pair, the value and type of distance."""
+
+    @pytest.mark.parametrize(
+        "metric,make",
+        [
+            (NormalizedHamming(6), binary_points),
+            (JaccardDistance(), binary_points),
+            (Angular(), real_points),
+            (ScaledEuclidean(1.5), real_points),
+            (HalvedHamming(6), binary_points),
+        ],
+    )
+    def test_equals_per_pair_distance(self, metric, make):
+        rng = random.Random(42)
+        points = make(rng, 30, 6)
+        i, j = np.triu_indices(len(points), 1)
+        i, j = np.concatenate([i, [3, 0]]), np.concatenate([j, [3, 0]])  # and x == y
+        codes, values = metric.pair_distances(points, i, j)
+        assert len(codes) == len(i)
+        for p, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
+            expected = metric.distance(points[a], points[b])
+            got = values[codes[p]]
+            assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize(
+        "metric", [NormalizedHamming(2), JaccardDistance(), Angular(), ScaledEuclidean()]
+    )
+    def test_mixed_dimensions_raise_like_distance(self, metric):
+        points = [pt(1, 0), pt(0, 1), pt(1, 1, 0)]
+        with pytest.raises(DimensionMismatchError):
+            metric.distance(points[1], points[2])
+        with pytest.raises(DimensionMismatchError):
+            metric.pair_distances(points, np.array([0, 1]), np.array([1, 2]))
+
+    def test_non_binary_jaccard_raises_like_distance(self):
+        points = [pt(1, 0), pt(0, 1), pt(0.5, 1)]
+        with pytest.raises(InvalidParameterError):
+            JaccardDistance().distance(points[0], points[2])
+        with pytest.raises(InvalidParameterError):
+            JaccardDistance().pair_distances(points, np.array([0, 0]), np.array([1, 2]))
+        # a point in no pair is never read, as with distance
+        codes, values = JaccardDistance().pair_distances(points, np.array([0]), np.array([1]))
+        assert values[codes[0]] == 1
