@@ -8,7 +8,6 @@ from .core import (
     ConstantScorer,
     Dataset,
     DeterministicClassifier,
-    FairnessParams,
     Point,
     StochasticScorer,
     TableClassifier,

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import Dataset, DeterministicClassifier, Point, TabularScorer
 from .derandomize import IdentityBucketer, PiDerandomizer
 from .errors import GridTooCoarseError, InvalidParameterError
-from .measure import EstimatorConfig, FairnessReport, pairwise_unfairness, scorer_beta
+from .measure import EstimatorConfig, FairnessReport, prediction_table, scorer_beta
 from .metrics import Metric, ScaledEuclidean
 
 
@@ -119,24 +121,23 @@ def verify_sphere_counterexample(
     (1, 0, d)-fair, and the hashed-threshold family's gap on every pair is
     at least 1/2 - eps_gap - 1/(2k), violating (alpha, beta, d)."""
     derand = PiDerandomizer.build(scorer, dataset, IdentityBucketer(), cfg.k)
-    exact = EstimatorConfig(mode="exact")
+    table = prediction_table(derand, dataset, EstimatorConfig(mode="exact"))
     floor_value = Fraction(1, 2) - Fraction(str(cfg.eps_gap)) - Fraction(1, 2 * cfg.k)
 
     residual = scorer_beta(scorer, dataset, metric, 1)
+    i, j = np.triu_indices(len(dataset), 1)
+    codes, distances = metric.pair_distances(dataset, i, j)
     pairs_below_floor = 0
     pairs_not_violating = 0
-    n_pairs = 0
-    for i, j in dataset.index_pairs():
-        n_pairs += 1
-        gap = pairwise_unfairness(derand, dataset[i], dataset[j], exact).value
+    for n_diff, code in zip(table.split_counts(i, j).tolist(), codes.tolist()):
+        gap = Fraction(n_diff, table.size)
         if gap < floor_value:
             pairs_below_floor += 1
-        d = metric.distance(dataset[i], dataset[j])
-        if not gap > cfg.alpha * d + Fraction(str(cfg.beta)):
+        if not gap > cfg.alpha * distances[code] + Fraction(str(cfg.beta)):
             pairs_not_violating += 1
 
     report = FairnessReport()
-    report.add("pairs_checked", n_pairs)
+    report.add("pairs_checked", int(i.size))
     report.add(
         "scorer_unfairness_residual",
         residual,

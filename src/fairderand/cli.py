@@ -48,6 +48,7 @@ from .errors import (
 from .hashing import BitSamplingFamily, MinHashFamily, SimHashFamily
 from .measure import (
     EstimatorConfig,
+    FairnessReport,
     aggregate_bias,
     aggregate_fairness_tail_check,
     aggregate_variance,
@@ -55,6 +56,7 @@ from .measure import (
     compute_bound,
     empirical_fairness_curve,
     metric_fairness_check,
+    prediction_table,
     rt_variance_bound,
     worst_case_aggregate_bound,
 )
@@ -83,12 +85,10 @@ def _load_config(path) -> dict:
 
 def _resolve(config: dict, args) -> dict:
     merged = dict(config)
-    for key in ("seed", "out", "mode", "trials"):
+    for key in ("seed", "out", "mode", "trials", "pairs_cap"):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    if getattr(args, "pairs_cap", None) is not None:
-        merged["pairs_cap"] = args.pairs_cap
     merged.setdefault("seed", 0)
     merged.setdefault("out", "reports")
     merged.setdefault("mode", "exact")
@@ -227,56 +227,51 @@ def cmd_audit(config: dict) -> Path:
     beta = config.get("beta", 0.0)
 
     payload = _report_skeleton(config)
-    quantities: dict = {}
+    table = prediction_table(derand, dataset, cfg)
+    report = FairnessReport()
 
-    bias = aggregate_bias(derand, dataset, cfg)
-    entry = {"value": float(bias.value), "bound": float(bias_bound(derand.k)),
-             "bound_source": "family bias budget 1/k",
-             "satisfied": abs(bias.value) <= bias_bound(derand.k)
-             or (bias.stderr is not None and abs(bias.value) <= float(bias_bound(derand.k)) + 4 * bias.stderr)}
-    if bias.stderr is not None:
-        entry["stderr"] = bias.stderr
-    quantities["aggregate_bias"] = entry
+    bias = aggregate_bias(table)
+    budget = bias_bound(derand.k)
+    report.add(
+        "aggregate_bias", bias.value, bias.stderr, budget, "family bias budget 1/k",
+        abs(bias.value) <= budget + 4 * (bias.stderr or 0),
+    )
 
-    variance = aggregate_variance(derand, dataset, cfg)
-    entry = {"value": float(variance.value)}
-    if variance.stderr is not None:
-        entry["stderr"] = variance.stderr
+    variance = aggregate_variance(table)
     if isinstance(derand, RtDerandomizer):
-        mean_fvar = sum(
-            (s := scorer.score(p)) * (1 - s) for p in dataset
-        ) / len(dataset)
-        entry["bound"] = float(rt_variance_bound(mean_fvar)) + float(bias_bound(derand.k))
-        entry["bound_source"] = "mean score variance budget (grid slack 1/k)"
-        entry["satisfied"] = entry["value"] <= entry["bound"] + 4 * (variance.stderr or 0.0)
-    quantities["aggregate_variance"] = entry
+        mean_fvar = sum(s * (1 - s) for s in table.scores) / len(dataset)
+        bound = float(rt_variance_bound(mean_fvar)) + float(budget)
+        report.add(
+            "aggregate_variance", variance.value, variance.stderr, bound,
+            "mean score variance budget (grid slack 1/k)",
+            float(variance.value) <= bound + 4 * (variance.stderr or 0.0),
+        )
+    else:
+        report.add("aggregate_variance", variance.value, variance.stderr)
 
-    fairness = metric_fairness_check(derand, dataset, metric, alpha, beta, cfg)
-    quantities["metric_fairness"] = fairness.to_json_dict()
+    fairness = metric_fairness_check(table, metric, alpha, beta)
+    report.quantities["metric_fairness"] = fairness.to_json_dict()
 
     if isinstance(derand, LsDerandomizer):
         tau = float(config.get("tau", 0.05))
         delta = float(config.get("delta", 0.25))
-        quantities["worst_case_aggregate_bound"] = {
-            "value": worst_case_aggregate_bound(
-                alpha, beta, tau, delta, Fraction(2, derand.k)
-            ),
-            "bound_source": "worst-case aggregate fairness budget",
-        }
+        report.add(
+            "worst_case_aggregate_bound",
+            worst_case_aggregate_bound(alpha, beta, tau, delta, Fraction(2, derand.k)),
+            bound_source="worst-case aggregate fairness budget",
+        )
         n_classifiers = int(config.get("n_classifiers", 0))
         if n_classifiers:
             tail = aggregate_fairness_tail_check(
-                derand, dataset, metric, alpha, tau, delta, n_classifiers,
-                CountingRng(int(config["seed"])), cfg,
+                table, metric, alpha, tau, delta, n_classifiers, CountingRng(int(config["seed"]))
             )
-            quantities["aggregate_fairness_tail"] = tail.to_json_dict()
-
-    payload["quantities"] = quantities
+            report.quantities["aggregate_fairness_tail"] = tail.to_json_dict()
+    payload["quantities"] = report.to_json_dict()
 
     alphas = config.get("curve_alphas")
     out_dir = Path(config["out"])
     if alphas:
-        curve = empirical_fairness_curve(derand, dataset, metric, alphas, cfg)
+        curve = empirical_fairness_curve(table, metric, alphas)
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "fairness_curve.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

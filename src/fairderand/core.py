@@ -198,21 +198,3 @@ class TableClassifier(DeterministicClassifier):
             return self.table[point.id]
         except KeyError:
             raise UnknownPointError(point.id) from None
-
-
-@dataclass(frozen=True)
-class FairnessParams:
-    """Lipschitz-style fairness parameters: |f(x) - f(x')| <= alpha*d + beta.
-
-    alpha >= 1 is enforced so the score range stays [0, 1] and parameter
-    bundles are directly comparable.
-    """
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise InvalidParameterError("alpha must be at least 1")
-        if self.beta < 0:
-            raise InvalidParameterError("beta must be non-negative")

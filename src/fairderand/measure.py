@@ -7,12 +7,20 @@ classifiers with a seeded numpy generator, vectorized over trials, and
 reports standard errors; the acceptance convention is agreement within
 four standard errors.
 
+Every audited quantity reduces one ``PredictionTable``: the prediction of
+every family member (or sampled classifier) at every dataset point.
+``prediction_table`` asks the oracle once per point, packs each
+prediction row into bits, and keeps the scores, the threshold counts
+t = floor(score * k), and the per-member counts that bias and variance
+need.  The pointwise helpers build a table over their one or two points;
+only ``decomposition_check`` draws its own batch, because its Bernoulli
+draws continue that batch's generator.
+
 Pair quantities run on one array path.  ``select_pairs`` returns index
 arrays (i, j); ``Metric.pair_distances`` maps the pairs to codes into the
-distinct distances; ``_pair_disagreements`` asks the oracle once per point
-that occurs in a pair, packs each prediction row into bits, and counts the
-members (or trials) that split each pair with a popcount of the XOR.  The
-reductions then evaluate their Python expression once per distinct
+distinct distances; ``PredictionTable.split_counts`` counts the members
+(or trials) that split each pair with a popcount of the XOR of two rows.
+The reductions then evaluate their Python expression once per distinct
 (distance, count) class and weight it by the class size, so exact results
 stay rationals and int, Fraction and float parameters keep their usual
 arithmetic.
@@ -23,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -46,6 +55,7 @@ from .rng import CountingRng
 Number = Union[Fraction, float, int]
 
 DEFAULT_PAIRS_CAP = 200_000
+TAIL_SLACK = 0.05  # sampling slack on the violating-classifier fraction
 
 
 @dataclass
@@ -104,6 +114,7 @@ class FairnessReport:
             entry["stderr"] = stderr
         if bound is not None:
             entry["bound"] = bound
+        if bound is not None or bound_source is not None:
             entry["bound_source"] = bound_source or "unspecified"
         if satisfied is not None:
             entry["satisfied"] = satisfied
@@ -170,7 +181,7 @@ def select_pairs(
 
 
 # ---------------------------------------------------------------------------
-# exact enumeration internals
+# the oracle and the prediction table
 
 def _enumerated_bits(derand: Derandomizer, point: Point) -> np.ndarray:
     """Prediction bit of every family member at the point, in enumeration
@@ -186,86 +197,6 @@ def _enumerated_bits(derand: Derandomizer, point: Point) -> np.ndarray:
     return rows[inverse].reshape(-1)
 
 
-def _pair_disagreements(
-    derand: Derandomizer,
-    dataset: Dataset,
-    i: np.ndarray,
-    j: np.ndarray,
-    cfg: EstimatorConfig,
-) -> tuple[np.ndarray, int]:
-    """(counts, size): the number of family members (exact) or sampled
-    classifiers (Monte Carlo, one seeded batch) that predict differently at
-    dataset[i[p]] and dataset[j[p]], out of size, for every pair p."""
-    present = np.zeros(len(dataset), dtype=bool)
-    present[i] = True
-    present[j] = True
-    row_of = np.cumsum(present) - 1
-    batch = None
-    if not cfg.exact:
-        batch = _ClassifierBatch(derand, cfg.trials, np.random.default_rng(cfg.seed))
-    packed = None
-    for r, index in enumerate(np.flatnonzero(present).tolist()):
-        point = dataset[index]
-        bits = _enumerated_bits(derand, point) if batch is None else batch.bits(point)
-        if packed is None:
-            size = bits.size
-            packed = np.empty((row_of[-1] + 1, (size + 7) // 8), dtype=np.uint8)
-        packed[r] = np.packbits(bits)
-    if packed is None:
-        return np.zeros(0, dtype=np.int64), 0
-
-    def split(a, b):
-        return np.bitwise_count(packed[row_of[a]] ^ packed[row_of[b]]).sum(axis=1, dtype=np.int64)
-
-    return over_pair_chunks(split, i, j, packed.shape[1]), size
-
-
-def _pair_excesses(
-    derand: Derandomizer,
-    dataset: Dataset,
-    metric: Metric,
-    i: np.ndarray,
-    j: np.ndarray,
-    cfg: EstimatorConfig,
-    budget: Callable[[Distance], Number],
-) -> list[tuple[Number, int]]:
-    """gap - budget(d) for each distinct (family gap, distance d) over the
-    pairs, with the number of pairs that have it.  The gap is an exact
-    rational in exact mode and a float in Monte Carlo mode, as
-    ``pairwise_unfairness`` gives; budget runs once per distinct distance."""
-    counts, size = _pair_disagreements(derand, dataset, i, j, cfg)
-    codes, values = metric.pair_distances(dataset, i, j)
-    budgets = [budget(d) for d in values]
-    codes *= size + 1  # one key per (distance, split count), in place
-    codes += counts
-    del counts
-    keys, weights = np.unique(codes, return_counts=True)
-    excesses = []
-    for key, weight in zip(keys.tolist(), weights.tolist()):
-        code, n_diff = divmod(key, size + 1)
-        gap = Fraction(n_diff, size) if cfg.exact else n_diff / size
-        excesses.append((gap - budgets[code], weight))
-    return excesses
-
-
-def _close_pairs(
-    dataset: Dataset, metric: Metric, tau: Number
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of the pairs within distance tau, in row order."""
-    i, j = np.triu_indices(len(dataset), 1)
-    codes, values = metric.pair_distances(dataset, i, j)
-    close = np.array([d <= tau for d in values], dtype=bool)[codes]
-    return i[close], j[close]
-
-
-def _exact_mean(derand: Derandomizer, point: Point) -> Fraction:
-    bits = _enumerated_bits(derand, point)
-    return Fraction(int(bits.sum()), bits.size)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo internals
-
 class _ClassifierBatch:
     """A vectorized batch of classifiers sampled uniformly from the family.
 
@@ -276,7 +207,6 @@ class _ClassifierBatch:
 
     def __init__(self, derand: Derandomizer, trials: int, gen: np.random.Generator):
         self.derand = derand
-        self.trials = trials
         self.residues = derand.pi_family.sample_batch(gen, trials)
         self.embeds = derand.bucketing.sample_batch(gen, trials, derand.pi_family.embed_value)
 
@@ -285,9 +215,130 @@ class _ClassifierBatch:
         return self.residues(self.embeds(point)) < t  # u = residue + 1 <= t
 
 
-def _mean_with_stderr(bits: np.ndarray) -> Estimate:
-    p = float(bits.mean())
-    return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / bits.size))
+@dataclass(frozen=True, eq=False)
+class PredictionTable:
+    """f_h(x) for every family member h (exact) or every classifier of one
+    seeded batch (Monte Carlo), at every point x of the dataset.
+
+    ``packed[r]`` is the prediction row of point r, packed 8 members (or
+    trials) to a byte.  Bias and variance read only ``trial_sums``, the
+    number of points each trial predicts 1 (Monte Carlo), or ``moments``,
+    the sum and the sum of squares of that number over the members
+    (exact)."""
+
+    derand: Derandomizer
+    dataset: Sequence[Point]
+    cfg: EstimatorConfig
+    scores: tuple[Fraction, ...]
+    t: np.ndarray  # floor(score * k) per point
+    size: int  # members or trials
+    packed: np.ndarray
+    trial_sums: Optional[np.ndarray] = None
+    moments: Optional[tuple[int, int]] = None
+
+    def ones(self, r: int) -> int:
+        """Members (or trials) that predict 1 at point r."""
+        return int(np.bitwise_count(self.packed[r]).sum())
+
+    def mean(self, r: int) -> Estimate:
+        """Mean prediction at point r."""
+        return _share(self.ones(r), self.size, self.cfg.exact)
+
+    def bias(self, r: int) -> Estimate:
+        """Mean prediction at point r minus its score."""
+        mean, score = self.mean(r), self.scores[r]
+        return Estimate(mean.value - (score if self.cfg.exact else float(score)), mean.stderr)
+
+    def variance(self, r: int) -> Estimate:
+        """Variance of the prediction bit at point r across the members."""
+        if self.cfg.exact:
+            p = self.mean(r).value
+            return Estimate(p * (1 - p))
+        bits = self.bits(r).astype(float)
+        return Estimate(float(bits.var(ddof=1)), _variance_stderr(bits))
+
+    def bits(self, r: int) -> np.ndarray:
+        return np.unpackbits(self.packed[r], count=self.size)
+
+    def split_counts(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Members (or trials) that predict differently at points i[p] and
+        j[p], for every pair p: a popcount of the XOR of the two rows."""
+        packed = self.packed
+
+        def split(a, b):
+            return np.bitwise_count(packed[a] ^ packed[b]).sum(axis=1, dtype=np.int64)
+
+        return over_pair_chunks(split, i, j, packed.shape[1])
+
+
+def prediction_table(
+    derand: Derandomizer, dataset: Sequence[Point], cfg: EstimatorConfig
+) -> PredictionTable:
+    """Ask the oracle once per point: enumerate the family (exact), or
+    evaluate one batch seeded with cfg.seed (Monte Carlo)."""
+    if cfg.exact:
+        oracle = partial(_enumerated_bits, derand)
+    else:
+        oracle = _ClassifierBatch(derand, cfg.trials, np.random.default_rng(cfg.seed)).bits
+    packed = sums = None
+    for r, point in enumerate(dataset):
+        bits = oracle(point)
+        if packed is None:
+            packed = np.empty((len(dataset), (bits.size + 7) // 8), dtype=np.uint8)
+            sums = np.zeros(bits.size, dtype=np.int64)
+        packed[r] = np.packbits(bits)
+        sums += bits
+    scores = tuple(derand.scorer.score(p) for p in dataset)
+    t = np.array([threshold_count(s, derand.k) for s in scores], dtype=np.int64)
+    if cfg.exact:  # S_m <= len(dataset): no overflow
+        return PredictionTable(derand, dataset, cfg, scores, t, sums.size, packed,
+                               moments=(int(sums.sum()), int(sums @ sums)))
+    return PredictionTable(derand, dataset, cfg, scores, t, sums.size, packed, trial_sums=sums)
+
+
+def _share(count: int, size: int, exact: bool) -> Estimate:
+    """count/size: an exact rational, or a float with its binomial
+    standard error."""
+    if exact:
+        return Estimate(Fraction(count, size))
+    p = count / size
+    return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / size))
+
+
+def _pair_excesses(
+    table: PredictionTable,
+    metric: Metric,
+    i: np.ndarray,
+    j: np.ndarray,
+    budget: Callable[[Distance], Number],
+) -> list[tuple[Number, int]]:
+    """gap - budget(d) for each distinct (family gap, distance d) over the
+    pairs, with the number of pairs that have it.  The gap is an exact
+    rational in exact mode and a float in Monte Carlo mode, as
+    ``pairwise_unfairness`` gives; budget runs once per distinct distance."""
+    counts, size = table.split_counts(i, j), table.size
+    codes, values = metric.pair_distances(table.dataset, i, j)
+    budgets = [budget(d) for d in values]
+    codes *= size + 1  # one key per (distance, split count), in place
+    codes += counts
+    del counts
+    keys, weights = np.unique(codes, return_counts=True)
+    excesses = []
+    for key, weight in zip(keys.tolist(), weights.tolist()):
+        code, n_diff = divmod(key, size + 1)
+        gap = _share(n_diff, size, table.cfg.exact).value
+        excesses.append((gap - budgets[code], weight))
+    return excesses
+
+
+def _close_pairs(
+    dataset: Sequence[Point], metric: Metric, tau: Number
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the pairs within distance tau, in row order."""
+    i, j = np.triu_indices(len(dataset), 1)
+    codes, values = metric.pair_distances(dataset, i, j)
+    close = np.array([d <= tau for d in values], dtype=bool)[codes]
+    return i[close], j[close]
 
 
 # ---------------------------------------------------------------------------
@@ -295,71 +346,40 @@ def _mean_with_stderr(bits: np.ndarray) -> Estimate:
 
 def family_mean_prediction(derand: Derandomizer, point: Point, cfg: EstimatorConfig) -> Estimate:
     """Mean prediction at the point over the classifier family."""
-    if cfg.exact:
-        return Estimate(_exact_mean(derand, point))
-    batch = _ClassifierBatch(derand, cfg.trials, np.random.default_rng(cfg.seed))
-    return _mean_with_stderr(batch.bits(point))
+    return prediction_table(derand, (point,), cfg).mean(0)
 
 
 def pointwise_bias(derand: Derandomizer, point: Point, cfg: EstimatorConfig) -> Estimate:
     """Family-mean prediction at the point minus the score."""
-    score = derand.scorer.score(point)
-    mean = family_mean_prediction(derand, point, cfg)
-    if cfg.exact:
-        return Estimate(mean.value - score)
-    return Estimate(mean.value - float(score), mean.stderr)
+    return prediction_table(derand, (point,), cfg).bias(0)
 
 
-def aggregate_bias(derand: Derandomizer, dataset: Dataset, cfg: EstimatorConfig) -> Estimate:
+def aggregate_bias(table: PredictionTable) -> Estimate:
     """Dataset average of the pointwise bias."""
-    if cfg.exact:
-        total = Fraction(0)
-        for point in dataset:
-            total += _exact_mean(derand, point) - derand.scorer.score(point)
-        return Estimate(total / len(dataset))
-    batch = _ClassifierBatch(derand, cfg.trials, np.random.default_rng(cfg.seed))
-    acc = np.zeros(cfg.trials)
-    mean_score = 0.0
-    for point in dataset:
-        acc += batch.bits(point)
-        mean_score += float(derand.scorer.score(point))
-    mu = acc / len(dataset)
-    mean_score /= len(dataset)
-    return Estimate(float(mu.mean()) - mean_score, float(mu.std(ddof=1)) / math.sqrt(cfg.trials))
+    n = len(table.dataset)
+    if table.cfg.exact:
+        total, _ = table.moments
+        return Estimate((Fraction(total, table.size) - sum(table.scores)) / n)
+    mu = table.trial_sums / n
+    mean_score = sum(map(float, table.scores)) / n
+    return Estimate(float(mu.mean()) - mean_score, float(mu.std(ddof=1)) / math.sqrt(table.size))
 
 
 def pointwise_variance(derand: Derandomizer, point: Point, cfg: EstimatorConfig) -> Estimate:
     """Variance of the prediction bit across family members."""
-    if cfg.exact:
-        p = _exact_mean(derand, point)
-        return Estimate(p * (1 - p))
-    batch = _ClassifierBatch(derand, cfg.trials, np.random.default_rng(cfg.seed))
-    bits = batch.bits(point).astype(float)
-    return Estimate(float(bits.var(ddof=1)), _variance_stderr(bits))
+    return prediction_table(derand, (point,), cfg).variance(0)
 
 
-def aggregate_variance(derand: Derandomizer, dataset: Dataset, cfg: EstimatorConfig) -> Estimate:
+def aggregate_variance(table: PredictionTable) -> Estimate:
     """Variance, across family members, of the member's dataset-mean
     prediction."""
-    n = len(dataset)
-    if cfg.exact:
-        derand._check_enumerable()
-        sums = None
-        size = 0
-        for point in dataset:
-            bits = _enumerated_bits(derand, point)
-            size = bits.size
-            sums = bits.astype(np.int64) if sums is None else sums + bits
-        total = int(sums.sum())
-        total_sq = int((sums * sums).sum())  # S_m <= len(dataset): no overflow
-        mean_sq = Fraction(total_sq, size * n * n)
-        mean = Fraction(total, size * n)
+    n = len(table.dataset)
+    if table.cfg.exact:
+        total, total_sq = table.moments
+        mean_sq = Fraction(total_sq, table.size * n * n)
+        mean = Fraction(total, table.size * n)
         return Estimate(mean_sq - mean * mean)
-    batch = _ClassifierBatch(derand, cfg.trials, np.random.default_rng(cfg.seed))
-    acc = np.zeros(cfg.trials)
-    for point in dataset:
-        acc += batch.bits(point)
-    mu = acc / n
+    mu = table.trial_sums / n
     return Estimate(float(mu.var(ddof=1)), _variance_stderr(mu))
 
 
@@ -380,35 +400,23 @@ def pairwise_unfairness(
     derand: Derandomizer, x: Point, y: Point, cfg: EstimatorConfig
 ) -> Estimate:
     """Expected absolute prediction gap E[|f(x) - f(y)|] over the family."""
-    if cfg.exact:
-        bx = _enumerated_bits(derand, x)
-        by = _enumerated_bits(derand, y)
-        return Estimate(Fraction(int((bx != by).sum()), bx.size))
-    batch = _ClassifierBatch(derand, cfg.trials, np.random.default_rng(cfg.seed))
-    return _mean_with_stderr(batch.bits(x) != batch.bits(y))
+    table = prediction_table(derand, (x, y), cfg)
+    n_diff = int(table.split_counts(np.array([0]), np.array([1]))[0])
+    return _share(n_diff, table.size, cfg.exact)
 
 
 def metric_fairness_check(
-    derand: Derandomizer,
-    dataset: Dataset,
-    metric: Metric,
-    alpha: Number,
-    beta: Number,
-    cfg: EstimatorConfig,
+    table: PredictionTable, metric: Metric, alpha: Number, beta: Number
 ) -> FairnessReport:
     """Check E[|f(x) - f(x')|] <= alpha*d + beta on every pair (or a
     seeded subsample above the pair cap)."""
-    i, j, pair_seed = select_pairs(len(dataset), cfg.pairs_cap, cfg.seed)
+    n = len(table.dataset)
+    i, j, pair_seed = select_pairs(n, table.cfg.pairs_cap, table.cfg.seed)
     if i.size == 0:
-        raise EmptyPairSetError(f"no pairs to check among {len(dataset)} point(s)")
-    violations = 0
-    worst_excess: Number = -math.inf
-    excesses = _pair_excesses(derand, dataset, metric, i, j, cfg, lambda d: alpha * d + beta)
-    for excess, weight in excesses:
-        if excess > 0:
-            violations += weight
-        if excess > worst_excess:
-            worst_excess = excess
+        raise EmptyPairSetError(f"no pairs to check among {n} point(s)")
+    excesses = _pair_excesses(table, metric, i, j, lambda d: alpha * d + beta)
+    violations = sum(weight for excess, weight in excesses if excess > 0)
+    worst_excess = max(excess for excess, _ in excesses)  # the first maximum, as a loop keeps
 
     report = FairnessReport()
     report.add("pairs_checked", int(i.size))
@@ -441,113 +449,89 @@ def aggregate_fairness(
 
 
 def sampled_aggregate_fairness(
-    derand: Derandomizer,
-    dataset: Dataset,
+    table: PredictionTable,
     metric: Metric,
     tau: float,
     n_classifiers: int,
     rng: CountingRng,
 ) -> list[Fraction]:
-    """Split fraction of tau-close pairs for each of n sampled classifiers."""
-    i, j = _close_pairs(dataset, metric, tau)
+    """Split fraction of tau-close pairs for each of n sampled classifiers.
+    A classifier predicts 1 at x iff u(x) <= t[x], with t read from the
+    table."""
+    i, j = _close_pairs(table.dataset, metric, tau)
     if i.size == 0:
         raise EmptyPairSetError(f"no pairs within distance {tau}")
     fractions = []
     for _ in range(n_classifiers):
-        clf = derand.sample(rng)
-        bits = np.array([clf.predict(p) for p in dataset])
+        clf = table.derand.sample(rng)
+        u = np.array([clf.family.value(clf.h, clf.member.apply(p)) for p in table.dataset])
+        bits = u <= table.t
         fractions.append(Fraction(int((bits[i] != bits[j]).sum()), i.size))
     return fractions
 
 
 def aggregate_fairness_tail_check(
-    derand: Derandomizer,
-    dataset: Dataset,
+    table: PredictionTable,
     metric: Metric,
     alpha: Number,
     tau: float,
     delta: float,
     n_classifiers: int,
     rng: CountingRng,
-    cfg: EstimatorConfig,
-    slack: float = 0.05,
 ) -> FairnessReport:
     """Sample classifiers and check the high-probability aggregate bound:
     at most a delta fraction may split more than (1 + 1/sqrt(delta)) times
     the family's certified pairwise budget (alpha*tau + beta)."""
-    rhos = sampled_aggregate_fairness(derand, dataset, metric, tau, n_classifiers, rng)
-    beta = family_beta(derand, dataset, metric, alpha, cfg)
+    rhos = sampled_aggregate_fairness(table, metric, tau, n_classifiers, rng)
+    beta = family_beta(table, metric, alpha)
     bound = aggregate_tail_bound(alpha, beta, tau, delta)
     violating = sum(float(r) > bound for r in rhos)
     fraction = violating / n_classifiers
     report = FairnessReport()
     report.add("certified_beta", beta)
-    report.add("split_fraction_bound", bound, bound_source="aggregate fairness tail bound")
+    report.add("split_fraction_bound", bound)
     report.add(
         "violating_classifier_fraction",
         fraction,
-        bound=delta + slack,
+        bound=delta + TAIL_SLACK,
         bound_source="sampling tail probability (plus sampling slack)",
-        satisfied=fraction <= delta + slack,
+        satisfied=fraction <= delta + TAIL_SLACK,
     )
     return report
 
 
 def threshold_fairness_check(
-    derand: Derandomizer,
-    dataset: Dataset,
-    metric: Metric,
-    sigma: float,
-    tau: float,
-    cfg: EstimatorConfig,
+    table: PredictionTable, metric: Metric, sigma: float, tau: float
 ) -> FairnessReport:
     """Over pairs within distance sigma, check the family's expected
     prediction gap against tau; for the locality-sensitive scheme with
     k >= 4/sigma, also against the preserved guarantee sigma + tau."""
     if not (0 < sigma < 1 and 0 < tau < 1):
         raise InvalidParameterError("sigma and tau must lie in (0, 1)")
-    i, j = _close_pairs(dataset, metric, sigma)
+    i, j = _close_pairs(table.dataset, metric, sigma)
     report = FairnessReport()
     report.add("pairs_within_sigma", int(i.size))
     if i.size == 0:
         report.add("max_gap", 0, bound=tau, bound_source="threshold fairness (vacuous)", satisfied=True)
         return report
 
-    counts, size = _pair_disagreements(derand, dataset, i, j, cfg)
-    n_diff = int(counts.max())
+    n_diff = int(table.split_counts(i, j).max())
     # max() keeps its first maximal argument: an int 0 when no pair differs
-    worst: Number = max(0, Fraction(n_diff, size) if cfg.exact else n_diff / size)
-    score = derand.scorer.score
-    scorer_worst: Number = max(
-        [0, *(abs(score(dataset[a]) - score(dataset[b])) for a, b in zip(i.tolist(), j.tolist()))]
-    )
+    worst: Number = max(0, _share(n_diff, table.size, table.cfg.exact).value)
+    scores = table.scores
+    scorer_worst: Number = max([0, *(abs(scores[a] - scores[b]) for a, b in zip(i.tolist(), j.tolist()))])
 
     report.add("scorer_max_gap", scorer_worst)
-    report.add(
-        "max_gap",
-        worst,
-        bound=tau,
-        bound_source="threshold fairness target",
-        satisfied=worst <= tau,
-    )
+    bounds = [("max_gap", tau, "threshold fairness target")]
+    derand = table.derand
     if isinstance(derand, LsDerandomizer) and derand.k >= 4 / sigma:
-        preserved = ls_threshold_fairness_bound(sigma, tau)
-        report.add(
-            "max_gap_vs_preserved_guarantee",
-            worst,
-            bound=preserved,
-            bound_source="threshold fairness preservation (k >= 4/sigma)",
-            satisfied=worst <= preserved,
-        )
+        bounds.append(("max_gap_vs_preserved_guarantee", ls_threshold_fairness_bound(sigma, tau),
+                       "threshold fairness preservation (k >= 4/sigma)"))
     if isinstance(derand, RtDerandomizer):
-        grid = rt_threshold_fairness_bound(tau, derand.k)
-        report.add(
-            "max_gap_vs_grid_guarantee",
-            worst,
-            bound=grid,
-            bound_source="threshold fairness preservation (1/k grid)",
-            satisfied=worst <= grid,
-        )
+        bounds.append(("max_gap_vs_grid_guarantee", rt_threshold_fairness_bound(tau, derand.k),
+                       "threshold fairness preservation (1/k grid)"))
+    for name, bound, source in bounds:
+        report.add(name, worst, bound=bound, bound_source=source, satisfied=worst <= bound)
     return report
 
 
@@ -587,15 +571,12 @@ def loss_bias_variance(
 ) -> tuple[Estimate, Estimate]:
     """(|E[L(family)] - L(scorer)|, Var[L(family)]) at the labeled point."""
     base = loss_value(derand.scorer, point, y, loss)
+    table = prediction_table(derand, (point,), cfg)
+    ones = table.ones(0)
+    mean = _share(ones * loss[(1, y)] + (table.size - ones) * loss[(0, y)], table.size, cfg.exact)
     if cfg.exact:
-        bits = _enumerated_bits(derand, point)
-        ones = int(bits.sum())
-        losses = Fraction(ones * loss[(1, y)] + (bits.size - ones) * loss[(0, y)], bits.size)
-        return Estimate(abs(losses - base)), Estimate(losses * (1 - losses))
-    batch = _ClassifierBatch(derand, cfg.trials, np.random.default_rng(cfg.seed))
-    bits = batch.bits(point)
-    lvals = np.where(bits, loss[(1, y)], loss[(0, y)]).astype(float)
-    mean = _mean_with_stderr(lvals)
+        return Estimate(abs(mean.value - base)), Estimate(mean.value * (1 - mean.value))
+    lvals = np.where(table.bits(0), loss[(1, y)], loss[(0, y)]).astype(float)
     return (
         Estimate(abs(mean.value - float(base)), mean.stderr),
         Estimate(float(lvals.var(ddof=1)), _variance_stderr(lvals)),
@@ -617,21 +598,18 @@ def decomposition_check(
     """
     score = derand.scorer.score(point)
     var_bern = score * (1 - score)
-    exact_cfg = EstimatorConfig(mode="exact", seed=cfg.seed)
     try:
-        bias = pointwise_bias(derand, point, exact_cfg).value
-        var_family = pointwise_variance(derand, point, exact_cfg).value
+        table = prediction_table(derand, (point,), EstimatorConfig(mode="exact", seed=cfg.seed))
     except NotEnumerableError:
-        mc_cfg = EstimatorConfig(mode="mc", trials=cfg.trials, seed=cfg.seed)
-        bias = pointwise_bias(derand, point, mc_cfg).value
-        var_family = pointwise_variance(derand, point, mc_cfg).value
+        table = prediction_table(derand, (point,), EstimatorConfig(mode="mc", trials=cfg.trials, seed=cfg.seed))
+    bias, var_family = table.bias(0).value, table.variance(0).value
 
     rhs = decomposition_bound(abs(bias), var_bern, var_family)
     gen = np.random.default_rng(cfg.seed)
     batch = _ClassifierBatch(derand, cfg.trials, gen)
     member_bits = batch.bits(point)
     bern_bits = gen.random(cfg.trials) < float(score)
-    lhs = _mean_with_stderr(member_bits != bern_bits)
+    lhs = _share(int((member_bits != bern_bits).sum()), cfg.trials, False)
 
     report = FairnessReport()
     report.add("bias_abs", abs(bias))
@@ -652,30 +630,32 @@ def decomposition_check(
 # empirical fairness curve and certification
 
 def empirical_fairness_curve(
-    source,
-    dataset: Dataset,
+    source: Union[PredictionTable, StochasticScorer],
     metric: Metric,
     alphas: Sequence[float],
+    dataset: Optional[Dataset] = None,
     cfg: Optional[EstimatorConfig] = None,
 ) -> list[tuple[float, float]]:
     """For each slope a on the grid, the mean residual additive unfairness
     b(a) = mean over pairs of max(gap - a*d, 0).
 
-    ``source`` is a scorer (gap = |score difference|) or a derandomizer
-    (gap = expected prediction gap over the family).
+    ``source`` is a prediction table (gap = expected prediction gap over
+    the family), or a scorer on ``dataset`` (gap = |score difference|),
+    with pairs selected by ``cfg``.
     """
+    if isinstance(source, PredictionTable):
+        dataset, cfg = source.dataset, source.cfg
     cfg = cfg or EstimatorConfig()
     i, j, _ = select_pairs(len(dataset), cfg.pairs_cap, cfg.seed)
     if i.size == 0:
         raise InvalidParameterError("need at least 2 points")
-    if isinstance(source, StochasticScorer):
+    if isinstance(source, PredictionTable):
+        g = source.split_counts(i, j) / source.size
+    else:
         score = source.score
         g = np.array(
             [float(abs(score(dataset[a]) - score(dataset[b]))) for a, b in zip(i.tolist(), j.tolist())]
         )
-    else:
-        counts, size = _pair_disagreements(source, dataset, i, j, cfg)
-        g = counts / size
     codes, values = metric.pair_distances(dataset, i, j)
     d = np.array([float(v) for v in values])[codes]
     return [(float(a), float(np.maximum(g - float(a) * d, 0.0).mean())) for a in alphas]
@@ -686,30 +666,20 @@ def scorer_beta(
 ) -> Number:
     """Smallest beta for which the scorer is (alpha, beta)-fair on the
     dataset: max over pairs of (|score gap| - alpha*d)+."""
-    worst: Number = 0
-    for i, j in dataset.index_pairs():
-        gap = abs(scorer.score(dataset[i]) - scorer.score(dataset[j]))
-        excess = gap - alpha * metric.distance(dataset[i], dataset[j])
-        if excess > worst:
-            worst = excess
-    return worst
+    scores = [scorer.score(p) for p in dataset]
+    i, j = np.triu_indices(len(dataset), 1)
+    codes, values = metric.pair_distances(dataset, i, j)
+    pairs = zip(i.tolist(), j.tolist(), codes.tolist())
+    # max() keeps its first maximal argument: an int 0 when no excess is positive
+    return max([0, *(abs(scores[a] - scores[b]) - alpha * values[c] for a, b, c in pairs)])
 
 
-def family_beta(
-    derand: Derandomizer,
-    dataset: Dataset,
-    metric: Metric,
-    alpha: Number,
-    cfg: EstimatorConfig,
-) -> Number:
+def family_beta(table: PredictionTable, metric: Metric, alpha: Number) -> Number:
     """Smallest beta for which the family is (alpha, beta)-fair on the
     dataset pairs, from exact (or estimated) pairwise gaps."""
-    i, j = np.triu_indices(len(dataset), 1)
-    worst: Number = 0
-    for excess, _ in _pair_excesses(derand, dataset, metric, i, j, cfg, lambda d: alpha * d):
-        if excess > worst:
-            worst = excess
-    return worst
+    i, j = np.triu_indices(len(table.dataset), 1)
+    # max() keeps its first maximal argument: an int 0 when no excess is positive
+    return max([0, *(excess for excess, _ in _pair_excesses(table, metric, i, j, lambda d: alpha * d))])
 
 
 # ---------------------------------------------------------------------------

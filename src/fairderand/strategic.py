@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from .core import Dataset, Point, StochasticScorer
 from .derandomize import Derandomizer
 from .errors import InvalidParameterError
-from .measure import EstimatorConfig, family_mean_prediction, manipulation_gain_bound
+from .measure import EstimatorConfig, manipulation_gain_bound, prediction_table
 from .metrics import Metric
 
 Number = Union[Fraction, float, int]
@@ -46,18 +46,20 @@ class UtilityReport:
         }
 
 
-def _mean_prediction(source, point: Point, cfg: EstimatorConfig) -> Number:
+def _mean_predictions(source, points: Sequence[Point], cfg: EstimatorConfig) -> list[Number]:
+    """Score of each point, or its family-mean prediction from one table."""
     if isinstance(source, StochasticScorer):
-        return source.score(point)
+        return [source.score(p) for p in points]
     if isinstance(source, Derandomizer):
-        return family_mean_prediction(source, point, cfg).value
+        table = prediction_table(source, points, cfg)
+        return [table.mean(r).value for r in range(len(points))]
     raise InvalidParameterError(f"cannot score with {type(source).__name__}")
 
 
 def utility(source, x: Point, target: Point, cost: Metric, cfg: EstimatorConfig | None = None) -> Number:
     """score(target) - cost(x, target); family sources use the family mean."""
     cfg = cfg or EstimatorConfig()
-    return _mean_prediction(source, target, cfg) - cost.distance(x, target)
+    return _mean_predictions(source, [target], cfg)[0] - cost.distance(x, target)
 
 
 def best_response(
@@ -71,17 +73,18 @@ def best_response(
 ) -> UtilityReport:
     """Utility-maximizing move over the candidate set (ties broken by
     lowest id), with the gain checked against (alpha - 1)*cost + beta."""
-    cfg = cfg or EstimatorConfig()
-    predictions = {p.id: _mean_prediction(source, p, cfg) for p in candidates}
+    *predictions, stay = _mean_predictions(source, [*candidates, origin], cfg or EstimatorConfig())
+    return _respond(origin, stay, candidates, predictions, cost, alpha, beta)
 
-    best = None
-    best_utility = None
-    for p in sorted(candidates, key=lambda q: q.id):
-        value = predictions[p.id] - cost.distance(origin, p)
-        if best_utility is None or value > best_utility:
-            best, best_utility = p, value
 
-    stay = _mean_prediction(source, origin, cfg)  # zero cost to stay put
+def _respond(origin, stay, candidates, predictions, cost, alpha, beta) -> UtilityReport:
+    """Best response of origin, given the mean prediction at it (zero cost
+    to stay put) and at each candidate."""
+    by_id = sorted(zip(candidates, predictions), key=lambda pair: pair[0].id)
+    best, best_utility = max(
+        ((p, prediction - cost.distance(origin, p)) for p, prediction in by_id),
+        key=lambda pair: pair[1],  # the first maximum: ties go to the lowest id
+    )
     gain = best_utility - stay
     move_cost = cost.distance(origin, best)
     bound = manipulation_gain_bound(alpha, beta, move_cost)
@@ -102,8 +105,10 @@ def best_responses(
     beta: Number,
     cfg: EstimatorConfig | None = None,
 ) -> list[UtilityReport]:
-    """Best response of every candidate treated as an origin."""
+    """Best response of every candidate treated as an origin, from one
+    mean prediction per candidate."""
+    predictions = _mean_predictions(source, candidates, cfg or EstimatorConfig())
     return [
-        best_response(source, origin, candidates, cost, alpha, beta, cfg)
-        for origin in candidates
+        _respond(origin, stay, candidates, predictions, cost, alpha, beta)
+        for origin, stay in zip(candidates, predictions)
     ]

@@ -1,8 +1,10 @@
 import csv
 import json
+import types
 
 import pytest
 
+from fairderand import cli, measure
 from fairderand.cli import main
 from fairderand.dataio import load_dataset, save_dataset
 from fairderand import Dataset, Point, TabularScorer
@@ -211,6 +213,79 @@ class TestAuditCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["alpha_hat", "beta_hat"]
         assert len(rows) == 4
+
+
+    def test_replay_is_byte_identical(self, scored_csv, config_factory, tmp_path):
+        config = config_factory(
+            input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "minhash"},
+            metric={"kind": "jaccard"}, mode="mc", trials=500, pairs_cap=4,
+            tau=0.5, n_classifiers=5, curve_alphas=[0.0, 1.0],
+        )
+        outputs = []
+        for _ in range(2):
+            assert main(["audit", "--config", str(config)]) == 0
+            outputs.append([(tmp_path / "reports" / name).read_bytes()
+                            for name in ("audit.json", "fairness_curve.csv")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["pair_sample_seed"] == 7
+
+    @pytest.mark.parametrize(
+        "mode,extra",
+        [
+            ("exact", dict(curve_alphas=[0.0, 1.0])),
+            ("mc", dict()),
+            ("mc", dict(curve_alphas=[0.0, 1.0])),
+        ],
+    )
+    def test_one_oracle_evaluation_per_point(self, scored_csv, config_factory, monkeypatch, mode, extra):
+        calls = {"points": 0, "batches": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(measure, "_enumerated_bits", counting("points", measure._enumerated_bits))
+        monkeypatch.setattr(measure._ClassifierBatch, "bits", counting("points", measure._ClassifierBatch.bits))
+        monkeypatch.setattr(measure._ClassifierBatch, "__init__", counting("batches", measure._ClassifierBatch.__init__))
+        config = config_factory(
+            input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "bit_sampling"},
+            mode=mode, trials=200, tau=0.4, n_classifiers=5, **extra,
+        )
+        assert main(["audit", "--config", str(config)]) == 0
+        assert calls == {"points": 4, "batches": 0 if mode == "exact" else 1}
+
+    def test_no_batch_before_first_measure_call(self, scored_csv, config_factory, monkeypatch):
+        # the benchmark times set-up up to the first call of a module-level
+        # fairderand.measure function; the Monte Carlo batch must come after
+        events = []
+
+        def recording(event, fn):
+            def wrapper(*args, **kwargs):
+                events.append(event)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        functions = {
+            id(obj) for obj in vars(measure).values()
+            if isinstance(obj, types.FunctionType) and obj.__module__ == measure.__name__
+        }
+        for module in (measure, cli):
+            for name, obj in list(vars(module).items()):
+                if id(obj) in functions:
+                    monkeypatch.setattr(module, name, recording("measure", obj))
+        for name in ("__init__", "bits"):
+            monkeypatch.setattr(
+                measure._ClassifierBatch, name, recording("batch", getattr(measure._ClassifierBatch, name))
+            )
+        config = config_factory(
+            input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "bit_sampling"},
+            mode="mc", trials=200, tau=0.4, n_classifiers=5,
+        )
+        assert main(["audit", "--config", str(config)]) == 0
+        assert "batch" in events
+        assert events.index("measure") < events.index("batch")
 
 
 class TestAdversarialCommand:

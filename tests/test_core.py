@@ -7,7 +7,6 @@ from fairderand import (
     AffineScorer,
     ConstantScorer,
     Dataset,
-    FairnessParams,
     Point,
     TableClassifier,
     TabularScorer,
@@ -131,10 +130,3 @@ class TestClassifiers:
         p = Point("a", (0.0,))
         assert all(clf.predict(p) == 1 for _ in range(10))
 
-
-def test_fairness_params_validation():
-    FairnessParams(1.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        FairnessParams(0.5, 0.0)
-    with pytest.raises(InvalidParameterError):
-        FairnessParams(1.0, -0.1)

@@ -50,6 +50,7 @@ from fairderand.measure import (
     pi_variance_bound,
     pointwise_bias,
     pointwise_variance,
+    prediction_table,
     rt_variance_bound,
     sampled_aggregate_fairness,
     scorer_beta,
@@ -106,7 +107,7 @@ class TestOracleAgreement:
                 assert pointwise_bias(derand, p, EXACT).value == brute_mean(
                     derand, p
                 ) - scorer.score(p)
-            assert aggregate_variance(derand, ds, EXACT).value == brute_aggregate_variance(
+            assert aggregate_variance(prediction_table(derand, ds, EXACT)).value == brute_aggregate_variance(
                 derand, ds
             )
             assert pairwise_unfairness(derand, ds[0], ds[1], EXACT).value == brute_pairwise(
@@ -118,12 +119,12 @@ class TestOracleAgreement:
         scorer = random_scorer(py_rng, ds)
         mc = EstimatorConfig(mode="mc", trials=100_000, seed=11)
         for derand in small_families(ds, scorer, k=7):
-            exact_bias = aggregate_bias(derand, ds, EXACT).value
-            est = aggregate_bias(derand, ds, mc)
+            exact_bias = aggregate_bias(prediction_table(derand, ds, EXACT)).value
+            est = aggregate_bias(prediction_table(derand, ds, mc))
             assert abs(est.value - float(exact_bias)) <= 4 * est.stderr + 1e-12
 
-            exact_var = aggregate_variance(derand, ds, EXACT).value
-            est = aggregate_variance(derand, ds, mc)
+            exact_var = aggregate_variance(prediction_table(derand, ds, EXACT)).value
+            est = aggregate_variance(prediction_table(derand, ds, mc))
             assert abs(est.value - float(exact_var)) <= 4 * est.stderr + 1e-12
 
             exact_pair = pairwise_unfairness(derand, ds[0], ds[2], EXACT).value
@@ -173,7 +174,7 @@ class TestBias:
     def test_rt_grid_aligned_bias_zero(self):
         ds = binary_dataset()
         scorer = TabularScorer({"x1": 0.3, "x2": 0.7, "x3": 1.0})
-        assert aggregate_bias(RtDerandomizer(scorer, 10), ds, EXACT).value == 0
+        assert aggregate_bias(prediction_table(RtDerandomizer(scorer, 10), ds, EXACT)).value == 0
 
     def test_pi_bias_exact_example(self):
         ds = binary_dataset()
@@ -189,7 +190,7 @@ class TestBias:
         ds = Dataset([Point("only", (0.0, 1.0))])
         derand = RtDerandomizer(TabularScorer({"only": 0.41}), 7)
         assert (
-            aggregate_bias(derand, ds, EXACT).value
+            aggregate_bias(prediction_table(derand, ds, EXACT)).value
             == pointwise_bias(derand, ds[0], EXACT).value
         )
 
@@ -202,7 +203,7 @@ class TestBias:
                     PiDerandomizer.build(scorer, ds, IdentityBucketer(), k),
                     LsDerandomizer(scorer, BitSamplingFamily(3), k),
                 ):
-                    value = aggregate_bias(derand, ds, EXACT).value
+                    value = aggregate_bias(prediction_table(derand, ds, EXACT)).value
                     assert abs(value) <= bias_bound(k)
 
 
@@ -210,18 +211,18 @@ class TestVariance:
     def test_deterministic_scores_give_zero_rt_variance(self):
         ds = binary_dataset()
         scorer = TabularScorer({"x1": 0, "x2": 1, "x3": 1})
-        assert aggregate_variance(RtDerandomizer(scorer, 9), ds, EXACT).value == 0
+        assert aggregate_variance(prediction_table(RtDerandomizer(scorer, 9), ds, EXACT)).value == 0
 
     def test_half_score_single_point(self):
         ds = Dataset([Point("q", (0.0,))])
         derand = RtDerandomizer(TabularScorer({"q": 0.5}), 10)
-        assert aggregate_variance(derand, ds, EXACT).value == Fraction(1, 4)
+        assert aggregate_variance(prediction_table(derand, ds, EXACT)).value == Fraction(1, 4)
 
     def test_pi_variance_bound_separating_bucketer(self, py_rng):
         ds = random_binary_dataset(py_rng, 4, 4)
         scorer = random_scorer(py_rng, ds)
         derand = PiDerandomizer.build(scorer, ds, IdentityBucketer(), 11)
-        value = aggregate_variance(derand, ds, EXACT).value
+        value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
         mean_fvar = sum((s := scorer.score(p)) * (1 - s) for p in ds) / len(ds)
         # separating bucketer: max bucket mass is 1/|B|
         assert value <= pi_variance_bound(Fraction(1, len(ds)), mean_fvar, 11)
@@ -230,7 +231,7 @@ class TestVariance:
         ds = random_binary_dataset(py_rng, 4, 3)
         scorer = random_scorer(py_rng, ds)
         derand = LsDerandomizer(scorer, BitSamplingFamily(3), 11)
-        value = aggregate_variance(derand, ds, EXACT).value
+        value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
         mean_fvar = sum((s := scorer.score(p)) * (1 - s) for p in ds) / len(ds)
         # mean over members of the max bucket mass, exact
         members = derand.bucketing.enumerate()
@@ -249,7 +250,7 @@ class TestVariance:
             ds = random_binary_dataset(py_rng, 5, 3)
             scorer = random_scorer(py_rng, ds)
             derand = RtDerandomizer(scorer, 13)
-            value = aggregate_variance(derand, ds, EXACT).value
+            value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
             mean_fvar = sum((s := scorer.score(p)) * (1 - s) for p in ds) / len(ds)
             assert value <= rt_variance_bound(mean_fvar) + Fraction(1, 13)
 
@@ -292,8 +293,8 @@ class TestMetricFairnessCheck:
             alpha = 1
             beta = scorer_beta(scorer, ds, metric, alpha)
             report = metric_fairness_check(
-                RtDerandomizer(scorer, k), ds, metric, alpha,
-                beta + Fraction(1, k), EXACT,
+                prediction_table(RtDerandomizer(scorer, k), ds, EXACT), metric, alpha,
+                beta + Fraction(1, k),
             )
             assert report["fairness_violations"]["value"] == 0
 
@@ -306,8 +307,8 @@ class TestMetricFairnessCheck:
         beta = scorer_beta(scorer, ds, metric, alpha)
         derand = LsDerandomizer(scorer, BitSamplingFamily(3), k)
         report = metric_fairness_check(
-            derand, ds, metric,
-            alpha + Fraction(1, 2), beta + Fraction(2, k), EXACT,
+            prediction_table(derand, ds, EXACT), metric,
+            alpha + Fraction(1, 2), beta + Fraction(2, k),
         )
         assert report["fairness_violations"]["value"] == 0
         assert report.all_satisfied
@@ -315,7 +316,7 @@ class TestMetricFairnessCheck:
     def test_constant_family_never_violates(self):
         ds = binary_dataset()
         report = metric_fairness_check(
-            RtDerandomizer(ConstantScorer(0.5), 4), ds, NormalizedHamming(2), 1, 0, EXACT
+            prediction_table(RtDerandomizer(ConstantScorer(0.5), 4), ds, EXACT), NormalizedHamming(2), 1, 0
         )
         assert report["fairness_violations"]["value"] == 0
 
@@ -323,7 +324,7 @@ class TestMetricFairnessCheck:
         ds = Dataset([Point("a", (0.0, 1.0))])
         with pytest.raises(EmptyPairSetError):
             metric_fairness_check(
-                RtDerandomizer(ConstantScorer(0.5), 4), ds, NormalizedHamming(2), 1, 0, EXACT
+                prediction_table(RtDerandomizer(ConstantScorer(0.5), 4), ds, EXACT), NormalizedHamming(2), 1, 0
             )
 
 
@@ -364,12 +365,13 @@ class TestPairPathMatchesReferenceLoop:
         violations, worst = reference_fairness_check(
             derand, ds, metric, alpha, beta, cfg, zip(i.tolist(), j.tolist())
         )
-        report = metric_fairness_check(derand, ds, metric, alpha, beta, cfg)
+        table = prediction_table(derand, ds, cfg)
+        report = metric_fairness_check(table, metric, alpha, beta)
         assert report["fairness_violations"]["value"] == violations
         got = report["worst_excess"]["value"]
         assert got == worst and type(got) is type(worst)
 
-        got = family_beta(derand, ds, metric, alpha, cfg)
+        got = family_beta(table, metric, alpha)
         expected = reference_family_beta(derand, ds, metric, alpha, cfg)
         assert got == expected and type(got) is type(expected)
 
@@ -384,7 +386,7 @@ class TestThresholdFairnessCheck:
     def check(self, derand):
         ds = binary_dataset()
         return threshold_fairness_check(
-            derand, ds, NormalizedHamming(2), self.SIGMA, self.TAU, EXACT
+            prediction_table(derand, ds, EXACT), NormalizedHamming(2), self.SIGMA, self.TAU
         )
 
     def test_rt_reports_grid_guarantee(self):
@@ -411,7 +413,7 @@ class TestThresholdFairnessCheck:
         derand = LsDerandomizer(random_scorer(py_rng, ds), BitSamplingFamily(4), 11)
         metric = NormalizedHamming(4)
         mc = EstimatorConfig(mode="mc", trials=500, seed=4)
-        report = threshold_fairness_check(derand, ds, metric, 0.3, 0.5, mc)
+        report = threshold_fairness_check(prediction_table(derand, ds, mc), metric, 0.3, 0.5)
         gaps = [
             pairwise_unfairness(derand, ds[i], ds[j], mc).value
             for i, j in ds.index_pairs()
@@ -451,9 +453,9 @@ class TestAggregateFairness:
         scorer = random_scorer(py_rng, ds)
         derand = LsDerandomizer(scorer, BitSamplingFamily(3), 11)
         report = aggregate_fairness_tail_check(
-            derand, ds, NormalizedHamming(3),
+            prediction_table(derand, ds, EXACT), NormalizedHamming(3),
             alpha=Fraction(3, 2), tau=0.4, delta=0.25,
-            n_classifiers=400, rng=CountingRng(5), cfg=EXACT,
+            n_classifiers=400, rng=CountingRng(5),
         )
         assert report["violating_classifier_fraction"]["satisfied"]
 
@@ -532,21 +534,21 @@ class TestFairnessCurve:
     def test_constant_scorer_flat_zero(self):
         ds = binary_dataset()
         curve = empirical_fairness_curve(
-            ConstantScorer(0.5), ds, NormalizedHamming(2), [0.0, 0.5, 1.0]
+            ConstantScorer(0.5), NormalizedHamming(2), [0.0, 0.5, 1.0], ds
         )
         assert all(b == 0.0 for _, b in curve)
 
     def test_zero_alpha_gives_mean_gap(self):
         ds = Dataset([Point("a", (0.0,)), Point("b", (1.0,))])
         scorer = TabularScorer({"a": 0.2, "b": 0.9})
-        curve = empirical_fairness_curve(scorer, ds, NormalizedHamming(1), [0.0])
+        curve = empirical_fairness_curve(scorer, NormalizedHamming(1), [0.0], ds)
         assert curve[0][1] == pytest.approx(0.7)
 
     def test_monotone_nonincreasing(self, py_rng):
         ds = random_binary_dataset(py_rng, 6, 4)
         scorer = random_scorer(py_rng, ds)
         alphas = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
-        curve = empirical_fairness_curve(scorer, ds, NormalizedHamming(4), alphas)
+        curve = empirical_fairness_curve(scorer, NormalizedHamming(4), alphas, ds)
         betas = [b for _, b in curve]
         assert all(b1 >= b2 for b1, b2 in zip(betas, betas[1:]))
 
@@ -554,7 +556,7 @@ class TestFairnessCurve:
         ds = random_binary_dataset(py_rng, 4, 3)
         scorer = random_scorer(py_rng, ds)
         derand = RtDerandomizer(scorer, 5)
-        curve = empirical_fairness_curve(derand, ds, NormalizedHamming(3), [0.0, 1.0], EXACT)
+        curve = empirical_fairness_curve(prediction_table(derand, ds, EXACT), NormalizedHamming(3), [0.0, 1.0])
         assert len(curve) == 2
 
 

@@ -108,8 +108,8 @@ class TestFamilyVersion:
         derand = RtDerandomizer(scorer, 20)
         alpha = Fraction(3, 2)
         # certify the family itself, then the gain bound must hold exactly
-        from fairderand.measure import family_beta
+        from fairderand.measure import family_beta, prediction_table
 
-        beta = family_beta(derand, ds, cost, alpha, EXACT)
+        beta = family_beta(prediction_table(derand, ds, EXACT), cost, alpha)
         for report in best_responses(derand, ds, cost, alpha, beta, EXACT):
             assert report.utility_gain <= report.bound
