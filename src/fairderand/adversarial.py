@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .core import Dataset, DeterministicClassifier, Point, TabularScorer
 from .derandomize import IdentityBucketer, PiDerandomizer
 from .errors import GridTooCoarseError, InvalidParameterError
@@ -125,19 +123,19 @@ def verify_sphere_counterexample(
     floor_value = Fraction(1, 2) - Fraction(str(cfg.eps_gap)) - Fraction(1, 2 * cfg.k)
 
     residual = scorer_beta(scorer, dataset, metric, 1)
-    i, j = np.triu_indices(len(dataset), 1)
-    codes, distances = metric.pair_distances(dataset, i, j)
+    pairs = table.pair_classes(metric)
+    classes = zip(pairs.class_codes.tolist(), pairs.class_counts.tolist(), pairs.weights.tolist())
     pairs_below_floor = 0
     pairs_not_violating = 0
-    for n_diff, code in zip(table.split_counts(i, j).tolist(), codes.tolist()):
+    for code, n_diff, weight in classes:
         gap = Fraction(n_diff, table.size)
         if gap < floor_value:
-            pairs_below_floor += 1
-        if not gap > cfg.alpha * distances[code] + Fraction(str(cfg.beta)):
-            pairs_not_violating += 1
+            pairs_below_floor += weight
+        if not gap > cfg.alpha * pairs.values[code] + Fraction(str(cfg.beta)):
+            pairs_not_violating += weight
 
     report = FairnessReport()
-    report.add("pairs_checked", int(i.size))
+    report.add("pairs_checked", int(pairs.codes.size))
     report.add(
         "scorer_unfairness_residual",
         residual,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -98,6 +99,15 @@ def _resolve(config: dict, args) -> dict:
         raise ConfigError("tau must lie in [0, 1]")
     if "delta" in merged and not 0 < float(merged["delta"]) < 1:
         raise ConfigError("delta must lie in (0, 1)")
+    alphas = merged.get("curve_alphas") or []
+    if not isinstance(alphas, list):
+        raise ConfigError("curve_alphas must be a list")
+    if not all(type(v) is int or type(v) is float and math.isfinite(v)  # JSON numbers, not bools
+               for v in (merged.get("alpha", 1), merged.get("beta", 0), *alphas)):
+        raise ConfigError("alpha, beta and curve_alphas must be finite numbers")
+    n_classifiers = merged.get("n_classifiers", 0)
+    if type(n_classifiers) not in (int, float) or not n_classifiers >= 0 or n_classifiers % 1:
+        raise ConfigError("n_classifiers must be a non-negative integer")
     return merged
 
 
@@ -186,11 +196,11 @@ def _jsonable(value):
 
 
 def _write_report(out_dir: Path, name: str, payload: dict) -> Path:
+    # serialize first: a payload that cannot be written leaves no file
+    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    path.write_text(text + "\n", encoding="utf-8")
     return path
 
 

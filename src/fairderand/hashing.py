@@ -45,7 +45,7 @@ from .errors import (
     NotEnumerableError,
     UnknownBucketError,
 )
-from .metrics import binary_support
+from .metrics import binary_support, fairness_matrix
 from .rng import CountingRng
 
 ENUMERATION_CAP = 10**6
@@ -172,6 +172,10 @@ class BucketingMember:
     def apply(self, point: Point) -> Hashable:
         raise NotImplementedError
 
+    def embed_all(self, points: Sequence[Point], embed: Callable[[Hashable], int]) -> np.ndarray:
+        """embed(apply(p)) for every point p, as an int64 array."""
+        return np.array([embed(self.apply(p)) for p in points], dtype=np.int64)
+
     def params(self) -> dict:
         """The member's entry in a derandomize report."""
         return {}
@@ -244,6 +248,12 @@ class BitSamplingMember(BucketingMember):
             raise InvalidParameterError("bit sampling requires 0/1 features")
         return int(value)
 
+    def embed_all(self, points, embed):
+        column = np.array([p.fairness_vector[self.index] for p in points], dtype=float)
+        if not np.isin(column, (0.0, 1.0)).all():
+            return super().embed_all(points, embed)  # raises as apply does
+        return np.array([embed(0), embed(1)], dtype=np.int64)[column.astype(np.int64)]
+
     def params(self) -> dict:
         return {"lsh_member": {"kind": "coordinate", "index": self.index}}
 
@@ -281,6 +291,14 @@ class MinHashMember(BucketingMember):
         if not support:
             raise InvalidParameterError("min-wise hashing is undefined on the empty set")
         return min(support, key=lambda e: self.ranks[e])
+
+    def embed_all(self, points, embed):
+        x = fairness_matrix(points)
+        sets = x is not None and x.shape[1] == len(self.ranks) and np.isin(x, (0.0, 1.0)).all()
+        if not (sets and x.any(axis=1).all()):
+            return super().embed_all(points, embed)  # raises as apply does
+        element = np.where(x == 1.0, self.ranks, len(self.ranks)).argmin(axis=1)
+        return np.array([embed(e) for e in range(len(self.ranks))], dtype=np.int64)[element]
 
     def params(self) -> dict:
         return {"lsh_member": {"kind": "permutation", "ranks": list(self.ranks)}}

@@ -16,20 +16,20 @@ need.  The pointwise helpers build a table over their one or two points;
 only ``decomposition_check`` draws its own batch, because its Bernoulli
 draws continue that batch's generator.
 
-Pair quantities run on one array path.  ``select_pairs`` returns index
-arrays (i, j); ``Metric.pair_distances`` maps the pairs to codes into the
-distinct distances; ``PredictionTable.split_counts`` counts the members
-(or trials) that split each pair with a popcount of the XOR of two rows.
-The reductions then evaluate their Python expression once per distinct
-(distance, count) class and weight it by the class size, so exact results
-stay rationals and int, Fraction and float parameters keep their usual
-arithmetic.
+Pair quantities read one pass per table and metric over every pair (or
+the capped ``select_pairs``): distance codes from ``Metric.pair_distances``
+and split counts, popcounts of the XOR of two rows 64 bits at a time, both
+in the smallest unsigned dtype, with the histogram of (distance, split
+count) classes.  Exact reductions evaluate their Python expression once
+per class, so rationals stay exact and int, Fraction and float parameters
+keep their arithmetic; Monte Carlo ones evaluate count/size - budget as
+one float64 array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Sequence, Union
@@ -49,7 +49,7 @@ from .errors import (
     InvalidParameterError,
     NotEnumerableError,
 )
-from .metrics import Distance, Metric, over_pair_chunks
+from .metrics import Distance, Metric, over_pair_chunks, popcounts
 from .rng import CountingRng
 
 Number = Union[Fraction, float, int]
@@ -215,16 +215,30 @@ class _ClassifierBatch:
         return self.residues(self.embeds(point)) < t  # u = residue + 1 <= t
 
 
+@dataclass(frozen=True)
+class PairClasses:
+    """One pass over pairs: per pair, its distance code into ``values`` and
+    its split count; per distinct (code, count) class, its number of pairs."""
+
+    pair_seed: Optional[int]  # None: every pair, in np.triu_indices order
+    values: list[Distance]
+    codes: np.ndarray
+    counts: np.ndarray
+    class_codes: np.ndarray
+    class_counts: np.ndarray
+    weights: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class PredictionTable:
     """f_h(x) for every family member h (exact) or every classifier of one
     seeded batch (Monte Carlo), at every point x of the dataset.
 
     ``packed[r]`` is the prediction row of point r, packed 8 members (or
-    trials) to a byte.  Bias and variance read only ``trial_sums``, the
-    number of points each trial predicts 1 (Monte Carlo), or ``moments``,
-    the sum and the sum of squares of that number over the members
-    (exact)."""
+    trials) to a byte, in whole uint64 words.  Bias and variance read only
+    ``trial_sums``, the number of points each trial predicts 1 (Monte
+    Carlo), or ``moments``, the sum and the sum of squares of that number
+    over the members (exact)."""
 
     derand: Derandomizer
     dataset: Sequence[Point]
@@ -235,6 +249,7 @@ class PredictionTable:
     packed: np.ndarray
     trial_sums: Optional[np.ndarray] = None
     moments: Optional[tuple[int, int]] = None
+    _passes: list = field(default_factory=list, init=False, repr=False)
 
     def ones(self, r: int) -> int:
         """Members (or trials) that predict 1 at point r."""
@@ -263,12 +278,28 @@ class PredictionTable:
     def split_counts(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Members (or trials) that predict differently at points i[p] and
         j[p], for every pair p: a popcount of the XOR of the two rows."""
-        packed = self.packed
+        words = self.packed.view(np.uint64)
+        return over_pair_chunks(lambda a, b: popcounts(words[a] ^ words[b]), i, j, self.packed.shape[1])
 
-        def split(a, b):
-            return np.bitwise_count(packed[a] ^ packed[b]).sum(axis=1, dtype=np.int64)
-
-        return over_pair_chunks(split, i, j, packed.shape[1])
+    def pair_classes(self, metric: Metric, capped: bool = False) -> PairClasses:
+        """The pass over every pair (or the capped ``select_pairs``) under
+        the metric, computed once; a capped pass of every pair serves both."""
+        for m, c, classes in self._passes:
+            if m is metric and (c == capped or (c and classes.pair_seed is None)):
+                return classes
+        n = len(self.dataset)
+        i, j, seed = select_pairs(n, self.cfg.pairs_cap if capped else n * n, self.cfg.seed)
+        counts = self.split_counts(i, j)
+        keys, values = metric.pair_distances(self.dataset, i, j)
+        del i, j  # free the index arrays before the sort
+        codes = keys.astype(np.min_scalar_type(len(values)))
+        keys *= self.size + 1  # one key per (distance, split count), in place
+        keys += counts
+        counts = counts.astype(np.min_scalar_type(self.size))
+        keys, weights = np.unique(keys, return_counts=True)
+        classes = PairClasses(seed, values, codes, counts, *np.divmod(keys, self.size + 1), weights)
+        self._passes.append((metric, capped, classes))
+        return classes
 
 
 def prediction_table(
@@ -283,10 +314,10 @@ def prediction_table(
     packed = sums = None
     for r, point in enumerate(dataset):
         bits = oracle(point)
-        if packed is None:
-            packed = np.empty((len(dataset), (bits.size + 7) // 8), dtype=np.uint8)
+        if packed is None:  # rows padded to whole uint64 words
+            packed = np.zeros((len(dataset), (bits.size + 63) // 64 * 8), dtype=np.uint8)
             sums = np.zeros(bits.size, dtype=np.int64)
-        packed[r] = np.packbits(bits)
+        packed[r, : (bits.size + 7) // 8] = np.packbits(bits)
         sums += bits
     scores = tuple(derand.scorer.score(p) for p in dataset)
     t = np.array([threshold_count(s, derand.k) for s in scores], dtype=np.int64)
@@ -305,49 +336,25 @@ def _share(count: int, size: int, exact: bool) -> Estimate:
     return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / size))
 
 
-def _pair_excesses(
-    table: PredictionTable,
-    metric: Metric,
-    i: np.ndarray,
-    j: np.ndarray,
-    budget: Callable[[Distance], Number],
-) -> list[tuple[Number, int]]:
-    """gap - budget(d) for each distinct (family gap, distance d) over the
-    pairs, with the number of pairs that have it.  The gap is an exact
-    rational in exact mode and a float in Monte Carlo mode, as
-    ``pairwise_unfairness`` gives; budget runs once per distinct distance."""
-    counts, size = table.split_counts(i, j), table.size
-    codes, values = metric.pair_distances(table.dataset, i, j)
-    budgets = [budget(d) for d in values]
-    codes *= size + 1  # one key per (distance, split count), in place
-    codes += counts
-    del counts
-    keys, weights = np.unique(codes, return_counts=True)
-    excesses = []
-    for key, weight in zip(keys.tolist(), weights.tolist()):
-        code, n_diff = divmod(key, size + 1)
-        gap = _share(n_diff, size, table.cfg.exact).value
-        excesses.append((gap - budgets[code], weight))
-    return excesses
+def _pair_excesses(table: PredictionTable, classes: PairClasses, budget: Callable) -> list[Number]:
+    """gap - budget(d) per class, with the gap exact or float as in
+    ``pairwise_unfairness``; budget runs once per distinct distance."""
+    budgets = [budget(d) for d in classes.values]
+    codes, counts = classes.class_codes, classes.class_counts
+    if not table.cfg.exact:  # float - Fraction is float(a) - float(b)
+        return (counts / table.size - np.array([float(b) for b in budgets])[codes]).tolist()
+    return [Fraction(n, table.size) - budgets[c] for c, n in zip(codes.tolist(), counts.tolist())]
 
 
-def _close_pairs(
-    dataset: Sequence[Point], metric: Metric, tau: Number
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of the pairs within distance tau, in row order."""
-    i, j = np.triu_indices(len(dataset), 1)
-    codes, values = metric.pair_distances(dataset, i, j)
+def _close_pairs(n_points: int, codes: np.ndarray, values: list[Distance], tau: Number):
+    """(i, j) of the pairs within distance tau, and their mask over every pair."""
     close = np.array([d <= tau for d in values], dtype=bool)[codes]
-    return i[close], j[close]
+    i, j = np.triu_indices(n_points, 1)
+    return i[close], j[close], close
 
 
 # ---------------------------------------------------------------------------
 # bias and variance
-
-def family_mean_prediction(derand: Derandomizer, point: Point, cfg: EstimatorConfig) -> Estimate:
-    """Mean prediction at the point over the classifier family."""
-    return prediction_table(derand, (point,), cfg).mean(0)
-
 
 def pointwise_bias(derand: Derandomizer, point: Point, cfg: EstimatorConfig) -> Estimate:
     """Family-mean prediction at the point minus the score."""
@@ -410,18 +417,17 @@ def metric_fairness_check(
 ) -> FairnessReport:
     """Check E[|f(x) - f(x')|] <= alpha*d + beta on every pair (or a
     seeded subsample above the pair cap)."""
-    n = len(table.dataset)
-    i, j, pair_seed = select_pairs(n, table.cfg.pairs_cap, table.cfg.seed)
-    if i.size == 0:
-        raise EmptyPairSetError(f"no pairs to check among {n} point(s)")
-    excesses = _pair_excesses(table, metric, i, j, lambda d: alpha * d + beta)
-    violations = sum(weight for excess, weight in excesses if excess > 0)
-    worst_excess = max(excess for excess, _ in excesses)  # the first maximum, as a loop keeps
+    classes = table.pair_classes(metric, capped=True)
+    if classes.codes.size == 0:
+        raise EmptyPairSetError(f"no pairs to check among {len(table.dataset)} point(s)")
+    excesses = _pair_excesses(table, classes, lambda d: alpha * d + beta)
+    violations = sum(w for e, w in zip(excesses, classes.weights.tolist()) if e > 0)
+    worst_excess = max(excesses)  # the first maximum, as a loop keeps
 
     report = FairnessReport()
-    report.add("pairs_checked", int(i.size))
-    if pair_seed is not None:
-        report.add("pair_sample_seed", pair_seed)
+    report.add("pairs_checked", int(classes.codes.size))
+    if classes.pair_seed is not None:
+        report.add("pair_sample_seed", classes.pair_seed)
     report.add(
         "fairness_violations",
         violations,
@@ -442,7 +448,8 @@ def aggregate_fairness(
     """Fraction of tau-close pairs to which the classifier assigns
     different predictions."""
     bits = np.array([classifier.predict(p) for p in dataset])
-    i, j = _close_pairs(dataset, metric, tau)
+    n = len(dataset)
+    i, j, _ = _close_pairs(n, *metric.pair_distances(dataset, *np.triu_indices(n, 1)), tau)
     if i.size == 0:
         raise EmptyPairSetError(f"no pairs within distance {tau}")
     return Fraction(int((bits[i] != bits[j]).sum()), i.size)
@@ -458,14 +465,15 @@ def sampled_aggregate_fairness(
     """Split fraction of tau-close pairs for each of n sampled classifiers.
     A classifier predicts 1 at x iff u(x) <= t[x], with t read from the
     table."""
-    i, j = _close_pairs(table.dataset, metric, tau)
+    classes = table.pair_classes(metric)
+    i, j, _ = _close_pairs(len(table.dataset), classes.codes, classes.values, tau)
     if i.size == 0:
         raise EmptyPairSetError(f"no pairs within distance {tau}")
     fractions = []
     for _ in range(n_classifiers):
         clf = table.derand.sample(rng)
-        u = np.array([clf.family.value(clf.h, clf.member.apply(p)) for p in table.dataset])
-        bits = u <= table.t
+        e = clf.member.embed_all(table.dataset, clf.family.embed_value)
+        bits = (clf.h.a * e + clf.h.c) % clf.family.k < table.t  # u = residue + 1 <= t
         fractions.append(Fraction(int((bits[i] != bits[j]).sum()), i.size))
     return fractions
 
@@ -482,6 +490,8 @@ def aggregate_fairness_tail_check(
     """Sample classifiers and check the high-probability aggregate bound:
     at most a delta fraction may split more than (1 + 1/sqrt(delta)) times
     the family's certified pairwise budget (alpha*tau + beta)."""
+    if n_classifiers < 1:
+        raise InvalidParameterError("n_classifiers must be at least 1")
     rhos = sampled_aggregate_fairness(table, metric, tau, n_classifiers, rng)
     beta = family_beta(table, metric, alpha)
     bound = aggregate_tail_bound(alpha, beta, tau, delta)
@@ -508,14 +518,15 @@ def threshold_fairness_check(
     k >= 4/sigma, also against the preserved guarantee sigma + tau."""
     if not (0 < sigma < 1 and 0 < tau < 1):
         raise InvalidParameterError("sigma and tau must lie in (0, 1)")
-    i, j = _close_pairs(table.dataset, metric, sigma)
+    classes = table.pair_classes(metric)
+    i, j, close = _close_pairs(len(table.dataset), classes.codes, classes.values, sigma)
     report = FairnessReport()
     report.add("pairs_within_sigma", int(i.size))
     if i.size == 0:
         report.add("max_gap", 0, bound=tau, bound_source="threshold fairness (vacuous)", satisfied=True)
         return report
 
-    n_diff = int(table.split_counts(i, j).max())
+    n_diff = int(classes.counts[close].max())
     # max() keeps its first maximal argument: an int 0 when no pair differs
     worst: Number = max(0, _share(n_diff, table.size, table.cfg.exact).value)
     scores = table.scores
@@ -644,19 +655,18 @@ def empirical_fairness_curve(
     with pairs selected by ``cfg``.
     """
     if isinstance(source, PredictionTable):
-        dataset, cfg = source.dataset, source.cfg
-    cfg = cfg or EstimatorConfig()
-    i, j, _ = select_pairs(len(dataset), cfg.pairs_cap, cfg.seed)
-    if i.size == 0:
-        raise InvalidParameterError("need at least 2 points")
-    if isinstance(source, PredictionTable):
-        g = source.split_counts(i, j) / source.size
+        classes = source.pair_classes(metric, capped=True)
+        g, codes, values = classes.counts / source.size, classes.codes, classes.values
     else:
+        cfg = cfg or EstimatorConfig()
+        i, j, _ = select_pairs(len(dataset), cfg.pairs_cap, cfg.seed)
         score = source.score
         g = np.array(
             [float(abs(score(dataset[a]) - score(dataset[b]))) for a, b in zip(i.tolist(), j.tolist())]
         )
-    codes, values = metric.pair_distances(dataset, i, j)
+        codes, values = metric.pair_distances(dataset, i, j)
+    if g.size == 0:
+        raise InvalidParameterError("need at least 2 points")
     d = np.array([float(v) for v in values])[codes]
     return [(float(a), float(np.maximum(g - float(a) * d, 0.0).mean())) for a in alphas]
 
@@ -677,9 +687,8 @@ def scorer_beta(
 def family_beta(table: PredictionTable, metric: Metric, alpha: Number) -> Number:
     """Smallest beta for which the family is (alpha, beta)-fair on the
     dataset pairs, from exact (or estimated) pairwise gaps."""
-    i, j = np.triu_indices(len(table.dataset), 1)
     # max() keeps its first maximal argument: an int 0 when no excess is positive
-    return max([0, *(excess for excess, _ in _pair_excesses(table, metric, i, j, lambda d: alpha * d))])
+    return max([0, *_pair_excesses(table, table.pair_classes(metric), lambda d: alpha * d)])
 
 
 # ---------------------------------------------------------------------------

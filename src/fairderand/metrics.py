@@ -11,7 +11,8 @@ locality-sensitive hashes see.
 ``Metric.pair_distances`` evaluates many pairs at once as codes into a
 list of distinct values.  The two exact metrics compute it from integer
 count arrays; every other metric, and any subclass that overrides
-``distance``, calls ``distance`` once per pair.
+``distance``, calls ``distance`` once per pair.  Jaccard packs each set
+into whole uint64 words and popcounts the AND and the OR of two rows.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ def over_pair_chunks(
     return out
 
 
+def popcounts(words: np.ndarray) -> np.ndarray:
+    """Set bits per row of a uint64 word matrix, as int64."""
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
 def _rank_in_place(keys: np.ndarray) -> list[int]:
     """Replace each key by its index among the sorted distinct keys, and
     return those keys."""
@@ -80,7 +86,7 @@ def _defined_in(obj, name: str) -> type:
     return next(cls for cls in type(obj).__mro__ if name in vars(cls))
 
 
-def _uniform_matrix(points: Sequence[Point]) -> Optional[np.ndarray]:
+def fairness_matrix(points: Sequence[Point]) -> Optional[np.ndarray]:
     """The fairness vectors as rows of one float matrix, or None when their
     lengths differ (the per-pair path then raises the mismatch)."""
     vectors = [p.fairness_vector for p in points]
@@ -126,7 +132,7 @@ class NormalizedHamming(Metric):
         return Fraction(sum(a != b for a, b in zip(u, v)), self.n)
 
     def pair_distances(self, points, i, j):
-        x = _uniform_matrix(points) if _defined_in(self, "distance") is NormalizedHamming else None
+        x = fairness_matrix(points) if _defined_in(self, "distance") is NormalizedHamming else None
         if x is None or x.shape[1] != self.n:
             return super().pair_distances(points, i, j)
         codes = over_pair_chunks(
@@ -166,17 +172,16 @@ class JaccardDistance(Metric):
         return Fraction(1) - Fraction(len(a & b), len(union))
 
     def pair_distances(self, points, i, j):
-        x = _uniform_matrix(points) if _defined_in(self, "distance") is JaccardDistance else None
+        x = fairness_matrix(points) if _defined_in(self, "distance") is JaccardDistance else None
         if x is None or not np.isin(x, (0.0, 1.0)).all():
             return super().pair_distances(points, i, j)
-        sets = x.astype(bool)
-        width = sets.shape[1] + 1
+        width = x.shape[1] + 1
+        sets = np.packbits(np.pad(x.astype(bool), [(0, 0), (0, -x.shape[1] % 64)]), axis=1).view(np.uint64)
 
         def sizes(a, b):  # |A n B| * width + |A u B|, one integer per pair
-            inter = (sets[a] & sets[b]).sum(axis=1, dtype=np.int64)
-            return inter * width + (sets[a] | sets[b]).sum(axis=1, dtype=np.int64)
+            return popcounts(sets[a] & sets[b]) * width + popcounts(sets[a] | sets[b])
 
-        codes = over_pair_chunks(sizes, i, j, width)
+        codes = over_pair_chunks(sizes, i, j, sets[0].nbytes)
         values = []
         for key in _rank_in_place(codes):
             inter, union = divmod(key, width)

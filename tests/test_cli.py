@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import types
 
 import pytest
@@ -9,6 +10,7 @@ from fairderand.cli import main
 from fairderand.dataio import load_dataset, save_dataset
 from fairderand import Dataset, Point, TabularScorer
 from fairderand.errors import DataFormatError
+from fairderand.metrics import JaccardDistance
 
 
 def write_dataset(path, rows, header):
@@ -256,6 +258,28 @@ class TestAuditCommand:
         assert main(["audit", "--config", str(config)]) == 0
         assert calls == {"points": 4, "batches": 0 if mode == "exact" else 1}
 
+    def test_one_pair_pass_per_audit(self, scored_csv, config_factory, monkeypatch):
+        # the fairness check, family beta, the tail check's close pairs and
+        # the curve all read one pass over the pairs
+        calls = {"distances": 0, "splits": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(JaccardDistance, "pair_distances", counting("distances", JaccardDistance.pair_distances))
+        monkeypatch.setattr(measure.PredictionTable, "split_counts",
+                            counting("splits", measure.PredictionTable.split_counts))
+        config = config_factory(
+            input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "minhash"},
+            metric={"kind": "jaccard"}, mode="mc", trials=300, tau=0.5, n_classifiers=5,
+            curve_alphas=[0.0, 1.0],
+        )
+        assert main(["audit", "--config", str(config)]) == 0
+        assert calls == {"distances": 1, "splits": 1}
+
     def test_no_batch_before_first_measure_call(self, scored_csv, config_factory, monkeypatch):
         # the benchmark times set-up up to the first call of a module-level
         # fairderand.measure function; the Monte Carlo batch must come after
@@ -392,6 +416,32 @@ class TestConfigHandling:
         assert main(["audit", "--config", str(config), "--pairs-cap", "0"]) == 2
         assert "config error: pairs_cap must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "reports" / "audit.json").exists()
+
+    @pytest.mark.parametrize("n_classifiers", [-3, 2.5])
+    def test_bad_n_classifiers_exits_2(self, scored_csv, config_factory, capsys, tmp_path, n_classifiers):
+        # a negative count used to pass the tail check vacuously
+        config = config_factory(
+            input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "bit_sampling"},
+            tau=0.4, n_classifiers=n_classifiers,
+        )
+        assert main(["audit", "--config", str(config)]) == 2
+        assert "config error: n_classifiers" in capsys.readouterr().err
+        assert not (tmp_path / "reports" / "audit.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(alpha=math.nan), dict(beta=math.inf), dict(curve_alphas=[0.0, math.nan]), dict(alpha="1")],
+    )
+    def test_non_finite_alpha_beta_or_curve_exits_2(self, scored_csv, config_factory, capsys, tmp_path, overrides):
+        config = config_factory(input=str(scored_csv), **overrides)
+        assert main(["audit", "--config", str(config)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    def test_unwritable_report_leaves_no_file(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli._write_report(tmp_path, "audit.json", {"value": math.nan})
+        assert not (tmp_path / "audit.json").exists()
 
     def test_missing_input_file_exits_3(self, config_factory):
         config = config_factory(input="/nonexistent/data.csv")

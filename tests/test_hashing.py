@@ -5,16 +5,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairderand import (
     BitSamplingFamily,
+    GridBucketer,
+    IdentityBucketer,
     MinHashFamily,
     PiFamily,
     PiHash,
     Point,
     SimHashFamily,
 )
+from fairderand.derandomize import Bucketer, SharedBucketer, realized_buckets
 from fairderand.errors import (
+    FairderandError,
     FamilyTooLargeError,
     InvalidParameterError,
     NotEnumerableError,
@@ -240,3 +245,50 @@ class TestSimHash:
     def test_member_is_unit_normal(self):
         member = SimHashFamily(4).sample(CountingRng(61))
         assert math.isclose(sum(v * v for v in member.normal), 1.0, rel_tol=1e-12)
+
+
+class TestEmbedAll:
+    """embed_all(points, embed) equals embed(apply(p)) point by point, and
+    raises the error class and message that apply raises."""
+
+    FAMILIES = {
+        "bit_sampling": (5, BitSamplingFamily(5)),
+        "minhash5": (5, MinHashFamily(5)),
+        "minhash16": (16, MinHashFamily(16)),
+        "simhash": (5, SimHashFamily(5)),
+        "grid": (5, GridBucketer(0.5)),
+        "identity": (5, IdentityBucketer()),
+        "shared": (5, SharedBucketer()),
+    }
+
+    @staticmethod
+    def outcome(fn):
+        try:
+            return fn()
+        except FairderandError as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(FAMILIES)),
+        seed=st.integers(0, 10**6),
+        n_points=st.integers(0, 12),
+        bad=st.sampled_from([None, 0.0, 0.5]),  # an empty set, or a non-0/1 point
+        at=st.integers(0, 12),
+    )
+    def test_matches_apply_point_by_point(self, kind, seed, n_points, bad, at):
+        rng = random.Random(seed)
+        dim, family = self.FAMILIES[kind]
+        vectors = [tuple(float(rng.randint(0, 1)) for _ in range(dim)) for _ in range(n_points)]
+        vectors = [v if any(v) else (1.0,) * dim for v in vectors]
+        if bad is not None:
+            vectors.insert(at % (n_points + 1), (bad,) * dim)
+        points = [Point(f"p{r}", v) for r, v in enumerate(vectors)]
+        if isinstance(family, Bucketer):
+            member, buckets = family, realized_buckets(family, points) or (0,)
+        else:
+            member, buckets = family.sample(CountingRng(seed)), family.bucket_values
+        embed = PiFamily(101, buckets).embed_value
+        expected = self.outcome(lambda: [embed(member.apply(p)) for p in points])
+        got = self.outcome(lambda: member.embed_all(points, embed).tolist())
+        assert got == expected

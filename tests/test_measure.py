@@ -327,6 +327,17 @@ class TestMetricFairnessCheck:
                 prediction_table(RtDerandomizer(ConstantScorer(0.5), 4), ds, EXACT), NormalizedHamming(2), 1, 0
             )
 
+    def test_capped_check_after_the_pass_over_every_pair(self, py_rng):
+        # the table's pass over every pair must not stand in for the capped selection
+        metric = NormalizedHamming(3)
+        ds = random_binary_dataset(py_rng, 6, 3)
+        derand = LsDerandomizer(random_scorer(py_rng, ds), BitSamplingFamily(3), 11)
+        table = prediction_table(derand, ds, EstimatorConfig(mode="exact", pairs_cap=4, seed=3))
+        beta = family_beta(table, metric, 1)
+        report = metric_fairness_check(table, metric, 1, 0)
+        assert report["pairs_checked"]["value"] == 4 and report["pair_sample_seed"]["value"] == 3
+        assert family_beta(table, metric, 1) == beta
+
 
 PARAMETERS = [1, 2, Fraction(3, 2), Fraction(1, 20), 1.25, 0.05, 0]
 
@@ -458,6 +469,46 @@ class TestAggregateFairness:
             n_classifiers=400, rng=CountingRng(5),
         )
         assert report["violating_classifier_fraction"]["satisfied"]
+
+    @pytest.mark.parametrize("n_classifiers", [0, -3])
+    def test_tail_check_needs_a_classifier(self, py_rng, n_classifiers):
+        ds = random_binary_dataset(py_rng, 6, 3)
+        derand = LsDerandomizer(random_scorer(py_rng, ds), BitSamplingFamily(3), 11)
+        with pytest.raises(InvalidParameterError):
+            aggregate_fairness_tail_check(
+                prediction_table(derand, ds, EXACT), NormalizedHamming(3), alpha=1, tau=0.4,
+                delta=0.25, n_classifiers=n_classifiers, rng=CountingRng(5),
+            )
+
+    @pytest.mark.parametrize(
+        "dim,family,metric,mode",
+        [
+            (5, BitSamplingFamily(5), NormalizedHamming(5), "exact"),
+            (5, MinHashFamily(5), JaccardDistance(), "exact"),
+            (16, MinHashFamily(16), JaccardDistance(), "mc"),
+            (5, SimHashFamily(5), Angular(), "mc"),
+        ],
+    )
+    def test_sampled_fractions_equal_per_classifier_predictions(self, py_rng, dim, family, metric, mode):
+        ds = random_binary_dataset(py_rng, 20, dim)
+        derand = LsDerandomizer(random_scorer(py_rng, ds), family, 17)
+        table = prediction_table(derand, ds, EstimatorConfig(mode=mode, trials=200))
+        got = sampled_aggregate_fairness(table, metric, 0.5, 15, CountingRng(9))
+        rng = CountingRng(9)
+        assert got == [aggregate_fairness(derand.sample(rng), ds, metric, 0.5) for _ in range(15)]
+
+
+class TestSplitCounts:
+    @pytest.mark.parametrize("size", [1, 7, 63, 64, 65, 2000])
+    def test_equals_bytewise_popcount(self, size):
+        rng = random.Random(size)
+        ds = random_binary_dataset(rng, 12, 4)
+        derand = LsDerandomizer(random_scorer(rng, ds, 20), BitSamplingFamily(4), 7)
+        table = prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=size, seed=size))
+        i, j = np.triu_indices(len(ds), 1)
+        rows = [np.packbits(table.bits(r)) for r in range(len(ds))]
+        expected = [int(np.bitwise_count(rows[a] ^ rows[b]).sum()) for a, b in zip(i, j)]
+        assert table.split_counts(i, j).tolist() == expected
 
 
 class TestLossApproximation:

@@ -128,6 +128,7 @@ class TestPairDistances:
             (Angular(), real_points),
             (ScaledEuclidean(1.5), real_points),
             (HalvedHamming(6), binary_points),
+            (JaccardDistance(), lambda rng, n, dim: binary_points(rng, n, 70)),  # two words per set
         ],
     )
     def test_equals_per_pair_distance(self, metric, make):
