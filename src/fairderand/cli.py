@@ -84,6 +84,11 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
+def _integral(value) -> bool:
+    """An int or an integral float, never a bool."""
+    return type(value) in (int, float) and value % 1 == 0
+
+
 def _resolve(config: dict, args) -> dict:
     merged = dict(config)
     for key in ("seed", "out", "mode", "trials", "pairs_cap"):
@@ -95,9 +100,15 @@ def _resolve(config: dict, args) -> dict:
     merged.setdefault("mode", "exact")
     merged.setdefault("trials", 100_000)
     merged.setdefault("pairs_cap", 200_000)
-    if "tau" in merged and not 0 <= float(merged["tau"]) <= 1:
+    for key in ("k", "trials", "seed", "pairs_cap"):
+        if key in merged and not _integral(merged[key]):
+            raise ConfigError(f"{key} must be an integer")
+    for key in ("tau", "delta"):
+        if key in merged and type(merged[key]) not in (int, float):  # JSON numbers, not bools
+            raise ConfigError(f"{key} must be a number")
+    if "tau" in merged and not 0 <= merged["tau"] <= 1:
         raise ConfigError("tau must lie in [0, 1]")
-    if "delta" in merged and not 0 < float(merged["delta"]) < 1:
+    if "delta" in merged and not 0 < merged["delta"] < 1:
         raise ConfigError("delta must lie in (0, 1)")
     alphas = merged.get("curve_alphas") or []
     if not isinstance(alphas, list):
@@ -106,7 +117,7 @@ def _resolve(config: dict, args) -> dict:
                for v in (merged.get("alpha", 1), merged.get("beta", 0), *alphas)):
         raise ConfigError("alpha, beta and curve_alphas must be finite numbers")
     n_classifiers = merged.get("n_classifiers", 0)
-    if type(n_classifiers) not in (int, float) or not n_classifiers >= 0 or n_classifiers % 1:
+    if not (_integral(n_classifiers) and n_classifiers >= 0):
         raise ConfigError("n_classifiers must be a non-negative integer")
     return merged
 
@@ -181,23 +192,16 @@ def _build_derandomizer(config: dict, dataset: Dataset, scorer):
     raise ConfigError(f"scheme must be one of pi|rt|ls, got {scheme!r}")
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+def _json_number(value):
+    """Fractions and numpy scalars as the JSON numbers they equal."""
+    if isinstance(value, (Fraction, np.integer, np.floating)):
+        return int(value) if isinstance(value, np.integer) else float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_report(out_dir: Path, name: str, payload: dict) -> Path:
     # serialize first: a payload that cannot be written leaves no file
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_json_number)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     path.write_text(text + "\n", encoding="utf-8")
@@ -260,7 +264,7 @@ def cmd_audit(config: dict) -> Path:
         report.add("aggregate_variance", variance.value, variance.stderr)
 
     fairness = metric_fairness_check(table, metric, alpha, beta)
-    report.quantities["metric_fairness"] = fairness.to_json_dict()
+    report.quantities["metric_fairness"] = fairness.quantities
 
     if isinstance(derand, LsDerandomizer):
         tau = float(config.get("tau", 0.05))
@@ -275,8 +279,8 @@ def cmd_audit(config: dict) -> Path:
             tail = aggregate_fairness_tail_check(
                 table, metric, alpha, tau, delta, n_classifiers, CountingRng(int(config["seed"]))
             )
-            report.quantities["aggregate_fairness_tail"] = tail.to_json_dict()
-    payload["quantities"] = report.to_json_dict()
+            report.quantities["aggregate_fairness_tail"] = tail.quantities
+    payload["quantities"] = report.quantities
 
     alphas = config.get("curve_alphas")
     out_dir = Path(config["out"])
@@ -316,7 +320,7 @@ def cmd_adversarial(config: dict) -> Path:
         save_dataset(out_dir / "sphere.csv", dataset, scorer)
         report = verify_sphere_counterexample(cons, dataset, scorer, metric)
         payload["dataset"] = "sphere.csv"
-        payload["quantities"] = report.to_json_dict()
+        payload["quantities"] = report.quantities
         return _write_report(out_dir, "adversarial.json", payload)
 
     if construction == "violation_search":

@@ -22,9 +22,10 @@ of family live here:
   concatenated: amplification would turn the collision probability into
   (1 - d)^m and break the fairness analysis.
 
-Each family draws one member through a CountingRng, draws a batch of
-members from a numpy generator, and, at small scale, enumerates itself,
-which is the exact expectation oracle the audits are built on.
+Each family draws one member through a CountingRng, and embeds a block
+of points under every member of its enumeration (the exact expectation
+oracle the audits are built on) or of a batch drawn from a numpy
+generator, as one (points, members) array.
 """
 
 from __future__ import annotations
@@ -131,15 +132,16 @@ class PiFamily:
 
     def sample_batch(
         self, gen: np.random.Generator, trials: int
-    ) -> Callable[[np.ndarray | int], np.ndarray]:
+    ) -> Callable[[np.ndarray], np.ndarray]:
         """``trials`` uniform members (a drawn first) from a numpy generator,
         as a map from embedded buckets to the residues (a * e + c) mod k,
         which are the hash values minus one."""
-        a = gen.integers(0, self.a_range, size=trials, dtype=np.int64)
-        c = gen.integers(0, self.k, size=trials, dtype=np.int64)
+        # a and c in the smallest dtype that holds a * e + c < k * k
+        a = gen.integers(0, self.a_range, size=trials, dtype=np.int64).astype(np.min_scalar_type(self.k**2))
+        c = gen.integers(0, self.k, size=trials, dtype=np.int64).astype(a.dtype)
         if self.a_range == 1:
             return lambda e: c  # a = 0: one shared threshold per member
-        return lambda e: (a * e + c) % self.k
+        return lambda e: (a * e.astype(a.dtype) + c) % self.k  # e < k
 
     @property
     def size(self) -> int:
@@ -154,8 +156,8 @@ class PiFamily:
     @cached_property
     def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """(a, c) arrays of every member, in enumeration order."""
-        a = np.repeat(np.arange(self.a_range, dtype=np.int64), self.k)
-        c = np.tile(np.arange(self.k, dtype=np.int64), self.a_range)
+        a = np.repeat(np.arange(self.a_range, dtype=np.min_scalar_type(self.k**2)), self.k)
+        c = np.tile(np.arange(self.k, dtype=a.dtype), self.a_range)
         return a, c
 
     def params(self, h: PiHash) -> dict:
@@ -172,8 +174,8 @@ class BucketingMember:
     def apply(self, point: Point) -> Hashable:
         raise NotImplementedError
 
-    def embed_all(self, points: Sequence[Point], embed: Callable[[Hashable], int]) -> np.ndarray:
-        """embed(apply(p)) for every point p, as an int64 array."""
+    def embed_all(self, points: Sequence[Point], embed: Callable[[Hashable], int], x=None) -> np.ndarray:
+        """embed(apply(p)) for every point p, as an int64 array; x: the family's ``vectors(points)``."""
         return np.array([embed(self.apply(p)) for p in points], dtype=np.int64)
 
     def params(self) -> dict:
@@ -197,21 +199,23 @@ class BucketingFamily:
         """Family size when enumeration is supported, else None."""
         return None
 
-    def sample_batch(
-        self, gen: np.random.Generator, trials: int, embed: Callable[[Hashable], int]
-    ) -> Callable[[Point], np.ndarray]:
-        """``trials`` uniform members drawn from a numpy generator, as a map
-        from a point to embed(member(point)) for each member (a scalar when
-        all members agree).  By default the members are drawn as indices
-        into the enumeration."""
+    def vectors(self, points: Sequence[Point]) -> np.ndarray | None:
+        """What the embeddings read of the points, built once per table."""
+        return None
+
+    def embed_block(self, points: Sequence[Point], embed: Callable[[Hashable], int], x) -> np.ndarray:
+        """The (points, members) int64 matrix of embed(member(point)), in
+        enumeration order, with x = vectors(points)."""
         members = self.enumerate()
-        idx = gen.integers(0, len(members), size=trials)
+        embeds = [embed(m.apply(p)) for p in points for m in members]  # the first bad point raises
+        return np.array(embeds, dtype=np.int64).reshape(len(points), len(members))
 
-        def embeds(point: Point) -> np.ndarray:
-            per_member = np.array([embed(m.apply(point)) for m in members], dtype=np.int64)
-            return per_member[idx]
-
-        return embeds
+    def sample_batch(self, gen: np.random.Generator, trials: int, embed: Callable[[Hashable], int]):
+        """``trials`` uniform members drawn from a numpy generator, as a
+        block embedding (points, x) -> (points, trials) matrix, or one
+        column when all members agree: here, enumeration indices."""
+        idx = gen.integers(0, self.enumerable_size, size=trials)
+        return lambda points, x: self.embed_block(points, embed, x)[:, idx]
 
 
 class FixedFamily(BucketingFamily):
@@ -233,8 +237,7 @@ class FixedFamily(BucketingFamily):
         return 1
 
     def sample_batch(self, gen, trials, embed):
-        member = self.member
-        return lambda point: embed(member.apply(point))
+        return lambda points, x: self.embed_block(points, embed, x)
 
 
 @dataclass(frozen=True)
@@ -248,11 +251,11 @@ class BitSamplingMember(BucketingMember):
             raise InvalidParameterError("bit sampling requires 0/1 features")
         return int(value)
 
-    def embed_all(self, points, embed):
-        column = np.array([p.fairness_vector[self.index] for p in points], dtype=float)
-        if not np.isin(column, (0.0, 1.0)).all():
+    def embed_all(self, points, embed, x=None):
+        x = fairness_matrix(points) if x is None else x
+        if x is None or x.shape[1] <= self.index or not np.isin(x[:, self.index], (0.0, 1.0)).all():
             return super().embed_all(points, embed)  # raises as apply does
-        return np.array([embed(0), embed(1)], dtype=np.int64)[column.astype(np.int64)]
+        return np.array([embed(0), embed(1)], dtype=np.int64)[x[:, self.index].astype(np.int64)]
 
     def params(self) -> dict:
         return {"lsh_member": {"kind": "coordinate", "index": self.index}}
@@ -278,6 +281,8 @@ class BitSamplingFamily(BucketingFamily):
     def enumerate(self) -> list[BitSamplingMember]:
         return [BitSamplingMember(i) for i in range(self.n)]
 
+    vectors = staticmethod(fairness_matrix)
+
 
 @dataclass(frozen=True)
 class MinHashMember(BucketingMember):
@@ -292,12 +297,9 @@ class MinHashMember(BucketingMember):
             raise InvalidParameterError("min-wise hashing is undefined on the empty set")
         return min(support, key=lambda e: self.ranks[e])
 
-    def embed_all(self, points, embed):
-        x = fairness_matrix(points)
-        sets = x is not None and x.shape[1] == len(self.ranks) and np.isin(x, (0.0, 1.0)).all()
-        if not (sets and x.any(axis=1).all()):
-            return super().embed_all(points, embed)  # raises as apply does
-        element = np.where(x == 1.0, self.ranks, len(self.ranks)).argmin(axis=1)
+    def embed_all(self, points, embed, x=None):
+        member = MinHashFamily(len(self.ranks)).vectors(points) if x is None else x
+        element = np.where(member, self.ranks, len(self.ranks)).argmin(axis=1)
         return np.array([embed(e) for e in range(len(self.ranks))], dtype=np.int64)[element]
 
     def params(self) -> dict:
@@ -330,20 +332,46 @@ class MinHashFamily(BucketingFamily):
             )
         return [MinHashMember(p) for p in itertools.permutations(range(self.universe_size))]
 
+    def vectors(self, points):
+        """The (points, universe) membership matrix of the points' sets;
+        the first bad point raises what ``apply`` raises."""
+        x, size = fairness_matrix(points), self.universe_size
+        if x is not None and x.shape[1] == size and np.isin(x, (0.0, 1.0)).all() and (x == 1.0).any(axis=1).all():
+            return x == 1.0
+        member = np.zeros((len(points), size), dtype=bool)
+        for r, point in enumerate(points):
+            member[r, list(binary_support(point.fairness_vector))] = True
+            if not member[r].any():
+                raise InvalidParameterError("min-wise hashing is undefined on the empty set")
+        return member
+
     def sample_batch(self, gen, trials, embed):
         if self.universe_size <= MINHASH_ENUM_MAX:
             return super().sample_batch(gen, trials, embed)
         # uniform permutations, one row of ranks per trial
         ranks = np.argsort(gen.random((trials, self.universe_size)), axis=1).argsort(axis=1)
+        return _minhash_embeds(ranks, embed)
 
-        def embeds(point: Point) -> np.ndarray:
-            support = sorted(binary_support(point.fairness_vector))
-            if not support:
-                raise InvalidParameterError("min-wise hashing is undefined on the empty set")
-            values = np.array([embed(e) for e in support], dtype=np.int64)
-            return values[np.argmin(ranks[:, support], axis=1)]
 
-        return embeds
+def _minhash_embeds(ranks: np.ndarray, embed) -> Callable:
+    """A block embedding for the rank rows (rank[element]) of many members:
+    from a block's set membership matrix to the (points, members) matrix,
+    in the smallest dtype, of embed(the minimum-rank element of the set).
+    It keeps a running minimum over the elements of the code
+    rank * 2**b + embed(element), whose rows are built once here."""
+    values = np.array([embed(e) for e in range(ranks.shape[1])])
+    b = int(values.max()).bit_length()
+    dtype = np.min_scalar_type((ranks.shape[1] - 1) << b | int(values.max()))
+    codes = (ranks.T << b | values[:, None]).astype(dtype)  # one row per element
+
+    def embeds(points, member):
+        best = np.full((len(member), len(ranks)), np.iinfo(dtype).max, dtype=dtype)
+        for e, code in enumerate(codes):  # every set is non-empty, so every row is lowered
+            rows = member[:, e]
+            best[rows] = np.minimum(best[rows], code)
+        return best & dtype.type((1 << b) - 1)
+
+    return embeds
 
 
 @dataclass(frozen=True)
@@ -380,8 +408,9 @@ class SimHashFamily(BucketingFamily):
     def sample_batch(self, gen, trials, embed):
         normals = gen.standard_normal((trials, self.dim))
         above, below = embed(1), embed(0)
-        return lambda point: np.where(
-            normals @ np.asarray(point.fairness_vector) >= 0.0, above, below
+        # one matrix-vector product per point: a block product may round differently and flip a sign
+        return lambda points, x: np.where(
+            np.reshape([normals @ np.asarray(p.fairness_vector) for p in points], (-1, trials)) >= 0.0, above, below
         )
 
 

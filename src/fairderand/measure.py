@@ -9,12 +9,14 @@ four standard errors.
 
 Every audited quantity reduces one ``PredictionTable``: the prediction of
 every family member (or sampled classifier) at every dataset point.
-``prediction_table`` asks the oracle once per point, packs each
-prediction row into bits, and keeps the scores, the threshold counts
-t = floor(score * k), and the per-member counts that bias and variance
-need.  The pointwise helpers build a table over their one or two points;
-only ``decomposition_check`` draws its own batch, because its Bernoulli
-draws continue that batch's generator.
+``prediction_table`` asks the oracle once per block of about
+``PAIR_CHUNK_BYTES`` predictions: one array pass embeds the block under
+every bucketing, compares the residues (a * e + c) mod k with
+t = floor(score * k), packs the rows into bits and adds them to the
+per-member counts that bias and variance need.  The pointwise helpers
+build a table over their one or two points; only ``decomposition_check``
+draws its own batch, because its Bernoulli draws continue that batch's
+generator.
 
 Pair quantities read one pass per table and metric over every pair (or
 the capped ``select_pairs``): distance codes from ``Metric.pair_distances``
@@ -31,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -49,7 +50,7 @@ from .errors import (
     InvalidParameterError,
     NotEnumerableError,
 )
-from .metrics import Distance, Metric, over_pair_chunks, popcounts
+from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, over_pair_chunks, popcounts
 from .rng import CountingRng
 
 Number = Union[Fraction, float, int]
@@ -94,7 +95,7 @@ class Estimate:
 
 class FairnessReport:
     """Named measured quantities next to the theoretical bounds they are
-    checked against.  Serializes to
+    checked against, as
     {quantity: {value, stderr?, bound?, bound_source, satisfied?}}."""
 
     def __init__(self):
@@ -129,16 +130,6 @@ class FairnessReport:
     @property
     def all_satisfied(self) -> bool:
         return all(e.get("satisfied", True) for e in self.quantities.values())
-
-    def to_json_dict(self) -> dict:
-        out = {}
-        for name, entry in self.quantities.items():
-            row = dict(entry)
-            for key in ("value", "bound"):
-                if key in row and isinstance(row[key], Fraction):
-                    row[key] = float(row[key])
-            out[name] = row
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,36 +174,41 @@ def select_pairs(
 # ---------------------------------------------------------------------------
 # the oracle and the prediction table
 
-def _enumerated_bits(derand: Derandomizer, point: Point) -> np.ndarray:
-    """Prediction bit of every family member at the point, in enumeration
-    order.  This is the exact-expectation oracle's workhorse: one row of
-    hash values per distinct embedded bucket, gathered per bucketing."""
-    derand._check_enumerable()
-    family = derand.pi_family
-    t = threshold_count(derand.scorer.score(point), derand.k)
-    embeds = [family.embed_value(m.apply(point)) for m in derand.bucketing.enumerate()]
-    distinct, inverse = np.unique(np.array(embeds, dtype=np.int64), return_inverse=True)
-    a, c = family.coefficients
-    rows = (distinct[:, None] * a + c) % derand.k < t  # u = residue + 1 <= t
-    return rows[inverse].reshape(-1)
-
-
 class _ClassifierBatch:
-    """A vectorized batch of classifiers sampled uniformly from the family.
+    """The classifiers of one table: every family member in enumeration
+    order (exact, no generator), or ``trials`` members sampled uniformly
+    from a seeded generator (Monte Carlo).
 
-    Parameters are drawn once (a, then c, then the bucketings) and shared
-    across point evaluations, so pairwise quantities see each sampled
-    classifier at both points.
+    Sampled parameters are drawn once, at construction (a, then c, then
+    the bucketings), and shared across blocks, so pairwise quantities see
+    each classifier at both points.
     """
 
-    def __init__(self, derand: Derandomizer, trials: int, gen: np.random.Generator):
+    def __init__(self, derand: Derandomizer, trials: int, gen: Optional[np.random.Generator]):
         self.derand = derand
-        self.residues = derand.pi_family.sample_batch(gen, trials)
-        self.embeds = derand.bucketing.sample_batch(gen, trials, derand.pi_family.embed_value)
+        embed = derand.pi_family.embed_value
+        if gen is None:
+            derand._check_enumerable()
+            self.size, self.residues = derand.family_size, None
+            self.embeds = lambda points, x: derand.bucketing.embed_block(points, embed, x)
+        else:
+            self.size = trials
+            self.residues = derand.pi_family.sample_batch(gen, trials)
+            self.embeds = derand.bucketing.sample_batch(gen, trials, embed)
 
-    def bits(self, point: Point) -> np.ndarray:
-        t = threshold_count(self.derand.scorer.score(point), self.derand.k)
-        return self.residues(self.embeds(point)) < t  # u = residue + 1 <= t
+    def bits(self, points: Sequence[Point], t: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
+        """The (points, classifiers) bool matrix of u <= t over a block, with
+        x its ``bucketing.vectors``.  Exact mode forms one row of residues
+        per distinct (bucket, t) in the block and gathers it per bucketing."""
+        e = self.embeds(points, x)
+        if self.residues is not None:
+            return self.residues(e) < t[:, None]  # u = residue + 1 <= t
+        k = self.derand.k
+        keys, inverse = np.unique((e * (k + 1) + t[:, None]).reshape(-1), return_inverse=True)
+        e, t = np.divmod(keys, k + 1)
+        a, c = self.derand.pi_family.coefficients
+        rows = (e[:, None].astype(a.dtype) * a + c) % k < t[:, None]
+        return rows[inverse].reshape(len(points), -1)
 
 
 @dataclass(frozen=True)
@@ -236,9 +232,7 @@ class PredictionTable:
 
     ``packed[r]`` is the prediction row of point r, packed 8 members (or
     trials) to a byte, in whole uint64 words.  Bias and variance read only
-    ``trial_sums``, the number of points each trial predicts 1 (Monte
-    Carlo), or ``moments``, the sum and the sum of squares of that number
-    over the members (exact)."""
+    ``sums``, the number of points each member (or trial) predicts 1."""
 
     derand: Derandomizer
     dataset: Sequence[Point]
@@ -247,8 +241,8 @@ class PredictionTable:
     t: np.ndarray  # floor(score * k) per point
     size: int  # members or trials
     packed: np.ndarray
-    trial_sums: Optional[np.ndarray] = None
-    moments: Optional[tuple[int, int]] = None
+    vectors: Optional[np.ndarray]  # derand.bucketing.vectors(dataset)
+    sums: np.ndarray  # in the smallest unsigned dtype that holds len(dataset)
     _passes: list = field(default_factory=list, init=False, repr=False)
 
     def ones(self, r: int) -> int:
@@ -305,26 +299,22 @@ class PredictionTable:
 def prediction_table(
     derand: Derandomizer, dataset: Sequence[Point], cfg: EstimatorConfig
 ) -> PredictionTable:
-    """Ask the oracle once per point: enumerate the family (exact), or
-    evaluate one batch seeded with cfg.seed (Monte Carlo)."""
-    if cfg.exact:
-        oracle = partial(_enumerated_bits, derand)
-    else:
-        oracle = _ClassifierBatch(derand, cfg.trials, np.random.default_rng(cfg.seed)).bits
-    packed = sums = None
-    for r, point in enumerate(dataset):
-        bits = oracle(point)
-        if packed is None:  # rows padded to whole uint64 words
-            packed = np.zeros((len(dataset), (bits.size + 63) // 64 * 8), dtype=np.uint8)
-            sums = np.zeros(bits.size, dtype=np.int64)
-        packed[r, : (bits.size + 7) // 8] = np.packbits(bits)
-        sums += bits
+    """Evaluate one batch, the whole family (exact) or one seeded with
+    cfg.seed (Monte Carlo), one block of points at a time."""
+    batch = _ClassifierBatch(derand, cfg.trials, None if cfg.exact else np.random.default_rng(cfg.seed))
     scores = tuple(derand.scorer.score(p) for p in dataset)
     t = np.array([threshold_count(s, derand.k) for s in scores], dtype=np.int64)
-    if cfg.exact:  # S_m <= len(dataset): no overflow
-        return PredictionTable(derand, dataset, cfg, scores, t, sums.size, packed,
-                               moments=(int(sums.sum()), int(sums @ sums)))
-    return PredictionTable(derand, dataset, cfg, scores, t, sums.size, packed, trial_sums=sums)
+    x = derand.bucketing.vectors(dataset)
+    size = batch.size  # rows padded to whole uint64 words
+    packed = np.zeros((len(dataset), (size + 63) // 64 * 8), dtype=np.uint8)
+    sums = np.zeros(size, dtype=np.min_scalar_type(len(dataset)))  # counts <= len(dataset)
+    step = max(1, PAIR_CHUNK_BYTES // size)
+    for s in range(0, len(dataset), step):
+        block = slice(s, s + step)
+        bits = batch.bits(dataset[block], t[block], None if x is None else x[block])
+        packed[block, : (size + 7) // 8] = np.packbits(bits, axis=1)
+        sums += np.add.reduce(bits, axis=0, dtype=sums.dtype)
+    return PredictionTable(derand, dataset, cfg, scores, t, size, packed, x, sums)
 
 
 def _share(count: int, size: int, exact: bool) -> Estimate:
@@ -365,9 +355,9 @@ def aggregate_bias(table: PredictionTable) -> Estimate:
     """Dataset average of the pointwise bias."""
     n = len(table.dataset)
     if table.cfg.exact:
-        total, _ = table.moments
+        total = int(table.sums.sum())
         return Estimate((Fraction(total, table.size) - sum(table.scores)) / n)
-    mu = table.trial_sums / n
+    mu = table.sums / n
     mean_score = sum(map(float, table.scores)) / n
     return Estimate(float(mu.mean()) - mean_score, float(mu.std(ddof=1)) / math.sqrt(table.size))
 
@@ -382,11 +372,12 @@ def aggregate_variance(table: PredictionTable) -> Estimate:
     prediction."""
     n = len(table.dataset)
     if table.cfg.exact:
-        total, total_sq = table.moments
+        sums = table.sums.astype(np.int64)  # sum_m S_m^2 <= size * n^2: no overflow
+        total, total_sq = int(sums.sum()), int(sums @ sums)
         mean_sq = Fraction(total_sq, table.size * n * n)
         mean = Fraction(total, table.size * n)
         return Estimate(mean_sq - mean * mean)
-    mu = table.trial_sums / n
+    mu = table.sums / n
     return Estimate(float(mu.var(ddof=1)), _variance_stderr(mu))
 
 
@@ -472,7 +463,7 @@ def sampled_aggregate_fairness(
     fractions = []
     for _ in range(n_classifiers):
         clf = table.derand.sample(rng)
-        e = clf.member.embed_all(table.dataset, clf.family.embed_value)
+        e = clf.member.embed_all(table.dataset, clf.family.embed_value, table.vectors)
         bits = (clf.h.a * e + clf.h.c) % clf.family.k < table.t  # u = residue + 1 <= t
         fractions.append(Fraction(int((bits[i] != bits[j]).sum()), i.size))
     return fractions
@@ -618,7 +609,8 @@ def decomposition_check(
     rhs = decomposition_bound(abs(bias), var_bern, var_family)
     gen = np.random.default_rng(cfg.seed)
     batch = _ClassifierBatch(derand, cfg.trials, gen)
-    member_bits = batch.bits(point)
+    t = np.array([threshold_count(score, derand.k)])
+    member_bits = batch.bits((point,), t, derand.bucketing.vectors((point,)))[0]
     bern_bits = gen.random(cfg.trials) < float(score)
     lhs = _share(int((member_bits != bern_bits).sum()), cfg.trials, False)
 

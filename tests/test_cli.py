@@ -240,23 +240,27 @@ class TestAuditCommand:
         ],
     )
     def test_one_oracle_evaluation_per_point(self, scored_csv, config_factory, monkeypatch, mode, extra):
+        # the oracle answers a block of points per call: its rows total one
+        # per point, from one batch per audit
         calls = {"points": 0, "batches": 0}
 
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def bits(self, points, t, x):
+            calls["points"] += len(points)
+            return oracle(self, points, t, x)
 
-        monkeypatch.setattr(measure, "_enumerated_bits", counting("points", measure._enumerated_bits))
-        monkeypatch.setattr(measure._ClassifierBatch, "bits", counting("points", measure._ClassifierBatch.bits))
-        monkeypatch.setattr(measure._ClassifierBatch, "__init__", counting("batches", measure._ClassifierBatch.__init__))
+        def init(*args, **kwargs):
+            calls["batches"] += 1
+            return batch_init(*args, **kwargs)
+
+        oracle, batch_init = measure._ClassifierBatch.bits, measure._ClassifierBatch.__init__
+        monkeypatch.setattr(measure._ClassifierBatch, "bits", bits)
+        monkeypatch.setattr(measure._ClassifierBatch, "__init__", init)
         config = config_factory(
             input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "bit_sampling"},
             mode=mode, trials=200, tau=0.4, n_classifiers=5, **extra,
         )
         assert main(["audit", "--config", str(config)]) == 0
-        assert calls == {"points": 4, "batches": 0 if mode == "exact" else 1}
+        assert calls == {"points": 4, "batches": 1}
 
     def test_one_pair_pass_per_audit(self, scored_csv, config_factory, monkeypatch):
         # the fairness check, family beta, the tail check's close pairs and
@@ -427,6 +431,34 @@ class TestConfigHandling:
         assert main(["audit", "--config", str(config)]) == 2
         assert "config error: n_classifiers" in capsys.readouterr().err
         assert not (tmp_path / "reports" / "audit.json").exists()
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(k=11.7), "k must be an integer"),
+            (dict(k=True), "k must be an integer"),
+            (dict(trials=2.9), "trials must be an integer"),
+            (dict(seed=3.7), "seed must be an integer"),
+            (dict(pairs_cap=1000.5), "pairs_cap must be an integer"),
+            (dict(tau=True), "tau must be a number"),
+            (dict(tau="0.2"), "tau must be a number"),
+            (dict(delta="0.25"), "delta must be a number"),
+        ],
+        ids=["k-float", "k-bool", "trials-float", "seed-float", "pairs_cap-float", "tau-bool", "tau-str", "delta-str"],
+    )
+    def test_malformed_number_exits_2(self, scored_csv, config_factory, capsys, tmp_path, overrides, message):
+        # these used to be truncated or parsed silently: k = 11.7 audited k = 11
+        config = config_factory(**{
+            "input": str(scored_csv), "scheme": "ls", "k": 11, "lsh": {"kind": "bit_sampling"}, "mode": "mc",
+            "trials": 50, "tau": 0.4, "delta": 0.25, "n_classifiers": 3, **overrides,
+        })
+        assert main(["audit", "--config", str(config)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    def test_integral_float_numbers_are_accepted(self, scored_csv, config_factory, tmp_path):
+        config = config_factory(input=str(scored_csv), k=11.0, trials=50.0, seed=3.0, pairs_cap=4.0, mode="mc")
+        assert main(["audit", "--config", str(config)]) == 0
 
     @pytest.mark.parametrize(
         "overrides",

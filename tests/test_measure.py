@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from fairderand import (
     TabularScorer,
     threshold_count,
 )
+from fairderand import measure
 from fairderand.errors import (
     EmptyPairSetError,
+    FairderandError,
     InvalidParameterError,
     NotEnumerableError,
 )
@@ -59,7 +62,8 @@ from fairderand.measure import (
     worst_case_aggregate_bound,
     worst_case_pairwise_bound,
 )
-from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming
+from fairderand.hashing import MINHASH_ENUM_MAX, FixedFamily
+from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming, binary_support
 from fairderand.rng import CountingRng
 
 from conftest import (
@@ -509,6 +513,149 @@ class TestSplitCounts:
         rows = [np.packbits(table.bits(r)) for r in range(len(ds))]
         expected = [int(np.bitwise_count(rows[a] ^ rows[b]).sum()) for a, b in zip(i, j)]
         assert table.split_counts(i, j).tolist() == expected
+
+
+def per_point_mc_bits(derand, points, trials, seed):
+    """The per-point Monte Carlo oracle the block oracle replaced: a, then
+    c, then the bucketings drawn from one generator, then one point at a
+    time."""
+    gen = np.random.default_rng(seed)
+    pi, family = derand.pi_family, derand.bucketing
+    a = gen.integers(0, pi.a_range, size=trials, dtype=np.int64)
+    c = gen.integers(0, pi.k, size=trials, dtype=np.int64)
+    if isinstance(family, FixedFamily):
+        def embeds(point):
+            return pi.embed_value(family.member.apply(point))
+    elif isinstance(family, SimHashFamily):
+        normals = gen.standard_normal((trials, family.dim))
+
+        def embeds(point):
+            return np.where(normals @ np.asarray(point.fairness_vector) >= 0.0, pi.embed_value(1), pi.embed_value(0))
+    elif isinstance(family, MinHashFamily) and family.universe_size > MINHASH_ENUM_MAX:
+        ranks = np.argsort(gen.random((trials, family.universe_size)), axis=1).argsort(axis=1)
+
+        def embeds(point):
+            support = sorted(binary_support(point.fairness_vector))
+            if not support:
+                raise InvalidParameterError("min-wise hashing is undefined on the empty set")
+            values = np.array([pi.embed_value(e) for e in support], dtype=np.int64)
+            return values[np.argmin(ranks[:, support], axis=1)]
+    else:
+        members = family.enumerate()
+        idx = gen.integers(0, len(members), size=trials)
+
+        def embeds(point):
+            return np.array([pi.embed_value(m.apply(point)) for m in members], dtype=np.int64)[idx]
+
+    rows = []
+    for point in points:
+        t = threshold_count(derand.scorer.score(point), derand.k)
+        rows.append((a * embeds(point) + c) % pi.k < t)
+    return np.array(rows, dtype=bool).reshape(len(points), trials)
+
+
+def outcome(fn):
+    """fn's value, or the class and message of the FairderandError it raises."""
+    try:
+        return fn()
+    except FairderandError as exc:
+        return type(exc), str(exc)
+
+
+class TestBlockOracle:
+    """The table is built a block of points at a time; with a byte budget
+    small enough for several blocks and a partial last one, its rows equal
+    the per-member predictions (exact) and the per-point oracle on the
+    same seed (Monte Carlo)."""
+
+    @staticmethod
+    def derandomizer(kind, rng, n_points):
+        if kind in ("grid", "one_bucket"):
+            ds = Dataset([Point(f"p{i}", (rng.uniform(-1, 1), rng.uniform(-1, 1))) for i in range(n_points)])
+            bucketer = GridBucketer(0.5 if kind == "grid" else 100.0)
+            return ds, PiDerandomizer.build(random_scorer(rng, ds, 20), ds, bucketer, 11)
+        if kind == "simhash":
+            ds = Dataset([Point(f"p{i}", tuple(rng.uniform(-1, 1) for _ in range(3))) for i in range(n_points)])
+            return ds, LsDerandomizer(random_scorer(rng, ds, 20), SimHashFamily(3), 7)
+        dim = 16 if kind == "minhash16" else 5
+        ds = random_binary_dataset(rng, n_points, dim)
+        scorer = random_scorer(rng, ds, 20)
+        if kind == "rt":
+            return ds, RtDerandomizer(scorer, 7)
+        if kind == "identity":
+            return ds, PiDerandomizer.build(scorer, ds, IdentityBucketer(), 13)
+        family = BitSamplingFamily(dim) if kind == "bit_sampling" else MinHashFamily(dim)
+        return ds, LsDerandomizer(scorer, family, {"minhash5": 5, "minhash16": 17}.get(kind, 11))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["rt", "grid", "identity", "one_bucket", "bit_sampling", "minhash5"]),
+        seed=st.integers(0, 10**6),
+        n_points=st.integers(4, 9),
+        per_block=st.integers(1, 3),
+    )
+    def test_exact_rows_equal_member_predictions(self, kind, seed, n_points, per_block):
+        rng = random.Random(seed)
+        ds, derand = self.derandomizer(kind, rng, n_points)
+        with mock.patch.object(measure, "PAIR_CHUNK_BYTES", per_block * derand.family_size):
+            table = prediction_table(derand, ds, EXACT)
+        members = derand.enumerate_members()
+        for r, point in enumerate(ds):
+            assert table.bits(r).tolist() == [c.predict(point) for c in members]
+        assert aggregate_variance(table).value == brute_aggregate_variance(derand, ds)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(
+            ["rt", "grid", "identity", "one_bucket", "bit_sampling", "minhash5", "minhash16", "simhash"]
+        ),
+        seed=st.integers(0, 10**6),
+        n_points=st.integers(4, 12),
+        per_block=st.integers(1, 3),
+        trials=st.sampled_from([1, 37, 200]),
+    )
+    def test_mc_rows_equal_per_point_oracle(self, kind, seed, n_points, per_block, trials):
+        rng = random.Random(seed)
+        ds, derand = self.derandomizer(kind, rng, n_points)
+        cfg = EstimatorConfig(mode="mc", trials=trials, seed=seed)
+        with mock.patch.object(measure, "PAIR_CHUNK_BYTES", per_block * trials):
+            table = prediction_table(derand, ds, cfg)
+        expected = per_point_mc_bits(derand, ds, trials, seed)
+        assert np.array_equal([table.bits(r) for r in range(len(ds))], expected)
+        assert table.sums.tolist() == expected.sum(axis=0).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["bit_sampling", "minhash5", "minhash16"]),
+        mode=st.sampled_from(["exact", "mc"]),
+        seed=st.integers(0, 10**6),
+        bad=st.lists(st.sampled_from(["empty", "half"]), min_size=1, max_size=2),
+        at=st.lists(st.integers(0, 9), min_size=2, max_size=2),
+    )
+    def test_bad_point_raises_as_per_point_oracle(self, kind, mode, seed, bad, at):
+        # an empty set, or a non-0/1 feature; with two bad points, the
+        # first in dataset order decides the error
+        rng = random.Random(seed)
+        ds, derand = self.derandomizer(kind, rng, 8)
+        if mode == "exact" and kind == "minhash16":
+            return  # not enumerable
+        dim = len(ds[0].features)
+        points = list(ds)
+        for kind_of_bad, where in zip(bad, at):
+            vector = (0.0,) * dim if kind_of_bad == "empty" else (1.0, 0.5) + (0.0,) * (dim - 2)
+            points.insert(where % (len(points) + 1), Point(f"bad{where}", vector))
+        scorer = TabularScorer({p.id: Fraction(rng.randint(0, 20), 20) for p in points})
+        derand = LsDerandomizer(scorer, derand.bucketing, derand.k)
+        cfg = EstimatorConfig(mode=mode, trials=37, seed=seed)
+        size = derand.family_size if mode == "exact" else 37
+        with mock.patch.object(measure, "PAIR_CHUNK_BYTES", 3 * size):
+            got = outcome(lambda: prediction_table(derand, points, cfg).bits(0).tolist())
+        if mode == "exact":
+            members = derand.enumerate_members()
+            expected = outcome(lambda: [[c.predict(p) for c in members] for p in points][0])
+        else:
+            expected = outcome(lambda: per_point_mc_bits(derand, points, 37, seed)[0].tolist())
+        assert got == expected
 
 
 class TestLossApproximation:
