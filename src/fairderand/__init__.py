@@ -10,7 +10,6 @@ from .core import (
     DeterministicClassifier,
     Point,
     StochasticScorer,
-    TableClassifier,
     TabularScorer,
     as_score,
     threshold_count,

@@ -161,17 +161,6 @@ def verify_sphere_counterexample(
     return report
 
 
-def family_mean_gap(
-    classifiers: Sequence[DeterministicClassifier], x: Point, y: Point
-) -> Fraction:
-    """Exact family-average |prediction(x) - prediction(y)| over an
-    explicit finite family."""
-    if not classifiers:
-        raise InvalidParameterError("family must be non-empty")
-    diff = sum(abs(c.predict(x) - c.predict(y)) for c in classifiers)
-    return Fraction(diff, len(classifiers))
-
-
 def finite_family_violation_search(
     classifiers: Sequence[DeterministicClassifier],
     metric: Metric,

@@ -39,12 +39,16 @@ from .derandomize import (
 )
 from .errors import (
     DataFormatError,
+    DimensionMismatchError,
     EmptyPairSetError,
     FairderandError,
     FamilyTooLargeError,
+    GridTooCoarseError,
     InvalidParameterError,
     NotEnumerableError,
+    UnknownBucketError,
     UnknownPointError,
+    ZeroVectorError,
 )
 from .hashing import BitSamplingFamily, MinHashFamily, SimHashFamily
 from .measure import (
@@ -416,10 +420,11 @@ def main(argv=None) -> int:
     try:
         config = _resolve(_load_config(args.config), args)
         path = COMMANDS[args.command](config)
-    except (ConfigError, InvalidParameterError, EmptyPairSetError) as exc:
+    except (ConfigError, InvalidParameterError, EmptyPairSetError, GridTooCoarseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataFormatError, UnknownPointError, FileNotFoundError) as exc:
+    except (DataFormatError, UnknownPointError, DimensionMismatchError, ZeroVectorError,
+            UnknownBucketError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NotEnumerableError, FamilyTooLargeError) as exc:

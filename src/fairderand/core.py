@@ -184,17 +184,3 @@ class DeterministicClassifier:
     def predict(self, point: Point) -> int:
         raise NotImplementedError
 
-
-class TableClassifier(DeterministicClassifier):
-    """Explicit id -> bit table."""
-
-    def __init__(self, table: Mapping[str, int]):
-        self.table = {str(k): int(v) for k, v in table.items()}
-        if any(b not in (0, 1) for b in self.table.values()):
-            raise InvalidParameterError("table predictions must be bits")
-
-    def predict(self, point: Point) -> int:
-        try:
-            return self.table[point.id]
-        except KeyError:
-            raise UnknownPointError(point.id) from None

@@ -6,7 +6,7 @@ class FairderandError(Exception):
 
 
 class UnknownPointError(FairderandError, KeyError):
-    """A tabular scorer or table classifier has no entry for the point id."""
+    """A tabular scorer or dataset has no entry for the point id."""
 
 
 class DimensionMismatchError(FairderandError, ValueError):

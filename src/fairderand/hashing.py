@@ -22,10 +22,13 @@ of family live here:
   concatenated: amplification would turn the collision probability into
   (1 - d)^m and break the fairness analysis.
 
-Each family draws one member through a CountingRng, and embeds a block
-of points under every member of its enumeration (the exact expectation
-oracle the audits are built on) or of a batch drawn from a numpy
-generator, as one (points, members) array.
+A bucketing family samples one member through a CountingRng (one
+classifier) and evaluates members over points one way only: its
+``embedder(keys, embed)`` maps a block of points and their ``vectors``
+(read and checked once, so the first bad point raises what ``apply``
+raises) to the (points, members) matrix of embed(member(point)), or one
+column for a fixed bucketing.  The members' ``keys`` (coordinate indices,
+rank rows, normals) come from the whole enumeration or a numpy ``draw``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
@@ -41,6 +43,7 @@ import numpy as np
 
 from .core import Point
 from .errors import (
+    DimensionMismatchError,
     FamilyTooLargeError,
     InvalidParameterError,
     NotEnumerableError,
@@ -130,9 +133,7 @@ class PiFamily:
         """Uniform (a, c), a first; rejection keeps uniformity exact."""
         return PiHash(rng.uniform_int(self.a_range), rng.uniform_int(self.k))
 
-    def sample_batch(
-        self, gen: np.random.Generator, trials: int
-    ) -> Callable[[np.ndarray], np.ndarray]:
+    def sample_batch(self, gen: np.random.Generator, trials: int) -> Callable[[np.ndarray], np.ndarray]:
         """``trials`` uniform members (a drawn first) from a numpy generator,
         as a map from embedded buckets to the residues (a * e + c) mod k,
         which are the hash values minus one."""
@@ -174,17 +175,14 @@ class BucketingMember:
     def apply(self, point: Point) -> Hashable:
         raise NotImplementedError
 
-    def embed_all(self, points: Sequence[Point], embed: Callable[[Hashable], int], x=None) -> np.ndarray:
-        """embed(apply(p)) for every point p, as an int64 array; x: the family's ``vectors(points)``."""
-        return np.array([embed(self.apply(p)) for p in points], dtype=np.int64)
-
     def params(self) -> dict:
         """The member's entry in a derandomize report."""
         return {}
 
 
 class BucketingFamily:
-    """A uniform family of bucketings into the finite set ``bucket_values``."""
+    """A uniform family of bucketings into the finite set ``bucket_values``,
+    with the block embedding of the module docstring."""
 
     bucket_values: tuple[Hashable, ...]
 
@@ -200,27 +198,22 @@ class BucketingFamily:
         return None
 
     def vectors(self, points: Sequence[Point]) -> np.ndarray | None:
-        """What the embeddings read of the points, built once per table."""
         return None
 
-    def embed_block(self, points: Sequence[Point], embed: Callable[[Hashable], int], x) -> np.ndarray:
-        """The (points, members) int64 matrix of embed(member(point)), in
-        enumeration order, with x = vectors(points)."""
-        members = self.enumerate()
-        embeds = [embed(m.apply(p)) for p in points for m in members]  # the first bad point raises
-        return np.array(embeds, dtype=np.int64).reshape(len(points), len(members))
+    def keys(self, members: Sequence[BucketingMember]) -> np.ndarray:
+        raise NotImplementedError
 
-    def sample_batch(self, gen: np.random.Generator, trials: int, embed: Callable[[Hashable], int]):
-        """``trials`` uniform members drawn from a numpy generator, as a
-        block embedding (points, x) -> (points, trials) matrix, or one
-        column when all members agree: here, enumeration indices."""
-        idx = gen.integers(0, self.enumerable_size, size=trials)
-        return lambda points, x: self.embed_block(points, embed, x)[:, idx]
+    def draw(self, gen: np.random.Generator, trials: int) -> np.ndarray:
+        """The keys of ``trials`` uniform members; here, by enumeration index."""
+        return self.keys(self.enumerate())[gen.integers(0, self.enumerable_size, size=trials)]
+
+    def embedder(self, keys: np.ndarray, embed: Callable[[Hashable], int]) -> Callable:
+        raise NotImplementedError
 
 
 class FixedFamily(BucketingFamily):
-    """A deterministic bucketing as a one-member family: sampling it draws
-    no bits, and a batch of it draws nothing."""
+    """A deterministic bucketing as a one-member family: it draws no bits,
+    nothing from a generator, and embeds one column that all members share."""
 
     def __init__(self, member: BucketingMember, bucket_values: Sequence[Hashable]):
         self.member = member
@@ -236,8 +229,15 @@ class FixedFamily(BucketingFamily):
     def enumerable_size(self) -> int:
         return 1
 
-    def sample_batch(self, gen, trials, embed):
-        return lambda points, x: self.embed_block(points, embed, x)
+    def keys(self, members):
+        return np.zeros(1, dtype=np.int64)
+
+    def draw(self, gen, trials):
+        return self.keys(())
+
+    def embedder(self, keys, embed):
+        apply = self.member.apply
+        return lambda points, x: np.array([embed(apply(p)) for p in points], dtype=np.int64).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -246,16 +246,12 @@ class BitSamplingMember(BucketingMember):
 
     def apply(self, point: Point) -> int:
         vector = point.fairness_vector
+        if self.index >= len(vector):
+            raise DimensionMismatchError(f"bit sampling reads coordinate {self.index} of a {len(vector)}-dimensional point")
         value = vector[self.index]
         if value not in (0.0, 1.0):
             raise InvalidParameterError("bit sampling requires 0/1 features")
         return int(value)
-
-    def embed_all(self, points, embed, x=None):
-        x = fairness_matrix(points) if x is None else x
-        if x is None or x.shape[1] <= self.index or not np.isin(x[:, self.index], (0.0, 1.0)).all():
-            return super().embed_all(points, embed)  # raises as apply does
-        return np.array([embed(0), embed(1)], dtype=np.int64)[x[:, self.index].astype(np.int64)]
 
     def params(self) -> dict:
         return {"lsh_member": {"kind": "coordinate", "index": self.index}}
@@ -263,7 +259,7 @@ class BitSamplingMember(BucketingMember):
 
 class BitSamplingFamily(BucketingFamily):
     """Sample one coordinate of a {0,1}^n vector; paired with normalized
-    Hamming distance."""
+    Hamming distance.  Keys are coordinate indices."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -281,7 +277,20 @@ class BitSamplingFamily(BucketingFamily):
     def enumerate(self) -> list[BitSamplingMember]:
         return [BitSamplingMember(i) for i in range(self.n)]
 
-    vectors = staticmethod(fairness_matrix)
+    def vectors(self, points):
+        """The (points, n) bool matrix of the first n coordinates."""
+        x = fairness_matrix(points)
+        if x is None or x.shape[1] < self.n or not np.isin(x[:, : self.n], (0.0, 1.0)).all():
+            members = self.enumerate()
+            x = np.array([[m.apply(p) for m in members] for p in points], dtype=float).reshape(-1, self.n)
+        return x[:, : self.n] == 1.0
+
+    def keys(self, members):
+        return np.array([m.index for m in members], dtype=np.intp)
+
+    def embedder(self, keys, embed):
+        below, above = embed(0), embed(1)
+        return lambda points, x: np.where(x[:, keys], above, below)
 
 
 @dataclass(frozen=True)
@@ -295,12 +304,9 @@ class MinHashMember(BucketingMember):
         support = binary_support(point.fairness_vector)
         if not support:
             raise InvalidParameterError("min-wise hashing is undefined on the empty set")
+        if max(support) >= len(self.ranks):
+            raise DimensionMismatchError(f"set element {max(support)} is outside the universe of {len(self.ranks)}")
         return min(support, key=lambda e: self.ranks[e])
-
-    def embed_all(self, points, embed, x=None):
-        member = MinHashFamily(len(self.ranks)).vectors(points) if x is None else x
-        element = np.where(member, self.ranks, len(self.ranks)).argmin(axis=1)
-        return np.array([embed(e) for e in range(len(self.ranks))], dtype=np.int64)[element]
 
     def params(self) -> dict:
         return {"lsh_member": {"kind": "permutation", "ranks": list(self.ranks)}}
@@ -308,7 +314,8 @@ class MinHashMember(BucketingMember):
 
 class MinHashFamily(BucketingFamily):
     """Min-wise permutation hashing over a universe of feature indices;
-    paired with Jaccard distance.  Buckets are the universe elements."""
+    paired with Jaccard distance.  Buckets are the universe elements, and
+    keys are rank rows (rank[element])."""
 
     def __init__(self, universe_size: int):
         if universe_size < 1:
@@ -321,9 +328,7 @@ class MinHashFamily(BucketingFamily):
 
     @property
     def enumerable_size(self) -> int | None:
-        if self.universe_size > MINHASH_ENUM_MAX:
-            return None
-        return math.factorial(self.universe_size)
+        return math.factorial(self.universe_size) if self.universe_size <= MINHASH_ENUM_MAX else None
 
     def enumerate(self) -> list[MinHashMember]:
         if self.universe_size > MINHASH_ENUM_MAX:
@@ -333,45 +338,41 @@ class MinHashFamily(BucketingFamily):
         return [MinHashMember(p) for p in itertools.permutations(range(self.universe_size))]
 
     def vectors(self, points):
-        """The (points, universe) membership matrix of the points' sets;
-        the first bad point raises what ``apply`` raises."""
+        """The (points, universe) membership matrix of the points' sets."""
         x, size = fairness_matrix(points), self.universe_size
         if x is not None and x.shape[1] == size and np.isin(x, (0.0, 1.0)).all() and (x == 1.0).any(axis=1).all():
             return x == 1.0
-        member = np.zeros((len(points), size), dtype=bool)
+        probe, member = MinHashMember(tuple(range(size))), np.zeros((len(points), size), dtype=bool)
         for r, point in enumerate(points):
+            probe.apply(point)  # the first bad point raises
             member[r, list(binary_support(point.fairness_vector))] = True
-            if not member[r].any():
-                raise InvalidParameterError("min-wise hashing is undefined on the empty set")
         return member
 
-    def sample_batch(self, gen, trials, embed):
+    def keys(self, members):
+        return np.array([m.ranks for m in members], dtype=np.int64).reshape(-1, self.universe_size)
+
+    def draw(self, gen, trials):
         if self.universe_size <= MINHASH_ENUM_MAX:
-            return super().sample_batch(gen, trials, embed)
+            return super().draw(gen, trials)
         # uniform permutations, one row of ranks per trial
-        ranks = np.argsort(gen.random((trials, self.universe_size)), axis=1).argsort(axis=1)
-        return _minhash_embeds(ranks, embed)
+        return np.argsort(gen.random((trials, self.universe_size)), axis=1).argsort(axis=1)
 
+    def embedder(self, keys, embed):
+        """A running minimum over each set of rank * 2**b + embed(element),
+        in the smallest dtype."""
+        values = np.array([embed(e) for e in range(self.universe_size)])
+        b = int(values.max()).bit_length()
+        dtype = np.min_scalar_type((self.universe_size - 1) << b | int(values.max()))
+        codes = (keys.T << b | values[:, None]).astype(dtype)  # one row per element
 
-def _minhash_embeds(ranks: np.ndarray, embed) -> Callable:
-    """A block embedding for the rank rows (rank[element]) of many members:
-    from a block's set membership matrix to the (points, members) matrix,
-    in the smallest dtype, of embed(the minimum-rank element of the set).
-    It keeps a running minimum over the elements of the code
-    rank * 2**b + embed(element), whose rows are built once here."""
-    values = np.array([embed(e) for e in range(ranks.shape[1])])
-    b = int(values.max()).bit_length()
-    dtype = np.min_scalar_type((ranks.shape[1] - 1) << b | int(values.max()))
-    codes = (ranks.T << b | values[:, None]).astype(dtype)  # one row per element
+        def embeds(points, member):
+            best = np.full((len(member), len(keys)), np.iinfo(dtype).max, dtype=dtype)
+            for e, code in enumerate(codes):  # every set is non-empty, so every row is lowered
+                rows = member[:, e]
+                best[rows] = np.minimum(best[rows], code)
+            return best & dtype.type((1 << b) - 1)
 
-    def embeds(points, member):
-        best = np.full((len(member), len(ranks)), np.iinfo(dtype).max, dtype=dtype)
-        for e, code in enumerate(codes):  # every set is non-empty, so every row is lowered
-            rows = member[:, e]
-            best[rows] = np.minimum(best[rows], code)
-        return best & dtype.type((1 << b) - 1)
-
-    return embeds
+        return embeds
 
 
 @dataclass(frozen=True)
@@ -391,7 +392,8 @@ class SimHashMember(BucketingMember):
 
 class SimHashFamily(BucketingFamily):
     """Random-hyperplane sign hashing; paired with angular distance.
-    The family is continuous, so enumeration is unsupported."""
+    The family is continuous, so enumeration is unsupported.  Keys are
+    normals, which need not be unit length."""
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -405,21 +407,19 @@ class SimHashFamily(BucketingFamily):
     def enumerate(self) -> list[BucketingMember]:
         raise NotEnumerableError("hyperplane families are continuous")
 
-    def sample_batch(self, gen, trials, embed):
-        normals = gen.standard_normal((trials, self.dim))
-        above, below = embed(1), embed(0)
+    def vectors(self, points):
+        if any(len(p.fairness_vector) != self.dim for p in points):
+            raise InvalidParameterError("dimension mismatch in hyperplane hash")
+        return np.array([p.fairness_vector for p in points], dtype=float).reshape(-1, self.dim)
+
+    def keys(self, members):
+        return np.array([m.normal for m in members], dtype=float).reshape(-1, self.dim)
+
+    def draw(self, gen, trials):
+        return gen.standard_normal((trials, self.dim))
+
+    def embedder(self, keys, embed):
+        below, above = embed(0), embed(1)
         # one matrix-vector product per point: a block product may round differently and flip a sign
-        return lambda points, x: np.where(
-            np.reshape([normals @ np.asarray(p.fairness_vector) for p in points], (-1, trials)) >= 0.0, above, below
-        )
+        return lambda points, x: np.where(np.reshape([keys @ v for v in x], (len(x), len(keys))) >= 0.0, above, below)
 
-
-def exact_collision_probability(family: BucketingFamily, x: Point, y: Point) -> Fraction:
-    """Collision probability of a uniform member, by full enumeration.
-
-    Exact-rational oracle; raises NotEnumerableError for families without
-    finite enumeration.
-    """
-    members = family.enumerate()
-    hits = sum(m.apply(x) == m.apply(y) for m in members)
-    return Fraction(hits, len(members))

@@ -9,14 +9,16 @@ four standard errors.
 
 Every audited quantity reduces one ``PredictionTable``: the prediction of
 every family member (or sampled classifier) at every dataset point.
-``prediction_table`` asks the oracle once per block of about
-``PAIR_CHUNK_BYTES`` predictions: one array pass embeds the block under
-every bucketing, compares the residues (a * e + c) mod k with
-t = floor(score * k), packs the rows into bits and adds them to the
-per-member counts that bias and variance need.  The pointwise helpers
-build a table over their one or two points; only ``decomposition_check``
-draws its own batch, because its Bernoulli draws continue that batch's
-generator.
+``prediction_table`` reads the bucketing's ``vectors`` once and asks the
+oracle once per block of about ``PAIR_CHUNK_BYTES`` predictions: the
+bucketing's one embedder maps the block to the embedded buckets e under
+every enumerated (exact) or drawn (Monte Carlo) member, the residues
+(a * e + c) mod k are compared with t = floor(score * k), and the rows are
+packed into bits and added to the per-member counts that bias and
+variance need.  The tail check embeds its sampled classifiers with the
+same embedder, in one call.  The pointwise helpers build a table over
+their one or two points; only ``decomposition_check`` draws its own
+batch, because its Bernoulli draws continue that batch's generator.
 
 Pair quantities read one pass per table and metric over every pair (or
 the capped ``select_pairs``): distance codes from ``Metric.pair_distances``
@@ -186,15 +188,16 @@ class _ClassifierBatch:
 
     def __init__(self, derand: Derandomizer, trials: int, gen: Optional[np.random.Generator]):
         self.derand = derand
-        embed = derand.pi_family.embed_value
+        family = derand.bucketing
         if gen is None:
             derand._check_enumerable()
             self.size, self.residues = derand.family_size, None
-            self.embeds = lambda points, x: derand.bucketing.embed_block(points, embed, x)
+            keys = family.keys(family.enumerate())
         else:
             self.size = trials
             self.residues = derand.pi_family.sample_batch(gen, trials)
-            self.embeds = derand.bucketing.sample_batch(gen, trials, embed)
+            keys = family.draw(gen, trials)
+        self.embeds = family.embedder(keys, derand.pi_family.embed_value)
 
     def bits(self, points: Sequence[Point], t: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
         """The (points, classifiers) bool matrix of u <= t over a block, with
@@ -204,7 +207,7 @@ class _ClassifierBatch:
         if self.residues is not None:
             return self.residues(e) < t[:, None]  # u = residue + 1 <= t
         k = self.derand.k
-        keys, inverse = np.unique((e * (k + 1) + t[:, None]).reshape(-1), return_inverse=True)
+        keys, inverse = np.unique((e.astype(np.int64) * (k + 1) + t[:, None]).reshape(-1), return_inverse=True)
         e, t = np.divmod(keys, k + 1)
         a, c = self.derand.pi_family.coefficients
         rows = (e[:, None].astype(a.dtype) * a + c) % k < t[:, None]
@@ -337,10 +340,15 @@ def _pair_excesses(table: PredictionTable, classes: PairClasses, budget: Callabl
 
 
 def _close_pairs(n_points: int, codes: np.ndarray, values: list[Distance], tau: Number):
-    """(i, j) of the pairs within distance tau, and their mask over every pair."""
+    """(i, j) of the pairs within distance tau, and their mask over every
+    pair in np.triu_indices order: each close position p lies in the row i
+    of the last row start <= p."""
     close = np.array([d <= tau for d in values], dtype=bool)[codes]
-    i, j = np.triu_indices(n_points, 1)
-    return i[close], j[close], close
+    p = np.flatnonzero(close)
+    rows = np.arange(n_points, dtype=np.int64)
+    starts = rows * (2 * n_points - rows - 1) // 2  # the position of pair (i, i + 1)
+    i = np.searchsorted(starts, p, side="right") - 1
+    return i, p - starts[i] + i + 1, close
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +461,20 @@ def sampled_aggregate_fairness(
     n_classifiers: int,
     rng: CountingRng,
 ) -> list[Fraction]:
-    """Split fraction of tau-close pairs for each of n sampled classifiers.
-    A classifier predicts 1 at x iff u(x) <= t[x], with t read from the
-    table."""
+    """Split fraction of tau-close pairs for each of n sampled classifiers,
+    embedded in one call.  A classifier predicts 1 at x iff u(x) <= t[x],
+    with t read from the table."""
     classes = table.pair_classes(metric)
     i, j, _ = _close_pairs(len(table.dataset), classes.codes, classes.values, tau)
     if i.size == 0:
         raise EmptyPairSetError(f"no pairs within distance {tau}")
-    fractions = []
-    for _ in range(n_classifiers):
-        clf = table.derand.sample(rng)
-        e = clf.member.embed_all(table.dataset, clf.family.embed_value, table.vectors)
-        bits = (clf.h.a * e + clf.h.c) % clf.family.k < table.t  # u = residue + 1 <= t
-        fractions.append(Fraction(int((bits[i] != bits[j]).sum()), i.size))
-    return fractions
+    derand = table.derand
+    clfs = [derand.sample(rng) for _ in range(n_classifiers)]
+    keys = derand.bucketing.keys([clf.member for clf in clfs])
+    e = derand.bucketing.embedder(keys, derand.pi_family.embed_value)(table.dataset, table.vectors)
+    a, c = (np.array([getattr(clf.h, name) for clf in clfs], dtype=np.int64) for name in "ac")
+    bits = (a * e + c) % derand.k < table.t[:, None]  # u = residue + 1 <= t
+    return [Fraction(int((column[i] != column[j]).sum()), i.size) for column in bits.T]
 
 
 def aggregate_fairness_tail_check(
@@ -535,54 +543,6 @@ def threshold_fairness_check(
     for name, bound, source in bounds:
         report.add(name, worst, bound=bound, bound_source=source, satisfied=worst <= bound)
     return report
-
-
-# ---------------------------------------------------------------------------
-# loss approximation
-
-MISCLASSIFICATION = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
-
-
-def all_loss_tables() -> list[dict[tuple[int, int], int]]:
-    """All 16 binary loss tables l: {0,1}^2 -> {0,1}."""
-    tables = []
-    for code in range(16):
-        bits = [(code >> i) & 1 for i in range(4)]
-        tables.append({(0, 0): bits[0], (0, 1): bits[1], (1, 0): bits[2], (1, 1): bits[3]})
-    return tables
-
-
-def loss_value(source, point: Point, y: int, loss: dict[tuple[int, int], int]) -> Fraction:
-    """Expected loss of a scorer (or realized loss of a classifier):
-    f(x) * l(1, y) + (1 - f(x)) * l(0, y)."""
-    if y not in (0, 1):
-        raise InvalidParameterError("label must be a bit")
-    if isinstance(source, StochasticScorer):
-        score = source.score(point)
-    else:
-        score = Fraction(source.predict(point))
-    return score * loss[(1, y)] + (1 - score) * loss[(0, y)]
-
-
-def loss_bias_variance(
-    derand: Derandomizer,
-    point: Point,
-    y: int,
-    loss: dict[tuple[int, int], int],
-    cfg: EstimatorConfig,
-) -> tuple[Estimate, Estimate]:
-    """(|E[L(family)] - L(scorer)|, Var[L(family)]) at the labeled point."""
-    base = loss_value(derand.scorer, point, y, loss)
-    table = prediction_table(derand, (point,), cfg)
-    ones = table.ones(0)
-    mean = _share(ones * loss[(1, y)] + (table.size - ones) * loss[(0, y)], table.size, cfg.exact)
-    if cfg.exact:
-        return Estimate(abs(mean.value - base)), Estimate(mean.value * (1 - mean.value))
-    lvals = np.where(table.bits(0), loss[(1, y)], loss[(0, y)]).astype(float)
-    return (
-        Estimate(abs(mean.value - float(base)), mean.stderr),
-        Estimate(float(lvals.var(ddof=1)), _variance_stderr(lvals)),
-    )
 
 
 # ---------------------------------------------------------------------------

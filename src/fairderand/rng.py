@@ -98,10 +98,6 @@ class CountingRng:
             items[i], items[j] = items[j], items[i]
         return tuple(items)
 
-    def normal(self) -> float:
-        """One standard normal via Box-Muller, 64 bits per uniform input."""
-        return self.normal_pair()[0]
-
     def normal_pair(self) -> tuple[float, float]:
         """Two independent standard normals from 128 counted bits."""
         u1 = (self.draw_bits(64) + 1) / 2.0**64  # in (0, 1], log stays finite

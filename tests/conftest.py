@@ -52,6 +52,13 @@ def brute_mean(derand, point) -> Fraction:
     return Fraction(sum(c.predict(point) for c in members), len(members))
 
 
+def brute_collision(family, x, y) -> Fraction:
+    """Collision probability of a uniform bucketing member, by full
+    enumeration."""
+    members = family.enumerate()
+    return Fraction(sum(m.apply(x) == m.apply(y) for m in members), len(members))
+
+
 def brute_pairwise(derand, x, y) -> Fraction:
     members = derand.enumerate_members()
     return Fraction(

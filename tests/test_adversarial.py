@@ -14,7 +14,6 @@ from fairderand import (
 )
 from fairderand.adversarial import (
     SphereConstruction,
-    family_mean_gap,
     finite_family_violation_search,
     sphere_counterexample,
     verify_sphere_counterexample,
@@ -24,6 +23,11 @@ from fairderand.measure import pairwise_unfairness, scorer_beta
 from fairderand.metrics import ScaledEuclidean
 
 EXACT = EstimatorConfig(mode="exact")
+
+
+def mean_gap(family, x, y):
+    """Family-average |prediction(x) - prediction(y)|, member by member."""
+    return Fraction(sum(abs(c.predict(x) - c.predict(y)) for c in family), len(family))
 
 
 def small_construction(n_points=6, k=101, alpha=1.0, beta=0.1):
@@ -139,7 +143,7 @@ class TestViolationSearch:
         assert found is not None
         x, y = found
         assert x.features[0] < 0.5 <= y.features[0]
-        gap = family_mean_gap(family, x, y)
+        gap = mean_gap(family, x, y)
         assert gap == 1
         assert gap > 1.0 * ScaledEuclidean(1.0).distance(x, y) + 0.1
 
@@ -150,7 +154,7 @@ class TestViolationSearch:
         )
         assert found is not None
         x, y = found
-        gap = family_mean_gap(family, x, y)
+        gap = mean_gap(family, x, y)
         assert gap > 1.0 * ScaledEuclidean(1.0).distance(x, y) + 0.05
 
     def test_beta_must_be_below_one_over_family_size(self):
@@ -176,4 +180,4 @@ class TestViolationSearch:
         )
         x, y = found
         metric = ScaledEuclidean(1.0)
-        assert float(family_mean_gap(family, x, y)) > 1.0 * metric.distance(x, y) + 0.1
+        assert float(mean_gap(family, x, y)) > 1.0 * metric.distance(x, y) + 0.1

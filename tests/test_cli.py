@@ -9,7 +9,14 @@ from fairderand import cli, measure
 from fairderand.cli import main
 from fairderand.dataio import load_dataset, save_dataset
 from fairderand import Dataset, Point, TabularScorer
-from fairderand.errors import DataFormatError
+from fairderand.errors import (
+    DataFormatError,
+    DimensionMismatchError,
+    FairderandError,
+    GridTooCoarseError,
+    UnknownBucketError,
+    ZeroVectorError,
+)
 from fairderand.metrics import JaccardDistance
 
 
@@ -478,3 +485,58 @@ class TestConfigHandling:
     def test_missing_input_file_exits_3(self, config_factory):
         config = config_factory(input="/nonexistent/data.csv")
         assert main(["audit", "--config", str(config)]) == 3
+
+
+class TestDataErrors:
+    @pytest.mark.parametrize(
+        "lsh,message",
+        [
+            ({"kind": "bit_sampling", "n": 5}, "bit sampling reads coordinate 3 of a 3-dimensional point"),
+            ({"kind": "minhash", "universe_size": 2}, "set element 2 is outside the universe of 2"),
+        ],
+        ids=["bit_sampling", "minhash"],
+    )
+    def test_lsh_wider_than_its_family_exits_3(self, scored_csv, config_factory, capsys, tmp_path, lsh, message):
+        # these ended in an IndexError traceback (exit 1)
+        config = config_factory(input=str(scored_csv), scheme="ls", k=11, lsh=lsh, metric={"kind": "jaccard"})
+        assert main(["audit", "--config", str(config)]) == 3
+        assert f"data error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    def test_hamming_dimension_mismatch_exits_3(self, scored_csv, config_factory, capsys):
+        config = config_factory(input=str(scored_csv), metric={"kind": "hamming", "n": 2})
+        assert main(["audit", "--config", str(config)]) == 3
+        assert "data error: expected dimension 2, got 3" in capsys.readouterr().err
+
+    def test_angular_metric_on_a_zero_row_exits_3(self, tmp_path, config_factory, capsys):
+        path = tmp_path / "zero.csv"
+        write_dataset(path, [["a", 0, 0, "0.5"], ["b", 1, 0, "0.2"]], ["id", "feat_0", "feat_1", "score"])
+        config = config_factory(input=str(path), metric={"kind": "angular"})
+        assert main(["audit", "--config", str(config)]) == 3
+        assert "data error: angular distance undefined on the zero vector" in capsys.readouterr().err
+
+    @staticmethod
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from TestDataErrors.subclasses(sub)
+
+    def test_every_error_class_has_an_exit_code(self, scored_csv, config_factory, capsys, monkeypatch):
+        config = config_factory(input=str(scored_csv))
+        errors = set(self.subclasses(FairderandError))
+        assert {DimensionMismatchError, ZeroVectorError, UnknownBucketError, GridTooCoarseError} <= errors
+        for error in sorted(errors, key=lambda cls: cls.__name__):
+            def fail(config, error=error):
+                raise error("injected")
+
+            monkeypatch.setitem(cli.COMMANDS, "audit", fail)
+            try:
+                code = main(["audit", "--config", str(config)])
+            except FairderandError as exc:
+                pytest.fail(f"{error.__name__} escaped main: {exc!r}")
+            assert code in (2, 3, 4), error.__name__
+            assert "injected" in capsys.readouterr().err
+            if error in (DimensionMismatchError, ZeroVectorError, UnknownBucketError):
+                assert code == 3
+            if error is GridTooCoarseError:
+                assert code == 2

@@ -19,15 +19,18 @@ from fairderand import (
 )
 from fairderand.derandomize import Bucketer, SharedBucketer, realized_buckets
 from fairderand.errors import (
+    DimensionMismatchError,
     FairderandError,
     FamilyTooLargeError,
     InvalidParameterError,
     NotEnumerableError,
     UnknownBucketError,
 )
-from fairderand.hashing import exact_collision_probability
+from fairderand.hashing import FixedFamily
 from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming
 from fairderand.rng import CountingRng
+
+from conftest import brute_collision
 
 
 class TestPiEval:
@@ -141,7 +144,7 @@ class TestBitSampling:
     def test_exact_collision_matches_hamming(self):
         fam = BitSamplingFamily(2)
         x, y = Point("x", (0.0, 0.0)), Point("y", (0.0, 1.0))
-        assert exact_collision_probability(fam, x, y) == Fraction(1, 2)
+        assert brute_collision(fam, x, y) == Fraction(1, 2)
         assert 1 - NormalizedHamming(2).distance(x, y) == Fraction(1, 2)
 
     def test_exact_collision_matches_hamming_randomized(self):
@@ -151,7 +154,7 @@ class TestBitSampling:
         for _ in range(50):
             x = Point("x", tuple(float(rng.randint(0, 1)) for _ in range(6)))
             y = Point("y", tuple(float(rng.randint(0, 1)) for _ in range(6)))
-            assert exact_collision_probability(fam, x, y) == 1 - metric.distance(x, y)
+            assert brute_collision(fam, x, y) == 1 - metric.distance(x, y)
 
     def test_sampled_coordinate_uniform(self):
         fam = BitSamplingFamily(4)
@@ -168,6 +171,18 @@ class TestBitSampling:
         with pytest.raises(InvalidParameterError):
             member.apply(Point("x", (0.5, 0.0)))
 
+    def test_wider_than_the_data_is_a_dimension_mismatch(self):
+        fam = BitSamplingFamily(5)
+        points = [Point("x", (0.0, 1.0, 1.0)), Point("y", (1.0, 1.0, 0.0))]
+        assert fam.enumerate()[2].apply(points[0]) == 1
+        with pytest.raises(DimensionMismatchError) as by_member:
+            fam.enumerate()[3].apply(points[0])
+        with pytest.raises(DimensionMismatchError) as by_family:
+            fam.vectors(points)
+        assert str(by_family.value) == str(by_member.value)
+        wider = Point("z", (1.0, 0.0, 0.0, 1.0, 1.0, 0.0))  # reads the first 5 coordinates
+        assert fam.vectors([wider]).tolist() == [[True, False, False, True, True]]
+
 
 class TestMinHash:
     def test_six_permutations_of_three(self):
@@ -179,7 +194,7 @@ class TestMinHash:
         fam = MinHashFamily(3)
         a = Point("a", (1.0, 0.0, 0.0))  # {0}
         b = Point("b", (1.0, 1.0, 0.0))  # {0, 1}
-        assert exact_collision_probability(fam, a, b) == Fraction(1, 2)
+        assert brute_collision(fam, a, b) == Fraction(1, 2)
 
     def test_exact_collision_randomized(self):
         rng = random.Random(6)
@@ -190,7 +205,7 @@ class TestMinHash:
             b = Point("b", tuple(float(rng.randint(0, 1)) for _ in range(5)))
             if not any(a.features) or not any(b.features):
                 continue
-            assert exact_collision_probability(fam, a, b) == 1 - metric.distance(a, b)
+            assert brute_collision(fam, a, b) == 1 - metric.distance(a, b)
 
     def test_large_universe_not_enumerable(self):
         with pytest.raises(NotEnumerableError):
@@ -248,13 +263,19 @@ class TestSimHash:
 
 
 class TestEmbedAll:
-    """embed_all(points, embed) equals embed(apply(p)) point by point, and
-    raises the error class and message that apply raises."""
+    """A family's one embedder, over its members' keys and the points'
+    vectors, equals embed(apply(p)) point by point and member by member,
+    and raises the error class and message that apply raises at the first
+    bad point.  The members are the whole family when it has at most 8,
+    else one sampled member."""
 
     FAMILIES = {
         "bit_sampling": (5, BitSamplingFamily(5)),
+        "bit_sampling_too_wide": (5, BitSamplingFamily(7)),
         "minhash5": (5, MinHashFamily(5)),
+        "minhash7": (7, MinHashFamily(7)),
         "minhash16": (16, MinHashFamily(16)),
+        "minhash_too_narrow": (7, MinHashFamily(5)),
         "simhash": (5, SimHashFamily(5)),
         "grid": (5, GridBucketer(0.5)),
         "identity": (5, IdentityBucketer()),
@@ -285,10 +306,11 @@ class TestEmbedAll:
             vectors.insert(at % (n_points + 1), (bad,) * dim)
         points = [Point(f"p{r}", v) for r, v in enumerate(vectors)]
         if isinstance(family, Bucketer):
-            member, buckets = family, realized_buckets(family, points) or (0,)
-        else:
-            member, buckets = family.sample(CountingRng(seed)), family.bucket_values
-        embed = PiFamily(101, buckets).embed_value
-        expected = self.outcome(lambda: [embed(member.apply(p)) for p in points])
-        got = self.outcome(lambda: member.embed_all(points, embed).tolist())
+            family = FixedFamily(family, realized_buckets(family, points) or (0,))
+        size = family.enumerable_size
+        members = family.enumerate() if size is not None and size <= 8 else [family.sample(CountingRng(seed))]
+        embed = PiFamily(101, family.bucket_values).embed_value
+        expected = self.outcome(lambda: [[embed(m.apply(p)) for m in members] for p in points])
+        embedder = family.embedder(family.keys(members), embed)
+        got = self.outcome(lambda: embedder(points, family.vectors(points)).tolist())
         assert got == expected

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,11 +21,11 @@ from fairderand import (
     Point,
     RtDerandomizer,
     SimHashFamily,
-    TableClassifier,
     TabularScorer,
     threshold_count,
 )
 from fairderand import measure
+from fairderand.core import DeterministicClassifier
 from fairderand.errors import (
     EmptyPairSetError,
     FairderandError,
@@ -32,20 +33,16 @@ from fairderand.errors import (
     NotEnumerableError,
 )
 from fairderand.measure import (
-    MISCLASSIFICATION,
     aggregate_bias,
     aggregate_fairness,
     aggregate_fairness_tail_check,
     aggregate_tail_bound,
     aggregate_variance,
-    all_loss_tables,
     bias_bound,
     compute_bound,
     decomposition_check,
     empirical_fairness_curve,
     family_beta,
-    loss_bias_variance,
-    loss_value,
     ls_pairwise_exact_band,
     ls_variance_bound,
     metric_fairness_check,
@@ -62,7 +59,8 @@ from fairderand.measure import (
     worst_case_aggregate_bound,
     worst_case_pairwise_bound,
 )
-from fairderand.hashing import MINHASH_ENUM_MAX, FixedFamily
+from fairderand.derandomize import SharedBucketer
+from fairderand.hashing import MINHASH_ENUM_MAX, FixedFamily, MinHashMember
 from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming, binary_support
 from fairderand.rng import CountingRng
 
@@ -77,6 +75,16 @@ from conftest import (
 )
 
 EXACT = EstimatorConfig(mode="exact")
+
+
+class IdBits(DeterministicClassifier):
+    """An explicit id -> bit table."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def predict(self, point):
+        return self.table[point.id]
 
 
 def binary_dataset():
@@ -449,17 +457,17 @@ class TestThresholdFairnessCheck:
 class TestAggregateFairness:
     def test_constant_classifier(self):
         ds = binary_dataset()
-        clf = TableClassifier({p.id: 1 for p in ds})
+        clf = IdBits({p.id: 1 for p in ds})
         assert aggregate_fairness(clf, ds, NormalizedHamming(2), 1.0) == 0
 
     def test_two_point_split(self):
         ds = Dataset([Point("a", (0.0,)), Point("b", (1.0,))])
-        clf = TableClassifier({"a": 0, "b": 1})
+        clf = IdBits({"a": 0, "b": 1})
         assert aggregate_fairness(clf, ds, NormalizedHamming(1), 1.0) == 1
 
     def test_empty_pair_set(self):
         ds = Dataset([Point("a", (0.0, 0.0)), Point("b", (1.0, 1.0))])
-        clf = TableClassifier({"a": 0, "b": 1})
+        clf = IdBits({"a": 0, "b": 1})
         with pytest.raises(EmptyPairSetError):
             aggregate_fairness(clf, ds, NormalizedHamming(2), 0.25)
 
@@ -491,6 +499,7 @@ class TestAggregateFairness:
             (5, MinHashFamily(5), JaccardDistance(), "exact"),
             (16, MinHashFamily(16), JaccardDistance(), "mc"),
             (5, SimHashFamily(5), Angular(), "mc"),
+            (5, FixedFamily(SharedBucketer(), (0,)), NormalizedHamming(5), "exact"),
         ],
     )
     def test_sampled_fractions_equal_per_classifier_predictions(self, py_rng, dim, family, metric, mode):
@@ -658,23 +667,48 @@ class TestBlockOracle:
         assert got == expected
 
 
+class TestMinHashOverSevenElements:
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_table_makes_no_apply_calls(self, py_rng, mode):
+        ds = random_binary_dataset(py_rng, 12, 7)
+        derand = LsDerandomizer(random_scorer(py_rng, ds), MinHashFamily(7), 7)
+        calls = []
+        apply = MinHashMember.apply
+        with mock.patch.object(MinHashMember, "apply", lambda self, p: calls.append(p) or apply(self, p)):
+            table = prediction_table(derand, ds, EstimatorConfig(mode=mode, trials=300))
+        assert calls == []
+        assert table.size == (derand.family_size if mode == "exact" else 300)
+
+
+class TestClosePairs:
+    @pytest.mark.parametrize("n", [2, 3, 7, 50])
+    def test_equals_triu_indices_under_the_mask(self, n):
+        total = n * (n - 1) // 2
+        values = [Fraction(0), Fraction(1, 2), Fraction(1)]
+        ti, tj = np.triu_indices(n, 1)
+        masks = [np.random.default_rng(n).integers(0, 3, size=total), np.zeros(total, dtype=np.int64)]
+        for codes in masks + [np.full(total, 2)]:  # the last: no close pair
+            i, j, close = measure._close_pairs(n, codes, values, Fraction(1, 2))
+            assert close.tolist() == (codes <= 1).tolist()
+            assert (i.tolist(), j.tolist()) == (ti[close].tolist(), tj[close].tolist())
+
+
 class TestLossApproximation:
-    def test_misclassification_example(self):
-        scorer = TabularScorer({"x": 0.7})
-        p = Point("x", (0.0,))
-        assert loss_value(scorer, p, 1, MISCLASSIFICATION) == Fraction(3, 10)
+    """The paper's loss approximation: for every binary loss table l, the
+    family's loss bias and variance at a labeled point are at most its
+    output bias and variance.  A member that predicts b loses l(b, y)."""
 
-    def test_constant_loss_tables(self):
-        scorer = TabularScorer({"x": 0.7})
-        p = Point("x", (0.0,))
-        zero = {key: 0 for key in MISCLASSIFICATION}
-        one = {key: 1 for key in MISCLASSIFICATION}
-        assert loss_value(scorer, p, 0, zero) == 0
-        assert loss_value(scorer, p, 1, one) == 1
+    MISCLASSIFICATION = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
 
-    def test_classifier_loss_is_bit_case(self):
-        clf = TableClassifier({"x": 1})
-        assert loss_value(clf, Point("x", (0.0,)), 0, MISCLASSIFICATION) == 1
+    @staticmethod
+    def loss_moments(derand, point, y, loss):
+        """(|E[L(family)] - L(scorer)|, Var[L(family)]), exact, from the
+        point's prediction table."""
+        table = prediction_table(derand, (point,), EXACT)
+        ones = table.ones(0)
+        mean = Fraction(ones * loss[1, y] + (table.size - ones) * loss[0, y], table.size)
+        score = derand.scorer.score(point)
+        return abs(mean - (score * loss[1, y] + (1 - score) * loss[0, y])), mean * (1 - mean)
 
     def test_all_sixteen_tables_bounded_by_output_moments(self):
         ds = binary_dataset()
@@ -683,24 +717,24 @@ class TestLossApproximation:
         p = ds[0]
         out_bias = abs(pointwise_bias(derand, p, EXACT).value)
         out_var = pointwise_variance(derand, p, EXACT).value
-        for table in all_loss_tables():
+        for bits in itertools.product((0, 1), repeat=4):
+            table = dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], bits))
             for y in (0, 1):
-                lbias, lvar = loss_bias_variance(derand, p, y, table, EXACT)
-                assert lbias.value <= out_bias
-                assert lvar.value <= out_var
+                lbias, lvar = self.loss_moments(derand, p, y, table)
+                assert lbias <= out_bias
+                assert lvar <= out_var
 
     def test_constant_table_gives_zero_moments(self):
         derand = RtDerandomizer(TabularScorer({"x1": 0.3}), 10)
         p = Point("x1", (0.0,))
-        table = {key: 1 for key in MISCLASSIFICATION}
-        lbias, lvar = loss_bias_variance(derand, p, 1, table, EXACT)
-        assert (lbias.value, lvar.value) == (0, 0)
+        table = {key: 1 for key in self.MISCLASSIFICATION}
+        assert self.loss_moments(derand, p, 1, table) == (0, 0)
 
     def test_unit_slope_loss_matches_output_bias(self):
         derand = RtDerandomizer(TabularScorer({"x1": 0.33}), 7)
         p = Point("x1", (0.0,))
-        lbias, _ = loss_bias_variance(derand, p, 1, MISCLASSIFICATION, EXACT)
-        assert lbias.value == abs(pointwise_bias(derand, p, EXACT).value)
+        lbias, _ = self.loss_moments(derand, p, 1, self.MISCLASSIFICATION)
+        assert lbias == abs(pointwise_bias(derand, p, EXACT).value)
 
 
 class TestDecomposition:
