@@ -61,6 +61,7 @@ from .measure import (
     compute_bound,
     empirical_fairness_curve,
     metric_fairness_check,
+    over_common_denominator,
     prediction_table,
     rt_variance_bound,
     worst_case_aggregate_bound,
@@ -257,7 +258,8 @@ def cmd_audit(config: dict) -> Path:
 
     variance = aggregate_variance(table)
     if isinstance(derand, RtDerandomizer):
-        mean_fvar = sum(s * (1 - s) for s in table.scores) / len(dataset)
+        numerators, den = over_common_denominator(table.scores)
+        mean_fvar = Fraction(sum(p * (den - p) for p in numerators), den * den * len(dataset))
         bound = float(rt_variance_bound(mean_fvar)) + float(budget)
         report.add(
             "aggregate_variance", variance.value, variance.stderr, bound,

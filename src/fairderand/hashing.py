@@ -382,7 +382,7 @@ class SimHashMember(BucketingMember):
     def apply(self, point: Point) -> int:
         vector = point.fairness_vector
         if len(vector) != len(self.normal):
-            raise InvalidParameterError("dimension mismatch in hyperplane hash")
+            raise DimensionMismatchError("dimension mismatch in hyperplane hash")
         dot = sum(a * b for a, b in zip(self.normal, vector))
         return 1 if dot >= 0.0 else 0
 
@@ -409,7 +409,7 @@ class SimHashFamily(BucketingFamily):
 
     def vectors(self, points):
         if any(len(p.fairness_vector) != self.dim for p in points):
-            raise InvalidParameterError("dimension mismatch in hyperplane hash")
+            raise DimensionMismatchError("dimension mismatch in hyperplane hash")
         return np.array([p.fairness_vector for p in points], dtype=float).reshape(-1, self.dim)
 
     def keys(self, members):

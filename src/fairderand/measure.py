@@ -20,14 +20,17 @@ same embedder, in one call.  The pointwise helpers build a table over
 their one or two points; only ``decomposition_check`` draws its own
 batch, because its Bernoulli draws continue that batch's generator.
 
-Pair quantities read one pass per table and metric over every pair (or
-the capped ``select_pairs``): distance codes from ``Metric.pair_distances``
-and split counts, popcounts of the XOR of two rows 64 bits at a time, both
-in the smallest unsigned dtype, with the histogram of (distance, split
-count) classes.  Exact reductions evaluate their Python expression once
-per class, so rationals stay exact and int, Fraction and float parameters
-keep their arithmetic; Monte Carlo ones evaluate count/size - budget as
-one float64 array.
+Pair quantities read one pass per table and metric over every pair, or
+over the capped ``select_pairs``, which draws its seeded stream of pairs
+in rounds sized from the expected repeat rate and dedupes each round with
+one sort.  The pass holds distance codes from ``Metric.pair_distances``
+(popcounts over packed words for 0/1 Hamming and Jaccard vectors) and
+split counts, popcounts of the XOR of two prediction rows 64 bits at a
+time, both in the smallest unsigned dtype, with the histogram of
+(distance, split count) classes.  Exact reductions evaluate their Python
+expression once per class, so rationals stay exact and int, Fraction and
+float parameters keep their arithmetic; Monte Carlo ones evaluate
+count/size - budget as one float64 array.
 """
 
 from __future__ import annotations
@@ -145,32 +148,58 @@ def select_pairs(
     is returned for the report).
 
     The subsample is the first ``cap`` distinct pairs of the stream of
-    draws (i, j) from ``default_rng(seed)``, skipping i == j.  The stream
-    is drawn in blocks; one array draw yields the same values as the same
-    number of scalar draws."""
+    draws (i, j) from ``default_rng(seed)``, skipping i == j: the pairs a
+    scalar rejection loop keeps.  One array draw yields the same values as
+    the same number of scalar draws, so the stream is drawn in rounds, each
+    sized from the expected repeat rate: the coupon collector's count of
+    draws that yield the missing distinct pairs, plus a slack, so that one
+    round almost always suffices.  Each round sorts the pair keys of the
+    whole stream once, with their stream positions, to find the first
+    occurrence of every pair."""
     total = n_points * (n_points - 1) // 2
     if total <= cap:
         return (*np.triu_indices(n_points, 1), None)
     gen = np.random.default_rng(seed)
-    keys = np.zeros(0, dtype=np.int64)  # i * n + j, distinct, sorted
-    first = np.zeros(0, dtype=np.int64)  # stream position of each key
-    drawn = 0
-    while keys.size < cap:
-        # about twice the draws the missing pairs need at the current
-        # repeat rate, in blocks small enough to keep temporaries small
-        missing = cap - keys.size
-        block = min(2 * missing * total // (total - keys.size) + 64, 1 << 16)
-        draws = gen.integers(0, n_points, size=2 * block).reshape(block, 2)
-        lo, hi = draws.min(axis=1), draws.max(axis=1)
-        position = np.flatnonzero(lo != hi)
-        keys, at = np.unique(
-            np.concatenate([keys, lo[position] * n_points + hi[position]]),
-            return_index=True,
-        )
-        first = np.concatenate([first, position + drawn])[at]
-        drawn += block
-    keys = np.sort(keys[np.argsort(first, kind="stable")[:cap]])
+    keys = np.zeros(0, dtype=np.int64)  # the stream so far
+    distinct = 0
+    while distinct < cap:
+        # each draw is a pair with chance (n - 1)/n, and new with chance (total - distinct)/total
+        need = total * math.log((total - distinct) / (total - cap)) * n_points / (n_points - 1)
+        keys = np.concatenate([keys, _pair_keys(gen, n_points, int(need + 4 * math.sqrt(need)) + 64)])
+        first_keys, first_positions = _first_occurrences(keys, n_points)
+        distinct = first_keys.size
+    last = np.partition(first_positions, cap - 1)[cap - 1]
+    keys = first_keys[first_positions <= last]  # already sorted
     return keys // n_points, keys % n_points, seed
+
+
+def _pair_keys(gen: np.random.Generator, n_points: int, rows: int) -> np.ndarray:
+    """lo * n + hi for each of the next ``rows`` draws (i, j) of the stream
+    with i != j, in stream order; drawn in blocks that keep the
+    temporaries small."""
+    blocks = []
+    for s in range(0, rows, 1 << 16):
+        draws = gen.integers(0, n_points, size=2 * min(rows - s, 1 << 16)).reshape(-1, 2)
+        lo, hi = np.minimum(draws[:, 0], draws[:, 1]), np.maximum(draws[:, 0], draws[:, 1])
+        blocks.append((lo * n_points + hi)[lo != hi])
+    return np.concatenate(blocks)
+
+
+def _first_occurrences(keys: np.ndarray, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, sorted, and the stream position of the first
+    occurrence of each.  Keys lie below n_points**2, so one unstable sort
+    of key * m + position orders (key, position) while that stays below
+    2**63, as it does for any dataset that fits in memory; a stable
+    argsort serves beyond."""
+    m = keys.size
+    if n_points * n_points * m < 1 << 63:
+        keys, positions = np.divmod(np.sort(keys * m + np.arange(m)), m)
+    else:
+        positions = np.argsort(keys, kind="stable")
+        keys = keys[positions]
+    first = np.ones(m, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first], positions[first]
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +393,18 @@ def aggregate_bias(table: PredictionTable) -> Estimate:
     n = len(table.dataset)
     if table.cfg.exact:
         total = int(table.sums.sum())
-        return Estimate((Fraction(total, table.size) - sum(table.scores)) / n)
+        numerators, den = over_common_denominator(table.scores)
+        return Estimate((Fraction(total, table.size) - Fraction(sum(numerators), den)) / n)
     mu = table.sums / n
     mean_score = sum(map(float, table.scores)) / n
     return Estimate(float(mu.mean()) - mean_score, float(mu.std(ddof=1)) / math.sqrt(table.size))
+
+
+def over_common_denominator(scores: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The scores as integer numerators over their least common
+    denominator, so that sums over them are integer arithmetic."""
+    den = math.lcm(*{s.denominator for s in scores})
+    return [s.numerator * (den // s.denominator) for s in scores], den
 
 
 def pointwise_variance(derand: Derandomizer, point: Point, cfg: EstimatorConfig) -> Estimate:

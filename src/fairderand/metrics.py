@@ -12,7 +12,9 @@ locality-sensitive hashes see.
 list of distinct values.  The two exact metrics compute it from integer
 count arrays; every other metric, and any subclass that overrides
 ``distance``, calls ``distance`` once per pair.  Jaccard packs each set
-into whole uint64 words and popcounts the AND and the OR of two rows.
+into whole uint64 words and popcounts the AND and the OR of two rows;
+Hamming packs 0/1 vectors the same way and popcounts the XOR, and compares
+the floats of any other vectors coordinate by coordinate.
 """
 
 from __future__ import annotations
@@ -70,6 +72,14 @@ def over_pair_chunks(
 def popcounts(words: np.ndarray) -> np.ndarray:
     """Set bits per row of a uint64 word matrix, as int64."""
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+
+
+def _packed_rows(x: np.ndarray) -> Optional[np.ndarray]:
+    """The rows of a 0/1 matrix as bits in whole uint64 words, or None when
+    some entry is neither 0 nor 1."""
+    if not np.isin(x, (0.0, 1.0)).all():
+        return None
+    return np.packbits(np.pad(x.astype(bool), [(0, 0), (0, -x.shape[1] % 64)]), axis=1).view(np.uint64)
 
 
 def _rank_in_place(keys: np.ndarray) -> list[int]:
@@ -135,10 +145,15 @@ class NormalizedHamming(Metric):
         x = fairness_matrix(points) if _defined_in(self, "distance") is NormalizedHamming else None
         if x is None or x.shape[1] != self.n:
             return super().pair_distances(points, i, j)
-        codes = over_pair_chunks(
-            lambda a, b: (x[a] != x[b]).sum(axis=1, dtype=np.int64), i, j, x[0].nbytes
-        )
-        return codes, [Fraction(c, self.n) for c in _rank_in_place(codes)]
+        bits = _packed_rows(x)
+        if bits is not None:
+            codes = over_pair_chunks(lambda a, b: popcounts(bits[a] ^ bits[b]), i, j, bits[0].nbytes)
+        else:
+            codes = over_pair_chunks(lambda a, b: (x[a] != x[b]).sum(axis=1, dtype=np.int64), i, j, x[0].nbytes)
+        present = np.zeros(self.n + 1, dtype=bool)  # codes are the counts 0..n
+        present[codes] = True
+        rank = np.cumsum(present, dtype=np.int64) - 1
+        return rank[codes], [Fraction(int(c), self.n) for c in np.flatnonzero(present)]
 
 
 class Angular(Metric):
@@ -173,10 +188,10 @@ class JaccardDistance(Metric):
 
     def pair_distances(self, points, i, j):
         x = fairness_matrix(points) if _defined_in(self, "distance") is JaccardDistance else None
-        if x is None or not np.isin(x, (0.0, 1.0)).all():
+        sets = None if x is None else _packed_rows(x)
+        if sets is None:
             return super().pair_distances(points, i, j)
         width = x.shape[1] + 1
-        sets = np.packbits(np.pad(x.astype(bool), [(0, 0), (0, -x.shape[1] % 64)]), axis=1).view(np.uint64)
 
         def sizes(a, b):  # |A n B| * width + |A u B|, one integer per pair
             return popcounts(sets[a] & sets[b]) * width + popcounts(sets[a] | sets[b])

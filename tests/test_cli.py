@@ -503,6 +503,16 @@ class TestDataErrors:
         assert f"data error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "reports").exists()
 
+    def test_simhash_dimension_mismatch_exits_3(self, scored_csv, config_factory, capsys, tmp_path):
+        # this exited 2, as a config error
+        config = config_factory(
+            input=str(scored_csv), scheme="ls", k=11, mode="mc", trials=50,
+            lsh={"kind": "simhash", "dim": 4}, metric={"kind": "angular"},
+        )
+        assert main(["audit", "--config", str(config)]) == 3
+        assert "data error: dimension mismatch in hyperplane hash" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
     def test_hamming_dimension_mismatch_exits_3(self, scored_csv, config_factory, capsys):
         config = config_factory(input=str(scored_csv), metric={"kind": "hamming", "n": 2})
         assert main(["audit", "--config", str(config)]) == 3

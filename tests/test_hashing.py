@@ -261,6 +261,13 @@ class TestSimHash:
         member = SimHashFamily(4).sample(CountingRng(61))
         assert math.isclose(sum(v * v for v in member.normal), 1.0, rel_tol=1e-12)
 
+    def test_dimension_mismatch_is_a_data_error(self):
+        family, point = SimHashFamily(4), Point("x", (1.0, 0.0, 1.0))
+        with pytest.raises(DimensionMismatchError, match="dimension mismatch in hyperplane hash"):
+            family.sample(CountingRng(61)).apply(point)
+        with pytest.raises(DimensionMismatchError, match="dimension mismatch in hyperplane hash"):
+            family.vectors([point])
+
 
 class TestEmbedAll:
     """A family's one embedder, over its members' keys and the points'

@@ -822,17 +822,42 @@ class TestPairSelection:
                 chosen.add((min(i, j), max(i, j)))
         return sorted(chosen)
 
-    @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize(
-        "n_points,cap",
-        # (70, 2000) needs more than one block of draws: 2000 of the 2415
-        # pairs take about 4,300 draws, the first block 4,064
-        [(3, 1), (3, 2), (10, 1), (10, 20), (10, 44), (70, 20), (70, 2000), (300, 2000)],
+        "n_points,cap,seed",
+        [
+            (n_points, cap, seed)
+            for n_points, cap in [(3, 1), (3, 2), (10, 1), (10, 20), (10, 44), (70, 20), (70, 2000), (300, 2000)]
+            for seed in (0, 1, 7)
+        ]
+        # the benchmark's shape; and 10**9 points, where key * draws + position
+        # would overflow int64, so the first occurrences come from a stable argsort
+        + [(2000, 200_000, 1), (10**9, 20, 0)],
     )
     def test_over_cap_equals_rejection_loop(self, n_points, cap, seed):
         i, j, used_seed = select_pairs(n_points, cap=cap, seed=seed)
         assert used_seed == seed
         assert list(zip(i.tolist(), j.tolist())) == self.rejection_loop(n_points, cap, seed)
+
+    def test_second_round_of_draws_equals_rejection_loop(self, monkeypatch):
+        # 2400 of the 2415 pairs of 70 points: at seed 4 the first round,
+        # sized from the expected draws plus a slack, falls short
+        default_rng, generators = np.random.default_rng, []
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.gen, self.calls = default_rng(seed), 0
+                generators.append(self)
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.gen.integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        i, j, _ = select_pairs(70, cap=2400, seed=4)
+        monkeypatch.undo()
+        (generator,) = generators
+        assert generator.calls > 1  # one call per round of fewer than 65,536 draws
+        assert list(zip(i.tolist(), j.tolist())) == self.rejection_loop(70, 2400, 4)
 
 
 class TestBounds:

@@ -117,6 +117,22 @@ def real_points(rng, n, dim):
     return [pt(*[rng.uniform(-1, 1) for _ in range(dim)]) for _ in range(n)]
 
 
+def binary_points_70(rng, n, dim):
+    """Binary points two uint64 words wide."""
+    return binary_points(rng, n, 70)
+
+
+def graded_points(rng, n, dim):
+    """Points with entries other than 0 and 1, compared as floats."""
+    return [pt(*[rng.choice((0.0, 0.5, 1.0, 2.0, -1.0)) for _ in range(dim)]) for _ in range(n)]
+
+
+def one_graded_point(rng, n, dim):
+    """0/1 points, some zeros written -0.0, and one point that is not 0/1."""
+    points = [pt(*[rng.choice((0.0, -0.0, 1.0)) for _ in range(dim)]) for _ in range(n)]
+    return [pt(*[-0.0] * dim), pt(*[0.0] * (dim - 1), 0.5)] + points
+
+
 class TestPairDistances:
     """pair_distances gives, pair by pair, the value and type of distance."""
 
@@ -129,6 +145,9 @@ class TestPairDistances:
             (ScaledEuclidean(1.5), real_points),
             (HalvedHamming(6), binary_points),
             (JaccardDistance(), lambda rng, n, dim: binary_points(rng, n, 70)),  # two words per set
+            (NormalizedHamming(70), binary_points_70),
+            (NormalizedHamming(6), graded_points),
+            (NormalizedHamming(6), one_graded_point),
         ],
     )
     def test_equals_per_pair_distance(self, metric, make):
