@@ -8,6 +8,9 @@ Two procedures live here:
 
 * a grid-scan certificate that any finite family with a nontrivial member
   violates (alpha, beta)-fairness for beta below 1/|family|.
+
+Both read the audit's own evaluation path: one exact ``prediction_table``
+for the family's gaps, and ``Metric.pair_distances`` for the distances.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import Dataset, DeterministicClassifier, Point, TabularScorer
-from .derandomize import IdentityBucketer, PiDerandomizer
+import numpy as np
+
+from .core import Dataset, Point, TabularScorer
+from .derandomize import Derandomizer, IdentityBucketer, PiDerandomizer
 from .errors import GridTooCoarseError, InvalidParameterError
 from .measure import EstimatorConfig, FairnessReport, prediction_table, scorer_beta
 from .metrics import Metric, ScaledEuclidean
@@ -97,10 +102,8 @@ def sphere_counterexample(
     dataset = Dataset(points)
 
     metric = ScaledEuclidean(1.0)
-    min_distance = min(
-        metric.distance(dataset[i], dataset[j]) for i, j in dataset.index_pairs()
-    )
-    gap = Fraction(min_distance)  # exact binary value of the realized float
+    _, distances = metric.pair_distances(dataset, *np.triu_indices(len(dataset), 1))
+    gap = Fraction(min(distances))  # exact binary value of the realized float
     high = (1 + gap) / 2
     low = (1 - gap) / 2
     scorer = TabularScorer(
@@ -162,7 +165,7 @@ def verify_sphere_counterexample(
 
 
 def finite_family_violation_search(
-    classifiers: Sequence[DeterministicClassifier],
+    derand: Derandomizer,
     metric: Metric,
     grid: Sequence[Point],
     alpha: float,
@@ -171,37 +174,34 @@ def finite_family_violation_search(
     """Find a pair of adjacent grid points witnessing that the family is
     not (alpha, beta, d)-fair, by scanning for member discontinuities.
 
-    The grid is an ordered path through the domain.  Returns None when
-    every member is constant on the grid.  With beta < 1/|family| and
-    adjacent spacing below (1/|family| - beta)/alpha, any member flip
-    between neighbors certifies a violation.
+    The grid is an ordered path through the domain; one exact prediction
+    table over it counts the members that flip between neighbors.  Returns
+    None when no member flips.  With beta < 1/|family| and adjacent spacing
+    below (1/|family| - beta)/alpha, any flip certifies a violation.
     """
-    if not classifiers:
-        raise InvalidParameterError("family must be non-empty")
+    derand._check_enumerable()
     if len(grid) < 2:
         raise InvalidParameterError("grid needs at least 2 points")
-    size = len(classifiers)
+    size = derand.family_size
     if not beta < 1.0 / size:
         raise InvalidParameterError(f"beta must be below 1/|family| = {1.0 / size}")
 
-    bits = [[c.predict(p) for p in grid] for c in classifiers]
-    if all(len(set(row)) == 1 for row in bits):
+    table = prediction_table(derand, grid, EstimatorConfig(mode="exact"))
+    i = np.arange(len(grid) - 1)
+    flips = table.split_counts(i, i + 1)
+    if not flips.any():
         return None
 
     spacing_cap = (1.0 / size - beta) / alpha
-    spacing = max(
-        float(metric.distance(grid[i], grid[i + 1])) for i in range(len(grid) - 1)
-    )
+    codes, values = metric.pair_distances(grid, i, i + 1)
+    spacing = max(float(d) for d in values)
     if spacing >= spacing_cap:
         raise GridTooCoarseError(
             f"adjacent spacing {spacing} must be below {spacing_cap}"
         )
 
-    for i in range(len(grid) - 1):
-        flips = sum(row[i] != row[i + 1] for row in bits)
-        if flips == 0:
-            continue
-        gap = Fraction(flips, size)
-        if gap > alpha * metric.distance(grid[i], grid[i + 1]) + beta:
-            return grid[i], grid[i + 1]
+    for p in np.flatnonzero(flips).tolist():
+        gap = Fraction(int(flips[p]), size)
+        if gap > alpha * values[codes[p]] + beta:
+            return grid[p], grid[p + 1]
     return None

@@ -94,6 +94,13 @@ def _integral(value) -> bool:
     return type(value) in (int, float) and value % 1 == 0
 
 
+# top-level keys, and "section.key" for keys of a section's object
+INTEGER_KEYS = ("k", "trials", "seed", "pairs_cap", "adversarial.n_points", "adversarial.dimension",
+                "adversarial.grid_steps", "lsh.n", "lsh.universe_size", "lsh.dim", "metric.n")
+NUMBER_KEYS = ("tau", "delta", "adversarial.delta_sphere", "adversarial.eps_gap", "bucketer.resolution",
+               "metric.scale")
+
+
 def _resolve(config: dict, args) -> dict:
     merged = dict(config)
     for key in ("seed", "out", "mode", "trials", "pairs_cap"):
@@ -105,12 +112,15 @@ def _resolve(config: dict, args) -> dict:
     merged.setdefault("mode", "exact")
     merged.setdefault("trials", 100_000)
     merged.setdefault("pairs_cap", 200_000)
-    for key in ("k", "trials", "seed", "pairs_cap"):
-        if key in merged and not _integral(merged[key]):
-            raise ConfigError(f"{key} must be an integer")
-    for key in ("tau", "delta"):
-        if key in merged and type(merged[key]) not in (int, float):  # JSON numbers, not bools
-            raise ConfigError(f"{key} must be a number")
+    for path in INTEGER_KEYS + NUMBER_KEYS:
+        section, _, key = path.rpartition(".")
+        spec = merged.get(section, {}) if section else merged
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{section} must be an object")
+        if key in spec and path in INTEGER_KEYS and not _integral(spec[key]):
+            raise ConfigError(f"{path} must be an integer")
+        if key in spec and path in NUMBER_KEYS and type(spec[key]) not in (int, float):  # JSON numbers, not bools
+            raise ConfigError(f"{path} must be a number")
     if "tau" in merged and not 0 <= merged["tau"] <= 1:
         raise ConfigError("tau must lie in [0, 1]")
     if "delta" in merged and not 0 < merged["delta"] < 1:
@@ -141,7 +151,7 @@ def _build_metric(config: dict, dataset: Dataset):
     kind = spec.get("kind", "hamming")
     dim = len(dataset[0].fairness_vector)
     if kind == "hamming":
-        return NormalizedHamming(spec.get("n", dim))
+        return NormalizedHamming(int(spec.get("n", dim)))
     if kind == "angular":
         return Angular()
     if kind == "jaccard":
@@ -186,11 +196,11 @@ def _build_derandomizer(config: dict, dataset: Dataset, scorer):
         kind = spec.get("kind", "bit_sampling")
         dim = len(dataset[0].fairness_vector)
         if kind == "bit_sampling":
-            family = BitSamplingFamily(spec.get("n", dim))
+            family = BitSamplingFamily(int(spec.get("n", dim)))
         elif kind == "minhash":
-            family = MinHashFamily(spec.get("universe_size", dim))
+            family = MinHashFamily(int(spec.get("universe_size", dim)))
         elif kind == "simhash":
-            family = SimHashFamily(spec.get("dim", dim))
+            family = SimHashFamily(int(spec.get("dim", dim)))
         else:
             raise ConfigError(f"unknown lsh kind {kind!r}")
         return LsDerandomizer(scorer, family, k)
@@ -333,17 +343,22 @@ def cmd_adversarial(config: dict) -> Path:
         dataset, csv_scorer = load_dataset(config["input"])
         scorer = _build_scorer(config, csv_scorer)
         derand = _build_derandomizer(config, dataset, scorer)
-        family = derand.enumerate_members()
         metric = _build_metric(config, dataset)
         steps = int(spec.get("grid_steps", 1001))
-        start = np.asarray(spec.get("grid_start", [0.0] * dataset.dimension), dtype=float)
-        stop = np.asarray(spec.get("grid_stop", [1.0] * dataset.dimension), dtype=float)
+        if steps < 2:
+            raise ConfigError("adversarial.grid_steps must be at least 2")
+        start = spec.get("grid_start", [0.0] * dataset.dimension)
+        stop = spec.get("grid_stop", [1.0] * dataset.dimension)
+        if not all(isinstance(v, list) and len(v) == dataset.dimension and all(type(x) in (int, float) for x in v)
+                   for v in (start, stop)):
+            raise ConfigError(f"grid_start and grid_stop must be lists of {dataset.dimension} numbers")
+        start, stop = np.asarray(start, dtype=float), np.asarray(stop, dtype=float)
         grid = [
             Point(f"g{i:05d}", tuple(start + (stop - start) * (i / (steps - 1))))
             for i in range(steps)
         ]
         found = finite_family_violation_search(
-            family, metric, grid,
+            derand, metric, grid,
             float(config.get("alpha", 1.0)), float(config.get("beta", 0.0)),
         )
         payload["violation"] = (
@@ -384,6 +399,8 @@ def cmd_bounds(config: dict) -> Path:
         name = spec.pop("name", None)
         if name is None:
             raise ConfigError("each bounds entry needs a 'name'")
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in spec.values()):
+            raise ConfigError(f"the inputs of bound {name!r} must be finite numbers")
         results.append({"name": name, "inputs": spec, "value": float(compute_bound(name, **spec))})
     payload = _report_skeleton(config)
     payload["bounds"] = results

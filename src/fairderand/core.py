@@ -121,13 +121,6 @@ class Dataset:
         except KeyError:
             raise UnknownPointError(point_id) from None
 
-    def index_pairs(self) -> Iterator[tuple[int, int]]:
-        """All unordered pairs of distinct point indices, in row order."""
-        n = len(self.points)
-        for i in range(n):
-            for j in range(i + 1, n):
-                yield i, j
-
 
 class StochasticScorer:
     """A total map from points to scores in [0, 1], read as Pr[predict 1]."""

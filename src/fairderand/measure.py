@@ -16,8 +16,7 @@ every enumerated (exact) or drawn (Monte Carlo) member, the residues
 (a * e + c) mod k are compared with t = floor(score * k), and the rows are
 packed into bits and added to the per-member counts that bias and
 variance need.  The tail check embeds its sampled classifiers with the
-same embedder, in one call.  The pointwise helpers build a table over
-their one or two points; only ``decomposition_check`` draws its own
+same embedder, in one call.  Only ``decomposition_check`` draws its own
 batch, because its Bernoulli draws continue that batch's generator.
 
 Pair quantities read one pass per table and metric over every pair, or
@@ -35,6 +34,7 @@ count/size - budget as one float64 array.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,16 +42,11 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    DeterministicClassifier,
-    Point,
-    StochasticScorer,
-    threshold_count,
-)
+from .core import Dataset, Point, StochasticScorer, threshold_count
 from .derandomize import Derandomizer, LsDerandomizer, RtDerandomizer
 from .errors import (
     EmptyPairSetError,
+    FamilyTooLargeError,
     InvalidParameterError,
     NotEnumerableError,
 )
@@ -359,8 +354,8 @@ def _share(count: int, size: int, exact: bool) -> Estimate:
 
 
 def _pair_excesses(table: PredictionTable, classes: PairClasses, budget: Callable) -> list[Number]:
-    """gap - budget(d) per class, with the gap exact or float as in
-    ``pairwise_unfairness``; budget runs once per distinct distance."""
+    """gap - budget(d) per class, with the gap count/size exact or float as
+    in ``_share``; budget runs once per distinct distance."""
     budgets = [budget(d) for d in classes.values]
     codes, counts = classes.class_codes, classes.class_counts
     if not table.cfg.exact:  # float - Fraction is float(a) - float(b)
@@ -383,11 +378,6 @@ def _close_pairs(n_points: int, codes: np.ndarray, values: list[Distance], tau: 
 # ---------------------------------------------------------------------------
 # bias and variance
 
-def pointwise_bias(derand: Derandomizer, point: Point, cfg: EstimatorConfig) -> Estimate:
-    """Family-mean prediction at the point minus the score."""
-    return prediction_table(derand, (point,), cfg).bias(0)
-
-
 def aggregate_bias(table: PredictionTable) -> Estimate:
     """Dataset average of the pointwise bias."""
     n = len(table.dataset)
@@ -405,11 +395,6 @@ def over_common_denominator(scores: Sequence[Fraction]) -> tuple[list[int], int]
     denominator, so that sums over them are integer arithmetic."""
     den = math.lcm(*{s.denominator for s in scores})
     return [s.numerator * (den // s.denominator) for s in scores], den
-
-
-def pointwise_variance(derand: Derandomizer, point: Point, cfg: EstimatorConfig) -> Estimate:
-    """Variance of the prediction bit across family members."""
-    return prediction_table(derand, (point,), cfg).variance(0)
 
 
 def aggregate_variance(table: PredictionTable) -> Estimate:
@@ -439,15 +424,6 @@ def _variance_stderr(samples: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # pairwise and aggregate fairness
 
-def pairwise_unfairness(
-    derand: Derandomizer, x: Point, y: Point, cfg: EstimatorConfig
-) -> Estimate:
-    """Expected absolute prediction gap E[|f(x) - f(y)|] over the family."""
-    table = prediction_table(derand, (x, y), cfg)
-    n_diff = int(table.split_counts(np.array([0]), np.array([1]))[0])
-    return _share(n_diff, table.size, cfg.exact)
-
-
 def metric_fairness_check(
     table: PredictionTable, metric: Metric, alpha: Number, beta: Number
 ) -> FairnessReport:
@@ -473,22 +449,6 @@ def metric_fairness_check(
     )
     report.add("worst_excess", worst_excess)
     return report
-
-
-def aggregate_fairness(
-    classifier: DeterministicClassifier,
-    dataset: Dataset,
-    metric: Metric,
-    tau: float,
-) -> Fraction:
-    """Fraction of tau-close pairs to which the classifier assigns
-    different predictions."""
-    bits = np.array([classifier.predict(p) for p in dataset])
-    n = len(dataset)
-    i, j, _ = _close_pairs(n, *metric.pair_distances(dataset, *np.triu_indices(n, 1)), tau)
-    if i.size == 0:
-        raise EmptyPairSetError(f"no pairs within distance {tau}")
-    return Fraction(int((bits[i] != bits[j]).sum()), i.size)
 
 
 def sampled_aggregate_fairness(
@@ -551,23 +511,22 @@ def threshold_fairness_check(
 ) -> FairnessReport:
     """Over pairs within distance sigma, check the family's expected
     prediction gap against tau; for the locality-sensitive scheme with
-    k >= 4/sigma, also against the preserved guarantee sigma + tau."""
+    k >= 4/sigma, also against the preserved guarantee sigma + tau.
+    With no pair within sigma there is nothing to check, and it raises."""
     if not (0 < sigma < 1 and 0 < tau < 1):
         raise InvalidParameterError("sigma and tau must lie in (0, 1)")
     classes = table.pair_classes(metric)
     i, j, close = _close_pairs(len(table.dataset), classes.codes, classes.values, sigma)
-    report = FairnessReport()
-    report.add("pairs_within_sigma", int(i.size))
     if i.size == 0:
-        report.add("max_gap", 0, bound=tau, bound_source="threshold fairness (vacuous)", satisfied=True)
-        return report
-
+        raise EmptyPairSetError(f"no pairs within distance {sigma}")
     n_diff = int(classes.counts[close].max())
     # max() keeps its first maximal argument: an int 0 when no pair differs
     worst: Number = max(0, _share(n_diff, table.size, table.cfg.exact).value)
     scores = table.scores
     scorer_worst: Number = max([0, *(abs(scores[a] - scores[b]) for a, b in zip(i.tolist(), j.tolist()))])
 
+    report = FairnessReport()
+    report.add("pairs_within_sigma", int(i.size))
     report.add("scorer_max_gap", scorer_worst)
     bounds = [("max_gap", tau, "threshold fairness target")]
     derand = table.derand
@@ -593,13 +552,14 @@ def decomposition_check(
     most |bias| + 2 * (score variance + family variance)^(2/3).
 
     The Bernoulli variance is score*(1 - score) analytically; the family
-    variance and bias come from enumeration when available.
+    variance and bias come from enumeration when the family is enumerable
+    within the cap, and from a seeded batch otherwise.
     """
     score = derand.scorer.score(point)
     var_bern = score * (1 - score)
     try:
         table = prediction_table(derand, (point,), EstimatorConfig(mode="exact", seed=cfg.seed))
-    except NotEnumerableError:
+    except (NotEnumerableError, FamilyTooLargeError):
         table = prediction_table(derand, (point,), EstimatorConfig(mode="mc", trials=cfg.trials, seed=cfg.seed))
     bias, var_family = table.bias(0).value, table.variance(0).value
 
@@ -630,33 +590,16 @@ def decomposition_check(
 # empirical fairness curve and certification
 
 def empirical_fairness_curve(
-    source: Union[PredictionTable, StochasticScorer],
-    metric: Metric,
-    alphas: Sequence[float],
-    dataset: Optional[Dataset] = None,
-    cfg: Optional[EstimatorConfig] = None,
+    table: PredictionTable, metric: Metric, alphas: Sequence[float]
 ) -> list[tuple[float, float]]:
     """For each slope a on the grid, the mean residual additive unfairness
-    b(a) = mean over pairs of max(gap - a*d, 0).
-
-    ``source`` is a prediction table (gap = expected prediction gap over
-    the family), or a scorer on ``dataset`` (gap = |score difference|),
-    with pairs selected by ``cfg``.
-    """
-    if isinstance(source, PredictionTable):
-        classes = source.pair_classes(metric, capped=True)
-        g, codes, values = classes.counts / source.size, classes.codes, classes.values
-    else:
-        cfg = cfg or EstimatorConfig()
-        i, j, _ = select_pairs(len(dataset), cfg.pairs_cap, cfg.seed)
-        score = source.score
-        g = np.array(
-            [float(abs(score(dataset[a]) - score(dataset[b]))) for a, b in zip(i.tolist(), j.tolist())]
-        )
-        codes, values = metric.pair_distances(dataset, i, j)
-    if g.size == 0:
+    b(a) = mean over the table's capped pairs of max(gap - a*d, 0), where
+    gap is the family's expected prediction gap."""
+    classes = table.pair_classes(metric, capped=True)
+    if classes.codes.size == 0:
         raise InvalidParameterError("need at least 2 points")
-    d = np.array([float(v) for v in values])[codes]
+    g = classes.counts / table.size
+    d = np.array([float(v) for v in classes.values])[classes.codes]
     return [(float(a), float(np.maximum(g - float(a) * d, 0.0).mean())) for a in alphas]
 
 
@@ -698,9 +641,9 @@ def _check_unit(name: str, value: Number):
 def bias_bound(k: int) -> Fraction:
     """1/k: bias budget of the hashed-threshold schemes (and the grid
     random threshold on arbitrary scores)."""
-    if k < 1:
-        raise InvalidParameterError("k must be positive")
-    return Fraction(1, k)
+    if k < 1 or k % 1:
+        raise InvalidParameterError("k must be a positive integer")
+    return Fraction(1, int(k))
 
 
 def pi_variance_bound(max_bucket_mass: Number, mean_score_variance: Number, k: int) -> Number:
@@ -721,18 +664,6 @@ def rt_variance_bound(mean_score_variance: Number) -> Number:
     """Random-threshold variance budget: E[f(1-f)] (inequality only; no
     tightness or cross-scheme ordering is claimed)."""
     return mean_score_variance
-
-
-def ls_pairwise_exact_band(
-    fx: Fraction, fy: Fraction, d: Number, k: int
-) -> tuple[Number, Number]:
-    """Exact-expectation band for the locality-sensitive scheme:
-    |fx - fy| + 2*min(1-max)*d, plus or minus 2/k."""
-    _check_unit("d", d)
-    lo_score, hi_score = min(fx, fy), max(fx, fy)
-    center = (hi_score - lo_score) + 2 * lo_score * (1 - hi_score) * d
-    halfwidth = 2 * bias_bound(k)
-    return center - halfwidth, center + halfwidth
 
 
 def ls_pairwise_bound(
@@ -834,4 +765,7 @@ def compute_bound(name: str, **inputs) -> Number:
         raise InvalidParameterError(
             f"unknown bound {name!r}; choose from {sorted(BOUND_REGISTRY)}"
         ) from None
+    params = inspect.signature(fn).parameters
+    if set(inputs) != set(params):
+        raise InvalidParameterError(f"bound {name!r} takes the inputs {list(params)}")
     return fn(**inputs)

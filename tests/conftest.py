@@ -5,14 +5,17 @@ The oracles evaluate every enumerated classifier through its public
 enumeration path must agree with them exactly.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fairderand import Dataset, Point, TabularScorer
-from fairderand.measure import pairwise_unfairness
+from fairderand.errors import EmptyPairSetError, GridTooCoarseError, InvalidParameterError
+from fairderand.measure import prediction_table
 
 
 def random_binary_dataset(rng: random.Random, n_points: int, dim: int) -> Dataset:
@@ -75,10 +78,17 @@ def brute_aggregate_variance(derand, dataset) -> Fraction:
     return sum((m - overall) ** 2 for m in means) / len(means)
 
 
+def split_share(table, a, b):
+    """The share of the table's members (or trials) that predict
+    differently at points a and b: exact, or a float in Monte Carlo mode."""
+    n_diff = int(table.split_counts(np.array([a]), np.array([b]))[0])
+    return Fraction(n_diff, table.size) if table.cfg.exact else n_diff / table.size
+
+
 def reference_gap(derand, x, y, cfg):
     """The family's expected prediction gap at one pair: brute force in
     exact mode, the seeded batch's estimate in Monte Carlo mode."""
-    return brute_pairwise(derand, x, y) if cfg.exact else pairwise_unfairness(derand, x, y, cfg).value
+    return brute_pairwise(derand, x, y) if cfg.exact else split_share(prediction_table(derand, (x, y), cfg), 0, 1)
 
 
 def reference_fairness_check(derand, dataset, metric, alpha, beta, cfg, pairs):
@@ -97,13 +107,51 @@ def reference_fairness_check(derand, dataset, metric, alpha, beta, cfg, pairs):
 def reference_family_beta(derand, dataset, metric, alpha, cfg):
     """max(0, max over all pairs of gap - alpha*d), pair by pair."""
     worst = 0
-    for i, j in dataset.index_pairs():
+    for i, j in itertools.combinations(range(len(dataset)), 2):
         excess = reference_gap(derand, dataset[i], dataset[j], cfg) - alpha * metric.distance(
             dataset[i], dataset[j]
         )
         if excess > worst:
             worst = excess
     return worst
+
+
+def aggregate_fairness(classifier, dataset, metric, tau) -> Fraction:
+    """Fraction of tau-close pairs to which the classifier assigns
+    different predictions, point by point and pair by pair."""
+    bits = [classifier.predict(p) for p in dataset]
+    close = [
+        (i, j)
+        for i, j in itertools.combinations(range(len(dataset)), 2)
+        if metric.distance(dataset[i], dataset[j]) <= tau
+    ]
+    if not close:
+        raise EmptyPairSetError(f"no pairs within distance {tau}")
+    return Fraction(sum(bits[i] != bits[j] for i, j in close), len(close))
+
+
+def brute_violation_search(derand, metric, grid, alpha, beta):
+    """The per-member grid scan: every enumerated member's prediction at
+    every grid point, then the first adjacent pair whose flip share
+    exceeds alpha*d + beta, or None when every member is constant."""
+    classifiers = derand.enumerate_members()
+    if len(grid) < 2:
+        raise InvalidParameterError("grid needs at least 2 points")
+    size = len(classifiers)
+    if not beta < 1.0 / size:
+        raise InvalidParameterError(f"beta must be below 1/|family| = {1.0 / size}")
+    bits = [[c.predict(p) for p in grid] for c in classifiers]
+    if all(len(set(row)) == 1 for row in bits):
+        return None
+    spacing_cap = (1.0 / size - beta) / alpha
+    spacing = max(float(metric.distance(grid[i], grid[i + 1])) for i in range(len(grid) - 1))
+    if spacing >= spacing_cap:
+        raise GridTooCoarseError(f"adjacent spacing {spacing} must be below {spacing_cap}")
+    for i in range(len(grid) - 1):
+        flips = sum(row[i] != row[i + 1] for row in bits)
+        if flips and Fraction(flips, size) > alpha * metric.distance(grid[i], grid[i + 1]) + beta:
+            return grid[i], grid[i + 1]
+    return None
 
 
 @pytest.fixture

@@ -468,6 +468,42 @@ class TestConfigHandling:
         assert main(["audit", "--config", str(config)]) == 0
 
     @pytest.mark.parametrize(
+        "command,overrides,message",
+        [
+            ("adversarial", dict(adversarial={"construction": "violation_search", "grid_steps": 1}),
+             "adversarial.grid_steps must be at least 2"),
+            ("adversarial", dict(adversarial={"construction": "violation_search", "grid_start": [0.0, 0.0]}),
+             "grid_start and grid_stop must be lists of 3 numbers"),
+            ("adversarial", dict(adversarial={"construction": "sphere", "n_points": "abc"}),
+             "adversarial.n_points must be an integer"),
+            ("adversarial", dict(adversarial={"construction": "sphere", "n_points": 10.7}),
+             "adversarial.n_points must be an integer"),
+            ("bounds", dict(bounds=[{"name": "bias", "x": 3}]), "bound 'bias' takes the inputs ['k']"),
+            ("bounds", dict(bounds=[{"name": "bias", "k": "7"}]), "the inputs of bound 'bias' must be finite numbers"),
+            ("bounds", dict(bounds=[{"name": "bias", "k": 7.5}]), "k must be a positive integer"),
+            ("audit", dict(scheme="pi", bucketer={"kind": "grid", "resolution": "x"}),
+             "bucketer.resolution must be a number"),
+            ("audit", dict(scheme="ls", k=11, lsh={"kind": "bit_sampling", "n": 1.5}), "lsh.n must be an integer"),
+            ("audit", dict(metric={"kind": "hamming", "n": 2.5}), "metric.n must be an integer"),
+            ("audit", dict(metric="hamming"), "metric must be an object"),
+        ],
+        ids=["grid_steps-1", "grid_start-length", "n_points-str", "n_points-float", "bounds-key", "bounds-str",
+             "bounds-k-float", "resolution-str", "lsh_n-float", "metric_n-float", "metric-str"],
+    )
+    def test_malformed_nested_value_exits_2(self, scored_csv, config_factory, capsys, tmp_path,
+                                            command, overrides, message):
+        # each is a config error: not a traceback, a truncation (10.7 points) or a data error (metric.n 2.5)
+        config = config_factory(input=str(scored_csv), **overrides)
+        assert main([command, "--config", str(config)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    def test_integral_float_nested_numbers_are_accepted(self, scored_csv, config_factory, tmp_path):
+        config = config_factory(input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "bit_sampling", "n": 3.0},
+                                metric={"kind": "hamming", "n": 3.0})
+        assert main(["audit", "--config", str(config)]) == 0
+
+    @pytest.mark.parametrize(
         "overrides",
         [dict(alpha=math.nan), dict(beta=math.inf), dict(curve_alphas=[0.0, math.nan]), dict(alpha="1")],
     )

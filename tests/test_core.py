@@ -114,7 +114,6 @@ class TestPointsAndDatasets:
         assert ds.get("b").id == "b"
         with pytest.raises(UnknownPointError):
             ds.get("missing")
-        assert list(ds.index_pairs()) == [(0, 1)]
 
 
 class TestClassifiers:

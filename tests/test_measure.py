@@ -34,7 +34,6 @@ from fairderand.errors import (
 )
 from fairderand.measure import (
     aggregate_bias,
-    aggregate_fairness,
     aggregate_fairness_tail_check,
     aggregate_tail_bound,
     aggregate_variance,
@@ -43,13 +42,9 @@ from fairderand.measure import (
     decomposition_check,
     empirical_fairness_curve,
     family_beta,
-    ls_pairwise_exact_band,
     ls_variance_bound,
     metric_fairness_check,
-    pairwise_unfairness,
     pi_variance_bound,
-    pointwise_bias,
-    pointwise_variance,
     prediction_table,
     rt_variance_bound,
     sampled_aggregate_fairness,
@@ -65,6 +60,7 @@ from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming, bina
 from fairderand.rng import CountingRng
 
 from conftest import (
+    aggregate_fairness,
     brute_aggregate_variance,
     brute_mean,
     brute_pairwise,
@@ -72,6 +68,7 @@ from conftest import (
     random_scorer,
     reference_fairness_check,
     reference_family_beta,
+    split_share,
 )
 
 EXACT = EstimatorConfig(mode="exact")
@@ -115,16 +112,11 @@ class TestOracleAgreement:
         ds = binary_dataset()
         scorer = random_scorer(py_rng, ds)
         for derand in small_families(ds, scorer):
-            for p in ds:
-                assert pointwise_bias(derand, p, EXACT).value == brute_mean(
-                    derand, p
-                ) - scorer.score(p)
-            assert aggregate_variance(prediction_table(derand, ds, EXACT)).value == brute_aggregate_variance(
-                derand, ds
-            )
-            assert pairwise_unfairness(derand, ds[0], ds[1], EXACT).value == brute_pairwise(
-                derand, ds[0], ds[1]
-            )
+            table = prediction_table(derand, ds, EXACT)
+            for r, p in enumerate(ds):
+                assert table.bias(r).value == brute_mean(derand, p) - scorer.score(p)
+            assert aggregate_variance(table).value == brute_aggregate_variance(derand, ds)
+            assert split_share(table, 0, 1) == brute_pairwise(derand, ds[0], ds[1])
 
     def test_monte_carlo_within_four_sigma_of_exact(self, py_rng):
         ds = binary_dataset()
@@ -139,9 +131,10 @@ class TestOracleAgreement:
             est = aggregate_variance(prediction_table(derand, ds, mc))
             assert abs(est.value - float(exact_var)) <= 4 * est.stderr + 1e-12
 
-            exact_pair = pairwise_unfairness(derand, ds[0], ds[2], EXACT).value
-            est = pairwise_unfairness(derand, ds[0], ds[2], mc)
-            assert abs(est.value - float(exact_pair)) <= 4 * est.stderr + 1e-12
+            exact_pair = split_share(prediction_table(derand, ds, EXACT), 0, 2)
+            est = split_share(prediction_table(derand, ds, mc), 0, 2)
+            stderr = math.sqrt(est * (1 - est) / mc.trials)
+            assert abs(est - float(exact_pair)) <= 4 * stderr + 1e-12
 
     def test_monte_carlo_simhash_matches_score(self):
         # non-enumerable family: sampled mean still lands within 1/k of the
@@ -150,7 +143,7 @@ class TestOracleAgreement:
         scorer = TabularScorer({"x": 0.37})
         derand = LsDerandomizer(scorer, SimHashFamily(2), 25)
         mc = EstimatorConfig(mode="mc", trials=200_000, seed=3)
-        est = pointwise_bias(derand, ds[0], mc)
+        est = prediction_table(derand, ds, mc).bias(0)
         assert abs(est.value) <= 1 / 25 + 4 * est.stderr
 
     @pytest.mark.parametrize(
@@ -173,13 +166,13 @@ class TestOracleAgreement:
         p = 1 - float(metric.distance(px, py))
         expected = p * abs(tx - ty) / k + (1 - p) * (tx * (k - ty) + ty * (k - tx)) / k**2
         mc = EstimatorConfig(mode="mc", trials=200_000, seed=13)
-        est = pairwise_unfairness(LsDerandomizer(scorer, family, k), px, py, mc)
-        assert abs(est.value - expected) <= 4 * est.stderr
+        est = split_share(prediction_table(LsDerandomizer(scorer, family, k), (px, py), mc), 0, 1)
+        assert abs(est - expected) <= 4 * math.sqrt(est * (1 - est) / mc.trials)
 
     def test_exact_mode_rejects_simhash(self):
         derand = LsDerandomizer(ConstantScorer(0.5), SimHashFamily(2), 5)
         with pytest.raises(NotEnumerableError):
-            pointwise_bias(derand, Point("x", (1.0, 0.0)), EXACT)
+            prediction_table(derand, (Point("x", (1.0, 0.0)),), EXACT)
 
 
 class TestBias:
@@ -191,20 +184,18 @@ class TestBias:
     def test_pi_bias_exact_example(self):
         ds = binary_dataset()
         derand = PiDerandomizer.build(ConstantScorer(0.5), ds, IdentityBucketer(), 5)
-        assert pointwise_bias(derand, ds[0], EXACT).value == Fraction(-1, 10)
+        assert prediction_table(derand, ds, EXACT).bias(0).value == Fraction(-1, 10)
 
     def test_constant_one_family_zero_bias(self):
         ds = binary_dataset()
         derand = RtDerandomizer(ConstantScorer(1), 5)
-        assert pointwise_bias(derand, ds[0], EXACT).value == 0
+        assert prediction_table(derand, ds, EXACT).bias(0).value == 0
 
     def test_singleton_dataset_aggregate_equals_pointwise(self):
         ds = Dataset([Point("only", (0.0, 1.0))])
         derand = RtDerandomizer(TabularScorer({"only": 0.41}), 7)
-        assert (
-            aggregate_bias(prediction_table(derand, ds, EXACT)).value
-            == pointwise_bias(derand, ds[0], EXACT).value
-        )
+        table = prediction_table(derand, ds, EXACT)
+        assert aggregate_bias(table).value == table.bias(0).value
 
     def test_bias_bound_holds_exactly_on_random_configs(self, py_rng):
         for _ in range(5):
@@ -271,26 +262,26 @@ class TestPairwiseUnfairness:
     def test_identical_degenerate_scores(self):
         ds = binary_dataset()
         derand = RtDerandomizer(ConstantScorer(1), 5)
-        assert pairwise_unfairness(derand, ds[0], ds[1], EXACT).value == 0
+        assert split_share(prediction_table(derand, ds, EXACT), 0, 1) == 0
 
     def test_ls_worked_example(self):
         ds = Dataset([Point("x1", (0.0, 0.0)), Point("x2", (0.0, 1.0))])
         scorer = TabularScorer({"x1": 0.2, "x2": 0.6})
         derand = LsDerandomizer(scorer, BitSamplingFamily(2), 5)
-        value = pairwise_unfairness(derand, ds[0], ds[1], EXACT).value
+        value = split_share(prediction_table(derand, ds, EXACT), 0, 1)
         assert value == Fraction(12, 25)
-        lo, hi = ls_pairwise_exact_band(
-            Fraction(1, 5), Fraction(3, 5), Fraction(1, 2), 5
-        )
-        assert lo <= value <= hi
+        # the exact-expectation band: |fx - fy| + 2*min(1-max)*d, plus or minus 2/k
+        fx, fy, d, k = Fraction(1, 5), Fraction(3, 5), Fraction(1, 2), 5
+        center = (fy - fx) + 2 * fx * (1 - fy) * d
+        assert center - Fraction(2, k) <= value <= center + Fraction(2, k)
 
     def test_rt_pairwise_is_threshold_count_gap(self, py_rng):
         ds = binary_dataset()
         for _ in range(10):
             scorer = random_scorer(py_rng, ds)
-            derand = RtDerandomizer(scorer, 10)
-            for i, j in ds.index_pairs():
-                value = pairwise_unfairness(derand, ds[i], ds[j], EXACT).value
+            table = prediction_table(RtDerandomizer(scorer, 10), ds, EXACT)
+            for i, j in itertools.combinations(range(len(ds)), 2):
+                value = split_share(table, i, j)
                 gap = abs(scorer.score(ds[i]) - scorer.score(ds[j]))
                 assert abs(value - gap) <= Fraction(1, 10)
 
@@ -416,8 +407,7 @@ class TestThresholdFairnessCheck:
         derand = RtDerandomizer(TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9}), 11)
         report = self.check(derand)
         ds = binary_dataset()
-        gaps = [pairwise_unfairness(derand, ds[i], ds[j], EXACT).value
-                for i, j in ((0, 2), (1, 2))]  # the pairs within sigma
+        gaps = [brute_pairwise(derand, ds[i], ds[j]) for i, j in ((0, 2), (1, 2))]  # the pairs within sigma
         assert report["pairs_within_sigma"]["value"] == 2
         assert report["max_gap"]["value"] == max(gaps)
         assert report["max_gap_vs_grid_guarantee"]["bound"] == self.TAU + Fraction(1, 11)
@@ -438,12 +428,19 @@ class TestThresholdFairnessCheck:
         mc = EstimatorConfig(mode="mc", trials=500, seed=4)
         report = threshold_fairness_check(prediction_table(derand, ds, mc), metric, 0.3, 0.5)
         gaps = [
-            pairwise_unfairness(derand, ds[i], ds[j], mc).value
-            for i, j in ds.index_pairs()
+            split_share(prediction_table(derand, (ds[i], ds[j]), mc), 0, 1)
+            for i, j in itertools.combinations(range(len(ds)), 2)
             if metric.distance(ds[i], ds[j]) <= 0.3
         ]
         assert report["pairs_within_sigma"]["value"] == len(gaps)
         assert report["max_gap"]["value"] == max(gaps)
+
+    def test_no_pair_within_sigma_raises(self):
+        # no pair within sigma leaves nothing to check, not a vacuous pass
+        scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
+        table = prediction_table(RtDerandomizer(scorer, 11), binary_dataset(), EXACT)
+        with pytest.raises(EmptyPairSetError):
+            threshold_fairness_check(table, NormalizedHamming(2), 0.01, self.TAU)
 
     def test_pi_reports_neither(self):
         scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
@@ -715,8 +712,8 @@ class TestLossApproximation:
         scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
         derand = RtDerandomizer(scorer, 10)
         p = ds[0]
-        out_bias = abs(pointwise_bias(derand, p, EXACT).value)
-        out_var = pointwise_variance(derand, p, EXACT).value
+        table = prediction_table(derand, (p,), EXACT)
+        out_bias, out_var = abs(table.bias(0).value), table.variance(0).value
         for bits in itertools.product((0, 1), repeat=4):
             table = dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], bits))
             for y in (0, 1):
@@ -734,7 +731,7 @@ class TestLossApproximation:
         derand = RtDerandomizer(TabularScorer({"x1": 0.33}), 7)
         p = Point("x1", (0.0,))
         lbias, _ = self.loss_moments(derand, p, 1, self.MISCLASSIFICATION)
-        assert lbias == abs(pointwise_bias(derand, p, EXACT).value)
+        assert lbias == abs(prediction_table(derand, (p,), EXACT).bias(0).value)
 
 
 class TestDecomposition:
@@ -755,6 +752,15 @@ class TestDecomposition:
         assert report["expected_gap"]["bound"] == pytest.approx(2 * 0.5 ** (2 / 3))
         assert report["expected_gap"]["satisfied"]
 
+    def test_family_above_the_enumeration_cap_falls_back_to_monte_carlo(self):
+        # 1009**2 = 1,018,081 members, above the enumeration cap
+        ds = Dataset([Point(f"x{i}", (float(i),)) for i in range(3)])
+        derand = PiDerandomizer.build(TabularScorer({"x0": 0.3, "x1": 0.6, "x2": 0.9}), ds, IdentityBucketer(), 1009)
+        assert derand.family_size == 1_018_081
+        report = decomposition_check(derand, ds[0], EstimatorConfig(mode="mc", trials=2000, seed=5))
+        assert isinstance(report["family_variance"]["value"], float)
+        assert report["expected_gap"]["satisfied"]
+
     def test_ls_small_instance(self):
         ds = Dataset([Point("x", (0.0, 1.0))])
         derand = LsDerandomizer(TabularScorer({"x": 0.9}), BitSamplingFamily(2), 5)
@@ -765,22 +771,22 @@ class TestDecomposition:
 class TestFairnessCurve:
     def test_constant_scorer_flat_zero(self):
         ds = binary_dataset()
-        curve = empirical_fairness_curve(
-            ConstantScorer(0.5), NormalizedHamming(2), [0.0, 0.5, 1.0], ds
-        )
+        table = prediction_table(RtDerandomizer(ConstantScorer(0.5), 10), ds, EXACT)
+        curve = empirical_fairness_curve(table, NormalizedHamming(2), [0.0, 0.5, 1.0])
         assert all(b == 0.0 for _, b in curve)
 
     def test_zero_alpha_gives_mean_gap(self):
+        # a shared threshold splits the two points with chance |t_a - t_b|/k = 7/10
         ds = Dataset([Point("a", (0.0,)), Point("b", (1.0,))])
-        scorer = TabularScorer({"a": 0.2, "b": 0.9})
-        curve = empirical_fairness_curve(scorer, NormalizedHamming(1), [0.0], ds)
+        table = prediction_table(RtDerandomizer(TabularScorer({"a": 0.2, "b": 0.9}), 10), ds, EXACT)
+        curve = empirical_fairness_curve(table, NormalizedHamming(1), [0.0])
         assert curve[0][1] == pytest.approx(0.7)
 
     def test_monotone_nonincreasing(self, py_rng):
         ds = random_binary_dataset(py_rng, 6, 4)
-        scorer = random_scorer(py_rng, ds)
+        derand = LsDerandomizer(random_scorer(py_rng, ds), BitSamplingFamily(4), 11)
         alphas = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
-        curve = empirical_fairness_curve(scorer, NormalizedHamming(4), alphas, ds)
+        curve = empirical_fairness_curve(prediction_table(derand, ds, EXACT), NormalizedHamming(4), alphas)
         betas = [b for _, b in curve]
         assert all(b1 >= b2 for b1, b2 in zip(betas, betas[1:]))
 
