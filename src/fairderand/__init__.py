@@ -31,6 +31,6 @@ from .hashing import (
     PiHash,
     SimHashFamily,
 )
-from .measure import Estimate, EstimatorConfig, FairnessReport
+from .measure import Estimate, EstimatorConfig
 from .metrics import Angular, JaccardDistance, Metric, NormalizedHamming, ScaledEuclidean
 from .rng import CountingRng

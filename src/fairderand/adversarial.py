@@ -25,7 +25,7 @@ import numpy as np
 from .core import Dataset, Point, TabularScorer
 from .derandomize import Derandomizer, IdentityBucketer, PiDerandomizer
 from .errors import GridTooCoarseError, InvalidParameterError
-from .measure import EstimatorConfig, FairnessReport, prediction_table, scorer_beta
+from .measure import EstimatorConfig, prediction_table, quantity, scorer_beta
 from .metrics import Metric, ScaledEuclidean
 
 
@@ -117,7 +117,7 @@ def verify_sphere_counterexample(
     dataset: Dataset,
     scorer: TabularScorer,
     metric: Metric,
-) -> FairnessReport:
+) -> dict:
     """Exact verification of both halves of the construction: the scorer is
     (1, 0, d)-fair, and the hashed-threshold family's gap on every pair is
     at least 1/2 - eps_gap - 1/(2k), violating (alpha, beta, d)."""
@@ -137,31 +137,19 @@ def verify_sphere_counterexample(
         if not gap > cfg.alpha * pairs.values[code] + Fraction(str(cfg.beta)):
             pairs_not_violating += weight
 
-    report = FairnessReport()
-    report.add("pairs_checked", int(pairs.codes.size))
-    report.add(
-        "scorer_unfairness_residual",
-        residual,
-        bound=0,
-        bound_source="scorer is (1, 0, d)-fair by construction",
-        satisfied=residual <= 0,
-    )
-    report.add("family_gap_floor", floor_value)
-    report.add(
-        "pairs_below_gap_floor",
-        pairs_below_floor,
-        bound=0,
-        bound_source="hashed-threshold unfairness floor",
-        satisfied=pairs_below_floor == 0,
-    )
-    report.add(
-        "pairs_not_violating_target",
-        pairs_not_violating,
-        bound=0,
-        bound_source="every pair must violate (alpha, beta, d)",
-        satisfied=pairs_not_violating == 0,
-    )
-    return report
+    return {
+        "pairs_checked": quantity(int(pairs.codes.size)),
+        "scorer_unfairness_residual": quantity(
+            residual, bound=0, bound_source="scorer is (1, 0, d)-fair by construction"
+        ),
+        "family_gap_floor": quantity(floor_value),
+        "pairs_below_gap_floor": quantity(
+            pairs_below_floor, bound=0, bound_source="hashed-threshold unfairness floor"
+        ),
+        "pairs_not_violating_target": quantity(
+            pairs_not_violating, bound=0, bound_source="every pair must violate (alpha, beta, d)"
+        ),
+    }
 
 
 def finite_family_violation_search(
@@ -188,20 +176,15 @@ def finite_family_violation_search(
 
     table = prediction_table(derand, grid, EstimatorConfig(mode="exact"))
     i = np.arange(len(grid) - 1)
-    flips = table.split_counts(i, i + 1)
-    if not flips.any():
+    flips = np.flatnonzero(table.split_counts(i, i + 1))
+    if flips.size == 0:
         return None
 
-    spacing_cap = (1.0 / size - beta) / alpha
-    codes, values = metric.pair_distances(grid, i, i + 1)
-    spacing = max(float(d) for d in values)
-    if spacing >= spacing_cap:
+    spacing = max(metric.pair_distances(grid, i, i + 1)[1])
+    if not Fraction(alpha) * Fraction(spacing) + Fraction(beta) < Fraction(1, size):
         raise GridTooCoarseError(
-            f"adjacent spacing {spacing} must be below {spacing_cap}"
+            f"adjacent spacing {float(spacing)} must be below {(1.0 / size - beta) / alpha}"
         )
-
-    for p in np.flatnonzero(flips).tolist():
-        gap = Fraction(int(flips[p]), size)
-        if gap > alpha * values[codes[p]] + beta:
-            return grid[p], grid[p + 1]
-    return None
+    # every flip splits at least 1/|family| > alpha*d + beta of the family
+    p = int(flips[0])
+    return grid[p], grid[p + 1]

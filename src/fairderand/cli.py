@@ -1,12 +1,15 @@
 """Batch experiment driver.
 
 Subcommands: derandomize | audit | adversarial | strategic | bounds.
-Configuration is a single JSON file; --seed/--out/--mode/--trials/
---pairs-cap flags override the file.  Every command is a pure function of
-(config, dataset, seed): re-running writes identical files.
+Configuration is a single strict-JSON file (no NaN or Infinity, as in
+the reports); --seed/--out/--mode/--trials/--pairs-cap flags override the
+file.  Every command is a pure function of (config, dataset, seed):
+re-running writes identical files.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 exact mode on a
-non-enumerable family.
+Exit codes come from the error bases in ``errors``: 0 success, 2 config
+error (``InvalidParameterError``), 3 data error (``DataError``, or a file
+that cannot be read or written), 4 exact mode on a non-enumerable family
+(``NotEnumerableError``).
 """
 
 from __future__ import annotations
@@ -37,23 +40,10 @@ from .derandomize import (
     PiDerandomizer,
     RtDerandomizer,
 )
-from .errors import (
-    DataFormatError,
-    DimensionMismatchError,
-    EmptyPairSetError,
-    FairderandError,
-    FamilyTooLargeError,
-    GridTooCoarseError,
-    InvalidParameterError,
-    NotEnumerableError,
-    UnknownBucketError,
-    UnknownPointError,
-    ZeroVectorError,
-)
+from .errors import ConfigError, DataError, DataFormatError, InvalidParameterError, NotEnumerableError
 from .hashing import BitSamplingFamily, MinHashFamily, SimHashFamily
 from .measure import (
     EstimatorConfig,
-    FairnessReport,
     aggregate_bias,
     aggregate_fairness_tail_check,
     aggregate_variance,
@@ -63,6 +53,7 @@ from .measure import (
     metric_fairness_check,
     over_common_denominator,
     prediction_table,
+    quantity,
     rt_variance_bound,
     worst_case_aggregate_bound,
 )
@@ -75,18 +66,26 @@ EXIT_DATA = 3
 EXIT_NOT_ENUMERABLE = 4
 
 
-class ConfigError(FairderandError):
-    pass
+def _finite(text: str) -> float:
+    """A JSON number literal as a float; NaN, Infinity and literals that
+    overflow (1e999) are not numbers a config may hold."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def _load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+            config = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, not UTF-8, or a NaN or Infinity
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    return config
 
 
 def _integral(value) -> bool:
@@ -98,7 +97,8 @@ def _integral(value) -> bool:
 INTEGER_KEYS = ("k", "trials", "seed", "pairs_cap", "adversarial.n_points", "adversarial.dimension",
                 "adversarial.grid_steps", "lsh.n", "lsh.universe_size", "lsh.dim", "metric.n")
 NUMBER_KEYS = ("tau", "delta", "adversarial.delta_sphere", "adversarial.eps_gap", "bucketer.resolution",
-               "metric.scale")
+               "metric.scale", "scorer.bias")
+STRING_KEYS = ("input", "out")
 
 
 def _resolve(config: dict, args) -> dict:
@@ -112,7 +112,7 @@ def _resolve(config: dict, args) -> dict:
     merged.setdefault("mode", "exact")
     merged.setdefault("trials", 100_000)
     merged.setdefault("pairs_cap", 200_000)
-    for path in INTEGER_KEYS + NUMBER_KEYS:
+    for path in INTEGER_KEYS + NUMBER_KEYS + STRING_KEYS:
         section, _, key = path.rpartition(".")
         spec = merged.get(section, {}) if section else merged
         if not isinstance(spec, dict):
@@ -121,6 +121,8 @@ def _resolve(config: dict, args) -> dict:
             raise ConfigError(f"{path} must be an integer")
         if key in spec and path in NUMBER_KEYS and type(spec[key]) not in (int, float):  # JSON numbers, not bools
             raise ConfigError(f"{path} must be a number")
+        if key in spec and path in STRING_KEYS and not isinstance(spec[key], str):
+            raise ConfigError(f"{path} must be a string")
     if "tau" in merged and not 0 <= merged["tau"] <= 1:
         raise ConfigError("tau must lie in [0, 1]")
     if "delta" in merged and not 0 < merged["delta"] < 1:
@@ -161,20 +163,26 @@ def _build_metric(config: dict, dataset: Dataset):
     raise ConfigError(f"unknown metric kind {kind!r}")
 
 
-def _build_scorer(config: dict, scorer_from_csv):
-    spec = config.get("scorer")
-    if spec is not None:
-        kind = spec.get("kind")
-        if kind == "affine":
-            return AffineScorer(spec["weights"], spec.get("bias", 0.0))
-        if kind == "constant":
-            return ConstantScorer(str(spec["value"]))
-        raise ConfigError(f"unknown scorer kind {kind!r}")
-    if scorer_from_csv is None:
-        raise DataFormatError(
-            "dataset has no 'score' column and the config defines no scorer"
-        )
-    return scorer_from_csv
+def _load_input(config: dict):
+    """The input dataset and its scorer: the config's, or else the
+    dataset's score column."""
+    if "input" not in config:
+        raise ConfigError("config must name an input dataset")
+    dataset, scorer = load_dataset(config["input"])
+    if "scorer" not in config:
+        if scorer is None:
+            raise DataFormatError("dataset has no 'score' column and the config defines no scorer")
+        return dataset, scorer
+    spec = config["scorer"]
+    kind = spec.get("kind")
+    if kind == "affine":
+        weights = spec.get("weights")
+        if not (isinstance(weights, list) and all(type(w) in (int, float) for w in weights)):
+            raise ConfigError("scorer.weights must be a list of numbers")
+        return dataset, AffineScorer(weights, spec.get("bias", 0.0))
+    if kind == "constant":
+        return dataset, ConstantScorer(str(spec.get("value")))
+    raise ConfigError(f"unknown scorer kind {kind!r}")
 
 
 def _build_derandomizer(config: dict, dataset: Dataset, scorer):
@@ -228,8 +236,7 @@ def _report_skeleton(config: dict) -> dict:
 
 
 def cmd_derandomize(config: dict) -> Path:
-    dataset, csv_scorer = load_dataset(config["input"])
-    scorer = _build_scorer(config, csv_scorer)
+    dataset, scorer = _load_input(config)
     derand = _build_derandomizer(config, dataset, scorer)
     rng = CountingRng(int(config["seed"]))
     clf = derand.sample(rng)
@@ -247,56 +254,50 @@ def cmd_derandomize(config: dict) -> Path:
 
 
 def cmd_audit(config: dict) -> Path:
-    dataset, csv_scorer = load_dataset(config["input"])
-    scorer = _build_scorer(config, csv_scorer)
+    dataset, scorer = _load_input(config)
     derand = _build_derandomizer(config, dataset, scorer)
     metric = _build_metric(config, dataset)
     cfg = _estimator(config)
-    alpha = config.get("alpha", 1.0)
-    beta = config.get("beta", 0.0)
+    if not cfg.exact and cfg.trials < 2:
+        raise ConfigError("an mc audit needs at least 2 trials: its variance divides by trials - 1")
+    # exact decimals, as scores are read: 1.1 is 11/10, not the nearest double
+    alpha = Fraction(str(config.get("alpha", 1)))
+    beta = Fraction(str(config.get("beta", 0)))
 
     payload = _report_skeleton(config)
     table = prediction_table(derand, dataset, cfg)
-    report = FairnessReport()
 
     bias = aggregate_bias(table)
     budget = bias_bound(derand.k)
-    report.add(
-        "aggregate_bias", bias.value, bias.stderr, budget, "family bias budget 1/k",
-        abs(bias.value) <= budget + 4 * (bias.stderr or 0),
-    )
+    quantities = {"aggregate_bias": quantity(bias.value, bias.stderr, budget, "family bias budget 1/k")}
 
     variance = aggregate_variance(table)
     if isinstance(derand, RtDerandomizer):
         numerators, den = over_common_denominator(table.scores)
         mean_fvar = Fraction(sum(p * (den - p) for p in numerators), den * den * len(dataset))
         bound = float(rt_variance_bound(mean_fvar)) + float(budget)
-        report.add(
-            "aggregate_variance", variance.value, variance.stderr, bound,
-            "mean score variance budget (grid slack 1/k)",
-            float(variance.value) <= bound + 4 * (variance.stderr or 0.0),
+        quantities["aggregate_variance"] = quantity(
+            variance.value, variance.stderr, bound, "mean score variance budget (grid slack 1/k)"
         )
     else:
-        report.add("aggregate_variance", variance.value, variance.stderr)
+        quantities["aggregate_variance"] = quantity(variance.value, variance.stderr)
 
     fairness = metric_fairness_check(table, metric, alpha, beta)
-    report.quantities["metric_fairness"] = fairness.quantities
+    quantities["metric_fairness"] = fairness
 
     if isinstance(derand, LsDerandomizer):
         tau = float(config.get("tau", 0.05))
         delta = float(config.get("delta", 0.25))
-        report.add(
-            "worst_case_aggregate_bound",
+        quantities["worst_case_aggregate_bound"] = quantity(
             worst_case_aggregate_bound(alpha, beta, tau, delta, Fraction(2, derand.k)),
             bound_source="worst-case aggregate fairness budget",
         )
         n_classifiers = int(config.get("n_classifiers", 0))
         if n_classifiers:
-            tail = aggregate_fairness_tail_check(
+            quantities["aggregate_fairness_tail"] = aggregate_fairness_tail_check(
                 table, metric, alpha, tau, delta, n_classifiers, CountingRng(int(config["seed"]))
             )
-            report.quantities["aggregate_fairness_tail"] = tail.quantities
-    payload["quantities"] = report.quantities
+    payload["quantities"] = quantities
 
     alphas = config.get("curve_alphas")
     out_dir = Path(config["out"])
@@ -334,14 +335,12 @@ def cmd_adversarial(config: dict) -> Path:
         dataset, scorer, metric = sphere_counterexample(cons)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_dataset(out_dir / "sphere.csv", dataset, scorer)
-        report = verify_sphere_counterexample(cons, dataset, scorer, metric)
         payload["dataset"] = "sphere.csv"
-        payload["quantities"] = report.quantities
+        payload["quantities"] = verify_sphere_counterexample(cons, dataset, scorer, metric)
         return _write_report(out_dir, "adversarial.json", payload)
 
     if construction == "violation_search":
-        dataset, csv_scorer = load_dataset(config["input"])
-        scorer = _build_scorer(config, csv_scorer)
+        dataset, scorer = _load_input(config)
         derand = _build_derandomizer(config, dataset, scorer)
         metric = _build_metric(config, dataset)
         steps = int(spec.get("grid_steps", 1001))
@@ -375,8 +374,7 @@ def cmd_adversarial(config: dict) -> Path:
 
 
 def cmd_strategic(config: dict) -> Path:
-    dataset, csv_scorer = load_dataset(config["input"])
-    scorer = _build_scorer(config, csv_scorer)
+    dataset, scorer = _load_input(config)
     cost = _build_metric(config, dataset)
     reports = best_responses(
         scorer, dataset, cost,
@@ -395,10 +393,10 @@ def cmd_bounds(config: dict) -> Path:
         raise ConfigError("config must provide a non-empty 'bounds' list")
     results = []
     for spec in specs:
+        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)):
+            raise ConfigError("each bounds entry must be an object with a 'name'")
         spec = dict(spec)
-        name = spec.pop("name", None)
-        if name is None:
-            raise ConfigError("each bounds entry needs a 'name'")
+        name = spec.pop("name")
         if not all(type(v) in (int, float) and math.isfinite(v) for v in spec.values()):
             raise ConfigError(f"the inputs of bound {name!r} must be finite numbers")
         results.append({"name": name, "inputs": spec, "value": float(compute_bound(name, **spec))})
@@ -439,14 +437,13 @@ def main(argv=None) -> int:
     try:
         config = _resolve(_load_config(args.config), args)
         path = COMMANDS[args.command](config)
-    except (ConfigError, InvalidParameterError, EmptyPairSetError, GridTooCoarseError) as exc:
+    except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataFormatError, UnknownPointError, DimensionMismatchError, ZeroVectorError,
-            UnknownBucketError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NotEnumerableError, FamilyTooLargeError) as exc:
+    except NotEnumerableError as exc:
         print(f"not enumerable in exact mode: {exc}", file=sys.stderr)
         return EXIT_NOT_ENUMERABLE
     print(path)

@@ -25,16 +25,10 @@ ScoreLike = Union[Fraction, float, int, str]
 
 def as_score(value: ScoreLike) -> Fraction:
     """Convert a score-like value to an exact rational in [0, 1]."""
-    if isinstance(value, Fraction):
-        score = value
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"score {value!r} is not finite")
-        score = Fraction(str(value))
-    elif isinstance(value, (int, str)):
-        score = Fraction(value)
-    else:
-        raise InvalidParameterError(f"cannot interpret {value!r} as a score")
+    try:  # a float through its shortest decimal form
+        score = Fraction(str(value) if isinstance(value, float) else value)
+    except (TypeError, ValueError, ZeroDivisionError):  # not a number, nan or inf, or "1/0"
+        raise InvalidParameterError(f"cannot interpret {value!r} as a score") from None
     if not 0 <= score <= 1:
         raise InvalidParameterError(f"score {value!r} outside [0, 1]")
     return score

@@ -22,14 +22,14 @@ _FAIR = re.compile(r"^z_(\d+)$")
 def load_dataset(path) -> tuple[Dataset, Optional[TabularScorer]]:
     """Read a dataset CSV; returns (dataset, scorer-or-None)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        rows = list(reader)
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
+    if not rows:
+        raise DataFormatError(f"{path}: empty file")
 
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in rows[0]]
     if not header or header[0] != "id":
         raise DataFormatError(f"{path}: first column must be 'id'")
 
@@ -55,7 +55,7 @@ def load_dataset(path) -> tuple[Dataset, Optional[TabularScorer]]:
         raise DataFormatError(f"{path}: z_* columns must be z_0..z_{len(fair_cols) - 1} in order")
 
     points, scores = [], {}
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(header):

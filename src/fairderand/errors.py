@@ -1,45 +1,58 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit.
+
+Every toolkit error falls under exactly one of three bases, one per CLI
+exit code: ``InvalidParameterError`` (2), ``DataError`` (3) and
+``NotEnumerableError`` (4).
+"""
 
 
 class FairderandError(Exception):
     """Base class for all toolkit errors."""
 
 
-class UnknownPointError(FairderandError, KeyError):
+class InvalidParameterError(FairderandError, ValueError):
+    """A parameter is outside the range its contract requires."""
+
+
+class ConfigError(InvalidParameterError):
+    """An experiment config is unreadable or malformed."""
+
+
+class EmptyPairSetError(InvalidParameterError):
+    """No point pairs fall within the requested distance threshold."""
+
+
+class GridTooCoarseError(InvalidParameterError):
+    """The search grid is too coarse to certify a fairness violation."""
+
+
+class DataError(FairderandError):
+    """The dataset does not fit the computation it is given to."""
+
+
+class UnknownPointError(DataError, KeyError):
     """A tabular scorer or dataset has no entry for the point id."""
 
 
-class DimensionMismatchError(FairderandError, ValueError):
+class DimensionMismatchError(DataError, ValueError):
     """Feature vectors of incompatible dimension were combined."""
 
 
-class ZeroVectorError(FairderandError, ValueError):
+class ZeroVectorError(DataError, ValueError):
     """Angular distance is undefined on the zero vector."""
 
 
-class UnknownBucketError(FairderandError, KeyError):
+class UnknownBucketError(DataError, KeyError):
     """A hash was evaluated on a bucket outside its embedded domain."""
 
 
-class FamilyTooLargeError(FairderandError, ValueError):
-    """Enumeration was requested for a family above the enumeration cap."""
+class DataFormatError(DataError, ValueError):
+    """A dataset file does not conform to the CSV contract."""
 
 
 class NotEnumerableError(FairderandError, ValueError):
     """Exact enumeration was requested for an infinite or oversized family."""
 
 
-class EmptyPairSetError(FairderandError, ValueError):
-    """No point pairs fall within the requested distance threshold."""
-
-
-class InvalidParameterError(FairderandError, ValueError):
-    """A parameter is outside the range its contract requires."""
-
-
-class GridTooCoarseError(FairderandError, ValueError):
-    """The search grid is too coarse to certify a fairness violation."""
-
-
-class DataFormatError(FairderandError, ValueError):
-    """A dataset file does not conform to the CSV contract."""
+class FamilyTooLargeError(NotEnumerableError):
+    """Enumeration was requested for a family above the enumeration cap."""

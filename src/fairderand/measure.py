@@ -4,8 +4,9 @@ Exact mode enumerates the full classifier family and reports rationals
 (integer counts over family-size denominators), so comparisons against
 bounds like 1/k are free of float noise.  Monte Carlo mode samples
 classifiers with a seeded numpy generator, vectorized over trials, and
-reports standard errors; the acceptance convention is agreement within
-four standard errors.
+reports standard errors.  Every report entry comes from ``quantity()``,
+which holds the one verdict rule: a value meets its bound when
+|value| <= bound + 4 * stderr, with stderr 0 for an exact value.
 
 Every audited quantity reduces one ``PredictionTable``: the prediction of
 every family member (or sampled classifier) at every dataset point.
@@ -44,12 +45,7 @@ import numpy as np
 
 from .core import Dataset, Point, StochasticScorer, threshold_count
 from .derandomize import Derandomizer, LsDerandomizer, RtDerandomizer
-from .errors import (
-    EmptyPairSetError,
-    FamilyTooLargeError,
-    InvalidParameterError,
-    NotEnumerableError,
-)
+from .errors import EmptyPairSetError, InvalidParameterError, NotEnumerableError
 from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, over_pair_chunks, popcounts
 from .rng import CountingRng
 
@@ -93,43 +89,24 @@ class Estimate:
         return float(self.value)
 
 
-class FairnessReport:
-    """Named measured quantities next to the theoretical bounds they are
-    checked against, as
-    {quantity: {value, stderr?, bound?, bound_source, satisfied?}}."""
-
-    def __init__(self):
-        self.quantities: dict[str, dict] = {}
-
-    def add(
-        self,
-        name: str,
-        value: Number,
-        stderr: Optional[float] = None,
-        bound: Optional[Number] = None,
-        bound_source: Optional[str] = None,
-        satisfied: Optional[bool] = None,
-    ) -> None:
-        entry: dict = {"value": value}
-        if stderr is not None:
-            entry["stderr"] = stderr
-        if bound is not None:
-            entry["bound"] = bound
-        if bound is not None or bound_source is not None:
-            entry["bound_source"] = bound_source or "unspecified"
-        if satisfied is not None:
-            entry["satisfied"] = satisfied
-        self.quantities[name] = entry
-
-    def __getitem__(self, name: str) -> dict:
-        return self.quantities[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.quantities
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(e.get("satisfied", True) for e in self.quantities.values())
+def quantity(
+    value: Number,
+    stderr: Optional[float] = None,
+    bound: Optional[Number] = None,
+    bound_source: Optional[str] = None,
+) -> dict:
+    """One report entry {value, stderr?, bound?, bound_source?, satisfied?}.
+    A bound sets ``satisfied`` by the one verdict rule of every report:
+    |value| <= bound + 4 * stderr, with stderr 0 for an exact value."""
+    entry: dict = {"value": value}
+    if stderr is not None:
+        entry["stderr"] = stderr
+    if bound is not None:
+        entry["bound"] = bound
+        entry["satisfied"] = abs(value) <= bound + 4 * (stderr or 0)
+    if bound_source is not None:
+        entry["bound_source"] = bound_source
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +403,7 @@ def _variance_stderr(samples: np.ndarray) -> float:
 
 def metric_fairness_check(
     table: PredictionTable, metric: Metric, alpha: Number, beta: Number
-) -> FairnessReport:
+) -> dict:
     """Check E[|f(x) - f(x')|] <= alpha*d + beta on every pair (or a
     seeded subsample above the pair cap)."""
     classes = table.pair_classes(metric, capped=True)
@@ -436,18 +413,11 @@ def metric_fairness_check(
     violations = sum(w for e, w in zip(excesses, classes.weights.tolist()) if e > 0)
     worst_excess = max(excesses)  # the first maximum, as a loop keeps
 
-    report = FairnessReport()
-    report.add("pairs_checked", int(classes.codes.size))
+    report = {"pairs_checked": quantity(int(classes.codes.size))}
     if classes.pair_seed is not None:
-        report.add("pair_sample_seed", classes.pair_seed)
-    report.add(
-        "fairness_violations",
-        violations,
-        bound=0,
-        bound_source="pairwise fairness definition",
-        satisfied=violations == 0,
-    )
-    report.add("worst_excess", worst_excess)
+        report["pair_sample_seed"] = quantity(classes.pair_seed)
+    report["fairness_violations"] = quantity(violations, bound=0, bound_source="pairwise fairness definition")
+    report["worst_excess"] = quantity(worst_excess)
     return report
 
 
@@ -482,7 +452,7 @@ def aggregate_fairness_tail_check(
     delta: float,
     n_classifiers: int,
     rng: CountingRng,
-) -> FairnessReport:
+) -> dict:
     """Sample classifiers and check the high-probability aggregate bound:
     at most a delta fraction may split more than (1 + 1/sqrt(delta)) times
     the family's certified pairwise budget (alpha*tau + beta)."""
@@ -493,22 +463,18 @@ def aggregate_fairness_tail_check(
     bound = aggregate_tail_bound(alpha, beta, tau, delta)
     violating = sum(float(r) > bound for r in rhos)
     fraction = violating / n_classifiers
-    report = FairnessReport()
-    report.add("certified_beta", beta)
-    report.add("split_fraction_bound", bound)
-    report.add(
-        "violating_classifier_fraction",
-        fraction,
-        bound=delta + TAIL_SLACK,
-        bound_source="sampling tail probability (plus sampling slack)",
-        satisfied=fraction <= delta + TAIL_SLACK,
-    )
-    return report
+    return {
+        "certified_beta": quantity(beta),
+        "split_fraction_bound": quantity(bound),
+        "violating_classifier_fraction": quantity(
+            fraction, bound=delta + TAIL_SLACK, bound_source="sampling tail probability (plus sampling slack)"
+        ),
+    }
 
 
 def threshold_fairness_check(
     table: PredictionTable, metric: Metric, sigma: float, tau: float
-) -> FairnessReport:
+) -> dict:
     """Over pairs within distance sigma, check the family's expected
     prediction gap against tau; for the locality-sensitive scheme with
     k >= 4/sigma, also against the preserved guarantee sigma + tau.
@@ -525,9 +491,7 @@ def threshold_fairness_check(
     scores = table.scores
     scorer_worst: Number = max([0, *(abs(scores[a] - scores[b]) for a, b in zip(i.tolist(), j.tolist()))])
 
-    report = FairnessReport()
-    report.add("pairs_within_sigma", int(i.size))
-    report.add("scorer_max_gap", scorer_worst)
+    report = {"pairs_within_sigma": quantity(int(i.size)), "scorer_max_gap": quantity(scorer_worst)}
     bounds = [("max_gap", tau, "threshold fairness target")]
     derand = table.derand
     if isinstance(derand, LsDerandomizer) and derand.k >= 4 / sigma:
@@ -537,7 +501,7 @@ def threshold_fairness_check(
         bounds.append(("max_gap_vs_grid_guarantee", rt_threshold_fairness_bound(tau, derand.k),
                        "threshold fairness preservation (1/k grid)"))
     for name, bound, source in bounds:
-        report.add(name, worst, bound=bound, bound_source=source, satisfied=worst <= bound)
+        report[name] = quantity(worst, bound=bound, bound_source=source)
     return report
 
 
@@ -546,7 +510,7 @@ def threshold_fairness_check(
 
 def decomposition_check(
     derand: Derandomizer, point: Point, cfg: EstimatorConfig
-) -> FairnessReport:
+) -> dict:
     """Joint Monte Carlo check of the error decomposition: the expected gap
     between a sampled member and a Bernoulli realization of the score is at
     most |bias| + 2 * (score variance + family variance)^(2/3).
@@ -559,7 +523,7 @@ def decomposition_check(
     var_bern = score * (1 - score)
     try:
         table = prediction_table(derand, (point,), EstimatorConfig(mode="exact", seed=cfg.seed))
-    except (NotEnumerableError, FamilyTooLargeError):
+    except NotEnumerableError:
         table = prediction_table(derand, (point,), EstimatorConfig(mode="mc", trials=cfg.trials, seed=cfg.seed))
     bias, var_family = table.bias(0).value, table.variance(0).value
 
@@ -571,19 +535,12 @@ def decomposition_check(
     bern_bits = gen.random(cfg.trials) < float(score)
     lhs = _share(int((member_bits != bern_bits).sum()), cfg.trials, False)
 
-    report = FairnessReport()
-    report.add("bias_abs", abs(bias))
-    report.add("score_variance", var_bern)
-    report.add("family_variance", var_family)
-    report.add(
-        "expected_gap",
-        lhs.value,
-        stderr=lhs.stderr,
-        bound=rhs,
-        bound_source="bias-variance decomposition",
-        satisfied=lhs.value <= rhs + 4 * lhs.stderr,
-    )
-    return report
+    return {
+        "bias_abs": quantity(abs(bias)),
+        "score_variance": quantity(var_bern),
+        "family_variance": quantity(var_family),
+        "expected_gap": quantity(lhs.value, lhs.stderr, rhs, "bias-variance decomposition"),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -143,13 +143,13 @@ def brute_violation_search(derand, metric, grid, alpha, beta):
     bits = [[c.predict(p) for p in grid] for c in classifiers]
     if all(len(set(row)) == 1 for row in bits):
         return None
-    spacing_cap = (1.0 / size - beta) / alpha
-    spacing = max(float(metric.distance(grid[i], grid[i + 1])) for i in range(len(grid) - 1))
-    if spacing >= spacing_cap:
-        raise GridTooCoarseError(f"adjacent spacing {spacing} must be below {spacing_cap}")
+    spacing = max(metric.distance(grid[i], grid[i + 1]) for i in range(len(grid) - 1))
+    if not Fraction(alpha) * Fraction(spacing) + Fraction(beta) < Fraction(1, size):
+        raise GridTooCoarseError(f"adjacent spacing {float(spacing)} must be below {(1.0 / size - beta) / alpha}")
     for i in range(len(grid) - 1):
         flips = sum(row[i] != row[i + 1] for row in bits)
-        if flips and Fraction(flips, size) > alpha * metric.distance(grid[i], grid[i + 1]) + beta:
+        budget = Fraction(alpha) * Fraction(metric.distance(grid[i], grid[i + 1])) + Fraction(beta)
+        if flips and Fraction(flips, size) > budget:
             return grid[i], grid[i + 1]
     return None
 

@@ -112,14 +112,14 @@ class TestSphereCounterexample:
         cfg = small_construction()
         dataset, scorer, metric = sphere_counterexample(cfg)
         report = verify_sphere_counterexample(cfg, dataset, scorer, metric)
-        assert report.all_satisfied
+        assert all(entry.get("satisfied", True) for entry in report.values())
         assert report["pairs_checked"]["value"] == 15
 
     def test_minimal_two_point_case(self):
         cfg = small_construction(n_points=2)
         dataset, scorer, metric = sphere_counterexample(cfg)
         report = verify_sphere_counterexample(cfg, dataset, scorer, metric)
-        assert report.all_satisfied
+        assert all(entry.get("satisfied", True) for entry in report.values())
         assert report["pairs_checked"]["value"] == 1
 
 
@@ -176,6 +176,22 @@ class TestViolationSearch:
             finite_family_violation_search(
                 derand, ScaledEuclidean(1.0), coarse, 1.0, 0.05
             )
+
+    def test_spacing_precondition_counts_beta(self):
+        # spacing 0.1 passes alpha*d < 1/7 alone, but alpha*d + beta = 0.15 does not
+        derand = RtDerandomizer(AffineScorer((1.0,)), 7)
+        grid = unit_interval_grid(11)
+        assert finite_family_violation_search(derand, ScaledEuclidean(1.0), grid, 1.0, 0.0) == (grid[1], grid[2])
+        with pytest.raises(GridTooCoarseError):
+            finite_family_violation_search(derand, ScaledEuclidean(1.0), grid, 1.0, 0.05)
+
+    def test_spacing_precondition_is_exact(self):
+        # the double nearest 1/3 lies below 1/3, so 3*d + 0 < 1/|family| = 1 holds
+        # exactly; the float cap (1 - 0)/3 rounds to that same double, and the
+        # float test d >= cap rejected this grid
+        derand = RtDerandomizer(AffineScorer((3.0,)), 1)
+        grid = [Point("a", (0.0,)), Point("b", (1 / 3,))]
+        assert finite_family_violation_search(derand, ScaledEuclidean(1.0), grid, 3.0, 0.0) == (grid[0], grid[1])
 
     def test_found_pair_verifiably_violates(self):
         derand = RtDerandomizer(AffineScorer((1.0,)), 4)

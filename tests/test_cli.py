@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -10,10 +11,13 @@ from fairderand.cli import main
 from fairderand.dataio import load_dataset, save_dataset
 from fairderand import Dataset, Point, TabularScorer
 from fairderand.errors import (
+    DataError,
     DataFormatError,
     DimensionMismatchError,
     FairderandError,
     GridTooCoarseError,
+    InvalidParameterError,
+    NotEnumerableError,
     UnknownBucketError,
     ZeroVectorError,
 )
@@ -103,6 +107,33 @@ class TestDataIO:
         with pytest.raises(DataFormatError):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", ": empty file"),
+            ("id,z_0,score\na,1,0.5\n", ": no feat_* columns"),
+            ("id,feat_1,feat_0\na,1,0\n", ": feat_* columns must be feat_0..feat_1 in order"),
+            ("id,feat_0,z_1\na,1,0\n", ": z_* columns must be z_0..z_0 in order"),
+            ("id,feat_0\na,1,2\n", ":2: expected 2 fields, got 3"),
+            # the blank line 3 is skipped, and line numbers count it
+            ("id,feat_0\na,1\n\nb,x\n", ":4: could not convert string to float: 'x'"),
+            ("id,feat_0\na,1\na,0\n", ": dataset ids must be unique"),
+        ],
+        ids=["empty", "no-feat", "feat-order", "z-order", "field-count", "bad-value", "duplicate-id"],
+    )
+    def test_format_error_messages(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}{message}"
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("id,feat_0\na,1\n\nb,0\n", encoding="utf-8")
+        dataset, scorer = load_dataset(path)
+        assert [p.id for p in dataset] == ["a", "b"] and scorer is None
+
 
 class TestDerandomizeCommand:
     def test_replay_is_byte_identical(self, scored_csv, config_factory, tmp_path):
@@ -187,6 +218,16 @@ class TestAuditCommand:
         report = json.loads((tmp_path / "reports" / "audit.json").read_text())
         bound = report["quantities"]["worst_case_aggregate_bound"]["value"]
         assert bound == pytest.approx(0.237)
+
+    def test_constant_scorer_audit(self, scored_csv, config_factory, tmp_path):
+        config = config_factory(input=str(scored_csv), scorer={"kind": "constant", "value": 0.25}, k=4)
+        assert main(["audit", "--config", str(config)]) == 0
+        quantities = json.loads((tmp_path / "reports" / "audit.json").read_text())["quantities"]
+        # each threshold u predicts one bit at every point: no bias and no split
+        # pair, and the member means are 1 for u = 1 and 0 otherwise
+        assert quantities["aggregate_bias"]["value"] == 0
+        assert quantities["aggregate_variance"]["value"] == 0.25 * 0.75
+        assert quantities["metric_fairness"]["worst_excess"]["value"] < 0
 
     def test_exact_mode_on_simhash_exits_4(self, scored_csv, config_factory):
         config = config_factory(
@@ -385,6 +426,7 @@ class TestBoundsCommand:
             bounds=[
                 {"name": "aggregate_tail", "alpha": 1, "beta": 0, "tau": 0.05, "delta": 0.25},
                 {"name": "bias", "k": 100},
+                {"name": "ls_pairwise", "alpha": 1, "beta": 0.1, "d": 0.25, "k": 10, "fx": 0.2, "fy": 0.5},
             ]
         )
         assert main(["bounds", "--config", str(config)]) == 0
@@ -392,6 +434,8 @@ class TestBoundsCommand:
         values = {row["name"]: row["value"] for row in report["bounds"]}
         assert values["aggregate_tail"] == pytest.approx(0.15)
         assert values["bias"] == pytest.approx(0.01)
+        # (alpha + 2 * 0.2 * (1 - 0.5)) * d + beta + 2/k
+        assert values["ls_pairwise"] == pytest.approx(1.2 * 0.25 + 0.1 + 0.2)
 
     def test_unknown_bound_exits_2(self, config_factory):
         config = config_factory(bounds=[{"name": "nope"}])
@@ -567,6 +611,11 @@ class TestDataErrors:
             yield sub
             yield from TestDataErrors.subclasses(sub)
 
+    def test_every_error_class_falls_under_exactly_one_exit_code_base(self):
+        bases = (InvalidParameterError, DataError, NotEnumerableError)
+        for error in self.subclasses(FairderandError):
+            assert sum(issubclass(error, base) for base in bases) == 1, error.__name__
+
     def test_every_error_class_has_an_exit_code(self, scored_csv, config_factory, capsys, monkeypatch):
         config = config_factory(input=str(scored_csv))
         errors = set(self.subclasses(FairderandError))
@@ -586,3 +635,148 @@ class TestDataErrors:
                 assert code == 3
             if error is GridTooCoarseError:
                 assert code == 2
+
+
+class TestExitCodeContract:
+    """Each of these inputs ended in a traceback (exit 1); now each ends
+    with its exit code and a one-line message."""
+
+    @staticmethod
+    def run(command, config, capsys, *flags):
+        code = main([command, "--config", str(config), *flags])
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return code, err.rstrip("\n")
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(scorer={"kind": "affine"}), "scorer.weights must be a list of numbers"),
+            (dict(scorer={"kind": "affine", "weights": "ab"}), "scorer.weights must be a list of numbers"),
+            (dict(scorer={"kind": "affine", "weights": [1, 0, 0], "bias": "x"}), "scorer.bias must be a number"),
+            (dict(scorer=3), "scorer must be an object"),
+            (dict(scorer={"kind": "constant", "value": "nan"}), "cannot interpret 'nan' as a score"),
+            (dict(out=3), "out must be a string"),
+            (dict(input=1), "input must be a string"),
+            (dict(input=None), "input must be a string"),
+        ],
+        ids=["affine-no-weights", "weights-str", "bias-str", "scorer-int", "constant-nan", "out-int",
+             "input-int", "input-null"],
+    )
+    def test_malformed_entry_exits_2(self, scored_csv, config_factory, capsys, overrides, message):
+        config = config_factory(**{"input": str(scored_csv), **overrides})
+        assert self.run("audit", config, capsys) == (2, f"config error: {message}")
+
+    def test_missing_input_exits_2(self, config_factory, capsys):
+        expected = (2, "config error: config must name an input dataset")
+        assert self.run("audit", config_factory(), capsys) == expected
+
+    def test_bounds_entry_not_an_object_exits_2(self, config_factory, capsys):
+        config = config_factory(bounds=[3])
+        expected = (2, "config error: each bounds entry must be an object with a 'name'")
+        assert self.run("bounds", config, capsys) == expected
+
+    @pytest.mark.parametrize(
+        "command,overrides",
+        [
+            ("derandomize", dict(unused=math.nan)),
+            ("audit", dict(scheme="pi", bucketer={"kind": "grid", "resolution": math.nan})),
+            ("audit", dict(metric={"kind": "scaled_euclidean", "scale": math.nan})),
+            ("audit", dict(alpha=math.inf)),
+            ("audit", dict(beta=-math.inf)),
+        ],
+        ids=["unused-key", "resolution", "scale", "alpha-inf", "beta-minus-inf"],
+    )
+    def test_non_finite_number_anywhere_exits_2(self, scored_csv, config_factory, capsys, command, overrides):
+        config = config_factory(input=str(scored_csv), **overrides)
+        code, err = self.run(command, config, capsys)
+        assert code == 2 and err.startswith("config error: config is not valid JSON: ")
+        assert err.endswith(" is not a finite number")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"scheme": "rt", "alpha": 1e999}', "config is not valid JSON: 1e999 is not a finite number"),
+            ("[1]", "config must be a JSON object"),
+        ],
+        ids=["overflow", "not-an-object"],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert self.run("audit", path, capsys) == (2, f"config error: {message}")
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        expected = (2, f"config error: cannot read config file {tmp_path}: Is a directory")
+        assert self.run("audit", tmp_path, capsys) == expected
+
+    def test_input_directory_exits_3(self, tmp_path, config_factory, capsys):
+        code, err = self.run("audit", config_factory(input=str(tmp_path)), capsys)
+        assert code == 3 and err.startswith("data error: [Errno 21] Is a directory")
+
+    def test_input_not_utf8_exits_3(self, tmp_path, config_factory, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"id,feat_0,score\n\xe9,1,0.5\n")
+        code, err = self.run("audit", config_factory(input=str(path)), capsys)
+        assert code == 3 and err.startswith(f"data error: {path}: 'utf-8' codec can't decode byte 0xe9")
+
+    def test_mc_audit_with_one_trial_exits_2(self, scored_csv, config_factory, capsys, tmp_path):
+        # the variance with ddof=1 was nan, and the report write failed on it
+        config = config_factory(input=str(scored_csv))
+        code, err = self.run("audit", config, capsys, "--mode", "mc", "--trials", "1")
+        assert code == 2 and err.startswith("config error: an mc audit needs at least 2 trials")
+        assert not (tmp_path / "reports").exists()
+        assert main(["audit", "--config", str(config), "--mode", "mc", "--trials", "2"]) == 0
+
+
+class TestExactAlphaBeta:
+    def test_decimal_alpha_beta_are_exact(self, tmp_path, config_factory):
+        # the RT gap at k = 80 is 67/80 = 0.8375 = 1.1 * 1/8 + 0.7 exactly; float
+        # arithmetic made it one violation with excess 1.1e-16
+        path = tmp_path / "two.csv"
+        header = ["id", *(f"feat_{i}" for i in range(8)), "score"]
+        write_dataset(path, [["x", *[0] * 8, "0"], ["y", 1, *[0] * 7, "0.8375"]], header)
+        config = config_factory(input=str(path), k=80, alpha=1.1, beta=0.7)
+        assert main(["audit", "--config", str(config)]) == 0
+        fairness = json.loads((tmp_path / "reports" / "audit.json").read_text())["quantities"]["metric_fairness"]
+        assert fairness["fairness_violations"]["value"] == 0
+        assert fairness["fairness_violations"]["satisfied"] is True
+        assert fairness["worst_excess"]["value"] == 0
+
+
+MALFORMED = [None, True, "x", [1], {"a": 1}, -1, 1.5, math.nan]
+AFFINE = {"scorer": {"kind": "affine", "weights": [0.1, 0.2, 0.3], "bias": 0.1}}
+PI = {"scheme": "pi", "bucketer": {"kind": "grid", "resolution": 0.5}}
+# every key derandomize, audit and strategic read, with what makes them read it
+READ_KEYS = {
+    "input": {}, "out": {}, "seed": {}, "mode": {}, "trials": {}, "pairs_cap": {}, "scheme": {}, "k": {},
+    "alpha": {}, "beta": {}, "tau": {}, "delta": {}, "n_classifiers": {}, "curve_alphas": {},
+    "metric": {}, "metric.kind": {}, "metric.n": {}, "metric.scale": {"metric": {"kind": "scaled_euclidean"}},
+    "scorer": AFFINE, "scorer.kind": AFFINE, "scorer.weights": AFFINE, "scorer.bias": AFFINE,
+    "scorer.value": {"scorer": {"kind": "constant", "value": "0.5"}},
+    "bucketer": PI, "bucketer.kind": PI, "bucketer.resolution": PI,
+    "lsh": {}, "lsh.kind": {}, "lsh.n": {}, "lsh.universe_size": {"lsh": {"kind": "minhash"}},
+    "lsh.dim": {"lsh": {"kind": "simhash"}, "mode": "mc"},
+}
+
+
+class TestMalformedConfigGrid:
+    @pytest.mark.parametrize("command", ["derandomize", "audit", "strategic"])
+    @pytest.mark.parametrize("key", list(READ_KEYS))
+    def test_never_raises(self, scored_csv, tmp_path, monkeypatch, capsys, command, key):
+        monkeypatch.chdir(tmp_path)  # "out": "x" writes to ./x
+        for value in MALFORMED:
+            config = {
+                "input": str(scored_csv), "out": "reports", "scheme": "ls", "k": 5, "seed": 7, "mode": "exact",
+                "trials": 20, "lsh": {"kind": "bit_sampling"}, "metric": {"kind": "hamming"}, "tau": 0.5,
+                "delta": 0.25, "n_classifiers": 2, "curve_alphas": [1], **copy.deepcopy(READ_KEYS[key]),
+            }
+            section, _, name = key.rpartition(".")
+            (config.setdefault(section, {}) if section else config)[name] = value
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            code = main([command, "--config", str(path)])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (key, value)
+            if code:
+                assert err.count("\n") == 1 and err.startswith(("config error: ", "data error: ")), (key, value)

@@ -46,6 +46,7 @@ from fairderand.measure import (
     metric_fairness_check,
     pi_variance_bound,
     prediction_table,
+    quantity,
     rt_variance_bound,
     sampled_aggregate_fairness,
     scorer_beta,
@@ -102,6 +103,30 @@ def small_families(dataset, scorer, k=5):
         LsDerandomizer(scorer, BitSamplingFamily(2), k),
         LsDerandomizer(scorer, MinHashFamily(2), k),
     ]
+
+
+class TestQuantity:
+    def test_entry_keys(self):
+        assert quantity(3) == {"value": 3}
+        assert quantity(0.5, 0.01) == {"value": 0.5, "stderr": 0.01}
+        assert quantity(2, bound_source="budget") == {"value": 2, "bound_source": "budget"}
+        assert quantity(0, bound=0, bound_source="definition") == {
+            "value": 0, "bound": 0, "bound_source": "definition", "satisfied": True,
+        }
+
+    @pytest.mark.parametrize(
+        "value,stderr,bound,satisfied",
+        [
+            (Fraction(1, 3), None, Fraction(1, 3), True),
+            (Fraction(1, 3), None, 1 / 3, False),  # exact: the double 1/3 lies below 1/3
+            (-Fraction(1, 2), None, Fraction(1, 2), True),  # a signed value compares its size
+            (-Fraction(2, 3), None, Fraction(1, 2), False),
+            (0.5, 0.025, 0.4, True),  # within four standard errors
+            (0.5, 0.024, 0.4, False),
+        ],
+    )
+    def test_one_verdict_rule(self, value, stderr, bound, satisfied):
+        assert quantity(value, stderr, bound)["satisfied"] is satisfied
 
 
 class TestOracleAgreement:
@@ -314,7 +339,7 @@ class TestMetricFairnessCheck:
             alpha + Fraction(1, 2), beta + Fraction(2, k),
         )
         assert report["fairness_violations"]["value"] == 0
-        assert report.all_satisfied
+        assert all(entry.get("satisfied", True) for entry in report.values())
 
     def test_constant_family_never_violates(self):
         ds = binary_dataset()
