@@ -26,7 +26,7 @@ from .core import Dataset, Point, TabularScorer
 from .derandomize import Derandomizer, IdentityBucketer, PiDerandomizer
 from .errors import GridTooCoarseError, InvalidParameterError
 from .measure import EstimatorConfig, prediction_table, quantity, scorer_beta
-from .metrics import Metric, ScaledEuclidean
+from .metrics import Metric, PairSet, ScaledEuclidean
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ def sphere_counterexample(
     dataset = Dataset(points)
 
     metric = ScaledEuclidean(1.0)
-    _, distances = metric.pair_distances(dataset, *np.triu_indices(len(dataset), 1))
+    _, distances = metric.pair_distances(dataset, PairSet(len(dataset)))
     gap = Fraction(min(distances))  # exact binary value of the realized float
     high = (1 + gap) / 2
     low = (1 - gap) / 2

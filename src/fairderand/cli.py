@@ -258,8 +258,6 @@ def cmd_audit(config: dict) -> Path:
     derand = _build_derandomizer(config, dataset, scorer)
     metric = _build_metric(config, dataset)
     cfg = _estimator(config)
-    if not cfg.exact and cfg.trials < 2:
-        raise ConfigError("an mc audit needs at least 2 trials: its variance divides by trials - 1")
     # exact decimals, as scores are read: 1.1 is 11/10, not the nearest double
     alpha = Fraction(str(config.get("alpha", 1)))
     beta = Fraction(str(config.get("beta", 0)))
@@ -397,7 +395,7 @@ def cmd_bounds(config: dict) -> Path:
             raise ConfigError("each bounds entry must be an object with a 'name'")
         spec = dict(spec)
         name = spec.pop("name")
-        if not all(type(v) in (int, float) and math.isfinite(v) for v in spec.values()):
+        if not all(type(v) is int or type(v) is float and math.isfinite(v) for v in spec.values()):
             raise ConfigError(f"the inputs of bound {name!r} must be finite numbers")
         results.append({"name": name, "inputs": spec, "value": float(compute_bound(name, **spec))})
     payload = _report_skeleton(config)

@@ -21,16 +21,14 @@ same embedder, in one call.  Only ``decomposition_check`` draws its own
 batch, because its Bernoulli draws continue that batch's generator.
 
 Pair quantities read one pass per table and metric over every pair, or
-over the capped ``select_pairs``, which draws its seeded stream of pairs
-in rounds sized from the expected repeat rate and dedupes each round with
-one sort.  The pass holds distance codes from ``Metric.pair_distances``
-(popcounts over packed words for 0/1 Hamming and Jaccard vectors) and
-split counts, popcounts of the XOR of two prediction rows 64 bits at a
-time, both in the smallest unsigned dtype, with the histogram of
-(distance, split count) classes.  Exact reductions evaluate their Python
-expression once per class, so rationals stay exact and int, Fraction and
-float parameters keep their arithmetic; Monte Carlo ones evaluate
-count/size - budget as one float64 array.
+the capped ``sample_pairs``, whose only state is the at most ``cap`` sorted
+keys it accepts.  The pass reads pairs in blocks and writes per pair the
+split count (a popcount of the XOR of two prediction rows) and the code
+from ``Metric.pair_distances`` in the smallest unsigned dtypes; the
+histogram of (distance, split count) classes accumulates block by block.
+Exact reductions evaluate their Python expression once per class, so
+rationals stay exact and int, Fraction and float parameters keep their
+arithmetic; Monte Carlo ones evaluate count/size - budget as one array.
 """
 
 from __future__ import annotations
@@ -46,12 +44,13 @@ import numpy as np
 from .core import Dataset, Point, StochasticScorer, threshold_count
 from .derandomize import Derandomizer, LsDerandomizer, RtDerandomizer
 from .errors import EmptyPairSetError, InvalidParameterError, NotEnumerableError
-from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, over_pair_chunks, popcounts
+from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, PairSet, over_pairs, popcounts
 from .rng import CountingRng
 
 Number = Union[Fraction, float, int]
 
 DEFAULT_PAIRS_CAP = 200_000
+SAMPLE_BLOCK = 1 << 15  # draws of the pair stream per block
 TAIL_SLACK = 0.05  # sampling slack on the violating-classifier fraction
 
 
@@ -112,66 +111,55 @@ def quantity(
 # ---------------------------------------------------------------------------
 # pair selection
 
-def select_pairs(
-    n_points: int, cap: int = DEFAULT_PAIRS_CAP, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray, Optional[int]]:
-    """Index arrays (i, j) of unordered distinct pairs, i < j, sorted;
-    uniformly subsampled without replacement above the cap (the seed used
-    is returned for the report).
-
-    The subsample is the first ``cap`` distinct pairs of the stream of
-    draws (i, j) from ``default_rng(seed)``, skipping i == j: the pairs a
-    scalar rejection loop keeps.  One array draw yields the same values as
-    the same number of scalar draws, so the stream is drawn in rounds, each
-    sized from the expected repeat rate: the coupon collector's count of
-    draws that yield the missing distinct pairs, plus a slack, so that one
-    round almost always suffices.  Each round sorts the pair keys of the
-    whole stream once, with their stream positions, to find the first
-    occurrence of every pair."""
-    total = n_points * (n_points - 1) // 2
-    if total <= cap:
-        return (*np.triu_indices(n_points, 1), None)
-    gen = np.random.default_rng(seed)
-    keys = np.zeros(0, dtype=np.int64)  # the stream so far
-    distinct = 0
-    while distinct < cap:
-        # each draw is a pair with chance (n - 1)/n, and new with chance (total - distinct)/total
-        need = total * math.log((total - distinct) / (total - cap)) * n_points / (n_points - 1)
-        keys = np.concatenate([keys, _pair_keys(gen, n_points, int(need + 4 * math.sqrt(need)) + 64)])
-        first_keys, first_positions = _first_occurrences(keys, n_points)
-        distinct = first_keys.size
-    last = np.partition(first_positions, cap - 1)[cap - 1]
-    keys = first_keys[first_positions <= last]  # already sorted
-    return keys // n_points, keys % n_points, seed
-
-
-def _pair_keys(gen: np.random.Generator, n_points: int, rows: int) -> np.ndarray:
-    """lo * n + hi for each of the next ``rows`` draws (i, j) of the stream
-    with i != j, in stream order; drawn in blocks that keep the
-    temporaries small."""
-    blocks = []
-    for s in range(0, rows, 1 << 16):
-        draws = gen.integers(0, n_points, size=2 * min(rows - s, 1 << 16)).reshape(-1, 2)
-        lo, hi = np.minimum(draws[:, 0], draws[:, 1]), np.maximum(draws[:, 0], draws[:, 1])
-        blocks.append((lo * n_points + hi)[lo != hi])
-    return np.concatenate(blocks)
+def sample_pairs(n_points: int, cap: int = DEFAULT_PAIRS_CAP, seed: int = 0) -> tuple[PairSet, Optional[int]]:
+    """Every pair of distinct points, or above the cap the sorted keys
+    i * n + j of the first ``cap`` distinct pairs (i < j) that a scalar
+    rejection loop draws from ``default_rng(seed)``; and the seed (None
+    when every pair is kept).  The stream is drawn in blocks of
+    min(cap, SAMPLE_BLOCK) draws, and only the sorted accepted keys are
+    kept across blocks: each block merges in its distinct keys, and one
+    that may reach the cap keeps the new keys whose first draw came first."""
+    if n_points * (n_points - 1) // 2 <= cap:
+        return PairSet(n_points), None
+    gen, block = np.random.default_rng(seed), min(cap, SAMPLE_BLOCK)
+    accepted, size = np.empty(cap + block, dtype=np.int64), 0  # accepted[:size], sorted
+    while size < cap:
+        draws = gen.integers(0, n_points, size=2 * block).reshape(-1, 2)
+        keys, hi = np.minimum(draws[:, 0], draws[:, 1]), np.maximum(draws[:, 0], draws[:, 1])
+        keys = (keys * n_points + hi)[keys != hi]  # in stream order
+        del draws, hi
+        if size + keys.size <= cap:
+            keys.sort()
+        else:
+            order = np.argsort(keys)
+            keys = keys[order]
+            starts = np.flatnonzero(_run_firsts(keys))
+            keys, first = keys[starts], np.minimum.reduceat(order, starts)  # each key's first draw
+            new = accepted[np.minimum(np.searchsorted(accepted[:size], keys), size - 1)] != keys
+            keys, first = keys[new], first[new]
+            if keys.size > cap - size:  # the first draws that fill the cap
+                keys = keys[first <= np.partition(first, cap - size - 1)[cap - size - 1]]
+        keys = keys[_run_firsts(keys)]
+        merged = accepted[: size + keys.size]
+        merged[size:] = keys
+        merged.sort(kind="stable")  # a linear merge of the two sorted runs
+        first, size = _run_firsts(merged), 0
+        for s in range(0, merged.size, block):  # drop repeats in place, a block at a time
+            kept = merged[s : s + block][first[s : s + block]]
+            accepted[size : size + kept.size] = kept
+            size += kept.size
+    return PairSet(n_points, accepted[:cap]), seed
 
 
-def _first_occurrences(keys: np.ndarray, n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, sorted, and the stream position of the first
-    occurrence of each.  Keys lie below n_points**2, so one unstable sort
-    of key * m + position orders (key, position) while that stays below
-    2**63, as it does for any dataset that fits in memory; a stable
-    argsort serves beyond."""
-    m = keys.size
-    if n_points * n_points * m < 1 << 63:
-        keys, positions = np.divmod(np.sort(keys * m + np.arange(m)), m)
-    else:
-        positions = np.argsort(keys, kind="stable")
-        keys = keys[positions]
-    first = np.ones(m, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first], positions[first]
+def select_pairs(n_points: int, cap: int = DEFAULT_PAIRS_CAP, seed: int = 0) -> tuple:
+    """The index arrays (i, j) of the pairs of ``sample_pairs``, and its seed."""
+    pairs, seed = sample_pairs(n_points, cap, seed)
+    return (*(np.triu_indices(n_points, 1) if pairs.keys is None else np.divmod(pairs.keys, n_points)), seed)
+
+
+def _run_firsts(keys: np.ndarray) -> np.ndarray:
+    """True at the first key of each run of equal keys."""
+    return np.concatenate(([True], keys[1:] != keys[:-1]))[: keys.size]
 
 
 # ---------------------------------------------------------------------------
@@ -267,37 +255,56 @@ class PredictionTable:
         if self.cfg.exact:
             p = self.mean(r).value
             return Estimate(p * (1 - p))
+        _check_trials(self.size)
         bits = self.bits(r).astype(float)
         return Estimate(float(bits.var(ddof=1)), _variance_stderr(bits))
 
     def bits(self, r: int) -> np.ndarray:
         return np.unpackbits(self.packed[r], count=self.size)
 
-    def split_counts(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Members (or trials) that predict differently at points i[p] and
-        j[p], for every pair p: a popcount of the XOR of the two rows."""
+    def split_counts(self, i, j: Optional[np.ndarray] = None) -> np.ndarray:
+        """Members (or trials) that predict differently at the points of each
+        pair (i[p], j[p]), or of the PairSet i: popcounts of XORed rows."""
         words = self.packed.view(np.uint64)
-        return over_pair_chunks(lambda a, b: popcounts(words[a] ^ words[b]), i, j, self.packed.shape[1])
+        pairs = i if j is None else PairSet(len(words), i * len(words) + j)
+        return over_pairs(lambda a, b: popcounts(a ^ b), pairs, words, np.min_scalar_type(self.size))
 
     def pair_classes(self, metric: Metric, capped: bool = False) -> PairClasses:
-        """The pass over every pair (or the capped ``select_pairs``) under
+        """The pass over every pair (or the capped ``sample_pairs``) under
         the metric, computed once; a capped pass of every pair serves both."""
         for m, c, classes in self._passes:
             if m is metric and (c == capped or (c and classes.pair_seed is None)):
                 return classes
         n = len(self.dataset)
-        i, j, seed = select_pairs(n, self.cfg.pairs_cap if capped else n * n, self.cfg.seed)
-        counts = self.split_counts(i, j)
-        keys, values = metric.pair_distances(self.dataset, i, j)
-        del i, j  # free the index arrays before the sort
-        codes = keys.astype(np.min_scalar_type(len(values)))
-        keys *= self.size + 1  # one key per (distance, split count), in place
-        keys += counts
-        counts = counts.astype(np.min_scalar_type(self.size))
-        keys, weights = np.unique(keys, return_counts=True)
+        pairs, seed = sample_pairs(n, self.cfg.pairs_cap if capped else n * n, self.cfg.seed)
+        counts = self.split_counts(pairs)
+        codes, values = metric.pair_distances(self.dataset, pairs)
+        keys, weights = _class_histogram(codes, counts, self.size + 1)
         classes = PairClasses(seed, values, codes, counts, *np.divmod(keys, self.size + 1), weights)
         self._passes.append((metric, capped, classes))
         return classes
+
+
+def _class_histogram(codes: np.ndarray, counts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys code * width + count, sorted, and their numbers of
+    pairs: block histograms, merged once they hold as many keys as the merged."""
+    parts, pending, step = [(np.zeros(0, dtype=np.int64),) * 2], 0, PAIR_CHUNK_BYTES // 8
+    for s in range(0, codes.size, step):
+        keys = np.sort(codes[s : s + step].astype(np.int64) * width + counts[s : s + step])
+        starts = np.flatnonzero(_run_firsts(keys))
+        parts.append((keys[starts], np.diff(starts, append=keys.size)))
+        pending += starts.size
+        if pending >= parts[0][0].size:
+            parts, pending = [_merge_histograms(parts)], 0
+    return _merge_histograms(parts)
+
+
+def _merge_histograms(parts: list) -> tuple[np.ndarray, np.ndarray]:
+    keys, weights = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(_run_firsts(keys))
+    return keys[starts], np.add.reduceat(weights[order], starts)
 
 
 def prediction_table(
@@ -362,6 +369,7 @@ def aggregate_bias(table: PredictionTable) -> Estimate:
         total = int(table.sums.sum())
         numerators, den = over_common_denominator(table.scores)
         return Estimate((Fraction(total, table.size) - Fraction(sum(numerators), den)) / n)
+    _check_trials(table.size)
     mu = table.sums / n
     mean_score = sum(map(float, table.scores)) / n
     return Estimate(float(mu.mean()) - mean_score, float(mu.std(ddof=1)) / math.sqrt(table.size))
@@ -384,8 +392,14 @@ def aggregate_variance(table: PredictionTable) -> Estimate:
         mean_sq = Fraction(total_sq, table.size * n * n)
         mean = Fraction(total, table.size * n)
         return Estimate(mean_sq - mean * mean)
+    _check_trials(table.size)
     mu = table.sums / n
     return Estimate(float(mu.var(ddof=1)), _variance_stderr(mu))
+
+
+def _check_trials(trials: int):  # for every Monte Carlo variance, ddof=1
+    if trials < 2:
+        raise InvalidParameterError("an mc audit needs at least 2 trials: its variance divides by trials - 1")
 
 
 def _variance_stderr(samples: np.ndarray) -> float:
@@ -519,6 +533,7 @@ def decomposition_check(
     variance and bias come from enumeration when the family is enumerable
     within the cap, and from a seeded batch otherwise.
     """
+    _check_trials(cfg.trials)
     score = derand.scorer.score(point)
     var_bern = score * (1 - score)
     try:
@@ -629,7 +644,8 @@ def ls_pairwise_bound(
     """Score-dependent pairwise fairness budget:
     (alpha + 2*min(1-max)) * d + beta + 2/k."""
     _check_fairness_params(alpha, beta)
-    _check_unit("d", d)
+    for name, value in (("d", d), ("fx", fx), ("fy", fy)):
+        _check_unit(name, value)
     lo_score, hi_score = min(fx, fy), max(fx, fy)
     return (alpha + 2 * lo_score * (1 - hi_score)) * d + beta + 2 * bias_bound(k)
 
@@ -715,7 +731,8 @@ BOUND_REGISTRY = {
 
 
 def compute_bound(name: str, **inputs) -> Number:
-    """Evaluate a named closed-form bound (CLI entry point)."""
+    """Evaluate a named closed-form bound (CLI entry point); inputs it
+    rejects, or a value beyond a float's range, raise naming the bound."""
     try:
         fn = BOUND_REGISTRY[name]
     except KeyError:
@@ -725,4 +742,12 @@ def compute_bound(name: str, **inputs) -> Number:
     params = inspect.signature(fn).parameters
     if set(inputs) != set(params):
         raise InvalidParameterError(f"bound {name!r} takes the inputs {list(params)}")
-    return fn(**inputs)
+    try:
+        value = fn(**inputs)
+        if math.isfinite(value):
+            return value
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"{exc}, in bound {name!r}") from None
+    except OverflowError:  # an int or Fraction beyond a float's range
+        pass
+    raise InvalidParameterError(f"bound {name!r} overflows a float on these inputs")

@@ -8,20 +8,22 @@ Metrics read each point's fairness vector (dedicated fairness features
 when present, inference features otherwise), matching what the
 locality-sensitive hashes see.
 
-``Metric.pair_distances`` evaluates many pairs at once as codes into a
-list of distinct values.  The two exact metrics compute it from integer
-count arrays; every other metric, and any subclass that overrides
-``distance``, calls ``distance`` once per pair.  Jaccard packs each set
-into whole uint64 words and popcounts the AND and the OR of two rows;
-Hamming packs 0/1 vectors the same way and popcounts the XOR, and compares
-the floats of any other vectors coordinate by coordinate.
+``Metric.pair_distances`` evaluates a ``PairSet`` in blocks of about
+``PAIR_CHUNK_BYTES`` of rows per side, into codes (of the smallest dtype)
+into a list of distinct values.  The exact metrics key pairs by integers,
+ranked once at the end through a table over the keys' range: Hamming by
+the popcount of the XOR of 0/1 rows packed into uint64 words (or the
+count of differing floats), Jaccard by |A n B| * (d + 1) + |A u B|, from
+popcounts of the AND and the OR.  Every other metric, and any subclass
+that overrides ``distance``, calls ``distance`` once per pair.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,19 +55,35 @@ def binary_support(vector: tuple[float, ...]) -> frozenset[int]:
     return frozenset(support)
 
 
-def over_pair_chunks(
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    i: np.ndarray,
-    j: np.ndarray,
-    row_bytes: int,
-) -> np.ndarray:
-    """The int64 array of fn(i[s], j[s]) over consecutive slices s of the
-    pairs.  Each slice gathers about PAIR_CHUNK_BYTES of rows per side, so
-    the temporaries stay small however many pairs there are."""
-    out = np.empty(len(i), dtype=np.int64)
-    step = max(1, PAIR_CHUNK_BYTES // max(row_bytes, 1))
-    for s in range(0, len(i), step):
-        out[s : s + step] = fn(i[s : s + step], j[s : s + step])
+@dataclass(frozen=True, eq=False)
+class PairSet:
+    """Pairs (i, j) of ``n`` points in a fixed order: every pair i < j in
+    np.triu_indices order, or the pairs i * n + j of ``keys``, in order."""
+
+    n: int
+    keys: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return self.n * (self.n - 1) // 2 if self.keys is None else self.keys.size
+
+    def blocks(self, x: np.ndarray, step: int) -> Iterator[tuple]:
+        """The rows (xa, xb) of x at the two points of consecutive blocks of
+        at most ``step`` pairs: a row and a run of later rows, read in place,
+        or rows gathered by the keys."""
+        if self.keys is None:
+            return ((x[r], x[s : s + step]) for r in range(self.n - 1) for s in range(r + 1, self.n, step))
+        sides = (np.divmod(self.keys[s : s + step], self.n) for s in range(0, self.keys.size, step))
+        return ((x.take(i, axis=0), x.take(j, axis=0)) for i, j in sides)
+
+
+def over_pairs(fn: Callable, pairs: PairSet, x: np.ndarray, dtype) -> np.ndarray:
+    """The array of fn(xa, xb) over the blocks of the pairs, in dtype, with
+    (xa, xb) their rows of x: about PAIR_CHUNK_BYTES of rows and indices."""
+    out, s = np.empty(len(pairs), dtype=dtype), 0
+    for a, b in pairs.blocks(x, max(1, PAIR_CHUNK_BYTES // (x[:1].nbytes + 16))):  # 16: two int64 indices per pair
+        block = fn(a, b)
+        out[s : s + block.size] = block
+        s += block.size
     return out
 
 
@@ -80,16 +98,6 @@ def _packed_rows(x: np.ndarray) -> Optional[np.ndarray]:
     if not np.isin(x, (0.0, 1.0)).all():
         return None
     return np.packbits(np.pad(x.astype(bool), [(0, 0), (0, -x.shape[1] % 64)]), axis=1).view(np.uint64)
-
-
-def _rank_in_place(keys: np.ndarray) -> list[int]:
-    """Replace each key by its index among the sorted distinct keys, and
-    return those keys."""
-    distinct = np.unique(keys)
-    step = PAIR_CHUNK_BYTES // keys.itemsize
-    for s in range(0, keys.size, step):
-        keys[s : s + step] = np.searchsorted(distinct, keys[s : s + step])
-    return distinct.tolist()
 
 
 def _defined_in(obj, name: str) -> type:
@@ -109,22 +117,39 @@ class Metric:
     def distance(self, x: Point, y: Point) -> Distance:
         raise NotImplementedError
 
-    def pair_distances(
-        self, points: Sequence[Point], i: np.ndarray, j: np.ndarray
-    ) -> tuple[np.ndarray, list[Distance]]:
+    def pair_distances(self, points: Sequence[Point], i, j=None) -> tuple[np.ndarray, list[Distance]]:
         """(codes, values) with distance(points[i[p]], points[j[p]]) ==
-        values[codes[p]], of the same type, for every pair index p.  codes
-        is a new int64 array that the caller may overwrite."""
-        index: dict = {}
-        values: list[Distance] = []
-        codes = np.empty(len(i), dtype=np.int64)
-        for p, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-            d = self.distance(points[a], points[b])
-            code = index.setdefault((type(d), d), len(values))
-            if code == len(values):
-                values.append(d)
-            codes[p] = code
-        return codes, values
+        values[codes[p]], of the same type, for every pair p (or every pair
+        of the PairSet i), with codes in the smallest unsigned dtype."""
+        pairs = i if j is None else PairSet(len(points), i * len(points) + j)
+        key, rows, bound, decode = self._pair_keys(points, len(pairs))
+        keys = over_pairs(key, pairs, rows, np.min_scalar_type(max(bound - 1, 0)))
+        lo, hi = (int(keys.min()), int(keys.max()) + 1) if keys.size else (0, 0)
+        present = np.zeros(hi - lo, dtype=bool)  # a table over the keys' range only
+        chunks = [slice(s, s + PAIR_CHUNK_BYTES) for s in range(0, keys.size, PAIR_CHUNK_BYTES)]
+        for c in chunks:  # chunks keep the intp index temporaries small
+            present[keys[c] - lo] = True
+        distinct = np.flatnonzero(present)
+        rank = np.cumsum(present, dtype=np.min_scalar_type(distinct.size)) - 1  # present[0]: no wrap
+        for c in chunks:
+            keys[c] = rank[keys[c] - lo]
+        values = decode(distinct + lo)
+        return keys.astype(np.min_scalar_type(max(len(values) - 1, 0)), copy=False), values
+
+    def _pair_keys(self, points: Sequence[Point], n_pairs: int):
+        """(key, rows, bound, decode): key(xa, xb) gives the pairs of a block,
+        at the rows (xa, xb) of the matrix rows, int keys below bound, equal
+        when their distances are; decode(sorted keys) gives their distances."""
+        index: dict = {}  # (type, distance) -> key, numbered by first occurrence
+
+        def key(a, b):  # the rows are the point indices
+            keys = []
+            for u, v in zip(*(side.tolist() for side in np.broadcast_arrays(a, b))):
+                d = self.distance(points[u], points[v])
+                keys.append(index.setdefault((type(d), d), len(index)))
+            return np.array(keys, dtype=np.int64)
+
+        return key, np.arange(len(points)), n_pairs, lambda keys: [d for _, d in index]  # all keys occur
 
 
 class NormalizedHamming(Metric):
@@ -141,19 +166,13 @@ class NormalizedHamming(Metric):
             raise DimensionMismatchError(f"expected dimension {self.n}, got {len(u)}")
         return Fraction(sum(a != b for a, b in zip(u, v)), self.n)
 
-    def pair_distances(self, points, i, j):
+    def _pair_keys(self, points, n_pairs):
         x = fairness_matrix(points) if _defined_in(self, "distance") is NormalizedHamming else None
         if x is None or x.shape[1] != self.n:
-            return super().pair_distances(points, i, j)
-        bits = _packed_rows(x)
-        if bits is not None:
-            codes = over_pair_chunks(lambda a, b: popcounts(bits[a] ^ bits[b]), i, j, bits[0].nbytes)
-        else:
-            codes = over_pair_chunks(lambda a, b: (x[a] != x[b]).sum(axis=1, dtype=np.int64), i, j, x[0].nbytes)
-        present = np.zeros(self.n + 1, dtype=bool)  # codes are the counts 0..n
-        present[codes] = True
-        rank = np.cumsum(present, dtype=np.int64) - 1
-        return rank[codes], [Fraction(int(c), self.n) for c in np.flatnonzero(present)]
+            return super()._pair_keys(points, n_pairs)
+        bits = _packed_rows(x)  # keys: the number of differing coordinates
+        key = (lambda a, b: (a != b).sum(axis=1)) if bits is None else (lambda a, b: popcounts(a ^ b))
+        return key, x if bits is None else bits, self.n + 1, lambda keys: [Fraction(k, self.n) for k in keys.tolist()]
 
 
 class Angular(Metric):
@@ -186,22 +205,21 @@ class JaccardDistance(Metric):
             return Fraction(0)
         return Fraction(1) - Fraction(len(a & b), len(union))
 
-    def pair_distances(self, points, i, j):
+    def _pair_keys(self, points, n_pairs):
         x = fairness_matrix(points) if _defined_in(self, "distance") is JaccardDistance else None
         sets = None if x is None else _packed_rows(x)
         if sets is None:
-            return super().pair_distances(points, i, j)
+            return super()._pair_keys(points, n_pairs)
         width = x.shape[1] + 1
 
-        def sizes(a, b):  # |A n B| * width + |A u B|, one integer per pair
-            return popcounts(sets[a] & sets[b]) * width + popcounts(sets[a] | sets[b])
+        def key(a, b):  # |A n B| * width + |A u B|
+            return popcounts(a & b) * width + popcounts(a | b)
 
-        codes = over_pair_chunks(sizes, i, j, sets[0].nbytes)
-        values = []
-        for key in _rank_in_place(codes):
-            inter, union = divmod(key, width)
-            values.append(Fraction(1) - Fraction(inter, union) if union else Fraction(0))
-        return codes, values
+        def decode(keys):
+            inter, union = np.divmod(keys, width)
+            return [Fraction(1) - Fraction(a, u) if u else Fraction(0) for a, u in zip(inter.tolist(), union.tolist())]
+
+        return key, sets, width * width, decode
 
 
 class ScaledEuclidean(Metric):

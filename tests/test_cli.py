@@ -2,10 +2,15 @@ import copy
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
+import fairderand
 from fairderand import cli, measure
 from fairderand.cli import main
 from fairderand.dataio import load_dataset, save_dataset
@@ -332,6 +337,19 @@ class TestAuditCommand:
         assert main(["audit", "--config", str(config)]) == 0
         assert calls == {"distances": 1, "splits": 1}
 
+    def test_jaccard_audit_leaves_numpy_ma_unimported(self, scored_csv, config_factory):
+        # numpy.unique without flags imports numpy.ma (about 15 ms) to test for a mask
+        config = config_factory(
+            input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "minhash"},
+            metric={"kind": "jaccard"}, mode="mc", trials=300, tau=0.5, n_classifiers=5,
+            curve_alphas=[0.0, 1.0],
+        )
+        code = ("import sys; from fairderand.cli import main; "
+                f"assert main(['audit', '--config', {str(config)!r}]) == 0; print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(fairderand.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.splitlines()[-1] == "False"
+
     def test_no_batch_before_first_measure_call(self, scored_csv, config_factory, monkeypatch):
         # the benchmark times set-up up to the first call of a module-level
         # fairderand.measure function; the Monte Carlo batch must come after
@@ -420,6 +438,13 @@ class TestStrategicCommand:
         assert {"origin", "response", "gain", "bound", "ok"} <= set(report["responses"][0])
 
 
+    def test_mc_with_one_trial_reads_only_means(self, scored_csv, config_factory, tmp_path):
+        # best responses read the family-mean prediction, which one trial defines
+        config = config_factory(input=str(scored_csv), scheme="ls", k=11, metric={"kind": "hamming"})
+        assert main(["strategic", "--config", str(config), "--mode", "mc", "--trials", "1"]) == 0
+        assert (tmp_path / "reports" / "strategic.json").exists()
+
+
 class TestBoundsCommand:
     def test_bounds_evaluated(self, config_factory, tmp_path):
         config = config_factory(
@@ -436,6 +461,29 @@ class TestBoundsCommand:
         assert values["bias"] == pytest.approx(0.01)
         # (alpha + 2 * 0.2 * (1 - 0.5)) * d + beta + 2/k
         assert values["ls_pairwise"] == pytest.approx(1.2 * 0.25 + 0.1 + 0.2)
+
+    @pytest.mark.parametrize("bound,message", [
+        ({"name": "aggregate_tail", "alpha": 1, "beta": 1e308, "tau": 0.1, "delta": 0.25},
+         "bound 'aggregate_tail' overflows a float on these inputs"),
+        ({"name": "worst_case_aggregate", "alpha": 1, "beta": 1e308, "tau": 0.1, "delta": 0.25, "epsilon": 0.1},
+         "bound 'worst_case_aggregate' overflows a float on these inputs"),
+        ({"name": "worst_case_aggregate", "alpha": 1, "beta": 0, "tau": 0.1, "delta": 0.25, "epsilon": 1e308},
+         "bound 'worst_case_aggregate' overflows a float on these inputs"),
+        ({"name": "ls_pairwise", "alpha": 1, "beta": 0, "d": 0.5, "k": 10, "fx": -1e308, "fy": 0.5},
+         "fx must lie in [0, 1], in bound 'ls_pairwise'"),
+        ({"name": "ls_pairwise", "alpha": 1, "beta": 0, "d": 0.5, "k": 10, "fx": 0.5, "fy": -1e308},
+         "fy must lie in [0, 1], in bound 'ls_pairwise'"),
+        ({"name": "ls_pairwise", "alpha": 1, "beta": 0, "d": 0.5, "k": 10, "fx": 1.5, "fy": -2},
+         "fx must lie in [0, 1], in bound 'ls_pairwise'"),
+        ({"name": "manipulation_gain", "alpha": 10**400, "beta": 0, "cost": 2},
+         "bound 'manipulation_gain' overflows a float on these inputs"),
+    ], ids=["aggregate_tail-beta", "worst_case_aggregate-beta", "worst_case_aggregate-epsilon",
+            "ls_pairwise-fx", "ls_pairwise-fy", "ls_pairwise-out-of-unit", "manipulation_gain-int"])
+    def test_overflowing_or_out_of_range_bound_exits_2(self, config_factory, capsys, tmp_path, bound, message):
+        # each ended in a JSON error on inf (exit 1), or returned a value for scores outside [0, 1]
+        assert main(["bounds", "--config", str(config_factory(bounds=[bound]))]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "reports").exists()
 
     def test_unknown_bound_exits_2(self, config_factory):
         config = config_factory(bounds=[{"name": "nope"}])

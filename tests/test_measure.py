@@ -1,6 +1,8 @@
+import collections
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -57,6 +59,7 @@ from fairderand.measure import (
 )
 from fairderand.derandomize import SharedBucketer
 from fairderand.hashing import MINHASH_ENUM_MAX, FixedFamily, MinHashMember
+from fairderand import metrics
 from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming, binary_support
 from fairderand.rng import CountingRng
 
@@ -66,6 +69,7 @@ from conftest import (
     brute_mean,
     brute_pairwise,
     random_binary_dataset,
+    random_real_dataset,
     random_scorer,
     reference_fairness_check,
     reference_family_beta,
@@ -891,6 +895,115 @@ class TestPairSelection:
         assert list(zip(i.tolist(), j.tolist())) == self.rejection_loop(70, 2400, 4)
 
 
+class TestStreamedPairPass:
+    """The block pass of ``pair_classes`` equals a reference built pair by
+    pair from ``select_pairs``, ``split_share`` and ``metric.distance``."""
+
+    CASES = [(scheme, "hamming") for scheme in ("rt", "pi", "bit_sampling")] + [
+        (scheme, "jaccard") for scheme in ("rt", "minhash")
+    ] + [(scheme, kind) for scheme in ("rt", "pi") for kind in ("graded", "angular")]
+
+    @staticmethod
+    def setup(scheme, kind, rng, n_points):
+        if kind == "angular":
+            ds = random_real_dataset(rng, n_points, 3)
+        elif kind == "graded":  # not 0/1: Hamming compares the floats
+            ds = Dataset([Point(f"g{i}", tuple(rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in range(4)))
+                          for i in range(n_points)])
+        else:
+            ds = random_binary_dataset(rng, n_points, 6)
+        metric = {"hamming": NormalizedHamming(6), "graded": NormalizedHamming(4),
+                  "jaccard": JaccardDistance(), "angular": Angular()}[kind]
+        scorer = random_scorer(rng, ds, 20)
+        if scheme == "rt":
+            return ds, RtDerandomizer(scorer, 7), metric
+        if scheme == "pi":
+            return ds, PiDerandomizer.build(scorer, ds, IdentityBucketer(), 41), metric
+        family = BitSamplingFamily(6) if scheme == "bit_sampling" else MinHashFamily(6)
+        return ds, LsDerandomizer(scorer, family, 7), metric
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.sampled_from(CASES),
+        seed=st.integers(0, 10**6),
+        n_points=st.integers(2, 40),
+        mc=st.booleans(),
+        cap=st.sampled_from(["all", "one", "inside", "all but one"]),
+        chunk_bytes=st.sampled_from([72, 1 << 18]),
+    )
+    def test_equals_per_pair_reference(self, case, seed, n_points, mc, cap, chunk_bytes):
+        # 72-byte chunks read 8-byte rows (and two int64 indices) 3 pairs to a
+        # block, so a cap of 7 ends inside one
+        rng = random.Random(seed)
+        ds, derand, metric = self.setup(*case, rng, n_points)
+        total = n_points * (n_points - 1) // 2
+        pairs_cap = {"all": 10**6, "one": 1, "inside": min(7, total), "all but one": max(total - 1, 1)}[cap]
+        cfg = EstimatorConfig(mode="mc" if mc else "exact", trials=37, seed=seed, pairs_cap=pairs_cap)
+        table = prediction_table(derand, ds, cfg)
+        with mock.patch.object(measure, "PAIR_CHUNK_BYTES", chunk_bytes), \
+                mock.patch.object(metrics, "PAIR_CHUNK_BYTES", chunk_bytes):
+            classes = table.pair_classes(metric, capped=True)
+
+        i, j, pair_seed = select_pairs(n_points, pairs_cap, seed)
+        if pairs_cap >= total:
+            assert (i.tolist(), j.tolist()) == tuple(t.tolist() for t in np.triu_indices(n_points, 1))
+        distances = [metric.distance(ds[a], ds[b]) for a, b in zip(i.tolist(), j.tolist())]
+        counts = [round(split_share(table, a, b) * table.size) for a, b in zip(i.tolist(), j.tolist())]
+        assert classes.pair_seed == pair_seed
+        got = [classes.values[c] for c in classes.codes.tolist()]
+        assert got == distances and [type(d) for d in got] == [type(d) for d in distances]
+        assert classes.counts.tolist() == counts
+        assert sorted(set(classes.codes.tolist())) == list(range(len(classes.values)))  # every value occurs
+        reference = sorted(collections.Counter(zip(classes.codes.tolist(), counts)).items())
+        assert [(c, n) for c, n in zip(classes.class_codes.tolist(), classes.class_counts.tolist())] == [
+            key for key, _ in reference]
+        assert classes.weights.tolist() == [w for _, w in reference]
+
+    def test_memory_is_a_few_bytes_per_pair(self):
+        # every pair of 1,500 points: the per-pair arrays take a byte each,
+        # and the block temporaries a constant
+        rng = random.Random(3)
+        ds = Dataset([Point(f"p{r}", tuple(float(rng.getrandbits(1)) for _ in range(16))) for r in range(1500)])
+        table = prediction_table(RtDerandomizer(random_scorer(rng, ds, 100), 101), ds, EXACT)
+        tracemalloc.start()
+        try:
+            classes = table.pair_classes(NormalizedHamming(16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = 1500 * 1499 // 2
+        assert classes.codes.size == pairs
+        assert peak < 4 * pairs + (4 << 20)
+
+
+class TestOneTrial:
+    """A ddof=1 variance over one Monte Carlo trial is undefined: every
+    quantity that takes one raises, and the means still read."""
+
+    @pytest.fixture
+    def table(self, py_rng):
+        ds = random_binary_dataset(py_rng, 5, 4)
+        derand = LsDerandomizer(random_scorer(py_rng, ds), BitSamplingFamily(4), 7)
+        return prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=1))
+
+    @pytest.mark.parametrize("quantity_of", [
+        aggregate_variance, aggregate_bias, lambda table: table.variance(0),
+    ], ids=["aggregate_variance", "aggregate_bias", "point_variance"])
+    def test_variance_needs_two_trials(self, table, quantity_of):
+        with pytest.raises(InvalidParameterError, match="needs at least 2 trials"):
+            quantity_of(table)
+
+    def test_means_still_read(self, table):
+        assert table.mean(0).value in (0.0, 1.0)
+
+    def test_decomposition_check_needs_two_trials(self, py_rng):
+        # a SimHash family is not enumerable: its variance came from one trial, nan
+        ds = random_real_dataset(py_rng, 2, 3)
+        derand = LsDerandomizer(random_scorer(py_rng, ds), SimHashFamily(3), 11)
+        with pytest.raises(InvalidParameterError, match="needs at least 2 trials"):
+            decomposition_check(derand, ds[0], EstimatorConfig(mode="mc", trials=1))
+
+
 class TestBounds:
     def test_aggregate_tail_example(self):
         assert aggregate_tail_bound(1, 0, 0.05, 0.25) == pytest.approx(0.15)
@@ -910,6 +1023,21 @@ class TestBounds:
         assert compute_bound("bias", k=4) == Fraction(1, 4)
         with pytest.raises(InvalidParameterError):
             compute_bound("no_such_bound")
+
+    @pytest.mark.parametrize("name,inputs", [
+        ("aggregate_tail", dict(alpha=1, beta=1e308, tau=0.1, delta=0.25)),
+        ("worst_case_aggregate", dict(alpha=1, beta=1e308, tau=0.1, delta=0.25, epsilon=0.1)),
+        ("worst_case_aggregate", dict(alpha=1, beta=0, tau=0.1, delta=0.25, epsilon=1e308)),
+        ("manipulation_gain", dict(alpha=10**400, beta=0, cost=2)),
+    ])
+    def test_overflow_raises_naming_the_bound(self, name, inputs):
+        with pytest.raises(InvalidParameterError, match=f"bound '{name}' overflows a float"):
+            compute_bound(name, **inputs)
+
+    @pytest.mark.parametrize("fx,fy", [(1.5, -2), (-1e308, 0.5), (0.5, -1e308)])
+    def test_ls_pairwise_scores_lie_in_unit_interval(self, fx, fy):
+        with pytest.raises(InvalidParameterError, match=r"must lie in \[0, 1\], in bound 'ls_pairwise'"):
+            compute_bound("ls_pairwise", alpha=1, beta=0, d=0.5, k=10, fx=fx, fy=fy)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidParameterError):
