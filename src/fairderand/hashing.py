@@ -28,7 +28,7 @@ classifier) and evaluates members over points one way only: its
 (read and checked once, so the first bad point raises what ``apply``
 raises) to the (points, members) matrix of embed(member(point)), or one
 column for a fixed bucketing.  The members' ``keys`` (coordinate indices,
-rank rows, normals) come from the whole enumeration or a numpy ``draw``.
+rank rows, normals) come from the whole enumeration or a CountingRng ``draw``.
 """
 
 from __future__ import annotations
@@ -133,13 +133,13 @@ class PiFamily:
         """Uniform (a, c), a first; rejection keeps uniformity exact."""
         return PiHash(rng.uniform_int(self.a_range), rng.uniform_int(self.k))
 
-    def sample_batch(self, gen: np.random.Generator, trials: int) -> Callable[[np.ndarray], np.ndarray]:
-        """``trials`` uniform members (a drawn first) from a numpy generator,
+    def sample_batch(self, rng: CountingRng, trials: int) -> Callable[[np.ndarray], np.ndarray]:
+        """``trials`` uniform members (every a, then every c) by array draws,
         as a map from embedded buckets to the residues (a * e + c) mod k,
         which are the hash values minus one."""
         # a and c in the smallest dtype that holds a * e + c < k * k
-        a = gen.integers(0, self.a_range, size=trials, dtype=np.int64).astype(np.min_scalar_type(self.k**2))
-        c = gen.integers(0, self.k, size=trials, dtype=np.int64).astype(a.dtype)
+        a = rng.uniform_ints(self.a_range, trials).astype(np.min_scalar_type(self.k**2))
+        c = rng.uniform_ints(self.k, trials).astype(a.dtype)
         if self.a_range == 1:
             return lambda e: c  # a = 0: one shared threshold per member
         return lambda e: (a * e.astype(a.dtype) + c) % self.k  # e < k
@@ -203,9 +203,9 @@ class BucketingFamily:
     def keys(self, members: Sequence[BucketingMember]) -> np.ndarray:
         raise NotImplementedError
 
-    def draw(self, gen: np.random.Generator, trials: int) -> np.ndarray:
+    def draw(self, rng: CountingRng, trials: int) -> np.ndarray:
         """The keys of ``trials`` uniform members; here, by enumeration index."""
-        return self.keys(self.enumerate())[gen.integers(0, self.enumerable_size, size=trials)]
+        return self.keys(self.enumerate())[rng.uniform_ints(self.enumerable_size, trials)]
 
     def embedder(self, keys: np.ndarray, embed: Callable[[Hashable], int]) -> Callable:
         raise NotImplementedError
@@ -213,7 +213,7 @@ class BucketingFamily:
 
 class FixedFamily(BucketingFamily):
     """A deterministic bucketing as a one-member family: it draws no bits,
-    nothing from a generator, and embeds one column that all members share."""
+    not even in ``draw``, and embeds one column that all members share."""
 
     def __init__(self, member: BucketingMember, bucket_values: Sequence[Hashable]):
         self.member = member
@@ -231,9 +231,6 @@ class FixedFamily(BucketingFamily):
 
     def keys(self, members):
         return np.zeros(1, dtype=np.int64)
-
-    def draw(self, gen, trials):
-        return self.keys(())
 
     def embedder(self, keys, embed):
         apply = self.member.apply
@@ -351,11 +348,11 @@ class MinHashFamily(BucketingFamily):
     def keys(self, members):
         return np.array([m.ranks for m in members], dtype=np.int64).reshape(-1, self.universe_size)
 
-    def draw(self, gen, trials):
+    def draw(self, rng, trials):
         if self.universe_size <= MINHASH_ENUM_MAX:
-            return super().draw(gen, trials)
-        # uniform permutations, one row of ranks per trial
-        return np.argsort(gen.random((trials, self.universe_size)), axis=1).argsort(axis=1)
+            return super().draw(rng, trials)
+        draws = rng.uniform_ints(1 << 53, trials * self.universe_size).reshape(trials, -1)
+        return np.argsort(draws, axis=1).argsort(axis=1)  # a uniform permutation per trial
 
     def embedder(self, keys, embed):
         """A running minimum over each set of rank * 2**b + embed(element),
@@ -415,8 +412,8 @@ class SimHashFamily(BucketingFamily):
     def keys(self, members):
         return np.array([m.normal for m in members], dtype=float).reshape(-1, self.dim)
 
-    def draw(self, gen, trials):
-        return gen.standard_normal((trials, self.dim))
+    def draw(self, rng, trials):
+        return rng.normals((trials, self.dim))  # only the signs of dot products count
 
     def embedder(self, keys, embed):
         below, above = embed(0), embed(1)

@@ -3,9 +3,9 @@
 Exact mode enumerates the full classifier family and reports rationals
 (integer counts over family-size denominators), so comparisons against
 bounds like 1/k are free of float noise.  Monte Carlo mode samples
-classifiers with a seeded numpy generator, vectorized over trials, and
-reports standard errors.  Every report entry comes from ``quantity()``,
-which holds the one verdict rule: a value meets its bound when
+classifiers with the array draws of ``CountingRng(seed)``, vectorized
+over trials, and reports standard errors.  Every report entry comes from
+``quantity()``, which holds the one verdict rule: a value meets its bound when
 |value| <= bound + 4 * stderr, with stderr 0 for an exact value.
 
 Every audited quantity reduces one ``PredictionTable``: the prediction of
@@ -18,7 +18,7 @@ every enumerated (exact) or drawn (Monte Carlo) member, the residues
 packed into bits and added to the per-member counts that bias and
 variance need.  The tail check embeds its sampled classifiers with the
 same embedder, in one call.  Only ``decomposition_check`` draws its own
-batch, because its Bernoulli draws continue that batch's generator.
+batch, because its Bernoulli draws continue that batch's stream.
 
 Pair quantities read one pass per table and metric over every pair, or
 the capped ``sample_pairs``, whose only state is the at most ``cap`` sorted
@@ -113,18 +113,18 @@ def quantity(
 
 def sample_pairs(n_points: int, cap: int = DEFAULT_PAIRS_CAP, seed: int = 0) -> tuple[PairSet, Optional[int]]:
     """Every pair of distinct points, or above the cap the sorted keys
-    i * n + j of the first ``cap`` distinct pairs (i < j) that a scalar
-    rejection loop draws from ``default_rng(seed)``; and the seed (None
-    when every pair is kept).  The stream is drawn in blocks of
-    min(cap, SAMPLE_BLOCK) draws, and only the sorted accepted keys are
-    kept across blocks: each block merges in its distinct keys, and one
+    i * n + j of the first ``cap`` distinct pairs (i < j) that a rejection
+    loop of (uniform_int(n), uniform_int(n)) draws from ``CountingRng(seed)``;
+    and the seed (None when every pair is kept).  The stream is drawn in
+    blocks of min(cap, SAMPLE_BLOCK) draws, and only the sorted accepted keys
+    are kept across blocks: each block merges in its distinct keys, and one
     that may reach the cap keeps the new keys whose first draw came first."""
     if n_points * (n_points - 1) // 2 <= cap:
         return PairSet(n_points), None
-    gen, block = np.random.default_rng(seed), min(cap, SAMPLE_BLOCK)
+    rng, block = CountingRng(seed), min(cap, SAMPLE_BLOCK)
     accepted, size = np.empty(cap + block, dtype=np.int64), 0  # accepted[:size], sorted
     while size < cap:
-        draws = gen.integers(0, n_points, size=2 * block).reshape(-1, 2)
+        draws = rng.uniform_ints(n_points, 2 * block).reshape(-1, 2)
         keys, hi = np.minimum(draws[:, 0], draws[:, 1]), np.maximum(draws[:, 0], draws[:, 1])
         keys = (keys * n_points + hi)[keys != hi]  # in stream order
         del draws, hi
@@ -167,25 +167,25 @@ def _run_firsts(keys: np.ndarray) -> np.ndarray:
 
 class _ClassifierBatch:
     """The classifiers of one table: every family member in enumeration
-    order (exact, no generator), or ``trials`` members sampled uniformly
-    from a seeded generator (Monte Carlo).
+    order (exact, no draws), or ``trials`` members sampled uniformly by
+    the array draws of a ``CountingRng`` (Monte Carlo).
 
     Sampled parameters are drawn once, at construction (a, then c, then
     the bucketings), and shared across blocks, so pairwise quantities see
     each classifier at both points.
     """
 
-    def __init__(self, derand: Derandomizer, trials: int, gen: Optional[np.random.Generator]):
+    def __init__(self, derand: Derandomizer, trials: int, rng: Optional[CountingRng]):
         self.derand = derand
         family = derand.bucketing
-        if gen is None:
+        if rng is None:
             derand._check_enumerable()
             self.size, self.residues = derand.family_size, None
             keys = family.keys(family.enumerate())
         else:
             self.size = trials
-            self.residues = derand.pi_family.sample_batch(gen, trials)
-            keys = family.draw(gen, trials)
+            self.residues = derand.pi_family.sample_batch(rng, trials)
+            keys = family.draw(rng, trials)
         self.embeds = family.embedder(keys, derand.pi_family.embed_value)
 
     def bits(self, points: Sequence[Point], t: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
@@ -312,7 +312,7 @@ def prediction_table(
 ) -> PredictionTable:
     """Evaluate one batch, the whole family (exact) or one seeded with
     cfg.seed (Monte Carlo), one block of points at a time."""
-    batch = _ClassifierBatch(derand, cfg.trials, None if cfg.exact else np.random.default_rng(cfg.seed))
+    batch = _ClassifierBatch(derand, cfg.trials, None if cfg.exact else CountingRng(cfg.seed))
     scores = tuple(derand.scorer.score(p) for p in dataset)
     t = np.array([threshold_count(s, derand.k) for s in scores], dtype=np.int64)
     x = derand.bucketing.vectors(dataset)
@@ -543,11 +543,11 @@ def decomposition_check(
     bias, var_family = table.bias(0).value, table.variance(0).value
 
     rhs = decomposition_bound(abs(bias), var_bern, var_family)
-    gen = np.random.default_rng(cfg.seed)
-    batch = _ClassifierBatch(derand, cfg.trials, gen)
+    rng = CountingRng(cfg.seed)
+    batch = _ClassifierBatch(derand, cfg.trials, rng)
     t = np.array([threshold_count(score, derand.k)])
     member_bits = batch.bits((point,), t, derand.bucketing.vectors((point,)))[0]
-    bern_bits = gen.random(cfg.trials) < float(score)
+    bern_bits = rng.bernoullis(score, cfg.trials)
     lhs = _share(int((member_bits != bern_bits).sum()), cfg.trials, False)
 
     return {
@@ -565,14 +565,14 @@ def empirical_fairness_curve(
     table: PredictionTable, metric: Metric, alphas: Sequence[float]
 ) -> list[tuple[float, float]]:
     """For each slope a on the grid, the mean residual additive unfairness
-    b(a) = mean over the table's capped pairs of max(gap - a*d, 0), where
-    gap is the family's expected prediction gap."""
+    b(a) = mean over the table's capped pairs of max(gap - a*d, 0), gap being
+    the family's expected prediction gap; the classes add up exactly (fsum)."""
     classes = table.pair_classes(metric, capped=True)
     if classes.codes.size == 0:
         raise InvalidParameterError("need at least 2 points")
-    g = classes.counts / table.size
-    d = np.array([float(v) for v in classes.values])[classes.codes]
-    return [(float(a), float(np.maximum(g - float(a) * d, 0.0).mean())) for a in alphas]
+    g, n = classes.class_counts / table.size, classes.codes.size
+    d = np.array([float(v) for v in classes.values])[classes.class_codes]
+    return [(float(a), math.fsum((classes.weights * np.maximum(g - float(a) * d, 0.0)).tolist()) / n) for a in alphas]
 
 
 def scorer_beta(

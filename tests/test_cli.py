@@ -337,18 +337,33 @@ class TestAuditCommand:
         assert main(["audit", "--config", str(config)]) == 0
         assert calls == {"distances": 1, "splits": 1}
 
+    @staticmethod
+    def heavy_modules_after_audit(config):
+        # numpy.unique without flags imports numpy.ma (about 15 ms) to test
+        # for a mask; numpy.random (about 6 MiB, with hashlib and secrets)
+        # has no use, since CountingRng serves every draw
+        modules = ["numpy.ma", "numpy.random", "hashlib", "secrets"]
+        code = ("import sys; from fairderand.cli import main; "
+                f"assert main(['audit', '--config', {str(config)!r}]) == 0; "
+                f"print([m for m in {modules!r} if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=str(Path(fairderand.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        return out.stdout.splitlines()[-1]
+
     def test_jaccard_audit_leaves_numpy_ma_unimported(self, scored_csv, config_factory):
-        # numpy.unique without flags imports numpy.ma (about 15 ms) to test for a mask
         config = config_factory(
             input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "minhash"},
             metric={"kind": "jaccard"}, mode="mc", trials=300, tau=0.5, n_classifiers=5,
             curve_alphas=[0.0, 1.0],
         )
-        code = ("import sys; from fairderand.cli import main; "
-                f"assert main(['audit', '--config', {str(config)!r}]) == 0; print('numpy.ma' in sys.modules)")
-        env = dict(os.environ, PYTHONPATH=str(Path(fairderand.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.splitlines()[-1] == "False"
+        assert self.heavy_modules_after_audit(config) == "[]"
+
+    def test_capped_exact_audit_leaves_numpy_random_unimported(self, scored_csv, config_factory):
+        config = config_factory(
+            input=str(scored_csv), scheme="rt", k=11, mode="exact", pairs_cap=3, tau=0.5,
+            n_classifiers=5, curve_alphas=[0.0, 1.0],
+        )
+        assert self.heavy_modules_after_audit(config) == "[]"
 
     def test_no_batch_before_first_measure_call(self, scored_csv, config_factory, monkeypatch):
         # the benchmark times set-up up to the first call of a module-level

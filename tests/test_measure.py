@@ -551,23 +551,26 @@ class TestSplitCounts:
 
 
 def per_point_mc_bits(derand, points, trials, seed):
-    """The per-point Monte Carlo oracle the block oracle replaced: a, then
-    c, then the bucketings drawn from one generator, then one point at a
-    time."""
-    gen = np.random.default_rng(seed)
+    """The per-point Monte Carlo oracle the block oracle replaced, drawn by
+    scalar CountingRng calls: every a, then every c, then the bucketings,
+    then one point at a time."""
+    rng = CountingRng(seed)
     pi, family = derand.pi_family, derand.bucketing
-    a = gen.integers(0, pi.a_range, size=trials, dtype=np.int64)
-    c = gen.integers(0, pi.k, size=trials, dtype=np.int64)
+    a = np.array([rng.uniform_int(pi.a_range) for _ in range(trials)], dtype=np.int64)
+    c = np.array([rng.uniform_int(pi.k) for _ in range(trials)], dtype=np.int64)
     if isinstance(family, FixedFamily):
         def embeds(point):
             return pi.embed_value(family.member.apply(point))
     elif isinstance(family, SimHashFamily):
-        normals = gen.standard_normal((trials, family.dim))
+        count = trials * family.dim
+        normals = np.array([v for _ in range((count + 1) // 2) for v in rng.normal_pair()][:count])
+        normals = normals.reshape(trials, family.dim)
 
         def embeds(point):
             return np.where(normals @ np.asarray(point.fairness_vector) >= 0.0, pi.embed_value(1), pi.embed_value(0))
     elif isinstance(family, MinHashFamily) and family.universe_size > MINHASH_ENUM_MAX:
-        ranks = np.argsort(gen.random((trials, family.universe_size)), axis=1).argsort(axis=1)
+        draws = [rng.draw_bits(53) for _ in range(trials * family.universe_size)]
+        ranks = np.argsort(np.reshape(draws, (trials, -1)), axis=1).argsort(axis=1)
 
         def embeds(point):
             support = sorted(binary_support(point.fairness_vector))
@@ -577,7 +580,7 @@ def per_point_mc_bits(derand, points, trials, seed):
             return values[np.argmin(ranks[:, support], axis=1)]
     else:
         members = family.enumerate()
-        idx = gen.integers(0, len(members), size=trials)
+        idx = [rng.uniform_int(len(members)) for _ in range(trials)]
 
         def embeds(point):
             return np.array([pi.embed_value(m.apply(point)) for m in members], dtype=np.int64)[idx]
@@ -848,11 +851,11 @@ class TestPairSelection:
     @staticmethod
     def rejection_loop(n_points, cap, seed):
         """The scalar rejection sampler that the array draws must reproduce."""
-        gen = np.random.default_rng(seed)
+        rng = CountingRng(seed)
         chosen = set()
         while len(chosen) < cap:
-            i = int(gen.integers(0, n_points))
-            j = int(gen.integers(0, n_points))
+            i = rng.uniform_int(n_points)
+            j = rng.uniform_int(n_points)
             if i != j:
                 chosen.add((min(i, j), max(i, j)))
         return sorted(chosen)
@@ -874,24 +877,18 @@ class TestPairSelection:
         assert list(zip(i.tolist(), j.tolist())) == self.rejection_loop(n_points, cap, seed)
 
     def test_second_round_of_draws_equals_rejection_loop(self, monkeypatch):
-        # 2400 of the 2415 pairs of 70 points: at seed 4 the first round,
-        # sized from the expected draws plus a slack, falls short
-        default_rng, generators = np.random.default_rng, []
+        # 2400 of the 2415 pairs of 70 points: the first block of 2400
+        # pairs of draws falls short, so the sampler draws again
+        uniform_ints, calls = CountingRng.uniform_ints, []
 
-        class CountingGenerator:
-            def __init__(self, seed):
-                self.gen, self.calls = default_rng(seed), 0
-                generators.append(self)
+        def counting(rng, n, size):
+            calls.append(size)
+            return uniform_ints(rng, n, size)
 
-            def integers(self, *args, **kwargs):
-                self.calls += 1
-                return self.gen.integers(*args, **kwargs)
-
-        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        monkeypatch.setattr(CountingRng, "uniform_ints", counting)
         i, j, _ = select_pairs(70, cap=2400, seed=4)
         monkeypatch.undo()
-        (generator,) = generators
-        assert generator.calls > 1  # one call per round of fewer than 65,536 draws
+        assert len(calls) > 1  # one array call per block of pairs
         assert list(zip(i.tolist(), j.tolist())) == self.rejection_loop(70, 2400, 4)
 
 
