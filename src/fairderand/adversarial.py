@@ -175,12 +175,12 @@ def finite_family_violation_search(
         raise InvalidParameterError(f"beta must be below 1/|family| = {1.0 / size}")
 
     table = prediction_table(derand, grid, EstimatorConfig(mode="exact"))
-    i = np.arange(len(grid) - 1)
-    flips = np.flatnonzero(table.split_counts(i, i + 1))
+    adjacent = PairSet(len(grid), np.arange(len(grid) - 1) * (len(grid) + 1) + 1)  # keys i * n + i + 1
+    flips = np.flatnonzero(table.split_counts(adjacent))
     if flips.size == 0:
         return None
 
-    spacing = max(metric.pair_distances(grid, i, i + 1)[1])
+    spacing = max(metric.pair_distances(grid, adjacent)[1])
     if not Fraction(alpha) * Fraction(spacing) + Fraction(beta) < Fraction(1, size):
         raise GridTooCoarseError(
             f"adjacent spacing {float(spacing)} must be below {(1.0 / size - beta) / alpha}"

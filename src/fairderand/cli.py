@@ -284,7 +284,7 @@ def cmd_audit(config: dict) -> Path:
     quantities["metric_fairness"] = fairness
 
     if isinstance(derand, LsDerandomizer):
-        tau = float(config.get("tau", 0.05))
+        tau = Fraction(str(config.get("tau", 0.05)))  # exact too: a pair at distance 3/10 is within 0.3
         delta = float(config.get("delta", 0.25))
         quantities["worst_case_aggregate_bound"] = quantity(
             worst_case_aggregate_bound(alpha, beta, tau, delta, Fraction(2, derand.k)),

@@ -17,8 +17,10 @@ construction with three bucketing families:
 * locality-sensitive threshold (LS): a sampled locality-sensitive hash, so
   close points usually share a threshold.
 
-Samplers draw through a CountingRng (the bucketing member, then a, then c)
-and attach the consumed bit budget to the classifier they return.
+Classifiers are drawn only by ``Derandomizer.draw``, as arrays through a
+CountingRng: the keys of every bucketing member (one array draw of the
+bucketing family), then every a, then every c.  ``sample`` is the draw of
+one classifier, with the bits it consumed attached.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Hashable
 
+import numpy as np
+
 from .core import (
     Dataset,
     DeterministicClassifier,
@@ -34,13 +38,12 @@ from .core import (
     StochasticScorer,
     threshold_count,
 )
-from .errors import InvalidParameterError, NotEnumerableError
+from .errors import FamilyTooLargeError, InvalidParameterError, NotEnumerableError
 from .hashing import (
     ENUMERATION_CAP,
     BitBudget,
     BucketingFamily,
     BucketingMember,
-    FamilyTooLargeError,
     FixedFamily,
     PiFamily,
     PiHash,
@@ -128,14 +131,22 @@ class Derandomizer:
         self.pi_family = PiFamily(k, bucketing.bucket_values)
         self.k = k
 
+    def draw(self, rng: CountingRng, trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, a, c) of ``trials`` uniform classifiers: the keys of every
+        bucketing member first, then every a, then every c."""
+        keys = self.bucketing.draw(rng, trials)
+        return (keys, *self.pi_family.draw(rng, trials))
+
     def sample(self, rng: CountingRng) -> ThresholdClassifier:
+        """The classifier of ``draw(rng, 1)``, drawn in its two steps to
+        count the bits of each: the bucketing member's, then those of (a, c)."""
         start = rng.bits_consumed
-        member = self.bucketing.sample(rng)
+        (key,) = self.bucketing.draw(rng, 1)
         lsh_bits = rng.bits_consumed - start
-        h = self.pi_family.sample(rng)
-        pi_bits = rng.bits_consumed - start - lsh_bits
+        (a,), (c,) = self.pi_family.draw(rng, 1)
+        budget = BitBudget(rng.bits_consumed - start - lsh_bits, lsh_bits)
         return ThresholdClassifier(
-            self.scorer, member, self.pi_family, h, BitBudget(pi_bits, lsh_bits)
+            self.scorer, self.bucketing.member(key), self.pi_family, PiHash(int(a), int(c)), budget
         )
 
     @property
@@ -145,16 +156,6 @@ class Derandomizer:
         if size is None:
             return None
         return size * self.pi_family.size
-
-    def enumerate_members(self) -> list[ThresholdClassifier]:
-        """The full uniform family, for exact-expectation oracles."""
-        self._check_enumerable()
-        hashes = self.pi_family.enumerate()
-        return [
-            ThresholdClassifier(self.scorer, member, self.pi_family, h)
-            for member in self.bucketing.enumerate()
-            for h in hashes
-        ]
 
     def _check_enumerable(self):
         size = self.family_size

@@ -22,13 +22,16 @@ of family live here:
   concatenated: amplification would turn the collision probability into
   (1 - d)^m and break the fairness analysis.
 
-A bucketing family samples one member through a CountingRng (one
-classifier) and evaluates members over points one way only: its
-``embedder(keys, embed)`` maps a block of points and their ``vectors``
+A bucketing family draws members only as keys (coordinate indices, rank
+rows, unit normals), by one array ``draw`` of ``trials`` members through a
+CountingRng, or all of them by enumeration; ``member(key)`` builds the one
+member a key stands for.  It evaluates members over points one way only:
+its ``embedder(keys, embed)`` maps a block of points and their ``vectors``
 (read and checked once, so the first bad point raises what ``apply``
 raises) to the (points, members) matrix of embed(member(point)), or one
-column for a fixed bucketing.  The members' ``keys`` (coordinate indices,
-rank rows, normals) come from the whole enumeration or a CountingRng ``draw``.
+column for a fixed bucketing.  The affine family draws (a, c) the same
+way, every a and then every c, and ``residues`` is its one array spelling
+of the hash values.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ import numpy as np
 from .core import Point
 from .errors import (
     DimensionMismatchError,
-    FamilyTooLargeError,
     InvalidParameterError,
     NotEnumerableError,
     UnknownBucketError,
@@ -129,34 +131,25 @@ class PiFamily:
         """Hash value in [1..k]."""
         return (h.a * self.embed_value(bucket) + h.c) % self.k + 1
 
-    def sample(self, rng: CountingRng) -> PiHash:
-        """Uniform (a, c), a first; rejection keeps uniformity exact."""
-        return PiHash(rng.uniform_int(self.a_range), rng.uniform_int(self.k))
-
-    def sample_batch(self, rng: CountingRng, trials: int) -> Callable[[np.ndarray], np.ndarray]:
-        """``trials`` uniform members (every a, then every c) by array draws,
-        as a map from embedded buckets to the residues (a * e + c) mod k,
-        which are the hash values minus one."""
-        # a and c in the smallest dtype that holds a * e + c < k * k
+    def draw(self, rng: CountingRng, trials: int) -> tuple[np.ndarray, np.ndarray]:
+        """(a, c) of ``trials`` uniform members: every a, then every c, by
+        rejection, which keeps uniformity exact; in the smallest dtype that
+        holds a * e + c < k * k."""
         a = rng.uniform_ints(self.a_range, trials).astype(np.min_scalar_type(self.k**2))
-        c = rng.uniform_ints(self.k, trials).astype(a.dtype)
-        if self.a_range == 1:
-            return lambda e: c  # a = 0: one shared threshold per member
-        return lambda e: (a * e.astype(a.dtype) + c) % self.k  # e < k
+        return a, rng.uniform_ints(self.k, trials).astype(a.dtype)
+
+    def residues(self, a: np.ndarray, c: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """(a * e + c) mod k, the hash values minus one, broadcast over the
+        coefficient and embedded-bucket arrays (e < k)."""
+        return (a * e.astype(a.dtype) + c) % self.k
 
     @property
     def size(self) -> int:
         return self.a_range * self.k
 
-    def enumerate(self) -> list[PiHash]:
-        """All members, each of equal weight."""
-        if self.size > ENUMERATION_CAP:
-            raise FamilyTooLargeError(f"{self.size} members exceeds cap {ENUMERATION_CAP}")
-        return [PiHash(a, c) for a in range(self.a_range) for c in range(self.k)]
-
     @cached_property
     def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """(a, c) arrays of every member, in enumeration order."""
+        """(a, c) arrays of every member: a-major, each of equal weight."""
         a = np.repeat(np.arange(self.a_range, dtype=np.min_scalar_type(self.k**2)), self.k)
         c = np.tile(np.arange(self.k, dtype=a.dtype), self.a_range)
         return a, c
@@ -186,9 +179,6 @@ class BucketingFamily:
 
     bucket_values: tuple[Hashable, ...]
 
-    def sample(self, rng: CountingRng) -> BucketingMember:
-        raise NotImplementedError
-
     def enumerate(self) -> list[BucketingMember]:
         raise NotImplementedError
 
@@ -207,6 +197,10 @@ class BucketingFamily:
         """The keys of ``trials`` uniform members; here, by enumeration index."""
         return self.keys(self.enumerate())[rng.uniform_ints(self.enumerable_size, trials)]
 
+    def member(self, key) -> BucketingMember:
+        """The member that a key (one row of ``keys`` or ``draw``) stands for."""
+        raise NotImplementedError
+
     def embedder(self, keys: np.ndarray, embed: Callable[[Hashable], int]) -> Callable:
         raise NotImplementedError
 
@@ -215,15 +209,12 @@ class FixedFamily(BucketingFamily):
     """A deterministic bucketing as a one-member family: it draws no bits,
     not even in ``draw``, and embeds one column that all members share."""
 
-    def __init__(self, member: BucketingMember, bucket_values: Sequence[Hashable]):
-        self.member = member
+    def __init__(self, bucketer: BucketingMember, bucket_values: Sequence[Hashable]):
+        self.bucketer = bucketer
         self.bucket_values = tuple(bucket_values)
 
-    def sample(self, rng: CountingRng) -> BucketingMember:
-        return self.member
-
     def enumerate(self) -> list[BucketingMember]:
-        return [self.member]
+        return [self.bucketer]
 
     @property
     def enumerable_size(self) -> int:
@@ -232,8 +223,11 @@ class FixedFamily(BucketingFamily):
     def keys(self, members):
         return np.zeros(1, dtype=np.int64)
 
+    def member(self, key):
+        return self.bucketer
+
     def embedder(self, keys, embed):
-        apply = self.member.apply
+        apply = self.bucketer.apply
         return lambda points, x: np.array([embed(apply(p)) for p in points], dtype=np.int64).reshape(-1, 1)
 
 
@@ -264,9 +258,6 @@ class BitSamplingFamily(BucketingFamily):
         self.n = n
         self.bucket_values = (0, 1)
 
-    def sample(self, rng: CountingRng) -> BitSamplingMember:
-        return BitSamplingMember(rng.uniform_int(self.n))
-
     @property
     def enumerable_size(self) -> int:
         return self.n
@@ -284,6 +275,9 @@ class BitSamplingFamily(BucketingFamily):
 
     def keys(self, members):
         return np.array([m.index for m in members], dtype=np.intp)
+
+    def member(self, key):
+        return BitSamplingMember(int(key))
 
     def embedder(self, keys, embed):
         below, above = embed(0), embed(1)
@@ -320,9 +314,6 @@ class MinHashFamily(BucketingFamily):
         self.universe_size = universe_size
         self.bucket_values = tuple(range(universe_size))
 
-    def sample(self, rng: CountingRng) -> MinHashMember:
-        return MinHashMember(rng.permutation(self.universe_size))
-
     @property
     def enumerable_size(self) -> int | None:
         return math.factorial(self.universe_size) if self.universe_size <= MINHASH_ENUM_MAX else None
@@ -349,10 +340,20 @@ class MinHashFamily(BucketingFamily):
         return np.array([m.ranks for m in members], dtype=np.int64).reshape(-1, self.universe_size)
 
     def draw(self, rng, trials):
-        if self.universe_size <= MINHASH_ENUM_MAX:
-            return super().draw(rng, trials)
-        draws = rng.uniform_ints(1 << 53, trials * self.universe_size).reshape(trials, -1)
-        return np.argsort(draws, axis=1).argsort(axis=1)  # a uniform permutation per trial
+        """One Fisher-Yates pass over every trial at once: for i = n-1 down
+        to 1, swap rank i of each trial with its rank j, j uniform in [0, i].
+        The ranks are stored element-major, so rank i of every trial is one
+        contiguous run; the rows returned are a transposed view."""
+        n, trial = self.universe_size, np.arange(trials)
+        ranks = np.repeat(np.arange(n, dtype=np.int64), trials)  # rank e of trial r at e * trials + r
+        for i in range(n - 1, 0, -1):
+            at = rng.uniform_ints(i + 1, trials) * trials + trial
+            run = slice(i * trials, (i + 1) * trials)
+            ranks[run], ranks[at] = ranks[at], ranks[run].copy()
+        return ranks.reshape(n, trials).T
+
+    def member(self, key):
+        return MinHashMember(tuple(key.tolist()))
 
     def embedder(self, keys, embed):
         """A running minimum over each set of rank * 2**b + embed(element),
@@ -390,16 +391,13 @@ class SimHashMember(BucketingMember):
 class SimHashFamily(BucketingFamily):
     """Random-hyperplane sign hashing; paired with angular distance.
     The family is continuous, so enumeration is unsupported.  Keys are
-    normals, which need not be unit length."""
+    unit normals."""
 
     def __init__(self, dim: int):
         if dim < 1:
             raise InvalidParameterError("dimension must be positive")
         self.dim = dim
         self.bucket_values = (0, 1)
-
-    def sample(self, rng: CountingRng) -> SimHashMember:
-        return SimHashMember(rng.unit_vector(self.dim))
 
     def enumerate(self) -> list[BucketingMember]:
         raise NotEnumerableError("hyperplane families are continuous")
@@ -413,7 +411,12 @@ class SimHashFamily(BucketingFamily):
         return np.array([m.normal for m in members], dtype=float).reshape(-1, self.dim)
 
     def draw(self, rng, trials):
-        return rng.normals((trials, self.dim))  # only the signs of dot products count
+        """Standard normal rows, scaled to unit length."""
+        normals = rng.normals((trials, self.dim))
+        return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+
+    def member(self, key):
+        return SimHashMember(tuple(key.tolist()))
 
     def embedder(self, keys, embed):
         below, above = embed(0), embed(1)

@@ -16,9 +16,11 @@ bucketing's one embedder maps the block to the embedded buckets e under
 every enumerated (exact) or drawn (Monte Carlo) member, the residues
 (a * e + c) mod k are compared with t = floor(score * k), and the rows are
 packed into bits and added to the per-member counts that bias and
-variance need.  The tail check embeds its sampled classifiers with the
-same embedder, in one call.  Only ``decomposition_check`` draws its own
-batch, because its Bernoulli draws continue that batch's stream.
+variance need.  A Monte Carlo batch is ``Derandomizer.draw``: the keys
+of every bucketing member, then every a, then every c.  The tail check
+evaluates its own drawn batch at every point, in one call, and
+``decomposition_check`` draws one whose Bernoulli draws continue its
+stream.
 
 Pair quantities read one pass per table and metric over every pair, or
 the capped ``sample_pairs``, whose only state is the at most ``cap`` sorted
@@ -151,12 +153,6 @@ def sample_pairs(n_points: int, cap: int = DEFAULT_PAIRS_CAP, seed: int = 0) -> 
     return PairSet(n_points, accepted[:cap]), seed
 
 
-def select_pairs(n_points: int, cap: int = DEFAULT_PAIRS_CAP, seed: int = 0) -> tuple:
-    """The index arrays (i, j) of the pairs of ``sample_pairs``, and its seed."""
-    pairs, seed = sample_pairs(n_points, cap, seed)
-    return (*(np.triu_indices(n_points, 1) if pairs.keys is None else np.divmod(pairs.keys, n_points)), seed)
-
-
 def _run_firsts(keys: np.ndarray) -> np.ndarray:
     """True at the first key of each run of equal keys."""
     return np.concatenate(([True], keys[1:] != keys[:-1]))[: keys.size]
@@ -167,39 +163,37 @@ def _run_firsts(keys: np.ndarray) -> np.ndarray:
 
 class _ClassifierBatch:
     """The classifiers of one table: every family member in enumeration
-    order (exact, no draws), or ``trials`` members sampled uniformly by
-    the array draws of a ``CountingRng`` (Monte Carlo).
+    order (exact, no draws), or the ``trials`` classifiers of
+    ``derand.draw(rng, trials)`` (Monte Carlo): the keys of every bucketing
+    member, then every a, then every c.
 
-    Sampled parameters are drawn once, at construction (a, then c, then
-    the bucketings), and shared across blocks, so pairwise quantities see
-    each classifier at both points.
+    Drawn parameters are drawn once, at construction, and shared across
+    blocks, so pairwise quantities see each classifier at both points.
     """
 
     def __init__(self, derand: Derandomizer, trials: int, rng: Optional[CountingRng]):
-        self.derand = derand
+        self.pi_family = derand.pi_family
         family = derand.bucketing
         if rng is None:
             derand._check_enumerable()
-            self.size, self.residues = derand.family_size, None
+            self.size, self.coefficients = derand.family_size, None
             keys = family.keys(family.enumerate())
         else:
             self.size = trials
-            self.residues = derand.pi_family.sample_batch(rng, trials)
-            keys = family.draw(rng, trials)
-        self.embeds = family.embedder(keys, derand.pi_family.embed_value)
+            keys, *self.coefficients = derand.draw(rng, trials)
+        self.embeds = family.embedder(keys, self.pi_family.embed_value)
 
     def bits(self, points: Sequence[Point], t: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
-        """The (points, classifiers) bool matrix of u <= t over a block, with
-        x its ``bucketing.vectors``.  Exact mode forms one row of residues
-        per distinct (bucket, t) in the block and gathers it per bucketing."""
-        e = self.embeds(points, x)
-        if self.residues is not None:
-            return self.residues(e) < t[:, None]  # u = residue + 1 <= t
-        k = self.derand.k
-        keys, inverse = np.unique((e.astype(np.int64) * (k + 1) + t[:, None]).reshape(-1), return_inverse=True)
-        e, t = np.divmod(keys, k + 1)
-        a, c = self.derand.pi_family.coefficients
-        rows = (e[:, None].astype(a.dtype) * a + c) % k < t[:, None]
+        """The (points, classifiers) bool matrix of u = residue + 1 <= t over
+        a block, with x its ``bucketing.vectors``.  Exact mode forms one row
+        of residues per distinct (bucket, t) in the block and gathers it per
+        bucketing."""
+        pi, e = self.pi_family, self.embeds(points, x)
+        if self.coefficients is not None:
+            return pi.residues(*self.coefficients, e) < t[:, None]
+        keys, inverse = np.unique((e.astype(np.int64) * (pi.k + 1) + t[:, None]).reshape(-1), return_inverse=True)
+        e, t = np.divmod(keys, pi.k + 1)
+        rows = pi.residues(*pi.coefficients, e[:, None]) < t[:, None]
         return rows[inverse].reshape(len(points), -1)
 
 
@@ -262,11 +256,10 @@ class PredictionTable:
     def bits(self, r: int) -> np.ndarray:
         return np.unpackbits(self.packed[r], count=self.size)
 
-    def split_counts(self, i, j: Optional[np.ndarray] = None) -> np.ndarray:
-        """Members (or trials) that predict differently at the points of each
-        pair (i[p], j[p]), or of the PairSet i: popcounts of XORed rows."""
+    def split_counts(self, pairs: PairSet) -> np.ndarray:
+        """Members (or trials) that predict differently at the two points of
+        each pair: popcounts of XORed rows."""
         words = self.packed.view(np.uint64)
-        pairs = i if j is None else PairSet(len(words), i * len(words) + j)
         return over_pairs(lambda a, b: popcounts(a ^ b), pairs, words, np.min_scalar_type(self.size))
 
     def pair_classes(self, metric: Metric, capped: bool = False) -> PairClasses:
@@ -438,23 +431,18 @@ def metric_fairness_check(
 def sampled_aggregate_fairness(
     table: PredictionTable,
     metric: Metric,
-    tau: float,
+    tau: Number,
     n_classifiers: int,
     rng: CountingRng,
 ) -> list[Fraction]:
-    """Split fraction of tau-close pairs for each of n sampled classifiers,
-    embedded in one call.  A classifier predicts 1 at x iff u(x) <= t[x],
-    with t read from the table."""
+    """Split fraction of tau-close pairs for each of the n classifiers of
+    ``derand.draw(rng, n)``, one batch evaluated at every point of the
+    table in one call."""
     classes = table.pair_classes(metric)
     i, j, _ = _close_pairs(len(table.dataset), classes.codes, classes.values, tau)
     if i.size == 0:
         raise EmptyPairSetError(f"no pairs within distance {tau}")
-    derand = table.derand
-    clfs = [derand.sample(rng) for _ in range(n_classifiers)]
-    keys = derand.bucketing.keys([clf.member for clf in clfs])
-    e = derand.bucketing.embedder(keys, derand.pi_family.embed_value)(table.dataset, table.vectors)
-    a, c = (np.array([getattr(clf.h, name) for clf in clfs], dtype=np.int64) for name in "ac")
-    bits = (a * e + c) % derand.k < table.t[:, None]  # u = residue + 1 <= t
+    bits = _ClassifierBatch(table.derand, n_classifiers, rng).bits(table.dataset, table.t, table.vectors)
     return [Fraction(int((column[i] != column[j]).sum()), i.size) for column in bits.T]
 
 
@@ -462,7 +450,7 @@ def aggregate_fairness_tail_check(
     table: PredictionTable,
     metric: Metric,
     alpha: Number,
-    tau: float,
+    tau: Number,
     delta: float,
     n_classifiers: int,
     rng: CountingRng,
@@ -582,7 +570,7 @@ def scorer_beta(
     dataset: max over pairs of (|score gap| - alpha*d)+."""
     scores = [scorer.score(p) for p in dataset]
     i, j = np.triu_indices(len(dataset), 1)
-    codes, values = metric.pair_distances(dataset, i, j)
+    codes, values = metric.pair_distances(dataset, PairSet(len(dataset)))
     pairs = zip(i.tolist(), j.tolist(), codes.tolist())
     # max() keeps its first maximal argument: an int 0 when no excess is positive
     return max([0, *(abs(scores[a] - scores[b]) - alpha * values[c] for a, b, c in pairs)])

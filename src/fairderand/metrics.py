@@ -117,11 +117,10 @@ class Metric:
     def distance(self, x: Point, y: Point) -> Distance:
         raise NotImplementedError
 
-    def pair_distances(self, points: Sequence[Point], i, j=None) -> tuple[np.ndarray, list[Distance]]:
-        """(codes, values) with distance(points[i[p]], points[j[p]]) ==
-        values[codes[p]], of the same type, for every pair p (or every pair
-        of the PairSet i), with codes in the smallest unsigned dtype."""
-        pairs = i if j is None else PairSet(len(points), i * len(points) + j)
+    def pair_distances(self, points: Sequence[Point], pairs: PairSet) -> tuple[np.ndarray, list[Distance]]:
+        """(codes, values) with distance(x, y) == values[codes[p]], of the
+        same type, at the points x, y of every pair p, with codes in the
+        smallest unsigned dtype."""
         key, rows, bound, decode = self._pair_keys(points, len(pairs))
         keys = over_pairs(key, pairs, rows, np.min_scalar_type(max(bound - 1, 0)))
         lo, hi = (int(keys.min()), int(keys.max()) + 1) if keys.size else (0, 0)

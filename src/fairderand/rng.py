@@ -132,8 +132,10 @@ class CountingRng:
         return r * math.cos(theta), r * math.sin(theta)
 
     def normals(self, shape) -> np.ndarray:
-        """Standard normals in row order, a Box-Muller pair (as in ``normal_pair``)
-        per two 64-bit chunks, in rounds of ARRAY_ROUND (even) chunks."""
+        """Standard normals in row order: what successive ``normal_pair``
+        draws return, cosine then sine, one pair per two 64-bit chunks (in
+        rounds of ARRAY_ROUND, which is even); an odd count drops the last
+        sine and consumes no bits for it."""
         out = np.empty(int(np.prod(shape)) + 1, dtype=float)
         for s in range(0, out.size - 1, ARRAY_ROUND):
             u = self._chunks(64, min(ARRAY_ROUND, (out.size - s) // 2 * 2))
@@ -142,24 +144,3 @@ class CountingRng:
             theta = 2.0 * math.pi * (u[1::2] * 2.0**-64)
             out[s : s + u.size] = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).reshape(-1)
         return out[:-1].reshape(shape)
-
-    def permutation(self, n: int) -> tuple[int, ...]:
-        """Uniform permutation of range(n) via Fisher-Yates with counted bits."""
-        items = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.uniform_int(i + 1)
-            items[i], items[j] = items[j], items[i]
-        return tuple(items)
-
-    def unit_vector(self, dim: int) -> tuple[float, ...]:
-        """Uniform direction in R^dim from normalized Box-Muller normals."""
-        if dim < 1:
-            raise InvalidParameterError("dimension must be positive")
-        while True:
-            values: list[float] = []
-            while len(values) < dim:
-                values.extend(self.normal_pair())
-            del values[dim:]
-            norm = math.sqrt(sum(v * v for v in values))
-            if norm > 0.0:
-                return tuple(v / norm for v in values)

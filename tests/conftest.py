@@ -1,8 +1,9 @@
-"""Shared builders and independent brute-force oracles.
+"""Shared builders, independent brute-force oracles and scalar references.
 
 The oracles evaluate every enumerated classifier through its public
 ``predict`` method, one point at a time; the library's vectorized
-enumeration path must agree with them exactly.
+enumeration path must agree with them exactly.  The references redo the
+library's array draws one scalar CountingRng call at a time.
 """
 
 import itertools
@@ -13,9 +14,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fairderand import Dataset, Point, TabularScorer
-from fairderand.errors import EmptyPairSetError, GridTooCoarseError, InvalidParameterError
-from fairderand.measure import prediction_table
+from fairderand import (
+    BitBudget,
+    BitSamplingFamily,
+    Dataset,
+    MinHashFamily,
+    PiHash,
+    Point,
+    SimHashFamily,
+    TabularScorer,
+    ThresholdClassifier,
+)
+from fairderand.errors import EmptyPairSetError, FamilyTooLargeError, GridTooCoarseError, InvalidParameterError
+from fairderand.hashing import ENUMERATION_CAP, BitSamplingMember, FixedFamily, MinHashMember, SimHashMember
+from fairderand.measure import prediction_table, sample_pairs
+from fairderand.metrics import PairSet
 
 
 def random_binary_dataset(rng: random.Random, n_points: int, dim: int) -> Dataset:
@@ -50,8 +63,69 @@ def random_scorer(rng: random.Random, dataset: Dataset, denominator: int = 997) 
     )
 
 
+def pi_hashes(family) -> list:
+    """Every member of the affine family, a-major, each of equal weight."""
+    if family.size > ENUMERATION_CAP:
+        raise FamilyTooLargeError(f"{family.size} members exceeds cap {ENUMERATION_CAP}")
+    return [PiHash(a, c) for a in range(family.a_range) for c in range(family.k)]
+
+
+def enumerate_members(derand) -> list:
+    """The full uniform family as classifiers, in the order of the exact
+    prediction table: bucketing-member major, then the affine hashes."""
+    derand._check_enumerable()
+    hashes = pi_hashes(derand.pi_family)
+    return [
+        ThresholdClassifier(derand.scorer, member, derand.pi_family, h)
+        for member in derand.bucketing.enumerate()
+        for h in hashes
+    ]
+
+
+def select_pairs(n_points: int, cap: int, seed: int) -> tuple:
+    """The index arrays (i, j) of the pairs of ``sample_pairs``, and its seed."""
+    pairs, seed = sample_pairs(n_points, cap, seed)
+    return (*(np.triu_indices(n_points, 1) if pairs.keys is None else np.divmod(pairs.keys, n_points)), seed)
+
+
+def pairs_of(n_points: int, i, j) -> PairSet:
+    """The pairs (i[p], j[p]) of n points as a PairSet."""
+    return PairSet(n_points, np.asarray(i, dtype=np.int64) * n_points + np.asarray(j, dtype=np.int64))
+
+
+def scalar_member(family, rng):
+    """One bucketing member by scalar draws: Fisher-Yates for min-wise
+    hashing, Box-Muller pairs scaled to unit length for hyperplanes, a
+    uniform coordinate for bit sampling, and nothing for a fixed bucketing."""
+    if isinstance(family, FixedFamily):
+        return family.bucketer
+    if isinstance(family, BitSamplingFamily):
+        return BitSamplingMember(rng.uniform_int(family.n))
+    if isinstance(family, MinHashFamily):
+        items = list(range(family.universe_size))
+        for i in range(family.universe_size - 1, 0, -1):
+            j = rng.uniform_int(i + 1)
+            items[i], items[j] = items[j], items[i]
+        return MinHashMember(tuple(items))
+    assert isinstance(family, SimHashFamily)
+    values = [v for _ in range((family.dim + 1) // 2) for v in rng.normal_pair()][: family.dim]
+    norm = math.sqrt(sum(v * v for v in values))
+    return SimHashMember(tuple(v / norm for v in values))
+
+
+def scalar_sample(derand, rng) -> ThresholdClassifier:
+    """The reference for ``Derandomizer.sample``: the bucketing member,
+    then a, then c, by scalar draws, with the bits of each."""
+    start = rng.bits_consumed
+    member = scalar_member(derand.bucketing, rng)
+    lsh_bits = rng.bits_consumed - start
+    h = PiHash(rng.uniform_int(derand.pi_family.a_range), rng.uniform_int(derand.k))
+    budget = BitBudget(rng.bits_consumed - start - lsh_bits, lsh_bits)
+    return ThresholdClassifier(derand.scorer, member, derand.pi_family, h, budget)
+
+
 def brute_mean(derand, point) -> Fraction:
-    members = derand.enumerate_members()
+    members = enumerate_members(derand)
     return Fraction(sum(c.predict(point) for c in members), len(members))
 
 
@@ -63,14 +137,14 @@ def brute_collision(family, x, y) -> Fraction:
 
 
 def brute_pairwise(derand, x, y) -> Fraction:
-    members = derand.enumerate_members()
+    members = enumerate_members(derand)
     return Fraction(
         sum(abs(c.predict(x) - c.predict(y)) for c in members), len(members)
     )
 
 
 def brute_aggregate_variance(derand, dataset) -> Fraction:
-    members = derand.enumerate_members()
+    members = enumerate_members(derand)
     means = [
         Fraction(sum(c.predict(p) for p in dataset), len(dataset)) for c in members
     ]
@@ -81,7 +155,7 @@ def brute_aggregate_variance(derand, dataset) -> Fraction:
 def split_share(table, a, b):
     """The share of the table's members (or trials) that predict
     differently at points a and b: exact, or a float in Monte Carlo mode."""
-    n_diff = int(table.split_counts(np.array([a]), np.array([b]))[0])
+    n_diff = int(table.split_counts(pairs_of(len(table.dataset), [a], [b]))[0])
     return Fraction(n_diff, table.size) if table.cfg.exact else n_diff / table.size
 
 
@@ -134,7 +208,7 @@ def brute_violation_search(derand, metric, grid, alpha, beta):
     """The per-member grid scan: every enumerated member's prediction at
     every grid point, then the first adjacent pair whose flip share
     exceeds alpha*d + beta, or None when every member is constant."""
-    classifiers = derand.enumerate_members()
+    classifiers = enumerate_members(derand)
     if len(grid) < 2:
         raise InvalidParameterError("grid needs at least 2 points")
     size = len(classifiers)

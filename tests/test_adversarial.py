@@ -25,7 +25,7 @@ from fairderand.errors import FairderandError, GridTooCoarseError, InvalidParame
 from fairderand.measure import prediction_table, scorer_beta
 from fairderand.metrics import NormalizedHamming, ScaledEuclidean
 
-from conftest import brute_violation_search, split_share
+from conftest import brute_violation_search, enumerate_members, split_share
 
 EXACT = EstimatorConfig(mode="exact")
 
@@ -139,7 +139,7 @@ class TestViolationSearch:
     def test_single_step_classifier(self):
         # the classifier 1{x >= 0.5} on [0, 1]: the one member at k = 1 on the score min(2x, 1)
         derand = RtDerandomizer(AffineScorer((2.0,)), 1)
-        family = derand.enumerate_members()
+        family = enumerate_members(derand)
         assert len(family) == 1 and family[0].h.c + 1 == 1  # u = c + 1
         grid = unit_interval_grid(1001)
         found = finite_family_violation_search(
@@ -159,7 +159,7 @@ class TestViolationSearch:
         )
         assert found is not None
         x, y = found
-        gap = mean_gap(derand.enumerate_members(), x, y)
+        gap = mean_gap(enumerate_members(derand), x, y)
         assert gap > 1.0 * ScaledEuclidean(1.0).distance(x, y) + 0.05
 
     def test_beta_must_be_below_one_over_family_size(self):
@@ -201,7 +201,7 @@ class TestViolationSearch:
         )
         x, y = found
         metric = ScaledEuclidean(1.0)
-        assert float(mean_gap(derand.enumerate_members(), x, y)) > 1.0 * metric.distance(x, y) + 0.1
+        assert float(mean_gap(enumerate_members(derand), x, y)) > 1.0 * metric.distance(x, y) + 0.1
 
 
 def outcome(fn):

@@ -250,6 +250,21 @@ class TestAuditCommand:
         assert main(["audit", "--config", str(config)]) == 2
         assert "config error: no pairs within distance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau,code", [(0.3, 0), (0.29, 2)])
+    def test_tau_is_an_exact_decimal(self, tmp_path, config_factory, tau, code):
+        # a and b differ in 3 of 10 coordinates: the pair lies within tau =
+        # 0.3, which is 3/10, though the double nearest 0.3 is below 3/10
+        path = tmp_path / "tenbit.csv"
+        rows = [["a", *"1110000000", "0.2"], ["b", *"1101100000", "0.6"], ["c", *"0000011111", "0.9"]]
+        write_dataset(path, rows, ["id", *(f"feat_{i}" for i in range(10)), "score"])
+        config = config_factory(
+            input=str(path), scheme="ls", k=11, lsh={"kind": "bit_sampling"}, tau=tau, n_classifiers=4,
+        )
+        assert main(["audit", "--config", str(config)]) == code
+        if code == 0:
+            report = json.loads((tmp_path / "reports" / "audit.json").read_text())
+            assert "aggregate_fairness_tail" in report["quantities"]
+
     def test_subsampled_audit_reports_pair_seed(self, scored_csv, config_factory, tmp_path):
         config = config_factory(input=str(scored_csv), pairs_cap=3)
         assert main(["audit", "--config", str(config)]) == 0
@@ -294,16 +309,17 @@ class TestAuditCommand:
     )
     def test_one_oracle_evaluation_per_point(self, scored_csv, config_factory, monkeypatch, mode, extra):
         # the oracle answers a block of points per call: its rows total one
-        # per point, from one batch per audit
-        calls = {"points": 0, "batches": 0}
+        # per point and batch, from two batches per audit, the table's and
+        # the tail check's n_classifiers drawn classifiers
+        calls, sizes = {"points": 0}, []
 
         def bits(self, points, t, x):
             calls["points"] += len(points)
             return oracle(self, points, t, x)
 
-        def init(*args, **kwargs):
-            calls["batches"] += 1
-            return batch_init(*args, **kwargs)
+        def init(self, *args, **kwargs):
+            batch_init(self, *args, **kwargs)
+            sizes.append(self.size)
 
         oracle, batch_init = measure._ClassifierBatch.bits, measure._ClassifierBatch.__init__
         monkeypatch.setattr(measure._ClassifierBatch, "bits", bits)
@@ -313,7 +329,8 @@ class TestAuditCommand:
             mode=mode, trials=200, tau=0.4, n_classifiers=5, **extra,
         )
         assert main(["audit", "--config", str(config)]) == 0
-        assert calls == {"points": 4, "batches": 1}
+        assert calls == {"points": 2 * 4}
+        assert sizes == [3 * 11 * 11 if mode == "exact" else 200, 5]
 
     def test_one_pair_pass_per_audit(self, scored_csv, config_factory, monkeypatch):
         # the fairness check, family beta, the tail check's close pairs and

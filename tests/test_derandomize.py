@@ -13,6 +13,7 @@ from fairderand import (
     LsDerandomizer,
     MinHashFamily,
     PiDerandomizer,
+    PiHash,
     Point,
     RtDerandomizer,
     SimHashFamily,
@@ -22,7 +23,7 @@ from fairderand.derandomize import realized_buckets
 from fairderand.errors import InvalidParameterError, NotEnumerableError
 from fairderand.rng import CountingRng
 
-from conftest import brute_mean, random_binary_dataset, random_scorer
+from conftest import brute_mean, enumerate_members, random_binary_dataset, random_scorer, scalar_sample
 
 
 def two_point_dataset():
@@ -65,22 +66,22 @@ class TestDegenerateScorers:
         for derand in families:
             clf = derand.sample(rng)
             assert all(clf.predict(p) == expected for p in ds)
-            for member in derand.enumerate_members():
+            for member in enumerate_members(derand):
                 assert all(member.predict(p) == expected for p in ds)
 
 
 class TestFamilySizes:
     def test_rt(self):
-        assert len(RtDerandomizer(ConstantScorer(0), 10).enumerate_members()) == 10
+        assert len(enumerate_members(RtDerandomizer(ConstantScorer(0), 10))) == 10
 
     def test_pi(self):
         ds = two_point_dataset()
         derand = PiDerandomizer.build(ConstantScorer(0), ds, IdentityBucketer(), 3)
-        assert len(derand.enumerate_members()) == 9
+        assert len(enumerate_members(derand)) == 9
 
     def test_ls(self):
         derand = LsDerandomizer(ConstantScorer(0), BitSamplingFamily(2), 5)
-        assert len(derand.enumerate_members()) == 50
+        assert len(enumerate_members(derand)) == 50
 
     def test_ls_minhash(self):
         derand = LsDerandomizer(ConstantScorer(0), MinHashFamily(3), 7)
@@ -90,21 +91,21 @@ class TestFamilySizes:
         derand = LsDerandomizer(ConstantScorer(0), SimHashFamily(2), 5)
         assert derand.family_size is None
         with pytest.raises(NotEnumerableError):
-            derand.enumerate_members()
+            enumerate_members(derand)
 
 
 class TestRtScheme:
     def test_monotone_in_threshold(self):
         ds = two_point_dataset()
         scorer = TabularScorer({"x1": 0.35, "x2": 0.8})
-        members = RtDerandomizer(scorer, 10).enumerate_members()
+        members = enumerate_members(RtDerandomizer(scorer, 10))
         for p in ds:
             bits = [m.predict(p) for m in members]  # ordered by u
             assert all(b1 >= b2 for b1, b2 in zip(bits, bits[1:]))
 
     def test_top_threshold_fires_only_on_score_one(self):
         scorer = TabularScorer({"x1": 1.0, "x2": 0.999})
-        members = RtDerandomizer(scorer, 4).enumerate_members()
+        members = enumerate_members(RtDerandomizer(scorer, 4))
         top = members[-1]
         assert top.h.c + 1 == 4  # the shared threshold u = c + 1
         assert top.predict(Point("x1", (0.0,))) == 1
@@ -162,6 +163,47 @@ class TestBitBudgets:
         assert clf.budget.pi_bits == 10  # exactly log2(k) for a power of two
 
 
+class TestSampleEqualsScalarReference:
+    """``sample`` is the one-trial ``draw``, and both equal the scalar
+    reference: the bucketing member by Fisher-Yates, ``normal_pair`` or
+    ``uniform_int``, then a, then c, with the same bits spent on each."""
+
+    @staticmethod
+    def derandomizer(kind):
+        scorer = ConstantScorer(Fraction(1, 2))
+        gen = random.Random(kind)
+        reals = Dataset([Point(f"r{i}", (gen.uniform(0, 2), gen.uniform(0, 2))) for i in range(12)])
+        return {
+            "rt": lambda: RtDerandomizer(scorer, 101),
+            "pi_grid": lambda: PiDerandomizer.build(scorer, reals, GridBucketer(0.5), 17),
+            "pi_identity": lambda: PiDerandomizer.build(scorer, reals, IdentityBucketer(), 13),
+            "bit_sampling": lambda: LsDerandomizer(scorer, BitSamplingFamily(10), 11),
+            "minhash5": lambda: LsDerandomizer(scorer, MinHashFamily(5), 11),
+            "minhash16": lambda: LsDerandomizer(scorer, MinHashFamily(16), 17),
+            "simhash": lambda: LsDerandomizer(scorer, SimHashFamily(7), 11),
+        }[kind]()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["rt", "pi_grid", "pi_identity", "bit_sampling", "minhash5", "minhash16", "simhash"]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_sample_equals_scalar_reference(self, kind, seed):
+        derand = self.derandomizer(kind)
+        rng, scalar = CountingRng(seed), CountingRng(seed)
+        clf, ref = derand.sample(rng), scalar_sample(derand, scalar)
+        assert clf.budget == ref.budget
+        assert rng.bits_consumed == scalar.bits_consumed == clf.budget.total
+        assert clf.h == ref.h
+        if kind == "simhash":  # numpy and Python round the norm differently
+            assert clf.member.normal == pytest.approx(ref.member.normal, rel=0, abs=1e-12)
+        else:
+            assert clf.member == ref.member
+            assert clf.params() == ref.params()
+        (key,), (a,), (c,) = derand.draw(CountingRng(seed), 1)
+        assert (derand.bucketing.member(key), PiHash(int(a), int(c))) == (clf.member, clf.h)
+
+
 class TestFamilyMeanConsistency:
     """The enumerated family mean at any point is within 1/k of the score."""
 
@@ -192,7 +234,7 @@ class TestFairnessProjection:
         ds = Dataset(points)
         scorer = TabularScorer({"a": 0.4, "b": 0.6})
         derand = LsDerandomizer(scorer, BitSamplingFamily(2), 5)
-        members = derand.enumerate_members()
+        members = enumerate_members(derand)
         buckets = {m.member.apply(ds[1]) for m in members}
         assert buckets == {1}
         assert {m.member.apply(ds[0]) for m in members} == {0}

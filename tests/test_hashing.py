@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -9,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from fairderand import (
     BitSamplingFamily,
+    ConstantScorer,
+    Derandomizer,
+    EstimatorConfig,
     GridBucketer,
     IdentityBucketer,
     MinHashFamily,
@@ -26,11 +30,12 @@ from fairderand.errors import (
     NotEnumerableError,
     UnknownBucketError,
 )
-from fairderand.hashing import FixedFamily
+from fairderand.hashing import ENUMERATION_CAP, FixedFamily
+from fairderand.measure import prediction_table
 from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming
 from fairderand.rng import CountingRng
 
-from conftest import brute_collision
+from conftest import brute_collision, pi_hashes
 
 
 class TestPiEval:
@@ -71,7 +76,7 @@ class TestExactPairwiseIndependence:
     def test_every_joint_cell_hit_exactly_once(self, k):
         buckets = list(range(min(k, 4)))
         fam = PiFamily(k, buckets)
-        hashes = fam.enumerate()
+        hashes = pi_hashes(fam)
         assert len(hashes) == k * k
         for b1, b2 in itertools.combinations(buckets, 2):
             cells = {}
@@ -84,7 +89,7 @@ class TestExactPairwiseIndependence:
     @pytest.mark.parametrize("k", [2, 5, 13])
     def test_marginals_exactly_uniform(self, k):
         fam = PiFamily(k, list(range(min(k, 3))))
-        hashes = fam.enumerate()
+        hashes = pi_hashes(fam)
         for b in fam.buckets:
             counts = [0] * k
             for h in hashes:
@@ -92,46 +97,42 @@ class TestExactPairwiseIndependence:
             assert counts == [k] * k
 
     def test_enumeration_cap(self):
+        # over two buckets the family has k * k members: 1009**2 is above the cap
+        derand = Derandomizer(ConstantScorer(0), FixedFamily(SharedBucketer(), (0, 1)), 1009)
+        assert derand.pi_family.size > ENUMERATION_CAP
         with pytest.raises(FamilyTooLargeError):
-            PiFamily(1009, [0, 1]).enumerate()
+            prediction_table(derand, [], EstimatorConfig(mode="exact"))
 
 
 class TestPiSampling:
     def test_k2_four_equiprobable_hashes(self):
         fam = PiFamily(2, [0, 1])
-        rng = CountingRng(31)
-        counts = {}
         n = 10_000
-        for _ in range(n):
-            h = fam.sample(rng)
-            counts[(h.a, h.c)] = counts.get((h.a, h.c), 0) + 1
+        counts = collections.Counter(zip(*(v.tolist() for v in fam.draw(CountingRng(31), n))))
         assert len(counts) == 4
         for c in counts.values():
             assert abs(c / n - 0.25) < 0.02
 
     def test_k5_joint_cells_pairwise_independent(self):
         fam = PiFamily(5, [0, 1])
-        rng = CountingRng(37)
         counts = np.zeros((5, 5))
         n = 100_000
-        for _ in range(n):
-            h = fam.sample(rng)
-            counts[fam.value(h, 0) - 1, fam.value(h, 1) - 1] += 1
+        a, c = fam.draw(CountingRng(37), n)
+        np.add.at(counts, (fam.residues(a, c, np.zeros(n)), fam.residues(a, c, np.ones(n))), 1)
         assert np.all(np.abs(counts / n - 0.04) < 0.005)
 
     def test_sampling_is_seed_deterministic(self):
         fam = PiFamily(3, [0, 1, 2])
-        first = fam.sample(CountingRng(123))
-        second = fam.sample(CountingRng(123))
-        assert first == second
+        first = fam.draw(CountingRng(123), 5)
+        second = fam.draw(CountingRng(123), 5)
+        assert [v.tolist() for v in first] == [v.tolist() for v in second]
 
     def test_average_bits_within_budget(self):
         for k in (2, 5, 13, 17):
             fam = PiFamily(k, [0, 1])
             rng = CountingRng(41)
             n = 10_000
-            for _ in range(n):
-                fam.sample(rng)
+            fam.draw(rng, n)
             width = (k - 1).bit_length()
             assert rng.bits_consumed / n <= 4 * width
 
@@ -158,11 +159,8 @@ class TestBitSampling:
 
     def test_sampled_coordinate_uniform(self):
         fam = BitSamplingFamily(4)
-        rng = CountingRng(43)
-        counts = [0] * 4
         n = 10_000
-        for _ in range(n):
-            counts[fam.sample(rng).index] += 1
+        counts = np.bincount(fam.draw(CountingRng(43), n), minlength=4).tolist()
         for c in counts:
             assert abs(c / n - 0.25) < 0.02
 
@@ -219,8 +217,8 @@ class TestMinHash:
 
     def test_sampled_member_is_valid_permutation(self):
         fam = MinHashFamily(5)
-        member = fam.sample(CountingRng(47))
-        assert sorted(member.ranks) == list(range(5))
+        (key,) = fam.draw(CountingRng(47), 1)
+        assert sorted(fam.member(key).ranks) == list(range(5))
 
 
 class TestSimHash:
@@ -233,9 +231,7 @@ class TestSimHash:
         rng = CountingRng(53)
         x, y = Point("x", (1.0, 0.0)), Point("y", (0.0, 1.0))
         n = 100_000
-        hits = sum(
-            (m := fam.sample(rng)).apply(x) == m.apply(y) for _ in range(n)
-        )
+        hits = sum((m := fam.member(key)).apply(x) == m.apply(y) for key in fam.draw(rng, n))
         assert abs(hits / n - 0.5) < 0.01
 
     def test_collision_matches_angle_on_random_pairs(self):
@@ -243,8 +239,7 @@ class TestSimHash:
         fam = SimHashFamily(3)
         rng = CountingRng(59)
         n = 100_000
-        members = [fam.sample(rng) for _ in range(n)]
-        normals = np.array([m.normal for m in members])
+        normals = fam.draw(rng, n)
         angular = Angular()
         gen = random.Random(8)
         for _ in range(20):
@@ -258,13 +253,14 @@ class TestSimHash:
             assert abs(freq - expected) <= max(3 * sigma, 1e-3)
 
     def test_member_is_unit_normal(self):
-        member = SimHashFamily(4).sample(CountingRng(61))
+        family = SimHashFamily(4)
+        member = family.member(family.draw(CountingRng(61), 1)[0])
         assert math.isclose(sum(v * v for v in member.normal), 1.0, rel_tol=1e-12)
 
     def test_dimension_mismatch_is_a_data_error(self):
         family, point = SimHashFamily(4), Point("x", (1.0, 0.0, 1.0))
         with pytest.raises(DimensionMismatchError, match="dimension mismatch in hyperplane hash"):
-            family.sample(CountingRng(61)).apply(point)
+            family.member(family.draw(CountingRng(61), 1)[0]).apply(point)
         with pytest.raises(DimensionMismatchError, match="dimension mismatch in hyperplane hash"):
             family.vectors([point])
 
@@ -315,7 +311,8 @@ class TestEmbedAll:
         if isinstance(family, Bucketer):
             family = FixedFamily(family, realized_buckets(family, points) or (0,))
         size = family.enumerable_size
-        members = family.enumerate() if size is not None and size <= 8 else [family.sample(CountingRng(seed))]
+        members = family.enumerate() if size is not None and size <= 8 else [
+            family.member(key) for key in family.draw(CountingRng(seed), 2)]
         embed = PiFamily(101, family.bucket_values).embed_value
         expected = self.outcome(lambda: [[embed(m.apply(p)) for m in members] for p in points])
         embedder = family.embedder(family.keys(members), embed)

@@ -20,10 +20,12 @@ from fairderand import (
     LsDerandomizer,
     MinHashFamily,
     PiDerandomizer,
+    PiHash,
     Point,
     RtDerandomizer,
     SimHashFamily,
     TabularScorer,
+    ThresholdClassifier,
     threshold_count,
 )
 from fairderand import measure
@@ -52,13 +54,12 @@ from fairderand.measure import (
     rt_variance_bound,
     sampled_aggregate_fairness,
     scorer_beta,
-    select_pairs,
     threshold_fairness_check,
     worst_case_aggregate_bound,
     worst_case_pairwise_bound,
 )
 from fairderand.derandomize import SharedBucketer
-from fairderand.hashing import MINHASH_ENUM_MAX, FixedFamily, MinHashMember
+from fairderand.hashing import FixedFamily, MinHashMember
 from fairderand import metrics
 from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming, binary_support
 from fairderand.rng import CountingRng
@@ -68,11 +69,14 @@ from conftest import (
     brute_aggregate_variance,
     brute_mean,
     brute_pairwise,
+    enumerate_members,
+    pairs_of,
     random_binary_dataset,
     random_real_dataset,
     random_scorer,
     reference_fairness_check,
     reference_family_beta,
+    select_pairs,
     split_share,
 )
 
@@ -178,7 +182,7 @@ class TestOracleAgreement:
     @pytest.mark.parametrize(
         "family,metric,x,y",
         [
-            # universe of 8 > MINHASH_ENUM_MAX: the batch draws rank rows
+            # a universe of 8 is above the enumeration limit: Monte Carlo only
             (MinHashFamily(8), JaccardDistance(),
              (1, 1, 1, 0, 1, 0, 0, 1), (0, 1, 1, 1, 1, 0, 1, 0)),
             (SimHashFamily(8), Angular(), (0.9, -0.2, 0.4, 0.1, -0.7, 0.3, 0.5, 0.2),
@@ -533,8 +537,12 @@ class TestAggregateFairness:
         derand = LsDerandomizer(random_scorer(py_rng, ds), family, 17)
         table = prediction_table(derand, ds, EstimatorConfig(mode=mode, trials=200))
         got = sampled_aggregate_fairness(table, metric, 0.5, 15, CountingRng(9))
-        rng = CountingRng(9)
-        assert got == [aggregate_fairness(derand.sample(rng), ds, metric, 0.5) for _ in range(15)]
+        keys, a, c = derand.draw(CountingRng(9), 15)
+        classifiers = [
+            ThresholdClassifier(derand.scorer, family.member(key), derand.pi_family, PiHash(int(ai), int(ci)))
+            for key, ai, ci in zip(keys, a.tolist(), c.tolist())
+        ]
+        assert got == [aggregate_fairness(clf, ds, metric, 0.5) for clf in classifiers]
 
 
 class TestSplitCounts:
@@ -547,30 +555,33 @@ class TestSplitCounts:
         i, j = np.triu_indices(len(ds), 1)
         rows = [np.packbits(table.bits(r)) for r in range(len(ds))]
         expected = [int(np.bitwise_count(rows[a] ^ rows[b]).sum()) for a, b in zip(i, j)]
-        assert table.split_counts(i, j).tolist() == expected
+        assert table.split_counts(pairs_of(len(ds), i, j)).tolist() == expected
 
 
 def per_point_mc_bits(derand, points, trials, seed):
-    """The per-point Monte Carlo oracle the block oracle replaced, drawn by
-    scalar CountingRng calls: every a, then every c, then the bucketings,
-    then one point at a time."""
+    """The per-point Monte Carlo oracle, drawn by scalar CountingRng calls
+    in the order of ``Derandomizer.draw`` (the bucketing members of every
+    trial, then every a, then every c), then one point at a time."""
     rng = CountingRng(seed)
     pi, family = derand.pi_family, derand.bucketing
-    a = np.array([rng.uniform_int(pi.a_range) for _ in range(trials)], dtype=np.int64)
-    c = np.array([rng.uniform_int(pi.k) for _ in range(trials)], dtype=np.int64)
     if isinstance(family, FixedFamily):
         def embeds(point):
-            return pi.embed_value(family.member.apply(point))
+            return pi.embed_value(family.bucketer.apply(point))
     elif isinstance(family, SimHashFamily):
         count = trials * family.dim
         normals = np.array([v for _ in range((count + 1) // 2) for v in rng.normal_pair()][:count])
         normals = normals.reshape(trials, family.dim)
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
         def embeds(point):
             return np.where(normals @ np.asarray(point.fairness_vector) >= 0.0, pi.embed_value(1), pi.embed_value(0))
-    elif isinstance(family, MinHashFamily) and family.universe_size > MINHASH_ENUM_MAX:
-        draws = [rng.draw_bits(53) for _ in range(trials * family.universe_size)]
-        ranks = np.argsort(np.reshape(draws, (trials, -1)), axis=1).argsort(axis=1)
+    elif isinstance(family, MinHashFamily):
+        ranks = [list(range(family.universe_size)) for _ in range(trials)]
+        for i in range(family.universe_size - 1, 0, -1):  # Fisher-Yates, one step of every trial at a time
+            for items in ranks:
+                j = rng.uniform_int(i + 1)
+                items[i], items[j] = items[j], items[i]
+        ranks = np.array(ranks, dtype=np.int64).reshape(trials, family.universe_size)
 
         def embeds(point):
             support = sorted(binary_support(point.fairness_vector))
@@ -584,6 +595,8 @@ def per_point_mc_bits(derand, points, trials, seed):
 
         def embeds(point):
             return np.array([pi.embed_value(m.apply(point)) for m in members], dtype=np.int64)[idx]
+    a = np.array([rng.uniform_int(pi.a_range) for _ in range(trials)], dtype=np.int64)
+    c = np.array([rng.uniform_int(pi.k) for _ in range(trials)], dtype=np.int64)
 
     rows = []
     for point in points:
@@ -637,7 +650,7 @@ class TestBlockOracle:
         ds, derand = self.derandomizer(kind, rng, n_points)
         with mock.patch.object(measure, "PAIR_CHUNK_BYTES", per_block * derand.family_size):
             table = prediction_table(derand, ds, EXACT)
-        members = derand.enumerate_members()
+        members = enumerate_members(derand)
         for r, point in enumerate(ds):
             assert table.bits(r).tolist() == [c.predict(point) for c in members]
         assert aggregate_variance(table).value == brute_aggregate_variance(derand, ds)
@@ -689,7 +702,7 @@ class TestBlockOracle:
         with mock.patch.object(measure, "PAIR_CHUNK_BYTES", 3 * size):
             got = outcome(lambda: prediction_table(derand, points, cfg).bits(0).tolist())
         if mode == "exact":
-            members = derand.enumerate_members()
+            members = enumerate_members(derand)
             expected = outcome(lambda: [[c.predict(p) for c in members] for p in points][0])
         else:
             expected = outcome(lambda: per_point_mc_bits(derand, points, 37, seed)[0].tolist())

@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 from unittest import mock
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairderand import rng as rng_module
+from fairderand import MinHashFamily, SimHashFamily, rng as rng_module
 from fairderand.errors import InvalidParameterError
 from fairderand.rng import ARRAY_ROUND, BERNOULLI_BITS, CountingRng
 
@@ -88,13 +89,11 @@ def test_uniform_int_expected_bits_below_twice_width():
 
 
 def test_permutation_is_uniform_permutation():
-    rng = CountingRng(5)
-    counts = {}
+    # the array Fisher-Yates pass of min-wise hashing, one row per trial
     n = 6_000
-    for _ in range(n):
-        p = rng.permutation(3)
-        assert sorted(p) == [0, 1, 2]
-        counts[p] = counts.get(p, 0) + 1
+    rows = MinHashFamily(3).draw(CountingRng(5), n)
+    assert (np.sort(rows, axis=1) == [0, 1, 2]).all()
+    counts = collections.Counter(map(tuple, rows.tolist()))
     assert len(counts) == 6
     for c in counts.values():
         assert abs(c / n - 1 / 6) < 0.03
@@ -118,11 +117,13 @@ def test_normal_moments():
 
 
 def test_unit_vector_has_unit_norm():
+    # the hyperplane normals, normals() rows scaled to unit length
     rng = CountingRng(19)
     for dim in (1, 2, 3, 5):
-        v = rng.unit_vector(dim)
-        assert len(v) == dim
-        assert math.isclose(sum(x * x for x in v), 1.0, rel_tol=1e-12)
+        normals = SimHashFamily(dim).draw(rng, 20)
+        assert normals.shape == (20, dim)
+        for v in normals.tolist():
+            assert math.isclose(sum(x * x for x in v), 1.0, rel_tol=1e-12)
 
 
 def test_invalid_arguments():
