@@ -31,7 +31,7 @@ its ``embedder(keys, embed)`` maps a block of points and their ``vectors``
 raises) to the (points, members) matrix of embed(member(point)), or one
 column for a fixed bucketing.  The affine family draws (a, c) the same
 way, every a and then every c, and ``residues`` is its one array spelling
-of the hash values.
+of the hash values; exact audits average (a, c) in closed form instead.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -146,13 +145,6 @@ class PiFamily:
     @property
     def size(self) -> int:
         return self.a_range * self.k
-
-    @cached_property
-    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """(a, c) arrays of every member: a-major, each of equal weight."""
-        a = np.repeat(np.arange(self.a_range, dtype=np.min_scalar_type(self.k**2)), self.k)
-        c = np.tile(np.arange(self.k, dtype=a.dtype), self.a_range)
-        return a, c
 
     def params(self, h: PiHash) -> dict:
         """The member's entry in a derandomize report; over one bucket it is

@@ -1,6 +1,6 @@
 """Estimators, exact oracles, and closed-form bounds for every audited quantity.
 
-Exact mode enumerates the full classifier family and reports rationals
+Exact mode averages over the full classifier family and reports rationals
 (integer counts over family-size denominators), so comparisons against
 bounds like 1/k are free of float noise.  Monte Carlo mode samples
 classifiers with the array draws of ``CountingRng(seed)``, vectorized
@@ -8,26 +8,28 @@ over trials, and reports standard errors.  Every report entry comes from
 ``quantity()``, which holds the one verdict rule: a value meets its bound when
 |value| <= bound + 4 * stderr, with stderr 0 for an exact value.
 
-Every audited quantity reduces one ``PredictionTable``: the prediction of
-every family member (or sampled classifier) at every dataset point.
-``prediction_table`` reads the bucketing's ``vectors`` once and asks the
-oracle once per block of about ``PAIR_CHUNK_BYTES`` predictions: the
-bucketing's one embedder maps the block to the embedded buckets e under
-every enumerated (exact) or drawn (Monte Carlo) member, the residues
-(a * e + c) mod k are compared with t = floor(score * k), and the rows are
-packed into bits and added to the per-member counts that bias and
-variance need.  A Monte Carlo batch is ``Derandomizer.draw``: the keys
-of every bucketing member, then every a, then every c.  The tail check
-evaluates its own drawn batch at every point, in one call, and
-``decomposition_check`` draws one whose Bernoulli draws continue its
-stream.
+Every audited quantity reduces one ``PredictionTable``, filled a block of
+about ``PAIR_CHUNK_BYTES`` at a time through the bucketing's one embedder
+from its ``vectors``, read once.  An exact table enumerates only the B
+bucketing members, not the family: it holds each point's t = floor(score * k)
+and embedded bucket e under each member, and averages the affine layer
+(a, c) in closed form.  On one bucket u - 1 is uniform on [k] under every
+a; on two distinct buckets the two hash values hit each cell of [k]^2 once
+(Carter & Wegman 1979).  So a point's members predict 1 at t of every k
+values of c, a pair's split count is linear in the number S of members
+that put it in one bucket, and the variance sums k * min(t_i, t_j) - t_i t_j
+over the points of each bucket, from sorted t.  A Monte Carlo table packs
+the prediction bits (a * e + c) mod k < t of ``Derandomizer.draw``: the
+keys of every bucketing member, then every a, then every c.  The tail
+check evaluates its own drawn batch at every point, in one call, and
+``decomposition_check`` draws one whose Bernoulli draws continue its stream.
 
 Pair quantities read one pass per table and metric over every pair, or
 the capped ``sample_pairs``, whose only state is the at most ``cap`` sorted
 keys it accepts.  The pass reads pairs in blocks and writes per pair the
-split count (a popcount of the XOR of two prediction rows) and the code
-from ``Metric.pair_distances`` in the smallest unsigned dtypes; the
-histogram of (distance, split count) classes accumulates block by block.
+split count (the closed form, or a popcount of the XOR of two packed rows)
+and the code from ``Metric.pair_distances`` in the smallest unsigned dtypes;
+the histogram of (distance, split count) classes accumulates block by block.
 Exact reductions evaluate their Python expression once per class, so
 rationals stay exact and int, Fraction and float parameters keep their
 arithmetic; Monte Carlo ones evaluate count/size - budget as one array.
@@ -123,12 +125,12 @@ def sample_pairs(n_points: int, cap: int = DEFAULT_PAIRS_CAP, seed: int = 0) -> 
     that may reach the cap keeps the new keys whose first draw came first."""
     if n_points * (n_points - 1) // 2 <= cap:
         return PairSet(n_points), None
-    rng, block = CountingRng(seed), min(cap, SAMPLE_BLOCK)
-    accepted, size = np.empty(cap + block, dtype=np.int64), 0  # accepted[:size], sorted
+    rng, block, dtype = CountingRng(seed), min(cap, SAMPLE_BLOCK), np.min_scalar_type(n_points * n_points)
+    accepted, size = np.empty(cap + block, dtype=dtype), 0  # accepted[:size], sorted
     while size < cap:
         draws = rng.uniform_ints(n_points, 2 * block).reshape(-1, 2)
         keys, hi = np.minimum(draws[:, 0], draws[:, 1]), np.maximum(draws[:, 0], draws[:, 1])
-        keys = (keys * n_points + hi)[keys != hi]  # in stream order
+        keys = (keys * n_points + hi)[keys != hi].astype(dtype)  # in stream order
         del draws, hi
         if size + keys.size <= cap:
             keys.sort()
@@ -162,39 +164,20 @@ def _run_firsts(keys: np.ndarray) -> np.ndarray:
 # the oracle and the prediction table
 
 class _ClassifierBatch:
-    """The classifiers of one table: every family member in enumeration
-    order (exact, no draws), or the ``trials`` classifiers of
-    ``derand.draw(rng, trials)`` (Monte Carlo): the keys of every bucketing
-    member, then every a, then every c.
+    """The ``trials`` classifiers of ``derand.draw(rng, trials)``, drawn once,
+    at construction, and shared across blocks, so pairwise quantities see
+    each classifier at both points."""
 
-    Drawn parameters are drawn once, at construction, and shared across
-    blocks, so pairwise quantities see each classifier at both points.
-    """
-
-    def __init__(self, derand: Derandomizer, trials: int, rng: Optional[CountingRng]):
-        self.pi_family = derand.pi_family
-        family = derand.bucketing
-        if rng is None:
-            derand._check_enumerable()
-            self.size, self.coefficients = derand.family_size, None
-            keys = family.keys(family.enumerate())
-        else:
-            self.size = trials
-            keys, *self.coefficients = derand.draw(rng, trials)
-        self.embeds = family.embedder(keys, self.pi_family.embed_value)
+    def __init__(self, derand: Derandomizer, trials: int, rng: CountingRng):
+        self.pi_family, self.size = derand.pi_family, trials
+        keys, *self.coefficients = derand.draw(rng, trials)
+        self.embeds = derand.bucketing.embedder(keys, self.pi_family.embed_value)
 
     def bits(self, points: Sequence[Point], t: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
         """The (points, classifiers) bool matrix of u = residue + 1 <= t over
-        a block, with x its ``bucketing.vectors``.  Exact mode forms one row
-        of residues per distinct (bucket, t) in the block and gathers it per
-        bucketing."""
-        pi, e = self.pi_family, self.embeds(points, x)
-        if self.coefficients is not None:
-            return pi.residues(*self.coefficients, e) < t[:, None]
-        keys, inverse = np.unique((e.astype(np.int64) * (pi.k + 1) + t[:, None]).reshape(-1), return_inverse=True)
-        e, t = np.divmod(keys, pi.k + 1)
-        rows = pi.residues(*pi.coefficients, e[:, None]) < t[:, None]
-        return rows[inverse].reshape(len(points), -1)
+        a block, with x its ``bucketing.vectors``."""
+        residues = self.pi_family.residues(*self.coefficients, self.embeds(points, x))
+        return residues < t[:, None].astype(residues.dtype)  # t <= k < k * k
 
 
 @dataclass(frozen=True)
@@ -213,12 +196,12 @@ class PairClasses:
 
 @dataclass(frozen=True, eq=False)
 class PredictionTable:
-    """f_h(x) for every family member h (exact) or every classifier of one
-    seeded batch (Monte Carlo), at every point x of the dataset.
-
-    ``packed[r]`` is the prediction row of point r, packed 8 members (or
-    trials) to a byte, in whole uint64 words.  Bias and variance read only
-    ``sums``, the number of points each member (or trial) predicts 1."""
+    """What the audited quantities read of f_h(x) for every family member h
+    (exact) or every classifier of one seeded batch (Monte Carlo), at every
+    dataset point x.  Exact: ``rows[r]`` is t_r, then the bucket of point r
+    under each of the B bucketing members; no prediction is held.  Monte
+    Carlo: ``rows[r]`` is the prediction row of point r, in whole uint64
+    words, and ``sums`` counts the points each trial predicts 1."""
 
     derand: Derandomizer
     dataset: Sequence[Point]
@@ -226,14 +209,16 @@ class PredictionTable:
     scores: tuple[Fraction, ...]
     t: np.ndarray  # floor(score * k) per point
     size: int  # members or trials
-    packed: np.ndarray
+    rows: np.ndarray
     vectors: Optional[np.ndarray]  # derand.bucketing.vectors(dataset)
-    sums: np.ndarray  # in the smallest unsigned dtype that holds len(dataset)
+    sums: Optional[np.ndarray]  # in the smallest unsigned dtype that holds len(dataset)
     _passes: list = field(default_factory=list, init=False, repr=False)
 
     def ones(self, r: int) -> int:
-        """Members (or trials) that predict 1 at point r."""
-        return int(np.bitwise_count(self.packed[r]).sum())
+        """Members (or trials) that predict 1 at point r: t_r of every k."""
+        if self.cfg.exact:
+            return int(self.t[r]) * (self.size // self.derand.k)
+        return int(np.bitwise_count(self.rows[r]).sum())
 
     def mean(self, r: int) -> Estimate:
         """Mean prediction at point r."""
@@ -253,14 +238,25 @@ class PredictionTable:
         bits = self.bits(r).astype(float)
         return Estimate(float(bits.var(ddof=1)), _variance_stderr(bits))
 
-    def bits(self, r: int) -> np.ndarray:
-        return np.unpackbits(self.packed[r], count=self.size)
+    def bits(self, r: int) -> np.ndarray:  # Monte Carlo
+        return np.unpackbits(self.rows[r], count=self.size)
 
     def split_counts(self, pairs: PairSet) -> np.ndarray:
         """Members (or trials) that predict differently at the two points of
-        each pair: popcounts of XORed rows."""
-        words = self.packed.view(np.uint64)
-        return over_pairs(lambda a, b: popcounts(a ^ b), pairs, words, np.min_scalar_type(self.size))
+        each pair.  Monte Carlo: popcounts of XORed rows.  Exact: when S of
+        the B bucketing members put the pair in one bucket,
+        S * a_range * |t_i - t_j| + (B - S) * (t_i (k - t_j) + t_j (k - t_i))."""
+        dtype = np.min_scalar_type(self.size)
+        if not self.cfg.exact:
+            return over_pairs(lambda a, b: popcounts(a ^ b), pairs, self.rows.view(np.uint64), dtype)
+        k, a_range, members = self.derand.k, self.derand.pi_family.a_range, self.rows.shape[1] - 1
+
+        def splits(a, b):
+            ta, tb = a[..., 0].astype(np.int64), b[..., 0].astype(np.int64)
+            same = (a[..., 1:] == b[..., 1:]).sum(axis=-1)
+            return same * a_range * abs(ta - tb) + (members - same) * (ta * (k - tb) + tb * (k - ta))
+
+        return over_pairs(splits, pairs, self.rows, dtype)
 
     def pair_classes(self, metric: Metric, capped: bool = False) -> PairClasses:
         """The pass over every pair (or the capped ``sample_pairs``) under
@@ -279,11 +275,15 @@ class PredictionTable:
 
 
 def _class_histogram(codes: np.ndarray, counts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys code * width + count, sorted, and their numbers of
-    pairs: block histograms, merged once they hold as many keys as the merged."""
-    parts, pending, step = [(np.zeros(0, dtype=np.int64),) * 2], 0, PAIR_CHUNK_BYTES // 8
+    """The distinct keys code * width + count, sorted, in the smallest
+    unsigned dtype, and their numbers of pairs: block histograms, merged
+    once they hold as many keys as the merged."""
+    dtype = np.min_scalar_type((int(codes.max(initial=0)) + 1) * width)
+    parts, pending, step = [(np.zeros(0, dtype), np.zeros(0, np.int64))], 0, PAIR_CHUNK_BYTES // 8
     for s in range(0, codes.size, step):
-        keys = np.sort(codes[s : s + step].astype(np.int64) * width + counts[s : s + step])
+        keys = np.multiply(codes[s : s + step], width, dtype=dtype)
+        keys += counts[s : s + step]
+        keys.sort()
         starts = np.flatnonzero(_run_firsts(keys))
         parts.append((keys[starts], np.diff(starts, append=keys.size)))
         pending += starts.size
@@ -303,22 +303,34 @@ def _merge_histograms(parts: list) -> tuple[np.ndarray, np.ndarray]:
 def prediction_table(
     derand: Derandomizer, dataset: Sequence[Point], cfg: EstimatorConfig
 ) -> PredictionTable:
-    """Evaluate one batch, the whole family (exact) or one seeded with
-    cfg.seed (Monte Carlo), one block of points at a time."""
-    batch = _ClassifierBatch(derand, cfg.trials, None if cfg.exact else CountingRng(cfg.seed))
+    """The table of the whole family (exact) or of one batch seeded with
+    cfg.seed (Monte Carlo), filled one block of points at a time: exact
+    mode embeds the block under the B enumerated bucketing members, Monte
+    Carlo mode evaluates the batch on it."""
+    if cfg.exact:
+        derand._check_enumerable()
+        keys = derand.bucketing.keys(derand.bucketing.enumerate())
+        embeds = derand.bucketing.embedder(keys, derand.pi_family.embed_value)
+        size, per_point = derand.family_size, len(keys)
+    else:
+        batch = _ClassifierBatch(derand, cfg.trials, CountingRng(cfg.seed))
+        size = per_point = batch.size
     scores = tuple(derand.scorer.score(p) for p in dataset)
     t = np.array([threshold_count(s, derand.k) for s in scores], dtype=np.int64)
     x = derand.bucketing.vectors(dataset)
-    size = batch.size  # rows padded to whole uint64 words
-    packed = np.zeros((len(dataset), (size + 63) // 64 * 8), dtype=np.uint8)
-    sums = np.zeros(size, dtype=np.min_scalar_type(len(dataset)))  # counts <= len(dataset)
-    step = max(1, PAIR_CHUNK_BYTES // size)
+    width = 1 + per_point if cfg.exact else (size + 63) // 64 * 8
+    rows = np.zeros((len(dataset), width), dtype=np.min_scalar_type(derand.k) if cfg.exact else np.uint8)
+    sums = None if cfg.exact else np.zeros(size, dtype=np.min_scalar_type(len(dataset)))  # counts <= len(dataset)
+    step = max(1, PAIR_CHUNK_BYTES // per_point)
     for s in range(0, len(dataset), step):
-        block = slice(s, s + step)
-        bits = batch.bits(dataset[block], t[block], None if x is None else x[block])
-        packed[block, : (size + 7) // 8] = np.packbits(bits, axis=1)
-        sums += np.add.reduce(bits, axis=0, dtype=sums.dtype)
-    return PredictionTable(derand, dataset, cfg, scores, t, size, packed, x, sums)
+        block, xb = slice(s, s + step), None if x is None else x[s : s + step]
+        if cfg.exact:
+            rows[block] = np.column_stack((t[block], embeds(dataset[block], xb)))
+        else:
+            bits = batch.bits(dataset[block], t[block], xb)
+            rows[block, : (size + 7) // 8] = np.packbits(bits, axis=1)
+            sums += np.add.reduce(bits, axis=0, dtype=sums.dtype)
+    return PredictionTable(derand, dataset, cfg, scores, t, size, rows, x, sums)
 
 
 def _share(count: int, size: int, exact: bool) -> Estimate:
@@ -358,10 +370,9 @@ def _close_pairs(n_points: int, codes: np.ndarray, values: list[Distance], tau: 
 def aggregate_bias(table: PredictionTable) -> Estimate:
     """Dataset average of the pointwise bias."""
     n = len(table.dataset)
-    if table.cfg.exact:
-        total = int(table.sums.sum())
+    if table.cfg.exact:  # each mean prediction is t/k
         numerators, den = over_common_denominator(table.scores)
-        return Estimate((Fraction(total, table.size) - Fraction(sum(numerators), den)) / n)
+        return Estimate((Fraction(int(table.t.sum()), table.derand.k) - Fraction(sum(numerators), den)) / n)
     _check_trials(table.size)
     mu = table.sums / n
     mean_score = sum(map(float, table.scores)) / n
@@ -377,17 +388,34 @@ def over_common_denominator(scores: Sequence[Fraction]) -> tuple[list[int], int]
 
 def aggregate_variance(table: PredictionTable) -> Estimate:
     """Variance, across family members, of the member's dataset-mean
-    prediction."""
+    prediction.  Exact: E[f_i f_j] is min(t_i, t_j)/k on one bucket and
+    t_i t_j / k^2 on two, so the variance is the sum of
+    k min(t_i, t_j) - t_i t_j over the B bucketing members and the ordered
+    pairs (i, j) in one of its buckets, over B k^2 n^2."""
     n = len(table.dataset)
     if table.cfg.exact:
-        sums = table.sums.astype(np.int64)  # sum_m S_m^2 <= size * n^2: no overflow
-        total, total_sq = int(sums.sum()), int(sums @ sums)
-        mean_sq = Fraction(total_sq, table.size * n * n)
-        mean = Fraction(total, table.size * n)
-        return Estimate(mean_sq - mean * mean)
+        k, members = table.derand.k, table.rows.shape[1] - 1
+        return Estimate(Fraction(1, members * k * k * n * n) * _same_bucket_sum(table.rows, k))
     _check_trials(table.size)
     mu = table.sums / n
     return Estimate(float(mu.var(ddof=1)), _variance_stderr(mu))
+
+
+def _same_bucket_sum(rows: np.ndarray, k: int) -> int:
+    """The exact variance numerator, a block of members at a time: sorted
+    by (bucket, t), each bucket is a run of ascending t, in which t_i is the
+    min of its pairs with the later points of the run."""
+    total, step = 0, max(1, PAIR_CHUNK_BYTES // (8 * rows.shape[0]))
+    dtype = np.int64 if (step * rows.shape[0]) ** 2 * k < 2**63 else object  # ends @ sums < (step * n)^2 * k
+    for s in range(1, rows.shape[1], step):
+        bucket, t = np.divmod(np.sort(rows[:, s : s + step].T * np.int64(k + 1) + rows[:, 0], axis=1), k + 1)
+        firsts = np.ones(t.shape, dtype=bool)  # each member's runs start afresh
+        firsts[:, 1:] = bucket[:, 1:] != bucket[:, :-1]
+        starts, t = np.flatnonzero(firsts), t.reshape(-1).astype(dtype)
+        sums, ends = np.add.reduceat(t, starts), np.append(starts[1:], t.size)
+        mins = 2 * int(ends @ sums - np.arange(t.size) @ t) - int(t.sum())  # of min(t_i, t_j) over (i, j)
+        total += k * mins - sum(v * v for v in sums.tolist())
+    return total
 
 
 def _check_trials(trials: int):  # for every Monte Carlo variance, ddof=1

@@ -1,9 +1,10 @@
 """Shared builders, independent brute-force oracles and scalar references.
 
 The oracles evaluate every enumerated classifier through its public
-``predict`` method, one point at a time; the library's vectorized
-enumeration path must agree with them exactly.  The references redo the
-library's array draws one scalar CountingRng call at a time.
+``predict`` method, one point at a time; the library's exact closed form,
+which enumerates only the bucketing members and averages the affine layer,
+must agree with them exactly.  The references redo the library's array
+draws one scalar CountingRng call at a time.
 """
 
 import itertools
@@ -71,8 +72,8 @@ def pi_hashes(family) -> list:
 
 
 def enumerate_members(derand) -> list:
-    """The full uniform family as classifiers, in the order of the exact
-    prediction table: bucketing-member major, then the affine hashes."""
+    """The full uniform family as classifiers: bucketing-member major, then
+    the affine hashes."""
     derand._check_enumerable()
     hashes = pi_hashes(derand.pi_family)
     return [

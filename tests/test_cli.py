@@ -309,8 +309,9 @@ class TestAuditCommand:
     )
     def test_one_oracle_evaluation_per_point(self, scored_csv, config_factory, monkeypatch, mode, extra):
         # the oracle answers a block of points per call: its rows total one
-        # per point and batch, from two batches per audit, the table's and
-        # the tail check's n_classifiers drawn classifiers
+        # per point and batch, from the tail check's n_classifiers drawn
+        # classifiers and, in Monte Carlo mode, the table's batch (an exact
+        # table averages the affine layer in closed form and draws none)
         calls, sizes = {"points": 0}, []
 
         def bits(self, points, t, x):
@@ -329,8 +330,9 @@ class TestAuditCommand:
             mode=mode, trials=200, tau=0.4, n_classifiers=5, **extra,
         )
         assert main(["audit", "--config", str(config)]) == 0
-        assert calls == {"points": 2 * 4}
-        assert sizes == [3 * 11 * 11 if mode == "exact" else 200, 5]
+        batches = [5] if mode == "exact" else [200, 5]
+        assert calls == {"points": len(batches) * 4}
+        assert sizes == batches
 
     def test_one_pair_pass_per_audit(self, scored_csv, config_factory, monkeypatch):
         # the fairness check, family beta, the tail check's close pairs and

@@ -52,6 +52,7 @@ from fairderand.measure import (
     prediction_table,
     quantity,
     rt_variance_bound,
+    sample_pairs,
     sampled_aggregate_fairness,
     scorer_beta,
     threshold_fairness_check,
@@ -59,7 +60,7 @@ from fairderand.measure import (
     worst_case_pairwise_bound,
 )
 from fairderand.derandomize import SharedBucketer
-from fairderand.hashing import FixedFamily, MinHashMember
+from fairderand.hashing import FixedFamily, MinHashMember, PiFamily
 from fairderand import metrics
 from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming, binary_support
 from fairderand.rng import CountingRng
@@ -615,9 +616,9 @@ def outcome(fn):
 
 class TestBlockOracle:
     """The table is built a block of points at a time; with a byte budget
-    small enough for several blocks and a partial last one, its rows equal
-    the per-member predictions (exact) and the per-point oracle on the
-    same seed (Monte Carlo)."""
+    small enough for several blocks and a partial last one, its closed
+    forms equal the per-member predictions (exact) and its rows the
+    per-point oracle on the same seed (Monte Carlo)."""
 
     @staticmethod
     def derandomizer(kind, rng, n_points):
@@ -638,22 +639,49 @@ class TestBlockOracle:
         family = BitSamplingFamily(dim) if kind == "bit_sampling" else MinHashFamily(dim)
         return ds, LsDerandomizer(scorer, family, {"minhash5": 5, "minhash16": 17}.get(kind, 11))
 
+    EXACT_KINDS = ["rt", "grid", "identity", "one_bucket", "bit_sampling", "minhash5"]
+
     @settings(max_examples=40, deadline=None)
     @given(
-        kind=st.sampled_from(["rt", "grid", "identity", "one_bucket", "bit_sampling", "minhash5"]),
+        kind=st.sampled_from(EXACT_KINDS),
         seed=st.integers(0, 10**6),
         n_points=st.integers(4, 9),
         per_block=st.integers(1, 3),
     )
-    def test_exact_rows_equal_member_predictions(self, kind, seed, n_points, per_block):
+    def test_exact_closed_form_equals_member_predictions(self, kind, seed, n_points, per_block):
         rng = random.Random(seed)
         ds, derand = self.derandomizer(kind, rng, n_points)
-        with mock.patch.object(measure, "PAIR_CHUNK_BYTES", per_block * derand.family_size):
+        with mock.patch.object(measure, "PAIR_CHUNK_BYTES", per_block * derand.bucketing.enumerable_size):
             table = prediction_table(derand, ds, EXACT)
+            variance = aggregate_variance(table)
         members = enumerate_members(derand)
-        for r, point in enumerate(ds):
-            assert table.bits(r).tolist() == [c.predict(point) for c in members]
-        assert aggregate_variance(table).value == brute_aggregate_variance(derand, ds)
+        predictions = [[c.predict(point) for c in members] for point in ds]
+        assert table.size == len(members)
+        assert [table.ones(r) for r in range(len(ds))] == [sum(row) for row in predictions]
+        assert [table.mean(r).value for r in range(len(ds))] == [brute_mean(derand, point) for point in ds]
+        i, j = np.triu_indices(len(ds), 1)
+        expected = [sum(x != y for x, y in zip(predictions[a], predictions[b])) for a, b in zip(i, j)]
+        assert table.split_counts(pairs_of(len(ds), i, j)).tolist() == expected
+        scores = [derand.scorer.score(point) for point in ds]
+        mean_bias = sum(Fraction(sum(row), len(members)) - s for row, s in zip(predictions, scores)) / len(ds)
+        assert aggregate_bias(table).value == mean_bias
+        assert variance.value == brute_aggregate_variance(derand, ds)
+
+    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    def test_exact_table_calls_no_residues(self, kind, monkeypatch):
+        # the exact oracle averages the affine layer: no hash value is formed
+        ds, derand = self.derandomizer(kind, random.Random(kind), 9)
+
+        def residues(*args):
+            raise AssertionError("an exact audit formed hash values")
+
+        monkeypatch.setattr(PiFamily, "residues", residues)
+        table = prediction_table(derand, ds, EXACT)
+        aggregate_bias(table), aggregate_variance(table)
+        report = metric_fairness_check(table, NormalizedHamming(len(ds[0].features)), 1, 0)
+        assert report["pairs_checked"]["value"] == 36
+        with pytest.raises(AssertionError, match="hash values"):
+            prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=5))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -698,13 +726,15 @@ class TestBlockOracle:
         scorer = TabularScorer({p.id: Fraction(rng.randint(0, 20), 20) for p in points})
         derand = LsDerandomizer(scorer, derand.bucketing, derand.k)
         cfg = EstimatorConfig(mode=mode, trials=37, seed=seed)
-        size = derand.family_size if mode == "exact" else 37
-        with mock.patch.object(measure, "PAIR_CHUNK_BYTES", 3 * size):
-            got = outcome(lambda: prediction_table(derand, points, cfg).bits(0).tolist())
-        if mode == "exact":
+        per_point = derand.bucketing.enumerable_size if mode == "exact" else 37
+        with mock.patch.object(measure, "PAIR_CHUNK_BYTES", 3 * per_point):
+            table = outcome(lambda: prediction_table(derand, points, cfg))
+        if mode == "exact":  # the members that predict 1, point by point
+            got = table if isinstance(table, tuple) else [table.ones(r) for r in range(len(points))]
             members = enumerate_members(derand)
-            expected = outcome(lambda: [[c.predict(p) for c in members] for p in points][0])
+            expected = outcome(lambda: [sum(c.predict(p) for c in members) for p in points])
         else:
+            got = table if isinstance(table, tuple) else table.bits(0).tolist()
             expected = outcome(lambda: per_point_mc_bits(derand, points, 37, seed)[0].tolist())
         assert got == expected
 
@@ -887,6 +917,9 @@ class TestPairSelection:
     def test_over_cap_equals_rejection_loop(self, n_points, cap, seed):
         i, j, used_seed = select_pairs(n_points, cap=cap, seed=seed)
         assert used_seed == seed
+        keys = sample_pairs(n_points, cap=cap, seed=seed)[0].keys
+        # uint32 from 256 to 65,535 points, uint64 for 10**9
+        assert keys.dtype == np.min_scalar_type(n_points * n_points)
         assert list(zip(i.tolist(), j.tolist())) == self.rejection_loop(n_points, cap, seed)
 
     def test_second_round_of_draws_equals_rejection_loop(self, monkeypatch):
@@ -903,6 +936,36 @@ class TestPairSelection:
         monkeypatch.undo()
         assert len(calls) > 1  # one array call per block of pairs
         assert list(zip(i.tolist(), j.tolist())) == self.rejection_loop(70, 2400, 4)
+
+
+class TestClassHistogram:
+    @pytest.mark.parametrize("width", [1, 2, 7, 256, 70_000, 2**33])
+    def test_equals_unique_reference(self, width, monkeypatch):
+        # 2**33 forces 64-bit keys; an 8-pair block makes many block histograms
+        rng = np.random.default_rng(width)
+        codes = rng.integers(0, 5, size=500).astype(np.uint8)
+        counts = rng.integers(0, min(width, 9), size=500).astype(np.min_scalar_type(width - 1))
+        monkeypatch.setattr(measure, "PAIR_CHUNK_BYTES", 64)
+        keys, weights = measure._class_histogram(codes, counts, width)
+        expected, numbers = np.unique(codes.astype(np.uint64) * np.uint64(width) + counts, return_counts=True)
+        assert keys.dtype == np.min_scalar_type(5 * width)
+        assert (keys.tolist(), weights.tolist()) == (expected.tolist(), numbers.tolist())
+        if width == 2**33:
+            assert keys.dtype == np.uint64
+
+
+class TestSameBucketSum:
+    def test_beyond_int64(self):
+        # one member and one bucket: with 60,000 points near k = 3 * 10**9 the
+        # sum of min(t_i, t_j) over ordered pairs passes 2**63
+        k, n = 3 * 10**9, 60_000
+        t = np.random.default_rng(0).integers(k - 1000, k + 1, size=n)
+        rows = np.zeros((n, 2), dtype=np.min_scalar_type(k))
+        rows[:, 0] = t
+        ts = sorted(t.tolist())
+        mins = sum(v * (2 * (n - i) - 1) for i, v in enumerate(ts))
+        assert mins > 2**63
+        assert measure._same_bucket_sum(rows, k) == k * mins - sum(ts) ** 2
 
 
 class TestStreamedPairPass:
