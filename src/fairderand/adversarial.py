@@ -167,7 +167,6 @@ def finite_family_violation_search(
     None when no member flips.  With beta < 1/|family| and adjacent spacing
     below (1/|family| - beta)/alpha, any flip certifies a violation.
     """
-    derand._check_enumerable()
     if len(grid) < 2:
         raise InvalidParameterError("grid needs at least 2 points")
     size = derand.family_size

@@ -8,8 +8,8 @@ re-running writes identical files.
 
 Exit codes come from the error bases in ``errors``: 0 success, 2 config
 error (``InvalidParameterError``), 3 data error (``DataError``, or a file
-that cannot be read or written), 4 exact mode on a non-enumerable family
-(``NotEnumerableError``).
+that cannot be read or written), 4 exact mode on a family whose members
+cannot be listed, or counted below 2**63 (``NotEnumerableError``).
 """
 
 from __future__ import annotations

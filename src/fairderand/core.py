@@ -18,7 +18,6 @@ from .errors import (
     InvalidParameterError,
     UnknownPointError,
 )
-from .rng import CountingRng
 
 ScoreLike = Union[Fraction, float, int, str]
 
@@ -121,10 +120,6 @@ class StochasticScorer:
 
     def score(self, point: Point) -> Fraction:
         raise NotImplementedError
-
-    def realize(self, point: Point, rng: CountingRng) -> int:
-        """Draw the Bernoulli(score) prediction bit, at a fixed 32-bit cost."""
-        return rng.bernoulli(self.score(point))
 
 
 class TabularScorer(StochasticScorer):

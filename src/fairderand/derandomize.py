@@ -20,7 +20,8 @@ construction with three bucketing families:
 Classifiers are drawn only by ``Derandomizer.draw``, as arrays through a
 CountingRng: the keys of every bucketing member (one array draw of the
 bucketing family), then every a, then every c.  ``sample`` is the draw of
-one classifier, with the bits it consumed attached.
+one classifier, with the bits it consumed attached.  The family is finite
+exactly when its bucketing family lists its members (``all_keys``).
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from .core import (
     StochasticScorer,
     threshold_count,
 )
-from .errors import FamilyTooLargeError, InvalidParameterError, NotEnumerableError
+from .errors import InvalidParameterError
 from .hashing import (
-    ENUMERATION_CAP,
     BitBudget,
     BucketingFamily,
     BucketingMember,
@@ -150,19 +150,10 @@ class Derandomizer:
         )
 
     @property
-    def family_size(self) -> int | None:
-        """Number of members, or None when the family is not finite."""
-        size = self.bucketing.enumerable_size
-        if size is None:
-            return None
-        return size * self.pi_family.size
-
-    def _check_enumerable(self):
-        size = self.family_size
-        if size is None:
-            raise NotEnumerableError(f"{type(self).__name__} family is not enumerable")
-        if size > ENUMERATION_CAP:
-            raise FamilyTooLargeError(f"{size} members exceeds cap {ENUMERATION_CAP}")
+    def family_size(self) -> int:
+        """Number of members; raises NotEnumerableError where the bucketing
+        family has no finite list."""
+        return len(self.bucketing.all_keys()) * self.pi_family.size
 
 
 class RtDerandomizer(Derandomizer):

@@ -50,9 +50,15 @@ class DataFormatError(DataError, ValueError):
     """A dataset file does not conform to the CSV contract."""
 
 
+class NotBinaryError(DataError, ValueError):
+    """A bit- or set-valued computation met a feature other than 0 or 1,
+    or an empty set where min-wise hashing needs a non-empty one."""
+
+
 class NotEnumerableError(FairderandError, ValueError):
-    """Exact enumeration was requested for an infinite or oversized family."""
+    """An exact audit was requested for a family it cannot list or count."""
 
 
 class FamilyTooLargeError(NotEnumerableError):
-    """Enumeration was requested for a family above the enumeration cap."""
+    """An exact audit was requested for a family of 2**63 members or more,
+    which the closed form's int64 split counts cannot count."""

@@ -24,14 +24,17 @@ of family live here:
 
 A bucketing family draws members only as keys (coordinate indices, rank
 rows, unit normals), by one array ``draw`` of ``trials`` members through a
-CountingRng, or all of them by enumeration; ``member(key)`` builds the one
-member a key stands for.  It evaluates members over points one way only:
-its ``embedder(keys, embed)`` maps a block of points and their ``vectors``
-(read and checked once, so the first bad point raises what ``apply``
-raises) to the (points, members) matrix of embed(member(point)), or one
-column for a fixed bucketing.  The affine family draws (a, c) the same
-way, every a and then every c, and ``residues`` is its one array spelling
-of the hash values; exact audits average (a, c) in closed form instead.
+CountingRng, or all of them by ``all_keys()``, which raises
+``NotEnumerableError`` for a family with no finite list (hyperplanes, or
+more than ``MINHASH_ENUM_MAX`` elements to permute); ``member(key)``
+builds the one member a key stands for.  It evaluates members over points
+one way only: its ``embedder(keys, embed)`` maps a block of points and
+their ``vectors`` (read and checked once, so the first bad point raises
+what ``apply`` raises) to the (points, members) matrix of
+embed(member(point)), or one column for a fixed bucketing.  The affine
+family draws (a, c) the same way, every a and then every c, and
+``residues`` is its one array spelling of the hash values; exact audits
+average (a, c) in closed form instead.
 """
 
 from __future__ import annotations
@@ -47,13 +50,13 @@ from .core import Point
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
+    NotBinaryError,
     NotEnumerableError,
     UnknownBucketError,
 )
 from .metrics import binary_support, fairness_matrix
 from .rng import CountingRng
 
-ENUMERATION_CAP = 10**6
 MINHASH_ENUM_MAX = 7
 
 
@@ -171,26 +174,24 @@ class BucketingFamily:
 
     bucket_values: tuple[Hashable, ...]
 
-    def enumerate(self) -> list[BucketingMember]:
+    def all_keys(self) -> np.ndarray:
+        """The key of every member, one row each; raises NotEnumerableError
+        where the family has no finite list."""
         raise NotImplementedError
 
-    @property
-    def enumerable_size(self) -> int | None:
-        """Family size when enumeration is supported, else None."""
-        return None
+    def enumerate(self) -> list[BucketingMember]:
+        return [self.member(key) for key in self.all_keys()]
 
     def vectors(self, points: Sequence[Point]) -> np.ndarray | None:
         return None
 
-    def keys(self, members: Sequence[BucketingMember]) -> np.ndarray:
-        raise NotImplementedError
-
     def draw(self, rng: CountingRng, trials: int) -> np.ndarray:
-        """The keys of ``trials`` uniform members; here, by enumeration index."""
-        return self.keys(self.enumerate())[rng.uniform_ints(self.enumerable_size, trials)]
+        """The keys of ``trials`` uniform members; here, by index into ``all_keys``."""
+        keys = self.all_keys()
+        return keys[rng.uniform_ints(len(keys), trials)]
 
     def member(self, key) -> BucketingMember:
-        """The member that a key (one row of ``keys`` or ``draw``) stands for."""
+        """The member that a key (one row of ``all_keys`` or ``draw``) stands for."""
         raise NotImplementedError
 
     def embedder(self, keys: np.ndarray, embed: Callable[[Hashable], int]) -> Callable:
@@ -205,14 +206,7 @@ class FixedFamily(BucketingFamily):
         self.bucketer = bucketer
         self.bucket_values = tuple(bucket_values)
 
-    def enumerate(self) -> list[BucketingMember]:
-        return [self.bucketer]
-
-    @property
-    def enumerable_size(self) -> int:
-        return 1
-
-    def keys(self, members):
+    def all_keys(self):
         return np.zeros(1, dtype=np.int64)
 
     def member(self, key):
@@ -233,7 +227,7 @@ class BitSamplingMember(BucketingMember):
             raise DimensionMismatchError(f"bit sampling reads coordinate {self.index} of a {len(vector)}-dimensional point")
         value = vector[self.index]
         if value not in (0.0, 1.0):
-            raise InvalidParameterError("bit sampling requires 0/1 features")
+            raise NotBinaryError("bit sampling requires 0/1 features")
         return int(value)
 
     def params(self) -> dict:
@@ -250,12 +244,8 @@ class BitSamplingFamily(BucketingFamily):
         self.n = n
         self.bucket_values = (0, 1)
 
-    @property
-    def enumerable_size(self) -> int:
-        return self.n
-
-    def enumerate(self) -> list[BitSamplingMember]:
-        return [BitSamplingMember(i) for i in range(self.n)]
+    def all_keys(self):
+        return np.arange(self.n)
 
     def vectors(self, points):
         """The (points, n) bool matrix of the first n coordinates."""
@@ -264,9 +254,6 @@ class BitSamplingFamily(BucketingFamily):
             members = self.enumerate()
             x = np.array([[m.apply(p) for m in members] for p in points], dtype=float).reshape(-1, self.n)
         return x[:, : self.n] == 1.0
-
-    def keys(self, members):
-        return np.array([m.index for m in members], dtype=np.intp)
 
     def member(self, key):
         return BitSamplingMember(int(key))
@@ -286,7 +273,7 @@ class MinHashMember(BucketingMember):
     def apply(self, point: Point) -> int:
         support = binary_support(point.fairness_vector)
         if not support:
-            raise InvalidParameterError("min-wise hashing is undefined on the empty set")
+            raise NotBinaryError("min-wise hashing is undefined on the empty set")
         if max(support) >= len(self.ranks):
             raise DimensionMismatchError(f"set element {max(support)} is outside the universe of {len(self.ranks)}")
         return min(support, key=lambda e: self.ranks[e])
@@ -306,16 +293,13 @@ class MinHashFamily(BucketingFamily):
         self.universe_size = universe_size
         self.bucket_values = tuple(range(universe_size))
 
-    @property
-    def enumerable_size(self) -> int | None:
-        return math.factorial(self.universe_size) if self.universe_size <= MINHASH_ENUM_MAX else None
-
-    def enumerate(self) -> list[MinHashMember]:
+    def all_keys(self):
+        """The rank rows of every permutation, in lexicographic order."""
         if self.universe_size > MINHASH_ENUM_MAX:
             raise NotEnumerableError(
                 f"universe of {self.universe_size} has too many permutations to enumerate"
             )
-        return [MinHashMember(p) for p in itertools.permutations(range(self.universe_size))]
+        return np.array(list(itertools.permutations(range(self.universe_size))), dtype=np.int64)
 
     def vectors(self, points):
         """The (points, universe) membership matrix of the points' sets."""
@@ -327,9 +311,6 @@ class MinHashFamily(BucketingFamily):
             probe.apply(point)  # the first bad point raises
             member[r, list(binary_support(point.fairness_vector))] = True
         return member
-
-    def keys(self, members):
-        return np.array([m.ranks for m in members], dtype=np.int64).reshape(-1, self.universe_size)
 
     def draw(self, rng, trials):
         """One Fisher-Yates pass over every trial at once: for i = n-1 down
@@ -391,16 +372,13 @@ class SimHashFamily(BucketingFamily):
         self.dim = dim
         self.bucket_values = (0, 1)
 
-    def enumerate(self) -> list[BucketingMember]:
+    def all_keys(self):
         raise NotEnumerableError("hyperplane families are continuous")
 
     def vectors(self, points):
         if any(len(p.fairness_vector) != self.dim for p in points):
             raise DimensionMismatchError("dimension mismatch in hyperplane hash")
         return np.array([p.fairness_vector for p in points], dtype=float).reshape(-1, self.dim)
-
-    def keys(self, members):
-        return np.array([m.normal for m in members], dtype=float).reshape(-1, self.dim)
 
     def draw(self, rng, trials):
         """Standard normal rows, scaled to unit length."""

@@ -10,17 +10,19 @@ over trials, and reports standard errors.  Every report entry comes from
 
 Every audited quantity reduces one ``PredictionTable``, filled a block of
 about ``PAIR_CHUNK_BYTES`` at a time through the bucketing's one embedder
-from its ``vectors``, read once.  An exact table enumerates only the B
-bucketing members, not the family: it holds each point's t = floor(score * k)
-and embedded bucket e under each member, and averages the affine layer
-(a, c) in closed form.  On one bucket u - 1 is uniform on [k] under every
-a; on two distinct buckets the two hash values hit each cell of [k]^2 once
-(Carter & Wegman 1979).  So a point's members predict 1 at t of every k
-values of c, a pair's split count is linear in the number S of members
-that put it in one bucket, and the variance sums k * min(t_i, t_j) - t_i t_j
-over the points of each bucket, from sorted t.  A Monte Carlo table packs
-the prediction bits (a * e + c) mod k < t of ``Derandomizer.draw``: the
-keys of every bucketing member, then every a, then every c.  The tail
+from its ``vectors``, read once.  An exact table lists only the B
+bucketing members (``all_keys``), not the family: it holds each point's
+t = floor(score * k) and embedded bucket e under each member, and averages
+the affine layer (a, c) in closed form.  On one bucket u - 1 is uniform on
+[k] under every a; on two distinct buckets the two hash values hit each
+cell of [k]^2 once (Carter & Wegman 1979).  So a point's members predict 1
+at t of every k values of c, a pair's split count is linear in the number
+S of members that put it in one bucket, and the variance sums
+k * min(t_i, t_j) - t_i t_j over the points of each bucket, from sorted t.
+Split counts are int64, so the one gate on an exact family is its size:
+below 2**63 members, else ``FamilyTooLargeError``.  A Monte Carlo table
+packs the prediction bits (a * e + c) mod k < t of ``Derandomizer.draw``:
+the keys of every bucketing member, then every a, then every c.  The tail
 check evaluates its own drawn batch at every point, in one call, and
 ``decomposition_check`` draws one whose Bernoulli draws continue its stream.
 
@@ -47,7 +49,7 @@ import numpy as np
 
 from .core import Dataset, Point, StochasticScorer, threshold_count
 from .derandomize import Derandomizer, LsDerandomizer, RtDerandomizer
-from .errors import EmptyPairSetError, InvalidParameterError, NotEnumerableError
+from .errors import EmptyPairSetError, FamilyTooLargeError, InvalidParameterError, NotEnumerableError
 from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, PairSet, over_pairs, popcounts
 from .rng import CountingRng
 
@@ -251,9 +253,11 @@ class PredictionTable:
             return over_pairs(lambda a, b: popcounts(a ^ b), pairs, self.rows.view(np.uint64), dtype)
         k, a_range, members = self.derand.k, self.derand.pi_family.a_range, self.rows.shape[1] - 1
 
-        def splits(a, b):
+        def splits(a, b):  # int64: each term is at most the family size B * a_range * k < 2**63
             ta, tb = a[..., 0].astype(np.int64), b[..., 0].astype(np.int64)
             same = (a[..., 1:] == b[..., 1:]).sum(axis=-1)
+            if a_range == 1:  # one bucket, so S = B; t_i * (k - t_j) may pass 2**63 and is not formed
+                return same * abs(ta - tb)
             return same * a_range * abs(ta - tb) + (members - same) * (ta * (k - tb) + tb * (k - ta))
 
         return over_pairs(splits, pairs, self.rows, dtype)
@@ -268,28 +272,41 @@ class PredictionTable:
         pairs, seed = sample_pairs(n, self.cfg.pairs_cap if capped else n * n, self.cfg.seed)
         counts = self.split_counts(pairs)
         codes, values = metric.pair_distances(self.dataset, pairs)
-        keys, weights = _class_histogram(codes, counts, self.size + 1)
-        classes = PairClasses(seed, values, codes, counts, *np.divmod(keys, self.size + 1), weights)
+        classes = PairClasses(seed, values, codes, counts, *_class_histogram(codes, counts))
         self._passes.append((metric, capped, classes))
         return classes
 
 
-def _class_histogram(codes: np.ndarray, counts: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys code * width + count, sorted, in the smallest
-    unsigned dtype, and their numbers of pairs: block histograms, merged
-    once they hold as many keys as the merged."""
-    dtype = np.min_scalar_type((int(codes.max(initial=0)) + 1) * width)
-    parts, pending, step = [(np.zeros(0, dtype), np.zeros(0, np.int64))], 0, PAIR_CHUNK_BYTES // 8
-    for s in range(0, codes.size, step):
+def _class_histogram(codes: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (code, count) classes, sorted, and their numbers of
+    pairs: block histograms of the keys code * L + count in the smallest
+    unsigned dtype, with L the largest count + 1, merged once they hold as
+    many keys as the merged.  Where such keys would pass 2**64, a count's
+    rank among the L distinct counts stands in for it."""
+    step, top = PAIR_CHUNK_BYTES // 8, int(codes.max(initial=0)) + 1
+    blocks, levels, width = range(0, codes.size, step), None, int(counts.max(initial=0)) + 1
+    if top * width >= 2**64:
+        levels = _distinct(np.concatenate([counts[:0], *(_distinct(counts[s : s + step]) for s in blocks)]))
+        width = levels.size
+    dtype = np.min_scalar_type(top * width)
+    parts, pending = [(np.zeros(0, dtype), np.zeros(0, np.int64))], 0
+    for s in blocks:
         keys = np.multiply(codes[s : s + step], width, dtype=dtype)
-        keys += counts[s : s + step]
+        keys += counts[s : s + step] if levels is None else np.searchsorted(levels, counts[s : s + step]).astype(dtype)
         keys.sort()
         starts = np.flatnonzero(_run_firsts(keys))
         parts.append((keys[starts], np.diff(starts, append=keys.size)))
         pending += starts.size
         if pending >= parts[0][0].size:
             parts, pending = [_merge_histograms(parts)], 0
-    return _merge_histograms(parts)
+    keys, weights = _merge_histograms(parts)
+    class_codes, class_counts = np.divmod(keys, width)
+    return class_codes, class_counts if levels is None else levels[class_counts], weights
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    values = np.sort(values)
+    return values[_run_firsts(values)]
 
 
 def _merge_histograms(parts: list) -> tuple[np.ndarray, np.ndarray]:
@@ -305,13 +322,14 @@ def prediction_table(
 ) -> PredictionTable:
     """The table of the whole family (exact) or of one batch seeded with
     cfg.seed (Monte Carlo), filled one block of points at a time: exact
-    mode embeds the block under the B enumerated bucketing members, Monte
+    mode embeds the block under the B listed bucketing members, Monte
     Carlo mode evaluates the batch on it."""
     if cfg.exact:
-        derand._check_enumerable()
-        keys = derand.bucketing.keys(derand.bucketing.enumerate())
+        keys = derand.bucketing.all_keys()
+        size, per_point = len(keys) * derand.pi_family.size, len(keys)
+        if size >= 2**63:
+            raise FamilyTooLargeError(f"{size} members: the closed form counts split members in int64, below 2**63")
         embeds = derand.bucketing.embedder(keys, derand.pi_family.embed_value)
-        size, per_point = derand.family_size, len(keys)
     else:
         batch = _ClassifierBatch(derand, cfg.trials, CountingRng(cfg.seed))
         size = per_point = batch.size
@@ -408,7 +426,8 @@ def _same_bucket_sum(rows: np.ndarray, k: int) -> int:
     total, step = 0, max(1, PAIR_CHUNK_BYTES // (8 * rows.shape[0]))
     dtype = np.int64 if (step * rows.shape[0]) ** 2 * k < 2**63 else object  # ends @ sums < (step * n)^2 * k
     for s in range(1, rows.shape[1], step):
-        bucket, t = np.divmod(np.sort(rows[:, s : s + step].T * np.int64(k + 1) + rows[:, 0], axis=1), k + 1)
+        # bucket * (k + 1) + t fits uint64: over two or more buckets k * k < 2**63, and over one the bucket is 0
+        bucket, t = np.divmod(np.sort(rows[:, s : s + step].T * np.uint64(k + 1) + rows[:, 0], axis=1), np.uint64(k + 1))
         firsts = np.ones(t.shape, dtype=bool)  # each member's runs start afresh
         firsts[:, 1:] = bucket[:, 1:] != bucket[:, :-1]
         starts, t = np.flatnonzero(firsts), t.reshape(-1).astype(dtype)
@@ -546,8 +565,8 @@ def decomposition_check(
     most |bias| + 2 * (score variance + family variance)^(2/3).
 
     The Bernoulli variance is score*(1 - score) analytically; the family
-    variance and bias come from enumeration when the family is enumerable
-    within the cap, and from a seeded batch otherwise.
+    variance and bias are exact when the exact table can count the family,
+    and come from a seeded batch otherwise.
     """
     _check_trials(cfg.trials)
     score = derand.scorer.score(point)

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .core import Point
-from .errors import DimensionMismatchError, InvalidParameterError, ZeroVectorError
+from .errors import DimensionMismatchError, InvalidParameterError, NotBinaryError, ZeroVectorError
 
 Distance = Union[Fraction, float]
 
@@ -51,7 +51,7 @@ def binary_support(vector: tuple[float, ...]) -> frozenset[int]:
         if value == 1.0:
             support.add(i)
         elif value != 0.0:
-            raise InvalidParameterError("set-valued features must be 0/1")
+            raise NotBinaryError("set-valued features must be 0/1")
     return frozenset(support)
 
 

@@ -56,27 +56,6 @@ def _mean_predictions(source, points: Sequence[Point], cfg: EstimatorConfig) -> 
     raise InvalidParameterError(f"cannot score with {type(source).__name__}")
 
 
-def utility(source, x: Point, target: Point, cost: Metric, cfg: EstimatorConfig | None = None) -> Number:
-    """score(target) - cost(x, target); family sources use the family mean."""
-    cfg = cfg or EstimatorConfig()
-    return _mean_predictions(source, [target], cfg)[0] - cost.distance(x, target)
-
-
-def best_response(
-    source,
-    origin: Point,
-    candidates: Dataset,
-    cost: Metric,
-    alpha: Number,
-    beta: Number,
-    cfg: EstimatorConfig | None = None,
-) -> UtilityReport:
-    """Utility-maximizing move over the candidate set (ties broken by
-    lowest id), with the gain checked against (alpha - 1)*cost + beta."""
-    *predictions, stay = _mean_predictions(source, [*candidates, origin], cfg or EstimatorConfig())
-    return _respond(origin, stay, candidates, predictions, cost, alpha, beta)
-
-
 def _respond(origin, stay, candidates, predictions, cost, alpha, beta) -> UtilityReport:
     """Best response of origin, given the mean prediction at it (zero cost
     to stay put) and at each candidate."""
@@ -106,7 +85,8 @@ def best_responses(
     cfg: EstimatorConfig | None = None,
 ) -> list[UtilityReport]:
     """Best response of every candidate treated as an origin, from one
-    mean prediction per candidate."""
+    mean prediction per candidate; ties go to the lowest id, and staying
+    put costs nothing."""
     predictions = _mean_predictions(source, candidates, cfg or EstimatorConfig())
     return [
         _respond(origin, stay, candidates, predictions, cost, alpha, beta)

@@ -26,8 +26,8 @@ from fairderand import (
     TabularScorer,
     ThresholdClassifier,
 )
-from fairderand.errors import EmptyPairSetError, FamilyTooLargeError, GridTooCoarseError, InvalidParameterError
-from fairderand.hashing import ENUMERATION_CAP, BitSamplingMember, FixedFamily, MinHashMember, SimHashMember
+from fairderand.errors import EmptyPairSetError, GridTooCoarseError, InvalidParameterError
+from fairderand.hashing import BitSamplingMember, FixedFamily, MinHashMember, SimHashMember
 from fairderand.measure import prediction_table, sample_pairs
 from fairderand.metrics import PairSet
 
@@ -64,17 +64,19 @@ def random_scorer(rng: random.Random, dataset: Dataset, denominator: int = 997) 
     )
 
 
+BRUTE_FORCE_MAX = 10**6  # classifiers the point-by-point oracles will evaluate
+
+
 def pi_hashes(family) -> list:
     """Every member of the affine family, a-major, each of equal weight."""
-    if family.size > ENUMERATION_CAP:
-        raise FamilyTooLargeError(f"{family.size} members exceeds cap {ENUMERATION_CAP}")
+    assert family.size <= BRUTE_FORCE_MAX, f"{family.size} affine hashes is too many to brute-force"
     return [PiHash(a, c) for a in range(family.a_range) for c in range(family.k)]
 
 
 def enumerate_members(derand) -> list:
     """The full uniform family as classifiers: bucketing-member major, then
-    the affine hashes."""
-    derand._check_enumerable()
+    the affine hashes; a family with no finite list raises NotEnumerableError."""
+    assert derand.family_size <= BRUTE_FORCE_MAX, f"{derand.family_size} classifiers is too many to brute-force"
     hashes = pi_hashes(derand.pi_family)
     return [
         ThresholdClassifier(derand.scorer, member, derand.pi_family, h)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,82 @@ class TestAuditCommand:
             input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "simhash"},
         )
         assert main(["audit", "--config", str(config)]) == 4
+
+    @staticmethod
+    def collision_reference(path, k, p, alphas):
+        """What an exact audit (alpha 1, beta 0, Hamming, every pair) must
+        report, in Python ints and Fractions from each pair's collision
+        probability p: the pair splits with chance p |t_i - t_j| / k +
+        (1 - p)(t_i (k - t_j) + t_j (k - t_i)) / k**2, and the variance sums
+        p (k min(t_i, t_j) - t_i t_j) over ordered pairs, over k**2 n**2."""
+        dataset, scorer = load_dataset(path)
+        x, s = [p.features for p in dataset], [scorer.score(p) for p in dataset]
+        n, t = len(x), [math.floor(v * k) for v in s]
+        d = lambda i, j: Fraction(sum(a != b for a, b in zip(x[i], x[j])), len(x[i]))
+        gap = lambda i, j: (p(x[i], x[j]) * Fraction(abs(t[i] - t[j]), k) + (1 - p(x[i], x[j]))
+                            * Fraction(t[i] * (k - t[j]) + t[j] * (k - t[i]), k * k))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        excess = [gap(i, j) - d(i, j) for i, j in pairs]
+        variance = sum(p(x[i], x[j]) * (k * min(t[i], t[j]) - t[i] * t[j]) for i in range(n) for j in range(n))
+        return {
+            "bias": (Fraction(sum(t), k) - sum(s)) / n,
+            "variance": variance / (k * k * n * n),
+            "violations": sum(e > 0 for e in excess),
+            "worst_excess": max(excess),
+            "certified_beta": max(0, *excess),
+            "curve": [sum(max(gap(i, j) - Fraction(a) * d(i, j), 0) for i, j in pairs) / len(pairs) for a in alphas],
+        }
+
+    @pytest.mark.parametrize(
+        "overrides,p",
+        [
+            # 3 * 1009**2 members, above the 10**6 cap that once made this exit 4
+            (dict(scheme="ls", k=1009, lsh={"kind": "bit_sampling"}, tau=0.5, n_classifiers=5),
+             lambda x, y: Fraction(sum(a == b for a, b in zip(x, y)), len(x))),
+            (dict(scheme="rt", k=10**12 + 39), lambda x, y: 1),
+            # 2147483647**2 members: split counts near 2**62, class keys past 2**64
+            (dict(scheme="pi", k=2_147_483_647, bucketer={"kind": "identity"}), lambda x, y: int(x == y)),
+        ],
+        ids=["ls-bit-sampling-1009", "rt-1e12", "pi-identity-2p31"],
+    )
+    def test_family_above_the_old_cap_is_exact(self, config_factory, tmp_path, overrides, p):
+        # five distinct distances, and scores 0 and 1 split k * k members of the Pi family at
+        # k = 2**31 - 1: class keys code * (split count + 1) would pass 2**64
+        path, alphas = tmp_path / "fivebit.csv", [0.0, 0.5, 1.0]
+        rows = [[f"p{r}", *bits, score] for r, (bits, score) in enumerate(zip(
+            ["10000", "11000", "11100", "11110", "11111", "01111"], ["0", "0.45", "0.7", "1", "0.35", "0.6"]))]
+        write_dataset(path, rows, ["id", *(f"feat_{i}" for i in range(5)), "score"])
+        config = config_factory(input=str(path), metric={"kind": "hamming"}, curve_alphas=alphas, **overrides)
+        assert main(["audit", "--config", str(config)]) == 0
+        quantities = json.loads((tmp_path / "reports" / "audit.json").read_text())["quantities"]
+        ref = self.collision_reference(path, overrides["k"], p, alphas)
+        assert quantities["aggregate_bias"]["value"] == float(ref["bias"])
+        assert quantities["aggregate_variance"]["value"] == float(ref["variance"])
+        assert quantities["metric_fairness"]["fairness_violations"]["value"] == ref["violations"]
+        assert quantities["metric_fairness"]["worst_excess"]["value"] == float(ref["worst_excess"])
+        if "n_classifiers" in overrides:
+            assert quantities["aggregate_fairness_tail"]["certified_beta"]["value"] == float(ref["certified_beta"])
+        with open(tmp_path / "reports" / "fairness_curve.csv") as fh:
+            curve = [float(row["beta_hat"]) for row in csv.DictReader(fh)]
+        assert all(math.isclose(got, float(want), rel_tol=1e-12) for got, want in zip(curve, ref["curve"], strict=True))
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(scheme="pi", k=4_294_967_311, bucketer={"kind": "identity"}),
+             "18446744202558570721 members: the closed form counts split members in int64, below 2**63"),
+            (dict(scheme="ls", lsh={"kind": "simhash"}), "hyperplane families are continuous"),
+            (dict(scheme="ls", lsh={"kind": "minhash", "universe_size": 8}),
+             "universe of 8 has too many permutations to enumerate"),
+        ],
+        ids=["pi-identity-2p32", "simhash", "minhash8"],
+    )
+    def test_family_that_cannot_be_counted_exits_4(self, scored_csv, config_factory, capsys, tmp_path, overrides,
+                                                   message):
+        config = config_factory(input=str(scored_csv), **{"k": 11, **overrides})
+        assert main(["audit", "--config", str(config)]) == 4
+        assert capsys.readouterr().err == f"not enumerable in exact mode: {message}\n"
+        assert not (tmp_path / "reports").exists()
 
     def test_no_pair_within_tau_is_config_error(self, scored_csv, config_factory, capsys):
         # the LS block's default tau (0.05) is below 1/3, the smallest
@@ -679,6 +756,28 @@ class TestDataErrors:
         config = config_factory(input=str(scored_csv), metric={"kind": "hamming", "n": 2})
         assert main(["audit", "--config", str(config)]) == 3
         assert "data error: expected dimension 2, got 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides,row,message",
+        [
+            (dict(scheme="ls", lsh={"kind": "bit_sampling"}), [1, "0.5"], "bit sampling requires 0/1 features"),
+            (dict(scheme="ls", lsh={"kind": "minhash"}, metric={"kind": "jaccard"}), [1, "0.5"],
+             "set-valued features must be 0/1"),
+            (dict(scheme="rt", metric={"kind": "jaccard"}), [1, "0.5"], "set-valued features must be 0/1"),
+            (dict(scheme="ls", lsh={"kind": "minhash"}, metric={"kind": "jaccard"}), [0, 0],
+             "min-wise hashing is undefined on the empty set"),
+        ],
+        ids=["bit-sampling", "minhash", "rt-jaccard", "minhash-empty-set"],
+    )
+    def test_data_outside_a_bit_or_set_family_exits_3(self, tmp_path, config_factory, capsys, overrides, row,
+                                                      message):
+        # these exited 2, as config errors, though the same configs run on 0/1 data
+        path = tmp_path / "half.csv"
+        rows = [["a", 1, 0, "0.5"], ["b", 0, 1, "0.2"], ["c", *row, "0.7"]]
+        write_dataset(path, rows, ["id", "feat_0", "feat_1", "score"])
+        config = config_factory(input=str(path), **overrides)
+        assert main(["audit", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
     def test_angular_metric_on_a_zero_row_exits_3(self, tmp_path, config_factory, capsys):
         path = tmp_path / "zero.csv"

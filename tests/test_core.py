@@ -71,20 +71,6 @@ class TestScorers:
         with pytest.raises(DimensionMismatchError):
             scorer.score(Point("x", (1.0,)))
 
-    def test_realize_degenerate(self):
-        rng = CountingRng(0)
-        p = Point("a", (0.0,))
-        assert all(ConstantScorer(1).realize(p, rng) == 1 for _ in range(100))
-        assert all(ConstantScorer(0).realize(p, rng) == 0 for _ in range(100))
-
-    def test_realize_law_of_large_numbers(self):
-        rng = CountingRng(21)
-        p = Point("a", (0.0,))
-        scorer = ConstantScorer(0.5)
-        n = 100_000
-        mean = sum(scorer.realize(p, rng) for _ in range(n)) / n
-        assert abs(mean - 0.5) < 0.01
-
 
 class TestPointsAndDatasets:
     def test_point_validation(self):

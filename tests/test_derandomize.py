@@ -89,7 +89,8 @@ class TestFamilySizes:
 
     def test_simhash_not_enumerable(self):
         derand = LsDerandomizer(ConstantScorer(0), SimHashFamily(2), 5)
-        assert derand.family_size is None
+        with pytest.raises(NotEnumerableError):
+            derand.family_size
         with pytest.raises(NotEnumerableError):
             enumerate_members(derand)
 

@@ -20,6 +20,7 @@ from fairderand import (
     PiHash,
     Point,
     SimHashFamily,
+    TabularScorer,
 )
 from fairderand.derandomize import Bucketer, SharedBucketer, realized_buckets
 from fairderand.errors import (
@@ -27,15 +28,16 @@ from fairderand.errors import (
     FairderandError,
     FamilyTooLargeError,
     InvalidParameterError,
+    NotBinaryError,
     NotEnumerableError,
     UnknownBucketError,
 )
-from fairderand.hashing import ENUMERATION_CAP, FixedFamily
+from fairderand.hashing import FixedFamily
 from fairderand.measure import prediction_table
 from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming
 from fairderand.rng import CountingRng
 
-from conftest import brute_collision, pi_hashes
+from conftest import brute_collision, pi_hashes, split_share
 
 
 class TestPiEval:
@@ -97,11 +99,18 @@ class TestExactPairwiseIndependence:
             assert counts == [k] * k
 
     def test_enumeration_cap(self):
-        # over two buckets the family has k * k members: 1009**2 is above the cap
-        derand = Derandomizer(ConstantScorer(0), FixedFamily(SharedBucketer(), (0, 1)), 1009)
-        assert derand.pi_family.size > ENUMERATION_CAP
-        with pytest.raises(FamilyTooLargeError):
-            prediction_table(derand, [], EstimatorConfig(mode="exact"))
+        # no cap on the family size: over two buckets the family has k * k members, and the
+        # exact table counts them in int64, so up to 3037000499**2 < 2**63 <= 3037000500**2
+        points = [Point("x", (0.0,)), Point("y", (1.0,))]
+        scorer = TabularScorer({"x": "0.25", "y": "0.75"})
+        for k in (1009, 3_037_000_499):
+            derand = Derandomizer(scorer, FixedFamily(SharedBucketer(), (0, 1)), k)
+            table = prediction_table(derand, points, EstimatorConfig(mode="exact"))
+            assert table.size == derand.family_size == k * k
+            assert split_share(table, 0, 1) == Fraction(3 * k // 4 - k // 4, k)  # one shared bucket
+        derand = Derandomizer(scorer, FixedFamily(SharedBucketer(), (0, 1)), 3_037_000_500)
+        with pytest.raises(FamilyTooLargeError, match=r"below 2\*\*63"):
+            prediction_table(derand, points, EstimatorConfig(mode="exact"))
 
 
 class TestPiSampling:
@@ -166,7 +175,7 @@ class TestBitSampling:
 
     def test_requires_binary_features(self):
         member = BitSamplingFamily(2).enumerate()[0]
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(NotBinaryError):
             member.apply(Point("x", (0.5, 0.0)))
 
     def test_wider_than_the_data_is_a_dimension_mismatch(self):
@@ -208,11 +217,10 @@ class TestMinHash:
     def test_large_universe_not_enumerable(self):
         with pytest.raises(NotEnumerableError):
             MinHashFamily(8).enumerate()
-        assert MinHashFamily(8).enumerable_size is None
 
     def test_empty_set_rejected(self):
         member = MinHashFamily(2).enumerate()[0]
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(NotBinaryError):
             member.apply(Point("x", (0.0, 0.0)))
 
     def test_sampled_member_is_valid_permutation(self):
@@ -265,12 +273,37 @@ class TestSimHash:
             family.vectors([point])
 
 
+class TestAllKeys:
+    """``all_keys`` is each family's one list of members."""
+
+    def test_lists_every_member(self):
+        shared = SharedBucketer()
+        assert FixedFamily(shared, (0,)).enumerate() == [shared]
+        assert BitSamplingFamily(3).all_keys().tolist() == [0, 1, 2]
+        assert list(map(tuple, MinHashFamily(4).all_keys().tolist())) == list(itertools.permutations(range(4)))
+        assert [m.ranks for m in MinHashFamily(3).enumerate()] == list(itertools.permutations(range(3)))
+
+    @pytest.mark.parametrize(
+        "family,why", [(SimHashFamily(3), "continuous"), (MinHashFamily(8), "too many permutations")],
+        ids=["simhash", "minhash8"],
+    )
+    def test_no_finite_list(self, family, why):
+        with pytest.raises(NotEnumerableError, match=why):
+            family.all_keys()
+
+    @pytest.mark.parametrize("family", [BitSamplingFamily(5), FixedFamily(SharedBucketer(), (0,))])
+    def test_default_draw_indexes_all_keys(self, family):
+        keys = family.all_keys()
+        expected = keys[CountingRng(3).uniform_ints(len(keys), 50)]
+        assert family.draw(CountingRng(3), 50).tolist() == expected.tolist()
+
+
 class TestEmbedAll:
     """A family's one embedder, over its members' keys and the points'
     vectors, equals embed(apply(p)) point by point and member by member,
     and raises the error class and message that apply raises at the first
-    bad point.  The members are the whole family when it has at most 8,
-    else one sampled member."""
+    bad point.  The members are those of ``all_keys`` when it lists at
+    most 8, else two sampled members."""
 
     FAMILIES = {
         "bit_sampling": (5, BitSamplingFamily(5)),
@@ -310,11 +343,15 @@ class TestEmbedAll:
         points = [Point(f"p{r}", v) for r, v in enumerate(vectors)]
         if isinstance(family, Bucketer):
             family = FixedFamily(family, realized_buckets(family, points) or (0,))
-        size = family.enumerable_size
-        members = family.enumerate() if size is not None and size <= 8 else [
-            family.member(key) for key in family.draw(CountingRng(seed), 2)]
+        try:
+            keys = family.all_keys()
+        except NotEnumerableError:
+            keys = None
+        if keys is None or len(keys) > 8:
+            keys = family.draw(CountingRng(seed), 2)
+        members = [family.member(key) for key in keys]
         embed = PiFamily(101, family.bucket_values).embed_value
         expected = self.outcome(lambda: [[embed(m.apply(p)) for m in members] for p in points])
-        embedder = family.embedder(family.keys(members), embed)
+        embedder = family.embedder(keys, embed)
         got = self.outcome(lambda: embedder(points, family.vectors(points)).tolist())
         assert got == expected

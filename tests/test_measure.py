@@ -34,6 +34,7 @@ from fairderand.errors import (
     EmptyPairSetError,
     FairderandError,
     InvalidParameterError,
+    NotBinaryError,
     NotEnumerableError,
 )
 from fairderand.measure import (
@@ -62,7 +63,7 @@ from fairderand.measure import (
 from fairderand.derandomize import SharedBucketer
 from fairderand.hashing import FixedFamily, MinHashMember, PiFamily
 from fairderand import metrics
-from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming, binary_support
+from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming, ScaledEuclidean, binary_support
 from fairderand.rng import CountingRng
 
 from conftest import (
@@ -587,7 +588,7 @@ def per_point_mc_bits(derand, points, trials, seed):
         def embeds(point):
             support = sorted(binary_support(point.fairness_vector))
             if not support:
-                raise InvalidParameterError("min-wise hashing is undefined on the empty set")
+                raise NotBinaryError("min-wise hashing is undefined on the empty set")
             values = np.array([pi.embed_value(e) for e in support], dtype=np.int64)
             return values[np.argmin(ranks[:, support], axis=1)]
     else:
@@ -651,7 +652,7 @@ class TestBlockOracle:
     def test_exact_closed_form_equals_member_predictions(self, kind, seed, n_points, per_block):
         rng = random.Random(seed)
         ds, derand = self.derandomizer(kind, rng, n_points)
-        with mock.patch.object(measure, "PAIR_CHUNK_BYTES", per_block * derand.bucketing.enumerable_size):
+        with mock.patch.object(measure, "PAIR_CHUNK_BYTES", per_block * len(derand.bucketing.all_keys())):
             table = prediction_table(derand, ds, EXACT)
             variance = aggregate_variance(table)
         members = enumerate_members(derand)
@@ -726,7 +727,7 @@ class TestBlockOracle:
         scorer = TabularScorer({p.id: Fraction(rng.randint(0, 20), 20) for p in points})
         derand = LsDerandomizer(scorer, derand.bucketing, derand.k)
         cfg = EstimatorConfig(mode=mode, trials=37, seed=seed)
-        per_point = derand.bucketing.enumerable_size if mode == "exact" else 37
+        per_point = len(derand.bucketing.all_keys()) if mode == "exact" else 37
         with mock.patch.object(measure, "PAIR_CHUNK_BYTES", 3 * per_point):
             table = outcome(lambda: prediction_table(derand, points, cfg))
         if mode == "exact":  # the members that predict 1, point by point
@@ -827,11 +828,19 @@ class TestDecomposition:
         assert report["expected_gap"]["bound"] == pytest.approx(2 * 0.5 ** (2 / 3))
         assert report["expected_gap"]["satisfied"]
 
-    def test_family_above_the_enumeration_cap_falls_back_to_monte_carlo(self):
-        # 1009**2 = 1,018,081 members, above the enumeration cap
+    def test_family_above_the_old_enumeration_cap_is_exact(self):
+        # 1009**2 = 1,018,081 members, above the 10**6 cap that once sent this to Monte Carlo
         ds = Dataset([Point(f"x{i}", (float(i),)) for i in range(3)])
         derand = PiDerandomizer.build(TabularScorer({"x0": 0.3, "x1": 0.6, "x2": 0.9}), ds, IdentityBucketer(), 1009)
         assert derand.family_size == 1_018_081
+        report = decomposition_check(derand, ds[0], EstimatorConfig(mode="mc", trials=2000, seed=5))
+        t = 302  # floor(0.3 * 1009)
+        assert report["family_variance"]["value"] == Fraction(t, 1009) * Fraction(1009 - t, 1009)
+        assert report["expected_gap"]["satisfied"]
+
+    def test_family_that_cannot_be_listed_falls_back_to_monte_carlo(self):
+        ds = Dataset([Point("x", (1.0, 0.0))])
+        derand = LsDerandomizer(TabularScorer({"x": 0.3}), SimHashFamily(2), 11)
         report = decomposition_check(derand, ds[0], EstimatorConfig(mode="mc", trials=2000, seed=5))
         assert isinstance(report["family_variance"]["value"], float)
         assert report["expected_gap"]["satisfied"]
@@ -871,6 +880,30 @@ class TestFairnessCurve:
         derand = RtDerandomizer(scorer, 5)
         curve = empirical_fairness_curve(prediction_table(derand, ds, EXACT), NormalizedHamming(3), [0.0, 1.0])
         assert len(curve) == 2
+
+    METRICS = {"rt": NormalizedHamming(5), "grid": ScaledEuclidean(1.0), "bit_sampling": NormalizedHamming(5),
+               "minhash5": JaccardDistance()}
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(METRICS)),
+        seed=st.integers(0, 10**6),
+        n_points=st.integers(2, 6),
+        alphas=st.lists(st.floats(0, 4), min_size=1, max_size=4),
+        cap=st.one_of(st.none(), st.integers(1, 14)),
+    )
+    def test_equals_brute_force(self, kind, seed, n_points, alphas, cap):
+        """Each beta_hat(a) is the mean, over the table's (capped) pairs, of
+        max(gap - a * d, 0), with each gap from every member's predictions."""
+        ds, derand = TestBlockOracle.derandomizer(kind, random.Random(seed), n_points)
+        metric, cfg = self.METRICS[kind], EstimatorConfig(mode="exact", seed=seed, pairs_cap=cap or 10**6)
+        curve = empirical_fairness_curve(prediction_table(derand, ds, cfg), metric, alphas)
+        i, j, _ = select_pairs(len(ds), cfg.pairs_cap, seed)
+        pairs = [(ds[a], ds[b]) for a, b in zip(i.tolist(), j.tolist())]
+        gaps = [(float(brute_pairwise(derand, x, y)), float(metric.distance(x, y))) for x, y in pairs]
+        for (alpha, beta), a in zip(curve, alphas):
+            expected = math.fsum(max(g - a * d, 0.0) for g, d in gaps) / len(gaps)
+            assert alpha == a and math.isclose(beta, expected, rel_tol=1e-12)
 
 
 class TestPairSelection:
@@ -939,19 +972,28 @@ class TestPairSelection:
 
 
 class TestClassHistogram:
-    @pytest.mark.parametrize("width", [1, 2, 7, 256, 70_000, 2**33])
+    @pytest.mark.parametrize("width", [1, 2, 7, 256, 70_000, 2**33, 2**63])
     def test_equals_unique_reference(self, width, monkeypatch):
-        # 2**33 forces 64-bit keys; an 8-pair block makes many block histograms
-        rng = np.random.default_rng(width)
+        # the top split counts below width: 2**33 needs 64-bit keys, and at 2**63 code * width
+        # + count would pass 2**64, so counts are ranked; an 8-pair block makes many block
+        # histograms
+        rng = np.random.default_rng(width % 2**32)
         codes = rng.integers(0, 5, size=500).astype(np.uint8)
-        counts = rng.integers(0, min(width, 9), size=500).astype(np.min_scalar_type(width - 1))
+        counts = (width - 1 - rng.integers(0, min(width, 9), size=500)).astype(np.min_scalar_type(width - 1))
         monkeypatch.setattr(measure, "PAIR_CHUNK_BYTES", 64)
-        keys, weights = measure._class_histogram(codes, counts, width)
-        expected, numbers = np.unique(codes.astype(np.uint64) * np.uint64(width) + counts, return_counts=True)
-        assert keys.dtype == np.min_scalar_type(5 * width)
-        assert (keys.tolist(), weights.tolist()) == (expected.tolist(), numbers.tolist())
+        class_codes, class_counts, weights = measure._class_histogram(codes, counts)
+        expected = sorted(collections.Counter(zip(codes.tolist(), counts.tolist())).items())
+        assert list(zip(zip(class_codes.tolist(), class_counts.tolist()), weights.tolist())) == expected
+        # keys in the smallest unsigned dtype: code * width + count, or at 2**63 code * levels + rank
+        levels = width if width < 2**63 else len(set(counts.tolist()))
+        assert class_codes.dtype == np.min_scalar_type(5 * levels)
+        assert class_counts.dtype == (class_codes.dtype if width < 2**63 else counts.dtype)
         if width == 2**33:
-            assert keys.dtype == np.uint64
+            assert class_codes.dtype == np.uint64
+
+    def test_empty(self):
+        class_codes, class_counts, weights = measure._class_histogram(np.zeros(0, np.uint8), np.zeros(0, np.uint8))
+        assert class_codes.size == class_counts.size == weights.size == 0
 
 
 class TestSameBucketSum:

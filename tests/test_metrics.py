@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fairderand import Angular, JaccardDistance, NormalizedHamming, Point, ScaledEuclidean
-from fairderand.errors import DimensionMismatchError, InvalidParameterError, ZeroVectorError
+from fairderand.errors import DimensionMismatchError, NotBinaryError, ZeroVectorError
 
 from conftest import pairs_of
 
@@ -176,9 +176,9 @@ class TestPairDistances:
 
     def test_non_binary_jaccard_raises_like_distance(self):
         points = [pt(1, 0), pt(0, 1), pt(0.5, 1)]
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(NotBinaryError):
             JaccardDistance().distance(points[0], points[2])
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(NotBinaryError):
             JaccardDistance().pair_distances(points, pairs_of(len(points), [0, 0], [1, 2]))
         # a point in no pair is never read, as with distance
         codes, values = JaccardDistance().pair_distances(points, pairs_of(len(points), [0], [1]))

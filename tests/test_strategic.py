@@ -12,7 +12,7 @@ from fairderand import (
 )
 from fairderand.measure import scorer_beta
 from fairderand.metrics import NormalizedHamming, ScaledEuclidean
-from fairderand.strategic import best_response, best_responses, utility
+from fairderand.strategic import best_responses
 
 from conftest import random_binary_dataset, random_scorer
 
@@ -27,20 +27,26 @@ class TestUtility:
     def test_staying_put_costs_nothing(self):
         ds = line_dataset()
         scorer = TabularScorer({p.id: 0.4 for p in ds})
-        value = utility(scorer, ds[0], ds[0], NormalizedHamming(1))
-        assert value == Fraction(2, 5)
+        for origin, report in zip(ds, best_responses(scorer, ds, NormalizedHamming(1), 1, 0)):
+            assert report.response_id == origin.id
+            assert report.utility_gain == 0
 
     def test_direct_formula(self):
         a, b = Point("a", (0.0,)), Point("b", (0.4,))
         scorer = TabularScorer({"a": 0.1, "b": 1.0})
-        assert utility(scorer, a, b, ScaledEuclidean(1.0)) == pytest.approx(0.6)
+        moves, stays = best_responses(scorer, Dataset([a, b]), ScaledEuclidean(1.0), 1, 0)
+        # score(b) - cost(a, b) = 0.6 against staying at score(a) = 0.1
+        assert (moves.response_id, stays.response_id) == ("b", "b")
+        assert moves.utility_gain == pytest.approx(0.5)
+        assert stays.utility_gain == 0
 
     def test_family_version_uses_exact_mean(self):
-        ds = line_dataset()
-        scorer = TabularScorer({p.id: 0.31 for p in ds})
-        derand = RtDerandomizer(scorer, 10)
-        value = utility(derand, ds[0], ds[0], NormalizedHamming(1), EXACT)
-        assert value == Fraction(3, 10)  # family mean floors to the grid
+        ds = Dataset([Point("a", (0.0, 0.0)), Point("b", (0.0, 1.0))])
+        derand = RtDerandomizer(TabularScorer({"a": 0.31, "b": 0.95}), 10)
+        report = best_responses(derand, ds, NormalizedHamming(2), 1, 0, EXACT)[0]
+        # family means floor to the grid: 9/10 - 1/2 - 3/10, where the scores give 0.14
+        assert report.response_id == "b"
+        assert report.utility_gain == Fraction(1, 10)
 
 
 class TestBestResponse:
@@ -48,16 +54,15 @@ class TestBestResponse:
         ds = line_dataset()
         # scores scale like 0.5 * distance from p0: (1, 0)-fair under d
         scorer = TabularScorer({p.id: 0.5 * p.features[0] for p in ds})
-        for origin in ds:
-            report = best_response(scorer, origin, ds, ScaledEuclidean(1.0), 1, 0)
+        for report in best_responses(scorer, ds, ScaledEuclidean(1.0), 1, 0):
             assert report.utility_gain <= 0
             assert report.within_bound
 
     def test_constant_scorer_stays_put(self):
         ds = line_dataset()
-        report = best_response(ConstantScorer(0.5), ds[2], ds, ScaledEuclidean(1.0), 1, 0)
-        assert report.response_id == ds[2].id
-        assert report.utility_gain == 0
+        for origin, report in zip(ds, best_responses(ConstantScorer(0.5), ds, ScaledEuclidean(1.0), 1, 0)):
+            assert report.response_id == origin.id
+            assert report.utility_gain == 0
 
     def test_certified_fair_scorer_respects_gain_bound(self, py_rng):
         cost = NormalizedHamming(4)
@@ -72,12 +77,11 @@ class TestBestResponse:
                 assert report.utility_gain <= report.bound
 
     def test_ties_break_to_lowest_id(self):
-        # identical scores and identical costs from the origin: lowest id wins
+        # identical scores at one location: every move ties with staying, and the lowest id wins
         ds = Dataset([Point("b", (1.0,)), Point("a", (1.0,)), Point("c", (1.0,))])
-        scorer = TabularScorer({"a": 0.5, "b": 0.5, "c": 0.5, "z": 0.5})
-        origin = Point("z", (1.0,))
-        report = best_response(scorer, origin, ds, ScaledEuclidean(1.0), 1, 0.5)
-        assert report.response_id == "a"
+        scorer = TabularScorer({"a": 0.5, "b": 0.5, "c": 0.5})
+        reports = best_responses(scorer, ds, ScaledEuclidean(1.0), 1, 0.5)
+        assert [r.response_id for r in reports] == ["a", "a", "a"]
 
     def test_uniform_cost_shift_keeps_argmax(self):
         ds = line_dataset()
@@ -88,13 +92,13 @@ class TestBestResponse:
                 base = super().distance(x, y)
                 return min(base + 0.1, 1.0) if x.id != y.id else base
 
-        plain = best_response(scorer, ds[0], ds, ScaledEuclidean(1.0), 1, 0)
-        shifted = best_response(scorer, ds[0], ds, Shifted(1.0), 1, 0)
-        assert plain.response_id == shifted.response_id
+        plain = best_responses(scorer, ds, ScaledEuclidean(1.0), 1, 0)
+        shifted = best_responses(scorer, ds, Shifted(1.0), 1, 0)
+        assert plain[0].response_id == shifted[0].response_id
 
     def test_report_serialization(self):
         ds = line_dataset()
-        report = best_response(ConstantScorer(1), ds[0], ds, ScaledEuclidean(1.0), 1, 0)
+        report = best_responses(ConstantScorer(1), ds, ScaledEuclidean(1.0), 1, 0)[0]
         row = report.as_dict()
         assert set(row) == {"origin", "response", "gain", "bound", "ok"}
         assert row["ok"] is True
