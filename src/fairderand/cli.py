@@ -101,7 +101,9 @@ NUMBER_KEYS = ("tau", "delta", "adversarial.delta_sphere", "adversarial.eps_gap"
 STRING_KEYS = ("input", "out")
 
 
-def _resolve(config: dict, args) -> dict:
+def _resolve(config: dict, args) -> tuple[dict, EstimatorConfig]:
+    """The config with the flags applied and its keys checked, and its
+    estimator, which every command checks whether or not it reads it."""
     merged = dict(config)
     for key in ("seed", "out", "mode", "trials", "pairs_cap"):
         value = getattr(args, key, None)
@@ -136,15 +138,8 @@ def _resolve(config: dict, args) -> dict:
     n_classifiers = merged.get("n_classifiers", 0)
     if not (_integral(n_classifiers) and n_classifiers >= 0):
         raise ConfigError("n_classifiers must be a non-negative integer")
-    return merged
-
-
-def _estimator(config: dict) -> EstimatorConfig:
-    return EstimatorConfig(
-        mode=config["mode"],
-        trials=int(config["trials"]),
-        seed=int(config["seed"]),
-        pairs_cap=int(config["pairs_cap"]),
+    return merged, EstimatorConfig(
+        mode=merged["mode"], trials=int(merged["trials"]), seed=int(merged["seed"]), pairs_cap=int(merged["pairs_cap"])
     )
 
 
@@ -235,16 +230,15 @@ def _report_skeleton(config: dict) -> dict:
     return {"version": __version__, "config": config}
 
 
-def cmd_derandomize(config: dict) -> Path:
+def cmd_derandomize(config: dict, cfg: EstimatorConfig) -> Path:
     dataset, scorer = _load_input(config)
     derand = _build_derandomizer(config, dataset, scorer)
-    rng = CountingRng(int(config["seed"]))
-    clf = derand.sample(rng)
+    clf = derand.sample(CountingRng(cfg.seed))
     payload = _report_skeleton(config)
     payload.update(
         {
             "scheme": config["scheme"],
-            "seed": int(config["seed"]),
+            "seed": cfg.seed,
             "classifier": clf.params(),
             "bit_budget": clf.budget.as_dict(),
             "predictions": {p.id: clf.predict(p) for p in dataset},
@@ -253,11 +247,10 @@ def cmd_derandomize(config: dict) -> Path:
     return _write_report(Path(config["out"]), "derandomize.json", payload)
 
 
-def cmd_audit(config: dict) -> Path:
+def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
     dataset, scorer = _load_input(config)
     derand = _build_derandomizer(config, dataset, scorer)
     metric = _build_metric(config, dataset)
-    cfg = _estimator(config)
     # exact decimals, as scores are read: 1.1 is 11/10, not the nearest double
     alpha = Fraction(str(config.get("alpha", 1)))
     beta = Fraction(str(config.get("beta", 0)))
@@ -293,7 +286,7 @@ def cmd_audit(config: dict) -> Path:
         n_classifiers = int(config.get("n_classifiers", 0))
         if n_classifiers:
             quantities["aggregate_fairness_tail"] = aggregate_fairness_tail_check(
-                table, metric, alpha, tau, delta, n_classifiers, CountingRng(int(config["seed"]))
+                table, metric, alpha, tau, delta, n_classifiers, CountingRng(cfg.seed)
             )
     payload["quantities"] = quantities
 
@@ -314,7 +307,7 @@ def cmd_audit(config: dict) -> Path:
     return _write_report(out_dir, "audit.json", payload)
 
 
-def cmd_adversarial(config: dict) -> Path:
+def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
     spec = config.get("adversarial", {})
     construction = spec.get("construction", "sphere")
     out_dir = Path(config["out"])
@@ -371,21 +364,17 @@ def cmd_adversarial(config: dict) -> Path:
     raise ConfigError(f"unknown construction {construction!r}")
 
 
-def cmd_strategic(config: dict) -> Path:
+def cmd_strategic(config: dict, cfg: EstimatorConfig) -> Path:
     dataset, scorer = _load_input(config)
     cost = _build_metric(config, dataset)
-    reports = best_responses(
-        scorer, dataset, cost,
-        config.get("alpha", 1.0), config.get("beta", 0.0),
-        _estimator(config),
-    )
+    reports = best_responses(scorer, dataset, cost, config.get("alpha", 1.0), config.get("beta", 0.0))
     payload = _report_skeleton(config)
     payload["responses"] = [r.as_dict() for r in reports]
     payload["all_within_bound"] = all(r.within_bound for r in reports)
     return _write_report(Path(config["out"]), "strategic.json", payload)
 
 
-def cmd_bounds(config: dict) -> Path:
+def cmd_bounds(config: dict, cfg: EstimatorConfig) -> Path:
     specs = config.get("bounds", [])
     if not isinstance(specs, list) or not specs:
         raise ConfigError("config must provide a non-empty 'bounds' list")
@@ -433,8 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _resolve(_load_config(args.config), args)
-        path = COMMANDS[args.command](config)
+        path = COMMANDS[args.command](*_resolve(_load_config(args.config), args))
     except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

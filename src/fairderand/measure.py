@@ -23,8 +23,12 @@ Split counts are int64, so the one gate on an exact family is its size:
 below 2**63 members, else ``FamilyTooLargeError``.  A Monte Carlo table
 packs the prediction bits (a * e + c) mod k < t of ``Derandomizer.draw``:
 the keys of every bucketing member, then every a, then every c.  The tail
-check evaluates its own drawn batch at every point, in one call, and
-``decomposition_check`` draws one whose Bernoulli draws continue its stream.
+check evaluates its own drawn batch at every point, in one call.
+
+A single point needs no table: c is uniform on [k], so under every family
+(RT, Pi and each LS family, SimHash included) a member predicts 1 at x with
+probability exactly t/k (``family_mean``).  ``decomposition_check`` reads
+its bias and variances from that, and ``strategic`` its family means.
 
 Pair quantities read one pass per table and metric over every pair, or
 the capped ``sample_pairs``, whose only state is the at most ``cap`` sorted
@@ -49,7 +53,7 @@ import numpy as np
 
 from .core import Dataset, Point, StochasticScorer, threshold_count
 from .derandomize import Derandomizer, LsDerandomizer, RtDerandomizer
-from .errors import EmptyPairSetError, FamilyTooLargeError, InvalidParameterError, NotEnumerableError
+from .errors import EmptyPairSetError, FamilyTooLargeError, InvalidParameterError
 from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, PairSet, over_pairs, popcounts
 from .rng import CountingRng
 
@@ -89,9 +93,6 @@ class Estimate:
 
     value: Number
     stderr: Optional[float] = None
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 def quantity(
@@ -198,12 +199,12 @@ class PairClasses:
 
 @dataclass(frozen=True, eq=False)
 class PredictionTable:
-    """What the audited quantities read of f_h(x) for every family member h
-    (exact) or every classifier of one seeded batch (Monte Carlo), at every
-    dataset point x.  Exact: ``rows[r]`` is t_r, then the bucket of point r
-    under each of the B bucketing members; no prediction is held.  Monte
-    Carlo: ``rows[r]`` is the prediction row of point r, in whole uint64
-    words, and ``sums`` counts the points each trial predicts 1."""
+    """What the pair and aggregate quantities read of f_h(x) for every
+    family member h (exact) or every classifier of one seeded batch (Monte
+    Carlo), at every dataset point x.  Exact: ``rows[r]`` is t_r, then the
+    bucket of point r under each of the B bucketing members; no prediction
+    is held.  Monte Carlo: ``rows[r]`` is the prediction row of point r, in
+    whole uint64 words, and ``sums`` counts the points each trial predicts 1."""
 
     derand: Derandomizer
     dataset: Sequence[Point]
@@ -215,33 +216,6 @@ class PredictionTable:
     vectors: Optional[np.ndarray]  # derand.bucketing.vectors(dataset)
     sums: Optional[np.ndarray]  # in the smallest unsigned dtype that holds len(dataset)
     _passes: list = field(default_factory=list, init=False, repr=False)
-
-    def ones(self, r: int) -> int:
-        """Members (or trials) that predict 1 at point r: t_r of every k."""
-        if self.cfg.exact:
-            return int(self.t[r]) * (self.size // self.derand.k)
-        return int(np.bitwise_count(self.rows[r]).sum())
-
-    def mean(self, r: int) -> Estimate:
-        """Mean prediction at point r."""
-        return _share(self.ones(r), self.size, self.cfg.exact)
-
-    def bias(self, r: int) -> Estimate:
-        """Mean prediction at point r minus its score."""
-        mean, score = self.mean(r), self.scores[r]
-        return Estimate(mean.value - (score if self.cfg.exact else float(score)), mean.stderr)
-
-    def variance(self, r: int) -> Estimate:
-        """Variance of the prediction bit at point r across the members."""
-        if self.cfg.exact:
-            p = self.mean(r).value
-            return Estimate(p * (1 - p))
-        _check_trials(self.size)
-        bits = self.bits(r).astype(float)
-        return Estimate(float(bits.var(ddof=1)), _variance_stderr(bits))
-
-    def bits(self, r: int) -> np.ndarray:  # Monte Carlo
-        return np.unpackbits(self.rows[r], count=self.size)
 
     def split_counts(self, pairs: PairSet) -> np.ndarray:
         """Members (or trials) that predict differently at the two points of
@@ -351,18 +325,9 @@ def prediction_table(
     return PredictionTable(derand, dataset, cfg, scores, t, size, rows, x, sums)
 
 
-def _share(count: int, size: int, exact: bool) -> Estimate:
-    """count/size: an exact rational, or a float with its binomial
-    standard error."""
-    if exact:
-        return Estimate(Fraction(count, size))
-    p = count / size
-    return Estimate(p, math.sqrt(max(p * (1.0 - p), 0.0) / size))
-
-
 def _pair_excesses(table: PredictionTable, classes: PairClasses, budget: Callable) -> list[Number]:
-    """gap - budget(d) per class, with the gap count/size exact or float as
-    in ``_share``; budget runs once per distinct distance."""
+    """gap - budget(d) per class, with the gap count/size an exact rational
+    or a float; budget runs once per distinct distance."""
     budgets = [budget(d) for d in classes.values]
     codes, counts = classes.class_codes, classes.class_counts
     if not table.cfg.exact:  # float - Fraction is float(a) - float(b)
@@ -536,7 +501,7 @@ def threshold_fairness_check(
         raise EmptyPairSetError(f"no pairs within distance {sigma}")
     n_diff = int(classes.counts[close].max())
     # max() keeps its first maximal argument: an int 0 when no pair differs
-    worst: Number = max(0, _share(n_diff, table.size, table.cfg.exact).value)
+    worst: Number = max(0, Fraction(n_diff, table.size) if table.cfg.exact else n_diff / table.size)
     scores = table.scores
     scorer_worst: Number = max([0, *(abs(scores[a] - scores[b]) for a, b in zip(i.tolist(), j.tolist()))])
 
@@ -555,41 +520,28 @@ def threshold_fairness_check(
 
 
 # ---------------------------------------------------------------------------
-# bias-variance decomposition
+# single points: the family mean and the bias-variance decomposition
 
-def decomposition_check(
-    derand: Derandomizer, point: Point, cfg: EstimatorConfig
-) -> dict:
-    """Joint Monte Carlo check of the error decomposition: the expected gap
-    between a sampled member and a Bernoulli realization of the score is at
-    most |bias| + 2 * (score variance + family variance)^(2/3).
+def family_mean(derand: Derandomizer, point: Point) -> Fraction:
+    """The share of the family that predicts 1 at the point: t/k, with
+    t = floor(score * k), under every family."""
+    return Fraction(threshold_count(derand.scorer.score(point), derand.k), derand.k)
 
-    The Bernoulli variance is score*(1 - score) analytically; the family
-    variance and bias are exact when the exact table can count the family,
-    and come from a seeded batch otherwise.
-    """
-    _check_trials(cfg.trials)
-    score = derand.scorer.score(point)
-    var_bern = score * (1 - score)
-    try:
-        table = prediction_table(derand, (point,), EstimatorConfig(mode="exact", seed=cfg.seed))
-    except NotEnumerableError:
-        table = prediction_table(derand, (point,), EstimatorConfig(mode="mc", trials=cfg.trials, seed=cfg.seed))
-    bias, var_family = table.bias(0).value, table.variance(0).value
 
+def decomposition_check(derand: Derandomizer, point: Point) -> dict:
+    """The error decomposition at one point, exact and drawing nothing: a
+    member predicts 1 with probability p = ``family_mean``, so its expected
+    gap to a Bernoulli realization of the score s is p + s - 2ps, which for
+    0/1 variables is the identity (p - s)^2 + s(1 - s) + p(1 - p).  The
+    bound is |bias| + 2 * (score variance + family variance)^(2/3)."""
+    score, p = derand.scorer.score(point), family_mean(derand, point)
+    bias, var_bern, var_family = p - score, score * (1 - score), p * (1 - p)
     rhs = decomposition_bound(abs(bias), var_bern, var_family)
-    rng = CountingRng(cfg.seed)
-    batch = _ClassifierBatch(derand, cfg.trials, rng)
-    t = np.array([threshold_count(score, derand.k)])
-    member_bits = batch.bits((point,), t, derand.bucketing.vectors((point,)))[0]
-    bern_bits = rng.bernoullis(score, cfg.trials)
-    lhs = _share(int((member_bits != bern_bits).sum()), cfg.trials, False)
-
     return {
         "bias_abs": quantity(abs(bias)),
         "score_variance": quantity(var_bern),
         "family_variance": quantity(var_family),
-        "expected_gap": quantity(lhs.value, lhs.stderr, rhs, "bias-variance decomposition"),
+        "expected_gap": quantity(bias * bias + var_bern + var_family, None, rhs, "bias-variance decomposition"),
     }
 
 

@@ -5,13 +5,15 @@ serves bits from a splitmix64 stream and counts exactly how many are
 consumed.  This makes the sample complexity of each derandomization scheme
 a measurable, reproducible quantity: two runs with the same seed produce
 bit-identical draw sequences and identical ``bits_consumed`` counters.
-Each array draw returns what the matching run of scalar draws returns.
+It serves raw bits, uniform integers by rejection and standard normals;
+each array draw returns what the matching run of scalar draws returns.
+No draw realizes a score as a Bernoulli bit: the single-point quantities
+of ``measure`` are closed form.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,9 +22,6 @@ from .errors import InvalidParameterError
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Fixed cost of one Bernoulli realization, in bits.  A 32-bit uniform
-# integer is compared against score * 2^32 exactly.
-BERNOULLI_BITS = 32
 ARRAY_ROUND = 1 << 13  # chunks read per round of an array draw
 
 
@@ -103,25 +102,6 @@ class CountingRng:
             filled += kept.size
             self.bits_consumed += m * (int(kept[-1]) + 1 if filled == size else chunks.size)
         return out
-
-    def bernoulli(self, p: Fraction) -> int:
-        """Draw a {0,1} bit that is 1 with probability p, at a fixed 32-bit cost.
-
-        Exact for p in {0, 1} and for any p with denominator dividing 2^32;
-        otherwise within 2^-32 of p.
-        """
-        if not 0 <= p <= 1:
-            raise InvalidParameterError(f"probability {p} outside [0, 1]")
-        u = self.draw_bits(BERNOULLI_BITS)
-        # u < p * 2^32, compared in exact integer arithmetic
-        return 1 if u * p.denominator < p.numerator * (1 << BERNOULLI_BITS) else 0
-
-    def bernoullis(self, p: Fraction, size: int) -> np.ndarray:
-        """``size`` successive ``bernoulli(p)`` draws as a bool array: for an
-        integer u, u * den < num * 2^32 iff u < ceil(num * 2^32 / den)."""
-        if not 0 <= p <= 1:
-            raise InvalidParameterError(f"probability {p} outside [0, 1]")
-        return self.uniform_ints(1 << BERNOULLI_BITS, size) < -((-p.numerator << BERNOULLI_BITS) // p.denominator)
 
     def normal_pair(self) -> tuple[float, float]:
         """Two independent standard normals from 128 counted bits."""

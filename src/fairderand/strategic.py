@@ -5,7 +5,10 @@ budget implied by metric fairness.
 An agent at x who presents x' instead receives utility
 score(x') - cost(x, x').  When the classifier is (alpha, beta)-fair under
 the cost metric, no move can gain more than (alpha - 1)*cost + beta; for
-a classifier family the same holds for the family-mean prediction.
+a classifier family the same holds for the family-mean prediction, which
+is t/k under every family: c is uniform on [k], so a member predicts 1 at x
+for t = floor(score(x) * k) of every k values.  Gains are therefore exact
+in every estimator mode.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Sequence, Union
 from .core import Dataset, Point, StochasticScorer
 from .derandomize import Derandomizer
 from .errors import InvalidParameterError
-from .measure import EstimatorConfig, manipulation_gain_bound, prediction_table
+from .measure import family_mean, manipulation_gain_bound
 from .metrics import Metric
 
 Number = Union[Fraction, float, int]
@@ -46,13 +49,12 @@ class UtilityReport:
         }
 
 
-def _mean_predictions(source, points: Sequence[Point], cfg: EstimatorConfig) -> list[Number]:
-    """Score of each point, or its family-mean prediction from one table."""
+def _mean_predictions(source, points: Sequence[Point]) -> list[Number]:
+    """Score of each point, or its family-mean prediction t/k."""
     if isinstance(source, StochasticScorer):
         return [source.score(p) for p in points]
     if isinstance(source, Derandomizer):
-        table = prediction_table(source, points, cfg)
-        return [table.mean(r).value for r in range(len(points))]
+        return [family_mean(source, p) for p in points]
     raise InvalidParameterError(f"cannot score with {type(source).__name__}")
 
 
@@ -82,12 +84,11 @@ def best_responses(
     cost: Metric,
     alpha: Number,
     beta: Number,
-    cfg: EstimatorConfig | None = None,
 ) -> list[UtilityReport]:
     """Best response of every candidate treated as an origin, from one
     mean prediction per candidate; ties go to the lowest id, and staying
     put costs nothing."""
-    predictions = _mean_predictions(source, candidates, cfg or EstimatorConfig())
+    predictions = _mean_predictions(source, candidates)
     return [
         _respond(origin, stay, candidates, predictions, cost, alpha, beta)
         for origin, stay in zip(candidates, predictions)

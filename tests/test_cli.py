@@ -802,7 +802,7 @@ class TestDataErrors:
         errors = set(self.subclasses(FairderandError))
         assert {DimensionMismatchError, ZeroVectorError, UnknownBucketError, GridTooCoarseError} <= errors
         for error in sorted(errors, key=lambda cls: cls.__name__):
-            def fail(config, error=error):
+            def fail(config, cfg, error=error):
                 raise error("injected")
 
             monkeypatch.setitem(cli.COMMANDS, "audit", fail)
@@ -816,6 +816,25 @@ class TestDataErrors:
                 assert code == 3
             if error is GridTooCoarseError:
                 assert code == 2
+
+
+class TestEstimatorKeys:
+    """The estimator keys are shared: every command rejects what audit
+    rejects, whether or not it reads them."""
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("mode", "x", "unknown estimator mode 'x'"), ("trials", 0, "trials must be at least 1"),
+         ("pairs_cap", 0, "pairs_cap must be at least 1")],
+        ids=["mode", "trials", "pairs_cap"],
+    )
+    def test_bad_value_exits_2(self, scored_csv, config_factory, capsys, command, key, value, message):
+        base = dict(input=str(scored_csv), k=11, bounds=[{"name": "bias", "k": 4}])
+        assert main([command, "--config", str(config_factory(**base))]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(config_factory(**base, **{key: value}))]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestExitCodeContract:

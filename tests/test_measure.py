@@ -47,6 +47,7 @@ from fairderand.measure import (
     decomposition_check,
     empirical_fairness_curve,
     family_beta,
+    family_mean,
     ls_variance_bound,
     metric_fairness_check,
     pi_variance_bound,
@@ -148,8 +149,8 @@ class TestOracleAgreement:
         scorer = random_scorer(py_rng, ds)
         for derand in small_families(ds, scorer):
             table = prediction_table(derand, ds, EXACT)
-            for r, p in enumerate(ds):
-                assert table.bias(r).value == brute_mean(derand, p) - scorer.score(p)
+            for p in ds:
+                assert family_mean(derand, p) == brute_mean(derand, p)
             assert aggregate_variance(table).value == brute_aggregate_variance(derand, ds)
             assert split_share(table, 0, 1) == brute_pairwise(derand, ds[0], ds[1])
 
@@ -178,8 +179,9 @@ class TestOracleAgreement:
         scorer = TabularScorer({"x": 0.37})
         derand = LsDerandomizer(scorer, SimHashFamily(2), 25)
         mc = EstimatorConfig(mode="mc", trials=200_000, seed=3)
-        est = prediction_table(derand, ds, mc).bias(0)
-        assert abs(est.value) <= 1 / 25 + 4 * est.stderr
+        table = prediction_table(derand, ds, mc)
+        mean = float(np.unpackbits(table.rows[0], count=table.size).mean())
+        assert abs(mean - 0.37) <= 1 / 25 + 4 * math.sqrt(mean * (1 - mean) / mc.trials)
 
     @pytest.mark.parametrize(
         "family,metric,x,y",
@@ -219,18 +221,20 @@ class TestBias:
     def test_pi_bias_exact_example(self):
         ds = binary_dataset()
         derand = PiDerandomizer.build(ConstantScorer(0.5), ds, IdentityBucketer(), 5)
-        assert prediction_table(derand, ds, EXACT).bias(0).value == Fraction(-1, 10)
+        assert brute_mean(derand, ds[0]) - Fraction(1, 2) == Fraction(-1, 10)
+        assert aggregate_bias(prediction_table(derand, ds, EXACT)).value == Fraction(-1, 10)
 
     def test_constant_one_family_zero_bias(self):
         ds = binary_dataset()
         derand = RtDerandomizer(ConstantScorer(1), 5)
-        assert prediction_table(derand, ds, EXACT).bias(0).value == 0
+        assert brute_mean(derand, ds[0]) == 1
+        assert aggregate_bias(prediction_table(derand, ds, EXACT)).value == 0
 
     def test_singleton_dataset_aggregate_equals_pointwise(self):
         ds = Dataset([Point("only", (0.0, 1.0))])
         derand = RtDerandomizer(TabularScorer({"only": 0.41}), 7)
         table = prediction_table(derand, ds, EXACT)
-        assert aggregate_bias(table).value == table.bias(0).value
+        assert aggregate_bias(table).value == brute_mean(derand, ds[0]) - derand.scorer.score(ds[0])
 
     def test_bias_bound_holds_exactly_on_random_configs(self, py_rng):
         for _ in range(5):
@@ -555,7 +559,7 @@ class TestSplitCounts:
         derand = LsDerandomizer(random_scorer(rng, ds, 20), BitSamplingFamily(4), 7)
         table = prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=size, seed=size))
         i, j = np.triu_indices(len(ds), 1)
-        rows = [np.packbits(table.bits(r)) for r in range(len(ds))]
+        rows = [np.packbits(np.unpackbits(table.rows[r], count=table.size)) for r in range(len(ds))]
         expected = [int(np.bitwise_count(rows[a] ^ rows[b]).sum()) for a, b in zip(i, j)]
         assert table.split_counts(pairs_of(len(ds), i, j)).tolist() == expected
 
@@ -658,8 +662,7 @@ class TestBlockOracle:
         members = enumerate_members(derand)
         predictions = [[c.predict(point) for c in members] for point in ds]
         assert table.size == len(members)
-        assert [table.ones(r) for r in range(len(ds))] == [sum(row) for row in predictions]
-        assert [table.mean(r).value for r in range(len(ds))] == [brute_mean(derand, point) for point in ds]
+        assert [sum(row) * derand.k for row in predictions] == [int(t) * len(members) for t in table.t]
         i, j = np.triu_indices(len(ds), 1)
         expected = [sum(x != y for x, y in zip(predictions[a], predictions[b])) for a, b in zip(i, j)]
         assert table.split_counts(pairs_of(len(ds), i, j)).tolist() == expected
@@ -701,7 +704,7 @@ class TestBlockOracle:
         with mock.patch.object(measure, "PAIR_CHUNK_BYTES", per_block * trials):
             table = prediction_table(derand, ds, cfg)
         expected = per_point_mc_bits(derand, ds, trials, seed)
-        assert np.array_equal([table.bits(r) for r in range(len(ds))], expected)
+        assert np.array_equal([np.unpackbits(table.rows[r], count=trials) for r in range(len(ds))], expected)
         assert table.sums.tolist() == expected.sum(axis=0).tolist()
 
     @settings(max_examples=60, deadline=None)
@@ -731,13 +734,53 @@ class TestBlockOracle:
         with mock.patch.object(measure, "PAIR_CHUNK_BYTES", 3 * per_point):
             table = outcome(lambda: prediction_table(derand, points, cfg))
         if mode == "exact":  # the members that predict 1, point by point
-            got = table if isinstance(table, tuple) else [table.ones(r) for r in range(len(points))]
+            got = table if isinstance(table, tuple) else [int(t) * table.size // derand.k for t in table.t]
             members = enumerate_members(derand)
             expected = outcome(lambda: [sum(c.predict(p) for c in members) for p in points])
         else:
-            got = table if isinstance(table, tuple) else table.bits(0).tolist()
+            got = table if isinstance(table, tuple) else np.unpackbits(table.rows[0], count=37).tolist()
             expected = outcome(lambda: per_point_mc_bits(derand, points, 37, seed)[0].tolist())
         assert got == expected
+
+
+class TestSinglePointClosedForm:
+    """c is uniform on [k], so under every family a member predicts 1 at x
+    for t = floor(score * k) of every k values: the single-point quantities
+    are t/k, checked here against the per-member oracles."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(TestBlockOracle.EXACT_KINDS), seed=st.integers(0, 10**6), n_points=st.integers(4, 9))
+    def test_members_predicting_one_number_t_of_every_k(self, kind, seed, n_points):
+        ds, derand = TestBlockOracle.derandomizer(kind, random.Random(seed), n_points)
+        members = enumerate_members(derand)
+        for point in ds:
+            t = threshold_count(derand.scorer.score(point), derand.k)
+            assert sum(c.predict(point) for c in members) * derand.k == t * len(members)
+            assert family_mean(derand, point) == Fraction(t, derand.k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(TestBlockOracle.EXACT_KINDS), seed=st.integers(0, 10**6))
+    def test_decomposition_equals_brute_force(self, kind, seed):
+        # the expected gap between a member and a Bernoulli(s) draw, member by member
+        ds, derand = TestBlockOracle.derandomizer(kind, random.Random(seed), 4)
+        members = enumerate_members(derand)
+        for point in ds:
+            s, bits = derand.scorer.score(point), [c.predict(point) for c in members]
+            report = decomposition_check(derand, point)
+            mean = Fraction(sum(bits), len(bits))
+            assert report["expected_gap"]["value"] == sum(b * (1 - s) + (1 - b) * s for b in bits) / len(bits)
+            assert report["expected_gap"]["satisfied"]
+            assert report["bias_abs"]["value"] == abs(mean - s)
+            assert report["family_variance"]["value"] == mean * (1 - mean)
+
+    @pytest.mark.parametrize("kind", ["simhash", "minhash16"])
+    def test_mc_row_means_lie_within_four_se_of_t_over_k(self, kind):
+        ds, derand = TestBlockOracle.derandomizer(kind, random.Random(kind), 12)
+        table = prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=20_000, seed=7))
+        for r, point in enumerate(ds):
+            p = float(family_mean(derand, point))
+            mean = float(np.unpackbits(table.rows[r], count=table.size).mean())
+            assert abs(mean - p) <= 4 * math.sqrt(p * (1 - p) / table.size)
 
 
 class TestMinHashOverSevenElements:
@@ -775,11 +818,11 @@ class TestLossApproximation:
 
     @staticmethod
     def loss_moments(derand, point, y, loss):
-        """(|E[L(family)] - L(scorer)|, Var[L(family)]), exact, from the
-        point's prediction table."""
-        table = prediction_table(derand, (point,), EXACT)
-        ones = table.ones(0)
-        mean = Fraction(ones * loss[1, y] + (table.size - ones) * loss[0, y], table.size)
+        """(|E[L(family)] - L(scorer)|, Var[L(family)]), exact, by brute
+        force over the members."""
+        members = enumerate_members(derand)
+        ones = sum(c.predict(point) for c in members)
+        mean = Fraction(ones * loss[1, y] + (len(members) - ones) * loss[0, y], len(members))
         score = derand.scorer.score(point)
         return abs(mean - (score * loss[1, y] + (1 - score) * loss[0, y])), mean * (1 - mean)
 
@@ -788,8 +831,8 @@ class TestLossApproximation:
         scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
         derand = RtDerandomizer(scorer, 10)
         p = ds[0]
-        table = prediction_table(derand, (p,), EXACT)
-        out_bias, out_var = abs(table.bias(0).value), table.variance(0).value
+        report = decomposition_check(derand, p)
+        out_bias, out_var = report["bias_abs"]["value"], report["family_variance"]["value"]
         for bits in itertools.product((0, 1), repeat=4):
             table = dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], bits))
             for y in (0, 1):
@@ -807,7 +850,7 @@ class TestLossApproximation:
         derand = RtDerandomizer(TabularScorer({"x1": 0.33}), 7)
         p = Point("x1", (0.0,))
         lbias, _ = self.loss_moments(derand, p, 1, self.MISCLASSIFICATION)
-        assert lbias == abs(prediction_table(derand, (p,), EXACT).bias(0).value)
+        assert lbias == decomposition_check(derand, p)["bias_abs"]["value"]
 
 
 class TestDecomposition:
@@ -815,16 +858,17 @@ class TestDecomposition:
         # deterministic score and a constant family: the gap equals |bias|
         ds = Dataset([Point("x", (0.0,))])
         derand = RtDerandomizer(TabularScorer({"x": 1.0}), 5)
-        report = decomposition_check(derand, ds[0], EstimatorConfig(mode="mc", trials=2000, seed=1))
+        report = decomposition_check(derand, ds[0])
         assert report["expected_gap"]["satisfied"]
-        assert report["expected_gap"]["value"] == 0.0
+        assert report["expected_gap"]["value"] == 0
 
     def test_half_score_rt(self):
         ds = Dataset([Point("x", (0.0,))])
         derand = RtDerandomizer(TabularScorer({"x": 0.5}), 10)
-        report = decomposition_check(derand, ds[0], EstimatorConfig(mode="mc", trials=50_000, seed=2))
+        report = decomposition_check(derand, ds[0])
         assert report["score_variance"]["value"] == Fraction(1, 4)
         assert report["family_variance"]["value"] == Fraction(1, 4)
+        assert report["expected_gap"]["value"] == Fraction(1, 2)  # 1/4 + 1/4, no bias
         assert report["expected_gap"]["bound"] == pytest.approx(2 * 0.5 ** (2 / 3))
         assert report["expected_gap"]["satisfied"]
 
@@ -833,22 +877,25 @@ class TestDecomposition:
         ds = Dataset([Point(f"x{i}", (float(i),)) for i in range(3)])
         derand = PiDerandomizer.build(TabularScorer({"x0": 0.3, "x1": 0.6, "x2": 0.9}), ds, IdentityBucketer(), 1009)
         assert derand.family_size == 1_018_081
-        report = decomposition_check(derand, ds[0], EstimatorConfig(mode="mc", trials=2000, seed=5))
+        report = decomposition_check(derand, ds[0])
         t = 302  # floor(0.3 * 1009)
         assert report["family_variance"]["value"] == Fraction(t, 1009) * Fraction(1009 - t, 1009)
         assert report["expected_gap"]["satisfied"]
 
-    def test_family_that_cannot_be_listed_falls_back_to_monte_carlo(self):
+    def test_family_that_cannot_be_listed_is_exact(self):
+        # SimHash members cannot be listed, yet each predicts 1 with probability t/k = 3/11
         ds = Dataset([Point("x", (1.0, 0.0))])
         derand = LsDerandomizer(TabularScorer({"x": 0.3}), SimHashFamily(2), 11)
-        report = decomposition_check(derand, ds[0], EstimatorConfig(mode="mc", trials=2000, seed=5))
-        assert isinstance(report["family_variance"]["value"], float)
+        report = decomposition_check(derand, ds[0])
+        assert report["family_variance"]["value"] == Fraction(3, 11) * Fraction(8, 11)
+        assert report["bias_abs"]["value"] == Fraction(3, 10) - Fraction(3, 11)
+        assert "stderr" not in report["expected_gap"]
         assert report["expected_gap"]["satisfied"]
 
     def test_ls_small_instance(self):
         ds = Dataset([Point("x", (0.0, 1.0))])
         derand = LsDerandomizer(TabularScorer({"x": 0.9}), BitSamplingFamily(2), 5)
-        report = decomposition_check(derand, ds[0], EstimatorConfig(mode="mc", trials=100_000, seed=3))
+        report = decomposition_check(derand, ds[0])
         assert report["expected_gap"]["satisfied"]
 
 
@@ -1093,7 +1140,7 @@ class TestStreamedPairPass:
 
 class TestOneTrial:
     """A ddof=1 variance over one Monte Carlo trial is undefined: every
-    quantity that takes one raises, and the means still read."""
+    quantity that takes one raises."""
 
     @pytest.fixture
     def table(self, py_rng):
@@ -1102,21 +1149,11 @@ class TestOneTrial:
         return prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=1))
 
     @pytest.mark.parametrize("quantity_of", [
-        aggregate_variance, aggregate_bias, lambda table: table.variance(0),
-    ], ids=["aggregate_variance", "aggregate_bias", "point_variance"])
+        aggregate_variance, aggregate_bias,
+    ], ids=["aggregate_variance", "aggregate_bias"])
     def test_variance_needs_two_trials(self, table, quantity_of):
         with pytest.raises(InvalidParameterError, match="needs at least 2 trials"):
             quantity_of(table)
-
-    def test_means_still_read(self, table):
-        assert table.mean(0).value in (0.0, 1.0)
-
-    def test_decomposition_check_needs_two_trials(self, py_rng):
-        # a SimHash family is not enumerable: its variance came from one trial, nan
-        ds = random_real_dataset(py_rng, 2, 3)
-        derand = LsDerandomizer(random_scorer(py_rng, ds), SimHashFamily(3), 11)
-        with pytest.raises(InvalidParameterError, match="needs at least 2 trials"):
-            decomposition_check(derand, ds[0], EstimatorConfig(mode="mc", trials=1))
 
 
 class TestBounds:

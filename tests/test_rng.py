@@ -1,6 +1,5 @@
 import collections
 import math
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairderand import MinHashFamily, SimHashFamily, rng as rng_module
 from fairderand.errors import InvalidParameterError
-from fairderand.rng import ARRAY_ROUND, BERNOULLI_BITS, CountingRng
+from fairderand.rng import ARRAY_ROUND, CountingRng
 
 
 def test_equal_seeds_replay_identically():
@@ -49,25 +48,6 @@ def test_uniform_int_in_range(n, seed):
     if n > 1:
         width = (n - 1).bit_length()
         assert rng.bits_consumed % width == 0
-
-
-def test_bernoulli_degenerate():
-    rng = CountingRng(3)
-    assert all(rng.bernoulli(Fraction(1)) == 1 for _ in range(200))
-    assert all(rng.bernoulli(Fraction(0)) == 0 for _ in range(200))
-
-
-def test_bernoulli_cost_is_fixed():
-    rng = CountingRng(3)
-    rng.bernoulli(Fraction(1, 3))
-    assert rng.bits_consumed == BERNOULLI_BITS
-
-
-def test_bernoulli_law_of_large_numbers():
-    rng = CountingRng(42)
-    n = 100_000
-    mean = sum(rng.bernoulli(Fraction(1, 2)) for _ in range(n)) / n
-    assert abs(mean - 0.5) < 0.01
 
 
 def test_uniform_int_roughly_uniform():
@@ -132,13 +112,9 @@ def test_invalid_arguments():
         rng.uniform_int(0)
     with pytest.raises(InvalidParameterError):
         rng.draw_bits(-1)
-    with pytest.raises(InvalidParameterError):
-        rng.bernoulli(Fraction(3, 2))
     for n in (0, 2**64 + 1):
         with pytest.raises(InvalidParameterError):
             rng.uniform_ints(n, 3)
-    with pytest.raises(InvalidParameterError):
-        rng.bernoullis(Fraction(-1, 2), 3)
     assert rng.bits_consumed == 0
 
 
@@ -157,12 +133,10 @@ def test_stream_words_are_splitmix64():
     n=st.one_of(st.integers(1, 300), st.integers(1, 2**64), st.sampled_from([2**32, 2**63, 2**63 + 1, 2**64])),
     size=st.one_of(st.integers(0, 40), st.integers(0, 3 * ARRAY_ROUND)),
     offset=st.integers(0, 200),
-    p=st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2**32)]),
-                st.fractions(0, 1, max_denominator=10**30)),
     round_size=st.sampled_from([ARRAY_ROUND, 2, 64]),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_array_draws_equal_scalar_draws(n, size, offset, p, round_size, seed):
+def test_array_draws_equal_scalar_draws(n, size, offset, round_size, seed):
     array, scalar = CountingRng(seed), CountingRng(seed)
     array.draw_bits(offset)
     scalar.draw_bits(offset)
@@ -172,20 +146,6 @@ def test_array_draws_equal_scalar_draws(n, size, offset, p, round_size, seed):
     assert ints.dtype == (np.int64 if n <= 2**63 else np.uint64)
     assert array.bits_consumed == scalar.bits_consumed
     assert array.draw_bits(37) == scalar.draw_bits(37)
-    with mock.patch.object(rng_module, "ARRAY_ROUND", round_size):
-        bits = array.bernoullis(p, size)
-    assert bits.astype(int).tolist() == [scalar.bernoulli(p) for _ in range(size)]
-    assert array.bits_consumed == scalar.bits_consumed
-    assert array.draw_bits(37) == scalar.draw_bits(37)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_bernoullis_are_exact_at_the_level(seed):
-    # p * 2^32 just above, at and just below the drawn u: a float or a
-    # floored level would get one of them wrong
-    u = CountingRng(seed).draw_bits(BERNOULLI_BITS)
-    for p in (Fraction(3 * u + 1, 3 << 32), Fraction(u, 1 << 32), Fraction(max(3 * u - 1, 0), 3 << 32)):
-        assert CountingRng(seed).bernoullis(p, 1).tolist() == [CountingRng(seed).bernoulli(p) == 1]
 
 
 @pytest.mark.parametrize("shape", [(0,), (1,), (5, 3), (ARRAY_ROUND + 3,), (ARRAY_ROUND + 2,)])

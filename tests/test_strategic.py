@@ -3,18 +3,24 @@ from fractions import Fraction
 import pytest
 
 from fairderand import (
+    BitSamplingFamily,
     ConstantScorer,
     Dataset,
     EstimatorConfig,
+    IdentityBucketer,
+    LsDerandomizer,
+    MinHashFamily,
+    PiDerandomizer,
     Point,
     RtDerandomizer,
+    SimHashFamily,
     TabularScorer,
 )
 from fairderand.measure import scorer_beta
 from fairderand.metrics import NormalizedHamming, ScaledEuclidean
 from fairderand.strategic import best_responses
 
-from conftest import random_binary_dataset, random_scorer
+from conftest import brute_mean, random_binary_dataset, random_real_dataset, random_scorer
 
 EXACT = EstimatorConfig(mode="exact")
 
@@ -43,7 +49,7 @@ class TestUtility:
     def test_family_version_uses_exact_mean(self):
         ds = Dataset([Point("a", (0.0, 0.0)), Point("b", (0.0, 1.0))])
         derand = RtDerandomizer(TabularScorer({"a": 0.31, "b": 0.95}), 10)
-        report = best_responses(derand, ds, NormalizedHamming(2), 1, 0, EXACT)[0]
+        report = best_responses(derand, ds, NormalizedHamming(2), 1, 0)[0]
         # family means floor to the grid: 9/10 - 1/2 - 3/10, where the scores give 0.14
         assert report.response_id == "b"
         assert report.utility_gain == Fraction(1, 10)
@@ -115,5 +121,26 @@ class TestFamilyVersion:
         from fairderand.measure import family_beta, prediction_table
 
         beta = family_beta(prediction_table(derand, ds, EXACT), cost, alpha)
-        for report in best_responses(derand, ds, cost, alpha, beta, EXACT):
+        for report in best_responses(derand, ds, cost, alpha, beta):
             assert report.utility_gain <= report.bound
+
+    def test_family_means_equal_brute_force(self, py_rng):
+        # best responses to the family are best responses to its brute-force means
+        cost = NormalizedHamming(3)
+        ds = random_binary_dataset(py_rng, 6, 3)
+        scorer = random_scorer(py_rng, ds)
+        for derand in (
+            RtDerandomizer(scorer, 7),
+            PiDerandomizer.build(scorer, ds, IdentityBucketer(), 7),
+            LsDerandomizer(scorer, BitSamplingFamily(3), 7),
+            LsDerandomizer(scorer, MinHashFamily(3), 7),
+        ):
+            means = TabularScorer({p.id: brute_mean(derand, p) for p in ds})
+            assert best_responses(derand, ds, cost, 1, 0) == best_responses(means, ds, cost, 1, 0)
+
+    def test_family_that_cannot_be_listed_has_exact_means(self, py_rng):
+        # SimHash members cannot be listed, yet every family mean is t/k = 5/11: nobody moves
+        ds = random_real_dataset(py_rng, 5, 3)
+        derand = LsDerandomizer(ConstantScorer(0.5), SimHashFamily(3), 11)
+        for origin, report in zip(ds, best_responses(derand, ds, ScaledEuclidean(2.0), 1, 0)):
+            assert (report.response_id, report.utility_gain) == (origin.id, 0)
