@@ -4,7 +4,8 @@ Subcommands: derandomize | audit | adversarial | strategic | bounds.
 Configuration is a single strict-JSON file (no NaN or Infinity, as in
 the reports); --seed/--out/--mode/--trials/--pairs-cap flags override the
 file.  Every command is a pure function of (config, dataset, seed):
-re-running writes identical files.
+re-running writes identical files.  ``strategic`` reads a scheme's family
+means t/k, else the scores; a row is {origin, response, gain: quantity()}.
 
 Exit codes come from the error bases in ``errors``: 0 success, 2 config
 error (``InvalidParameterError``), 3 data error (``DataError``, or a file
@@ -50,6 +51,7 @@ from .measure import (
     bias_bound,
     compute_bound,
     empirical_fairness_curve,
+    family_mean,
     metric_fairness_check,
     over_common_denominator,
     prediction_table,
@@ -367,10 +369,12 @@ def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
 def cmd_strategic(config: dict, cfg: EstimatorConfig) -> Path:
     dataset, scorer = _load_input(config)
     cost = _build_metric(config, dataset)
-    reports = best_responses(scorer, dataset, cost, config.get("alpha", 1.0), config.get("beta", 0.0))
-    payload = _report_skeleton(config)
-    payload["responses"] = [r.as_dict() for r in reports]
-    payload["all_within_bound"] = all(r.within_bound for r in reports)
+    derand = _build_derandomizer(config, dataset, scorer) if "scheme" in config else None
+    means = [scorer.score(p) if derand is None else family_mean(derand, p) for p in dataset]
+    alpha, beta = Fraction(str(config.get("alpha", 1))), Fraction(str(config.get("beta", 0)))  # as audit reads them
+    rows = best_responses(means, dataset, cost, alpha, beta)
+    payload = {**_report_skeleton(config), "responses": rows}
+    payload["all_within_bound"] = all(row["gain"]["satisfied"] for row in rows)
     return _write_report(Path(config["out"]), "strategic.json", payload)
 
 

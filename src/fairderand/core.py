@@ -112,7 +112,7 @@ class Dataset:
         try:
             return self.by_id[point_id]
         except KeyError:
-            raise UnknownPointError(point_id) from None
+            raise UnknownPointError(f"no point {point_id!r} in the dataset") from None
 
 
 class StochasticScorer:
@@ -133,7 +133,8 @@ class TabularScorer(StochasticScorer):
         try:
             return self.table[point.id]
         except KeyError:
-            raise UnknownPointError(point.id) from None
+            why = "a tabular scorer, such as a dataset's score column, scores only the ids in its table"
+            raise UnknownPointError(f"no score for point {point.id!r}: {why}") from None
 
 
 class AffineScorer(StochasticScorer):

@@ -33,6 +33,8 @@ class DataError(FairderandError):
 class UnknownPointError(DataError, KeyError):
     """A tabular scorer or dataset has no entry for the point id."""
 
+    __str__ = Exception.__str__  # the message, where KeyError would print its repr
+
 
 class DimensionMismatchError(DataError, ValueError):
     """Feature vectors of incompatible dimension were combined."""
@@ -44,6 +46,8 @@ class ZeroVectorError(DataError, ValueError):
 
 class UnknownBucketError(DataError, KeyError):
     """A hash was evaluated on a bucket outside its embedded domain."""
+
+    __str__ = Exception.__str__
 
 
 class DataFormatError(DataError, ValueError):

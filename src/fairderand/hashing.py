@@ -127,7 +127,8 @@ class PiFamily:
         try:
             return self.embed[bucket]
         except KeyError:
-            raise UnknownBucketError(bucket) from None
+            why = "the family embeds only the buckets it was built on (for Pi, those of the input dataset's points)"
+            raise UnknownBucketError(f"no hash value for bucket {bucket!r}: {why}") from None
 
     def value(self, h: PiHash, bucket: Hashable) -> int:
         """Hash value in [1..k]."""

@@ -425,6 +425,7 @@ def metric_fairness_check(
 ) -> dict:
     """Check E[|f(x) - f(x')|] <= alpha*d + beta on every pair (or a
     seeded subsample above the pair cap)."""
+    _check_fairness_params(alpha, beta)
     classes = table.pair_classes(metric, capped=True)
     if classes.codes.size == 0:
         raise EmptyPairSetError(f"no pairs to check among {len(table.dataset)} point(s)")

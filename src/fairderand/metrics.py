@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -31,6 +32,11 @@ from .core import Point
 from .errors import DimensionMismatchError, InvalidParameterError, NotBinaryError, ZeroVectorError
 
 Distance = Union[Fraction, float]
+
+
+def decimal_distance(d: Distance) -> Fraction:
+    """A distance as an exact rational, a float at its 15 significant digits: |0.3 - 0.1| is 1/5."""
+    return Fraction(Decimal(f"{d:.15g}") if isinstance(d, float) else d)
 
 PAIR_CHUNK_BYTES = 1 << 18
 

@@ -546,14 +546,38 @@ class TestStrategicCommand:
         assert main(["strategic", "--config", str(config)]) == 0
         report = json.loads((tmp_path / "reports" / "strategic.json").read_text())
         assert len(report["responses"]) == 4
-        assert {"origin", "response", "gain", "bound", "ok"} <= set(report["responses"][0])
+        assert set(report["responses"][0]) == {"origin", "response", "gain"}
+        assert set(report["responses"][0]["gain"]) == {"value", "bound", "bound_source", "satisfied"}
+        assert report["all_within_bound"] is True
 
+    def test_mc_with_one_trial_reads_only_means(self, tmp_path):
+        # the family means t/k are 0 and 1/2 at k = 2: a moves to b at cost 1/3 and gains 1/6 over a budget of 0;
+        # at k = 101 (49/101 and 50/101), and on the scores 0.49 and 0.5, nobody moves
+        path, config = tmp_path / "ab.csv", tmp_path / "config.json"
+        header = ["id", "feat_0", "feat_1", "feat_2", "score"]
+        write_dataset(path, [["a", 0, 0, 0, "0.49"], ["b", 0, 0, 1, "0.5"]], header)
+        for scheme, gain in [({"scheme": "rt", "k": 2}, 1 / 6), ({"scheme": "rt", "k": 101}, 0), ({}, 0)]:
+            config.write_text(json.dumps({"input": str(path), "out": str(tmp_path / "reports"),
+                                          "metric": {"kind": "hamming"}, "alpha": 1, "beta": 0, **scheme}))
+            assert main(["strategic", "--config", str(config), "--mode", "mc", "--trials", "1"]) == 0
+            report = json.loads((tmp_path / "reports" / "strategic.json").read_text())
+            row = report["responses"][0]
+            assert (row["origin"], row["response"]) == ("a", "b" if gain else "a"), scheme
+            assert (row["gain"]["value"], row["gain"]["bound"], row["gain"]["satisfied"]) == (gain, 0, not gain), scheme
+            assert report["all_within_bound"] is (not gain), scheme
 
-    def test_mc_with_one_trial_reads_only_means(self, scored_csv, config_factory, tmp_path):
-        # best responses read the family-mean prediction, which one trial defines
-        config = config_factory(input=str(scored_csv), scheme="ls", k=11, metric={"kind": "hamming"})
-        assert main(["strategic", "--config", str(config), "--mode", "mc", "--trials", "1"]) == 0
-        assert (tmp_path / "reports" / "strategic.json").exists()
+    def test_score_equal_to_feature_is_fair_under_float_costs(self, tmp_path):
+        # (1, 0)-fair under the Euclidean cost: every move up gains its cost back exactly, though floats
+        # make |0.3 - 0.1| 0.19999999999999998; read at its binary value, that move gained 1.7e-17 over a bound of 0
+        path, config = tmp_path / "line.csv", tmp_path / "config.json"
+        write_dataset(path, [[f"p{i:02d}", str(i / 10), str(i / 10)] for i in range(11)], ["id", "feat_0", "score"])
+        config.write_text(json.dumps({"input": str(path), "out": str(tmp_path / "reports"), "alpha": 1, "beta": 0,
+                                      "metric": {"kind": "scaled_euclidean", "scale": 1.0}}))
+        assert main(["strategic", "--config", str(config)]) == 0
+        report = json.loads((tmp_path / "reports" / "strategic.json").read_text())
+        assert [(row["origin"], row["gain"]["value"]) for row in report["responses"]] == [
+            (row["response"], 0) for row in report["responses"]]
+        assert report["all_within_bound"] is True
 
 
 class TestBoundsCommand:
@@ -786,6 +810,23 @@ class TestDataErrors:
         assert main(["audit", "--config", str(config)]) == 3
         assert "data error: angular distance undefined on the zero vector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(scheme="rt"),
+         "no score for point 'g00000': a tabular scorer, such as a dataset's score column, scores only the ids in its "
+         "table"),
+        (dict(scheme="pi", bucketer={"kind": "grid", "resolution": 1.0},
+              scorer={"kind": "affine", "weights": [0.3, 0.3, 0.3], "bias": 0.0}),
+         "no hash value for bucket (0, 0, 0): the family embeds only the buckets it was built on (for Pi, those of "
+         "the input dataset's points)"),
+    ], ids=["rt-score-column", "pi-grid-outside-the-data"])
+    def test_unknown_point_or_bucket_names_it(self, scored_csv, config_factory, capsys, tmp_path, overrides, message):
+        # these printed only the key's repr: "data error: 'g00000'" and "data error: (0, 0, 0)"
+        config = config_factory(input=str(scored_csv), k=11, metric={"kind": "scaled_euclidean"},
+                                adversarial={"construction": "violation_search", "grid_steps": 3}, **overrides)
+        assert main(["adversarial", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "reports").exists()
+
     @staticmethod
     def subclasses(cls):
         for sub in cls.__subclasses__():
@@ -942,6 +983,20 @@ class TestExactAlphaBeta:
         assert fairness["fairness_violations"]["value"] == 0
         assert fairness["fairness_violations"]["satisfied"] is True
         assert fairness["worst_excess"]["value"] == 0
+
+    @pytest.mark.parametrize("scheme", [{"scheme": "rt"}, {"scheme": "pi", "bucketer": {"kind": "identity"}},
+                                        {"scheme": "ls", "lsh": {"kind": "bit_sampling"}}], ids=["rt", "pi", "ls"])
+    @pytest.mark.parametrize("params,message", [({"alpha": 0.5}, "alpha must be at least 1"),
+                                                ({"alpha": -2}, "alpha must be at least 1"),
+                                                ({"beta": -1}, "beta must be non-negative")],
+                             ids=["alpha-half", "alpha-negative", "beta-negative"])
+    def test_every_scheme_rejects_alpha_below_1_and_negative_beta(self, scored_csv, config_factory, capsys,
+                                                                  tmp_path, scheme, params, message):
+        # RT and Pi audits exited 0 with vacuous violations; only LS rejected these
+        config = config_factory(input=str(scored_csv), k=11, **scheme, **params)
+        assert main(["audit", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "reports").exists()
 
 
 MALFORMED = [None, True, "x", [1], {"a": 1}, -1, 1.5, math.nan]

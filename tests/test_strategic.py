@@ -16,7 +16,7 @@ from fairderand import (
     SimHashFamily,
     TabularScorer,
 )
-from fairderand.measure import scorer_beta
+from fairderand.measure import family_beta, family_mean, prediction_table, scorer_beta
 from fairderand.metrics import NormalizedHamming, ScaledEuclidean
 from fairderand.strategic import best_responses
 
@@ -29,30 +29,38 @@ def line_dataset():
     return Dataset([Point(f"p{i}", (i / 10,)) for i in range(5)])
 
 
+def scores(scorer, ds):
+    return [scorer.score(p) for p in ds]
+
+
+def family_means(derand, ds):
+    return [family_mean(derand, p) for p in ds]
+
+
 class TestUtility:
     def test_staying_put_costs_nothing(self):
         ds = line_dataset()
         scorer = TabularScorer({p.id: 0.4 for p in ds})
-        for origin, report in zip(ds, best_responses(scorer, ds, NormalizedHamming(1), 1, 0)):
-            assert report.response_id == origin.id
-            assert report.utility_gain == 0
+        for origin, row in zip(ds, best_responses(scores(scorer, ds), ds, NormalizedHamming(1), 1, 0)):
+            assert row["response"] == origin.id
+            assert row["gain"]["value"] == 0
 
     def test_direct_formula(self):
         a, b = Point("a", (0.0,)), Point("b", (0.4,))
-        scorer = TabularScorer({"a": 0.1, "b": 1.0})
-        moves, stays = best_responses(scorer, Dataset([a, b]), ScaledEuclidean(1.0), 1, 0)
-        # score(b) - cost(a, b) = 0.6 against staying at score(a) = 0.1
-        assert (moves.response_id, stays.response_id) == ("b", "b")
-        assert moves.utility_gain == pytest.approx(0.5)
-        assert stays.utility_gain == 0
+        ds = Dataset([a, b])
+        moves, stays = best_responses(scores(TabularScorer({"a": 0.1, "b": 1.0}), ds), ds, ScaledEuclidean(1.0), 1, 0)
+        # score(b) - cost(a, b) = 1 - 0.4 against staying at score(a) = 0.1
+        assert (moves["response"], stays["response"]) == ("b", "b")
+        assert moves["gain"]["value"] == Fraction(1, 2)
+        assert stays["gain"]["value"] == 0
 
     def test_family_version_uses_exact_mean(self):
         ds = Dataset([Point("a", (0.0, 0.0)), Point("b", (0.0, 1.0))])
         derand = RtDerandomizer(TabularScorer({"a": 0.31, "b": 0.95}), 10)
-        report = best_responses(derand, ds, NormalizedHamming(2), 1, 0)[0]
+        row = best_responses(family_means(derand, ds), ds, NormalizedHamming(2), 1, 0)[0]
         # family means floor to the grid: 9/10 - 1/2 - 3/10, where the scores give 0.14
-        assert report.response_id == "b"
-        assert report.utility_gain == Fraction(1, 10)
+        assert row["response"] == "b"
+        assert row["gain"]["value"] == Fraction(1, 10)
 
 
 class TestBestResponse:
@@ -60,15 +68,15 @@ class TestBestResponse:
         ds = line_dataset()
         # scores scale like 0.5 * distance from p0: (1, 0)-fair under d
         scorer = TabularScorer({p.id: 0.5 * p.features[0] for p in ds})
-        for report in best_responses(scorer, ds, ScaledEuclidean(1.0), 1, 0):
-            assert report.utility_gain <= 0
-            assert report.within_bound
+        for row in best_responses(scores(scorer, ds), ds, ScaledEuclidean(1.0), 1, 0):
+            assert row["gain"]["value"] <= 0
+            assert row["gain"]["satisfied"]
 
     def test_constant_scorer_stays_put(self):
         ds = line_dataset()
-        for origin, report in zip(ds, best_responses(ConstantScorer(0.5), ds, ScaledEuclidean(1.0), 1, 0)):
-            assert report.response_id == origin.id
-            assert report.utility_gain == 0
+        for origin, row in zip(ds, best_responses(scores(ConstantScorer(0.5), ds), ds, ScaledEuclidean(1.0), 1, 0)):
+            assert row["response"] == origin.id
+            assert row["gain"]["value"] == 0
 
     def test_certified_fair_scorer_respects_gain_bound(self, py_rng):
         cost = NormalizedHamming(4)
@@ -77,37 +85,56 @@ class TestBestResponse:
             scorer = random_scorer(py_rng, ds)
             alpha = Fraction(3, 2)
             beta = scorer_beta(scorer, ds, cost, alpha)
-            for report in best_responses(scorer, ds, cost, alpha, beta):
-                assert report.within_bound
-                # exact arithmetic: no tolerance needed for rational costs
-                assert report.utility_gain <= report.bound
+            for row in best_responses(scores(scorer, ds), ds, cost, alpha, beta):
+                assert row["gain"]["satisfied"]
+                assert row["gain"]["value"] <= row["gain"]["bound"]
 
     def test_ties_break_to_lowest_id(self):
         # identical scores at one location: every move ties with staying, and the lowest id wins
         ds = Dataset([Point("b", (1.0,)), Point("a", (1.0,)), Point("c", (1.0,))])
         scorer = TabularScorer({"a": 0.5, "b": 0.5, "c": 0.5})
-        reports = best_responses(scorer, ds, ScaledEuclidean(1.0), 1, 0.5)
-        assert [r.response_id for r in reports] == ["a", "a", "a"]
+        rows = best_responses(scores(scorer, ds), ds, ScaledEuclidean(1.0), 1, 0.5)
+        assert [r["response"] for r in rows] == ["a", "a", "a"]
+
+    def test_ties_between_float_costs_are_exact(self):
+        # 3/10 - 0.06 equals 11/20 - 0.31, though in floats the second is larger
+        ds = Dataset([Point("o", (0.0,)), Point("a", (0.06,)), Point("b", (0.31,))])
+        assert float(Fraction(11, 20)) - 0.31 > float(Fraction(3, 10)) - 0.06
+        row = best_responses([0, Fraction(3, 10), Fraction(11, 20)], ds, ScaledEuclidean(1.0), 1, 1)[0]
+        assert row["response"] == "a"
+        assert row["gain"]["value"] == Fraction(6, 25)
 
     def test_uniform_cost_shift_keeps_argmax(self):
+        # score = feature: every move up ties with staying (|0.3 - 0.1| is 0.19999999999999998 in floats,
+        # yet the move from p1 to p3 gains nothing), and a shift of the cost of every move keeps that
         ds = line_dataset()
-        scorer = TabularScorer({p.id: p.features[0] for p in ds})
+        means = scores(TabularScorer({p.id: p.features[0] for p in ds}), ds)
 
         class Shifted(ScaledEuclidean):
             def distance(self, x, y):
                 base = super().distance(x, y)
                 return min(base + 0.1, 1.0) if x.id != y.id else base
 
-        plain = best_responses(scorer, ds, ScaledEuclidean(1.0), 1, 0)
-        shifted = best_responses(scorer, ds, Shifted(1.0), 1, 0)
-        assert plain[0].response_id == shifted[0].response_id
+        plain = best_responses(means, ds, ScaledEuclidean(1.0), 1, 0)
+        shifted = best_responses(means, ds, Shifted(1.0), 1, 0)
+        assert [r["response"] for r in plain] == [r["response"] for r in shifted] == [p.id for p in ds]
+        assert all(r["gain"]["value"] == 0 and r["gain"]["satisfied"] for r in plain)
 
     def test_report_serialization(self):
         ds = line_dataset()
-        report = best_responses(ConstantScorer(1), ds, ScaledEuclidean(1.0), 1, 0)[0]
-        row = report.as_dict()
-        assert set(row) == {"origin", "response", "gain", "bound", "ok"}
-        assert row["ok"] is True
+        row = best_responses(scores(ConstantScorer(1), ds), ds, ScaledEuclidean(1.0), 1, 0)[0]
+        assert set(row) == {"origin", "response", "gain"}
+        assert set(row["gain"]) == {"value", "bound", "bound_source", "satisfied"}
+        assert row["gain"]["satisfied"] is True
+
+    def test_gain_over_the_budget_is_not_satisfied(self):
+        # moving from a (0.1) to b (1) at cost 0.4 gains 1/2 against (alpha - 1) * 0.4 + beta
+        ds = Dataset([Point("a", (0.0,)), Point("b", (0.4,))])
+        means = [Fraction(1, 10), Fraction(1)]
+        tight = best_responses(means, ds, ScaledEuclidean(1.0), 1, Fraction(1, 4))[0]["gain"]
+        loose = best_responses(means, ds, ScaledEuclidean(1.0), 2, Fraction(1, 10))[0]["gain"]
+        assert (tight["bound"], tight["satisfied"]) == (Fraction(1, 4), False)
+        assert (loose["bound"], loose["satisfied"]) == (Fraction(1, 2), True)
 
 
 class TestFamilyVersion:
@@ -118,11 +145,10 @@ class TestFamilyVersion:
         derand = RtDerandomizer(scorer, 20)
         alpha = Fraction(3, 2)
         # certify the family itself, then the gain bound must hold exactly
-        from fairderand.measure import family_beta, prediction_table
-
         beta = family_beta(prediction_table(derand, ds, EXACT), cost, alpha)
-        for report in best_responses(derand, ds, cost, alpha, beta):
-            assert report.utility_gain <= report.bound
+        for row in best_responses(family_means(derand, ds), ds, cost, alpha, beta):
+            assert row["gain"]["satisfied"]
+            assert row["gain"]["value"] <= row["gain"]["bound"]
 
     def test_family_means_equal_brute_force(self, py_rng):
         # best responses to the family are best responses to its brute-force means
@@ -135,12 +161,16 @@ class TestFamilyVersion:
             LsDerandomizer(scorer, BitSamplingFamily(3), 7),
             LsDerandomizer(scorer, MinHashFamily(3), 7),
         ):
-            means = TabularScorer({p.id: brute_mean(derand, p) for p in ds})
-            assert best_responses(derand, ds, cost, 1, 0) == best_responses(means, ds, cost, 1, 0)
+            brute = [brute_mean(derand, p) for p in ds]
+            assert family_means(derand, ds) == brute
+            assert best_responses(family_means(derand, ds), ds, cost, 1, 0) == best_responses(brute, ds, cost, 1, 0)
 
     def test_family_that_cannot_be_listed_has_exact_means(self, py_rng):
         # SimHash members cannot be listed, yet every family mean is t/k = 5/11: nobody moves
         ds = random_real_dataset(py_rng, 5, 3)
         derand = LsDerandomizer(ConstantScorer(0.5), SimHashFamily(3), 11)
-        for origin, report in zip(ds, best_responses(derand, ds, ScaledEuclidean(2.0), 1, 0)):
-            assert (report.response_id, report.utility_gain) == (origin.id, 0)
+        assert family_means(derand, ds) == [Fraction(5, 11)] * 5
+        rows = best_responses(family_means(derand, ds), ds, ScaledEuclidean(2.0), 1, 0)
+        for origin, row in zip(ds, rows):
+            assert (row["response"], row["gain"]["value"]) == (origin.id, 0)
+
