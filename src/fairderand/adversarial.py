@@ -107,7 +107,7 @@ def sphere_counterexample(
     high = (1 + gap) / 2
     low = (1 - gap) / 2
     scorer = TabularScorer(
-        {p.id: (high if i % 2 == 0 else low) for i, p in enumerate(dataset)}
+        {pid: (high if i % 2 == 0 else low) for i, pid in enumerate(dataset.ids)}
     )
     return dataset, scorer, metric
 
@@ -173,6 +173,7 @@ def finite_family_violation_search(
     if not beta < 1.0 / size:
         raise InvalidParameterError(f"beta must be below 1/|family| = {1.0 / size}")
 
+    grid = Dataset(grid)
     table = prediction_table(derand, grid, EstimatorConfig(mode="exact"))
     adjacent = PairSet(len(grid), np.arange(len(grid) - 1) * (len(grid) + 1) + 1)  # keys i * n + i + 1
     flips = np.flatnonzero(table.split_counts(adjacent))

@@ -53,7 +53,6 @@ from .measure import (
     empirical_fairness_curve,
     family_mean,
     metric_fairness_check,
-    over_common_denominator,
     prediction_table,
     quantity,
     rt_variance_bound,
@@ -137,6 +136,8 @@ def _resolve(config: dict, args) -> tuple[dict, EstimatorConfig]:
     if not all(type(v) is int or type(v) is float and math.isfinite(v)  # JSON numbers, not bools
                for v in (merged.get("alpha", 1), merged.get("beta", 0), *alphas)):
         raise ConfigError("alpha, beta and curve_alphas must be finite numbers")
+    if any(a < 0 for a in alphas):  # no fairness notion has a slope below 0
+        raise ConfigError("curve_alphas must be non-negative")
     n_classifiers = merged.get("n_classifiers", 0)
     if not (_integral(n_classifiers) and n_classifiers >= 0):
         raise ConfigError("n_classifiers must be a non-negative integer")
@@ -148,7 +149,7 @@ def _resolve(config: dict, args) -> tuple[dict, EstimatorConfig]:
 def _build_metric(config: dict, dataset: Dataset):
     spec = config.get("metric", {"kind": "hamming"})
     kind = spec.get("kind", "hamming")
-    dim = len(dataset[0].fairness_vector)
+    dim = dataset.fairness_vectors.shape[1]
     if kind == "hamming":
         return NormalizedHamming(int(spec.get("n", dim)))
     if kind == "angular":
@@ -199,7 +200,7 @@ def _build_derandomizer(config: dict, dataset: Dataset, scorer):
     if scheme == "ls":
         spec = config.get("lsh", {"kind": "bit_sampling"})
         kind = spec.get("kind", "bit_sampling")
-        dim = len(dataset[0].fairness_vector)
+        dim = dataset.fairness_vectors.shape[1]
         if kind == "bit_sampling":
             family = BitSamplingFamily(int(spec.get("n", dim)))
         elif kind == "minhash":
@@ -266,8 +267,8 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
 
     variance = aggregate_variance(table)
     if isinstance(derand, RtDerandomizer):
-        numerators, den = over_common_denominator(table.scores)
-        mean_fvar = Fraction(sum(p * (den - p) for p in numerators), den * den * len(dataset))
+        den = table.den
+        mean_fvar = Fraction(sum(p * (den - p) for p in table.numerators.tolist()), den * den * len(dataset))
         bound = float(rt_variance_bound(mean_fvar)) + float(budget)
         quantities["aggregate_variance"] = quantity(
             variance.value, variance.stderr, bound, "mean score variance budget (grid slack 1/k)"
@@ -339,11 +340,12 @@ def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
         steps = int(spec.get("grid_steps", 1001))
         if steps < 2:
             raise ConfigError("adversarial.grid_steps must be at least 2")
-        start = spec.get("grid_start", [0.0] * dataset.dimension)
-        stop = spec.get("grid_stop", [1.0] * dataset.dimension)
-        if not all(isinstance(v, list) and len(v) == dataset.dimension and all(type(x) in (int, float) for x in v)
+        dim = dataset.features.shape[1]
+        start = spec.get("grid_start", [0.0] * dim)
+        stop = spec.get("grid_stop", [1.0] * dim)
+        if not all(isinstance(v, list) and len(v) == dim and all(type(x) in (int, float) for x in v)
                    for v in (start, stop)):
-            raise ConfigError(f"grid_start and grid_stop must be lists of {dataset.dimension} numbers")
+            raise ConfigError(f"grid_start and grid_stop must be lists of {dim} numbers")
         start, stop = np.asarray(start, dtype=float), np.asarray(stop, dtype=float)
         grid = [
             Point(f"g{i:05d}", tuple(start + (stop - start) * (i / (steps - 1))))

@@ -1,9 +1,14 @@
-"""Domain types: points, datasets, scorers, deterministic classifiers.
+"""Domain types: datasets, points, scorers, deterministic classifiers.
 
-Scores are exact rationals throughout.  Float inputs are read through
-their shortest round-trip decimal form (``0.3`` means 3/10, not the
-nearest binary double), so that threshold comparisons against the grid
-{1/k, ..., k/k} are exact and boundary ties are reproducible.
+A ``Dataset`` is columnar: ids, a float64 feature matrix, a fairness
+matrix or None, and labels.  A ``Point`` is one row, built on demand where
+an API takes single points.  Scores are exact rationals throughout.  Float
+inputs are read through their shortest round-trip decimal form (``0.3``
+means 3/10, not the nearest binary double), so that threshold comparisons
+against the grid {1/k, ..., k/k} are exact and boundary ties are
+reproducible.  A scorer scores a whole dataset (``scores``) as integer
+numerators over one common denominator, so every t = floor(score * k) is
+one array operation.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     DimensionMismatchError,
@@ -41,6 +48,15 @@ def threshold_count(score: Fraction, k: int) -> int:
     prediction a grid-threshold classifier makes at the point.
     """
     return (score.numerator * k) // score.denominator
+
+
+def over_common_denominator(ratios: Sequence[tuple[int, int]]) -> tuple[np.ndarray, int]:
+    """The rationals n/d of (n, d) ratios as integer numerators over their
+    least common denominator D, and D, so that sums over them are integer
+    arithmetic: an int64 array where every numerator fits, else Python ints."""
+    den = math.lcm(*{d for _, d in ratios})
+    values = [n * (den // d) for n, d in ratios]
+    return np.array(values, dtype=np.int64 if max(map(abs, values), default=0) < 2**63 else object), den
 
 
 @dataclass(frozen=True)
@@ -77,41 +93,56 @@ class Point:
 
 
 class Dataset:
-    """Ordered collection of points with unique ids and uniform dimensions.
-
-    The data distribution is always the empirical uniform distribution over
-    the dataset, so distributional expectations become plain averages.
+    """Ordered points with unique ids and uniform dimensions, as the columns
+    ``ids``, ``features``, ``fairness`` (or None) and ``labels``; an index
+    gives a ``Point``, a slice a dataset.  The data distribution is the
+    empirical uniform distribution, so expectations are plain averages.
     """
 
-    def __init__(self, points: Iterable[Point]):
-        self.points: tuple[Point, ...] = tuple(points)
-        if not self.points:
-            raise InvalidParameterError("dataset must contain at least one point")
-        ids = [p.id for p in self.points]
-        if len(set(ids)) != len(ids):
-            raise InvalidParameterError("dataset ids must be unique")
-        dim = len(self.points[0].features)
-        if any(len(p.features) != dim for p in self.points):
-            raise DimensionMismatchError("feature dimensions are not uniform")
-        fdims = {len(p.fairness_features) for p in self.points if p.fairness_features is not None}
-        if len(fdims) > 1:
-            raise DimensionMismatchError("fairness feature dimensions are not uniform")
-        self.dimension = dim
-        self.by_id: dict[str, Point] = {p.id: p for p in self.points}
+    def __init__(self, points: Iterable[Point] = (), columns: Optional[tuple] = None):
+        """From points, or from checked ``columns`` (ids, features, fairness,
+        labels): unique ids, finite float64 rows, and labels 0, 1 or None
+        (all None when labels is None)."""
+        if columns is None:
+            points = tuple(points)
+            if not points:
+                raise InvalidParameterError("dataset must contain at least one point")
+            ids = [p.id for p in points]
+            if len(set(ids)) != len(ids):
+                raise InvalidParameterError("dataset ids must be unique")
+            if len({len(p.features) for p in points}) > 1:
+                raise DimensionMismatchError("feature dimensions are not uniform")
+            fairness = [p.fairness_features for p in points]
+            if len({None if f is None else len(f) for f in fairness}) > 1:  # all or none, of one length
+                raise DimensionMismatchError("fairness feature dimensions are not uniform")
+            columns = (ids, np.array([p.features for p in points]),
+                       None if fairness[0] is None else np.array(fairness), [p.label for p in points])
+        ids, self.features, self.fairness, labels = columns
+        self.ids = tuple(ids)
+        self.labels = (None,) * len(self.ids) if labels is None else tuple(labels)
+
+    @property
+    def fairness_vectors(self) -> np.ndarray:
+        """The rows the fairness metric and LSH read: ``fairness``, else ``features``."""
+        return self.features if self.fairness is None else self.fairness
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self.points)
+        return map(self.__getitem__, range(len(self.ids)))
 
-    def __getitem__(self, index: int) -> Point:
-        return self.points[index]
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            fairness = None if self.fairness is None else self.fairness[index]
+            return Dataset(columns=(self.ids[index], self.features[index], fairness, self.labels[index]))
+        fairness = None if self.fairness is None else tuple(self.fairness[index].tolist())
+        return Point(self.ids[index], tuple(self.features[index].tolist()), fairness, self.labels[index])
 
     def get(self, point_id: str) -> Point:
         try:
-            return self.by_id[point_id]
-        except KeyError:
+            return self[self.ids.index(point_id)]
+        except ValueError:
             raise UnknownPointError(f"no point {point_id!r} in the dataset") from None
 
 
@@ -121,20 +152,37 @@ class StochasticScorer:
     def score(self, point: Point) -> Fraction:
         raise NotImplementedError
 
+    def scores(self, data: Dataset) -> tuple[np.ndarray, int]:
+        """Every point's score, in dataset order, over one common denominator."""
+        return over_common_denominator([self.score(p).as_integer_ratio() for p in data])
+
 
 class TabularScorer(StochasticScorer):
-    """Scores stored per point id; total on any dataset it is audited
-    against (looking up a missing id is an error)."""
+    """Scores per point id, as numerators over one denominator: a mapping's,
+    or the checked ``columns`` (numerators, den) of the ids ``table``; total
+    on any dataset it is audited against (a missing id is an error)."""
 
-    def __init__(self, table: Mapping[str, ScoreLike]):
-        self.table: dict[str, Fraction] = {str(k): as_score(v) for k, v in table.items()}
+    def __init__(self, table: Mapping[str, ScoreLike], columns: Optional[tuple[np.ndarray, int]] = None):
+        self.ids = tuple(map(str, table))
+        ratios = () if columns else [as_score(v).as_integer_ratio() for v in table.values()]
+        self.numerators, self.den = columns or over_common_denominator(ratios)
+        self._rows: Optional[dict[str, int]] = None  # id -> row, made on the first lookup
 
-    def score(self, point: Point) -> Fraction:
+    def _row(self, point_id: str) -> int:
+        self._rows = self._rows or {p: r for r, p in enumerate(self.ids)}
         try:
-            return self.table[point.id]
+            return self._rows[point_id]
         except KeyError:
             why = "a tabular scorer, such as a dataset's score column, scores only the ids in its table"
-            raise UnknownPointError(f"no score for point {point.id!r}: {why}") from None
+            raise UnknownPointError(f"no score for point {point_id!r}: {why}") from None
+
+    def score(self, point: Point) -> Fraction:
+        return Fraction(int(self.numerators[self._row(point.id)]), self.den)
+
+    def scores(self, data: Dataset) -> tuple[np.ndarray, int]:
+        if data.ids == self.ids:  # a dataset and its own score column
+            return self.numerators, self.den
+        return self.numerators[[self._row(p) for p in data.ids]], self.den
 
 
 class AffineScorer(StochasticScorer):
@@ -166,4 +214,3 @@ class DeterministicClassifier:
 
     def predict(self, point: Point) -> int:
         raise NotImplementedError
-

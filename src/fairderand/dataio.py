@@ -1,35 +1,55 @@
 """Dataset CSV reading and writing.
 
 Format: header ``id,feat_0..feat_{n-1}[,z_0..z_{m-1}][,label][,score]``,
-UTF-8, comma separated, decimal-point reals.  A ``score`` column, when
-present, defines a tabular scorer; scores are parsed from their decimal
-text exactly.
+UTF-8, comma separated, decimal-point reals.  ``load_dataset`` streams the
+rows into the columns of a ``Dataset``, ``BLOCK_ROWS`` at a time: a block
+is parsed straight into one float matrix and checked as a whole, and a
+block that fails is read again row by row through ``Point``, for the line
+and message of its first bad row.  A ``score`` column defines a tabular
+scorer, read exactly from its text: a plain decimal as integer digits over
+a power of ten, any other text through ``as_score``.  ``save_dataset``
+writes a score as its float text where that reads back as the score, and
+as a fraction otherwise.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import re
+from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
-from .core import Dataset, Point, TabularScorer
-from .errors import DataFormatError
+import numpy as np
+
+from .core import Dataset, Point, TabularScorer, as_score, over_common_denominator
+from .errors import DataFormatError, InvalidParameterError
 
 _FEAT = re.compile(r"^feat_(\d+)$")
 _FAIR = re.compile(r"^z_(\d+)$")
+BLOCK_ROWS = 256
 
 
 def load_dataset(path) -> tuple[Dataset, Optional[TabularScorer]]:
     """Read a dataset CSV; returns (dataset, scorer-or-None)."""
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            rows = list(csv.reader(fh))
+            try:
+                return _read(path, reader)
+            finally:  # a file that cannot be read says so, whatever its rows hold
+                for _ in reader:
+                    pass
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataFormatError(f"{path}: {exc}") from None
-    if not rows:
-        raise DataFormatError(f"{path}: empty file")
 
-    header = [h.strip() for h in rows[0]]
+
+def _read(path, reader) -> tuple[Dataset, Optional[TabularScorer]]:
+    header = next(reader, None)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    header = [h.strip() for h in header]
     if not header or header[0] != "id":
         raise DataFormatError(f"{path}: first column must be 'id'")
 
@@ -54,55 +74,94 @@ def load_dataset(path) -> tuple[Dataset, Optional[TabularScorer]]:
     if fair_cols and [header[i] for i in fair_cols] != [f"z_{i}" for i in range(len(fair_cols))]:
         raise DataFormatError(f"{path}: z_* columns must be z_0..z_{len(fair_cols) - 1} in order")
 
-    points, scores = [], {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    ids, blocks, labels, scores, bad_score = [], [], [], [], None
+    for line_no in itertools.count(2, BLOCK_ROWS):
+        block = list(itertools.islice(reader, BLOCK_ROWS))
+        rows = [row for row in block if row]
+        try:  # numpy reads a str field as float() does
+            if set(map(len, rows)) - {len(header)}:
+                raise ValueError
+            x = np.array(list(map(itemgetter(*feat_cols, *fair_cols), rows)), dtype=float)
+            tags = [int(v) if v != "" else None for v in map(itemgetter(label_col), rows)] if label_col else ()
+            if not (np.isfinite(x).all() and {None, 0, 1}.issuperset(tags)):
+                raise ValueError
+        except ValueError:
+            _check_rows(path, header, block, line_no, feat_cols, fair_cols, label_col)
+            raise
+        ids += map(itemgetter(0), rows)
+        blocks.append(x.reshape(len(rows), len(feat_cols) + len(fair_cols)))
+        labels += tags
+        for text in map(itemgetter(score_col), rows) if score_col else ():
+            try:
+                scores.append(_score(text))
+            except InvalidParameterError as exc:  # raised once every row is read, as a scorer would
+                bad_score = bad_score or exc
+                scores.append((0, 1))
+        if len(block) < BLOCK_ROWS:
+            break
+
+    if not ids:
+        raise DataFormatError(f"{path}: dataset must contain at least one point")
+    if len(set(ids)) != len(ids):
+        raise DataFormatError(f"{path}: dataset ids must be unique")
+    if bad_score is not None:
+        raise DataFormatError(f"{path}: {bad_score}")
+    x = np.concatenate(blocks)
+    d = len(feat_cols)
+    dataset = Dataset(columns=(ids, x[:, :d], x[:, d:] if fair_cols else None, labels if label_col else None))
+    return dataset, TabularScorer(dataset.ids, over_common_denominator(scores)) if score_col else None
+
+
+def _check_rows(path, header, block, line_no, feat_cols, fair_cols, label_col):
+    """Read the rows of a block as single points: raises at the first bad row."""
+    for line_no, row in enumerate(block, start=line_no):
         if not row:
             continue
         if len(row) != len(header):
             raise DataFormatError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
         try:
-            pid = row[0]
-            features = tuple(float(row[i]) for i in feat_cols)
-            fairness = tuple(float(row[i]) for i in fair_cols) if fair_cols else None
-            label = int(row[label_col]) if label_col is not None and row[label_col] != "" else None
-            points.append(Point(pid, features, fairness, label))
-            if score_col is not None:
-                scores[pid] = row[score_col]
-        except DataFormatError:
-            raise
+            Point(row[0], tuple(float(row[i]) for i in feat_cols),
+                  tuple(float(row[i]) for i in fair_cols) if fair_cols else None,
+                  int(row[label_col]) if label_col is not None and row[label_col] != "" else None)
         except Exception as exc:
             raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
 
-    try:
-        dataset = Dataset(points)
-        scorer = TabularScorer(scores) if score_col is not None else None
-    except Exception as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
-    return dataset, scorer
+
+def _score(text: str) -> tuple[int, int]:
+    """(numerator, denominator) of a score: a plain decimal of at most 18
+    digits directly, any other text through ``as_score``."""
+    whole, _, frac = text.partition(".")
+    digits = whole + frac
+    if digits.isdecimal() and len(digits) <= 18:
+        numerator, denominator = int(digits), 10 ** len(frac)
+        if numerator <= denominator:
+            return numerator, denominator
+    score = as_score(text)
+    return score.numerator, score.denominator
 
 
 def save_dataset(path, dataset: Dataset, scorer: Optional[TabularScorer] = None) -> None:
     """Write a dataset (and optional tabular scores) in the CSV format."""
-    first = dataset.points[0]
-    has_fair = first.fairness_features is not None
-    has_label = any(p.label is not None for p in dataset.points)
-    header = ["id"] + [f"feat_{i}" for i in range(dataset.dimension)]
-    if has_fair:
-        header += [f"z_{i}" for i in range(len(first.fairness_features))]
+    has_label = any(label is not None for label in dataset.labels)
+    header = ["id"] + [f"feat_{i}" for i in range(dataset.features.shape[1])]
+    if dataset.fairness is not None:
+        header += [f"z_{i}" for i in range(dataset.fairness.shape[1])]
     if has_label:
         header.append("label")
     if scorer is not None:
         header.append("score")
+        numerators, den = scorer.scores(dataset)
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for p in dataset.points:
+        for r, p in enumerate(dataset):
             row = [p.id] + [repr(v) for v in p.features]
-            if has_fair:
+            if p.fairness_features is not None:
                 row += [repr(v) for v in p.fairness_features]
             if has_label:
                 row.append("" if p.label is None else str(p.label))
-            if scorer is not None:
-                row.append(repr(float(scorer.score(p))))
+            if scorer is not None:  # the float text only where it reads back as the score
+                score = Fraction(int(numerators[r]), den)
+                row.append(repr(float(score)) if Fraction(repr(float(score))) == score else str(score))
             writer.writerow(row)

@@ -52,14 +52,14 @@ from .rng import CountingRng
 
 
 class Bucketer(BucketingMember):
-    """Deterministic discretization of the input space; equal points map to
-    equal buckets."""
+    """Deterministic discretization of the input space, over the columns of
+    a whole dataset (``buckets``); equal points map to equal buckets."""
 
-    def bucket(self, point: Point) -> Hashable:
+    def buckets(self, data: Dataset) -> list:
         raise NotImplementedError
 
     def apply(self, point: Point) -> Hashable:
-        return self.bucket(point)
+        return self.buckets(Dataset([point]))[0]
 
 
 @dataclass(frozen=True)
@@ -76,30 +76,27 @@ class GridBucketer(Bucketer):
         if self.resolution <= 0:
             raise InvalidParameterError("resolution must be positive")
 
-    def bucket(self, point: Point) -> tuple[int, ...]:
-        return tuple(math.floor(v / self.resolution) for v in point.features)
+    def buckets(self, data: Dataset) -> list:
+        return [tuple(map(math.floor, row)) for row in (data.features / self.resolution).tolist()]
 
 
 class IdentityBucketer(Bucketer):
     """Each point id is its own bucket (finite, id-keyed domains)."""
 
-    def bucket(self, point: Point) -> str:
-        return point.id
+    def buckets(self, data: Dataset) -> list:
+        return list(data.ids)
 
 
 class SharedBucketer(Bucketer):
     """Every point in the same bucket."""
 
-    def bucket(self, point: Point) -> int:
-        return 0
+    def buckets(self, data: Dataset) -> list:
+        return [0] * len(data)
 
 
 def realized_buckets(bucketer: Bucketer, dataset: Dataset) -> tuple[Hashable, ...]:
     """Bucket keys realized on the dataset, in first-seen order."""
-    seen: dict[Hashable, None] = {}
-    for point in dataset:
-        seen.setdefault(bucketer.bucket(point), None)
-    return tuple(seen)
+    return tuple(dict.fromkeys(bucketer.buckets(dataset)))
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ CountingRng, or all of them by ``all_keys()``, which raises
 ``NotEnumerableError`` for a family with no finite list (hyperplanes, or
 more than ``MINHASH_ENUM_MAX`` elements to permute); ``member(key)``
 builds the one member a key stands for.  It evaluates members over points
-one way only: its ``embedder(keys, embed)`` maps a block of points and
-their ``vectors`` (read and checked once, so the first bad point raises
-what ``apply`` raises) to the (points, members) matrix of
+one way only: its ``embedder(keys, embed)`` maps a block of a dataset and
+its ``vectors`` (read and checked once, so the first bad point raises what
+``apply`` raises) to the (points, members) matrix of
 embed(member(point)), or one column for a fixed bucketing.  The affine
 family draws (a, c) the same way, every a and then every c, and
 ``residues`` is its one array spelling of the hash values; exact audits
@@ -46,7 +46,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .core import Point
+from .core import Dataset, Point
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -54,7 +54,7 @@ from .errors import (
     NotEnumerableError,
     UnknownBucketError,
 )
-from .metrics import binary_support, fairness_matrix
+from .metrics import binary_support
 from .rng import CountingRng
 
 MINHASH_ENUM_MAX = 7
@@ -183,7 +183,7 @@ class BucketingFamily:
     def enumerate(self) -> list[BucketingMember]:
         return [self.member(key) for key in self.all_keys()]
 
-    def vectors(self, points: Sequence[Point]) -> np.ndarray | None:
+    def vectors(self, data: Dataset) -> np.ndarray | None:
         return None
 
     def draw(self, rng: CountingRng, trials: int) -> np.ndarray:
@@ -214,8 +214,7 @@ class FixedFamily(BucketingFamily):
         return self.bucketer
 
     def embedder(self, keys, embed):
-        apply = self.bucketer.apply
-        return lambda points, x: np.array([embed(apply(p)) for p in points], dtype=np.int64).reshape(-1, 1)
+        return lambda data, x: np.array([embed(b) for b in self.bucketer.buckets(data)], dtype=np.int64).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -248,12 +247,12 @@ class BitSamplingFamily(BucketingFamily):
     def all_keys(self):
         return np.arange(self.n)
 
-    def vectors(self, points):
+    def vectors(self, data):
         """The (points, n) bool matrix of the first n coordinates."""
-        x = fairness_matrix(points)
-        if x is None or x.shape[1] < self.n or not np.isin(x[:, : self.n], (0.0, 1.0)).all():
+        x = data.fairness_vectors
+        if x.shape[1] < self.n or not np.isin(x[:, : self.n], (0.0, 1.0)).all():
             members = self.enumerate()
-            x = np.array([[m.apply(p) for m in members] for p in points], dtype=float).reshape(-1, self.n)
+            [[m.apply(p) for m in members] for p in data]  # the first bad point raises
         return x[:, : self.n] == 1.0
 
     def member(self, key):
@@ -261,7 +260,7 @@ class BitSamplingFamily(BucketingFamily):
 
     def embedder(self, keys, embed):
         below, above = embed(0), embed(1)
-        return lambda points, x: np.where(x[:, keys], above, below)
+        return lambda data, x: np.where(x[:, keys], above, below)
 
 
 @dataclass(frozen=True)
@@ -302,13 +301,13 @@ class MinHashFamily(BucketingFamily):
             )
         return np.array(list(itertools.permutations(range(self.universe_size))), dtype=np.int64)
 
-    def vectors(self, points):
+    def vectors(self, data):
         """The (points, universe) membership matrix of the points' sets."""
-        x, size = fairness_matrix(points), self.universe_size
-        if x is not None and x.shape[1] == size and np.isin(x, (0.0, 1.0)).all() and (x == 1.0).any(axis=1).all():
+        x, size = data.fairness_vectors, self.universe_size
+        if x.shape[1] == size and np.isin(x, (0.0, 1.0)).all() and (x == 1.0).any(axis=1).all():
             return x == 1.0
-        probe, member = MinHashMember(tuple(range(size))), np.zeros((len(points), size), dtype=bool)
-        for r, point in enumerate(points):
+        probe, member = MinHashMember(tuple(range(size))), np.zeros((len(data), size), dtype=bool)
+        for r, point in enumerate(data):
             probe.apply(point)  # the first bad point raises
             member[r, list(binary_support(point.fairness_vector))] = True
         return member
@@ -337,7 +336,7 @@ class MinHashFamily(BucketingFamily):
         dtype = np.min_scalar_type((self.universe_size - 1) << b | int(values.max()))
         codes = (keys.T << b | values[:, None]).astype(dtype)  # one row per element
 
-        def embeds(points, member):
+        def embeds(data, member):
             best = np.full((len(member), len(keys)), np.iinfo(dtype).max, dtype=dtype)
             for e, code in enumerate(codes):  # every set is non-empty, so every row is lowered
                 rows = member[:, e]
@@ -376,10 +375,10 @@ class SimHashFamily(BucketingFamily):
     def all_keys(self):
         raise NotEnumerableError("hyperplane families are continuous")
 
-    def vectors(self, points):
-        if any(len(p.fairness_vector) != self.dim for p in points):
+    def vectors(self, data):
+        if data.fairness_vectors.shape[1] != self.dim:
             raise DimensionMismatchError("dimension mismatch in hyperplane hash")
-        return np.array([p.fairness_vector for p in points], dtype=float).reshape(-1, self.dim)
+        return data.fairness_vectors
 
     def draw(self, rng, trials):
         """Standard normal rows, scaled to unit length."""
@@ -392,5 +391,5 @@ class SimHashFamily(BucketingFamily):
     def embedder(self, keys, embed):
         below, above = embed(0), embed(1)
         # one matrix-vector product per point: a block product may round differently and flip a sign
-        return lambda points, x: np.where(np.reshape([keys @ v for v in x], (len(x), len(keys))) >= 0.0, above, below)
+        return lambda data, x: np.where(np.reshape([keys @ v for v in x], (len(x), len(keys))) >= 0.0, above, below)
 

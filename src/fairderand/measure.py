@@ -121,7 +121,7 @@ def quantity(
 def sample_pairs(n_points: int, cap: int = DEFAULT_PAIRS_CAP, seed: int = 0) -> tuple[PairSet, Optional[int]]:
     """Every pair of distinct points, or above the cap the sorted keys
     i * n + j of the first ``cap`` distinct pairs (i < j) that a rejection
-    loop of (uniform_int(n), uniform_int(n)) draws from ``CountingRng(seed)``;
+    loop of two successive ``uniform_ints(n)`` draws of ``CountingRng(seed)`` gives;
     and the seed (None when every pair is kept).  The stream is drawn in
     blocks of min(cap, SAMPLE_BLOCK) draws, and only the sorted accepted keys
     are kept across blocks: each block merges in its distinct keys, and one
@@ -176,10 +176,10 @@ class _ClassifierBatch:
         keys, *self.coefficients = derand.draw(rng, trials)
         self.embeds = derand.bucketing.embedder(keys, self.pi_family.embed_value)
 
-    def bits(self, points: Sequence[Point], t: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
+    def bits(self, data: Dataset, t: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
         """The (points, classifiers) bool matrix of u = residue + 1 <= t over
         a block, with x its ``bucketing.vectors``."""
-        residues = self.pi_family.residues(*self.coefficients, self.embeds(points, x))
+        residues = self.pi_family.residues(*self.coefficients, self.embeds(data, x))
         return residues < t[:, None].astype(residues.dtype)  # t <= k < k * k
 
 
@@ -204,12 +204,14 @@ class PredictionTable:
     Carlo), at every dataset point x.  Exact: ``rows[r]`` is t_r, then the
     bucket of point r under each of the B bucketing members; no prediction
     is held.  Monte Carlo: ``rows[r]`` is the prediction row of point r, in
-    whole uint64 words, and ``sums`` counts the points each trial predicts 1."""
+    whole uint64 words, and ``sums`` counts the points each trial predicts 1.
+    The scores are ``numerators`` over ``den``."""
 
     derand: Derandomizer
-    dataset: Sequence[Point]
+    dataset: Dataset
     cfg: EstimatorConfig
-    scores: tuple[Fraction, ...]
+    numerators: np.ndarray
+    den: int
     t: np.ndarray  # floor(score * k) per point
     size: int  # members or trials
     rows: np.ndarray
@@ -292,7 +294,7 @@ def _merge_histograms(parts: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 def prediction_table(
-    derand: Derandomizer, dataset: Sequence[Point], cfg: EstimatorConfig
+    derand: Derandomizer, dataset: Dataset, cfg: EstimatorConfig
 ) -> PredictionTable:
     """The table of the whole family (exact) or of one batch seeded with
     cfg.seed (Monte Carlo), filled one block of points at a time: exact
@@ -307,8 +309,9 @@ def prediction_table(
     else:
         batch = _ClassifierBatch(derand, cfg.trials, CountingRng(cfg.seed))
         size = per_point = batch.size
-    scores = tuple(derand.scorer.score(p) for p in dataset)
-    t = np.array([threshold_count(s, derand.k) for s in scores], dtype=np.int64)
+    numerators, den = derand.scorer.scores(dataset)
+    wide = den * derand.k >= 2**63  # then n * k is formed in Python ints
+    t = ((numerators.astype(object) if wide else numerators) * derand.k // den).astype(np.int64)
     x = derand.bucketing.vectors(dataset)
     width = 1 + per_point if cfg.exact else (size + 63) // 64 * 8
     rows = np.zeros((len(dataset), width), dtype=np.min_scalar_type(derand.k) if cfg.exact else np.uint8)
@@ -322,7 +325,7 @@ def prediction_table(
             bits = batch.bits(dataset[block], t[block], xb)
             rows[block, : (size + 7) // 8] = np.packbits(bits, axis=1)
             sums += np.add.reduce(bits, axis=0, dtype=sums.dtype)
-    return PredictionTable(derand, dataset, cfg, scores, t, size, rows, x, sums)
+    return PredictionTable(derand, dataset, cfg, numerators, den, t, size, rows, x, sums)
 
 
 def _pair_excesses(table: PredictionTable, classes: PairClasses, budget: Callable) -> list[Number]:
@@ -353,20 +356,13 @@ def _close_pairs(n_points: int, codes: np.ndarray, values: list[Distance], tau: 
 def aggregate_bias(table: PredictionTable) -> Estimate:
     """Dataset average of the pointwise bias."""
     n = len(table.dataset)
+    numerators = table.numerators.tolist()
     if table.cfg.exact:  # each mean prediction is t/k
-        numerators, den = over_common_denominator(table.scores)
-        return Estimate((Fraction(int(table.t.sum()), table.derand.k) - Fraction(sum(numerators), den)) / n)
+        return Estimate((Fraction(int(table.t.sum()), table.derand.k) - Fraction(sum(numerators), table.den)) / n)
     _check_trials(table.size)
     mu = table.sums / n
-    mean_score = sum(map(float, table.scores)) / n
+    mean_score = sum(v / table.den for v in numerators) / n  # each score's float, as int / int rounds
     return Estimate(float(mu.mean()) - mean_score, float(mu.std(ddof=1)) / math.sqrt(table.size))
-
-
-def over_common_denominator(scores: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The scores as integer numerators over their least common
-    denominator, so that sums over them are integer arithmetic."""
-    den = math.lcm(*{s.denominator for s in scores})
-    return [s.numerator * (den // s.denominator) for s in scores], den
 
 
 def aggregate_variance(table: PredictionTable) -> Estimate:
@@ -503,8 +499,7 @@ def threshold_fairness_check(
     n_diff = int(classes.counts[close].max())
     # max() keeps its first maximal argument: an int 0 when no pair differs
     worst: Number = max(0, Fraction(n_diff, table.size) if table.cfg.exact else n_diff / table.size)
-    scores = table.scores
-    scorer_worst: Number = max([0, *(abs(scores[a] - scores[b]) for a, b in zip(i.tolist(), j.tolist()))])
+    scorer_worst: Number = max(0, Fraction(int(abs(table.numerators[i] - table.numerators[j]).max()), table.den))
 
     report = {"pairs_within_sigma": quantity(int(i.size)), "scorer_max_gap": quantity(scorer_worst)}
     bounds = [("max_gap", tau, "threshold fairness target")]
@@ -567,13 +562,16 @@ def scorer_beta(
     scorer: StochasticScorer, dataset: Dataset, metric: Metric, alpha: Number
 ) -> Number:
     """Smallest beta for which the scorer is (alpha, beta)-fair on the
-    dataset: max over pairs of (|score gap| - alpha*d)+."""
-    scores = [scorer.score(p) for p in dataset]
-    i, j = np.triu_indices(len(dataset), 1)
-    codes, values = metric.pair_distances(dataset, PairSet(len(dataset)))
-    pairs = zip(i.tolist(), j.tolist(), codes.tolist())
+    dataset: max over pairs of (|score gap| - alpha*d)+, from one pass over
+    every pair.  The excess is monotone in the gap, so each distance needs
+    only its largest numerator gap."""
+    numerators, den = scorer.scores(dataset)
+    pairs = PairSet(len(dataset))
+    codes, values = metric.pair_distances(dataset, pairs)
+    gaps = np.zeros(len(values), dtype=numerators.dtype)  # |gap| <= den
+    np.maximum.at(gaps, codes, over_pairs(lambda a, b: abs(a - b), pairs, numerators, numerators.dtype))
     # max() keeps its first maximal argument: an int 0 when no excess is positive
-    return max([0, *(abs(scores[a] - scores[b]) - alpha * values[c] for a, b, c in pairs)])
+    return max([0, *(Fraction(int(g), den) - alpha * d for g, d in zip(gaps, values))])
 
 
 def family_beta(table: PredictionTable, metric: Metric, alpha: Number) -> Number:

@@ -6,7 +6,8 @@ float noise; angular and scaled Euclidean distances return floats.
 
 Metrics read each point's fairness vector (dedicated fairness features
 when present, inference features otherwise), matching what the
-locality-sensitive hashes see.
+locality-sensitive hashes see; the pair pass reads them as the dataset's
+``fairness_vectors`` matrix.
 
 ``Metric.pair_distances`` evaluates a ``PairSet`` in blocks of about
 ``PAIR_CHUNK_BYTES`` of rows per side, into codes (of the smallest dtype)
@@ -24,11 +25,11 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .core import Point
+from .core import Dataset, Point
 from .errors import DimensionMismatchError, InvalidParameterError, NotBinaryError, ZeroVectorError
 
 Distance = Union[Fraction, float]
@@ -110,24 +111,15 @@ def _defined_in(obj, name: str) -> type:
     return next(cls for cls in type(obj).__mro__ if name in vars(cls))
 
 
-def fairness_matrix(points: Sequence[Point]) -> Optional[np.ndarray]:
-    """The fairness vectors as rows of one float matrix, or None when their
-    lengths differ (the per-pair path then raises the mismatch)."""
-    vectors = [p.fairness_vector for p in points]
-    if len({len(v) for v in vectors}) != 1:
-        return None
-    return np.array(vectors, dtype=float)
-
-
 class Metric:
     def distance(self, x: Point, y: Point) -> Distance:
         raise NotImplementedError
 
-    def pair_distances(self, points: Sequence[Point], pairs: PairSet) -> tuple[np.ndarray, list[Distance]]:
+    def pair_distances(self, data: Dataset, pairs: PairSet) -> tuple[np.ndarray, list[Distance]]:
         """(codes, values) with distance(x, y) == values[codes[p]], of the
         same type, at the points x, y of every pair p, with codes in the
         smallest unsigned dtype."""
-        key, rows, bound, decode = self._pair_keys(points, len(pairs))
+        key, rows, bound, decode = self._pair_keys(data, len(pairs))
         keys = over_pairs(key, pairs, rows, np.min_scalar_type(max(bound - 1, 0)))
         lo, hi = (int(keys.min()), int(keys.max()) + 1) if keys.size else (0, 0)
         present = np.zeros(hi - lo, dtype=bool)  # a table over the keys' range only
@@ -141,11 +133,12 @@ class Metric:
         values = decode(distinct + lo)
         return keys.astype(np.min_scalar_type(max(len(values) - 1, 0)), copy=False), values
 
-    def _pair_keys(self, points: Sequence[Point], n_pairs: int):
+    def _pair_keys(self, data: Dataset, n_pairs: int):
         """(key, rows, bound, decode): key(xa, xb) gives the pairs of a block,
         at the rows (xa, xb) of the matrix rows, int keys below bound, equal
         when their distances are; decode(sorted keys) gives their distances."""
         index: dict = {}  # (type, distance) -> key, numbered by first occurrence
+        points = list(data)  # each point built once
 
         def key(a, b):  # the rows are the point indices
             keys = []
@@ -154,7 +147,7 @@ class Metric:
                 keys.append(index.setdefault((type(d), d), len(index)))
             return np.array(keys, dtype=np.int64)
 
-        return key, np.arange(len(points)), n_pairs, lambda keys: [d for _, d in index]  # all keys occur
+        return key, np.arange(len(data)), n_pairs, lambda keys: [d for _, d in index]  # all keys occur
 
 
 class NormalizedHamming(Metric):
@@ -171,10 +164,10 @@ class NormalizedHamming(Metric):
             raise DimensionMismatchError(f"expected dimension {self.n}, got {len(u)}")
         return Fraction(sum(a != b for a, b in zip(u, v)), self.n)
 
-    def _pair_keys(self, points, n_pairs):
-        x = fairness_matrix(points) if _defined_in(self, "distance") is NormalizedHamming else None
-        if x is None or x.shape[1] != self.n:
-            return super()._pair_keys(points, n_pairs)
+    def _pair_keys(self, data, n_pairs):
+        x = data.fairness_vectors
+        if _defined_in(self, "distance") is not NormalizedHamming or x.shape[1] != self.n:
+            return super()._pair_keys(data, n_pairs)
         bits = _packed_rows(x)  # keys: the number of differing coordinates
         key = (lambda a, b: (a != b).sum(axis=1)) if bits is None else (lambda a, b: popcounts(a ^ b))
         return key, x if bits is None else bits, self.n + 1, lambda keys: [Fraction(k, self.n) for k in keys.tolist()]
@@ -210,11 +203,11 @@ class JaccardDistance(Metric):
             return Fraction(0)
         return Fraction(1) - Fraction(len(a & b), len(union))
 
-    def _pair_keys(self, points, n_pairs):
-        x = fairness_matrix(points) if _defined_in(self, "distance") is JaccardDistance else None
-        sets = None if x is None else _packed_rows(x)
+    def _pair_keys(self, data, n_pairs):
+        x = data.fairness_vectors
+        sets = _packed_rows(x) if _defined_in(self, "distance") is JaccardDistance else None
         if sets is None:
-            return super()._pair_keys(points, n_pairs)
+            return super()._pair_keys(data, n_pairs)
         width = x.shape[1] + 1
 
         def key(a, b):  # |A n B| * width + |A u B|

@@ -5,10 +5,11 @@ serves bits from a splitmix64 stream and counts exactly how many are
 consumed.  This makes the sample complexity of each derandomization scheme
 a measurable, reproducible quantity: two runs with the same seed produce
 bit-identical draw sequences and identical ``bits_consumed`` counters.
-It serves raw bits, uniform integers by rejection and standard normals;
-each array draw returns what the matching run of scalar draws returns.
-No draw realizes a score as a Bernoulli bit: the single-point quantities
-of ``measure`` are closed form.
+It serves arrays of uniform integers by rejection and of standard
+normals by Box-Muller, each what a run of scalar draws from the same bits
+returns (the scalar draws are the tests' references).  No draw realizes a
+score as a Bernoulli bit: the single-point quantities of ``measure`` are
+closed form.
 """
 
 from __future__ import annotations
@@ -37,26 +38,14 @@ class CountingRng:
 
     Word w of the stream is mix64(seed + (w + 1) * GOLDEN), and the stream
     reads each word from its high bit down.  The one piece of state is the
-    bit position, ``bits_consumed``: a draw of n bits reads the next n bits
-    of the stream, with no waste from word granularity.  Instances are
+    bit position, ``bits_consumed``: a draw reads the next bits of the
+    stream, with no waste from word granularity.  Instances are
     single-owner: share families freely across threads, but never an rng.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self.bits_consumed = 0
-
-    def draw_bits(self, n: int) -> int:
-        """Return a uniform integer in [0, 2^n), consuming exactly n bits."""
-        if n < 0:
-            raise InvalidParameterError("bit count must be non-negative")
-        end = self.bits_consumed + n
-        first, last = self.bits_consumed >> 6, (end + 63) >> 6
-        value = 0
-        for w in range(first, last):
-            value = value << 64 | _mix64((self.seed + (w + 1) * _GOLDEN) & _MASK64)
-        self.bits_consumed = end
-        return (value >> (last * 64 - end)) & ((1 << n) - 1)
 
     def _chunks(self, m: int, count: int) -> np.ndarray:
         """The next ``count`` m-bit chunks (1 <= m <= 64) as uint64, without
@@ -73,25 +62,14 @@ class CountingRng:
         top >>= np.uint64(64 - m)
         return top.reshape(-1)[:count]
 
-    def uniform_int(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection from ceil(log2 n)-bit draws.
-
-        Rejection (rather than a modulo) keeps the distribution exactly
-        uniform, which the 1/k bias bounds rely on.  Expected attempts are
-        strictly below 2.
-        """
-        if n <= 0:
-            raise InvalidParameterError("range must be positive")
-        m = (n - 1).bit_length()  # 0 for n = 1, which draws nothing
-        while True:
-            v = self.draw_bits(m)
-            if v < n:
-                return v
-
     def uniform_ints(self, n: int, size: int) -> np.ndarray:
-        """``size`` successive ``uniform_int(n)`` draws (n <= 2^64), as int64,
-        or uint64 above 2^63: rounds of at most ARRAY_ROUND m-bit chunks keep
-        those below n, and the last round seeks past the last chunk it keeps."""
+        """``size`` uniform integers in [0, n) (n <= 2^64), as int64, or
+        uint64 above 2^63, each the first of successive m = ceil(log2 n)-bit
+        chunks below n.  Rejection (rather than a modulo) keeps the
+        distribution exactly uniform, which the 1/k bias bounds rely on;
+        expected attempts are strictly below 2.  Rounds of at most
+        ARRAY_ROUND chunks keep those below n, and the last round seeks
+        past the last chunk it keeps."""
         if not 0 < n <= 1 << 64:
             raise InvalidParameterError("range must lie in [1, 2^64]")
         out, filled, m = np.zeros(size, np.int64 if n <= 1 << 63 else np.uint64), 0, (n - 1).bit_length()
@@ -103,18 +81,11 @@ class CountingRng:
             self.bits_consumed += m * (int(kept[-1]) + 1 if filled == size else chunks.size)
         return out
 
-    def normal_pair(self) -> tuple[float, float]:
-        """Two independent standard normals from 128 counted bits."""
-        u1 = (self.draw_bits(64) + 1) / 2.0**64  # in (0, 1], log stays finite
-        u2 = self.draw_bits(64) / 2.0**64
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        return r * math.cos(theta), r * math.sin(theta)
-
     def normals(self, shape) -> np.ndarray:
-        """Standard normals in row order: what successive ``normal_pair``
-        draws return, cosine then sine, one pair per two 64-bit chunks (in
-        rounds of ARRAY_ROUND, which is even); an odd count drops the last
+        """Standard normals in row order, a Box-Muller pair per two 64-bit
+        chunks u1, u2: r = sqrt(-2 ln((u1 + 1) / 2^64)) (the log stays
+        finite), theta = 2 pi u2 / 2^64, then r cos(theta) and r sin(theta),
+        in rounds of ARRAY_ROUND (even) chunks; an odd count drops the last
         sine and consumes no bits for it."""
         out = np.empty(int(np.prod(shape)) + 1, dtype=float)
         for s in range(0, out.size - 1, ARRAY_ROUND):

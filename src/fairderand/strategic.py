@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Dataset
-from .measure import Number, manipulation_gain_bound, over_common_denominator, quantity
+from .core import Dataset, over_common_denominator
+from .measure import Number, manipulation_gain_bound, quantity
 from .metrics import Metric, PairSet, decimal_distance
 
 
@@ -24,19 +24,21 @@ def best_responses(
     prediction at each candidate in dataset order; ties go to the lowest id."""
     n = len(candidates)
     codes, distances = cost.pair_distances(candidates, PairSet(n))  # each pair's distance, once
-    numerators, den = over_common_denominator([Fraction(m) for m in means] + [decimal_distance(d) for d in distances])
+    values = [Fraction(m) for m in means] + [decimal_distance(d) for d in distances]
+    numerators, den = over_common_denominator([v.as_integer_ratio() for v in values])
+    numerators = numerators.tolist()
     costs = np.array(numerators[n:] + [0], dtype=object)  # the last code: staying put
     code = np.full((n, n), len(distances), dtype=np.min_scalar_type(len(distances)))
     code[np.triu_indices(n, 1)] = codes
-    order = np.argsort([p.id for p in candidates], kind="stable")
+    order = np.argsort(candidates.ids, kind="stable")
     code = np.minimum(code, code.T)[:, order]  # by origin, then candidate in id order
     by_id = np.array(numerators[:n], dtype=object)[order]
     rows = []
-    for o, origin in enumerate(candidates):
+    for o, origin in enumerate(candidates.ids):
         utilities = by_id - costs[code[o]]  # integer numerators over den
         best = int(np.argmax(utilities))  # the first maximum: ties go to the lowest id
         bound = manipulation_gain_bound(alpha, beta, Fraction(costs[code[o, best]], den))
         gain = Fraction(utilities[best] - numerators[o], den)
-        rows.append({"origin": origin.id, "response": candidates[order[best]].id,
+        rows.append({"origin": origin, "response": candidates.ids[order[best]],
                      "gain": quantity(gain, None, bound, "manipulation budget (alpha - 1) * cost + beta")})
     return rows

@@ -4,9 +4,12 @@ The oracles evaluate every enumerated classifier through its public
 ``predict`` method, one point at a time; the library's exact closed form,
 which enumerates only the bucketing members and averages the affine layer,
 must agree with them exactly.  The references redo the library's array
-draws one scalar CountingRng call at a time.
+draws one scalar draw at a time (``draw_bits``, ``uniform_int``,
+``normal_pair``), its one-pass ``scorer_beta`` pair by pair, and its
+columnar CSV loader row by row through ``Point``.
 """
 
+import csv
 import itertools
 import math
 import random
@@ -26,10 +29,12 @@ from fairderand import (
     TabularScorer,
     ThresholdClassifier,
 )
+from fairderand.core import as_score
 from fairderand.errors import EmptyPairSetError, GridTooCoarseError, InvalidParameterError
 from fairderand.hashing import BitSamplingMember, FixedFamily, MinHashMember, SimHashMember
 from fairderand.measure import prediction_table, sample_pairs
 from fairderand.metrics import PairSet
+from fairderand.rng import _GOLDEN, _MASK64, _mix64
 
 
 def random_binary_dataset(rng: random.Random, n_points: int, dim: int) -> Dataset:
@@ -96,6 +101,42 @@ def pairs_of(n_points: int, i, j) -> PairSet:
     return PairSet(n_points, np.asarray(i, dtype=np.int64) * n_points + np.asarray(j, dtype=np.int64))
 
 
+def draw_bits(rng, n: int) -> int:
+    """A uniform integer in [0, 2^n) from the next n bits of the stream of
+    a CountingRng, consuming exactly n: the scalar draw under the others."""
+    if n < 0:
+        raise InvalidParameterError("bit count must be non-negative")
+    end = rng.bits_consumed + n
+    first, last = rng.bits_consumed >> 6, (end + 63) >> 6
+    value = 0
+    for w in range(first, last):
+        value = value << 64 | _mix64((rng.seed + (w + 1) * _GOLDEN) & _MASK64)
+    rng.bits_consumed = end
+    return (value >> (last * 64 - end)) & ((1 << n) - 1)
+
+
+def uniform_int(rng, n: int) -> int:
+    """Uniform integer in [0, n) by rejection from ceil(log2 n)-bit draws
+    of ``draw_bits``: the scalar draw that ``uniform_ints`` repeats."""
+    if n <= 0:
+        raise InvalidParameterError("range must be positive")
+    m = (n - 1).bit_length()  # 0 for n = 1, which draws nothing
+    while True:
+        v = draw_bits(rng, m)
+        if v < n:
+            return v
+
+
+def normal_pair(rng) -> tuple[float, float]:
+    """Two independent standard normals from 128 counted bits (Box-Muller):
+    the scalar draw that ``normals`` repeats."""
+    u1 = (draw_bits(rng, 64) + 1) / 2.0**64  # in (0, 1], log stays finite
+    u2 = draw_bits(rng, 64) / 2.0**64
+    r = math.sqrt(-2.0 * math.log(u1))
+    theta = 2.0 * math.pi * u2
+    return r * math.cos(theta), r * math.sin(theta)
+
+
 def scalar_member(family, rng):
     """One bucketing member by scalar draws: Fisher-Yates for min-wise
     hashing, Box-Muller pairs scaled to unit length for hyperplanes, a
@@ -103,15 +144,15 @@ def scalar_member(family, rng):
     if isinstance(family, FixedFamily):
         return family.bucketer
     if isinstance(family, BitSamplingFamily):
-        return BitSamplingMember(rng.uniform_int(family.n))
+        return BitSamplingMember(uniform_int(rng, family.n))
     if isinstance(family, MinHashFamily):
         items = list(range(family.universe_size))
         for i in range(family.universe_size - 1, 0, -1):
-            j = rng.uniform_int(i + 1)
+            j = uniform_int(rng, i + 1)
             items[i], items[j] = items[j], items[i]
         return MinHashMember(tuple(items))
     assert isinstance(family, SimHashFamily)
-    values = [v for _ in range((family.dim + 1) // 2) for v in rng.normal_pair()][: family.dim]
+    values = [v for _ in range((family.dim + 1) // 2) for v in normal_pair(rng)][: family.dim]
     norm = math.sqrt(sum(v * v for v in values))
     return SimHashMember(tuple(v / norm for v in values))
 
@@ -122,7 +163,7 @@ def scalar_sample(derand, rng) -> ThresholdClassifier:
     start = rng.bits_consumed
     member = scalar_member(derand.bucketing, rng)
     lsh_bits = rng.bits_consumed - start
-    h = PiHash(rng.uniform_int(derand.pi_family.a_range), rng.uniform_int(derand.k))
+    h = PiHash(uniform_int(rng, derand.pi_family.a_range), uniform_int(rng, derand.k))
     budget = BitBudget(rng.bits_consumed - start - lsh_bits, lsh_bits)
     return ThresholdClassifier(derand.scorer, member, derand.pi_family, h, budget)
 
@@ -165,7 +206,7 @@ def split_share(table, a, b):
 def reference_gap(derand, x, y, cfg):
     """The family's expected prediction gap at one pair: brute force in
     exact mode, the seeded batch's estimate in Monte Carlo mode."""
-    return brute_pairwise(derand, x, y) if cfg.exact else split_share(prediction_table(derand, (x, y), cfg), 0, 1)
+    return brute_pairwise(derand, x, y) if cfg.exact else split_share(prediction_table(derand, Dataset((x, y)), cfg), 0, 1)
 
 
 def reference_fairness_check(derand, dataset, metric, alpha, beta, cfg, pairs):
@@ -191,6 +232,36 @@ def reference_family_beta(derand, dataset, metric, alpha, cfg):
         if excess > worst:
             worst = excess
     return worst
+
+
+def reference_scorer_beta(scorer, dataset, metric, alpha):
+    """max(0, max over pairs of |score gap| - alpha*d), pair by pair, with
+    each pair's distance from ``pair_distances`` (the type distance has)."""
+    scores = [scorer.score(p) for p in dataset]
+    i, j = np.triu_indices(len(dataset), 1)
+    codes, values = metric.pair_distances(dataset, PairSet(len(dataset)))
+    pairs = zip(i.tolist(), j.tolist(), codes.tolist())
+    # max() keeps its first maximal argument: an int 0 when no excess is positive
+    return max([0, *(abs(scores[a] - scores[b]) - alpha * values[c] for a, b, c in pairs)])
+
+
+def reference_load(path):
+    """The dataset CSV read whole and row by row, each row a ``Point`` and
+    each score a ``Fraction``: (points, {id: score} or None)."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = [h.strip() for h in rows[0]]
+    feat = [c for c, name in enumerate(header) if name.startswith("feat_")]
+    fair = [c for c, name in enumerate(header) if name.startswith("z_")]
+    label, score = (header.index(name) if name in header else None for name in ("label", "score"))
+    points, scores = [], {}
+    for row in filter(None, rows[1:]):
+        labelled = label is not None and row[label] != ""
+        points.append(Point(row[0], tuple(float(row[c]) for c in feat),
+                            tuple(float(row[c]) for c in fair) if fair else None, int(row[label]) if labelled else None))
+        if score is not None:
+            scores[row[0]] = as_score(row[score])
+    return points, None if score is None else scores
 
 
 def aggregate_fairness(classifier, dataset, metric, tau) -> Fraction:

@@ -411,6 +411,23 @@ class TestAuditCommand:
         assert calls == {"points": len(batches) * 4}
         assert sizes == batches
 
+    @pytest.mark.parametrize("extra", [dict(), dict(pairs_cap=3, curve_alphas=[0.0, 1.0])])
+    def test_exact_rt_audit_of_a_scored_csv_builds_no_point(self, scored_csv, config_factory, monkeypatch, extra):
+        # the dataset is columns, scores included: no stage reads single points
+        built = []
+
+        def counting(self):
+            built.append(self.id)
+            post_init(self)
+
+        post_init = Point.__post_init__
+        monkeypatch.setattr(Point, "__post_init__", counting)
+        config = config_factory(input=str(scored_csv), scheme="rt", k=11, mode="exact", **extra)
+        assert main(["audit", "--config", str(config)]) == 0
+        assert built == []
+        Point("x", (0.0,))
+        assert built == ["x"]  # the count sees a point that is built
+
     def test_one_pair_pass_per_audit(self, scored_csv, config_factory, monkeypatch):
         # the fairness check, family beta, the tail check's close pairs and
         # the curve all read one pass over the pairs
@@ -1035,3 +1052,11 @@ class TestMalformedConfigGrid:
             assert code in (0, 2, 3), (key, value)
             if code:
                 assert err.count("\n") == 1 and err.startswith(("config error: ", "data error: ")), (key, value)
+
+    @pytest.mark.parametrize("alphas", [[-1, 0], [0, -0.5], [-1e-9]])
+    def test_negative_curve_alphas_exit_2(self, scored_csv, config_factory, capsys, tmp_path, alphas):
+        # no fairness notion has a slope below 0
+        config = config_factory(input=str(scored_csv), curve_alphas=alphas)
+        assert main(["audit", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "config error: curve_alphas must be non-negative\n"
+        assert not (tmp_path / "reports").exists()

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -100,6 +101,39 @@ class TestPointsAndDatasets:
         assert ds.get("b").id == "b"
         with pytest.raises(UnknownPointError):
             ds.get("missing")
+
+
+class TestColumns:
+    def test_points_become_columns_and_rows_become_points(self):
+        a = Point("a", (1, 2), fairness_features=(0.0,), label=1)
+        b = Point("b", (3, 4), fairness_features=(1.0,))
+        ds = Dataset([a, b])
+        assert ds.ids == ("a", "b") and ds.labels == (1, None)
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]] and ds.features.dtype == np.float64
+        assert ds.fairness_vectors is ds.fairness and ds.fairness.tolist() == [[0.0], [1.0]]
+        assert list(ds) == [a, b] and ds[-1] == b
+        tail = ds[1:]
+        assert isinstance(tail, Dataset) and tail.ids == ("b",) and list(tail) == [b]
+        bare = Dataset([Point("c", (5.0,))])
+        assert bare.fairness is None and bare.fairness_vectors is bare.features
+
+    def test_checked_columns_are_taken_as_they_are(self):
+        features = np.array([[0.0, 1.0], [1.0, 1.0]])
+        ds = Dataset(columns=(["x", "y"], features, None, None))
+        assert ds.features is features and ds.labels == (None, None)
+        assert ds.get("y") == Point("y", (1.0, 1.0))
+
+    def test_fairness_features_on_some_points_only(self):
+        with pytest.raises(DimensionMismatchError):
+            Dataset([Point("a", (0.0,), fairness_features=(1.0,)), Point("b", (1.0,))])
+
+    def test_scores_in_dataset_order(self):
+        scorer = TabularScorer({"b": "0.5", "a": Fraction(1, 3), "c": 1})
+        numerators, den = scorer.scores(Dataset([Point("a", (0.0,)), Point("b", (1.0,))]))
+        assert den == 6 and numerators.tolist() == [2, 3]
+        with pytest.raises(UnknownPointError, match="no score for point 'd'"):
+            scorer.scores(Dataset([Point("d", (0.0,))]))
+        assert ConstantScorer(0.25).scores(Dataset([Point("a", (0.0,))]))[0].tolist() == [1]
 
 
 class TestClassifiers:

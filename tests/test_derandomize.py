@@ -33,15 +33,15 @@ def two_point_dataset():
 class TestBucketers:
     def test_grid_groups_by_cell(self):
         a, b = Point("a", (0.2, 0.3)), Point("b", (0.4, 0.9))
-        assert GridBucketer(1.0).bucket(a) == GridBucketer(1.0).bucket(b)
-        assert GridBucketer(0.5).bucket(a) != GridBucketer(0.5).bucket(b)
+        assert GridBucketer(1.0).apply(a) == GridBucketer(1.0).apply(b)
+        assert GridBucketer(0.5).apply(a) != GridBucketer(0.5).apply(b)
 
     def test_fine_grid_separates_distinct_points(self):
         a, b = Point("a", (0.2, 0.3)), Point("b", (0.21, 0.3))
-        assert GridBucketer(0.001).bucket(a) != GridBucketer(0.001).bucket(b)
+        assert GridBucketer(0.001).apply(a) != GridBucketer(0.001).apply(b)
 
     def test_identity_bucketer(self):
-        assert IdentityBucketer().bucket(Point("a", (0.0,))) == "a"
+        assert IdentityBucketer().apply(Point("a", (0.0,))) == "a"
 
     def test_realized_buckets_first_seen_order(self):
         ds = Dataset([Point("a", (0.2,)), Point("b", (5.3,)), Point("c", (0.7,))])

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fairderand import (
     BitSamplingFamily,
     ConstantScorer,
+    Dataset,
     Derandomizer,
     EstimatorConfig,
     GridBucketer,
@@ -101,7 +102,7 @@ class TestExactPairwiseIndependence:
     def test_enumeration_cap(self):
         # no cap on the family size: over two buckets the family has k * k members, and the
         # exact table counts them in int64, so up to 3037000499**2 < 2**63 <= 3037000500**2
-        points = [Point("x", (0.0,)), Point("y", (1.0,))]
+        points = Dataset([Point("x", (0.0,)), Point("y", (1.0,))])
         scorer = TabularScorer({"x": "0.25", "y": "0.75"})
         for k in (1009, 3_037_000_499):
             derand = Derandomizer(scorer, FixedFamily(SharedBucketer(), (0, 1)), k)
@@ -180,7 +181,7 @@ class TestBitSampling:
 
     def test_wider_than_the_data_is_a_dimension_mismatch(self):
         fam = BitSamplingFamily(5)
-        points = [Point("x", (0.0, 1.0, 1.0)), Point("y", (1.0, 1.0, 0.0))]
+        points = Dataset([Point("x", (0.0, 1.0, 1.0)), Point("y", (1.0, 1.0, 0.0))])
         assert fam.enumerate()[2].apply(points[0]) == 1
         with pytest.raises(DimensionMismatchError) as by_member:
             fam.enumerate()[3].apply(points[0])
@@ -188,7 +189,7 @@ class TestBitSampling:
             fam.vectors(points)
         assert str(by_family.value) == str(by_member.value)
         wider = Point("z", (1.0, 0.0, 0.0, 1.0, 1.0, 0.0))  # reads the first 5 coordinates
-        assert fam.vectors([wider]).tolist() == [[True, False, False, True, True]]
+        assert fam.vectors(Dataset([wider])).tolist() == [[True, False, False, True, True]]
 
 
 class TestMinHash:
@@ -270,7 +271,7 @@ class TestSimHash:
         with pytest.raises(DimensionMismatchError, match="dimension mismatch in hyperplane hash"):
             family.member(family.draw(CountingRng(61), 1)[0]).apply(point)
         with pytest.raises(DimensionMismatchError, match="dimension mismatch in hyperplane hash"):
-            family.vectors([point])
+            family.vectors(Dataset([point]))
 
 
 class TestAllKeys:
@@ -340,7 +341,8 @@ class TestEmbedAll:
         vectors = [v if any(v) else (1.0,) * dim for v in vectors]
         if bad is not None:
             vectors.insert(at % (n_points + 1), (bad,) * dim)
-        points = [Point(f"p{r}", v) for r, v in enumerate(vectors)]
+        assume(vectors)  # a dataset holds at least one point
+        points = Dataset([Point(f"p{r}", v) for r, v in enumerate(vectors)])
         if isinstance(family, Bucketer):
             family = FixedFamily(family, realized_buckets(family, points) or (0,))
         try:

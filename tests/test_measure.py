@@ -73,14 +73,17 @@ from conftest import (
     brute_mean,
     brute_pairwise,
     enumerate_members,
+    normal_pair,
     pairs_of,
     random_binary_dataset,
     random_real_dataset,
     random_scorer,
     reference_fairness_check,
     reference_family_beta,
+    reference_scorer_beta,
     select_pairs,
     split_share,
+    uniform_int,
 )
 
 EXACT = EstimatorConfig(mode="exact")
@@ -203,13 +206,13 @@ class TestOracleAgreement:
         p = 1 - float(metric.distance(px, py))
         expected = p * abs(tx - ty) / k + (1 - p) * (tx * (k - ty) + ty * (k - tx)) / k**2
         mc = EstimatorConfig(mode="mc", trials=200_000, seed=13)
-        est = split_share(prediction_table(LsDerandomizer(scorer, family, k), (px, py), mc), 0, 1)
+        est = split_share(prediction_table(LsDerandomizer(scorer, family, k), Dataset((px, py)), mc), 0, 1)
         assert abs(est - expected) <= 4 * math.sqrt(est * (1 - est) / mc.trials)
 
     def test_exact_mode_rejects_simhash(self):
         derand = LsDerandomizer(ConstantScorer(0.5), SimHashFamily(2), 5)
         with pytest.raises(NotEnumerableError):
-            prediction_table(derand, (Point("x", (1.0, 0.0)),), EXACT)
+            prediction_table(derand, Dataset([Point("x", (1.0, 0.0))]), EXACT)
 
 
 class TestBias:
@@ -323,6 +326,40 @@ class TestPairwiseUnfairness:
                 value = split_share(table, i, j)
                 gap = abs(scorer.score(ds[i]) - scorer.score(ds[j]))
                 assert abs(value - gap) <= Fraction(1, 10)
+
+
+class TestScorerBeta:
+    """The one-pass scorer_beta (the largest numerator gap per distance)
+    equals the pair-by-pair maximum, in value and in type: an int 0, a
+    Fraction from exact distances, a float from float ones or a float alpha."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        kind=st.sampled_from(["hamming", "jaccard", "euclidean", "angular"]),
+        n_points=st.integers(1, 14),
+        denominator=st.sampled_from([1, 2, 7, 1000]),
+        alpha=st.sampled_from([0, 1, Fraction(1, 3), 2, 0.5, 1.5]),
+    )
+    def test_equals_pair_by_pair(self, seed, kind, n_points, denominator, alpha):
+        rng = random.Random(seed)
+        if kind in ("hamming", "jaccard"):
+            ds = random_binary_dataset(rng, n_points, 4)
+            metric = NormalizedHamming(4) if kind == "hamming" else JaccardDistance()
+        else:
+            ds = random_real_dataset(rng, n_points, 3)
+            metric = ScaledEuclidean(1.5) if kind == "euclidean" else Angular()
+        scorer = random_scorer(rng, ds, denominator)
+        got, expected = scorer_beta(scorer, ds, metric, alpha), reference_scorer_beta(scorer, ds, metric, alpha)
+        assert got == expected and type(got) is type(expected)
+
+    def test_huge_denominators_stay_exact(self):
+        ds = Dataset([Point("a", (0.0,)), Point("b", (1.0,)), Point("c", (0.5,))])
+        scorer = TabularScorer({"a": Fraction(1, 3), "b": Fraction(2**70 - 1, 2**70), "c": 0})
+        assert scorer.scores(ds)[0].dtype == object
+        for alpha in (0, 1, Fraction(1, 7)):
+            got = scorer_beta(scorer, ds, ScaledEuclidean(1.0), alpha)
+            assert got == reference_scorer_beta(scorer, ds, ScaledEuclidean(1.0), alpha)
 
 
 class TestMetricFairnessCheck:
@@ -467,7 +504,7 @@ class TestThresholdFairnessCheck:
         mc = EstimatorConfig(mode="mc", trials=500, seed=4)
         report = threshold_fairness_check(prediction_table(derand, ds, mc), metric, 0.3, 0.5)
         gaps = [
-            split_share(prediction_table(derand, (ds[i], ds[j]), mc), 0, 1)
+            split_share(prediction_table(derand, Dataset((ds[i], ds[j])), mc), 0, 1)
             for i, j in itertools.combinations(range(len(ds)), 2)
             if metric.distance(ds[i], ds[j]) <= 0.3
         ]
@@ -575,7 +612,7 @@ def per_point_mc_bits(derand, points, trials, seed):
             return pi.embed_value(family.bucketer.apply(point))
     elif isinstance(family, SimHashFamily):
         count = trials * family.dim
-        normals = np.array([v for _ in range((count + 1) // 2) for v in rng.normal_pair()][:count])
+        normals = np.array([v for _ in range((count + 1) // 2) for v in normal_pair(rng)][:count])
         normals = normals.reshape(trials, family.dim)
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
@@ -585,7 +622,7 @@ def per_point_mc_bits(derand, points, trials, seed):
         ranks = [list(range(family.universe_size)) for _ in range(trials)]
         for i in range(family.universe_size - 1, 0, -1):  # Fisher-Yates, one step of every trial at a time
             for items in ranks:
-                j = rng.uniform_int(i + 1)
+                j = uniform_int(rng, i + 1)
                 items[i], items[j] = items[j], items[i]
         ranks = np.array(ranks, dtype=np.int64).reshape(trials, family.universe_size)
 
@@ -597,12 +634,12 @@ def per_point_mc_bits(derand, points, trials, seed):
             return values[np.argmin(ranks[:, support], axis=1)]
     else:
         members = family.enumerate()
-        idx = [rng.uniform_int(len(members)) for _ in range(trials)]
+        idx = [uniform_int(rng, len(members)) for _ in range(trials)]
 
         def embeds(point):
             return np.array([pi.embed_value(m.apply(point)) for m in members], dtype=np.int64)[idx]
-    a = np.array([rng.uniform_int(pi.a_range) for _ in range(trials)], dtype=np.int64)
-    c = np.array([rng.uniform_int(pi.k) for _ in range(trials)], dtype=np.int64)
+    a = np.array([uniform_int(rng, pi.a_range) for _ in range(trials)], dtype=np.int64)
+    c = np.array([uniform_int(rng, pi.k) for _ in range(trials)], dtype=np.int64)
 
     rows = []
     for point in points:
@@ -726,13 +763,13 @@ class TestBlockOracle:
         points = list(ds)
         for kind_of_bad, where in zip(bad, at):
             vector = (0.0,) * dim if kind_of_bad == "empty" else (1.0, 0.5) + (0.0,) * (dim - 2)
-            points.insert(where % (len(points) + 1), Point(f"bad{where}", vector))
+            points.insert(where % (len(points) + 1), Point(f"bad{len(points)}", vector))
         scorer = TabularScorer({p.id: Fraction(rng.randint(0, 20), 20) for p in points})
         derand = LsDerandomizer(scorer, derand.bucketing, derand.k)
         cfg = EstimatorConfig(mode=mode, trials=37, seed=seed)
         per_point = len(derand.bucketing.all_keys()) if mode == "exact" else 37
         with mock.patch.object(measure, "PAIR_CHUNK_BYTES", 3 * per_point):
-            table = outcome(lambda: prediction_table(derand, points, cfg))
+            table = outcome(lambda: prediction_table(derand, Dataset(points), cfg))
         if mode == "exact":  # the members that predict 1, point by point
             got = table if isinstance(table, tuple) else [int(t) * table.size // derand.k for t in table.t]
             members = enumerate_members(derand)
@@ -977,8 +1014,8 @@ class TestPairSelection:
         rng = CountingRng(seed)
         chosen = set()
         while len(chosen) < cap:
-            i = rng.uniform_int(n_points)
-            j = rng.uniform_int(n_points)
+            i = uniform_int(rng, n_points)
+            j = uniform_int(rng, n_points)
             if i != j:
                 chosen.add((min(i, j), max(i, j)))
         return sorted(chosen)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,14 +6,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fairderand import Angular, JaccardDistance, NormalizedHamming, Point, ScaledEuclidean
+from fairderand import Angular, Dataset, JaccardDistance, NormalizedHamming, Point, ScaledEuclidean
 from fairderand.errors import DimensionMismatchError, NotBinaryError, ZeroVectorError
 
 from conftest import pairs_of
 
 
+_IDS = itertools.count()
+
+
 def pt(*coords, z=None):
-    return Point("x" + str(hash(coords) % 10**6), tuple(coords), fairness_features=z)
+    return Point(f"x{next(_IDS)}", tuple(coords), fairness_features=z)
 
 
 class TestValues:
@@ -157,7 +161,7 @@ class TestPairDistances:
         points = make(rng, 30, 6)
         i, j = np.triu_indices(len(points), 1)
         i, j = np.concatenate([i, [3, 0]]), np.concatenate([j, [3, 0]])  # and x == y
-        codes, values = metric.pair_distances(points, pairs_of(len(points), i, j))
+        codes, values = metric.pair_distances(Dataset(points), pairs_of(len(points), i, j))
         assert len(codes) == len(i)
         for p, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
             expected = metric.distance(points[a], points[b])
@@ -172,14 +176,14 @@ class TestPairDistances:
         with pytest.raises(DimensionMismatchError):
             metric.distance(points[1], points[2])
         with pytest.raises(DimensionMismatchError):
-            metric.pair_distances(points, pairs_of(len(points), [0, 1], [1, 2]))
+            metric.pair_distances(Dataset(points), pairs_of(len(points), [0, 1], [1, 2]))
 
     def test_non_binary_jaccard_raises_like_distance(self):
         points = [pt(1, 0), pt(0, 1), pt(0.5, 1)]
         with pytest.raises(NotBinaryError):
             JaccardDistance().distance(points[0], points[2])
         with pytest.raises(NotBinaryError):
-            JaccardDistance().pair_distances(points, pairs_of(len(points), [0, 0], [1, 2]))
+            JaccardDistance().pair_distances(Dataset(points), pairs_of(len(points), [0, 0], [1, 2]))
         # a point in no pair is never read, as with distance
-        codes, values = JaccardDistance().pair_distances(points, pairs_of(len(points), [0], [1]))
+        codes, values = JaccardDistance().pair_distances(Dataset(points), pairs_of(len(points), [0], [1]))
         assert values[codes[0]] == 1

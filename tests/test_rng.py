@@ -10,40 +10,42 @@ from fairderand import MinHashFamily, SimHashFamily, rng as rng_module
 from fairderand.errors import InvalidParameterError
 from fairderand.rng import ARRAY_ROUND, CountingRng
 
+from conftest import draw_bits, normal_pair, uniform_int
+
 
 def test_equal_seeds_replay_identically():
     a, b = CountingRng(1234), CountingRng(1234)
-    seq_a = [a.draw_bits(7) for _ in range(50)] + [a.uniform_int(13) for _ in range(50)]
-    seq_b = [b.draw_bits(7) for _ in range(50)] + [b.uniform_int(13) for _ in range(50)]
+    seq_a = [draw_bits(a, 7) for _ in range(50)] + [uniform_int(a, 13) for _ in range(50)]
+    seq_b = [draw_bits(b, 7) for _ in range(50)] + [uniform_int(b, 13) for _ in range(50)]
     assert seq_a == seq_b
     assert a.bits_consumed == b.bits_consumed
 
 
 def test_different_seeds_differ():
-    a = [CountingRng(1).draw_bits(32) for _ in range(4)]
-    b = [CountingRng(2).draw_bits(32) for _ in range(4)]
+    a = [draw_bits(CountingRng(1), 32) for _ in range(4)]
+    b = [draw_bits(CountingRng(2), 32) for _ in range(4)]
     assert a != b
 
 
 def test_bits_consumed_counts_served_bits_exactly():
     rng = CountingRng(9)
-    rng.draw_bits(3)
-    rng.draw_bits(64)
-    rng.draw_bits(0)
-    rng.draw_bits(1)
+    draw_bits(rng, 3)
+    draw_bits(rng, 64)
+    draw_bits(rng, 0)
+    draw_bits(rng, 1)
     assert rng.bits_consumed == 68
 
 
 @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=2**64 - 1))
 def test_draw_bits_in_range(n, seed):
-    value = CountingRng(seed).draw_bits(n)
+    value = draw_bits(CountingRng(seed), n)
     assert 0 <= value < 2**n
 
 
 @given(st.integers(min_value=1, max_value=10**6), st.integers(min_value=0, max_value=2**64 - 1))
 def test_uniform_int_in_range(n, seed):
     rng = CountingRng(seed)
-    value = rng.uniform_int(n)
+    value = uniform_int(rng, n)
     assert 0 <= value < n
     if n > 1:
         width = (n - 1).bit_length()
@@ -55,7 +57,7 @@ def test_uniform_int_roughly_uniform():
     counts = [0] * 5
     n = 50_000
     for _ in range(n):
-        counts[rng.uniform_int(5)] += 1
+        counts[uniform_int(rng, 5)] += 1
     for c in counts:
         assert abs(c / n - 0.2) < 0.01
 
@@ -64,7 +66,7 @@ def test_uniform_int_expected_bits_below_twice_width():
     rng = CountingRng(11)
     n = 10_000
     for _ in range(n):
-        rng.uniform_int(5)
+        uniform_int(rng, 5)
     assert rng.bits_consumed / n <= 2 * 3  # width 3, acceptance 5/8
 
 
@@ -81,14 +83,14 @@ def test_permutation_is_uniform_permutation():
 
 def test_normal_pair_costs_128_bits():
     rng = CountingRng(13)
-    rng.normal_pair()
+    normal_pair(rng)
     assert rng.bits_consumed == 128
 
 
 def test_normal_moments():
     rng = CountingRng(17)
     n = 20_000
-    values = [v for _ in range(n // 2) for v in rng.normal_pair()]
+    values = [v for _ in range(n // 2) for v in normal_pair(rng)]
     for values in (values, CountingRng(17).normals(n).tolist()):
         mean = sum(values) / n
         var = sum(v * v for v in values) / n - mean * mean
@@ -109,9 +111,9 @@ def test_unit_vector_has_unit_norm():
 def test_invalid_arguments():
     rng = CountingRng(0)
     with pytest.raises(InvalidParameterError):
-        rng.uniform_int(0)
+        uniform_int(rng, 0)
     with pytest.raises(InvalidParameterError):
-        rng.draw_bits(-1)
+        draw_bits(rng, -1)
     for n in (0, 2**64 + 1):
         with pytest.raises(InvalidParameterError):
             rng.uniform_ints(n, 3)
@@ -122,9 +124,9 @@ def test_stream_words_are_splitmix64():
     # splitmix64 from seed 0 starts 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
     # 0x06C45D188009454F; each word is read from its high bit down
     rng = CountingRng(0)
-    assert rng.draw_bits(64) == 0xE220A8397B1DCDAF
-    assert rng.draw_bits(32) == 0x6E789E6A
-    assert rng.draw_bits(64) == 0xA1B965F4_06C45D18  # the rest of word 1, then word 2
+    assert draw_bits(rng, 64) == 0xE220A8397B1DCDAF
+    assert draw_bits(rng, 32) == 0x6E789E6A
+    assert draw_bits(rng, 64) == 0xA1B965F4_06C45D18  # the rest of word 1, then word 2
     assert rng.bits_consumed == 160
 
 
@@ -138,24 +140,24 @@ def test_stream_words_are_splitmix64():
 )
 def test_array_draws_equal_scalar_draws(n, size, offset, round_size, seed):
     array, scalar = CountingRng(seed), CountingRng(seed)
-    array.draw_bits(offset)
-    scalar.draw_bits(offset)
+    draw_bits(array, offset)
+    draw_bits(scalar, offset)
     with mock.patch.object(rng_module, "ARRAY_ROUND", round_size):
         ints = array.uniform_ints(n, size)
-    assert ints.tolist() == [scalar.uniform_int(n) for _ in range(size)]
+    assert ints.tolist() == [uniform_int(scalar, n) for _ in range(size)]
     assert ints.dtype == (np.int64 if n <= 2**63 else np.uint64)
     assert array.bits_consumed == scalar.bits_consumed
-    assert array.draw_bits(37) == scalar.draw_bits(37)
+    assert draw_bits(array, 37) == draw_bits(scalar, 37)
 
 
 @pytest.mark.parametrize("shape", [(0,), (1,), (5, 3), (ARRAY_ROUND + 3,), (ARRAY_ROUND + 2,)])
 def test_normals_follow_normal_pair(shape):
     array, scalar = CountingRng(23), CountingRng(23)
-    array.draw_bits(5)
-    scalar.draw_bits(5)
+    draw_bits(array, 5)
+    draw_bits(scalar, 5)
     z = array.normals(shape)
-    expected = [v for _ in range((z.size + 1) // 2) for v in scalar.normal_pair()][: z.size]
+    expected = [v for _ in range((z.size + 1) // 2) for v in normal_pair(scalar)][: z.size]
     assert z.shape == shape
     assert np.allclose(z.reshape(-1), expected, rtol=1e-12, atol=1e-12)
     assert array.bits_consumed == scalar.bits_consumed  # an odd count drops the last sine
-    assert array.draw_bits(37) == scalar.draw_bits(37)
+    assert draw_bits(array, 37) == draw_bits(scalar, 37)
