@@ -7,7 +7,6 @@ from .core import (
     AffineScorer,
     ConstantScorer,
     Dataset,
-    DeterministicClassifier,
     Point,
     StochasticScorer,
     TabularScorer,
@@ -21,14 +20,12 @@ from .derandomize import (
     LsDerandomizer,
     PiDerandomizer,
     RtDerandomizer,
-    ThresholdClassifier,
 )
 from .hashing import (
     BitBudget,
     BitSamplingFamily,
     MinHashFamily,
     PiFamily,
-    PiHash,
     SimHashFamily,
 )
 from .measure import Estimate, EstimatorConfig

@@ -32,7 +32,7 @@ from .adversarial import (
     sphere_counterexample,
     verify_sphere_counterexample,
 )
-from .core import AffineScorer, ConstantScorer, Dataset, Point
+from .core import AffineScorer, ConstantScorer, Dataset, Point, threshold_counts
 from .dataio import load_dataset, save_dataset
 from .derandomize import (
     GridBucketer,
@@ -51,11 +51,11 @@ from .measure import (
     bias_bound,
     compute_bound,
     empirical_fairness_curve,
-    family_mean,
     metric_fairness_check,
     prediction_table,
     quantity,
     rt_variance_bound,
+    sample_classifier,
     worst_case_aggregate_bound,
 )
 from .metrics import Angular, JaccardDistance, NormalizedHamming, ScaledEuclidean
@@ -236,15 +236,15 @@ def _report_skeleton(config: dict) -> dict:
 def cmd_derandomize(config: dict, cfg: EstimatorConfig) -> Path:
     dataset, scorer = _load_input(config)
     derand = _build_derandomizer(config, dataset, scorer)
-    clf = derand.sample(CountingRng(cfg.seed))
+    params, budget, predictions = sample_classifier(derand, dataset, CountingRng(cfg.seed))
     payload = _report_skeleton(config)
     payload.update(
         {
             "scheme": config["scheme"],
             "seed": cfg.seed,
-            "classifier": clf.params(),
-            "bit_budget": clf.budget.as_dict(),
-            "predictions": {p.id: clf.predict(p) for p in dataset},
+            "classifier": params,
+            "bit_budget": budget.as_dict(),
+            "predictions": dict(zip(dataset.ids, predictions.tolist())),
         }
     )
     return _write_report(Path(config["out"]), "derandomize.json", payload)
@@ -372,7 +372,10 @@ def cmd_strategic(config: dict, cfg: EstimatorConfig) -> Path:
     dataset, scorer = _load_input(config)
     cost = _build_metric(config, dataset)
     derand = _build_derandomizer(config, dataset, scorer) if "scheme" in config else None
-    means = [scorer.score(p) if derand is None else family_mean(derand, p) for p in dataset]
+    numerators, den = scorer.scores(dataset)
+    if derand is not None:  # the family's means t/k
+        numerators, den = threshold_counts(numerators, den, derand.k), derand.k
+    means = [Fraction(n, den) for n in numerators.tolist()]
     alpha, beta = Fraction(str(config.get("alpha", 1))), Fraction(str(config.get("beta", 0)))  # as audit reads them
     rows = best_responses(means, dataset, cost, alpha, beta)
     payload = {**_report_skeleton(config), "responses": rows}

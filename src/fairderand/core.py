@@ -1,4 +1,4 @@
-"""Domain types: datasets, points, scorers, deterministic classifiers.
+"""Domain types: datasets, points and scorers.
 
 A ``Dataset`` is columnar: ids, a float64 feature matrix, a fairness
 matrix or None, and labels.  A ``Point`` is one row, built on demand where
@@ -8,7 +8,7 @@ means 3/10, not the nearest binary double), so that threshold comparisons
 against the grid {1/k, ..., k/k} are exact and boundary ties are
 reproducible.  A scorer scores a whole dataset (``scores``) as integer
 numerators over one common denominator, so every t = floor(score * k) is
-one array operation.
+one array operation (``threshold_counts``).
 """
 
 from __future__ import annotations
@@ -48,6 +48,14 @@ def threshold_count(score: Fraction, k: int) -> int:
     prediction a grid-threshold classifier makes at the point.
     """
     return (score.numerator * k) // score.denominator
+
+
+def threshold_counts(numerators: np.ndarray, den: int, k: int) -> np.ndarray:
+    """``threshold_count`` of every score numerators/den, as int64 (each
+    t <= k); the products n * k are formed in Python ints where den * k
+    passes int64."""
+    wide = den * k >= 2**63
+    return ((numerators.astype(object) if wide else numerators) * k // den).astype(np.int64)
 
 
 def over_common_denominator(ratios: Sequence[tuple[int, int]]) -> tuple[np.ndarray, int]:
@@ -207,10 +215,3 @@ class ConstantScorer(StochasticScorer):
 
     def score(self, point: Point) -> Fraction:
         return self.value
-
-
-class DeterministicClassifier:
-    """A {0,1}-valued classifier; evaluation is deterministic and repeatable."""
-
-    def predict(self, point: Point) -> int:
-        raise NotImplementedError

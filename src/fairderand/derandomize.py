@@ -19,9 +19,10 @@ construction with three bucketing families:
 
 Classifiers are drawn only by ``Derandomizer.draw``, as arrays through a
 CountingRng: the keys of every bucketing member (one array draw of the
-bucketing family), then every a, then every c.  ``sample`` is the draw of
-one classifier, with the bits it consumed attached.  The family is finite
-exactly when its bucketing family lists its members (``all_keys``).
+bucketing family), then every a, then every c, with the bits of each step
+counted.  A drawn classifier is its (key, a, c); ``measure`` evaluates it
+over a dataset's arrays.  The family is finite exactly when its bucketing
+family lists its members (``all_keys``).
 """
 
 from __future__ import annotations
@@ -32,34 +33,18 @@ from typing import Hashable
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    DeterministicClassifier,
-    Point,
-    StochasticScorer,
-    threshold_count,
-)
+from .core import Dataset, StochasticScorer
 from .errors import InvalidParameterError
-from .hashing import (
-    BitBudget,
-    BucketingFamily,
-    BucketingMember,
-    FixedFamily,
-    PiFamily,
-    PiHash,
-)
+from .hashing import BitBudget, BucketingFamily, FixedFamily, PiFamily
 from .rng import CountingRng
 
 
-class Bucketer(BucketingMember):
+class Bucketer:
     """Deterministic discretization of the input space, over the columns of
     a whole dataset (``buckets``); equal points map to equal buckets."""
 
     def buckets(self, data: Dataset) -> list:
         raise NotImplementedError
-
-    def apply(self, point: Point) -> Hashable:
-        return self.buckets(Dataset([point]))[0]
 
 
 @dataclass(frozen=True)
@@ -99,25 +84,6 @@ def realized_buckets(bucketer: Bucketer, dataset: Dataset) -> tuple[Hashable, ..
     return tuple(dict.fromkeys(bucketer.buckets(dataset)))
 
 
-@dataclass(frozen=True)
-class ThresholdClassifier(DeterministicClassifier):
-    """One member of a derandomized family: 1 iff u(x) <= floor(score(x) * k)."""
-
-    scorer: StochasticScorer
-    member: BucketingMember
-    family: PiFamily
-    h: PiHash
-    budget: BitBudget | None = None
-
-    def predict(self, point: Point) -> int:
-        u = self.family.value(self.h, self.member.apply(point))
-        return 1 if u <= threshold_count(self.scorer.score(point), self.family.k) else 0
-
-    def params(self) -> dict:
-        """The classifier's entry in a derandomize report."""
-        return {**self.family.params(self.h), **self.member.params()}
-
-
 class Derandomizer:
     """The uniform family of threshold classifiers over a bucketing family:
     every bucketing member paired with every affine hash over its buckets."""
@@ -128,23 +94,15 @@ class Derandomizer:
         self.pi_family = PiFamily(k, bucketing.bucket_values)
         self.k = k
 
-    def draw(self, rng: CountingRng, trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, a, c) of ``trials`` uniform classifiers: the keys of every
-        bucketing member first, then every a, then every c."""
-        keys = self.bucketing.draw(rng, trials)
-        return (keys, *self.pi_family.draw(rng, trials))
-
-    def sample(self, rng: CountingRng) -> ThresholdClassifier:
-        """The classifier of ``draw(rng, 1)``, drawn in its two steps to
-        count the bits of each: the bucketing member's, then those of (a, c)."""
+    def draw(self, rng: CountingRng, trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, BitBudget]:
+        """(keys, a, c) of ``trials`` uniform classifiers, and the bits they
+        consumed: the keys of every bucketing member first (``lsh_bits``),
+        then every a, then every c (``pi_bits``)."""
         start = rng.bits_consumed
-        (key,) = self.bucketing.draw(rng, 1)
+        keys = self.bucketing.draw(rng, trials)
         lsh_bits = rng.bits_consumed - start
-        (a,), (c,) = self.pi_family.draw(rng, 1)
-        budget = BitBudget(rng.bits_consumed - start - lsh_bits, lsh_bits)
-        return ThresholdClassifier(
-            self.scorer, self.bucketing.member(key), self.pi_family, PiHash(int(a), int(c)), budget
-        )
+        a, c = self.pi_family.draw(rng, trials)
+        return keys, a, c, BitBudget(rng.bits_consumed - start - lsh_bits, lsh_bits)
 
     @property
     def family_size(self) -> int:

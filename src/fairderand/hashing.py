@@ -26,15 +26,15 @@ A bucketing family draws members only as keys (coordinate indices, rank
 rows, unit normals), by one array ``draw`` of ``trials`` members through a
 CountingRng, or all of them by ``all_keys()``, which raises
 ``NotEnumerableError`` for a family with no finite list (hyperplanes, or
-more than ``MINHASH_ENUM_MAX`` elements to permute); ``member(key)``
-builds the one member a key stands for.  It evaluates members over points
-one way only: its ``embedder(keys, embed)`` maps a block of a dataset and
-its ``vectors`` (read and checked once, so the first bad point raises what
-``apply`` raises) to the (points, members) matrix of
-embed(member(point)), or one column for a fixed bucketing.  The affine
-family draws (a, c) the same way, every a and then every c, and
-``residues`` is its one array spelling of the hash values; exact audits
-average (a, c) in closed form instead.
+more than ``MINHASH_ENUM_MAX`` elements to permute); ``params(key)`` is
+the report entry of the member a key stands for.  It evaluates members
+over points one way only: its ``embedder(keys, embed)`` maps a block of a
+dataset and its ``vectors`` (read and checked once, as arrays; the first
+point that the family cannot bucket raises) to the (points, members)
+matrix of embed(bucket of the point under the member), or one column for
+a fixed bucketing.  The affine family draws (a, c) the same way, every a
+and then every c, and ``residues`` is its one array spelling of the hash
+values; exact audits average (a, c) in closed form instead.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .core import Dataset, Point
+from .core import Dataset
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -54,7 +54,6 @@ from .errors import (
     NotEnumerableError,
     UnknownBucketError,
 )
-from .metrics import binary_support
 from .rng import CountingRng
 
 MINHASH_ENUM_MAX = 7
@@ -78,14 +77,6 @@ class BitBudget:
 
     def as_dict(self) -> dict:
         return {"pi_bits": self.pi_bits, "lsh_bits": self.lsh_bits, "total": self.total}
-
-
-@dataclass(frozen=True)
-class PiHash:
-    """One member of the affine family: b -> ((a * embed(b) + c) mod k) + 1."""
-
-    a: int
-    c: int
 
 
 class PiFamily:
@@ -130,10 +121,6 @@ class PiFamily:
             why = "the family embeds only the buckets it was built on (for Pi, those of the input dataset's points)"
             raise UnknownBucketError(f"no hash value for bucket {bucket!r}: {why}") from None
 
-    def value(self, h: PiHash, bucket: Hashable) -> int:
-        """Hash value in [1..k]."""
-        return (h.a * self.embed_value(bucket) + h.c) % self.k + 1
-
     def draw(self, rng: CountingRng, trials: int) -> tuple[np.ndarray, np.ndarray]:
         """(a, c) of ``trials`` uniform members: every a, then every c, by
         rejection, which keeps uniformity exact; in the smallest dtype that
@@ -150,23 +137,12 @@ class PiFamily:
     def size(self) -> int:
         return self.a_range * self.k
 
-    def params(self, h: PiHash) -> dict:
-        """The member's entry in a derandomize report; over one bucket it is
-        the shared threshold u."""
+    def params(self, a: int, c: int) -> dict:
+        """The member b -> ((a * embed(b) + c) mod k) + 1 as an entry of a
+        derandomize report; over one bucket it is the shared threshold u."""
         if self.a_range == 1:
-            return {"u": h.c + 1, "k": self.k}
-        return {"a": h.a, "c": h.c, "k": self.k}
-
-
-class BucketingMember:
-    """One bucketing function: point -> bucket."""
-
-    def apply(self, point: Point) -> Hashable:
-        raise NotImplementedError
-
-    def params(self) -> dict:
-        """The member's entry in a derandomize report."""
-        return {}
+            return {"u": int(c) + 1, "k": self.k}
+        return {"a": int(a), "c": int(c), "k": self.k}
 
 
 class BucketingFamily:
@@ -180,9 +156,6 @@ class BucketingFamily:
         where the family has no finite list."""
         raise NotImplementedError
 
-    def enumerate(self) -> list[BucketingMember]:
-        return [self.member(key) for key in self.all_keys()]
-
     def vectors(self, data: Dataset) -> np.ndarray | None:
         return None
 
@@ -191,9 +164,10 @@ class BucketingFamily:
         keys = self.all_keys()
         return keys[rng.uniform_ints(len(keys), trials)]
 
-    def member(self, key) -> BucketingMember:
-        """The member that a key (one row of ``all_keys`` or ``draw``) stands for."""
-        raise NotImplementedError
+    def params(self, key) -> dict:
+        """The entry in a derandomize report of the member that a key (one
+        row of ``all_keys`` or ``draw``) stands for."""
+        return {}
 
     def embedder(self, keys: np.ndarray, embed: Callable[[Hashable], int]) -> Callable:
         raise NotImplementedError
@@ -201,37 +175,18 @@ class BucketingFamily:
 
 class FixedFamily(BucketingFamily):
     """A deterministic bucketing as a one-member family: it draws no bits,
-    not even in ``draw``, and embeds one column that all members share."""
+    not even in ``draw``, and embeds one column that all members share.
+    The bucketer lists each point's bucket by ``buckets(data)``."""
 
-    def __init__(self, bucketer: BucketingMember, bucket_values: Sequence[Hashable]):
+    def __init__(self, bucketer, bucket_values: Sequence[Hashable]):
         self.bucketer = bucketer
         self.bucket_values = tuple(bucket_values)
 
     def all_keys(self):
         return np.zeros(1, dtype=np.int64)
 
-    def member(self, key):
-        return self.bucketer
-
     def embedder(self, keys, embed):
         return lambda data, x: np.array([embed(b) for b in self.bucketer.buckets(data)], dtype=np.int64).reshape(-1, 1)
-
-
-@dataclass(frozen=True)
-class BitSamplingMember(BucketingMember):
-    index: int
-
-    def apply(self, point: Point) -> int:
-        vector = point.fairness_vector
-        if self.index >= len(vector):
-            raise DimensionMismatchError(f"bit sampling reads coordinate {self.index} of a {len(vector)}-dimensional point")
-        value = vector[self.index]
-        if value not in (0.0, 1.0):
-            raise NotBinaryError("bit sampling requires 0/1 features")
-        return int(value)
-
-    def params(self) -> dict:
-        return {"lsh_member": {"kind": "coordinate", "index": self.index}}
 
 
 class BitSamplingFamily(BucketingFamily):
@@ -248,44 +203,30 @@ class BitSamplingFamily(BucketingFamily):
         return np.arange(self.n)
 
     def vectors(self, data):
-        """The (points, n) bool matrix of the first n coordinates."""
+        """The (points, n) bool matrix of the first n coordinates.  The first
+        point raises where it has fewer than n; a point that is not 0/1 on
+        them raises, the first point first."""
         x = data.fairness_vectors
-        if x.shape[1] < self.n or not np.isin(x[:, : self.n], (0.0, 1.0)).all():
-            members = self.enumerate()
-            [[m.apply(p) for m in members] for p in data]  # the first bad point raises
+        binary = np.isin(x[:, : self.n], (0.0, 1.0))
+        if x.shape[1] < self.n and binary[:1].all():
+            raise DimensionMismatchError(f"bit sampling reads coordinate {x.shape[1]} of a {x.shape[1]}-dimensional point")
+        if not binary.all():
+            raise NotBinaryError("bit sampling requires 0/1 features")
         return x[:, : self.n] == 1.0
 
-    def member(self, key):
-        return BitSamplingMember(int(key))
+    def params(self, key):
+        return {"lsh_member": {"kind": "coordinate", "index": int(key)}}
 
     def embedder(self, keys, embed):
         below, above = embed(0), embed(1)
         return lambda data, x: np.where(x[:, keys], above, below)
 
 
-@dataclass(frozen=True)
-class MinHashMember(BucketingMember):
-    """A permutation of the universe, stored as rank[element]; a set hashes
-    to its minimum-rank element."""
-
-    ranks: tuple[int, ...]
-
-    def apply(self, point: Point) -> int:
-        support = binary_support(point.fairness_vector)
-        if not support:
-            raise NotBinaryError("min-wise hashing is undefined on the empty set")
-        if max(support) >= len(self.ranks):
-            raise DimensionMismatchError(f"set element {max(support)} is outside the universe of {len(self.ranks)}")
-        return min(support, key=lambda e: self.ranks[e])
-
-    def params(self) -> dict:
-        return {"lsh_member": {"kind": "permutation", "ranks": list(self.ranks)}}
-
-
 class MinHashFamily(BucketingFamily):
     """Min-wise permutation hashing over a universe of feature indices;
     paired with Jaccard distance.  Buckets are the universe elements, and
-    keys are rank rows (rank[element])."""
+    keys are rank rows (rank[element]): a member hashes a set to its
+    minimum-rank element."""
 
     def __init__(self, universe_size: int):
         if universe_size < 1:
@@ -302,15 +243,20 @@ class MinHashFamily(BucketingFamily):
         return np.array(list(itertools.permutations(range(self.universe_size))), dtype=np.int64)
 
     def vectors(self, data):
-        """The (points, universe) membership matrix of the points' sets."""
+        """The (points, universe) membership matrix of the points' sets.  The
+        first point that is not a non-empty 0/1 set of the universe raises."""
         x, size = data.fairness_vectors, self.universe_size
-        if x.shape[1] == size and np.isin(x, (0.0, 1.0)).all() and (x == 1.0).any(axis=1).all():
-            return x == 1.0
-        probe, member = MinHashMember(tuple(range(size))), np.zeros((len(data), size), dtype=bool)
-        for r, point in enumerate(data):
-            probe.apply(point)  # the first bad point raises
-            member[r, list(binary_support(point.fairness_vector))] = True
-        return member
+        member = x == 1.0
+        not_binary, empty = ~(member | (x == 0.0)).all(axis=1), ~member.any(axis=1)
+        bad = np.flatnonzero(not_binary | empty | member[:, size:].any(axis=1))
+        if bad.size:
+            r = bad[0]
+            if not_binary[r]:
+                raise NotBinaryError("set-valued features must be 0/1")
+            if empty[r]:
+                raise NotBinaryError("min-wise hashing is undefined on the empty set")
+            raise DimensionMismatchError(f"set element {np.flatnonzero(member[r])[-1]} is outside the universe of {size}")
+        return np.pad(member[:, :size], ((0, 0), (0, max(0, size - x.shape[1]))))
 
     def draw(self, rng, trials):
         """One Fisher-Yates pass over every trial at once: for i = n-1 down
@@ -325,8 +271,8 @@ class MinHashFamily(BucketingFamily):
             ranks[run], ranks[at] = ranks[at], ranks[run].copy()
         return ranks.reshape(n, trials).T
 
-    def member(self, key):
-        return MinHashMember(tuple(key.tolist()))
+    def params(self, key):
+        return {"lsh_member": {"kind": "permutation", "ranks": key.tolist()}}
 
     def embedder(self, keys, embed):
         """A running minimum over each set of rank * 2**b + embed(element),
@@ -344,21 +290,6 @@ class MinHashFamily(BucketingFamily):
             return best & dtype.type((1 << b) - 1)
 
         return embeds
-
-
-@dataclass(frozen=True)
-class SimHashMember(BucketingMember):
-    normal: tuple[float, ...]
-
-    def apply(self, point: Point) -> int:
-        vector = point.fairness_vector
-        if len(vector) != len(self.normal):
-            raise DimensionMismatchError("dimension mismatch in hyperplane hash")
-        dot = sum(a * b for a, b in zip(self.normal, vector))
-        return 1 if dot >= 0.0 else 0
-
-    def params(self) -> dict:
-        return {"lsh_member": {"kind": "hyperplane", "normal": list(self.normal)}}
 
 
 class SimHashFamily(BucketingFamily):
@@ -385,8 +316,8 @@ class SimHashFamily(BucketingFamily):
         normals = rng.normals((trials, self.dim))
         return normals / np.linalg.norm(normals, axis=1, keepdims=True)
 
-    def member(self, key):
-        return SimHashMember(tuple(key.tolist()))
+    def params(self, key):
+        return {"lsh_member": {"kind": "hyperplane", "normal": key.tolist()}}
 
     def embedder(self, keys, embed):
         below, above = embed(0), embed(1)

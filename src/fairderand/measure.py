@@ -23,12 +23,15 @@ Split counts are int64, so the one gate on an exact family is its size:
 below 2**63 members, else ``FamilyTooLargeError``.  A Monte Carlo table
 packs the prediction bits (a * e + c) mod k < t of ``Derandomizer.draw``:
 the keys of every bucketing member, then every a, then every c.  The tail
-check evaluates its own drawn batch at every point, in one call.
+check evaluates its own drawn batch at every point, in one call, and
+``sample_classifier`` the one classifier of ``fairderand derandomize``:
+each drawn classifier is evaluated by ``_ClassifierBatch.bits`` only.
 
 A single point needs no table: c is uniform on [k], so under every family
 (RT, Pi and each LS family, SimHash included) a member predicts 1 at x with
 probability exactly t/k (``family_mean``).  ``decomposition_check`` reads
-its bias and variances from that, and ``strategic`` its family means.
+its bias and variances from that, and ``fairderand strategic`` its family
+means, from one array of t (``threshold_counts``).
 
 Pair quantities read one pass per table and metric over every pair, or
 the capped ``sample_pairs``, whose only state is the at most ``cap`` sorted
@@ -51,9 +54,10 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Dataset, Point, StochasticScorer, threshold_count
+from .core import Dataset, Point, StochasticScorer, threshold_count, threshold_counts
 from .derandomize import Derandomizer, LsDerandomizer, RtDerandomizer
 from .errors import EmptyPairSetError, FamilyTooLargeError, InvalidParameterError
+from .hashing import BitBudget
 from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, PairSet, over_pairs, popcounts
 from .rng import CountingRng
 
@@ -167,14 +171,14 @@ def _run_firsts(keys: np.ndarray) -> np.ndarray:
 # the oracle and the prediction table
 
 class _ClassifierBatch:
-    """The ``trials`` classifiers of ``derand.draw(rng, trials)``, drawn once,
-    at construction, and shared across blocks, so pairwise quantities see
-    each classifier at both points."""
+    """The ``trials`` classifiers of ``derand.draw(rng, trials)`` and the bits
+    of the draw, drawn once, at construction, and shared across blocks, so
+    pairwise quantities see each classifier at both points."""
 
     def __init__(self, derand: Derandomizer, trials: int, rng: CountingRng):
         self.pi_family, self.size = derand.pi_family, trials
-        keys, *self.coefficients = derand.draw(rng, trials)
-        self.embeds = derand.bucketing.embedder(keys, self.pi_family.embed_value)
+        self.keys, *self.coefficients, self.budget = derand.draw(rng, trials)
+        self.embeds = derand.bucketing.embedder(self.keys, self.pi_family.embed_value)
 
     def bits(self, data: Dataset, t: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
         """The (points, classifiers) bool matrix of u = residue + 1 <= t over
@@ -310,8 +314,7 @@ def prediction_table(
         batch = _ClassifierBatch(derand, cfg.trials, CountingRng(cfg.seed))
         size = per_point = batch.size
     numerators, den = derand.scorer.scores(dataset)
-    wide = den * derand.k >= 2**63  # then n * k is formed in Python ints
-    t = ((numerators.astype(object) if wide else numerators) * derand.k // den).astype(np.int64)
+    t = threshold_counts(numerators, den, derand.k)
     x = derand.bucketing.vectors(dataset)
     width = 1 + per_point if cfg.exact else (size + 63) // 64 * 8
     rows = np.zeros((len(dataset), width), dtype=np.min_scalar_type(derand.k) if cfg.exact else np.uint8)
@@ -326,6 +329,18 @@ def prediction_table(
             rows[block, : (size + 7) // 8] = np.packbits(bits, axis=1)
             sums += np.add.reduce(bits, axis=0, dtype=sums.dtype)
     return PredictionTable(derand, dataset, cfg, numerators, den, t, size, rows, x, sums)
+
+
+def sample_classifier(derand: Derandomizer, dataset: Dataset, rng: CountingRng) -> tuple[dict, BitBudget, np.ndarray]:
+    """The classifier of ``derand.draw(rng, 1)``: its report entry, the bits
+    of its draw, and its 0/1 prediction at every point, evaluated as the
+    Monte Carlo table and the tail check evaluate theirs."""
+    batch = _ClassifierBatch(derand, 1, rng)
+    t = threshold_counts(*derand.scorer.scores(dataset), derand.k)
+    bits = batch.bits(dataset, t, derand.bucketing.vectors(dataset))
+    (key,), ((a,), (c,)) = batch.keys, batch.coefficients
+    params = {**derand.pi_family.params(a, c), **derand.bucketing.params(key)}
+    return params, batch.budget, bits[:, 0].astype(np.uint8)
 
 
 def _pair_excesses(table: PredictionTable, classes: PairClasses, budget: Callable) -> list[Number]:

@@ -1,18 +1,22 @@
 """Shared builders, independent brute-force oracles and scalar references.
 
-The oracles evaluate every enumerated classifier through its public
-``predict`` method, one point at a time; the library's exact closed form,
-which enumerates only the bucketing members and averages the affine layer,
-must agree with them exactly.  The references redo the library's array
-draws one scalar draw at a time (``draw_bits``, ``uniform_int``,
-``normal_pair``), its one-pass ``scorer_beta`` pair by pair, and its
-columnar CSV loader row by row through ``Point``.
+The oracles evaluate every classifier of a family one point at a time,
+through this module's own ``ReferenceClassifier``, written from the
+formula 1 iff ((a * e + c) mod k) + 1 <= floor(score * k), and its
+bucketing members (``reference_member``), written from each family's
+definition; the library evaluates classifiers only as arrays, and its
+exact closed form, which enumerates only the bucketing members and
+averages the affine layer, must agree with them exactly.  The references
+redo the library's array draws one scalar draw at a time (``draw_bits``,
+``uniform_int``, ``normal_pair``), its one-pass ``scorer_beta`` pair by
+pair, and its columnar CSV loader row by row through ``Point``.
 """
 
 import csv
 import itertools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,15 +27,19 @@ from fairderand import (
     BitSamplingFamily,
     Dataset,
     MinHashFamily,
-    PiHash,
     Point,
     SimHashFamily,
     TabularScorer,
-    ThresholdClassifier,
 )
 from fairderand.core import as_score
-from fairderand.errors import EmptyPairSetError, GridTooCoarseError, InvalidParameterError
-from fairderand.hashing import BitSamplingMember, FixedFamily, MinHashMember, SimHashMember
+from fairderand.errors import (
+    DimensionMismatchError,
+    EmptyPairSetError,
+    GridTooCoarseError,
+    InvalidParameterError,
+    NotBinaryError,
+)
+from fairderand.hashing import FixedFamily
 from fairderand.measure import prediction_table, sample_pairs
 from fairderand.metrics import PairSet
 from fairderand.rng import _GOLDEN, _MASK64, _mix64
@@ -72,21 +80,99 @@ def random_scorer(rng: random.Random, dataset: Dataset, denominator: int = 997) 
 BRUTE_FORCE_MAX = 10**6  # classifiers the point-by-point oracles will evaluate
 
 
-def pi_hashes(family) -> list:
-    """Every member of the affine family, a-major, each of equal weight."""
-    assert family.size <= BRUTE_FORCE_MAX, f"{family.size} affine hashes is too many to brute-force"
-    return [PiHash(a, c) for a in range(family.a_range) for c in range(family.k)]
+@dataclass(frozen=True)
+class Shared:
+    """The one member of a fixed bucketing: the bucketer's bucket of the point alone."""
+
+    bucketer: object
+
+    def bucket(self, point):
+        return self.bucketer.buckets(Dataset([point]))[0]
+
+
+@dataclass(frozen=True)
+class Coordinate:
+    """Bit sampling: the 0/1 value of one coordinate."""
+
+    index: int
+
+    def bucket(self, point):
+        vector = point.fairness_vector
+        if self.index >= len(vector):
+            raise DimensionMismatchError(f"bit sampling reads coordinate {self.index} of a {len(vector)}-dimensional point")
+        if vector[self.index] not in (0.0, 1.0):
+            raise NotBinaryError("bit sampling requires 0/1 features")
+        return int(vector[self.index])
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """Min-wise hashing: the element of the set of minimum rank[element]."""
+
+    ranks: tuple
+
+    def bucket(self, point):
+        vector = point.fairness_vector
+        if any(v not in (0.0, 1.0) for v in vector):
+            raise NotBinaryError("set-valued features must be 0/1")
+        support = [e for e, v in enumerate(vector) if v == 1.0]
+        if not support:
+            raise NotBinaryError("min-wise hashing is undefined on the empty set")
+        if support[-1] >= len(self.ranks):
+            raise DimensionMismatchError(f"set element {support[-1]} is outside the universe of {len(self.ranks)}")
+        return min(support, key=lambda e: self.ranks[e])
+
+
+@dataclass(frozen=True)
+class Hyperplane:
+    """Random-hyperplane signs: 1 on the side of the normal, the plane included."""
+
+    normal: tuple
+
+    def bucket(self, point):
+        vector = point.fairness_vector
+        if len(vector) != len(self.normal):
+            raise DimensionMismatchError("dimension mismatch in hyperplane hash")
+        return 1 if sum(a * b for a, b in zip(self.normal, vector)) >= 0.0 else 0
+
+
+def reference_member(family, key):
+    """The bucketing member that a key of the family stands for."""
+    if isinstance(family, FixedFamily):
+        return Shared(family.bucketer)
+    if isinstance(family, BitSamplingFamily):
+        return Coordinate(int(key))
+    values = tuple(np.asarray(key).tolist())
+    return Permutation(values) if isinstance(family, MinHashFamily) else Hyperplane(values)
+
+
+@dataclass(frozen=True)
+class ReferenceClassifier:
+    """One classifier of a derandomized family, one point at a time: 1 iff
+    u = ((a * e + c) mod k) + 1 <= floor(score * k), with e the position of
+    the point's bucket under the member among the family's buckets
+    (``embed_value``, which raises for a bucket outside them)."""
+
+    derand: object
+    member: object
+    a: int
+    c: int
+
+    def predict(self, point) -> int:
+        pi, k = self.derand.pi_family, self.derand.k
+        u = (self.a * pi.embed_value(self.member.bucket(point)) + self.c) % k + 1
+        return 1 if u <= math.floor(self.derand.scorer.score(point) * k) else 0
 
 
 def enumerate_members(derand) -> list:
     """The full uniform family as classifiers: bucketing-member major, then
-    the affine hashes; a family with no finite list raises NotEnumerableError."""
+    a, then c; a family with no finite list raises NotEnumerableError."""
     assert derand.family_size <= BRUTE_FORCE_MAX, f"{derand.family_size} classifiers is too many to brute-force"
-    hashes = pi_hashes(derand.pi_family)
     return [
-        ThresholdClassifier(derand.scorer, member, derand.pi_family, h)
-        for member in derand.bucketing.enumerate()
-        for h in hashes
+        ReferenceClassifier(derand, reference_member(derand.bucketing, key), a, c)
+        for key in derand.bucketing.all_keys()
+        for a in range(derand.pi_family.a_range)
+        for c in range(derand.k)
     ]
 
 
@@ -142,30 +228,31 @@ def scalar_member(family, rng):
     hashing, Box-Muller pairs scaled to unit length for hyperplanes, a
     uniform coordinate for bit sampling, and nothing for a fixed bucketing."""
     if isinstance(family, FixedFamily):
-        return family.bucketer
+        return Shared(family.bucketer)
     if isinstance(family, BitSamplingFamily):
-        return BitSamplingMember(uniform_int(rng, family.n))
+        return Coordinate(uniform_int(rng, family.n))
     if isinstance(family, MinHashFamily):
         items = list(range(family.universe_size))
         for i in range(family.universe_size - 1, 0, -1):
             j = uniform_int(rng, i + 1)
             items[i], items[j] = items[j], items[i]
-        return MinHashMember(tuple(items))
+        return Permutation(tuple(items))
     assert isinstance(family, SimHashFamily)
     values = [v for _ in range((family.dim + 1) // 2) for v in normal_pair(rng)][: family.dim]
     norm = math.sqrt(sum(v * v for v in values))
-    return SimHashMember(tuple(v / norm for v in values))
+    return Hyperplane(tuple(v / norm for v in values))
 
 
-def scalar_sample(derand, rng) -> ThresholdClassifier:
-    """The reference for ``Derandomizer.sample``: the bucketing member,
-    then a, then c, by scalar draws, with the bits of each."""
+def scalar_sample(derand, rng) -> tuple:
+    """The reference for ``Derandomizer.draw(rng, 1)``: the bucketing
+    member, then a, then c, by scalar draws, as a classifier, with the bits
+    of each."""
     start = rng.bits_consumed
     member = scalar_member(derand.bucketing, rng)
     lsh_bits = rng.bits_consumed - start
-    h = PiHash(uniform_int(rng, derand.pi_family.a_range), uniform_int(rng, derand.k))
+    a, c = uniform_int(rng, derand.pi_family.a_range), uniform_int(rng, derand.k)
     budget = BitBudget(rng.bits_consumed - start - lsh_bits, lsh_bits)
-    return ThresholdClassifier(derand.scorer, member, derand.pi_family, h, budget)
+    return ReferenceClassifier(derand, member, a, c), budget
 
 
 def brute_mean(derand, point) -> Fraction:
@@ -176,8 +263,8 @@ def brute_mean(derand, point) -> Fraction:
 def brute_collision(family, x, y) -> Fraction:
     """Collision probability of a uniform bucketing member, by full
     enumeration."""
-    members = family.enumerate()
-    return Fraction(sum(m.apply(x) == m.apply(y) for m in members), len(members))
+    members = [reference_member(family, key) for key in family.all_keys()]
+    return Fraction(sum(m.bucket(x) == m.bucket(y) for m in members), len(members))
 
 
 def brute_pairwise(derand, x, y) -> Fraction:

@@ -140,7 +140,7 @@ class TestViolationSearch:
         # the classifier 1{x >= 0.5} on [0, 1]: the one member at k = 1 on the score min(2x, 1)
         derand = RtDerandomizer(AffineScorer((2.0,)), 1)
         family = enumerate_members(derand)
-        assert len(family) == 1 and family[0].h.c + 1 == 1  # u = c + 1
+        assert len(family) == 1 and family[0].c + 1 == 1  # u = c + 1
         grid = unit_interval_grid(1001)
         found = finite_family_violation_search(
             derand, ScaledEuclidean(1.0), grid, alpha=1.0, beta=0.1

@@ -9,6 +9,7 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fairderand
@@ -27,7 +28,9 @@ from fairderand.errors import (
     UnknownBucketError,
     ZeroVectorError,
 )
+from fairderand.hashing import SimHashFamily
 from fairderand.metrics import JaccardDistance
+from fairderand.rng import CountingRng
 
 
 def write_dataset(path, rows, header):
@@ -141,6 +144,16 @@ class TestDataIO:
         assert [p.id for p in dataset] == ["a", "b"] and scorer is None
 
 
+def audited_predictions(config_path, seed: int) -> dict:
+    """The predictions, by id, of the one classifier of a one-trial Monte
+    Carlo table at the seed: the classifier that an mc audit evaluates."""
+    config = json.loads(Path(config_path).read_text())
+    dataset, scorer = cli._load_input(config)
+    derand = cli._build_derandomizer(config, dataset, scorer)
+    table = measure.prediction_table(derand, dataset, measure.EstimatorConfig(mode="mc", trials=1, seed=seed))
+    return dict(zip(dataset.ids, np.unpackbits(table.rows[:, :1], axis=1)[:, 0].tolist()))
+
+
 class TestDerandomizeCommand:
     def test_replay_is_byte_identical(self, scored_csv, config_factory, tmp_path):
         config = config_factory(input=str(scored_csv))
@@ -186,6 +199,50 @@ class TestDerandomizeCommand:
             kind, field = member
             assert clf["lsh_member"]["kind"] == kind
             assert set(clf["lsh_member"]) == {"kind", field}
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(scheme="rt"),
+            dict(scheme="pi", k=11, bucketer={"kind": "grid", "resolution": 1.0}),
+            dict(scheme="ls", k=11, lsh={"kind": "bit_sampling"}),
+            dict(scheme="ls", k=11, lsh={"kind": "minhash"}),
+            dict(scheme="ls", k=11, lsh={"kind": "simhash"}),
+        ],
+    )
+    def test_predictions_are_the_audited_classifier(self, scored_csv, config_factory, tmp_path, overrides, seed):
+        config = config_factory(input=str(scored_csv), seed=seed, **overrides)
+        assert main(["derandomize", "--config", str(config)]) == 0
+        report = json.loads((tmp_path / "reports" / "derandomize.json").read_text())
+        assert report["predictions"] == audited_predictions(config, seed)
+
+    def test_simhash_points_on_the_hyperplane_are_the_audited_classifier(self, tmp_path, config_factory):
+        """Points orthogonal to the drawn normal, where a dot product's sign
+        rests on rounding: the first three of 2,000 whose sign a left-to-right
+        sum of the coordinate products gives differently from numpy's product
+        (about a fifth of them, on the builds this was written on)."""
+        (normal,) = SimHashFamily(8).draw(CountingRng(3), 1)
+        candidates = np.random.default_rng(0).standard_normal((2000, 8))
+        candidates -= np.outer(candidates @ normal, normal)
+        split = [v for v in candidates.tolist()
+                 if (sum(a * b for a, b in zip(normal.tolist(), v)) >= 0) != (normal @ v >= 0)]
+        rows = [[f"x{r}", *map(repr, v), "0.5"] for r, v in enumerate((split or candidates.tolist())[:3])]
+        path = tmp_path / "plane.csv"
+        write_dataset(path, rows, ["id", *(f"feat_{i}" for i in range(8)), "score"])
+        config = config_factory(input=str(path), scheme="ls", k=11, lsh={"kind": "simhash"}, seed=3)
+        assert main(["derandomize", "--config", str(config)]) == 0
+        report = json.loads((tmp_path / "reports" / "derandomize.json").read_text())
+        assert report["predictions"] == audited_predictions(config, 3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_sampling_rejects_a_non_binary_feature_at_every_seed(self, tmp_path, config_factory, capsys, seed):
+        path = tmp_path / "half.csv"
+        write_dataset(path, [["a", 1, 0, 1, "0.2"], ["b", 0, 1, 0.5, "0.45"], ["c", 1, 1, 0, "0.7"]],
+                      ["id", "feat_0", "feat_1", "feat_2", "score"])
+        config = config_factory(input=str(path), scheme="ls", k=11, lsh={"kind": "bit_sampling"}, seed=seed)
+        assert main(["derandomize", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == "data error: bit sampling requires 0/1 features\n"
 
     def test_missing_score_column_is_data_error(self, tmp_path, config_factory, capsys):
         path = tmp_path / "noscore.csv"

@@ -15,11 +15,13 @@ from fairderand import (
     as_score,
     threshold_count,
 )
+from fairderand.core import threshold_counts
 from fairderand.errors import (
     DimensionMismatchError,
     InvalidParameterError,
     UnknownPointError,
 )
+from fairderand.measure import sample_classifier
 from fairderand.rng import CountingRng
 
 
@@ -51,6 +53,14 @@ class TestScores:
         # u <= t iff score >= u/k, for every grid threshold
         for u in range(1, k + 1):
             assert (u <= t) == (score >= Fraction(u, k))
+
+    @given(st.lists(st.integers(0, 2**40), min_size=1, max_size=8), st.integers(1, 2**40), st.integers(1, 2**40))
+    def test_threshold_counts_equal_the_scalar_count(self, numerators, den, k):
+        # den * k may pass 2**63, where the products are formed in Python ints
+        numerators = [n % (den + 1) for n in numerators]
+        got = threshold_counts(np.array(numerators, dtype=np.int64), den, k)
+        assert got.dtype == np.int64
+        assert got.tolist() == [threshold_count(Fraction(n, den), k) for n in numerators]
 
 
 class TestScorers:
@@ -138,10 +148,9 @@ class TestColumns:
 
 class TestClassifiers:
     def test_prediction_idempotent(self):
-        scorer = TabularScorer({"a": 0.5})
-        clf = LsDerandomizer(scorer, MinHashFamily(3), 7).sample(CountingRng(3))
-        p = Point("a", (1.0, 0.0, 1.0))
-        first = clf.predict(p)
-        assert first in (0, 1)
-        assert all(clf.predict(p) == first for _ in range(10))
+        derand = LsDerandomizer(TabularScorer({"a": 0.5}), MinHashFamily(3), 7)
+        ds = Dataset([Point("a", (1.0, 0.0, 1.0))])
+        first = sample_classifier(derand, ds, CountingRng(3))[2].tolist()
+        assert first in ([0], [1])
+        assert all(sample_classifier(derand, ds, CountingRng(3))[2].tolist() == first for _ in range(10))
 

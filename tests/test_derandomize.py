@@ -13,7 +13,6 @@ from fairderand import (
     LsDerandomizer,
     MinHashFamily,
     PiDerandomizer,
-    PiHash,
     Point,
     RtDerandomizer,
     SimHashFamily,
@@ -21,9 +20,17 @@ from fairderand import (
 )
 from fairderand.derandomize import realized_buckets
 from fairderand.errors import InvalidParameterError, NotEnumerableError
+from fairderand.measure import sample_classifier
 from fairderand.rng import CountingRng
 
-from conftest import brute_mean, enumerate_members, random_binary_dataset, random_scorer, scalar_sample
+from conftest import (
+    brute_mean,
+    enumerate_members,
+    random_binary_dataset,
+    random_scorer,
+    reference_member,
+    scalar_sample,
+)
 
 
 def two_point_dataset():
@@ -32,16 +39,18 @@ def two_point_dataset():
 
 class TestBucketers:
     def test_grid_groups_by_cell(self):
-        a, b = Point("a", (0.2, 0.3)), Point("b", (0.4, 0.9))
-        assert GridBucketer(1.0).apply(a) == GridBucketer(1.0).apply(b)
-        assert GridBucketer(0.5).apply(a) != GridBucketer(0.5).apply(b)
+        ds = Dataset([Point("a", (0.2, 0.3)), Point("b", (0.4, 0.9))])
+        first, second = GridBucketer(1.0).buckets(ds)
+        assert first == second
+        first, second = GridBucketer(0.5).buckets(ds)
+        assert first != second
 
     def test_fine_grid_separates_distinct_points(self):
-        a, b = Point("a", (0.2, 0.3)), Point("b", (0.21, 0.3))
-        assert GridBucketer(0.001).apply(a) != GridBucketer(0.001).apply(b)
+        first, second = GridBucketer(0.001).buckets(Dataset([Point("a", (0.2, 0.3)), Point("b", (0.21, 0.3))]))
+        assert first != second
 
     def test_identity_bucketer(self):
-        assert IdentityBucketer().apply(Point("a", (0.0,))) == "a"
+        assert IdentityBucketer().buckets(Dataset([Point("a", (0.0,)), Point("b", (0.0,))])) == ["a", "b"]
 
     def test_realized_buckets_first_seen_order(self):
         ds = Dataset([Point("a", (0.2,)), Point("b", (5.3,)), Point("c", (0.7,))])
@@ -64,8 +73,7 @@ class TestDegenerateScorers:
         ]
         rng = CountingRng(2)
         for derand in families:
-            clf = derand.sample(rng)
-            assert all(clf.predict(p) == expected for p in ds)
+            assert sample_classifier(derand, ds, rng)[2].tolist() == [expected] * len(ds)
             for member in enumerate_members(derand):
                 assert all(member.predict(p) == expected for p in ds)
 
@@ -108,7 +116,7 @@ class TestRtScheme:
         scorer = TabularScorer({"x1": 1.0, "x2": 0.999})
         members = enumerate_members(RtDerandomizer(scorer, 4))
         top = members[-1]
-        assert top.h.c + 1 == 4  # the shared threshold u = c + 1
+        assert top.c + 1 == 4  # the shared threshold u = c + 1
         assert top.predict(Point("x1", (0.0,))) == 1
         assert top.predict(Point("x2", (0.0,))) == 0
 
@@ -134,19 +142,19 @@ class TestSeedDeterminism:
             lambda: LsDerandomizer(scorer, BitSamplingFamily(2), 11),
             lambda: LsDerandomizer(scorer, SimHashFamily(2), 11),
         ):
-            first = build().sample(CountingRng(77))
-            second = build().sample(CountingRng(77))
-            assert [first.predict(p) for p in ds] == [second.predict(p) for p in ds]
+            first = sample_classifier(build(), ds, CountingRng(77))
+            second = sample_classifier(build(), ds, CountingRng(77))
+            assert first[0] == second[0] and first[2].tolist() == second[2].tolist()
 
 
 class TestBitBudgets:
     def test_ls_budget_totals(self):
         derand = LsDerandomizer(ConstantScorer(0.5), BitSamplingFamily(4), 5)
         rng = CountingRng(3)
-        clf = derand.sample(rng)
-        assert clf.budget.total == clf.budget.pi_bits + clf.budget.lsh_bits
-        assert clf.budget.total == rng.bits_consumed
-        assert clf.budget.lsh_bits >= 2  # at least one 2-bit coordinate draw
+        *_, budget = derand.draw(rng, 1)
+        assert budget.total == budget.pi_bits + budget.lsh_bits
+        assert budget.total == rng.bits_consumed
+        assert budget.lsh_bits >= 2  # at least one 2-bit coordinate draw
 
     def test_average_pi_bits_within_budget(self):
         ds = two_point_dataset()
@@ -155,29 +163,38 @@ class TestBitBudgets:
         n = 10_000
         total = 0
         for _ in range(n):
-            total += derand.sample(rng).budget.pi_bits
+            total += derand.draw(rng, 1)[3].pi_bits
         assert total / n <= 4 * 3  # ceil(log2 5) = 3
 
     def test_rt_budget_is_logarithmic(self):
         derand = RtDerandomizer(ConstantScorer(0.5), 1024)
-        clf = derand.sample(CountingRng(9))
-        assert clf.budget.pi_bits == 10  # exactly log2(k) for a power of two
+        assert derand.draw(CountingRng(9), 1)[3].pi_bits == 10  # exactly log2(k) for a power of two
 
 
 class TestSampleEqualsScalarReference:
-    """``sample`` is the one-trial ``draw``, and both equal the scalar
-    reference: the bucketing member by Fisher-Yates, ``normal_pair`` or
-    ``uniform_int``, then a, then c, with the same bits spent on each."""
+    """The one-trial ``draw`` equals the scalar reference: the bucketing
+    member by Fisher-Yates, ``normal_pair`` or ``uniform_int``, then a,
+    then c, with the same bits spent on each; ``sample_classifier``
+    reports that draw."""
+
+    KINDS = ["rt", "pi_grid", "pi_identity", "bit_sampling", "minhash5", "minhash16", "simhash"]
 
     @staticmethod
-    def derandomizer(kind):
-        scorer = ConstantScorer(Fraction(1, 2))
+    def points(kind) -> Dataset:
+        """Points the family's members can bucket: real pairs for RT and Pi,
+        non-empty 0/1 vectors of the bucketing family's width for LS."""
         gen = random.Random(kind)
-        reals = Dataset([Point(f"r{i}", (gen.uniform(0, 2), gen.uniform(0, 2))) for i in range(12)])
+        if kind in ("rt", "pi_grid", "pi_identity"):
+            return Dataset([Point(f"r{i}", (gen.uniform(0, 2), gen.uniform(0, 2))) for i in range(12)])
+        return random_binary_dataset(gen, 12, {"bit_sampling": 10, "minhash5": 5, "minhash16": 16, "simhash": 7}[kind])
+
+    @classmethod
+    def derandomizer(cls, kind):
+        scorer, points = ConstantScorer(Fraction(1, 2)), cls.points(kind)
         return {
             "rt": lambda: RtDerandomizer(scorer, 101),
-            "pi_grid": lambda: PiDerandomizer.build(scorer, reals, GridBucketer(0.5), 17),
-            "pi_identity": lambda: PiDerandomizer.build(scorer, reals, IdentityBucketer(), 13),
+            "pi_grid": lambda: PiDerandomizer.build(scorer, points, GridBucketer(0.5), 17),
+            "pi_identity": lambda: PiDerandomizer.build(scorer, points, IdentityBucketer(), 13),
             "bit_sampling": lambda: LsDerandomizer(scorer, BitSamplingFamily(10), 11),
             "minhash5": lambda: LsDerandomizer(scorer, MinHashFamily(5), 11),
             "minhash16": lambda: LsDerandomizer(scorer, MinHashFamily(16), 17),
@@ -185,24 +202,23 @@ class TestSampleEqualsScalarReference:
         }[kind]()
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        kind=st.sampled_from(["rt", "pi_grid", "pi_identity", "bit_sampling", "minhash5", "minhash16", "simhash"]),
-        seed=st.integers(0, 2**64 - 1),
-    )
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**64 - 1))
     def test_sample_equals_scalar_reference(self, kind, seed):
         derand = self.derandomizer(kind)
         rng, scalar = CountingRng(seed), CountingRng(seed)
-        clf, ref = derand.sample(rng), scalar_sample(derand, scalar)
-        assert clf.budget == ref.budget
-        assert rng.bits_consumed == scalar.bits_consumed == clf.budget.total
-        assert clf.h == ref.h
+        (key,), (a,), (c,), budget = derand.draw(rng, 1)
+        ref, ref_budget = scalar_sample(derand, scalar)
+        assert budget == ref_budget
+        assert rng.bits_consumed == scalar.bits_consumed == budget.total
+        assert (int(a), int(c)) == (ref.a, ref.c)
+        member = reference_member(derand.bucketing, key)
         if kind == "simhash":  # numpy and Python round the norm differently
-            assert clf.member.normal == pytest.approx(ref.member.normal, rel=0, abs=1e-12)
+            assert member.normal == pytest.approx(ref.member.normal, rel=0, abs=1e-12)
         else:
-            assert clf.member == ref.member
-            assert clf.params() == ref.params()
-        (key,), (a,), (c,) = derand.draw(CountingRng(seed), 1)
-        assert (derand.bucketing.member(key), PiHash(int(a), int(c))) == (clf.member, clf.h)
+            assert member == ref.member
+        params, sampled_budget, _ = sample_classifier(derand, self.points(kind), CountingRng(seed))
+        assert sampled_budget == budget
+        assert params == {**derand.pi_family.params(a, c), **derand.bucketing.params(key)}
 
 
 class TestFamilyMeanConsistency:
@@ -235,10 +251,8 @@ class TestFairnessProjection:
         ds = Dataset(points)
         scorer = TabularScorer({"a": 0.4, "b": 0.6})
         derand = LsDerandomizer(scorer, BitSamplingFamily(2), 5)
-        members = enumerate_members(derand)
-        buckets = {m.member.apply(ds[1]) for m in members}
-        assert buckets == {1}
-        assert {m.member.apply(ds[0]) for m in members} == {0}
+        x = derand.bucketing.vectors(ds)
+        assert derand.bucketing.embedder(derand.bucketing.all_keys(), int)(ds, x).tolist() == [[0, 0], [1, 1]]
 
 
 class TestValidation:

@@ -1,13 +1,16 @@
-"""Golden exact audit reports: three exact audits, run from inputs built
-here from fixed seeds, must write ``audit.json`` and ``fairness_curve.csv``
-byte for byte as the files under ``tests/golden/``.
+"""Golden reports: three exact audits and four derandomizations, run from
+inputs built here from fixed seeds, must write ``audit.json``,
+``fairness_curve.csv`` and ``derandomize.json`` byte for byte as the files
+under ``tests/golden/``.
 
 Only exact configs are pinned: their values are rationals, and curve
 values are elementwise operations plus ``math.fsum``, so they read the
 same on every numpy build.  Monte Carlo reductions (``var``, ``std``) may
-round differently across builds and stay out.
+round differently across builds and stay out.  So does a SimHash
+derandomization: its unit normal comes from numpy's ``log`` and ``cos``,
+which may round differently across builds, and its predictions with it.
 
-The configs name their files by relative paths, so each audit runs with
+The configs name their files by relative paths, so each command runs with
 the test's temporary directory as its working directory.
 """
 
@@ -32,40 +35,64 @@ def write_scored_binary(path: Path, seed: int, n_points: int, dim: int) -> None:
     save_dataset(path, dataset, random_scorer(rng, dataset, 1000))
 
 
-CASES = {
+CASES = {  # name: (input, config, command)
     "ls-bit-sampling-curve": (
         dict(seed=11, n_points=24, dim=8),
         {"scheme": "ls", "k": 11, "lsh": {"kind": "bit_sampling"}, "alpha": 1.5, "beta": 0.05,
          "tau": 0.125, "delta": 0.25, "n_classifiers": 20, "curve_alphas": [0, 0.25, 0.5, 1, 2, 4]},
+        "audit",
     ),
     "rt-capped": (
         dict(seed=12, n_points=300, dim=12),
         {"scheme": "rt", "k": 101, "pairs_cap": 20_000, "alpha": 1, "beta": 0.1},
+        "audit",
     ),
     "pi-identity": (
         dict(seed=13, n_points=40, dim=8),
         {"scheme": "pi", "k": 101, "bucketer": {"kind": "identity"}, "alpha": 2, "beta": 0},
+        "audit",
+    ),
+    "derandomize-rt": (dict(seed=21, n_points=30, dim=8), {"scheme": "rt", "k": 101}, "derandomize"),
+    "derandomize-pi-grid": (
+        dict(seed=22, n_points=30, dim=6),
+        {"scheme": "pi", "k": 101, "bucketer": {"kind": "grid", "resolution": 0.5}},
+        "derandomize",
+    ),
+    "derandomize-ls-bit-sampling": (
+        dict(seed=23, n_points=30, dim=8), {"scheme": "ls", "k": 11, "lsh": {"kind": "bit_sampling"}}, "derandomize"
+    ),
+    "derandomize-ls-minhash": (
+        dict(seed=24, n_points=30, dim=10), {"scheme": "ls", "k": 11, "lsh": {"kind": "minhash"}}, "derandomize"
     ),
 }
 
 
 def run_case(name: str, directory: Path) -> Path:
-    """Write the case's input and config into directory and audit it there;
-    the report directory, relative to directory."""
-    data, config = CASES[name]
+    """Write the case's input and config into directory and run its command
+    there; the report directory, relative to directory."""
+    data, config, command = CASES[name]
     write_scored_binary(directory / "data.csv", **data)
     config = {**config, "mode": "exact", "seed": 5, "input": "data.csv", "out": "reports"}
     (directory / "config.json").write_text(json.dumps(config), encoding="utf-8")
-    assert main(["audit", "--config", "config.json"]) == 0
+    assert main([command, "--config", "config.json"]) == 0
     return Path("reports")
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_exact_audit_matches_golden(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    out = run_case(name, tmp_path)
-    capsys.readouterr()
+def check_case(name: str, directory: Path) -> None:
+    out = run_case(name, directory)
     expected = sorted(p.name for p in (GOLDEN / name).iterdir())
     assert sorted(p.name for p in out.iterdir()) == expected
     for file_name in expected:
         assert (out / file_name).read_bytes() == (GOLDEN / name / file_name).read_bytes(), file_name
+
+
+@pytest.mark.parametrize("name", [name for name, case in CASES.items() if case[2] == "audit"])
+def test_exact_audit_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    check_case(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", [name for name, case in CASES.items() if case[2] == "derandomize"])
+def test_derandomize_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    check_case(name, tmp_path)

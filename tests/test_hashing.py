@@ -18,7 +18,6 @@ from fairderand import (
     IdentityBucketer,
     MinHashFamily,
     PiFamily,
-    PiHash,
     Point,
     SimHashFamily,
     TabularScorer,
@@ -38,24 +37,30 @@ from fairderand.measure import prediction_table
 from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming
 from fairderand.rng import CountingRng
 
-from conftest import brute_collision, pi_hashes, split_share
+from conftest import brute_collision, reference_member, split_share
+
+
+def every_coefficient(fam: PiFamily) -> tuple[np.ndarray, np.ndarray]:
+    """(a, c) of every member of the affine family, a-major."""
+    a, c = np.meshgrid(np.arange(fam.a_range), np.arange(fam.k), indexing="ij")
+    return a.ravel(), c.ravel()
 
 
 class TestPiEval:
     def test_constant_hash(self):
         fam = PiFamily(5, ["b0", "b1", "b2"])
-        for b in fam.buckets:
-            assert fam.value(PiHash(0, 0), b) == 1
+        embedded = np.array([fam.embed_value(b) for b in fam.buckets])
+        assert fam.residues(np.zeros(1, np.int64), np.zeros(1, np.int64), embedded).tolist() == [0, 0, 0]
 
     def test_direct_arithmetic(self):
         fam = PiFamily(5, list(range(5)))  # embeds are the buckets themselves
-        assert fam.value(PiHash(1, 0), 3) == 4
-        assert fam.value(PiHash(2, 4), 3) == 1  # ((6 + 4) mod 5) + 1
+        a, c = np.array([1, 2]), np.array([0, 4])
+        assert fam.residues(a, c, np.array([3, 3])).tolist() == [3, 0]  # ((6 + 4) mod 5) for the second
 
     def test_unknown_bucket(self):
         fam = PiFamily(3, ["a"])
         with pytest.raises(UnknownBucketError):
-            fam.value(PiHash(0, 0), "zzz")
+            fam.embed_value("zzz")
 
 
 class TestFamilyValidation:
@@ -79,25 +84,21 @@ class TestExactPairwiseIndependence:
     def test_every_joint_cell_hit_exactly_once(self, k):
         buckets = list(range(min(k, 4)))
         fam = PiFamily(k, buckets)
-        hashes = pi_hashes(fam)
-        assert len(hashes) == k * k
+        a, c = every_coefficient(fam)
+        assert a.size == k * k
         for b1, b2 in itertools.combinations(buckets, 2):
-            cells = {}
-            for h in hashes:
-                cell = (fam.value(h, b1), fam.value(h, b2))
-                cells[cell] = cells.get(cell, 0) + 1
+            e1, e2 = (np.full(a.size, fam.embed_value(b)) for b in (b1, b2))
+            cells = collections.Counter(zip(fam.residues(a, c, e1).tolist(), fam.residues(a, c, e2).tolist()))
             assert len(cells) == k * k
             assert set(cells.values()) == {1}
 
     @pytest.mark.parametrize("k", [2, 5, 13])
     def test_marginals_exactly_uniform(self, k):
         fam = PiFamily(k, list(range(min(k, 3))))
-        hashes = pi_hashes(fam)
+        a, c = every_coefficient(fam)
         for b in fam.buckets:
-            counts = [0] * k
-            for h in hashes:
-                counts[fam.value(h, b) - 1] += 1
-            assert counts == [k] * k
+            counts = np.bincount(fam.residues(a, c, np.full(a.size, fam.embed_value(b))), minlength=k)
+            assert counts.tolist() == [fam.a_range] * k
 
     def test_enumeration_cap(self):
         # no cap on the family size: over two buckets the family has k * k members, and the
@@ -149,8 +150,8 @@ class TestPiSampling:
 
 class TestBitSampling:
     def test_enumerates_one_member_per_coordinate(self):
-        members = BitSamplingFamily(3).enumerate()
-        assert [m.index for m in members] == [0, 1, 2]
+        fam = BitSamplingFamily(3)
+        assert [fam.params(key)["lsh_member"]["index"] for key in fam.all_keys()] == [0, 1, 2]
 
     def test_exact_collision_matches_hamming(self):
         fam = BitSamplingFamily(2)
@@ -175,28 +176,25 @@ class TestBitSampling:
             assert abs(c / n - 0.25) < 0.02
 
     def test_requires_binary_features(self):
-        member = BitSamplingFamily(2).enumerate()[0]
-        with pytest.raises(NotBinaryError):
-            member.apply(Point("x", (0.5, 0.0)))
+        with pytest.raises(NotBinaryError, match="^bit sampling requires 0/1 features$"):
+            BitSamplingFamily(2).vectors(Dataset([Point("x", (0.0, 1.0)), Point("y", (0.5, 0.0))]))
 
     def test_wider_than_the_data_is_a_dimension_mismatch(self):
         fam = BitSamplingFamily(5)
         points = Dataset([Point("x", (0.0, 1.0, 1.0)), Point("y", (1.0, 1.0, 0.0))])
-        assert fam.enumerate()[2].apply(points[0]) == 1
-        with pytest.raises(DimensionMismatchError) as by_member:
-            fam.enumerate()[3].apply(points[0])
-        with pytest.raises(DimensionMismatchError) as by_family:
+        with pytest.raises(DimensionMismatchError, match="^bit sampling reads coordinate 3 of a 3-dimensional point$"):
             fam.vectors(points)
-        assert str(by_family.value) == str(by_member.value)
+        with pytest.raises(NotBinaryError):  # the first point is not 0/1 before it is too narrow
+            fam.vectors(Dataset([Point("x", (0.0, 0.5, 1.0))]))
         wider = Point("z", (1.0, 0.0, 0.0, 1.0, 1.0, 0.0))  # reads the first 5 coordinates
         assert fam.vectors(Dataset([wider])).tolist() == [[True, False, False, True, True]]
 
 
 class TestMinHash:
     def test_six_permutations_of_three(self):
-        members = MinHashFamily(3).enumerate()
-        assert len(members) == 6
-        assert len({m.ranks for m in members}) == 6
+        keys = MinHashFamily(3).all_keys().tolist()
+        assert len(keys) == 6
+        assert len(set(map(tuple, keys))) == 6
 
     def test_exact_collision_is_jaccard_similarity(self):
         fam = MinHashFamily(3)
@@ -217,31 +215,31 @@ class TestMinHash:
 
     def test_large_universe_not_enumerable(self):
         with pytest.raises(NotEnumerableError):
-            MinHashFamily(8).enumerate()
+            MinHashFamily(8).all_keys()
 
     def test_empty_set_rejected(self):
-        member = MinHashFamily(2).enumerate()[0]
-        with pytest.raises(NotBinaryError):
-            member.apply(Point("x", (0.0, 0.0)))
+        points = Dataset([Point("x", (1.0, 0.0)), Point("y", (0.0, 0.0)), Point("z", (0.5, 0.0))])
+        with pytest.raises(NotBinaryError, match="^min-wise hashing is undefined on the empty set$"):
+            MinHashFamily(2).vectors(points)
 
     def test_sampled_member_is_valid_permutation(self):
         fam = MinHashFamily(5)
         (key,) = fam.draw(CountingRng(47), 1)
-        assert sorted(fam.member(key).ranks) == list(range(5))
+        assert sorted(key.tolist()) == list(range(5))
+        assert fam.params(key) == {"lsh_member": {"kind": "permutation", "ranks": key.tolist()}}
 
 
 class TestSimHash:
     def test_not_enumerable(self):
         with pytest.raises(NotEnumerableError):
-            SimHashFamily(2).enumerate()
+            SimHashFamily(2).all_keys()
 
     def test_right_angle_collision_frequency(self):
         fam = SimHashFamily(2)
-        rng = CountingRng(53)
-        x, y = Point("x", (1.0, 0.0)), Point("y", (0.0, 1.0))
+        points = Dataset([Point("x", (1.0, 0.0)), Point("y", (0.0, 1.0))])
         n = 100_000
-        hits = sum((m := fam.member(key)).apply(x) == m.apply(y) for key in fam.draw(rng, n))
-        assert abs(hits / n - 0.5) < 0.01
+        sides = fam.embedder(fam.draw(CountingRng(53), n), int)(points, fam.vectors(points))
+        assert abs(float((sides[0] == sides[1]).mean()) - 0.5) < 0.01
 
     def test_collision_matches_angle_on_random_pairs(self):
         """Shared sample of members, 20 random pairs, 3-sigma acceptance."""
@@ -262,14 +260,11 @@ class TestSimHash:
             assert abs(freq - expected) <= max(3 * sigma, 1e-3)
 
     def test_member_is_unit_normal(self):
-        family = SimHashFamily(4)
-        member = family.member(family.draw(CountingRng(61), 1)[0])
-        assert math.isclose(sum(v * v for v in member.normal), 1.0, rel_tol=1e-12)
+        (normal,) = SimHashFamily(4).draw(CountingRng(61), 1).tolist()
+        assert math.isclose(sum(v * v for v in normal), 1.0, rel_tol=1e-12)
 
     def test_dimension_mismatch_is_a_data_error(self):
         family, point = SimHashFamily(4), Point("x", (1.0, 0.0, 1.0))
-        with pytest.raises(DimensionMismatchError, match="dimension mismatch in hyperplane hash"):
-            family.member(family.draw(CountingRng(61), 1)[0]).apply(point)
         with pytest.raises(DimensionMismatchError, match="dimension mismatch in hyperplane hash"):
             family.vectors(Dataset([point]))
 
@@ -278,11 +273,10 @@ class TestAllKeys:
     """``all_keys`` is each family's one list of members."""
 
     def test_lists_every_member(self):
-        shared = SharedBucketer()
-        assert FixedFamily(shared, (0,)).enumerate() == [shared]
+        assert FixedFamily(SharedBucketer(), (0,)).all_keys().tolist() == [0]
         assert BitSamplingFamily(3).all_keys().tolist() == [0, 1, 2]
-        assert list(map(tuple, MinHashFamily(4).all_keys().tolist())) == list(itertools.permutations(range(4)))
-        assert [m.ranks for m in MinHashFamily(3).enumerate()] == list(itertools.permutations(range(3)))
+        for size in (3, 4):
+            assert list(map(tuple, MinHashFamily(size).all_keys().tolist())) == list(itertools.permutations(range(size)))
 
     @pytest.mark.parametrize(
         "family,why", [(SimHashFamily(3), "continuous"), (MinHashFamily(8), "too many permutations")],
@@ -301,10 +295,11 @@ class TestAllKeys:
 
 class TestEmbedAll:
     """A family's one embedder, over its members' keys and the points'
-    vectors, equals embed(apply(p)) point by point and member by member,
-    and raises the error class and message that apply raises at the first
-    bad point.  The members are those of ``all_keys`` when it lists at
-    most 8, else two sampled members."""
+    vectors, equals embed(bucket of p) of the reference members point by
+    point and member by member, and raises the error class and message
+    that the reference raises at the first bad point.  The members are
+    those of ``all_keys`` when it lists at most 8, else two sampled
+    members."""
 
     FAMILIES = {
         "bit_sampling": (5, BitSamplingFamily(5)),
@@ -334,7 +329,7 @@ class TestEmbedAll:
         bad=st.sampled_from([None, 0.0, 0.5]),  # an empty set, or a non-0/1 point
         at=st.integers(0, 12),
     )
-    def test_matches_apply_point_by_point(self, kind, seed, n_points, bad, at):
+    def test_matches_reference_point_by_point(self, kind, seed, n_points, bad, at):
         rng = random.Random(seed)
         dim, family = self.FAMILIES[kind]
         vectors = [tuple(float(rng.randint(0, 1)) for _ in range(dim)) for _ in range(n_points)]
@@ -351,9 +346,9 @@ class TestEmbedAll:
             keys = None
         if keys is None or len(keys) > 8:
             keys = family.draw(CountingRng(seed), 2)
-        members = [family.member(key) for key in keys]
+        members = [reference_member(family, key) for key in keys]
         embed = PiFamily(101, family.bucket_values).embed_value
-        expected = self.outcome(lambda: [[embed(m.apply(p)) for m in members] for p in points])
+        expected = self.outcome(lambda: [[embed(m.bucket(p)) for m in members] for p in points])
         embedder = family.embedder(keys, embed)
         got = self.outcome(lambda: embedder(points, family.vectors(points)).tolist())
         assert got == expected

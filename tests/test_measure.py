@@ -20,16 +20,13 @@ from fairderand import (
     LsDerandomizer,
     MinHashFamily,
     PiDerandomizer,
-    PiHash,
     Point,
     RtDerandomizer,
     SimHashFamily,
     TabularScorer,
-    ThresholdClassifier,
     threshold_count,
 )
 from fairderand import measure
-from fairderand.core import DeterministicClassifier
 from fairderand.errors import (
     EmptyPairSetError,
     FairderandError,
@@ -62,12 +59,13 @@ from fairderand.measure import (
     worst_case_pairwise_bound,
 )
 from fairderand.derandomize import SharedBucketer
-from fairderand.hashing import FixedFamily, MinHashMember, PiFamily
+from fairderand.hashing import FixedFamily, PiFamily
 from fairderand import metrics
 from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming, ScaledEuclidean, binary_support
 from fairderand.rng import CountingRng
 
 from conftest import (
+    ReferenceClassifier,
     aggregate_fairness,
     brute_aggregate_variance,
     brute_mean,
@@ -80,6 +78,7 @@ from conftest import (
     random_scorer,
     reference_fairness_check,
     reference_family_beta,
+    reference_member,
     reference_scorer_beta,
     select_pairs,
     split_share,
@@ -89,7 +88,7 @@ from conftest import (
 EXACT = EstimatorConfig(mode="exact")
 
 
-class IdBits(DeterministicClassifier):
+class IdBits:
     """An explicit id -> bit table."""
 
     def __init__(self, table):
@@ -279,12 +278,12 @@ class TestVariance:
         value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
         mean_fvar = sum((s := scorer.score(p)) * (1 - s) for p in ds) / len(ds)
         # mean over members of the max bucket mass, exact
-        members = derand.bucketing.enumerate()
+        members = [reference_member(derand.bucketing, key) for key in derand.bucketing.all_keys()]
         masses = []
         for m in members:
             counts: dict = {}
             for p in ds:
-                b = m.apply(p)
+                b = m.bucket(p)
                 counts[b] = counts.get(b, 0) + 1
             masses.append(Fraction(max(counts.values()), len(ds)))
         mean_mass = sum(masses) / len(masses)
@@ -580,9 +579,9 @@ class TestAggregateFairness:
         derand = LsDerandomizer(random_scorer(py_rng, ds), family, 17)
         table = prediction_table(derand, ds, EstimatorConfig(mode=mode, trials=200))
         got = sampled_aggregate_fairness(table, metric, 0.5, 15, CountingRng(9))
-        keys, a, c = derand.draw(CountingRng(9), 15)
+        keys, a, c, _ = derand.draw(CountingRng(9), 15)
         classifiers = [
-            ThresholdClassifier(derand.scorer, family.member(key), derand.pi_family, PiHash(int(ai), int(ci)))
+            ReferenceClassifier(derand, reference_member(family, key), ai, ci)
             for key, ai, ci in zip(keys, a.tolist(), c.tolist())
         ]
         assert got == [aggregate_fairness(clf, ds, metric, 0.5) for clf in classifiers]
@@ -609,7 +608,7 @@ def per_point_mc_bits(derand, points, trials, seed):
     pi, family = derand.pi_family, derand.bucketing
     if isinstance(family, FixedFamily):
         def embeds(point):
-            return pi.embed_value(family.bucketer.apply(point))
+            return pi.embed_value(reference_member(family, 0).bucket(point))
     elif isinstance(family, SimHashFamily):
         count = trials * family.dim
         normals = np.array([v for _ in range((count + 1) // 2) for v in normal_pair(rng)][:count])
@@ -633,11 +632,11 @@ def per_point_mc_bits(derand, points, trials, seed):
             values = np.array([pi.embed_value(e) for e in support], dtype=np.int64)
             return values[np.argmin(ranks[:, support], axis=1)]
     else:
-        members = family.enumerate()
+        members = [reference_member(family, key) for key in family.all_keys()]
         idx = [uniform_int(rng, len(members)) for _ in range(trials)]
 
         def embeds(point):
-            return np.array([pi.embed_value(m.apply(point)) for m in members], dtype=np.int64)[idx]
+            return np.array([pi.embed_value(m.bucket(point)) for m in members], dtype=np.int64)[idx]
     a = np.array([uniform_int(rng, pi.a_range) for _ in range(trials)], dtype=np.int64)
     c = np.array([uniform_int(rng, pi.k) for _ in range(trials)], dtype=np.int64)
 
@@ -822,12 +821,12 @@ class TestSinglePointClosedForm:
 
 class TestMinHashOverSevenElements:
     @pytest.mark.parametrize("mode", ["exact", "mc"])
-    def test_table_makes_no_apply_calls(self, py_rng, mode):
+    def test_table_builds_no_point(self, py_rng, mode):
         ds = random_binary_dataset(py_rng, 12, 7)
         derand = LsDerandomizer(random_scorer(py_rng, ds), MinHashFamily(7), 7)
         calls = []
-        apply = MinHashMember.apply
-        with mock.patch.object(MinHashMember, "apply", lambda self, p: calls.append(p) or apply(self, p)):
+        init = Point.__post_init__
+        with mock.patch.object(Point, "__post_init__", lambda self: calls.append(self) or init(self)):
             table = prediction_table(derand, ds, EstimatorConfig(mode=mode, trials=300))
         assert calls == []
         assert table.size == (derand.family_size if mode == "exact" else 300)
