@@ -138,7 +138,7 @@ def verify_sphere_counterexample(
             pairs_not_violating += weight
 
     return {
-        "pairs_checked": quantity(int(pairs.codes.size)),
+        "pairs_checked": quantity(int(pairs.weights.sum())),
         "scorer_unfairness_residual": quantity(
             residual, bound=0, bound_source="scorer is (1, 0, d)-fair by construction"
         ),

@@ -34,23 +34,24 @@ its bias and variances from that, and ``fairderand strategic`` its family
 means, from one array of t (``threshold_counts``).
 
 Pair quantities read one pass per table and metric over every pair, or
-the capped ``sample_pairs``, whose only state is the at most ``cap`` sorted
-keys it accepts.  The pass reads pairs in blocks and writes per pair the
-split count (the closed form, or a popcount of the XOR of two packed rows)
-and the code from ``Metric.pair_distances`` in the smallest unsigned dtypes;
-the histogram of (distance, split count) classes accumulates block by block.
-Exact reductions evaluate their Python expression once per class, so
-rationals stay exact and int, Fraction and float parameters keep their
-arithmetic; Monte Carlo ones evaluate count/size - budget as one array.
+the capped ``sample_pairs``, which holds only its ``cap`` sorted keys and
+a block of draws.  The pass folds each block's split counts (the closed
+form, or a popcount of the XOR of packed rows) and distance keys straight
+into the histogram of (distance, split count) classes; only a pass over
+every pair keeps a per-pair array, its distance codes.  Reductions
+evaluate their Python expression at a bisection of each distance's
+classes, so rationals stay exact and parameters keep their arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,13 +59,13 @@ from .core import Dataset, Point, StochasticScorer, threshold_count, threshold_c
 from .derandomize import Derandomizer, LsDerandomizer, RtDerandomizer
 from .errors import EmptyPairSetError, FamilyTooLargeError, InvalidParameterError
 from .hashing import BitBudget
-from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, PairSet, over_pairs, popcounts
+from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, PairSet, over_pairs, popcounts, rank_keys
 from .rng import CountingRng
 
 Number = Union[Fraction, float, int]
 
 DEFAULT_PAIRS_CAP = 200_000
-SAMPLE_BLOCK = 1 << 15  # draws of the pair stream per block
+SAMPLE_BLOCK = 1 << 12  # pairs of draws of the pair stream per block
 TAIL_SLACK = 0.05  # sampling slack on the violating-classifier fraction
 
 
@@ -126,40 +127,48 @@ def sample_pairs(n_points: int, cap: int = DEFAULT_PAIRS_CAP, seed: int = 0) -> 
     """Every pair of distinct points, or above the cap the sorted keys
     i * n + j of the first ``cap`` distinct pairs (i < j) that a rejection
     loop of two successive ``uniform_ints(n)`` draws of ``CountingRng(seed)`` gives;
-    and the seed (None when every pair is kept).  The stream is drawn in
-    blocks of min(cap, SAMPLE_BLOCK) draws, and only the sorted accepted keys
-    are kept across blocks: each block merges in its distinct keys, and one
-    that may reach the cap keeps the new keys whose first draw came first."""
+    and the seed (None when every pair is kept).  The ``cap`` keys hold the
+    sorted distinct keys so far, then the next keys of the stream, of which
+    the new ones are kept; a rest below a block reads a block of the stream,
+    cut at its shortest prefix with enough new keys."""
     if n_points * (n_points - 1) // 2 <= cap:
         return PairSet(n_points), None
     rng, block, dtype = CountingRng(seed), min(cap, SAMPLE_BLOCK), np.min_scalar_type(n_points * n_points)
-    accepted, size = np.empty(cap + block, dtype=dtype), 0  # accepted[:size], sorted
+    accepted, size = np.empty(cap, dtype=dtype), 0  # accepted[:size]: sorted, distinct
     while size < cap:
-        draws = rng.uniform_ints(n_points, 2 * block).reshape(-1, 2)
-        keys, hi = np.minimum(draws[:, 0], draws[:, 1]), np.maximum(draws[:, 0], draws[:, 1])
-        keys = (keys * n_points + hi)[keys != hi].astype(dtype)  # in stream order
-        del draws, hi
-        if size + keys.size <= cap:
-            keys.sort()
-        else:
-            order = np.argsort(keys)
-            keys = keys[order]
-            starts = np.flatnonzero(_run_firsts(keys))
-            keys, first = keys[starts], np.minimum.reduceat(order, starts)  # each key's first draw
-            new = accepted[np.minimum(np.searchsorted(accepted[:size], keys), size - 1)] != keys
-            keys, first = keys[new], first[new]
-            if keys.size > cap - size:  # the first draws that fill the cap
-                keys = keys[first <= np.partition(first, cap - size - 1)[cap - size - 1]]
-        keys = keys[_run_firsts(keys)]
-        merged = accepted[: size + keys.size]
-        merged[size:] = keys
-        merged.sort(kind="stable")  # a linear merge of the two sorted runs
-        first, size = _run_firsts(merged), 0
-        for s in range(0, merged.size, block):  # drop repeats in place, a block at a time
-            kept = merged[s : s + block][first[s : s + block]]
-            accepted[size : size + kept.size] = kept
-            size += kept.size
-    return PairSet(n_points, accepted[:cap]), seed
+        free, head = accepted[size:], accepted[:size]
+        keys, f = free if free.size >= block else np.empty(block, dtype), 0
+        while f < keys.size:  # the next keys of the stream, a block of draws at a time
+            a, b = rng.uniform_ints(n_points, 2 * min(block, keys.size - f)).reshape(-1, 2).T
+            drawn = (np.minimum(a, b) * n_points + np.maximum(a, b))[a != b]
+            keys[f : f + drawn.size], f = drawn, f + drawn.size
+            del a, b, drawn  # before the next block is drawn
+        fresh = keys if keys is free else keys.copy()
+        kept = _fresh(fresh, head)
+        if kept > free.size:
+            ends = range(1, keys.size + 1)
+            fresh = keys[: bisect.bisect_left(ends, free.size, key=lambda e: _fresh(keys[:e].copy(), head)) + 1]
+            kept = _fresh(fresh, head)
+        free[:kept] = fresh[:kept]
+        accepted[: size + kept].sort(kind="stable")  # merges the two sorted runs
+        size += kept
+    return PairSet(n_points, accepted), seed
+
+
+def _fresh(keys: np.ndarray, head: np.ndarray) -> int:
+    """Sorts the keys in place and moves to their front, a block at a time,
+    the distinct ones absent from the sorted head; returns their number."""
+    keys.sort()
+    size = 0
+    for s in range(0, keys.size, SAMPLE_BLOCK):
+        block = keys[s : s + SAMPLE_BLOCK]
+        keep = block != keys[s - 1 : s - 1 + block.size] if s else _run_firsts(block)
+        if head.size:
+            keep &= head[np.minimum(np.searchsorted(head, block), head.size - 1)] != block
+        kept = block[keep]
+        keys[size : size + kept.size] = kept
+        size += kept.size
+    return size
 
 
 def _run_firsts(keys: np.ndarray) -> np.ndarray:
@@ -189,13 +198,13 @@ class _ClassifierBatch:
 
 @dataclass(frozen=True)
 class PairClasses:
-    """One pass over pairs: per pair, its distance code into ``values`` and
-    its split count; per distinct (code, count) class, its number of pairs."""
+    """One pass over pairs: per distinct (distance, split count) class, sorted,
+    its code into ``values`` and its number of pairs; over every pair
+    (pair_seed None) also each pair's code, in np.triu_indices order."""
 
-    pair_seed: Optional[int]  # None: every pair, in np.triu_indices order
+    pair_seed: Optional[int]
     values: list[Distance]
-    codes: np.ndarray
-    counts: np.ndarray
+    codes: Optional[np.ndarray]
     class_codes: np.ndarray
     class_counts: np.ndarray
     weights: np.ndarray
@@ -224,77 +233,77 @@ class PredictionTable:
     _passes: list = field(default_factory=list, init=False, repr=False)
 
     def split_counts(self, pairs: PairSet) -> np.ndarray:
-        """Members (or trials) that predict differently at the two points of
-        each pair.  Monte Carlo: popcounts of XORed rows.  Exact: when S of
-        the B bucketing members put the pair in one bucket,
+        """Members (or trials) that predict differently at each pair's points."""
+        return over_pairs(self._splits, pairs, self._split_rows(), np.min_scalar_type(self.size))
+
+    def _split_rows(self) -> np.ndarray:
+        return self.rows if self.cfg.exact else self.rows.view(np.uint64)
+
+    def _splits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The split counts, as int64, of a block of pairs at their rows a, b
+        of ``_split_rows``.  Monte Carlo: popcounts of XORed rows.  Exact: when
+        S of the B bucketing members put the pair in one bucket,
         S * a_range * |t_i - t_j| + (B - S) * (t_i (k - t_j) + t_j (k - t_i))."""
-        dtype = np.min_scalar_type(self.size)
         if not self.cfg.exact:
-            return over_pairs(lambda a, b: popcounts(a ^ b), pairs, self.rows.view(np.uint64), dtype)
+            return popcounts(a ^ b)
         k, a_range, members = self.derand.k, self.derand.pi_family.a_range, self.rows.shape[1] - 1
-
-        def splits(a, b):  # int64: each term is at most the family size B * a_range * k < 2**63
-            ta, tb = a[..., 0].astype(np.int64), b[..., 0].astype(np.int64)
-            same = (a[..., 1:] == b[..., 1:]).sum(axis=-1)
-            if a_range == 1:  # one bucket, so S = B; t_i * (k - t_j) may pass 2**63 and is not formed
-                return same * abs(ta - tb)
-            return same * a_range * abs(ta - tb) + (members - same) * (ta * (k - tb) + tb * (k - ta))
-
-        return over_pairs(splits, pairs, self.rows, dtype)
+        ta, tb = a[..., 0].astype(np.int64), b[..., 0].astype(np.int64)  # int64: each term is at most B * a_range * k
+        same = np.einsum("...j->...", a[..., 1:] == b[..., 1:], dtype=np.int64)  # a row sum, faster than sum()
+        if a_range == 1:  # one bucket, so S = B; t_i * (k - t_j) may pass 2**63 and is not formed
+            return same * abs(ta - tb)
+        cross = ta * (k - tb) + tb * (k - ta)
+        return same * (a_range * abs(ta - tb) - cross) + members * cross
 
     def pair_classes(self, metric: Metric, capped: bool = False) -> PairClasses:
         """The pass over every pair (or the capped ``sample_pairs``) under
-        the metric, computed once; a capped pass of every pair serves both."""
+        the metric, computed once; a capped pass of every pair serves both.
+        It counts the keys distance key * (size + 1) + split count."""
         for m, c, classes in self._passes:
             if m is metric and (c == capped or (c and classes.pair_seed is None)):
                 return classes
         n = len(self.dataset)
         pairs, seed = sample_pairs(n, self.cfg.pairs_cap if capped else n * n, self.cfg.seed)
-        counts = self.split_counts(pairs)
-        codes, values = metric.pair_distances(self.dataset, pairs)
-        classes = PairClasses(seed, values, codes, counts, *_class_histogram(codes, counts))
+        key, points, bound, decode = metric._pair_keys(self.dataset, len(pairs))
+        rows, width = self._split_rows(), self.size + 1
+        codes = np.empty(len(pairs), np.min_scalar_type(max(bound - 1, 0))) if seed is None else None
+        dtype = np.min_scalar_type(max(bound, 1) * width)  # object past 2**64
+
+        def blocks(s=0):
+            for pa, pb, ra, rb in pairs.blocks(points, rows):
+                keys = key(pa, pb)
+                if codes is not None:
+                    codes[s : s + keys.size], s = keys, s + keys.size
+                yield keys.astype(dtype) * width + self._splits(ra, rb).astype(dtype)
+
+        keys, weights = _histogram(blocks(), dtype)
+        keys, counts = (keys // width).astype(np.int64), (keys % width).astype(np.int64)  # < bound, <= size < 2**63
+        distinct = keys[firsts := _run_firsts(keys)]
+        codes = None if codes is None else rank_keys(codes, distinct)
+        classes = PairClasses(seed, decode(distinct), codes, np.cumsum(firsts) - 1, counts, weights)
         self._passes.append((metric, capped, classes))
         return classes
 
 
-def _class_histogram(codes: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (code, count) classes, sorted, and their numbers of
-    pairs: block histograms of the keys code * L + count in the smallest
-    unsigned dtype, with L the largest count + 1, merged once they hold as
-    many keys as the merged.  Where such keys would pass 2**64, a count's
-    rank among the L distinct counts stands in for it."""
-    step, top = PAIR_CHUNK_BYTES // 8, int(codes.max(initial=0)) + 1
-    blocks, levels, width = range(0, codes.size, step), None, int(counts.max(initial=0)) + 1
-    if top * width >= 2**64:
-        levels = _distinct(np.concatenate([counts[:0], *(_distinct(counts[s : s + step]) for s in blocks)]))
-        width = levels.size
-    dtype = np.min_scalar_type(top * width)
-    parts, pending = [(np.zeros(0, dtype), np.zeros(0, np.int64))], 0
-    for s in blocks:
-        keys = np.multiply(codes[s : s + step], width, dtype=dtype)
-        keys += counts[s : s + step] if levels is None else np.searchsorted(levels, counts[s : s + step]).astype(dtype)
-        keys.sort()
-        starts = np.flatnonzero(_run_firsts(keys))
-        parts.append((keys[starts], np.diff(starts, append=keys.size)))
-        pending += starts.size
-        if pending >= parts[0][0].size:
-            parts, pending = [_merge_histograms(parts)], 0
-    keys, weights = _merge_histograms(parts)
-    class_codes, class_counts = np.divmod(keys, width)
-    return class_codes, class_counts if levels is None else levels[class_counts], weights
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    values = np.sort(values)
-    return values[_run_firsts(values)]
-
-
-def _merge_histograms(parts: list) -> tuple[np.ndarray, np.ndarray]:
-    keys, weights = (np.concatenate(column) for column in zip(*parts))
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.flatnonzero(_run_firsts(keys))
-    return keys[starts], np.add.reduceat(weights[order], starts)
+def _histogram(blocks: Iterator[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys of the blocks and their numbers: buffered to
+    PAIR_CHUNK_BYTES // 8 keys, sorted, counted by runs, then merged in."""
+    keys, weights, pending, buffered = np.zeros(0, dtype), np.zeros(0, np.int64), [], 0
+    for block in itertools.chain(blocks, [None]):  # None: the end, where the buffer merges too
+        if block is not None:
+            pending.append(block)
+            buffered += block.size
+            if buffered < PAIR_CHUNK_BYTES // 8:
+                continue
+        new = np.sort(np.concatenate([keys[:0], *pending]))
+        starts = np.flatnonzero(_run_firsts(new))
+        new, counted = new[starts], np.diff(starts, append=new.size)
+        at = np.searchsorted(keys, new)
+        found = at < keys.size
+        found[found] = keys[at[found]] == new[found]
+        weights[at[found]] += counted[found]
+        keys, weights = np.insert(keys, at[~found], new[~found]), np.insert(weights, at[~found], counted[~found])
+        pending, buffered = [], 0
+    return keys, weights
 
 
 def prediction_table(
@@ -319,7 +328,7 @@ def prediction_table(
     width = 1 + per_point if cfg.exact else (size + 63) // 64 * 8
     rows = np.zeros((len(dataset), width), dtype=np.min_scalar_type(derand.k) if cfg.exact else np.uint8)
     sums = None if cfg.exact else np.zeros(size, dtype=np.min_scalar_type(len(dataset)))  # counts <= len(dataset)
-    step = max(1, PAIR_CHUNK_BYTES // per_point)
+    step = max(1, PAIR_CHUNK_BYTES // (per_point if cfg.exact else 8 * per_point))  # MC forms int64 residues
     for s in range(0, len(dataset), step):
         block, xb = slice(s, s + step), None if x is None else x[s : s + step]
         if cfg.exact:
@@ -343,26 +352,33 @@ def sample_classifier(derand: Derandomizer, dataset: Dataset, rng: CountingRng) 
     return params, batch.budget, bits[:, 0].astype(np.uint8)
 
 
-def _pair_excesses(table: PredictionTable, classes: PairClasses, budget: Callable) -> list[Number]:
-    """gap - budget(d) per class, with the gap count/size an exact rational
-    or a float; budget runs once per distinct distance."""
-    budgets = [budget(d) for d in classes.values]
-    codes, counts = classes.class_codes, classes.class_counts
-    if not table.cfg.exact:  # float - Fraction is float(a) - float(b)
-        return (counts / table.size - np.array([float(b) for b in budgets])[codes]).tolist()
-    return [Fraction(n, table.size) - budgets[c] for c, n in zip(codes.tolist(), counts.tolist())]
+def _excesses(table: PredictionTable, classes: PairClasses, budget: Callable) -> tuple[int, list[Number]]:
+    """The pairs whose gap count/size exceeds budget(d), and gap - budget(d)
+    at the largest count of each distance d, the gap exact or a float: the
+    classes of a distance ascend in count, so a bisection finds its excesses."""
+    size, counts, cumulative = table.size, classes.class_counts.tolist(), [0, *np.cumsum(classes.weights).tolist()]
+    gap = (lambda n: Fraction(n, size)) if table.cfg.exact else (lambda n: n / size)  # float - Fraction is float
+    ends = [*(np.flatnonzero(np.diff(classes.class_codes)) + 1).tolist(), len(counts)][: len(classes.values)]
+    violations, tops = 0, []
+    for start, end, d in zip([0, *ends], ends, classes.values):
+        b = budget(d)
+        over = bisect.bisect_left(range(start, end), True, key=lambda c: gap(counts[c]) - b > 0) + start
+        violations += cumulative[end] - cumulative[over]
+        tops.append(gap(counts[end - 1]) - b)
+    return violations, tops
 
 
-def _close_pairs(n_points: int, codes: np.ndarray, values: list[Distance], tau: Number):
-    """(i, j) of the pairs within distance tau, and their mask over every
-    pair in np.triu_indices order: each close position p lies in the row i
-    of the last row start <= p."""
-    close = np.array([d <= tau for d in values], dtype=bool)[codes]
-    p = np.flatnonzero(close)
+def _close_pairs(n_points: int, codes: np.ndarray, values: list[Distance], tau: Number) -> tuple:
+    """(i, j) of the pairs within distance tau, from the codes of every pair
+    in np.triu_indices order, read a block at a time: each close position p
+    lies in the row i of the last row start <= p."""
+    close, step = np.array([d <= tau for d in values], dtype=bool), PAIR_CHUNK_BYTES // 8
+    p = np.concatenate([np.zeros(0, np.int64),
+                        *(np.flatnonzero(close[codes[s : s + step]]) + s for s in range(0, codes.size, step))])
     rows = np.arange(n_points, dtype=np.int64)
     starts = rows * (2 * n_points - rows - 1) // 2  # the position of pair (i, i + 1)
     i = np.searchsorted(starts, p, side="right") - 1
-    return i, p - starts[i] + i + 1, close
+    return i, p - starts[i] + i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +454,12 @@ def metric_fairness_check(
     seeded subsample above the pair cap)."""
     _check_fairness_params(alpha, beta)
     classes = table.pair_classes(metric, capped=True)
-    if classes.codes.size == 0:
+    if classes.weights.size == 0:
         raise EmptyPairSetError(f"no pairs to check among {len(table.dataset)} point(s)")
-    excesses = _pair_excesses(table, classes, lambda d: alpha * d + beta)
-    violations = sum(w for e, w in zip(excesses, classes.weights.tolist()) if e > 0)
+    violations, excesses = _excesses(table, classes, lambda d: alpha * d + beta)
     worst_excess = max(excesses)  # the first maximum, as a loop keeps
 
-    report = {"pairs_checked": quantity(int(classes.codes.size))}
+    report = {"pairs_checked": quantity(int(classes.weights.sum()))}
     if classes.pair_seed is not None:
         report["pair_sample_seed"] = quantity(classes.pair_seed)
     report["fairness_violations"] = quantity(violations, bound=0, bound_source="pairwise fairness definition")
@@ -463,7 +478,7 @@ def sampled_aggregate_fairness(
     ``derand.draw(rng, n)``, one batch evaluated at every point of the
     table in one call."""
     classes = table.pair_classes(metric)
-    i, j, _ = _close_pairs(len(table.dataset), classes.codes, classes.values, tau)
+    i, j = _close_pairs(len(table.dataset), classes.codes, classes.values, tau)
     if i.size == 0:
         raise EmptyPairSetError(f"no pairs within distance {tau}")
     bits = _ClassifierBatch(table.derand, n_classifiers, rng).bits(table.dataset, table.t, table.vectors)
@@ -508,10 +523,10 @@ def threshold_fairness_check(
     if not (0 < sigma < 1 and 0 < tau < 1):
         raise InvalidParameterError("sigma and tau must lie in (0, 1)")
     classes = table.pair_classes(metric)
-    i, j, close = _close_pairs(len(table.dataset), classes.codes, classes.values, sigma)
+    i, j = _close_pairs(len(table.dataset), classes.codes, classes.values, sigma)
     if i.size == 0:
         raise EmptyPairSetError(f"no pairs within distance {sigma}")
-    n_diff = int(classes.counts[close].max())
+    n_diff = int(classes.class_counts[np.array([d <= sigma for d in classes.values])[classes.class_codes]].max())
     # max() keeps its first maximal argument: an int 0 when no pair differs
     worst: Number = max(0, Fraction(n_diff, table.size) if table.cfg.exact else n_diff / table.size)
     scorer_worst: Number = max(0, Fraction(int(abs(table.numerators[i] - table.numerators[j]).max()), table.den))
@@ -566,9 +581,9 @@ def empirical_fairness_curve(
     b(a) = mean over the table's capped pairs of max(gap - a*d, 0), gap being
     the family's expected prediction gap; the classes add up exactly (fsum)."""
     classes = table.pair_classes(metric, capped=True)
-    if classes.codes.size == 0:
+    if classes.weights.size == 0:
         raise InvalidParameterError("need at least 2 points")
-    g, n = classes.class_counts / table.size, classes.codes.size
+    g, n = classes.class_counts / table.size, int(classes.weights.sum())
     d = np.array([float(v) for v in classes.values])[classes.class_codes]
     return [(float(a), math.fsum((classes.weights * np.maximum(g - float(a) * d, 0.0)).tolist()) / n) for a in alphas]
 
@@ -593,7 +608,7 @@ def family_beta(table: PredictionTable, metric: Metric, alpha: Number) -> Number
     """Smallest beta for which the family is (alpha, beta)-fair on the
     dataset pairs, from exact (or estimated) pairwise gaps."""
     # max() keeps its first maximal argument: an int 0 when no excess is positive
-    return max([0, *_pair_excesses(table, table.pair_classes(metric), lambda d: alpha * d)])
+    return max([0, *_excesses(table, table.pair_classes(metric), lambda d: alpha * d)[1]])
 
 
 # ---------------------------------------------------------------------------

@@ -73,25 +73,39 @@ class PairSet:
     def __len__(self) -> int:
         return self.n * (self.n - 1) // 2 if self.keys is None else self.keys.size
 
-    def blocks(self, x: np.ndarray, step: int) -> Iterator[tuple]:
-        """The rows (xa, xb) of x at the two points of consecutive blocks of
-        at most ``step`` pairs: a row and a run of later rows, read in place,
-        or rows gathered by the keys."""
-        if self.keys is None:
-            return ((x[r], x[s : s + step]) for r in range(self.n - 1) for s in range(r + 1, self.n, step))
-        sides = (np.divmod(self.keys[s : s + step], self.n) for s in range(0, self.keys.size, step))
-        return ((x.take(i, axis=0), x.take(j, axis=0)) for i, j in sides)
+    def blocks(self, *xs: np.ndarray) -> Iterator[list]:
+        """The rows xa, xb of each x at the two points of consecutive blocks
+        of pairs, about PAIR_CHUNK_BYTES of rows and of the 64 bytes a pair
+        takes in two int64 indices and the int64 arrays a block forms."""
+        step = max(1, PAIR_CHUNK_BYTES // (sum(x[:1].nbytes for x in xs) + 64))
+        if self.keys is None:  # a row and a run of later rows, read in place
+            return ([v for x in xs for v in (x[r], x[s : s + step])]
+                    for r in range(self.n - 1) for s in range(r + 1, self.n, step))
+        sides = (np.divmod(self.keys[s : s + step], self.n) for s in range(0, self.keys.size, step))  # gathered
+        return ([v for x in xs for v in (x.take(i, axis=0), x.take(j, axis=0))] for i, j in sides)
 
 
 def over_pairs(fn: Callable, pairs: PairSet, x: np.ndarray, dtype) -> np.ndarray:
     """The array of fn(xa, xb) over the blocks of the pairs, in dtype, with
-    (xa, xb) their rows of x: about PAIR_CHUNK_BYTES of rows and indices."""
+    (xa, xb) their rows of x."""
     out, s = np.empty(len(pairs), dtype=dtype), 0
-    for a, b in pairs.blocks(x, max(1, PAIR_CHUNK_BYTES // (x[:1].nbytes + 16))):  # 16: two int64 indices per pair
+    for a, b in pairs.blocks(x):
         block = fn(a, b)
         out[s : s + block.size] = block
         s += block.size
     return out
+
+
+def rank_keys(keys: np.ndarray, distinct: np.ndarray) -> np.ndarray:
+    """Each key's rank among the sorted distinct keys, which hold every key,
+    in the smallest unsigned dtype: ranked in place through a table over the
+    keys' range, a chunk of PAIR_CHUNK_BYTES // 8 keys (and intp indices) at a time."""
+    (lo, hi), step = ((int(distinct[0]), int(distinct[-1]) + 1) if distinct.size else (0, 0)), PAIR_CHUNK_BYTES // 8
+    rank = np.zeros(hi - lo, dtype=np.min_scalar_type(max(distinct.size - 1, 0)))
+    rank[distinct - lo] = np.arange(distinct.size)
+    for s in range(0, keys.size, step):
+        keys[s : s + step] = rank[keys[s : s + step] - lo]
+    return keys.astype(rank.dtype, copy=False)
 
 
 def popcounts(words: np.ndarray) -> np.ndarray:
@@ -123,15 +137,10 @@ class Metric:
         keys = over_pairs(key, pairs, rows, np.min_scalar_type(max(bound - 1, 0)))
         lo, hi = (int(keys.min()), int(keys.max()) + 1) if keys.size else (0, 0)
         present = np.zeros(hi - lo, dtype=bool)  # a table over the keys' range only
-        chunks = [slice(s, s + PAIR_CHUNK_BYTES) for s in range(0, keys.size, PAIR_CHUNK_BYTES)]
-        for c in chunks:  # chunks keep the intp index temporaries small
-            present[keys[c] - lo] = True
-        distinct = np.flatnonzero(present)
-        rank = np.cumsum(present, dtype=np.min_scalar_type(distinct.size)) - 1  # present[0]: no wrap
-        for c in chunks:
-            keys[c] = rank[keys[c] - lo]
-        values = decode(distinct + lo)
-        return keys.astype(np.min_scalar_type(max(len(values) - 1, 0)), copy=False), values
+        for s in range(0, keys.size, PAIR_CHUNK_BYTES // 8):  # chunks keep the intp index temporaries small
+            present[keys[s : s + PAIR_CHUNK_BYTES // 8] - lo] = True
+        distinct = np.flatnonzero(present) + lo
+        return rank_keys(keys, distinct), decode(distinct)
 
     def _pair_keys(self, data: Dataset, n_pairs: int):
         """(key, rows, bound, decode): key(xa, xb) gives the pairs of a block,

@@ -488,7 +488,7 @@ class TestAuditCommand:
     def test_one_pair_pass_per_audit(self, scored_csv, config_factory, monkeypatch):
         # the fairness check, family beta, the tail check's close pairs and
         # the curve all read one pass over the pairs
-        calls = {"distances": 0, "splits": 0}
+        calls = {"distances": 0, "passes": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -496,16 +496,16 @@ class TestAuditCommand:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(JaccardDistance, "pair_distances", counting("distances", JaccardDistance.pair_distances))
-        monkeypatch.setattr(measure.PredictionTable, "split_counts",
-                            counting("splits", measure.PredictionTable.split_counts))
+        # each pass selects its pairs and reads the metric's pair keys once
+        monkeypatch.setattr(JaccardDistance, "_pair_keys", counting("distances", JaccardDistance._pair_keys))
+        monkeypatch.setattr(measure, "sample_pairs", counting("passes", measure.sample_pairs))
         config = config_factory(
             input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "minhash"},
             metric={"kind": "jaccard"}, mode="mc", trials=300, tau=0.5, n_classifiers=5,
             curve_alphas=[0.0, 1.0],
         )
         assert main(["audit", "--config", str(config)]) == 0
-        assert calls == {"distances": 1, "splits": 1}
+        assert calls == {"distances": 1, "passes": 1}
 
     @staticmethod
     def heavy_modules_after_audit(config):

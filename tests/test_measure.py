@@ -510,6 +510,32 @@ class TestThresholdFairnessCheck:
         assert report["pairs_within_sigma"]["value"] == len(gaps)
         assert report["max_gap"]["value"] == max(gaps)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n_points=st.integers(2, 7),
+        kind=st.sampled_from(["rt", "pi", "bit_sampling", "minhash"]),
+        mc=st.booleans(),
+        sigma=st.sampled_from([0.3, 0.34, 0.5, 0.67, 0.9]),
+    )
+    def test_equals_pairwise_references(self, seed, n_points, kind, mc, sigma):
+        # max_gap and pairs_within_sigma, pair by pair: the brute-force gap
+        # (exact) or the batch's split share (Monte Carlo), with its int 0
+        rng = random.Random(seed)
+        ds = random_binary_dataset(rng, n_points, 3)
+        derand, metric = TestPairPathMatchesReferenceLoop.family(kind, random_scorer(rng, ds, 20), ds, 5)
+        table = prediction_table(derand, ds, EstimatorConfig(mode="mc" if mc else "exact", trials=300, seed=seed))
+        close = [(a, b) for a, b in itertools.combinations(range(n_points), 2) if metric.distance(ds[a], ds[b]) <= sigma]
+        if not close:
+            with pytest.raises(EmptyPairSetError):
+                threshold_fairness_check(table, metric, sigma, self.TAU)
+            return
+        report = threshold_fairness_check(table, metric, sigma, self.TAU)
+        expected = max([0, *(split_share(table, a, b) if mc else brute_pairwise(derand, ds[a], ds[b]) for a, b in close)])
+        assert report["pairs_within_sigma"]["value"] == len(close)
+        got = report["max_gap"]["value"]
+        assert got == expected and type(got) is type(expected)
+
     def test_no_pair_within_sigma_raises(self):
         # no pair within sigma leaves nothing to check, not a vacuous pass
         scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
@@ -840,9 +866,11 @@ class TestClosePairs:
         ti, tj = np.triu_indices(n, 1)
         masks = [np.random.default_rng(n).integers(0, 3, size=total), np.zeros(total, dtype=np.int64)]
         for codes in masks + [np.full(total, 2)]:  # the last: no close pair
-            i, j, close = measure._close_pairs(n, codes, values, Fraction(1, 2))
-            assert close.tolist() == (codes <= 1).tolist()
-            assert (i.tolist(), j.tolist()) == (ti[close].tolist(), tj[close].tolist())
+            for chunk_bytes in (8, 72, 1 << 18):  # blocks of 1 and 9 codes, and one block
+                with mock.patch.object(measure, "PAIR_CHUNK_BYTES", chunk_bytes):
+                    i, j = measure._close_pairs(n, codes, values, Fraction(1, 2))
+                close = codes <= 1
+                assert (i.tolist(), j.tolist()) == (ti[close].tolist(), tj[close].tolist())
 
 
 class TestLossApproximation:
@@ -1038,6 +1066,17 @@ class TestPairSelection:
         assert keys.dtype == np.min_scalar_type(n_points * n_points)
         assert list(zip(i.tolist(), j.tolist())) == self.rejection_loop(n_points, cap, seed)
 
+    def test_holds_its_keys_and_one_block_of_draws(self):
+        # the benchmark's shape: the keys take 0.76 MiB; a sampler that held a
+        # cap + block buffer and cap-long bool arrays peaked at 2.70 MiB
+        tracemalloc.start()
+        try:
+            keys = sample_pairs(2000, 200_000, 1)[0].keys
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= keys.nbytes + (512 << 10)
+
     def test_second_round_of_draws_equals_rejection_loop(self, monkeypatch):
         # 2400 of the 2415 pairs of 70 points: the first block of 2400
         # pairs of draws falls short, so the sampler draws again
@@ -1057,26 +1096,27 @@ class TestPairSelection:
 class TestClassHistogram:
     @pytest.mark.parametrize("width", [1, 2, 7, 256, 70_000, 2**33, 2**63])
     def test_equals_unique_reference(self, width, monkeypatch):
-        # the top split counts below width: 2**33 needs 64-bit keys, and at 2**63 code * width
-        # + count would pass 2**64, so counts are ranked; an 8-pair block makes many block
-        # histograms
+        # the keys code * width + count of the top split counts below width: 2**33 needs
+        # 64-bit keys, and at 2**63 they pass 2**64 and are Python ints; an 8-key buffer
+        # merges many sorted runs, and blocks of up to 11 keys cross its bound
         rng = np.random.default_rng(width % 2**32)
-        codes = rng.integers(0, 5, size=500).astype(np.uint8)
-        counts = (width - 1 - rng.integers(0, min(width, 9), size=500)).astype(np.min_scalar_type(width - 1))
+        codes = rng.integers(0, 5, size=500)
+        counts = width - 1 - rng.integers(0, min(width, 9), size=500)
+        dtype = np.min_scalar_type(5 * width)
+        keys = [c * width + n for c, n in zip(codes.tolist(), counts.tolist())]
+        blocks, s = [], 0
+        while s < len(keys):
+            size = int(rng.integers(1, 12))
+            blocks.append(np.array(keys[s : s + size], dtype=dtype))
+            s += size
         monkeypatch.setattr(measure, "PAIR_CHUNK_BYTES", 64)
-        class_codes, class_counts, weights = measure._class_histogram(codes, counts)
-        expected = sorted(collections.Counter(zip(codes.tolist(), counts.tolist())).items())
-        assert list(zip(zip(class_codes.tolist(), class_counts.tolist()), weights.tolist())) == expected
-        # keys in the smallest unsigned dtype: code * width + count, or at 2**63 code * levels + rank
-        levels = width if width < 2**63 else len(set(counts.tolist()))
-        assert class_codes.dtype == np.min_scalar_type(5 * levels)
-        assert class_counts.dtype == (class_codes.dtype if width < 2**63 else counts.dtype)
-        if width == 2**33:
-            assert class_codes.dtype == np.uint64
+        got, weights = measure._histogram(iter(blocks), dtype)
+        assert got.dtype == (np.dtype(object) if width == 2**63 else dtype)
+        assert list(zip(got.tolist(), weights.tolist())) == sorted(collections.Counter(keys).items())
 
     def test_empty(self):
-        class_codes, class_counts, weights = measure._class_histogram(np.zeros(0, np.uint8), np.zeros(0, np.uint8))
-        assert class_codes.size == class_counts.size == weights.size == 0
+        keys, weights = measure._histogram(iter([]), np.uint8)
+        assert keys.size == weights.size == 0
 
 
 class TestSameBucketSum:
@@ -1127,11 +1167,12 @@ class TestStreamedPairPass:
         n_points=st.integers(2, 40),
         mc=st.booleans(),
         cap=st.sampled_from(["all", "one", "inside", "all but one"]),
-        chunk_bytes=st.sampled_from([72, 1 << 18]),
+        chunk_bytes=st.sampled_from([72, 400, 1 << 18]),
     )
     def test_equals_per_pair_reference(self, case, seed, n_points, mc, cap, chunk_bytes):
-        # 72-byte chunks read 8-byte rows (and two int64 indices) 3 pairs to a
-        # block, so a cap of 7 ends inside one
+        # 72-byte chunks read one pair a block and buffer 9 histogram keys;
+        # 400-byte chunks read up to 5 pairs a block (64 bytes a pair besides
+        # its rows), so a cap of 7 can end inside one
         rng = random.Random(seed)
         ds, derand, metric = self.setup(*case, rng, n_points)
         total = n_points * (n_points - 1) // 2
@@ -1148,18 +1189,24 @@ class TestStreamedPairPass:
         distances = [metric.distance(ds[a], ds[b]) for a, b in zip(i.tolist(), j.tolist())]
         counts = [round(split_share(table, a, b) * table.size) for a, b in zip(i.tolist(), j.tolist())]
         assert classes.pair_seed == pair_seed
-        got = [classes.values[c] for c in classes.codes.tolist()]
-        assert got == distances and [type(d) for d in got] == [type(d) for d in distances]
-        assert classes.counts.tolist() == counts
-        assert sorted(set(classes.codes.tolist())) == list(range(len(classes.values)))  # every value occurs
-        reference = sorted(collections.Counter(zip(classes.codes.tolist(), counts)).items())
-        assert [(c, n) for c, n in zip(classes.class_codes.tolist(), classes.class_counts.tolist())] == [
-            key for key, _ in reference]
-        assert classes.weights.tolist() == [w for _, w in reference]
+        if pair_seed is None:  # a pass over every pair keeps each pair's code
+            got = [classes.values[c] for c in classes.codes.tolist()]
+            assert got == distances and [type(d) for d in got] == [type(d) for d in distances]
+        else:
+            assert classes.codes is None
+        classes_in_order = list(zip(classes.class_codes.tolist(), classes.class_counts.tolist()))
+        assert classes_in_order == sorted(set(classes_in_order))  # sorted and distinct
+        assert sorted(set(classes.class_codes.tolist())) == list(range(len(classes.values)))  # every value occurs
+        histogram = collections.Counter()
+        for (c, n), w in zip(classes_in_order, classes.weights.tolist()):
+            histogram[type(classes.values[c]), classes.values[c], n] += w
+        assert histogram == collections.Counter((type(d), d, n) for d, n in zip(distances, counts))
+        assert int(classes.weights.sum()) == len(i)  # pairs_checked
 
     def test_memory_is_a_few_bytes_per_pair(self):
-        # every pair of 1,500 points: the per-pair arrays take a byte each,
-        # and the block temporaries a constant
+        # every pair of 1,500 points: the pass keeps one byte per pair, its
+        # code, and the block temporaries take a constant; a subsampled pass
+        # keeps no array of its pairs
         rng = random.Random(3)
         ds = Dataset([Point(f"p{r}", tuple(float(rng.getrandbits(1)) for _ in range(16))) for r in range(1500)])
         table = prediction_table(RtDerandomizer(random_scorer(rng, ds, 100), 101), ds, EXACT)
@@ -1167,11 +1214,17 @@ class TestStreamedPairPass:
         try:
             classes = table.pair_classes(NormalizedHamming(16))
             peak = tracemalloc.get_traced_memory()[1]
+            before = tracemalloc.get_traced_memory()[0]
+            sampled = table.pair_classes(NormalizedHamming(16), capped=True)
+            kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         pairs = 1500 * 1499 // 2
-        assert classes.codes.size == pairs
-        assert peak < 4 * pairs + (4 << 20)
+        assert classes.codes.size == pairs and classes.codes.dtype == np.uint8
+        assert peak < pairs + (4 << 20)
+        assert sampled.pair_seed is not None and sampled.codes is None
+        assert int(sampled.weights.sum()) == EXACT.pairs_cap
+        assert kept < EXACT.pairs_cap  # the class arrays only: no byte per pair
 
 
 class TestOneTrial:
