@@ -198,9 +198,9 @@ class _ClassifierBatch:
 
 @dataclass(frozen=True)
 class PairClasses:
-    """One pass over pairs: per distinct (distance, split count) class, sorted,
-    its code into ``values`` and its number of pairs; over every pair
-    (pair_seed None) also each pair's code, in np.triu_indices order."""
+    """One pass over pairs, as arrays over the sorted distinct (distance,
+    split count) classes: each one's code into ``values`` and number of pairs;
+    over every pair (pair_seed None) each pair's code, np.triu_indices order."""
 
     pair_seed: Optional[int]
     values: list[Distance]
@@ -354,17 +354,17 @@ def sample_classifier(derand: Derandomizer, dataset: Dataset, rng: CountingRng) 
 
 def _excesses(table: PredictionTable, classes: PairClasses, budget: Callable) -> tuple[int, list[Number]]:
     """The pairs whose gap count/size exceeds budget(d), and gap - budget(d)
-    at the largest count of each distance d, the gap exact or a float: the
-    classes of a distance ascend in count, so a bisection finds its excesses."""
-    size, counts, cumulative = table.size, classes.class_counts.tolist(), [0, *np.cumsum(classes.weights).tolist()]
-    gap = (lambda n: Fraction(n, size)) if table.cfg.exact else (lambda n: n / size)  # float - Fraction is float
-    ends = [*(np.flatnonzero(np.diff(classes.class_codes)) + 1).tolist(), len(counts)][: len(classes.values)]
+    at the largest count of each distance d, the gap exact or a float, from a
+    bisection that indexes the class arrays, ascending in count at each d."""
+    size, counts, weights = table.size, classes.class_counts, classes.weights
+    gap = (lambda c: Fraction(int(counts[c]), size)) if table.cfg.exact else (lambda c: int(counts[c]) / size)
+    bounds = np.searchsorted(classes.class_codes, np.arange(len(classes.values) + 1))  # each distance's first class
     violations, tops = 0, []
-    for start, end, d in zip([0, *ends], ends, classes.values):
+    for start, end, d in zip(bounds[:-1], bounds[1:], classes.values):
         b = budget(d)
-        over = bisect.bisect_left(range(start, end), True, key=lambda c: gap(counts[c]) - b > 0) + start
-        violations += cumulative[end] - cumulative[over]
-        tops.append(gap(counts[end - 1]) - b)
+        over = bisect.bisect_left(range(start, end), True, key=lambda c: gap(c) - b > 0) + start
+        violations += int(weights[over:end].sum())
+        tops.append(gap(end - 1) - b)
     return violations, tops
 
 
@@ -585,7 +585,7 @@ def empirical_fairness_curve(
         raise InvalidParameterError("need at least 2 points")
     g, n = classes.class_counts / table.size, int(classes.weights.sum())
     d = np.array([float(v) for v in classes.values])[classes.class_codes]
-    return [(float(a), math.fsum((classes.weights * np.maximum(g - float(a) * d, 0.0)).tolist()) / n) for a in alphas]
+    return [(float(a), math.fsum(classes.weights * np.maximum(g - float(a) * d, 0.0)) / n) for a in alphas]
 
 
 def scorer_beta(

@@ -9,9 +9,12 @@ exact closed form, which enumerates only the bucketing members and
 averages the affine layer, must agree with them exactly.  The references
 redo the library's array draws one scalar draw at a time (``draw_bits``,
 ``uniform_int``, ``normal_pair``), its one-pass ``scorer_beta`` pair by
-pair, and its columnar CSV loader row by row through ``Point``.
+pair, and its columnar CSV loader row by row through ``Point``;
+``reference_excesses`` keeps the per-class list form of the verdicts'
+reduction over pair classes.
 """
 
+import bisect
 import csv
 import itertools
 import math
@@ -288,6 +291,23 @@ def split_share(table, a, b):
     differently at points a and b: exact, or a float in Monte Carlo mode."""
     n_diff = int(table.split_counts(pairs_of(len(table.dataset), [a], [b]))[0])
     return Fraction(n_diff, table.size) if table.cfg.exact else n_diff / table.size
+
+
+def reference_excesses(table, classes, budget):
+    """``measure._excesses`` over Python lists of the class counts and of
+    the running pair total: (pairs whose gap count/size exceeds budget(d),
+    gap - budget(d) at the largest count of each distance d), each distance's
+    first excess found by a bisection of its classes, ascending in count."""
+    size, counts, cumulative = table.size, classes.class_counts.tolist(), [0, *np.cumsum(classes.weights).tolist()]
+    gap = (lambda n: Fraction(n, size)) if table.cfg.exact else (lambda n: n / size)
+    ends = [*(np.flatnonzero(np.diff(classes.class_codes)) + 1).tolist(), len(counts)][: len(classes.values)]
+    violations, tops = 0, []
+    for start, end, d in zip([0, *ends], ends, classes.values):
+        b = budget(d)
+        over = bisect.bisect_left(range(start, end), True, key=lambda c: gap(counts[c]) - b > 0) + start
+        violations += cumulative[end] - cumulative[over]
+        tops.append(gap(counts[end - 1]) - b)
+    return violations, tops
 
 
 def reference_gap(derand, x, y, cfg):

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import types
 from fractions import Fraction
 from unittest import mock
 
@@ -35,6 +36,8 @@ from fairderand.errors import (
     NotEnumerableError,
 )
 from fairderand.measure import (
+    PairClasses,
+    _excesses,
     aggregate_bias,
     aggregate_fairness_tail_check,
     aggregate_tail_bound,
@@ -76,6 +79,7 @@ from conftest import (
     random_binary_dataset,
     random_real_dataset,
     random_scorer,
+    reference_excesses,
     reference_fairness_check,
     reference_family_beta,
     reference_member,
@@ -463,6 +467,82 @@ class TestPairPathMatchesReferenceLoop:
         got = family_beta(table, metric, alpha)
         expected = reference_family_beta(derand, ds, metric, alpha, cfg)
         assert got == expected and type(got) is type(expected)
+
+
+@st.composite
+def synthetic_classes(draw):
+    """(table, classes, budgets): sorted distinct (distance code, split
+    count) classes of a table of ``size`` members (exact) or trials (MC),
+    up to 60 a code, and per distance a budget: an int, a Fraction, a
+    float, or a class's own gap (a tie), exact or as a float.  As Jaccard's
+    codes do, two codes may decode to one distance, which has one budget."""
+    exact = draw(st.booleans())
+    size = draw(st.sampled_from([1, 7, 300, 2**53 + 1, 2**63 - 1] if exact else [1, 7, 300, 2000]))
+    value = st.fractions(0, 1, max_denominator=6) if draw(st.booleans()) else st.sampled_from([0.0, 0.25, 1 / 3, 1.0])
+    values = draw(st.lists(value, max_size=6))
+    codes, counts, budgets = [], [], {}
+    for code, d in enumerate(values):
+        ns = sorted(draw(st.sets(st.integers(0, size), min_size=1, max_size=60)))
+        codes += [code] * len(ns)
+        counts += ns
+        if d not in budgets:
+            tie = draw(st.sampled_from(ns))
+            budgets[d] = draw(st.sampled_from([0, 1, Fraction(tie, size), tie / size, float(Fraction(tie, size))])
+                              | st.fractions(-1, 2, max_denominator=10**6) | st.floats(-1, 2))
+    weights = draw(st.lists(st.integers(1, 10**6), min_size=len(counts), max_size=len(counts)))
+    table = types.SimpleNamespace(size=size, cfg=EstimatorConfig(mode="exact" if exact else "mc"))
+    arrays = (np.array(a, dtype=np.int64) for a in (codes, counts, weights))
+    return table, PairClasses(None, values, None, *arrays), budgets
+
+
+class TestExcesses:
+    """``_excesses`` reads the class arrays in place and equals the list
+    form of conftest: same violations and, per distance, the same top
+    excess, value and int, Fraction or float type."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=synthetic_classes())
+    def test_equals_list_reference(self, case):
+        table, classes, budgets = case
+        violations, tops = _excesses(table, classes, budgets.__getitem__)
+        expected = reference_excesses(table, classes, budgets.__getitem__)
+        assert type(violations) is int and violations == expected[0]
+        assert [repr(t) for t in tops] == [repr(t) for t in expected[1]]
+        # a class counts when its gap is above the budget; a tie does not count
+        gap = (lambda n: Fraction(n, table.size)) if table.cfg.exact else (lambda n: n / table.size)
+        classes_of = zip(classes.class_codes.tolist(), classes.class_counts.tolist(), classes.weights.tolist())
+        assert violations == sum(w for c, n, w in classes_of if gap(n) - budgets[classes.values[c]] > 0)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_a_tie_does_not_count(self, exact):
+        size = 2**63 - 1 if exact else 300
+        table = types.SimpleNamespace(size=size, cfg=EstimatorConfig(mode="exact" if exact else "mc"))
+        classes = PairClasses(None, [Fraction(1, 4)], None, *(np.array(a, dtype=np.int64) for a in
+                                                               ([0, 0, 0], [5, 9, 12], [3, 4, 2])))
+        top, nine = Fraction(12, size) if exact else 12 / size, Fraction(9, size)
+        assert repr(_excesses(table, classes, lambda d: top)) == repr((0, [top - top]))
+        assert repr(_excesses(table, classes, lambda d: nine)) == repr((2, [top - nine]))
+
+    def test_verdicts_hold_no_object_per_class(self):
+        # 400 points in MC mode: 37,046 (distance, split count) classes over
+        # 73 distance codes; both verdicts over the pass form a few numbers
+        # per code, and their traced peak does not grow with the classes
+        rng = random.Random(5)
+        ds = random_binary_dataset(rng, 400, 12)
+        derand = LsDerandomizer(random_scorer(rng, ds, 1000), MinHashFamily(12), 101)
+        table, metric = prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=2000, seed=1)), JaccardDistance()
+        classes = table.pair_classes(metric, capped=True)  # every pair, so family_beta reads it too
+        assert classes.pair_seed is None and classes.class_counts.size >= 10**4
+        tracemalloc.start()
+        try:
+            report, beta = metric_fairness_check(table, metric, 1, 0), family_beta(table, metric, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 << 10) + 256 * len(classes.values)
+        violations, tops = reference_excesses(table, classes, lambda d: 1 * d + 0)
+        assert report["fairness_violations"]["value"] == violations and report["worst_excess"]["value"] == max(tops)
+        assert beta == max([0, *tops])
 
 
 class TestThresholdFairnessCheck:
