@@ -17,9 +17,6 @@ from .derandomize import (
     Derandomizer,
     GridBucketer,
     IdentityBucketer,
-    LsDerandomizer,
-    PiDerandomizer,
-    RtDerandomizer,
 )
 from .hashing import (
     BitBudget,

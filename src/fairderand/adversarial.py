@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import Dataset, Point, TabularScorer
-from .derandomize import Derandomizer, IdentityBucketer, PiDerandomizer
+from .derandomize import Derandomizer, IdentityBucketer
 from .errors import GridTooCoarseError, InvalidParameterError
 from .measure import EstimatorConfig, prediction_table, quantity, scorer_beta
 from .metrics import Metric, PairSet, ScaledEuclidean
@@ -121,7 +121,7 @@ def verify_sphere_counterexample(
     """Exact verification of both halves of the construction: the scorer is
     (1, 0, d)-fair, and the hashed-threshold family's gap on every pair is
     at least 1/2 - eps_gap - 1/(2k), violating (alpha, beta, d)."""
-    derand = PiDerandomizer.build(scorer, dataset, IdentityBucketer(), cfg.k)
+    derand = Derandomizer.pi(scorer, dataset, IdentityBucketer(), cfg.k)
     table = prediction_table(derand, dataset, EstimatorConfig(mode="exact"))
     floor_value = Fraction(1, 2) - Fraction(str(cfg.eps_gap)) - Fraction(1, 2 * cfg.k)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -34,13 +35,7 @@ from .adversarial import (
 )
 from .core import AffineScorer, ConstantScorer, Dataset, Point, threshold_counts
 from .dataio import load_dataset, save_dataset
-from .derandomize import (
-    GridBucketer,
-    IdentityBucketer,
-    LsDerandomizer,
-    PiDerandomizer,
-    RtDerandomizer,
-)
+from .derandomize import Derandomizer, GridBucketer, IdentityBucketer
 from .errors import ConfigError, DataError, DataFormatError, InvalidParameterError, NotEnumerableError
 from .hashing import BitSamplingFamily, MinHashFamily, SimHashFamily
 from .measure import (
@@ -105,16 +100,12 @@ STRING_KEYS = ("input", "out")
 def _resolve(config: dict, args) -> tuple[dict, EstimatorConfig]:
     """The config with the flags applied and its keys checked, and its
     estimator, which every command checks whether or not it reads it."""
-    merged = dict(config)
-    for key in ("seed", "out", "mode", "trials", "pairs_cap"):
+    defaults = {f.name: f.default for f in dataclasses.fields(EstimatorConfig)} | {"out": "reports"}
+    merged = {**defaults, **config}
+    for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    merged.setdefault("seed", 0)
-    merged.setdefault("out", "reports")
-    merged.setdefault("mode", "exact")
-    merged.setdefault("trials", 100_000)
-    merged.setdefault("pairs_cap", 200_000)
     for path in INTEGER_KEYS + NUMBER_KEYS + STRING_KEYS:
         section, _, key = path.rpartition(".")
         spec = merged.get(section, {}) if section else merged
@@ -187,7 +178,7 @@ def _build_derandomizer(config: dict, dataset: Dataset, scorer):
     scheme = config.get("scheme")
     k = int(config.get("k", 0))
     if scheme == "rt":
-        return RtDerandomizer(scorer, k)
+        return Derandomizer.rt(scorer, k)
     if scheme == "pi":
         spec = config.get("bucketer", {"kind": "grid", "resolution": 1.0})
         if spec.get("kind", "grid") == "grid":
@@ -196,7 +187,7 @@ def _build_derandomizer(config: dict, dataset: Dataset, scorer):
             bucketer = IdentityBucketer()
         else:
             raise ConfigError(f"unknown bucketer kind {spec['kind']!r}")
-        return PiDerandomizer.build(scorer, dataset, bucketer, k)
+        return Derandomizer.pi(scorer, dataset, bucketer, k)
     if scheme == "ls":
         spec = config.get("lsh", {"kind": "bit_sampling"})
         kind = spec.get("kind", "bit_sampling")
@@ -209,7 +200,7 @@ def _build_derandomizer(config: dict, dataset: Dataset, scorer):
             family = SimHashFamily(int(spec.get("dim", dim)))
         else:
             raise ConfigError(f"unknown lsh kind {kind!r}")
-        return LsDerandomizer(scorer, family, k)
+        return Derandomizer(scorer, family, k)
     raise ConfigError(f"scheme must be one of pi|rt|ls, got {scheme!r}")
 
 
@@ -266,7 +257,7 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
     quantities = {"aggregate_bias": quantity(bias.value, bias.stderr, budget, "family bias budget 1/k")}
 
     variance = aggregate_variance(table)
-    if isinstance(derand, RtDerandomizer):
+    if derand.bucketing.n_buckets == 1:  # the shared-threshold family, whichever scheme built it
         den = table.den
         mean_fvar = Fraction(sum(p * (den - p) for p in table.numerators.tolist()), den * den * len(dataset))
         bound = float(rt_variance_bound(mean_fvar)) + float(budget)
@@ -279,7 +270,7 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
     fairness = metric_fairness_check(table, metric, alpha, beta)
     quantities["metric_fairness"] = fairness
 
-    if isinstance(derand, LsDerandomizer):
+    if derand.bucketing.locality_sensitive:
         tau = Fraction(str(config.get("tau", 0.05)))  # exact too: a pair at distance 3/10 is within 0.3
         delta = float(config.get("delta", 0.25))
         quantities["worst_case_aggregate_bound"] = quantity(

@@ -205,7 +205,7 @@ class AffineScorer(StochasticScorer):
             raise DimensionMismatchError(
                 f"scorer expects {len(self.weights)} features, got {len(point.features)}"
             )
-        raw = sum(w * v for w, v in zip(self.weights, point.features)) + self.bias
+        raw = math.fsum([*(w * v for w, v in zip(self.weights, point.features)), self.bias])  # one rounding
         return as_score(min(1.0, max(0.0, raw)))
 
 

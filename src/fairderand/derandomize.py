@@ -5,17 +5,25 @@ which realizes the closed comparison score >= u/k exactly, with
 
     u(x) = ((a * e(x) + c) mod k) + 1.
 
-Here e(x) is the embedded bucket of x under a member drawn from a
-bucketing family, and (a, c) is drawn from the affine pairwise-independent
-family over that family's buckets.  The paper's three schemes are this one
-construction with three bucketing families:
+Here e(x) is the integer bucket of x under a member drawn from a bucketing
+family, and (a, c) is drawn from the affine pairwise-independent family
+over that family's ``n_buckets`` buckets.  The paper's three schemes are
+this one construction with three bucketing families, so a scheme is only
+a way to build the one ``Derandomizer`` class:
 
-* random threshold (RT): every point in one bucket, so u = c + 1 is one
-  shared threshold on the grid {1/k, ..., k/k};
-* hashed threshold (Pi): a fixed bucketing of the input, over the buckets
-  realized on the working dataset;
-* locality-sensitive threshold (LS): a sampled locality-sensitive hash, so
-  close points usually share a threshold.
+* random threshold (RT), ``Derandomizer.rt``: every point in one bucket,
+  so u = c + 1 is one shared threshold on the grid {1/k, ..., k/k};
+* hashed threshold (Pi), ``Derandomizer.pi``: a fixed bucketing of the
+  input, over the buckets realized on the working dataset;
+* locality-sensitive threshold (LS), ``Derandomizer(scorer, lsh_family,
+  k)``: a sampled locality-sensitive hash, so close points usually share
+  a threshold.  The hash (and the fairness metric) reads a point's
+  dedicated fairness features where it has them, while the scorer reads
+  its inference features.
+
+The audit reads which of the paper's bounds apply off the bucketing
+family: one bucket (``n_buckets == 1``) is the shared-threshold family of
+RT, whatever built it, and a ``locality_sensitive`` family carries LS's.
 
 Classifiers are drawn only by ``Derandomizer.draw``, as arrays through a
 CountingRng: the keys of every bucketing member (one array draw of the
@@ -29,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable
 
 import numpy as np
 
@@ -79,20 +86,26 @@ class SharedBucketer(Bucketer):
         return [0] * len(data)
 
 
-def realized_buckets(bucketer: Bucketer, dataset: Dataset) -> tuple[Hashable, ...]:
-    """Bucket keys realized on the dataset, in first-seen order."""
-    return tuple(dict.fromkeys(bucketer.buckets(dataset)))
-
-
 class Derandomizer:
     """The uniform family of threshold classifiers over a bucketing family:
-    every bucketing member paired with every affine hash over its buckets."""
+    every bucketing member paired with every affine hash over its buckets.
+    ``Derandomizer(scorer, lsh_family, k)`` is the LS scheme."""
 
     def __init__(self, scorer: StochasticScorer, bucketing: BucketingFamily, k: int):
         self.scorer = scorer
         self.bucketing = bucketing
-        self.pi_family = PiFamily(k, bucketing.bucket_values)
+        self.pi_family = PiFamily(k, bucketing.n_buckets)
         self.k = k
+
+    @classmethod
+    def rt(cls, scorer: StochasticScorer, k: int) -> "Derandomizer":
+        """The k shared thresholds u/k: O(log k) bits, at an additive 1/k in the guarantees."""
+        return cls(scorer, FixedFamily(SharedBucketer(), (0,)), k)
+
+    @classmethod
+    def pi(cls, scorer: StochasticScorer, dataset: Dataset, bucketer: Bucketer, k: int) -> "Derandomizer":
+        """The hashed threshold over the buckets that the bucketer realizes on the dataset."""
+        return cls(scorer, FixedFamily(bucketer, bucketer.buckets(dataset)), k)
 
     def draw(self, rng: CountingRng, trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, BitBudget]:
         """(keys, a, c) of ``trials`` uniform classifiers, and the bits they
@@ -109,41 +122,3 @@ class Derandomizer:
         """Number of members; raises NotEnumerableError where the bucketing
         family has no finite list."""
         return len(self.bucketing.all_keys()) * self.pi_family.size
-
-
-class RtDerandomizer(Derandomizer):
-    """Shared random threshold on the fixed-precision grid {1/k, ..., k/k}.
-
-    The grid makes the family finite (k members) and sampleable with
-    O(log k) bits, at the cost of an additive 1/k in the guarantees.
-    """
-
-    def __init__(self, scorer: StochasticScorer, k: int):
-        super().__init__(scorer, FixedFamily(SharedBucketer(), (0,)), k)
-
-
-class PiDerandomizer(Derandomizer):
-    """Per-point pseudo-random threshold via a pairwise-independent hash of
-    a fixed bucketing."""
-
-    @classmethod
-    def build(
-        cls,
-        scorer: StochasticScorer,
-        dataset: Dataset,
-        bucketer: Bucketer,
-        k: int,
-    ) -> "PiDerandomizer":
-        """Fix the bucket set to those realized on the working dataset."""
-        return cls(scorer, FixedFamily(bucketer, realized_buckets(bucketer, dataset)), k)
-
-
-class LsDerandomizer(Derandomizer):
-    """Locality-sensitive bucketing composed with a pairwise-independent
-    threshold hash: ``LsDerandomizer(scorer, lsh_family, k)``.
-
-    When points carry dedicated fairness features, the locality-sensitive
-    hash (and the fairness metric) reads those, while the scorer keeps
-    reading inference features; the fairness guarantees are then stated
-    against the fairness-feature metric.
-    """

@@ -45,7 +45,7 @@ class ZeroVectorError(DataError, ValueError):
 
 
 class UnknownBucketError(DataError, KeyError):
-    """A hash was evaluated on a bucket outside its embedded domain."""
+    """A fixed bucketing met a bucket outside those it was built on."""
 
     __str__ = Exception.__str__
 

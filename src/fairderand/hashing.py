@@ -4,11 +4,11 @@ Every classifier in this package thresholds a point x at
 
     u(x) = ((a * e(x) + c) mod k) + 1,
 
-where e(x) is the embedded bucket of x under a bucketing, and (a, c) is a
-member of the affine family over that bucketing's bucket set.  Two kinds
+where e(x) is the integer bucket of x under a bucketing, and (a, c) is a
+member of the affine family over that bucketing's buckets.  Two kinds
 of family live here:
 
-* the affine pairwise-independent family over Z_k: for any two embedded
+* the affine pairwise-independent family over Z_k: for any two distinct
   buckets, the joint distribution of their hash values is exactly uniform
   over [k]^2 (each cell hit by exactly one (a, c) coefficient pair;
   Carter & Wegman 1979), so the threshold construction needs to know
@@ -27,14 +27,18 @@ rows, unit normals), by one array ``draw`` of ``trials`` members through a
 CountingRng, or all of them by ``all_keys()``, which raises
 ``NotEnumerableError`` for a family with no finite list (hyperplanes, or
 more than ``MINHASH_ENUM_MAX`` elements to permute); ``params(key)`` is
-the report entry of the member a key stands for.  It evaluates members
-over points one way only: its ``embedder(keys, embed)`` maps a block of a
-dataset and its ``vectors`` (read and checked once, as arrays; the first
-point that the family cannot bucket raises) to the (points, members)
-matrix of embed(bucket of the point under the member), or one column for
-a fixed bucketing.  The affine family draws (a, c) the same way, every a
-and then every c, and ``residues`` is its one array spelling of the hash
-values; exact audits average (a, c) in closed form instead.
+the report entry of the member a key stands for.  Its buckets are the
+integers 0..``n_buckets``-1, which the affine family takes as they are.
+It evaluates members over points one way only: its ``embedder(keys)``
+maps a block of a dataset and its ``vectors`` (read and checked once, as
+arrays; the first point that the family cannot bucket raises) to the
+(points, members) matrix of each point's bucket under each member, or one
+column for a fixed bucketing, which numbers the buckets it was built on
+in first-seen order.  A fixed ``locality_sensitive`` class attribute marks
+the three LSH families, whose schemes carry the paper's LS bounds.  The
+affine family draws (a, c) the same way, every a and then every c, and
+``residues`` is its one array spelling of the hash values; exact audits
+average (a, c) in closed form instead.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -80,46 +84,33 @@ class BitBudget:
 
 
 class PiFamily:
-    """Affine pairwise-independent hash family from a finite bucket set into [k].
+    """Affine pairwise-independent hash family from the buckets 0..n-1 into [k].
 
-    Exact pairwise independence on the embedded domain requires every
-    pairwise difference of embedded values to be a unit mod k.  Buckets are
-    embedded as consecutive integers 0..|B|-1, so the condition is
-    gcd(j, k) = 1 for j = 1..|B|-1; any prime k >= |B| qualifies, and so
-    does any k when there are at most two buckets.
+    Exact pairwise independence over the buckets requires every pairwise
+    difference of them to be a unit mod k, so the condition is
+    gcd(j, k) = 1 for j = 1..n-1; any prime k >= n qualifies, and so does
+    any k when there are at most two buckets.
 
     Over a single bucket a * 0 = 0, so a is fixed at 0 and not drawn: the
     family is the k shared thresholds u = c + 1, drawn with ceil(log2 k)
     bits.
     """
 
-    def __init__(self, k: int, buckets: Sequence[Hashable]):
+    def __init__(self, k: int, n_buckets: int):
         if k < 1:
             raise InvalidParameterError("k must be positive")
-        buckets = tuple(buckets)
-        if not buckets:
+        if n_buckets < 1:
             raise InvalidParameterError("bucket set must be non-empty")
-        if len(set(buckets)) != len(buckets):
-            raise InvalidParameterError("buckets must be distinct")
-        if k < len(buckets):
-            raise InvalidParameterError(f"k={k} smaller than bucket count {len(buckets)}")
-        for j in range(1, len(buckets)):
+        if k < n_buckets:
+            raise InvalidParameterError(f"k={k} smaller than bucket count {n_buckets}")
+        for j in range(1, n_buckets):
             if math.gcd(j, k) != 1:
                 raise InvalidParameterError(
-                    f"embedded difference {j} is not a unit mod {k}; "
-                    f"pairwise independence would fail (use a prime k >= {len(buckets)})"
+                    f"bucket difference {j} is not a unit mod {k}; "
+                    f"pairwise independence would fail (use a prime k >= {n_buckets})"
                 )
         self.k = k
-        self.buckets = buckets
-        self.embed = {b: i for i, b in enumerate(buckets)}
-        self.a_range = k if len(buckets) > 1 else 1
-
-    def embed_value(self, bucket: Hashable) -> int:
-        try:
-            return self.embed[bucket]
-        except KeyError:
-            why = "the family embeds only the buckets it was built on (for Pi, those of the input dataset's points)"
-            raise UnknownBucketError(f"no hash value for bucket {bucket!r}: {why}") from None
+        self.a_range = k if n_buckets > 1 else 1
 
     def draw(self, rng: CountingRng, trials: int) -> tuple[np.ndarray, np.ndarray]:
         """(a, c) of ``trials`` uniform members: every a, then every c, by
@@ -130,7 +121,7 @@ class PiFamily:
 
     def residues(self, a: np.ndarray, c: np.ndarray, e: np.ndarray) -> np.ndarray:
         """(a * e + c) mod k, the hash values minus one, broadcast over the
-        coefficient and embedded-bucket arrays (e < k)."""
+        coefficient and bucket arrays (e < k)."""
         return (a * e.astype(a.dtype) + c) % self.k
 
     @property
@@ -138,7 +129,7 @@ class PiFamily:
         return self.a_range * self.k
 
     def params(self, a: int, c: int) -> dict:
-        """The member b -> ((a * embed(b) + c) mod k) + 1 as an entry of a
+        """The member e -> ((a * e + c) mod k) + 1 as an entry of a
         derandomize report; over one bucket it is the shared threshold u."""
         if self.a_range == 1:
             return {"u": int(c) + 1, "k": self.k}
@@ -146,10 +137,11 @@ class PiFamily:
 
 
 class BucketingFamily:
-    """A uniform family of bucketings into the finite set ``bucket_values``,
-    with the block embedding of the module docstring."""
+    """A uniform family of bucketings into the integers 0..``n_buckets``-1,
+    with the block embedder of the module docstring."""
 
-    bucket_values: tuple[Hashable, ...]
+    n_buckets: int
+    locality_sensitive = False
 
     def all_keys(self) -> np.ndarray:
         """The key of every member, one row each; raises NotEnumerableError
@@ -169,35 +161,47 @@ class BucketingFamily:
         row of ``all_keys`` or ``draw``) stands for."""
         return {}
 
-    def embedder(self, keys: np.ndarray, embed: Callable[[Hashable], int]) -> Callable:
+    def embedder(self, keys: np.ndarray) -> Callable:
         raise NotImplementedError
 
 
 class FixedFamily(BucketingFamily):
     """A deterministic bucketing as a one-member family: it draws no bits,
     not even in ``draw``, and embeds one column that all members share.
-    The bucketer lists each point's bucket by ``buckets(data)``."""
+    The bucketer lists each point's bucket by ``buckets(data)``; the family
+    numbers the distinct ``buckets`` it is built on in first-seen order, and
+    has no number for any other."""
 
-    def __init__(self, bucketer, bucket_values: Sequence[Hashable]):
+    def __init__(self, bucketer, buckets: Iterable[Hashable]):
         self.bucketer = bucketer
-        self.bucket_values = tuple(bucket_values)
+        self.index = {b: i for i, b in enumerate(dict.fromkeys(buckets))}
+        self.n_buckets = len(self.index)
 
     def all_keys(self):
         return np.zeros(1, dtype=np.int64)
 
-    def embedder(self, keys, embed):
-        return lambda data, x: np.array([embed(b) for b in self.bucketer.buckets(data)], dtype=np.int64).reshape(-1, 1)
+    def embedder(self, keys):
+        def embeds(data, x):
+            try:
+                return np.array([self.index[b] for b in self.bucketer.buckets(data)], dtype=np.int64).reshape(-1, 1)
+            except KeyError as exc:
+                why = "the family embeds only the buckets it was built on (for Pi, those of the input dataset's points)"
+                raise UnknownBucketError(f"no hash value for bucket {exc.args[0]!r}: {why}") from None
+
+        return embeds
 
 
 class BitSamplingFamily(BucketingFamily):
     """Sample one coordinate of a {0,1}^n vector; paired with normalized
     Hamming distance.  Keys are coordinate indices."""
 
+    n_buckets = 2
+    locality_sensitive = True
+
     def __init__(self, n: int):
         if n < 1:
             raise InvalidParameterError("dimension must be positive")
         self.n = n
-        self.bucket_values = (0, 1)
 
     def all_keys(self):
         return np.arange(self.n)
@@ -217,9 +221,8 @@ class BitSamplingFamily(BucketingFamily):
     def params(self, key):
         return {"lsh_member": {"kind": "coordinate", "index": int(key)}}
 
-    def embedder(self, keys, embed):
-        below, above = embed(0), embed(1)
-        return lambda data, x: np.where(x[:, keys], above, below)
+    def embedder(self, keys):
+        return lambda data, x: x[:, keys].view(np.uint8)
 
 
 class MinHashFamily(BucketingFamily):
@@ -228,11 +231,12 @@ class MinHashFamily(BucketingFamily):
     keys are rank rows (rank[element]): a member hashes a set to its
     minimum-rank element."""
 
+    locality_sensitive = True
+
     def __init__(self, universe_size: int):
         if universe_size < 1:
             raise InvalidParameterError("universe must be non-empty")
-        self.universe_size = universe_size
-        self.bucket_values = tuple(range(universe_size))
+        self.universe_size = self.n_buckets = universe_size
 
     def all_keys(self):
         """The rank rows of every permutation, in lexicographic order."""
@@ -274,13 +278,13 @@ class MinHashFamily(BucketingFamily):
     def params(self, key):
         return {"lsh_member": {"kind": "permutation", "ranks": key.tolist()}}
 
-    def embedder(self, keys, embed):
-        """A running minimum over each set of rank * 2**b + embed(element),
-        in the smallest dtype."""
-        values = np.array([embed(e) for e in range(self.universe_size)])
-        b = int(values.max()).bit_length()
-        dtype = np.min_scalar_type((self.universe_size - 1) << b | int(values.max()))
-        codes = (keys.T << b | values[:, None]).astype(dtype)  # one row per element
+    def embedder(self, keys):
+        """A running minimum over each set of rank * 2**b + element, in the
+        smallest dtype."""
+        top = self.universe_size - 1
+        b = top.bit_length()
+        dtype = np.min_scalar_type(top << b | top)
+        codes = (keys.T << b | np.arange(self.universe_size)[:, None]).astype(dtype)  # one row per element
 
         def embeds(data, member):
             best = np.full((len(member), len(keys)), np.iinfo(dtype).max, dtype=dtype)
@@ -297,11 +301,13 @@ class SimHashFamily(BucketingFamily):
     The family is continuous, so enumeration is unsupported.  Keys are
     unit normals."""
 
+    n_buckets = 2
+    locality_sensitive = True
+
     def __init__(self, dim: int):
         if dim < 1:
             raise InvalidParameterError("dimension must be positive")
         self.dim = dim
-        self.bucket_values = (0, 1)
 
     def all_keys(self):
         raise NotEnumerableError("hyperplane families are continuous")
@@ -319,8 +325,7 @@ class SimHashFamily(BucketingFamily):
     def params(self, key):
         return {"lsh_member": {"kind": "hyperplane", "normal": key.tolist()}}
 
-    def embedder(self, keys, embed):
-        below, above = embed(0), embed(1)
+    def embedder(self, keys):
         # one matrix-vector product per point: a block product may round differently and flip a sign
-        return lambda data, x: np.where(np.reshape([keys @ v for v in x], (len(x), len(keys))) >= 0.0, above, below)
+        return lambda data, x: (np.reshape([keys @ v for v in x], (len(x), len(keys))) >= 0.0).view(np.uint8)
 

@@ -12,7 +12,7 @@ Every audited quantity reduces one ``PredictionTable``, filled a block of
 about ``PAIR_CHUNK_BYTES`` at a time through the bucketing's one embedder
 from its ``vectors``, read once.  An exact table lists only the B
 bucketing members (``all_keys``), not the family: it holds each point's
-t = floor(score * k) and embedded bucket e under each member, and averages
+t = floor(score * k) and integer bucket e under each member, and averages
 the affine layer (a, c) in closed form.  On one bucket u - 1 is uniform on
 [k] under every a; on two distinct buckets the two hash values hit each
 cell of [k]^2 once (Carter & Wegman 1979).  So a point's members predict 1
@@ -56,7 +56,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .core import Dataset, Point, StochasticScorer, threshold_count, threshold_counts
-from .derandomize import Derandomizer, LsDerandomizer, RtDerandomizer
+from .derandomize import Derandomizer
 from .errors import EmptyPairSetError, FamilyTooLargeError, InvalidParameterError
 from .hashing import BitBudget
 from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, PairSet, over_pairs, popcounts, rank_keys
@@ -187,7 +187,7 @@ class _ClassifierBatch:
     def __init__(self, derand: Derandomizer, trials: int, rng: CountingRng):
         self.pi_family, self.size = derand.pi_family, trials
         self.keys, *self.coefficients, self.budget = derand.draw(rng, trials)
-        self.embeds = derand.bucketing.embedder(self.keys, self.pi_family.embed_value)
+        self.embeds = derand.bucketing.embedder(self.keys)
 
     def bits(self, data: Dataset, t: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
         """The (points, classifiers) bool matrix of u = residue + 1 <= t over
@@ -318,7 +318,7 @@ def prediction_table(
         size, per_point = len(keys) * derand.pi_family.size, len(keys)
         if size >= 2**63:
             raise FamilyTooLargeError(f"{size} members: the closed form counts split members in int64, below 2**63")
-        embeds = derand.bucketing.embedder(keys, derand.pi_family.embed_value)
+        embeds = derand.bucketing.embedder(keys)
     else:
         batch = _ClassifierBatch(derand, cfg.trials, CountingRng(cfg.seed))
         size = per_point = batch.size
@@ -392,7 +392,7 @@ def aggregate_bias(table: PredictionTable) -> Estimate:
         return Estimate((Fraction(int(table.t.sum()), table.derand.k) - Fraction(sum(numerators), table.den)) / n)
     _check_trials(table.size)
     mu = table.sums / n
-    mean_score = sum(v / table.den for v in numerators) / n  # each score's float, as int / int rounds
+    mean_score = math.fsum(v / table.den for v in numerators) / n  # each score's float, as int / int rounds
     return Estimate(float(mu.mean()) - mean_score, float(mu.std(ddof=1)) / math.sqrt(table.size))
 
 
@@ -517,8 +517,9 @@ def threshold_fairness_check(
     table: PredictionTable, metric: Metric, sigma: float, tau: float
 ) -> dict:
     """Over pairs within distance sigma, check the family's expected
-    prediction gap against tau; for the locality-sensitive scheme with
-    k >= 4/sigma, also against the preserved guarantee sigma + tau.
+    prediction gap against tau; for a locality-sensitive family with
+    k >= 4/sigma, also against the preserved guarantee sigma + tau, and for
+    a one-bucket family (the shared threshold) against the 1/k grid one.
     With no pair within sigma there is nothing to check, and it raises."""
     if not (0 < sigma < 1 and 0 < tau < 1):
         raise InvalidParameterError("sigma and tau must lie in (0, 1)")
@@ -534,10 +535,10 @@ def threshold_fairness_check(
     report = {"pairs_within_sigma": quantity(int(i.size)), "scorer_max_gap": quantity(scorer_worst)}
     bounds = [("max_gap", tau, "threshold fairness target")]
     derand = table.derand
-    if isinstance(derand, LsDerandomizer) and derand.k >= 4 / sigma:
+    if derand.bucketing.locality_sensitive and derand.k >= 4 / sigma:
         bounds.append(("max_gap_vs_preserved_guarantee", ls_threshold_fairness_bound(sigma, tau),
                        "threshold fairness preservation (k >= 4/sigma)"))
-    if isinstance(derand, RtDerandomizer):
+    if derand.bucketing.n_buckets == 1:
         bounds.append(("max_gap_vs_grid_guarantee", rt_threshold_fairness_bound(tau, derand.k),
                        "threshold fairness preservation (1/k grid)"))
     for name, bound, source in bounds:

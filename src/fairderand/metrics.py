@@ -188,13 +188,13 @@ class Angular(Metric):
 
     def distance(self, x: Point, y: Point) -> float:
         u, v = _vectors(x, y)
-        nu = math.sqrt(sum(a * a for a in u))
-        nv = math.sqrt(sum(b * b for b in v))
+        nu = math.sqrt(math.fsum(a * a for a in u))
+        nv = math.sqrt(math.fsum(b * b for b in v))
         if nu == 0.0 or nv == 0.0:
             raise ZeroVectorError("angular distance undefined on the zero vector")
         if u == v:
             return 0.0  # keep the identity axiom exact despite acos noise
-        cos = sum(a * b for a, b in zip(u, v)) / (nu * nv)
+        cos = math.fsum(a * b for a, b in zip(u, v)) / (nu * nv)
         return math.acos(min(1.0, max(-1.0, cos))) / math.pi
 
 
@@ -240,5 +240,5 @@ class ScaledEuclidean(Metric):
 
     def distance(self, x: Point, y: Point) -> float:
         u, v = _vectors(x, y)
-        norm = math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v)))
+        norm = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(u, v)))
         return min(norm / self.scale, 1.0)

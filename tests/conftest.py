@@ -4,14 +4,15 @@ The oracles evaluate every classifier of a family one point at a time,
 through this module's own ``ReferenceClassifier``, written from the
 formula 1 iff ((a * e + c) mod k) + 1 <= floor(score * k), and its
 bucketing members (``reference_member``), written from each family's
-definition; the library evaluates classifiers only as arrays, and its
-exact closed form, which enumerates only the bucketing members and
-averages the affine layer, must agree with them exactly.  The references
-redo the library's array draws one scalar draw at a time (``draw_bits``,
-``uniform_int``, ``normal_pair``), its one-pass ``scorer_beta`` pair by
-pair, and its columnar CSV loader row by row through ``Point``;
-``reference_excesses`` keeps the per-class list form of the verdicts'
-reduction over pair classes.
+definition, each giving a point's integer bucket e; a fixed bucketing's
+member numbers buckets by its own first-seen map.  The library evaluates
+classifiers only as arrays, and its exact closed form, which enumerates
+only the bucketing members and averages the affine layer, must agree with
+them exactly.  The references redo the library's array draws one scalar
+draw at a time (``draw_bits``, ``uniform_int``, ``normal_pair``), its
+one-pass ``scorer_beta`` pair by pair, and its columnar CSV loader row by
+row through ``Point``; ``reference_excesses`` keeps the per-class list
+form of the verdicts' reduction over pair classes.
 """
 
 import bisect
@@ -19,6 +20,7 @@ import csv
 import itertools
 import math
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +43,7 @@ from fairderand.errors import (
     GridTooCoarseError,
     InvalidParameterError,
     NotBinaryError,
+    UnknownBucketError,
 )
 from fairderand.hashing import FixedFamily
 from fairderand.measure import prediction_table, sample_pairs
@@ -83,14 +86,29 @@ def random_scorer(rng: random.Random, dataset: Dataset, denominator: int = 997) 
 BRUTE_FORCE_MAX = 10**6  # classifiers the point-by-point oracles will evaluate
 
 
+_NUMBERINGS = weakref.WeakKeyDictionary()  # fixed family -> {bucket: number}
+
+
 @dataclass(frozen=True)
 class Shared:
-    """The one member of a fixed bucketing: the bucketer's bucket of the point alone."""
+    """The one member of a fixed bucketing: the bucketer's bucket of the
+    point alone, numbered in the order this module first meets the buckets
+    of the family, which raises on any bucket it was not built on.  Every
+    one-to-one numbering of the buckets gives the same family averages (the
+    affine layer is pairwise independent over any of them); meeting them in
+    the order of the dataset the family was built on gives the library's."""
 
-    bucketer: object
+    family: object
 
     def bucket(self, point):
-        return self.bucketer.buckets(Dataset([point]))[0]
+        bucket = self.family.bucketer.buckets(Dataset([point]))[0]
+        numbering = _NUMBERINGS.setdefault(self.family, {})
+        if bucket not in numbering:
+            if bucket not in self.family.index:
+                why = "the family embeds only the buckets it was built on (for Pi, those of the input dataset's points)"
+                raise UnknownBucketError(f"no hash value for bucket {bucket!r}: {why}")
+            numbering[bucket] = len(numbering)
+        return numbering[bucket]
 
 
 @dataclass(frozen=True)
@@ -142,7 +160,7 @@ class Hyperplane:
 def reference_member(family, key):
     """The bucketing member that a key of the family stands for."""
     if isinstance(family, FixedFamily):
-        return Shared(family.bucketer)
+        return Shared(family)
     if isinstance(family, BitSamplingFamily):
         return Coordinate(int(key))
     values = tuple(np.asarray(key).tolist())
@@ -152,9 +170,8 @@ def reference_member(family, key):
 @dataclass(frozen=True)
 class ReferenceClassifier:
     """One classifier of a derandomized family, one point at a time: 1 iff
-    u = ((a * e + c) mod k) + 1 <= floor(score * k), with e the position of
-    the point's bucket under the member among the family's buckets
-    (``embed_value``, which raises for a bucket outside them)."""
+    u = ((a * e + c) mod k) + 1 <= floor(score * k), with e the point's
+    integer bucket under the member."""
 
     derand: object
     member: object
@@ -162,8 +179,8 @@ class ReferenceClassifier:
     c: int
 
     def predict(self, point) -> int:
-        pi, k = self.derand.pi_family, self.derand.k
-        u = (self.a * pi.embed_value(self.member.bucket(point)) + self.c) % k + 1
+        k = self.derand.k
+        u = (self.a * self.member.bucket(point) + self.c) % k + 1
         return 1 if u <= math.floor(self.derand.scorer.score(point) * k) else 0
 
 
@@ -231,7 +248,7 @@ def scalar_member(family, rng):
     hashing, Box-Muller pairs scaled to unit length for hyperplanes, a
     uniform coordinate for bit sampling, and nothing for a fixed bucketing."""
     if isinstance(family, FixedFamily):
-        return Shared(family.bucketer)
+        return Shared(family)
     if isinstance(family, BitSamplingFamily):
         return Coordinate(uniform_int(rng, family.n))
     if isinstance(family, MinHashFamily):

@@ -8,12 +8,11 @@ from fairderand import (
     AffineScorer,
     ConstantScorer,
     Dataset,
+    Derandomizer,
     EstimatorConfig,
     GridBucketer,
     IdentityBucketer,
-    PiDerandomizer,
     Point,
-    RtDerandomizer,
 )
 from fairderand.adversarial import (
     SphereConstruction,
@@ -97,7 +96,7 @@ class TestSphereCounterexample:
     def test_every_pair_unfair_under_hashed_thresholds(self):
         cfg = small_construction()
         dataset, scorer, metric = sphere_counterexample(cfg)
-        derand = PiDerandomizer.build(scorer, dataset, IdentityBucketer(), cfg.k)
+        derand = Derandomizer.pi(scorer, dataset, IdentityBucketer(), cfg.k)
         floor_value = (
             Fraction(1, 2) - Fraction(str(cfg.eps_gap)) - Fraction(1, 2 * cfg.k)
         )
@@ -130,7 +129,7 @@ def unit_interval_grid(steps=1001):
 class TestViolationSearch:
     def test_constant_family_returns_none(self):
         # score 1/2 at k = 2: the member u = 1 predicts 1 everywhere, u = 2 predicts 0
-        derand = RtDerandomizer(ConstantScorer(0.5), 2)
+        derand = Derandomizer.rt(ConstantScorer(0.5), 2)
         found = finite_family_violation_search(
             derand, ScaledEuclidean(1.0), unit_interval_grid(), alpha=1.0, beta=0.1
         )
@@ -138,7 +137,7 @@ class TestViolationSearch:
 
     def test_single_step_classifier(self):
         # the classifier 1{x >= 0.5} on [0, 1]: the one member at k = 1 on the score min(2x, 1)
-        derand = RtDerandomizer(AffineScorer((2.0,)), 1)
+        derand = Derandomizer.rt(AffineScorer((2.0,)), 1)
         family = enumerate_members(derand)
         assert len(family) == 1 and family[0].c + 1 == 1  # u = c + 1
         grid = unit_interval_grid(1001)
@@ -153,7 +152,7 @@ class TestViolationSearch:
         assert gap > 1.0 * ScaledEuclidean(1.0).distance(x, y) + 0.1
 
     def test_ten_threshold_family(self):
-        derand = RtDerandomizer(AffineScorer((1.0,)), 10)
+        derand = Derandomizer.rt(AffineScorer((1.0,)), 10)
         found = finite_family_violation_search(
             derand, ScaledEuclidean(1.0), unit_interval_grid(2001), alpha=1.0, beta=0.05
         )
@@ -163,14 +162,14 @@ class TestViolationSearch:
         assert gap > 1.0 * ScaledEuclidean(1.0).distance(x, y) + 0.05
 
     def test_beta_must_be_below_one_over_family_size(self):
-        derand = RtDerandomizer(AffineScorer((1.0,)), 10)
+        derand = Derandomizer.rt(AffineScorer((1.0,)), 10)
         with pytest.raises(InvalidParameterError):
             finite_family_violation_search(
                 derand, ScaledEuclidean(1.0), unit_interval_grid(), 1.0, 0.2
             )
 
     def test_grid_too_coarse(self):
-        derand = RtDerandomizer(AffineScorer((1.0,)), 10)
+        derand = Derandomizer.rt(AffineScorer((1.0,)), 10)
         coarse = unit_interval_grid(6)  # spacing 0.2 >= (1/10 - 0.05) / 1
         with pytest.raises(GridTooCoarseError):
             finite_family_violation_search(
@@ -179,7 +178,7 @@ class TestViolationSearch:
 
     def test_spacing_precondition_counts_beta(self):
         # spacing 0.1 passes alpha*d < 1/7 alone, but alpha*d + beta = 0.15 does not
-        derand = RtDerandomizer(AffineScorer((1.0,)), 7)
+        derand = Derandomizer.rt(AffineScorer((1.0,)), 7)
         grid = unit_interval_grid(11)
         assert finite_family_violation_search(derand, ScaledEuclidean(1.0), grid, 1.0, 0.0) == (grid[1], grid[2])
         with pytest.raises(GridTooCoarseError):
@@ -189,12 +188,12 @@ class TestViolationSearch:
         # the double nearest 1/3 lies below 1/3, so 3*d + 0 < 1/|family| = 1 holds
         # exactly; the float cap (1 - 0)/3 rounds to that same double, and the
         # float test d >= cap rejected this grid
-        derand = RtDerandomizer(AffineScorer((3.0,)), 1)
+        derand = Derandomizer.rt(AffineScorer((3.0,)), 1)
         grid = [Point("a", (0.0,)), Point("b", (1 / 3,))]
         assert finite_family_violation_search(derand, ScaledEuclidean(1.0), grid, 3.0, 0.0) == (grid[0], grid[1])
 
     def test_found_pair_verifiably_violates(self):
-        derand = RtDerandomizer(AffineScorer((1.0,)), 4)
+        derand = Derandomizer.rt(AffineScorer((1.0,)), 4)
         grid = unit_interval_grid(4001)
         found = finite_family_violation_search(
             derand, ScaledEuclidean(1.0), grid, 1.0, 0.1
@@ -233,13 +232,13 @@ class TestViolationSearchEqualsScan:
     def test_search_equals_scan(self, scheme, k, steps, slope, resolution, drop_top, metric, alpha, beta):
         scorer = AffineScorer((slope,), 0.1)
         if scheme == "rt":
-            derand = RtDerandomizer(scorer, k)
+            derand = Derandomizer.rt(scorer, k)
         else:
             top = int(1 / resolution)  # the bucket of the grid's last point, 1.0
             centers = [(b + 0.5) * resolution for b in range(top)] + ([] if drop_top else [1.0])
             dataset = Dataset([Point(f"d{b}", (x,)) for b, x in enumerate(centers)])
             assume(k >= len(centers))  # every k drawn is 1 or a prime: the affine family exists
-            derand = PiDerandomizer.build(scorer, dataset, GridBucketer(resolution), k)
+            derand = Derandomizer.pi(scorer, dataset, GridBucketer(resolution), k)
         grid = unit_interval_grid(steps)
         got = outcome(lambda: finite_family_violation_search(derand, metric, grid, alpha, beta))
         assert got == outcome(lambda: brute_violation_search(derand, metric, grid, alpha, beta))

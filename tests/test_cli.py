@@ -292,6 +292,17 @@ class TestAuditCommand:
         assert quantities["aggregate_variance"]["value"] == 0.25 * 0.75
         assert quantities["metric_fairness"]["worst_excess"]["value"] < 0
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_pi_over_one_bucket_reports_as_rt(self, scored_csv, config_factory, tmp_path, mode):
+        # one realized grid cell: the family is exactly RT's k shared thresholds, variance bound included
+        reports = []
+        for scheme in ({"scheme": "rt"}, {"scheme": "pi", "bucketer": {"kind": "grid", "resolution": 10.0}}):
+            config = config_factory(input=str(scored_csv), k=11, mode=mode, trials=500, beta=0.1, **scheme)
+            assert main(["audit", "--config", str(config)]) == 0
+            reports.append(json.loads((tmp_path / "reports" / "audit.json").read_text())["quantities"])
+        assert reports[0] == reports[1]
+        assert "bound" in reports[1]["aggregate_variance"]
+
     def test_exact_mode_on_simhash_exits_4(self, scored_csv, config_factory):
         config = config_factory(
             input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "simhash"},
@@ -700,6 +711,15 @@ class TestBoundsCommand:
 
 
 class TestConfigHandling:
+    def test_estimator_defaults_are_the_config_defaults(self, scored_csv, config_factory, tmp_path):
+        # a config naming no estimator key echoes EstimatorConfig's defaults
+        config = json.loads(config_factory(input=str(scored_csv)).read_text())
+        for key in ("seed", "mode"):
+            del config[key]
+        merged, cfg = cli._resolve(config, cli.build_parser().parse_args(["audit", "--config", "c.json"]))
+        assert cfg == measure.EstimatorConfig()
+        assert {key: merged[key] for key in ("seed", "mode", "trials", "pairs_cap")} == vars(cfg)
+
     def test_missing_config_exits_2(self):
         assert main(["audit", "--config", "/nonexistent/config.json"]) == 2
 

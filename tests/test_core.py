@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ from fairderand import (
     AffineScorer,
     ConstantScorer,
     Dataset,
-    LsDerandomizer,
+    Derandomizer,
     MinHashFamily,
     Point,
     TabularScorer,
@@ -82,6 +83,14 @@ class TestScorers:
         with pytest.raises(DimensionMismatchError):
             scorer.score(Point("x", (1.0,)))
 
+    def test_affine_dot_is_rounded_once(self):
+        # w . x = 1, which a left-to-right float sum loses against 1e16
+        assert AffineScorer([1e16, 1.0, -1e16]).score(Point("a", (1.0, 1.0, 1.0))) == 1
+        # 0.1 + 0.2 + 0.3 rounds to 0.6 in every order, bias included
+        for weights in itertools.permutations((0.1, 0.2, 0.3)):
+            assert AffineScorer(weights).score(Point("a", (1.0, 1.0, 1.0))) == Fraction(3, 5)
+            assert AffineScorer(weights[1:], weights[0]).score(Point("a", (1.0, 1.0))) == Fraction(3, 5)
+
 
 class TestPointsAndDatasets:
     def test_point_validation(self):
@@ -148,7 +157,7 @@ class TestColumns:
 
 class TestClassifiers:
     def test_prediction_idempotent(self):
-        derand = LsDerandomizer(TabularScorer({"a": 0.5}), MinHashFamily(3), 7)
+        derand = Derandomizer(TabularScorer({"a": 0.5}), MinHashFamily(3), 7)
         ds = Dataset([Point("a", (1.0, 0.0, 1.0))])
         first = sample_classifier(derand, ds, CountingRng(3))[2].tolist()
         assert first in ([0], [1])

@@ -8,17 +8,15 @@ from fairderand import (
     BitSamplingFamily,
     ConstantScorer,
     Dataset,
+    Derandomizer,
     GridBucketer,
     IdentityBucketer,
-    LsDerandomizer,
     MinHashFamily,
-    PiDerandomizer,
     Point,
-    RtDerandomizer,
     SimHashFamily,
     TabularScorer,
 )
-from fairderand.derandomize import realized_buckets
+from fairderand.hashing import FixedFamily
 from fairderand.errors import InvalidParameterError, NotEnumerableError
 from fairderand.measure import sample_classifier
 from fairderand.rng import CountingRng
@@ -54,7 +52,9 @@ class TestBucketers:
 
     def test_realized_buckets_first_seen_order(self):
         ds = Dataset([Point("a", (0.2,)), Point("b", (5.3,)), Point("c", (0.7,))])
-        assert realized_buckets(GridBucketer(1.0), ds) == ((0,), (5,))
+        family = FixedFamily(GridBucketer(1.0), GridBucketer(1.0).buckets(ds))
+        assert family.n_buckets == 2
+        assert family.embedder(family.all_keys())(ds, None).tolist() == [[0], [1], [0]]
 
     def test_resolution_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -67,9 +67,9 @@ class TestDegenerateScorers:
         ds = two_point_dataset()
         scorer = ConstantScorer(value)
         families = [
-            RtDerandomizer(scorer, 7),
-            PiDerandomizer.build(scorer, ds, IdentityBucketer(), 7),
-            LsDerandomizer(scorer, BitSamplingFamily(2), 7),
+            Derandomizer.rt(scorer, 7),
+            Derandomizer.pi(scorer, ds, IdentityBucketer(), 7),
+            Derandomizer(scorer, BitSamplingFamily(2), 7),
         ]
         rng = CountingRng(2)
         for derand in families:
@@ -80,23 +80,23 @@ class TestDegenerateScorers:
 
 class TestFamilySizes:
     def test_rt(self):
-        assert len(enumerate_members(RtDerandomizer(ConstantScorer(0), 10))) == 10
+        assert len(enumerate_members(Derandomizer.rt(ConstantScorer(0), 10))) == 10
 
     def test_pi(self):
         ds = two_point_dataset()
-        derand = PiDerandomizer.build(ConstantScorer(0), ds, IdentityBucketer(), 3)
+        derand = Derandomizer.pi(ConstantScorer(0), ds, IdentityBucketer(), 3)
         assert len(enumerate_members(derand)) == 9
 
     def test_ls(self):
-        derand = LsDerandomizer(ConstantScorer(0), BitSamplingFamily(2), 5)
+        derand = Derandomizer(ConstantScorer(0), BitSamplingFamily(2), 5)
         assert len(enumerate_members(derand)) == 50
 
     def test_ls_minhash(self):
-        derand = LsDerandomizer(ConstantScorer(0), MinHashFamily(3), 7)
+        derand = Derandomizer(ConstantScorer(0), MinHashFamily(3), 7)
         assert derand.family_size == 6 * 49
 
     def test_simhash_not_enumerable(self):
-        derand = LsDerandomizer(ConstantScorer(0), SimHashFamily(2), 5)
+        derand = Derandomizer(ConstantScorer(0), SimHashFamily(2), 5)
         with pytest.raises(NotEnumerableError):
             derand.family_size
         with pytest.raises(NotEnumerableError):
@@ -107,14 +107,14 @@ class TestRtScheme:
     def test_monotone_in_threshold(self):
         ds = two_point_dataset()
         scorer = TabularScorer({"x1": 0.35, "x2": 0.8})
-        members = enumerate_members(RtDerandomizer(scorer, 10))
+        members = enumerate_members(Derandomizer.rt(scorer, 10))
         for p in ds:
             bits = [m.predict(p) for m in members]  # ordered by u
             assert all(b1 >= b2 for b1, b2 in zip(bits, bits[1:]))
 
     def test_top_threshold_fires_only_on_score_one(self):
         scorer = TabularScorer({"x1": 1.0, "x2": 0.999})
-        members = enumerate_members(RtDerandomizer(scorer, 4))
+        members = enumerate_members(Derandomizer.rt(scorer, 4))
         top = members[-1]
         assert top.c + 1 == 4  # the shared threshold u = c + 1
         assert top.predict(Point("x1", (0.0,))) == 1
@@ -123,13 +123,13 @@ class TestRtScheme:
     def test_exact_mean_is_grid_floor(self):
         # scores on the grid reproduce exactly; off-grid floor down
         scorer = TabularScorer({"a": 0.3, "b": 0.25})
-        derand = RtDerandomizer(scorer, 10)
+        derand = Derandomizer.rt(scorer, 10)
         assert brute_mean(derand, Point("a", (0.0,))) == Fraction(3, 10)
         assert brute_mean(derand, Point("b", (0.0,))) == Fraction(2, 10)
 
     def test_k_validation(self):
         with pytest.raises(InvalidParameterError):
-            RtDerandomizer(ConstantScorer(0), 0)
+            Derandomizer.rt(ConstantScorer(0), 0)
 
 
 class TestSeedDeterminism:
@@ -137,10 +137,10 @@ class TestSeedDeterminism:
         ds = two_point_dataset()
         scorer = TabularScorer({"x1": 0.2, "x2": 0.6})
         for build in (
-            lambda: RtDerandomizer(scorer, 11),
-            lambda: PiDerandomizer.build(scorer, ds, IdentityBucketer(), 11),
-            lambda: LsDerandomizer(scorer, BitSamplingFamily(2), 11),
-            lambda: LsDerandomizer(scorer, SimHashFamily(2), 11),
+            lambda: Derandomizer.rt(scorer, 11),
+            lambda: Derandomizer.pi(scorer, ds, IdentityBucketer(), 11),
+            lambda: Derandomizer(scorer, BitSamplingFamily(2), 11),
+            lambda: Derandomizer(scorer, SimHashFamily(2), 11),
         ):
             first = sample_classifier(build(), ds, CountingRng(77))
             second = sample_classifier(build(), ds, CountingRng(77))
@@ -149,7 +149,7 @@ class TestSeedDeterminism:
 
 class TestBitBudgets:
     def test_ls_budget_totals(self):
-        derand = LsDerandomizer(ConstantScorer(0.5), BitSamplingFamily(4), 5)
+        derand = Derandomizer(ConstantScorer(0.5), BitSamplingFamily(4), 5)
         rng = CountingRng(3)
         *_, budget = derand.draw(rng, 1)
         assert budget.total == budget.pi_bits + budget.lsh_bits
@@ -158,7 +158,7 @@ class TestBitBudgets:
 
     def test_average_pi_bits_within_budget(self):
         ds = two_point_dataset()
-        derand = PiDerandomizer.build(ConstantScorer(0.5), ds, IdentityBucketer(), 5)
+        derand = Derandomizer.pi(ConstantScorer(0.5), ds, IdentityBucketer(), 5)
         rng = CountingRng(5)
         n = 10_000
         total = 0
@@ -167,7 +167,7 @@ class TestBitBudgets:
         assert total / n <= 4 * 3  # ceil(log2 5) = 3
 
     def test_rt_budget_is_logarithmic(self):
-        derand = RtDerandomizer(ConstantScorer(0.5), 1024)
+        derand = Derandomizer.rt(ConstantScorer(0.5), 1024)
         assert derand.draw(CountingRng(9), 1)[3].pi_bits == 10  # exactly log2(k) for a power of two
 
 
@@ -192,13 +192,13 @@ class TestSampleEqualsScalarReference:
     def derandomizer(cls, kind):
         scorer, points = ConstantScorer(Fraction(1, 2)), cls.points(kind)
         return {
-            "rt": lambda: RtDerandomizer(scorer, 101),
-            "pi_grid": lambda: PiDerandomizer.build(scorer, points, GridBucketer(0.5), 17),
-            "pi_identity": lambda: PiDerandomizer.build(scorer, points, IdentityBucketer(), 13),
-            "bit_sampling": lambda: LsDerandomizer(scorer, BitSamplingFamily(10), 11),
-            "minhash5": lambda: LsDerandomizer(scorer, MinHashFamily(5), 11),
-            "minhash16": lambda: LsDerandomizer(scorer, MinHashFamily(16), 17),
-            "simhash": lambda: LsDerandomizer(scorer, SimHashFamily(7), 11),
+            "rt": lambda: Derandomizer.rt(scorer, 101),
+            "pi_grid": lambda: Derandomizer.pi(scorer, points, GridBucketer(0.5), 17),
+            "pi_identity": lambda: Derandomizer.pi(scorer, points, IdentityBucketer(), 13),
+            "bit_sampling": lambda: Derandomizer(scorer, BitSamplingFamily(10), 11),
+            "minhash5": lambda: Derandomizer(scorer, MinHashFamily(5), 11),
+            "minhash16": lambda: Derandomizer(scorer, MinHashFamily(16), 17),
+            "simhash": lambda: Derandomizer(scorer, SimHashFamily(7), 11),
         }[kind]()
 
     @settings(max_examples=150, deadline=None)
@@ -232,9 +232,9 @@ class TestFamilyMeanConsistency:
         scorer = TabularScorer({"x1": score, "x2": score})
         point = ds[0]
         for derand in (
-            RtDerandomizer(scorer, k),
-            PiDerandomizer.build(scorer, ds, IdentityBucketer(), k),
-            LsDerandomizer(scorer, BitSamplingFamily(2), k),
+            Derandomizer.rt(scorer, k),
+            Derandomizer.pi(scorer, ds, IdentityBucketer(), k),
+            Derandomizer(scorer, BitSamplingFamily(2), k),
         ):
             mean = brute_mean(derand, point)
             assert abs(mean - score) <= Fraction(1, k)
@@ -250,20 +250,20 @@ class TestFairnessProjection:
         ]
         ds = Dataset(points)
         scorer = TabularScorer({"a": 0.4, "b": 0.6})
-        derand = LsDerandomizer(scorer, BitSamplingFamily(2), 5)
+        derand = Derandomizer(scorer, BitSamplingFamily(2), 5)
         x = derand.bucketing.vectors(ds)
-        assert derand.bucketing.embedder(derand.bucketing.all_keys(), int)(ds, x).tolist() == [[0, 0], [1, 1]]
+        assert derand.bucketing.embedder(derand.bucketing.all_keys())(ds, x).tolist() == [[0, 0], [1, 1]]
 
 
 class TestValidation:
     def test_pi_k_must_cover_realized_buckets(self):
         ds = Dataset([Point(str(i), (float(i),)) for i in range(5)])
         with pytest.raises(InvalidParameterError):
-            PiDerandomizer.build(ConstantScorer(0), ds, IdentityBucketer(), 3)
+            Derandomizer.pi(ConstantScorer(0), ds, IdentityBucketer(), 3)
 
     def test_random_configs_agree_with_oracle(self, py_rng):
         ds = random_binary_dataset(py_rng, 4, 3)
         scorer = random_scorer(py_rng, ds)
-        derand = LsDerandomizer(scorer, BitSamplingFamily(3), 7)
+        derand = Derandomizer(scorer, BitSamplingFamily(3), 7)
         for p in ds:
             assert brute_mean(derand, p) is not None  # smoke: oracle runs

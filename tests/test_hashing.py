@@ -22,7 +22,7 @@ from fairderand import (
     SimHashFamily,
     TabularScorer,
 )
-from fairderand.derandomize import Bucketer, SharedBucketer, realized_buckets
+from fairderand.derandomize import Bucketer, SharedBucketer
 from fairderand.errors import (
     DimensionMismatchError,
     FairderandError,
@@ -48,56 +48,55 @@ def every_coefficient(fam: PiFamily) -> tuple[np.ndarray, np.ndarray]:
 
 class TestPiEval:
     def test_constant_hash(self):
-        fam = PiFamily(5, ["b0", "b1", "b2"])
-        embedded = np.array([fam.embed_value(b) for b in fam.buckets])
-        assert fam.residues(np.zeros(1, np.int64), np.zeros(1, np.int64), embedded).tolist() == [0, 0, 0]
+        fam = PiFamily(5, 3)
+        assert fam.residues(np.zeros(1, np.int64), np.zeros(1, np.int64), np.arange(3)).tolist() == [0, 0, 0]
 
     def test_direct_arithmetic(self):
-        fam = PiFamily(5, list(range(5)))  # embeds are the buckets themselves
+        fam = PiFamily(5, 5)
         a, c = np.array([1, 2]), np.array([0, 4])
         assert fam.residues(a, c, np.array([3, 3])).tolist() == [3, 0]  # ((6 + 4) mod 5) for the second
 
     def test_unknown_bucket(self):
-        fam = PiFamily(3, ["a"])
-        with pytest.raises(UnknownBucketError):
-            fam.embed_value("zzz")
+        # the fixed bucketing numbers only the buckets it was built on
+        fam = FixedFamily(IdentityBucketer(), ["a"])
+        with pytest.raises(UnknownBucketError, match="no hash value for bucket 'zzz'"):
+            fam.embedder(fam.all_keys())(Dataset([Point("zzz", (0.0,))]), None)
 
 
 class TestFamilyValidation:
     def test_k_must_cover_buckets(self):
         with pytest.raises(InvalidParameterError):
-            PiFamily(2, ["a", "b", "c"])
+            PiFamily(2, 3)
 
     def test_non_prime_k_rejected_when_differences_collide(self):
         with pytest.raises(InvalidParameterError):
-            PiFamily(4, ["a", "b", "c"])  # difference 2 shares a factor with 4
+            PiFamily(4, 3)  # difference 2 shares a factor with 4
 
     def test_non_prime_k_fine_for_two_buckets(self):
-        PiFamily(500, ["a", "b"])
+        PiFamily(500, 2)
 
     def test_prime_k_always_fine(self):
-        PiFamily(13, list(range(13)))
+        PiFamily(13, 13)
 
 
 class TestExactPairwiseIndependence:
     @pytest.mark.parametrize("k", [2, 3, 5, 7, 11, 13])
     def test_every_joint_cell_hit_exactly_once(self, k):
-        buckets = list(range(min(k, 4)))
-        fam = PiFamily(k, buckets)
+        fam = PiFamily(k, min(k, 4))
         a, c = every_coefficient(fam)
         assert a.size == k * k
-        for b1, b2 in itertools.combinations(buckets, 2):
-            e1, e2 = (np.full(a.size, fam.embed_value(b)) for b in (b1, b2))
+        for b1, b2 in itertools.combinations(range(min(k, 4)), 2):
+            e1, e2 = (np.full(a.size, b) for b in (b1, b2))
             cells = collections.Counter(zip(fam.residues(a, c, e1).tolist(), fam.residues(a, c, e2).tolist()))
             assert len(cells) == k * k
             assert set(cells.values()) == {1}
 
     @pytest.mark.parametrize("k", [2, 5, 13])
     def test_marginals_exactly_uniform(self, k):
-        fam = PiFamily(k, list(range(min(k, 3))))
+        fam = PiFamily(k, min(k, 3))
         a, c = every_coefficient(fam)
-        for b in fam.buckets:
-            counts = np.bincount(fam.residues(a, c, np.full(a.size, fam.embed_value(b))), minlength=k)
+        for b in range(min(k, 3)):
+            counts = np.bincount(fam.residues(a, c, np.full(a.size, b)), minlength=k)
             assert counts.tolist() == [fam.a_range] * k
 
     def test_enumeration_cap(self):
@@ -117,7 +116,7 @@ class TestExactPairwiseIndependence:
 
 class TestPiSampling:
     def test_k2_four_equiprobable_hashes(self):
-        fam = PiFamily(2, [0, 1])
+        fam = PiFamily(2, 2)
         n = 10_000
         counts = collections.Counter(zip(*(v.tolist() for v in fam.draw(CountingRng(31), n))))
         assert len(counts) == 4
@@ -125,7 +124,7 @@ class TestPiSampling:
             assert abs(c / n - 0.25) < 0.02
 
     def test_k5_joint_cells_pairwise_independent(self):
-        fam = PiFamily(5, [0, 1])
+        fam = PiFamily(5, 2)
         counts = np.zeros((5, 5))
         n = 100_000
         a, c = fam.draw(CountingRng(37), n)
@@ -133,14 +132,14 @@ class TestPiSampling:
         assert np.all(np.abs(counts / n - 0.04) < 0.005)
 
     def test_sampling_is_seed_deterministic(self):
-        fam = PiFamily(3, [0, 1, 2])
+        fam = PiFamily(3, 3)
         first = fam.draw(CountingRng(123), 5)
         second = fam.draw(CountingRng(123), 5)
         assert [v.tolist() for v in first] == [v.tolist() for v in second]
 
     def test_average_bits_within_budget(self):
         for k in (2, 5, 13, 17):
-            fam = PiFamily(k, [0, 1])
+            fam = PiFamily(k, 2)
             rng = CountingRng(41)
             n = 10_000
             fam.draw(rng, n)
@@ -238,7 +237,7 @@ class TestSimHash:
         fam = SimHashFamily(2)
         points = Dataset([Point("x", (1.0, 0.0)), Point("y", (0.0, 1.0))])
         n = 100_000
-        sides = fam.embedder(fam.draw(CountingRng(53), n), int)(points, fam.vectors(points))
+        sides = fam.embedder(fam.draw(CountingRng(53), n))(points, fam.vectors(points))
         assert abs(float((sides[0] == sides[1]).mean()) - 0.5) < 0.01
 
     def test_collision_matches_angle_on_random_pairs(self):
@@ -295,10 +294,10 @@ class TestAllKeys:
 
 class TestEmbedAll:
     """A family's one embedder, over its members' keys and the points'
-    vectors, equals embed(bucket of p) of the reference members point by
-    point and member by member, and raises the error class and message
-    that the reference raises at the first bad point.  The members are
-    those of ``all_keys`` when it lists at most 8, else two sampled
+    vectors, equals the integer bucket of p under the reference members
+    point by point and member by member, and raises the error class and
+    message that the reference raises at the first bad point.  The members
+    are those of ``all_keys`` when it lists at most 8, else two sampled
     members."""
 
     FAMILIES = {
@@ -339,7 +338,7 @@ class TestEmbedAll:
         assume(vectors)  # a dataset holds at least one point
         points = Dataset([Point(f"p{r}", v) for r, v in enumerate(vectors)])
         if isinstance(family, Bucketer):
-            family = FixedFamily(family, realized_buckets(family, points) or (0,))
+            family = FixedFamily(family, family.buckets(points))
         try:
             keys = family.all_keys()
         except NotEnumerableError:
@@ -347,8 +346,29 @@ class TestEmbedAll:
         if keys is None or len(keys) > 8:
             keys = family.draw(CountingRng(seed), 2)
         members = [reference_member(family, key) for key in keys]
-        embed = PiFamily(101, family.bucket_values).embed_value
-        expected = self.outcome(lambda: [[embed(m.bucket(p)) for m in members] for p in points])
-        embedder = family.embedder(keys, embed)
+        expected = self.outcome(lambda: [[m.bucket(p) for m in members] for p in points])
+        embedder = family.embedder(keys)
         got = self.outcome(lambda: embedder(points, family.vectors(points)).tolist())
         assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(FAMILIES)), seed=st.integers(0, 10**6), n_points=st.integers(1, 12))
+    def test_buckets_are_integers_below_n_buckets(self, kind, seed, n_points):
+        # for the listed members, where the family lists them, and for drawn ones
+        rng = random.Random(seed)
+        dim, family = self.FAMILIES[kind]
+        vectors = [tuple(float(rng.randint(0, 1)) for _ in range(dim)) for _ in range(n_points)]
+        points = Dataset([Point(f"p{r}", v if any(v) else (1.0,) * dim) for r, v in enumerate(vectors)])
+        if isinstance(family, Bucketer):
+            family = FixedFamily(family, family.buckets(points))
+        try:
+            listed = [family.all_keys()]
+        except NotEnumerableError:
+            listed = []
+        for keys in [*listed, family.draw(CountingRng(seed), 3)]:
+            got = self.outcome(lambda: family.embedder(keys)(points, family.vectors(points)))
+            if isinstance(got, tuple):  # a family too narrow or too wide for the points raises
+                continue
+            assert got.shape == (n_points, 1 if isinstance(family, FixedFamily) else len(keys))
+            assert np.issubdtype(got.dtype, np.integer)
+            assert 0 <= got.min() and got.max() < family.n_buckets

@@ -15,14 +15,12 @@ from fairderand import (
     BitSamplingFamily,
     ConstantScorer,
     Dataset,
+    Derandomizer,
     EstimatorConfig,
     GridBucketer,
     IdentityBucketer,
-    LsDerandomizer,
     MinHashFamily,
-    PiDerandomizer,
     Point,
-    RtDerandomizer,
     SimHashFamily,
     TabularScorer,
     threshold_count,
@@ -114,11 +112,11 @@ def binary_dataset():
 
 def small_families(dataset, scorer, k=5):
     return [
-        RtDerandomizer(scorer, k),
-        PiDerandomizer.build(scorer, dataset, IdentityBucketer(), k),
-        PiDerandomizer.build(scorer, dataset, GridBucketer(10.0), k),  # one bucket
-        LsDerandomizer(scorer, BitSamplingFamily(2), k),
-        LsDerandomizer(scorer, MinHashFamily(2), k),
+        Derandomizer.rt(scorer, k),
+        Derandomizer.pi(scorer, dataset, IdentityBucketer(), k),
+        Derandomizer.pi(scorer, dataset, GridBucketer(10.0), k),  # one bucket
+        Derandomizer(scorer, BitSamplingFamily(2), k),
+        Derandomizer(scorer, MinHashFamily(2), k),
     ]
 
 
@@ -183,7 +181,7 @@ class TestOracleAgreement:
         # score, up to Monte Carlo noise
         ds = Dataset([Point("x", (0.6, 0.8))])
         scorer = TabularScorer({"x": 0.37})
-        derand = LsDerandomizer(scorer, SimHashFamily(2), 25)
+        derand = Derandomizer(scorer, SimHashFamily(2), 25)
         mc = EstimatorConfig(mode="mc", trials=200_000, seed=3)
         table = prediction_table(derand, ds, mc)
         mean = float(np.unpackbits(table.rows[0], count=table.size).mean())
@@ -209,11 +207,11 @@ class TestOracleAgreement:
         p = 1 - float(metric.distance(px, py))
         expected = p * abs(tx - ty) / k + (1 - p) * (tx * (k - ty) + ty * (k - tx)) / k**2
         mc = EstimatorConfig(mode="mc", trials=200_000, seed=13)
-        est = split_share(prediction_table(LsDerandomizer(scorer, family, k), Dataset((px, py)), mc), 0, 1)
+        est = split_share(prediction_table(Derandomizer(scorer, family, k), Dataset((px, py)), mc), 0, 1)
         assert abs(est - expected) <= 4 * math.sqrt(est * (1 - est) / mc.trials)
 
     def test_exact_mode_rejects_simhash(self):
-        derand = LsDerandomizer(ConstantScorer(0.5), SimHashFamily(2), 5)
+        derand = Derandomizer(ConstantScorer(0.5), SimHashFamily(2), 5)
         with pytest.raises(NotEnumerableError):
             prediction_table(derand, Dataset([Point("x", (1.0, 0.0))]), EXACT)
 
@@ -222,25 +220,36 @@ class TestBias:
     def test_rt_grid_aligned_bias_zero(self):
         ds = binary_dataset()
         scorer = TabularScorer({"x1": 0.3, "x2": 0.7, "x3": 1.0})
-        assert aggregate_bias(prediction_table(RtDerandomizer(scorer, 10), ds, EXACT)).value == 0
+        assert aggregate_bias(prediction_table(Derandomizer.rt(scorer, 10), ds, EXACT)).value == 0
 
     def test_pi_bias_exact_example(self):
         ds = binary_dataset()
-        derand = PiDerandomizer.build(ConstantScorer(0.5), ds, IdentityBucketer(), 5)
+        derand = Derandomizer.pi(ConstantScorer(0.5), ds, IdentityBucketer(), 5)
         assert brute_mean(derand, ds[0]) - Fraction(1, 2) == Fraction(-1, 10)
         assert aggregate_bias(prediction_table(derand, ds, EXACT)).value == Fraction(-1, 10)
 
     def test_constant_one_family_zero_bias(self):
         ds = binary_dataset()
-        derand = RtDerandomizer(ConstantScorer(1), 5)
+        derand = Derandomizer.rt(ConstantScorer(1), 5)
         assert brute_mean(derand, ds[0]) == 1
         assert aggregate_bias(prediction_table(derand, ds, EXACT)).value == 0
 
     def test_singleton_dataset_aggregate_equals_pointwise(self):
         ds = Dataset([Point("only", (0.0, 1.0))])
-        derand = RtDerandomizer(TabularScorer({"only": 0.41}), 7)
+        derand = Derandomizer.rt(TabularScorer({"only": 0.41}), 7)
         table = prediction_table(derand, ds, EXACT)
         assert aggregate_bias(table).value == brute_mean(derand, ds[0]) - derand.scorer.score(ds[0])
+
+    def test_mc_mean_score_is_one_rounding(self):
+        # 0.1 + 0.2 + 0.3 left to right is 0.6000000000000001, and 0.6 right
+        # to left; the correctly rounded sum is 0.6 in every order
+        scorer, values = TabularScorer({"a": "0.1", "b": "0.2", "c": "0.3"}), []
+        for ids in itertools.permutations("abc"):
+            ds = Dataset([Point(i, (0.0,)) for i in ids])
+            table = prediction_table(Derandomizer.rt(scorer, 10), ds, EstimatorConfig(mode="mc", trials=50, seed=3))
+            values.append(aggregate_bias(table).value)
+            assert values[-1] == float(table.sums.mean() / 3) - 0.6 / 3
+        assert len(set(values)) == 1
 
     def test_bias_bound_holds_exactly_on_random_configs(self, py_rng):
         for _ in range(5):
@@ -248,8 +257,8 @@ class TestBias:
             scorer = random_scorer(py_rng, ds)
             for k in (5, 7, 11):  # the hashed scheme needs k >= bucket count
                 for derand in (
-                    PiDerandomizer.build(scorer, ds, IdentityBucketer(), k),
-                    LsDerandomizer(scorer, BitSamplingFamily(3), k),
+                    Derandomizer.pi(scorer, ds, IdentityBucketer(), k),
+                    Derandomizer(scorer, BitSamplingFamily(3), k),
                 ):
                     value = aggregate_bias(prediction_table(derand, ds, EXACT)).value
                     assert abs(value) <= bias_bound(k)
@@ -259,17 +268,17 @@ class TestVariance:
     def test_deterministic_scores_give_zero_rt_variance(self):
         ds = binary_dataset()
         scorer = TabularScorer({"x1": 0, "x2": 1, "x3": 1})
-        assert aggregate_variance(prediction_table(RtDerandomizer(scorer, 9), ds, EXACT)).value == 0
+        assert aggregate_variance(prediction_table(Derandomizer.rt(scorer, 9), ds, EXACT)).value == 0
 
     def test_half_score_single_point(self):
         ds = Dataset([Point("q", (0.0,))])
-        derand = RtDerandomizer(TabularScorer({"q": 0.5}), 10)
+        derand = Derandomizer.rt(TabularScorer({"q": 0.5}), 10)
         assert aggregate_variance(prediction_table(derand, ds, EXACT)).value == Fraction(1, 4)
 
     def test_pi_variance_bound_separating_bucketer(self, py_rng):
         ds = random_binary_dataset(py_rng, 4, 4)
         scorer = random_scorer(py_rng, ds)
-        derand = PiDerandomizer.build(scorer, ds, IdentityBucketer(), 11)
+        derand = Derandomizer.pi(scorer, ds, IdentityBucketer(), 11)
         value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
         mean_fvar = sum((s := scorer.score(p)) * (1 - s) for p in ds) / len(ds)
         # separating bucketer: max bucket mass is 1/|B|
@@ -278,7 +287,7 @@ class TestVariance:
     def test_ls_variance_bound(self, py_rng):
         ds = random_binary_dataset(py_rng, 4, 3)
         scorer = random_scorer(py_rng, ds)
-        derand = LsDerandomizer(scorer, BitSamplingFamily(3), 11)
+        derand = Derandomizer(scorer, BitSamplingFamily(3), 11)
         value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
         mean_fvar = sum((s := scorer.score(p)) * (1 - s) for p in ds) / len(ds)
         # mean over members of the max bucket mass, exact
@@ -297,7 +306,7 @@ class TestVariance:
         for _ in range(5):
             ds = random_binary_dataset(py_rng, 5, 3)
             scorer = random_scorer(py_rng, ds)
-            derand = RtDerandomizer(scorer, 13)
+            derand = Derandomizer.rt(scorer, 13)
             value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
             mean_fvar = sum((s := scorer.score(p)) * (1 - s) for p in ds) / len(ds)
             assert value <= rt_variance_bound(mean_fvar) + Fraction(1, 13)
@@ -306,13 +315,13 @@ class TestVariance:
 class TestPairwiseUnfairness:
     def test_identical_degenerate_scores(self):
         ds = binary_dataset()
-        derand = RtDerandomizer(ConstantScorer(1), 5)
+        derand = Derandomizer.rt(ConstantScorer(1), 5)
         assert split_share(prediction_table(derand, ds, EXACT), 0, 1) == 0
 
     def test_ls_worked_example(self):
         ds = Dataset([Point("x1", (0.0, 0.0)), Point("x2", (0.0, 1.0))])
         scorer = TabularScorer({"x1": 0.2, "x2": 0.6})
-        derand = LsDerandomizer(scorer, BitSamplingFamily(2), 5)
+        derand = Derandomizer(scorer, BitSamplingFamily(2), 5)
         value = split_share(prediction_table(derand, ds, EXACT), 0, 1)
         assert value == Fraction(12, 25)
         # the exact-expectation band: |fx - fy| + 2*min(1-max)*d, plus or minus 2/k
@@ -324,7 +333,7 @@ class TestPairwiseUnfairness:
         ds = binary_dataset()
         for _ in range(10):
             scorer = random_scorer(py_rng, ds)
-            table = prediction_table(RtDerandomizer(scorer, 10), ds, EXACT)
+            table = prediction_table(Derandomizer.rt(scorer, 10), ds, EXACT)
             for i, j in itertools.combinations(range(len(ds)), 2):
                 value = split_share(table, i, j)
                 gap = abs(scorer.score(ds[i]) - scorer.score(ds[j]))
@@ -375,7 +384,7 @@ class TestMetricFairnessCheck:
             alpha = 1
             beta = scorer_beta(scorer, ds, metric, alpha)
             report = metric_fairness_check(
-                prediction_table(RtDerandomizer(scorer, k), ds, EXACT), metric, alpha,
+                prediction_table(Derandomizer.rt(scorer, k), ds, EXACT), metric, alpha,
                 beta + Fraction(1, k),
             )
             assert report["fairness_violations"]["value"] == 0
@@ -387,7 +396,7 @@ class TestMetricFairnessCheck:
         k = 11
         alpha = 1
         beta = scorer_beta(scorer, ds, metric, alpha)
-        derand = LsDerandomizer(scorer, BitSamplingFamily(3), k)
+        derand = Derandomizer(scorer, BitSamplingFamily(3), k)
         report = metric_fairness_check(
             prediction_table(derand, ds, EXACT), metric,
             alpha + Fraction(1, 2), beta + Fraction(2, k),
@@ -398,7 +407,7 @@ class TestMetricFairnessCheck:
     def test_constant_family_never_violates(self):
         ds = binary_dataset()
         report = metric_fairness_check(
-            prediction_table(RtDerandomizer(ConstantScorer(0.5), 4), ds, EXACT), NormalizedHamming(2), 1, 0
+            prediction_table(Derandomizer.rt(ConstantScorer(0.5), 4), ds, EXACT), NormalizedHamming(2), 1, 0
         )
         assert report["fairness_violations"]["value"] == 0
 
@@ -406,14 +415,14 @@ class TestMetricFairnessCheck:
         ds = Dataset([Point("a", (0.0, 1.0))])
         with pytest.raises(EmptyPairSetError):
             metric_fairness_check(
-                prediction_table(RtDerandomizer(ConstantScorer(0.5), 4), ds, EXACT), NormalizedHamming(2), 1, 0
+                prediction_table(Derandomizer.rt(ConstantScorer(0.5), 4), ds, EXACT), NormalizedHamming(2), 1, 0
             )
 
     def test_capped_check_after_the_pass_over_every_pair(self, py_rng):
         # the table's pass over every pair must not stand in for the capped selection
         metric = NormalizedHamming(3)
         ds = random_binary_dataset(py_rng, 6, 3)
-        derand = LsDerandomizer(random_scorer(py_rng, ds), BitSamplingFamily(3), 11)
+        derand = Derandomizer(random_scorer(py_rng, ds), BitSamplingFamily(3), 11)
         table = prediction_table(derand, ds, EstimatorConfig(mode="exact", pairs_cap=4, seed=3))
         beta = family_beta(table, metric, 1)
         report = metric_fairness_check(table, metric, 1, 0)
@@ -431,12 +440,12 @@ class TestPairPathMatchesReferenceLoop:
     @staticmethod
     def family(kind, scorer, dataset, k):
         if kind == "rt":
-            return RtDerandomizer(scorer, k), NormalizedHamming(3)
+            return Derandomizer.rt(scorer, k), NormalizedHamming(3)
         if kind == "pi":
-            return PiDerandomizer.build(scorer, dataset, IdentityBucketer(), 11), NormalizedHamming(3)
+            return Derandomizer.pi(scorer, dataset, IdentityBucketer(), 11), NormalizedHamming(3)
         if kind == "bit_sampling":
-            return LsDerandomizer(scorer, BitSamplingFamily(3), k), NormalizedHamming(3)
-        return LsDerandomizer(scorer, MinHashFamily(3), k), JaccardDistance()
+            return Derandomizer(scorer, BitSamplingFamily(3), k), NormalizedHamming(3)
+        return Derandomizer(scorer, MinHashFamily(3), k), JaccardDistance()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -529,7 +538,7 @@ class TestExcesses:
         # per code, and their traced peak does not grow with the classes
         rng = random.Random(5)
         ds = random_binary_dataset(rng, 400, 12)
-        derand = LsDerandomizer(random_scorer(rng, ds, 1000), MinHashFamily(12), 101)
+        derand = Derandomizer(random_scorer(rng, ds, 1000), MinHashFamily(12), 101)
         table, metric = prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=2000, seed=1)), JaccardDistance()
         classes = table.pair_classes(metric, capped=True)  # every pair, so family_beta reads it too
         assert classes.pair_seed is None and classes.class_counts.size >= 10**4
@@ -546,9 +555,10 @@ class TestExcesses:
 
 
 class TestThresholdFairnessCheck:
-    """Each scheme reports the threshold-fairness guarantee the paper gives
-    it: RT the 1/k grid bound, LS with k >= 4/sigma the sigma + tau bound,
-    Pi neither."""
+    """Each family reports the threshold-fairness guarantee the paper gives
+    it: a one-bucket family (RT, or Pi over one realized bucket) the 1/k
+    grid bound, LS with k >= 4/sigma the sigma + tau bound, Pi over several
+    buckets neither."""
 
     SIGMA, TAU = 0.5, 0.5
 
@@ -559,7 +569,7 @@ class TestThresholdFairnessCheck:
         )
 
     def test_rt_reports_grid_guarantee(self):
-        derand = RtDerandomizer(TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9}), 11)
+        derand = Derandomizer.rt(TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9}), 11)
         report = self.check(derand)
         ds = binary_dataset()
         gaps = [brute_pairwise(derand, ds[i], ds[j]) for i, j in ((0, 2), (1, 2))]  # the pairs within sigma
@@ -570,15 +580,15 @@ class TestThresholdFairnessCheck:
 
     def test_ls_reports_preserved_guarantee_when_k_is_large(self):
         scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
-        report = self.check(LsDerandomizer(scorer, BitSamplingFamily(2), 11))  # 11 >= 4/0.5
+        report = self.check(Derandomizer(scorer, BitSamplingFamily(2), 11))  # 11 >= 4/0.5
         assert report["max_gap_vs_preserved_guarantee"]["bound"] == self.SIGMA + self.TAU
         assert "max_gap_vs_grid_guarantee" not in report
-        small_k = self.check(LsDerandomizer(scorer, BitSamplingFamily(2), 7))
+        small_k = self.check(Derandomizer(scorer, BitSamplingFamily(2), 7))
         assert "max_gap_vs_preserved_guarantee" not in small_k
 
     def test_monte_carlo_max_gap_is_max_of_pairwise_estimates(self, py_rng):
         ds = random_binary_dataset(py_rng, 8, 4)
-        derand = LsDerandomizer(random_scorer(py_rng, ds), BitSamplingFamily(4), 11)
+        derand = Derandomizer(random_scorer(py_rng, ds), BitSamplingFamily(4), 11)
         metric = NormalizedHamming(4)
         mc = EstimatorConfig(mode="mc", trials=500, seed=4)
         report = threshold_fairness_check(prediction_table(derand, ds, mc), metric, 0.3, 0.5)
@@ -619,17 +629,23 @@ class TestThresholdFairnessCheck:
     def test_no_pair_within_sigma_raises(self):
         # no pair within sigma leaves nothing to check, not a vacuous pass
         scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
-        table = prediction_table(RtDerandomizer(scorer, 11), binary_dataset(), EXACT)
+        table = prediction_table(Derandomizer.rt(scorer, 11), binary_dataset(), EXACT)
         with pytest.raises(EmptyPairSetError):
             threshold_fairness_check(table, NormalizedHamming(2), 0.01, self.TAU)
 
     def test_pi_reports_neither(self):
         scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
-        derand = PiDerandomizer.build(scorer, binary_dataset(), IdentityBucketer(), 11)
+        derand = Derandomizer.pi(scorer, binary_dataset(), IdentityBucketer(), 11)
         report = self.check(derand)
         assert "max_gap" in report
         assert "max_gap_vs_grid_guarantee" not in report
         assert "max_gap_vs_preserved_guarantee" not in report
+
+    def test_pi_over_one_bucket_reports_as_rt(self):
+        # one realized grid cell: the family is exactly RT's k shared thresholds
+        scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
+        one_cell = Derandomizer.pi(scorer, binary_dataset(), GridBucketer(10.0), 11)
+        assert self.check(one_cell) == self.check(Derandomizer.rt(scorer, 11))
 
 
 class TestAggregateFairness:
@@ -652,7 +668,7 @@ class TestAggregateFairness:
     def test_tail_check_on_fair_family(self, py_rng):
         ds = random_binary_dataset(py_rng, 6, 3)
         scorer = random_scorer(py_rng, ds)
-        derand = LsDerandomizer(scorer, BitSamplingFamily(3), 11)
+        derand = Derandomizer(scorer, BitSamplingFamily(3), 11)
         report = aggregate_fairness_tail_check(
             prediction_table(derand, ds, EXACT), NormalizedHamming(3),
             alpha=Fraction(3, 2), tau=0.4, delta=0.25,
@@ -663,7 +679,7 @@ class TestAggregateFairness:
     @pytest.mark.parametrize("n_classifiers", [0, -3])
     def test_tail_check_needs_a_classifier(self, py_rng, n_classifiers):
         ds = random_binary_dataset(py_rng, 6, 3)
-        derand = LsDerandomizer(random_scorer(py_rng, ds), BitSamplingFamily(3), 11)
+        derand = Derandomizer(random_scorer(py_rng, ds), BitSamplingFamily(3), 11)
         with pytest.raises(InvalidParameterError):
             aggregate_fairness_tail_check(
                 prediction_table(derand, ds, EXACT), NormalizedHamming(3), alpha=1, tau=0.4,
@@ -682,7 +698,7 @@ class TestAggregateFairness:
     )
     def test_sampled_fractions_equal_per_classifier_predictions(self, py_rng, dim, family, metric, mode):
         ds = random_binary_dataset(py_rng, 20, dim)
-        derand = LsDerandomizer(random_scorer(py_rng, ds), family, 17)
+        derand = Derandomizer(random_scorer(py_rng, ds), family, 17)
         table = prediction_table(derand, ds, EstimatorConfig(mode=mode, trials=200))
         got = sampled_aggregate_fairness(table, metric, 0.5, 15, CountingRng(9))
         keys, a, c, _ = derand.draw(CountingRng(9), 15)
@@ -698,7 +714,7 @@ class TestSplitCounts:
     def test_equals_bytewise_popcount(self, size):
         rng = random.Random(size)
         ds = random_binary_dataset(rng, 12, 4)
-        derand = LsDerandomizer(random_scorer(rng, ds, 20), BitSamplingFamily(4), 7)
+        derand = Derandomizer(random_scorer(rng, ds, 20), BitSamplingFamily(4), 7)
         table = prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=size, seed=size))
         i, j = np.triu_indices(len(ds), 1)
         rows = [np.packbits(np.unpackbits(table.rows[r], count=table.size)) for r in range(len(ds))]
@@ -714,7 +730,7 @@ def per_point_mc_bits(derand, points, trials, seed):
     pi, family = derand.pi_family, derand.bucketing
     if isinstance(family, FixedFamily):
         def embeds(point):
-            return pi.embed_value(reference_member(family, 0).bucket(point))
+            return reference_member(family, 0).bucket(point)
     elif isinstance(family, SimHashFamily):
         count = trials * family.dim
         normals = np.array([v for _ in range((count + 1) // 2) for v in normal_pair(rng)][:count])
@@ -722,7 +738,7 @@ def per_point_mc_bits(derand, points, trials, seed):
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
         def embeds(point):
-            return np.where(normals @ np.asarray(point.fairness_vector) >= 0.0, pi.embed_value(1), pi.embed_value(0))
+            return np.where(normals @ np.asarray(point.fairness_vector) >= 0.0, 1, 0)
     elif isinstance(family, MinHashFamily):
         ranks = [list(range(family.universe_size)) for _ in range(trials)]
         for i in range(family.universe_size - 1, 0, -1):  # Fisher-Yates, one step of every trial at a time
@@ -735,14 +751,13 @@ def per_point_mc_bits(derand, points, trials, seed):
             support = sorted(binary_support(point.fairness_vector))
             if not support:
                 raise NotBinaryError("min-wise hashing is undefined on the empty set")
-            values = np.array([pi.embed_value(e) for e in support], dtype=np.int64)
-            return values[np.argmin(ranks[:, support], axis=1)]
+            return np.array(support, dtype=np.int64)[np.argmin(ranks[:, support], axis=1)]
     else:
         members = [reference_member(family, key) for key in family.all_keys()]
         idx = [uniform_int(rng, len(members)) for _ in range(trials)]
 
         def embeds(point):
-            return np.array([pi.embed_value(m.bucket(point)) for m in members], dtype=np.int64)[idx]
+            return np.array([m.bucket(point) for m in members], dtype=np.int64)[idx]
     a = np.array([uniform_int(rng, pi.a_range) for _ in range(trials)], dtype=np.int64)
     c = np.array([uniform_int(rng, pi.k) for _ in range(trials)], dtype=np.int64)
 
@@ -772,19 +787,19 @@ class TestBlockOracle:
         if kind in ("grid", "one_bucket"):
             ds = Dataset([Point(f"p{i}", (rng.uniform(-1, 1), rng.uniform(-1, 1))) for i in range(n_points)])
             bucketer = GridBucketer(0.5 if kind == "grid" else 100.0)
-            return ds, PiDerandomizer.build(random_scorer(rng, ds, 20), ds, bucketer, 11)
+            return ds, Derandomizer.pi(random_scorer(rng, ds, 20), ds, bucketer, 11)
         if kind == "simhash":
             ds = Dataset([Point(f"p{i}", tuple(rng.uniform(-1, 1) for _ in range(3))) for i in range(n_points)])
-            return ds, LsDerandomizer(random_scorer(rng, ds, 20), SimHashFamily(3), 7)
+            return ds, Derandomizer(random_scorer(rng, ds, 20), SimHashFamily(3), 7)
         dim = 16 if kind == "minhash16" else 5
         ds = random_binary_dataset(rng, n_points, dim)
         scorer = random_scorer(rng, ds, 20)
         if kind == "rt":
-            return ds, RtDerandomizer(scorer, 7)
+            return ds, Derandomizer.rt(scorer, 7)
         if kind == "identity":
-            return ds, PiDerandomizer.build(scorer, ds, IdentityBucketer(), 13)
+            return ds, Derandomizer.pi(scorer, ds, IdentityBucketer(), 13)
         family = BitSamplingFamily(dim) if kind == "bit_sampling" else MinHashFamily(dim)
-        return ds, LsDerandomizer(scorer, family, {"minhash5": 5, "minhash16": 17}.get(kind, 11))
+        return ds, Derandomizer(scorer, family, {"minhash5": 5, "minhash16": 17}.get(kind, 11))
 
     EXACT_KINDS = ["rt", "grid", "identity", "one_bucket", "bit_sampling", "minhash5"]
 
@@ -870,7 +885,7 @@ class TestBlockOracle:
             vector = (0.0,) * dim if kind_of_bad == "empty" else (1.0, 0.5) + (0.0,) * (dim - 2)
             points.insert(where % (len(points) + 1), Point(f"bad{len(points)}", vector))
         scorer = TabularScorer({p.id: Fraction(rng.randint(0, 20), 20) for p in points})
-        derand = LsDerandomizer(scorer, derand.bucketing, derand.k)
+        derand = Derandomizer(scorer, derand.bucketing, derand.k)
         cfg = EstimatorConfig(mode=mode, trials=37, seed=seed)
         per_point = len(derand.bucketing.all_keys()) if mode == "exact" else 37
         with mock.patch.object(measure, "PAIR_CHUNK_BYTES", 3 * per_point):
@@ -929,7 +944,7 @@ class TestMinHashOverSevenElements:
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     def test_table_builds_no_point(self, py_rng, mode):
         ds = random_binary_dataset(py_rng, 12, 7)
-        derand = LsDerandomizer(random_scorer(py_rng, ds), MinHashFamily(7), 7)
+        derand = Derandomizer(random_scorer(py_rng, ds), MinHashFamily(7), 7)
         calls = []
         init = Point.__post_init__
         with mock.patch.object(Point, "__post_init__", lambda self: calls.append(self) or init(self)):
@@ -973,7 +988,7 @@ class TestLossApproximation:
     def test_all_sixteen_tables_bounded_by_output_moments(self):
         ds = binary_dataset()
         scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
-        derand = RtDerandomizer(scorer, 10)
+        derand = Derandomizer.rt(scorer, 10)
         p = ds[0]
         report = decomposition_check(derand, p)
         out_bias, out_var = report["bias_abs"]["value"], report["family_variance"]["value"]
@@ -985,13 +1000,13 @@ class TestLossApproximation:
                 assert lvar <= out_var
 
     def test_constant_table_gives_zero_moments(self):
-        derand = RtDerandomizer(TabularScorer({"x1": 0.3}), 10)
+        derand = Derandomizer.rt(TabularScorer({"x1": 0.3}), 10)
         p = Point("x1", (0.0,))
         table = {key: 1 for key in self.MISCLASSIFICATION}
         assert self.loss_moments(derand, p, 1, table) == (0, 0)
 
     def test_unit_slope_loss_matches_output_bias(self):
-        derand = RtDerandomizer(TabularScorer({"x1": 0.33}), 7)
+        derand = Derandomizer.rt(TabularScorer({"x1": 0.33}), 7)
         p = Point("x1", (0.0,))
         lbias, _ = self.loss_moments(derand, p, 1, self.MISCLASSIFICATION)
         assert lbias == decomposition_check(derand, p)["bias_abs"]["value"]
@@ -1001,14 +1016,14 @@ class TestDecomposition:
     def test_zero_variance_family(self):
         # deterministic score and a constant family: the gap equals |bias|
         ds = Dataset([Point("x", (0.0,))])
-        derand = RtDerandomizer(TabularScorer({"x": 1.0}), 5)
+        derand = Derandomizer.rt(TabularScorer({"x": 1.0}), 5)
         report = decomposition_check(derand, ds[0])
         assert report["expected_gap"]["satisfied"]
         assert report["expected_gap"]["value"] == 0
 
     def test_half_score_rt(self):
         ds = Dataset([Point("x", (0.0,))])
-        derand = RtDerandomizer(TabularScorer({"x": 0.5}), 10)
+        derand = Derandomizer.rt(TabularScorer({"x": 0.5}), 10)
         report = decomposition_check(derand, ds[0])
         assert report["score_variance"]["value"] == Fraction(1, 4)
         assert report["family_variance"]["value"] == Fraction(1, 4)
@@ -1019,7 +1034,7 @@ class TestDecomposition:
     def test_family_above_the_old_enumeration_cap_is_exact(self):
         # 1009**2 = 1,018,081 members, above the 10**6 cap that once sent this to Monte Carlo
         ds = Dataset([Point(f"x{i}", (float(i),)) for i in range(3)])
-        derand = PiDerandomizer.build(TabularScorer({"x0": 0.3, "x1": 0.6, "x2": 0.9}), ds, IdentityBucketer(), 1009)
+        derand = Derandomizer.pi(TabularScorer({"x0": 0.3, "x1": 0.6, "x2": 0.9}), ds, IdentityBucketer(), 1009)
         assert derand.family_size == 1_018_081
         report = decomposition_check(derand, ds[0])
         t = 302  # floor(0.3 * 1009)
@@ -1029,7 +1044,7 @@ class TestDecomposition:
     def test_family_that_cannot_be_listed_is_exact(self):
         # SimHash members cannot be listed, yet each predicts 1 with probability t/k = 3/11
         ds = Dataset([Point("x", (1.0, 0.0))])
-        derand = LsDerandomizer(TabularScorer({"x": 0.3}), SimHashFamily(2), 11)
+        derand = Derandomizer(TabularScorer({"x": 0.3}), SimHashFamily(2), 11)
         report = decomposition_check(derand, ds[0])
         assert report["family_variance"]["value"] == Fraction(3, 11) * Fraction(8, 11)
         assert report["bias_abs"]["value"] == Fraction(3, 10) - Fraction(3, 11)
@@ -1038,7 +1053,7 @@ class TestDecomposition:
 
     def test_ls_small_instance(self):
         ds = Dataset([Point("x", (0.0, 1.0))])
-        derand = LsDerandomizer(TabularScorer({"x": 0.9}), BitSamplingFamily(2), 5)
+        derand = Derandomizer(TabularScorer({"x": 0.9}), BitSamplingFamily(2), 5)
         report = decomposition_check(derand, ds[0])
         assert report["expected_gap"]["satisfied"]
 
@@ -1046,20 +1061,20 @@ class TestDecomposition:
 class TestFairnessCurve:
     def test_constant_scorer_flat_zero(self):
         ds = binary_dataset()
-        table = prediction_table(RtDerandomizer(ConstantScorer(0.5), 10), ds, EXACT)
+        table = prediction_table(Derandomizer.rt(ConstantScorer(0.5), 10), ds, EXACT)
         curve = empirical_fairness_curve(table, NormalizedHamming(2), [0.0, 0.5, 1.0])
         assert all(b == 0.0 for _, b in curve)
 
     def test_zero_alpha_gives_mean_gap(self):
         # a shared threshold splits the two points with chance |t_a - t_b|/k = 7/10
         ds = Dataset([Point("a", (0.0,)), Point("b", (1.0,))])
-        table = prediction_table(RtDerandomizer(TabularScorer({"a": 0.2, "b": 0.9}), 10), ds, EXACT)
+        table = prediction_table(Derandomizer.rt(TabularScorer({"a": 0.2, "b": 0.9}), 10), ds, EXACT)
         curve = empirical_fairness_curve(table, NormalizedHamming(1), [0.0])
         assert curve[0][1] == pytest.approx(0.7)
 
     def test_monotone_nonincreasing(self, py_rng):
         ds = random_binary_dataset(py_rng, 6, 4)
-        derand = LsDerandomizer(random_scorer(py_rng, ds), BitSamplingFamily(4), 11)
+        derand = Derandomizer(random_scorer(py_rng, ds), BitSamplingFamily(4), 11)
         alphas = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0]
         curve = empirical_fairness_curve(prediction_table(derand, ds, EXACT), NormalizedHamming(4), alphas)
         betas = [b for _, b in curve]
@@ -1068,7 +1083,7 @@ class TestFairnessCurve:
     def test_family_version_runs(self, py_rng):
         ds = random_binary_dataset(py_rng, 4, 3)
         scorer = random_scorer(py_rng, ds)
-        derand = RtDerandomizer(scorer, 5)
+        derand = Derandomizer.rt(scorer, 5)
         curve = empirical_fairness_curve(prediction_table(derand, ds, EXACT), NormalizedHamming(3), [0.0, 1.0])
         assert len(curve) == 2
 
@@ -1234,11 +1249,11 @@ class TestStreamedPairPass:
                   "jaccard": JaccardDistance(), "angular": Angular()}[kind]
         scorer = random_scorer(rng, ds, 20)
         if scheme == "rt":
-            return ds, RtDerandomizer(scorer, 7), metric
+            return ds, Derandomizer.rt(scorer, 7), metric
         if scheme == "pi":
-            return ds, PiDerandomizer.build(scorer, ds, IdentityBucketer(), 41), metric
+            return ds, Derandomizer.pi(scorer, ds, IdentityBucketer(), 41), metric
         family = BitSamplingFamily(6) if scheme == "bit_sampling" else MinHashFamily(6)
-        return ds, LsDerandomizer(scorer, family, 7), metric
+        return ds, Derandomizer(scorer, family, 7), metric
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -1289,7 +1304,7 @@ class TestStreamedPairPass:
         # keeps no array of its pairs
         rng = random.Random(3)
         ds = Dataset([Point(f"p{r}", tuple(float(rng.getrandbits(1)) for _ in range(16))) for r in range(1500)])
-        table = prediction_table(RtDerandomizer(random_scorer(rng, ds, 100), 101), ds, EXACT)
+        table = prediction_table(Derandomizer.rt(random_scorer(rng, ds, 100), 101), ds, EXACT)
         tracemalloc.start()
         try:
             classes = table.pair_classes(NormalizedHamming(16))
@@ -1314,7 +1329,7 @@ class TestOneTrial:
     @pytest.fixture
     def table(self, py_rng):
         ds = random_binary_dataset(py_rng, 5, 4)
-        derand = LsDerandomizer(random_scorer(py_rng, ds), BitSamplingFamily(4), 7)
+        derand = Derandomizer(random_scorer(py_rng, ds), BitSamplingFamily(4), 7)
         return prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=1))
 
     @pytest.mark.parametrize("quantity_of", [

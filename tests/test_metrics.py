@@ -41,6 +41,21 @@ class TestValues:
         assert d.distance(pt(0, 0), pt(0, 1)) == pytest.approx(0.5)
         assert d.distance(pt(0, 0), pt(0, 100)) == 1.0
 
+    def test_float_distances_round_each_sum_once(self):
+        # each sum is the float nearest the exact sum of its float terms, in
+        # every coordinate order; a left-to-right sum moves the last digit
+        def rounded(terms):
+            return float(sum(map(Fraction, terms)))
+
+        u, v = (0.6, 0.7, 0.9), (0.2, 0.1, 0.7)
+        nu, nv = (math.sqrt(rounded([a * a for a in w])) for w in (u, v))
+        cos = rounded([a * b for a, b in zip(u, v)]) / (nu * nv)
+        norm = math.sqrt(rounded([(a - b) ** 2 for a, b in zip(u, v)]))
+        for order in itertools.permutations(range(3)):
+            x, y = pt(*(u[i] for i in order)), pt(*(v[i] for i in order))
+            assert Angular().distance(x, y) == math.acos(cos) / math.pi
+            assert ScaledEuclidean(2.0).distance(x, y) == norm / 2.0
+
 
 class TestErrors:
     def test_dimension_mismatch(self):

@@ -6,13 +6,11 @@ from fairderand import (
     BitSamplingFamily,
     ConstantScorer,
     Dataset,
+    Derandomizer,
     EstimatorConfig,
     IdentityBucketer,
-    LsDerandomizer,
     MinHashFamily,
-    PiDerandomizer,
     Point,
-    RtDerandomizer,
     SimHashFamily,
     TabularScorer,
 )
@@ -56,7 +54,7 @@ class TestUtility:
 
     def test_family_version_uses_exact_mean(self):
         ds = Dataset([Point("a", (0.0, 0.0)), Point("b", (0.0, 1.0))])
-        derand = RtDerandomizer(TabularScorer({"a": 0.31, "b": 0.95}), 10)
+        derand = Derandomizer.rt(TabularScorer({"a": 0.31, "b": 0.95}), 10)
         row = best_responses(family_means(derand, ds), ds, NormalizedHamming(2), 1, 0)[0]
         # family means floor to the grid: 9/10 - 1/2 - 3/10, where the scores give 0.14
         assert row["response"] == "b"
@@ -142,7 +140,7 @@ class TestFamilyVersion:
         cost = NormalizedHamming(3)
         ds = random_binary_dataset(py_rng, 6, 3)
         scorer = random_scorer(py_rng, ds)
-        derand = RtDerandomizer(scorer, 20)
+        derand = Derandomizer.rt(scorer, 20)
         alpha = Fraction(3, 2)
         # certify the family itself, then the gain bound must hold exactly
         beta = family_beta(prediction_table(derand, ds, EXACT), cost, alpha)
@@ -156,10 +154,10 @@ class TestFamilyVersion:
         ds = random_binary_dataset(py_rng, 6, 3)
         scorer = random_scorer(py_rng, ds)
         for derand in (
-            RtDerandomizer(scorer, 7),
-            PiDerandomizer.build(scorer, ds, IdentityBucketer(), 7),
-            LsDerandomizer(scorer, BitSamplingFamily(3), 7),
-            LsDerandomizer(scorer, MinHashFamily(3), 7),
+            Derandomizer.rt(scorer, 7),
+            Derandomizer.pi(scorer, ds, IdentityBucketer(), 7),
+            Derandomizer(scorer, BitSamplingFamily(3), 7),
+            Derandomizer(scorer, MinHashFamily(3), 7),
         ):
             brute = [brute_mean(derand, p) for p in ds]
             assert family_means(derand, ds) == brute
@@ -168,7 +166,7 @@ class TestFamilyVersion:
     def test_family_that_cannot_be_listed_has_exact_means(self, py_rng):
         # SimHash members cannot be listed, yet every family mean is t/k = 5/11: nobody moves
         ds = random_real_dataset(py_rng, 5, 3)
-        derand = LsDerandomizer(ConstantScorer(0.5), SimHashFamily(3), 11)
+        derand = Derandomizer(ConstantScorer(0.5), SimHashFamily(3), 11)
         assert family_means(derand, ds) == [Fraction(5, 11)] * 5
         rows = best_responses(family_means(derand, ds), ds, ScaledEuclidean(2.0), 1, 0)
         for origin, row in zip(ds, rows):
