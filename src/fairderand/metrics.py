@@ -7,7 +7,8 @@ float noise; angular and scaled Euclidean distances return floats.
 Metrics read each point's fairness vector (dedicated fairness features
 when present, inference features otherwise), matching what the
 locality-sensitive hashes see; the pair pass reads them as the dataset's
-``fairness_vectors`` matrix.
+``fairness_vectors`` matrix, which each metric checks whole when a pass
+starts, so an input it is undefined on fails whichever pairs are read.
 
 ``Metric.pair_distances`` evaluates a ``PairSet`` in blocks of about
 ``PAIR_CHUNK_BYTES`` of rows per side, into codes (of the smallest dtype)
@@ -15,8 +16,9 @@ into a list of distinct values.  The exact metrics key pairs by integers,
 ranked once at the end through a table over the keys' range: Hamming by
 the popcount of the XOR of 0/1 rows packed into uint64 words (or the
 count of differing floats), Jaccard by |A n B| * (d + 1) + |A u B|, from
-popcounts of the AND and the OR.  Every other metric, and any subclass
-that overrides ``distance``, calls ``distance`` once per pair.
+popcounts of the AND and the OR.  The float metrics compute a block's
+distances as arrays, with ``math.fsum`` sums and libm's ``math.acos``, and
+number its distinct values by first occurrence.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .core import Dataset, Point
+from .core import Dataset
 from .errors import DimensionMismatchError, InvalidParameterError, NotBinaryError, ZeroVectorError
 
 Distance = Union[Fraction, float]
@@ -40,26 +42,6 @@ def decimal_distance(d: Distance) -> Fraction:
     return Fraction(Decimal(f"{d:.15g}") if isinstance(d, float) else d)
 
 PAIR_CHUNK_BYTES = 1 << 18
-
-
-def _vectors(x: Point, y: Point) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    u, v = x.fairness_vector, y.fairness_vector
-    if len(u) != len(v):
-        raise DimensionMismatchError(
-            f"points {x.id!r} and {y.id!r} have dimensions {len(u)} and {len(v)}"
-        )
-    return u, v
-
-
-def binary_support(vector: tuple[float, ...]) -> frozenset[int]:
-    """Indices of the 1-entries of a {0,1}-valued vector."""
-    support = set()
-    for i, value in enumerate(vector):
-        if value == 1.0:
-            support.add(i)
-        elif value != 0.0:
-            raise NotBinaryError("set-valued features must be 0/1")
-    return frozenset(support)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,18 +103,22 @@ def _packed_rows(x: np.ndarray) -> Optional[np.ndarray]:
     return np.packbits(np.pad(x.astype(bool), [(0, 0), (0, -x.shape[1] % 64)]), axis=1).view(np.uint64)
 
 
-def _defined_in(obj, name: str) -> type:
-    return next(cls for cls in type(obj).__mro__ if name in vars(cls))
+def _fsums(terms: np.ndarray) -> np.ndarray:
+    """Each row's sum, correctly rounded (``math.fsum``'s, which ``np.sum``'s is not)."""
+    return np.fromiter(map(math.fsum, terms.tolist()), np.float64, len(terms))
 
 
 class Metric:
-    def distance(self, x: Point, y: Point) -> Distance:
-        raise NotImplementedError
+    """A distance between the rows of a dataset's fairness matrix, into
+    [0, 1], evaluated only over blocks of pairs (``pair_distances``).  The
+    one extension point is ``_pair_keys``, which checks the whole matrix
+    and keys a block's pairs.  Its base form keys float distances: a float
+    metric gives only ``_float_blocks(x)``, the rows a pass reads and
+    block(xa, xb), the distances of a block's pairs at their rows."""
 
     def pair_distances(self, data: Dataset, pairs: PairSet) -> tuple[np.ndarray, list[Distance]]:
-        """(codes, values) with distance(x, y) == values[codes[p]], of the
-        same type, at the points x, y of every pair p, with codes in the
-        smallest unsigned dtype."""
+        """(codes, values): values[codes[p]] is the distance of the points of
+        pair p, all of one type, with codes in the smallest unsigned dtype."""
         key, rows, bound, decode = self._pair_keys(data, len(pairs))
         keys = over_pairs(key, pairs, rows, np.min_scalar_type(max(bound - 1, 0)))
         lo, hi = (int(keys.min()), int(keys.max()) + 1) if keys.size else (0, 0)
@@ -146,17 +132,17 @@ class Metric:
         """(key, rows, bound, decode): key(xa, xb) gives the pairs of a block,
         at the rows (xa, xb) of the matrix rows, int keys below bound, equal
         when their distances are; decode(sorted keys) gives their distances."""
-        index: dict = {}  # (type, distance) -> key, numbered by first occurrence
-        points = list(data)  # each point built once
+        rows, block = self._float_blocks(data.fairness_vectors)
+        index: dict[float, int] = {}  # distance -> key, numbered by first occurrence
 
-        def key(a, b):  # the rows are the point indices
-            keys = []
-            for u, v in zip(*(side.tolist() for side in np.broadcast_arrays(a, b))):
-                d = self.distance(points[u], points[v])
-                keys.append(index.setdefault((type(d), d), len(index)))
-            return np.array(keys, dtype=np.int64)
+        def key(a, b):
+            values, inverse = np.unique(block(a, b), return_inverse=True)
+            return np.array([index.setdefault(v, len(index)) for v in values.tolist()], np.int64)[inverse]
 
-        return key, np.arange(len(data)), n_pairs, lambda keys: [d for _, d in index]  # all keys occur
+        return key, rows, n_pairs, lambda keys: list(index)  # all keys occur
+
+    def _float_blocks(self, x: np.ndarray) -> tuple[np.ndarray, Callable]:
+        raise NotImplementedError
 
 
 class NormalizedHamming(Metric):
@@ -167,16 +153,10 @@ class NormalizedHamming(Metric):
             raise InvalidParameterError("dimension must be positive")
         self.n = n
 
-    def distance(self, x: Point, y: Point) -> Fraction:
-        u, v = _vectors(x, y)
-        if len(u) != self.n:
-            raise DimensionMismatchError(f"expected dimension {self.n}, got {len(u)}")
-        return Fraction(sum(a != b for a, b in zip(u, v)), self.n)
-
     def _pair_keys(self, data, n_pairs):
         x = data.fairness_vectors
-        if _defined_in(self, "distance") is not NormalizedHamming or x.shape[1] != self.n:
-            return super()._pair_keys(data, n_pairs)
+        if x.shape[1] != self.n:
+            raise DimensionMismatchError(f"expected dimension {self.n}, got {x.shape[1]}")
         bits = _packed_rows(x)  # keys: the number of differing coordinates
         key = (lambda a, b: (a != b).sum(axis=1)) if bits is None else (lambda a, b: popcounts(a ^ b))
         return key, x if bits is None else bits, self.n + 1, lambda keys: [Fraction(k, self.n) for k in keys.tolist()]
@@ -186,16 +166,19 @@ class Angular(Metric):
     """Angle between vectors divided by pi; the metric whose hyperplane-hash
     collision probability is exactly 1 - distance."""
 
-    def distance(self, x: Point, y: Point) -> float:
-        u, v = _vectors(x, y)
-        nu = math.sqrt(math.fsum(a * a for a in u))
-        nv = math.sqrt(math.fsum(b * b for b in v))
-        if nu == 0.0 or nv == 0.0:
+    def _float_blocks(self, x):
+        norms = np.sqrt(_fsums(x * x))  # each point's, once
+        if not norms.all():
             raise ZeroVectorError("angular distance undefined on the zero vector")
-        if u == v:
-            return 0.0  # keep the identity axiom exact despite acos noise
-        cos = math.fsum(a * b for a, b in zip(u, v)) / (nu * nv)
-        return math.acos(min(1.0, max(-1.0, cos))) / math.pi
+
+        def block(a, b):  # a row's last entry is its norm
+            u, v = a[..., :-1], b[..., :-1]
+            cos = _fsums(u * v) / (a[..., -1] * b[..., -1])
+            cos = np.fmin(1.0, np.fmax(-1.0, cos))  # Python's min(1, max(-1, cos)), for NaN too
+            angles = np.fromiter(map(math.acos, cos.tolist()), np.float64, cos.size) / math.pi
+            return np.where((u == v).all(axis=-1), 0.0, angles)  # keep the identity axiom exact despite acos noise
+
+        return np.column_stack([x, norms]), block
 
 
 class JaccardDistance(Metric):
@@ -204,19 +187,11 @@ class JaccardDistance(Metric):
     Two empty sets are at distance 0.
     """
 
-    def distance(self, x: Point, y: Point) -> Fraction:
-        u, v = _vectors(x, y)
-        a, b = binary_support(u), binary_support(v)
-        union = a | b
-        if not union:
-            return Fraction(0)
-        return Fraction(1) - Fraction(len(a & b), len(union))
-
     def _pair_keys(self, data, n_pairs):
         x = data.fairness_vectors
-        sets = _packed_rows(x) if _defined_in(self, "distance") is JaccardDistance else None
+        sets = _packed_rows(x)
         if sets is None:
-            return super()._pair_keys(data, n_pairs)
+            raise NotBinaryError("set-valued features must be 0/1")
         width = x.shape[1] + 1
 
         def key(a, b):  # |A n B| * width + |A u B|
@@ -238,7 +213,9 @@ class ScaledEuclidean(Metric):
             raise InvalidParameterError("scale must be positive")
         self.scale = float(scale)
 
-    def distance(self, x: Point, y: Point) -> float:
-        u, v = _vectors(x, y)
-        norm = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(u, v)))
-        return min(norm / self.scale, 1.0)
+    def _float_blocks(self, x):
+        def block(a, b):
+            d = a - b
+            return np.fmin(np.sqrt(_fsums(d * d)) / self.scale, 1.0)
+
+        return x, block

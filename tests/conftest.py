@@ -12,7 +12,10 @@ them exactly.  The references redo the library's array draws one scalar
 draw at a time (``draw_bits``, ``uniform_int``, ``normal_pair``), its
 one-pass ``scorer_beta`` pair by pair, and its columnar CSV loader row by
 row through ``Point``; ``reference_excesses`` keeps the per-class list
-form of the verdicts' reduction over pair classes.
+form of the verdicts' reduction over pair classes.  ``reference_distance``
+is each metric's distance written from its definition, one pair of
+``Point``s at a time, with each float sum a ``math.fsum`` over Python
+floats; the library evaluates metrics only over blocks of pairs.
 """
 
 import bisect
@@ -28,11 +31,15 @@ import numpy as np
 import pytest
 
 from fairderand import (
+    Angular,
     BitBudget,
     BitSamplingFamily,
     Dataset,
+    JaccardDistance,
     MinHashFamily,
+    NormalizedHamming,
     Point,
+    ScaledEuclidean,
     SimHashFamily,
     TabularScorer,
 )
@@ -44,6 +51,7 @@ from fairderand.errors import (
     InvalidParameterError,
     NotBinaryError,
     UnknownBucketError,
+    ZeroVectorError,
 )
 from fairderand.hashing import FixedFamily
 from fairderand.measure import prediction_table, sample_pairs
@@ -207,6 +215,48 @@ def pairs_of(n_points: int, i, j) -> PairSet:
     return PairSet(n_points, np.asarray(i, dtype=np.int64) * n_points + np.asarray(j, dtype=np.int64))
 
 
+def binary_support(vector: tuple[float, ...]) -> frozenset[int]:
+    """Indices of the 1-entries of a {0,1}-valued vector."""
+    support = set()
+    for i, value in enumerate(vector):
+        if value == 1.0:
+            support.add(i)
+        elif value != 0.0:
+            raise NotBinaryError("set-valued features must be 0/1")
+    return frozenset(support)
+
+
+def reference_distance(metric, x: Point, y: Point):
+    """The metric's distance between the fairness vectors of x and y, from
+    its definition: a Fraction for Hamming and Jaccard, a float for angular
+    and scaled Euclidean distance."""
+    u, v = x.fairness_vector, y.fairness_vector
+    if len(u) != len(v):
+        raise DimensionMismatchError(f"points {x.id!r} and {y.id!r} have dimensions {len(u)} and {len(v)}")
+    if isinstance(metric, NormalizedHamming):
+        if len(u) != metric.n:
+            raise DimensionMismatchError(f"expected dimension {metric.n}, got {len(u)}")
+        return Fraction(sum(a != b for a, b in zip(u, v)), metric.n)
+    if isinstance(metric, JaccardDistance):
+        a, b = binary_support(u), binary_support(v)
+        union = a | b
+        return Fraction(1) - Fraction(len(a & b), len(union)) if union else Fraction(0)
+    if isinstance(metric, Angular):
+        nu = math.sqrt(math.fsum(a * a for a in u))
+        nv = math.sqrt(math.fsum(b * b for b in v))
+        if nu == 0.0 or nv == 0.0:
+            raise ZeroVectorError("angular distance undefined on the zero vector")
+        if u == v:
+            return 0.0  # the identity axiom, exact despite acos noise
+        cos = math.fsum(a * b for a, b in zip(u, v)) / (nu * nv)
+        return math.acos(min(1.0, max(-1.0, cos))) / math.pi
+    if isinstance(metric, ScaledEuclidean):
+        # squares as products: libm's pow, behind x ** 2, is not always correctly rounded
+        norm = math.sqrt(math.fsum((a - b) * (a - b) for a, b in zip(u, v)))
+        return min(norm / metric.scale, 1.0)
+    raise TypeError(f"no reference distance for {type(metric).__name__}")
+
+
 def draw_bits(rng, n: int) -> int:
     """A uniform integer in [0, 2^n) from the next n bits of the stream of
     a CountingRng, consuming exactly n: the scalar draw under the others."""
@@ -338,7 +388,7 @@ def reference_fairness_check(derand, dataset, metric, alpha, beta, cfg, pairs):
     violations, worst = 0, -math.inf
     for i, j in pairs:
         gap = reference_gap(derand, dataset[i], dataset[j], cfg)
-        excess = gap - (alpha * metric.distance(dataset[i], dataset[j]) + beta)
+        excess = gap - (alpha * reference_distance(metric, dataset[i], dataset[j]) + beta)
         if excess > 0:
             violations += 1
         if excess > worst:
@@ -350,8 +400,8 @@ def reference_family_beta(derand, dataset, metric, alpha, cfg):
     """max(0, max over all pairs of gap - alpha*d), pair by pair."""
     worst = 0
     for i, j in itertools.combinations(range(len(dataset)), 2):
-        excess = reference_gap(derand, dataset[i], dataset[j], cfg) - alpha * metric.distance(
-            dataset[i], dataset[j]
+        excess = reference_gap(derand, dataset[i], dataset[j], cfg) - alpha * reference_distance(
+            metric, dataset[i], dataset[j]
         )
         if excess > worst:
             worst = excess
@@ -360,7 +410,7 @@ def reference_family_beta(derand, dataset, metric, alpha, cfg):
 
 def reference_scorer_beta(scorer, dataset, metric, alpha):
     """max(0, max over pairs of |score gap| - alpha*d), pair by pair, with
-    each pair's distance from ``pair_distances`` (the type distance has)."""
+    each pair's distance from ``pair_distances``."""
     scores = [scorer.score(p) for p in dataset]
     i, j = np.triu_indices(len(dataset), 1)
     codes, values = metric.pair_distances(dataset, PairSet(len(dataset)))
@@ -395,7 +445,7 @@ def aggregate_fairness(classifier, dataset, metric, tau) -> Fraction:
     close = [
         (i, j)
         for i, j in itertools.combinations(range(len(dataset)), 2)
-        if metric.distance(dataset[i], dataset[j]) <= tau
+        if reference_distance(metric, dataset[i], dataset[j]) <= tau
     ]
     if not close:
         raise EmptyPairSetError(f"no pairs within distance {tau}")
@@ -415,12 +465,12 @@ def brute_violation_search(derand, metric, grid, alpha, beta):
     bits = [[c.predict(p) for p in grid] for c in classifiers]
     if all(len(set(row)) == 1 for row in bits):
         return None
-    spacing = max(metric.distance(grid[i], grid[i + 1]) for i in range(len(grid) - 1))
+    spacing = max(reference_distance(metric, grid[i], grid[i + 1]) for i in range(len(grid) - 1))
     if not Fraction(alpha) * Fraction(spacing) + Fraction(beta) < Fraction(1, size):
         raise GridTooCoarseError(f"adjacent spacing {float(spacing)} must be below {(1.0 / size - beta) / alpha}")
     for i in range(len(grid) - 1):
         flips = sum(row[i] != row[i + 1] for row in bits)
-        budget = Fraction(alpha) * Fraction(metric.distance(grid[i], grid[i + 1])) + Fraction(beta)
+        budget = Fraction(alpha) * Fraction(reference_distance(metric, grid[i], grid[i + 1])) + Fraction(beta)
         if flips and Fraction(flips, size) > budget:
             return grid[i], grid[i + 1]
     return None

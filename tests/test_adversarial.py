@@ -24,7 +24,7 @@ from fairderand.errors import FairderandError, GridTooCoarseError, InvalidParame
 from fairderand.measure import prediction_table, scorer_beta
 from fairderand.metrics import NormalizedHamming, ScaledEuclidean
 
-from conftest import brute_violation_search, enumerate_members, split_share
+from conftest import brute_violation_search, enumerate_members, reference_distance, split_share
 
 EXACT = EstimatorConfig(mode="exact")
 
@@ -82,9 +82,9 @@ class TestSphereCounterexample:
         dataset, scorer, metric = sphere_counterexample(cfg)
         origin = Point("origin", (0.0, 0.0))
         for p in dataset:
-            assert metric.distance(p, origin) == pytest.approx(cfg.delta_sphere)
+            assert reference_distance(metric, p, origin) == pytest.approx(cfg.delta_sphere)
         min_d = min(
-            metric.distance(dataset[i], dataset[j]) for i, j in itertools.combinations(range(len(dataset)), 2)
+            reference_distance(metric, dataset[i], dataset[j]) for i, j in itertools.combinations(range(len(dataset)), 2)
         )
         assert min_d == pytest.approx(cfg.eps_gap, rel=1e-9)
 
@@ -104,7 +104,7 @@ class TestSphereCounterexample:
         for i, j in itertools.combinations(range(len(dataset)), 2):
             gap = split_share(table, i, j)
             assert gap >= floor_value
-            d = metric.distance(dataset[i], dataset[j])
+            d = reference_distance(metric, dataset[i], dataset[j])
             assert gap > cfg.alpha * d + Fraction(str(cfg.beta))
 
     def test_verification_report(self):
@@ -149,7 +149,7 @@ class TestViolationSearch:
         assert x.features[0] < 0.5 <= y.features[0]
         gap = mean_gap(family, x, y)
         assert gap == 1
-        assert gap > 1.0 * ScaledEuclidean(1.0).distance(x, y) + 0.1
+        assert gap > 1.0 * reference_distance(ScaledEuclidean(1.0), x, y) + 0.1
 
     def test_ten_threshold_family(self):
         derand = Derandomizer.rt(AffineScorer((1.0,)), 10)
@@ -159,7 +159,7 @@ class TestViolationSearch:
         assert found is not None
         x, y = found
         gap = mean_gap(enumerate_members(derand), x, y)
-        assert gap > 1.0 * ScaledEuclidean(1.0).distance(x, y) + 0.05
+        assert gap > 1.0 * reference_distance(ScaledEuclidean(1.0), x, y) + 0.05
 
     def test_beta_must_be_below_one_over_family_size(self):
         derand = Derandomizer.rt(AffineScorer((1.0,)), 10)
@@ -200,7 +200,7 @@ class TestViolationSearch:
         )
         x, y = found
         metric = ScaledEuclidean(1.0)
-        assert float(mean_gap(enumerate_members(derand), x, y)) > 1.0 * metric.distance(x, y) + 0.1
+        assert float(mean_gap(enumerate_members(derand), x, y)) > 1.0 * reference_distance(metric, x, y) + 0.1
 
 
 def outcome(fn):

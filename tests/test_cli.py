@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import types
@@ -31,6 +32,8 @@ from fairderand.errors import (
 from fairderand.hashing import SimHashFamily
 from fairderand.metrics import JaccardDistance
 from fairderand.rng import CountingRng
+
+from conftest import random_binary_dataset, random_scorer
 
 
 def write_dataset(path, rows, header):
@@ -896,6 +899,33 @@ class TestDataErrors:
         config = config_factory(input=str(path), **overrides)
         assert main(["audit", "--config", str(config)]) == 3
         assert capsys.readouterr().err == f"data error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "metric,odd,message",
+        [({"kind": "angular"}, "0", "angular distance undefined on the zero vector"),
+         ({"kind": "jaccard"}, "0.5", "set-valued features must be 0/1")],
+        ids=["angular-zero-row", "jaccard-half-entry"],
+    )
+    def test_capped_audit_checks_every_point(self, tmp_path, config_factory, capsys, metric, odd, message):
+        # these passed (exit 0, no violations) whenever no sampled pair held the odd point
+        rng = random.Random(1)
+        dataset = random_binary_dataset(rng, 40, 6)
+        path = tmp_path / "data.csv"
+        save_dataset(path, dataset, random_scorer(rng, dataset, 1000))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(",".join(["odd", odd, *["0"] * 5, "0.5"]) + "\n")
+        config = config_factory(input=str(path), metric=metric, pairs_cap=5)
+        assert main(["audit", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (tmp_path / "reports").exists()
+
+    def test_single_point_audit_checks_the_metric_width(self, tmp_path, config_factory, capsys):
+        # a pass over no pair checks the point too: this was "no pairs to check" (exit 2)
+        path = tmp_path / "one.csv"
+        write_dataset(path, [["a", 1, 0, "0.5"]], ["id", "feat_0", "feat_1", "score"])
+        config = config_factory(input=str(path), metric={"kind": "hamming", "n": 3})
+        assert main(["audit", "--config", str(config)]) == 3
+        assert capsys.readouterr().err == "data error: expected dimension 3, got 2\n"
 
     def test_angular_metric_on_a_zero_row_exits_3(self, tmp_path, config_factory, capsys):
         path = tmp_path / "zero.csv"

@@ -1,7 +1,7 @@
-"""Golden reports: three exact audits and four derandomizations, run from
-inputs built here from fixed seeds, must write ``audit.json``,
-``fairness_curve.csv`` and ``derandomize.json`` byte for byte as the files
-under ``tests/golden/``.
+"""Golden reports: five exact audits, four derandomizations, a strategic
+analysis and an adversarial sphere construction, run from inputs built
+here from fixed seeds, must write their report files byte for byte as the
+files under ``tests/golden/``.
 
 Only exact configs are pinned: their values are rationals, and curve
 values are elementwise operations plus ``math.fsum``, so they read the
@@ -9,6 +9,13 @@ same on every numpy build.  Monte Carlo reductions (``var``, ``std``) may
 round differently across builds and stay out.  So does a SimHash
 derandomization: its unit normal comes from numpy's ``log`` and ``cos``,
 which may round differently across builds, and its predictions with it.
+
+The float metrics' cases run on real-valued points.  Their sums are
+``math.fsum``s and their products, square roots and quotients are IEEE
+operations, so they are correctly rounded everywhere.  Angular values
+then come from the platform libm's ``acos``, not from numpy, and the
+sphere's coordinates from its ``cos``, ``sin`` and ``asin``; the files
+were written with glibc's.
 
 The configs name their files by relative paths, so each command runs with
 the test's temporary directory as its working directory.
@@ -23,15 +30,16 @@ import pytest
 from fairderand.cli import main
 from fairderand.dataio import save_dataset
 
-from conftest import random_binary_dataset, random_scorer
+from conftest import random_binary_dataset, random_real_dataset, random_scorer
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def write_scored_binary(path: Path, seed: int, n_points: int, dim: int) -> None:
-    """Distinct non-zero bit vectors with three-decimal scores."""
+def write_scored(path: Path, seed: int, n_points: int, dim: int, real: bool = False) -> None:
+    """Distinct non-zero bit vectors (or real vectors in [-1, 1]) with
+    three-decimal scores."""
     rng = random.Random(seed)
-    dataset = random_binary_dataset(rng, n_points, dim)
+    dataset = (random_real_dataset if real else random_binary_dataset)(rng, n_points, dim)
     save_dataset(path, dataset, random_scorer(rng, dataset, 1000))
 
 
@@ -52,6 +60,29 @@ CASES = {  # name: (input, config, command)
         {"scheme": "pi", "k": 101, "bucketer": {"kind": "identity"}, "alpha": 2, "beta": 0},
         "audit",
     ),
+    "rt-angular": (
+        dict(seed=14, n_points=40, dim=4, real=True),
+        {"scheme": "rt", "k": 101, "metric": {"kind": "angular"}, "alpha": 1, "beta": 0.05,
+         "curve_alphas": [0, 0.5, 1, 2]},
+        "audit",
+    ),
+    "pi-grid-scaled-euclidean": (
+        dict(seed=15, n_points=40, dim=3, real=True),
+        {"scheme": "pi", "k": 101, "bucketer": {"kind": "grid", "resolution": 0.5},
+         "metric": {"kind": "scaled_euclidean", "scale": 2}, "alpha": 1, "beta": 0.1},
+        "audit",
+    ),
+    "strategic-scaled-euclidean": (
+        dict(seed=16, n_points=30, dim=2, real=True),
+        {"scheme": "rt", "k": 11, "metric": {"kind": "scaled_euclidean", "scale": 1.5}, "alpha": 1, "beta": 0.05},
+        "strategic",
+    ),
+    "adversarial-sphere": (
+        None,
+        {"adversarial": {"construction": "sphere", "n_points": 12, "dimension": 3,
+                         "delta_sphere": 0.2, "eps_gap": 0.05}, "k": 101, "alpha": 1, "beta": 0},
+        "adversarial",
+    ),
     "derandomize-rt": (dict(seed=21, n_points=30, dim=8), {"scheme": "rt", "k": 101}, "derandomize"),
     "derandomize-pi-grid": (
         dict(seed=22, n_points=30, dim=6),
@@ -71,8 +102,10 @@ def run_case(name: str, directory: Path) -> Path:
     """Write the case's input and config into directory and run its command
     there; the report directory, relative to directory."""
     data, config, command = CASES[name]
-    write_scored_binary(directory / "data.csv", **data)
-    config = {**config, "mode": "exact", "seed": 5, "input": "data.csv", "out": "reports"}
+    config = {**config, "mode": "exact", "seed": 5, "out": "reports"}
+    if data is not None:
+        write_scored(directory / "data.csv", **data)
+        config["input"] = "data.csv"
     (directory / "config.json").write_text(json.dumps(config), encoding="utf-8")
     assert main([command, "--config", "config.json"]) == 0
     return Path("reports")
@@ -94,5 +127,11 @@ def test_exact_audit_matches_golden(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", [name for name, case in CASES.items() if case[2] == "derandomize"])
 def test_derandomize_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    check_case(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", [name for name, case in CASES.items() if case[2] in ("strategic", "adversarial")])
+def test_float_report_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     check_case(name, tmp_path)

@@ -37,7 +37,7 @@ from fairderand.measure import prediction_table
 from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming
 from fairderand.rng import CountingRng
 
-from conftest import brute_collision, reference_member, split_share
+from conftest import brute_collision, reference_distance, reference_member, split_share
 
 
 def every_coefficient(fam: PiFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +156,7 @@ class TestBitSampling:
         fam = BitSamplingFamily(2)
         x, y = Point("x", (0.0, 0.0)), Point("y", (0.0, 1.0))
         assert brute_collision(fam, x, y) == Fraction(1, 2)
-        assert 1 - NormalizedHamming(2).distance(x, y) == Fraction(1, 2)
+        assert 1 - reference_distance(NormalizedHamming(2), x, y) == Fraction(1, 2)
 
     def test_exact_collision_matches_hamming_randomized(self):
         rng = random.Random(5)
@@ -165,7 +165,7 @@ class TestBitSampling:
         for _ in range(50):
             x = Point("x", tuple(float(rng.randint(0, 1)) for _ in range(6)))
             y = Point("y", tuple(float(rng.randint(0, 1)) for _ in range(6)))
-            assert brute_collision(fam, x, y) == 1 - metric.distance(x, y)
+            assert brute_collision(fam, x, y) == 1 - reference_distance(metric, x, y)
 
     def test_sampled_coordinate_uniform(self):
         fam = BitSamplingFamily(4)
@@ -210,7 +210,7 @@ class TestMinHash:
             b = Point("b", tuple(float(rng.randint(0, 1)) for _ in range(5)))
             if not any(a.features) or not any(b.features):
                 continue
-            assert brute_collision(fam, a, b) == 1 - metric.distance(a, b)
+            assert brute_collision(fam, a, b) == 1 - reference_distance(metric, a, b)
 
     def test_large_universe_not_enumerable(self):
         with pytest.raises(NotEnumerableError):
@@ -251,7 +251,7 @@ class TestSimHash:
         for _ in range(20):
             x = Point("x", tuple(gen.uniform(-1, 1) for _ in range(3)))
             y = Point("y", tuple(gen.uniform(-1, 1) for _ in range(3)))
-            expected = 1 - angular.distance(x, y)
+            expected = 1 - reference_distance(angular, x, y)
             side_x = normals @ np.array(x.features) >= 0
             side_y = normals @ np.array(y.features) >= 0
             freq = float((side_x == side_y).mean())

@@ -62,12 +62,13 @@ from fairderand.measure import (
 from fairderand.derandomize import SharedBucketer
 from fairderand.hashing import FixedFamily, PiFamily
 from fairderand import metrics
-from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming, ScaledEuclidean, binary_support
+from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming, ScaledEuclidean
 from fairderand.rng import CountingRng
 
 from conftest import (
     ReferenceClassifier,
     aggregate_fairness,
+    binary_support,
     brute_aggregate_variance,
     brute_mean,
     brute_pairwise,
@@ -77,6 +78,7 @@ from conftest import (
     random_binary_dataset,
     random_real_dataset,
     random_scorer,
+    reference_distance,
     reference_excesses,
     reference_fairness_check,
     reference_family_beta,
@@ -204,7 +206,7 @@ class TestOracleAgreement:
         px, py = Point("x", tuple(map(float, x))), Point("y", tuple(map(float, y)))
         scorer = TabularScorer({"x": "0.3", "y": "0.75"})
         tx, ty = threshold_count(scorer.score(px), k), threshold_count(scorer.score(py), k)
-        p = 1 - float(metric.distance(px, py))
+        p = 1 - float(reference_distance(metric, px, py))
         expected = p * abs(tx - ty) / k + (1 - p) * (tx * (k - ty) + ty * (k - tx)) / k**2
         mc = EstimatorConfig(mode="mc", trials=200_000, seed=13)
         est = split_share(prediction_table(Derandomizer(scorer, family, k), Dataset((px, py)), mc), 0, 1)
@@ -595,7 +597,7 @@ class TestThresholdFairnessCheck:
         gaps = [
             split_share(prediction_table(derand, Dataset((ds[i], ds[j])), mc), 0, 1)
             for i, j in itertools.combinations(range(len(ds)), 2)
-            if metric.distance(ds[i], ds[j]) <= 0.3
+            if reference_distance(metric, ds[i], ds[j]) <= 0.3
         ]
         assert report["pairs_within_sigma"]["value"] == len(gaps)
         assert report["max_gap"]["value"] == max(gaps)
@@ -615,7 +617,7 @@ class TestThresholdFairnessCheck:
         ds = random_binary_dataset(rng, n_points, 3)
         derand, metric = TestPairPathMatchesReferenceLoop.family(kind, random_scorer(rng, ds, 20), ds, 5)
         table = prediction_table(derand, ds, EstimatorConfig(mode="mc" if mc else "exact", trials=300, seed=seed))
-        close = [(a, b) for a, b in itertools.combinations(range(n_points), 2) if metric.distance(ds[a], ds[b]) <= sigma]
+        close = [(a, b) for a, b in itertools.combinations(range(n_points), 2) if reference_distance(metric, ds[a], ds[b]) <= sigma]
         if not close:
             with pytest.raises(EmptyPairSetError):
                 threshold_fairness_check(table, metric, sigma, self.TAU)
@@ -1106,7 +1108,7 @@ class TestFairnessCurve:
         curve = empirical_fairness_curve(prediction_table(derand, ds, cfg), metric, alphas)
         i, j, _ = select_pairs(len(ds), cfg.pairs_cap, seed)
         pairs = [(ds[a], ds[b]) for a, b in zip(i.tolist(), j.tolist())]
-        gaps = [(float(brute_pairwise(derand, x, y)), float(metric.distance(x, y))) for x, y in pairs]
+        gaps = [(float(brute_pairwise(derand, x, y)), float(reference_distance(metric, x, y))) for x, y in pairs]
         for (alpha, beta), a in zip(curve, alphas):
             expected = math.fsum(max(g - a * d, 0.0) for g, d in gaps) / len(gaps)
             assert alpha == a and math.isclose(beta, expected, rel_tol=1e-12)
@@ -1230,7 +1232,7 @@ class TestSameBucketSum:
 
 class TestStreamedPairPass:
     """The block pass of ``pair_classes`` equals a reference built pair by
-    pair from ``select_pairs``, ``split_share`` and ``metric.distance``."""
+    pair from ``select_pairs``, ``split_share`` and ``reference_distance``."""
 
     CASES = [(scheme, "hamming") for scheme in ("rt", "pi", "bit_sampling")] + [
         (scheme, "jaccard") for scheme in ("rt", "minhash")
@@ -1281,7 +1283,7 @@ class TestStreamedPairPass:
         i, j, pair_seed = select_pairs(n_points, pairs_cap, seed)
         if pairs_cap >= total:
             assert (i.tolist(), j.tolist()) == tuple(t.tolist() for t in np.triu_indices(n_points, 1))
-        distances = [metric.distance(ds[a], ds[b]) for a, b in zip(i.tolist(), j.tolist())]
+        distances = [reference_distance(metric, ds[a], ds[b]) for a, b in zip(i.tolist(), j.tolist())]
         counts = [round(split_share(table, a, b) * table.size) for a, b in zip(i.tolist(), j.tolist())]
         assert classes.pair_seed == pair_seed
         if pair_seed is None:  # a pass over every pair keeps each pair's code

@@ -1,15 +1,19 @@
 import itertools
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairderand import Angular, Dataset, JaccardDistance, NormalizedHamming, Point, ScaledEuclidean
 from fairderand.errors import DimensionMismatchError, NotBinaryError, ZeroVectorError
+from fairderand.metrics import PairSet
 
-from conftest import pairs_of
+from conftest import pairs_of, random_real_dataset, reference_distance
 
 
 _IDS = itertools.count()
@@ -19,27 +23,38 @@ def pt(*coords, z=None):
     return Point(f"x{next(_IDS)}", tuple(coords), fairness_features=z)
 
 
+def distances(metric, points, pairs):
+    """The metric's distance at each (a, b) of pairs of the points, from one pass."""
+    i, j = zip(*pairs)
+    codes, values = metric.pair_distances(Dataset(points), pairs_of(len(points), i, j))
+    return [values[c] for c in codes.tolist()]
+
+
+def dist(metric, x, y):
+    return distances(metric, [x, y], [(0, 1)])[0]
+
+
 class TestValues:
     def test_hamming(self):
         d = NormalizedHamming(4)
-        assert d.distance(pt(0, 0, 1, 1), pt(0, 1, 1, 0)) == Fraction(1, 2)
+        assert dist(d, pt(0, 0, 1, 1), pt(0, 1, 1, 0)) == Fraction(1, 2)
 
     def test_angular_right_angle(self):
-        assert Angular().distance(pt(1, 0), pt(0, 1)) == pytest.approx(0.5)
+        assert dist(Angular(), pt(1, 0), pt(0, 1)) == pytest.approx(0.5)
 
     def test_jaccard(self):
         # indicator vectors of {1,2,3} and {2,3,4} over a 5-element universe
         a = pt(0, 1, 1, 1, 0)
         b = pt(0, 0, 1, 1, 1)
-        assert JaccardDistance().distance(a, b) == Fraction(1, 2)
+        assert dist(JaccardDistance(), a, b) == Fraction(1, 2)
 
     def test_jaccard_empty_union_is_zero(self):
-        assert JaccardDistance().distance(pt(0, 0), pt(0, 0)) == 0
+        assert dist(JaccardDistance(), pt(0, 0), pt(0, 0)) == 0
 
     def test_scaled_euclidean_clamps(self):
         d = ScaledEuclidean(2.0)
-        assert d.distance(pt(0, 0), pt(0, 1)) == pytest.approx(0.5)
-        assert d.distance(pt(0, 0), pt(0, 100)) == 1.0
+        assert dist(d, pt(0, 0), pt(0, 1)) == pytest.approx(0.5)
+        assert dist(d, pt(0, 0), pt(0, 100)) == 1.0
 
     def test_float_distances_round_each_sum_once(self):
         # each sum is the float nearest the exact sum of its float terms, in
@@ -50,49 +65,57 @@ class TestValues:
         u, v = (0.6, 0.7, 0.9), (0.2, 0.1, 0.7)
         nu, nv = (math.sqrt(rounded([a * a for a in w])) for w in (u, v))
         cos = rounded([a * b for a, b in zip(u, v)]) / (nu * nv)
-        norm = math.sqrt(rounded([(a - b) ** 2 for a, b in zip(u, v)]))
+        norm = math.sqrt(rounded([(a - b) * (a - b) for a, b in zip(u, v)]))
         for order in itertools.permutations(range(3)):
             x, y = pt(*(u[i] for i in order)), pt(*(v[i] for i in order))
-            assert Angular().distance(x, y) == math.acos(cos) / math.pi
-            assert ScaledEuclidean(2.0).distance(x, y) == norm / 2.0
+            assert dist(Angular(), x, y) == math.acos(cos) / math.pi
+            assert dist(ScaledEuclidean(2.0), x, y) == norm / 2.0
+
+
+    def test_euclidean_squares_are_correctly_rounded(self):
+        # glibc 2.36's pow, behind x ** 2, rounds the square of the second
+        # difference, 1.423631728183919, one ulp off, and so the distance
+        u = (0.7951266720802579, 0.8170688363502763, 0.405727277160324, -0.048295234616553495)
+        v = (0.9552211705868472, -0.6065628918336428, 0.2396864481942107, 0.3203940516074528)
+        squares = [Fraction(float(Fraction(a - b) ** 2)) for a, b in zip(u, v)]
+        assert dist(ScaledEuclidean(4.0), pt(*u), pt(*v)) == math.sqrt(float(sum(squares))) / 4.0
 
 
 class TestErrors:
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            NormalizedHamming(2).distance(pt(0, 1), pt(0, 1, 1))
-
     def test_zero_vector(self):
         with pytest.raises(ZeroVectorError):
-            Angular().distance(pt(0, 0), pt(1, 0))
+            dist(Angular(), pt(0, 0), pt(1, 0))
 
     def test_hamming_wrong_width(self):
-        with pytest.raises(DimensionMismatchError):
-            NormalizedHamming(3).distance(pt(0, 1), pt(0, 1))
+        with pytest.raises(DimensionMismatchError, match="expected dimension 3, got 2"):
+            dist(NormalizedHamming(3), pt(0, 1), pt(0, 1))
 
 
 def test_metric_reads_fairness_features_when_present():
     d = NormalizedHamming(2)
     a = Point("a", (9.0, 9.0, 9.0), fairness_features=(0.0, 1.0))
     b = Point("b", (9.0, 9.0, 9.0), fairness_features=(1.0, 1.0))
-    assert d.distance(a, b) == Fraction(1, 2)
+    assert dist(d, a, b) == Fraction(1, 2)
 
 
 class TestAxioms:
-    """Symmetry, identity, range, and triangle inequality on random triples."""
+    """Symmetry, identity, range, and triangle inequality on random triples,
+    all from one pass over the pairs they need."""
 
     N_TRIPLES = 10_000
     FLOAT_SLACK = 1e-9
 
     def _check(self, metric, make_point):
         rng = random.Random(1729)
-        for _ in range(self.N_TRIPLES):
-            x, y, z = make_point(rng), make_point(rng), make_point(rng)
-            dxy = metric.distance(x, y)
-            assert metric.distance(x, x) == 0
-            assert dxy == metric.distance(y, x)
+        points = [make_point(rng) for _ in range(3 * self.N_TRIPLES)]
+        triples = [(x, x + 1, x + 2) for x in range(0, len(points), 3)]
+        d = iter(distances(metric, points, [p for x, y, z in triples for p in ((x, y), (x, x), (y, x), (x, z), (z, y))]))
+        for _ in triples:
+            dxy, dxx, dyx, dxz, dzy = itertools.islice(d, 5)
+            assert dxx == 0
+            assert dxy == dyx
             assert 0 <= dxy <= 1
-            assert dxy <= metric.distance(x, z) + metric.distance(z, y) + self.FLOAT_SLACK
+            assert dxy <= dxz + dzy + self.FLOAT_SLACK
 
     def test_hamming_axioms(self):
         self._check(
@@ -122,13 +145,6 @@ class TestAxioms:
         )
 
 
-class HalvedHamming(NormalizedHamming):
-    """A subclass whose own distance the pair path must call."""
-
-    def distance(self, x, y):
-        return super().distance(x, y) / 2
-
-
 def binary_points(rng, n, dim):
     """n random 0/1 points and the empty set."""
     return [pt(*[rng.randint(0, 1) for _ in range(dim)]) for _ in range(n)] + [pt(*[0] * dim)]
@@ -155,7 +171,8 @@ def one_graded_point(rng, n, dim):
 
 
 class TestPairDistances:
-    """pair_distances gives, pair by pair, the value and type of distance."""
+    """pair_distances gives, pair by pair, the value and type of the scalar
+    reference distance."""
 
     @pytest.mark.parametrize(
         "metric,make",
@@ -164,7 +181,6 @@ class TestPairDistances:
             (JaccardDistance(), binary_points),
             (Angular(), real_points),
             (ScaledEuclidean(1.5), real_points),
-            (HalvedHamming(6), binary_points),
             (JaccardDistance(), lambda rng, n, dim: binary_points(rng, n, 70)),  # two words per set
             (NormalizedHamming(70), binary_points_70),
             (NormalizedHamming(6), graded_points),
@@ -179,7 +195,7 @@ class TestPairDistances:
         codes, values = metric.pair_distances(Dataset(points), pairs_of(len(points), i, j))
         assert len(codes) == len(i)
         for p, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
-            expected = metric.distance(points[a], points[b])
+            expected = reference_distance(metric, points[a], points[b])
             got = values[codes[p]]
             assert got == expected and type(got) is type(expected)
 
@@ -189,16 +205,122 @@ class TestPairDistances:
     def test_mixed_dimensions_raise_like_distance(self, metric):
         points = [pt(1, 0), pt(0, 1), pt(1, 1, 0)]
         with pytest.raises(DimensionMismatchError):
-            metric.distance(points[1], points[2])
+            reference_distance(metric, points[1], points[2])
         with pytest.raises(DimensionMismatchError):
             metric.pair_distances(Dataset(points), pairs_of(len(points), [0, 1], [1, 2]))
 
     def test_non_binary_jaccard_raises_like_distance(self):
         points = [pt(1, 0), pt(0, 1), pt(0.5, 1)]
         with pytest.raises(NotBinaryError):
-            JaccardDistance().distance(points[0], points[2])
+            reference_distance(JaccardDistance(), points[0], points[2])
         with pytest.raises(NotBinaryError):
             JaccardDistance().pair_distances(Dataset(points), pairs_of(len(points), [0, 0], [1, 2]))
-        # a point in no pair is never read, as with distance
-        codes, values = JaccardDistance().pair_distances(Dataset(points), pairs_of(len(points), [0], [1]))
-        assert values[codes[0]] == 1
+        # the whole matrix is checked: a point in no pair fails the pass too
+        with pytest.raises(NotBinaryError, match="set-valued features must be 0/1"):
+            JaccardDistance().pair_distances(Dataset(points), pairs_of(len(points), [0], [1]))
+
+
+class TestWholeMatrixChecks:
+    """A metric undefined on some point fails every pass over the dataset,
+    with one error, whichever pairs (if any) the pass reads."""
+
+    @pytest.mark.parametrize(
+        "metric,odd,error,message",
+        [
+            (Angular(), (0.0, -0.0, 0.0), ZeroVectorError, "angular distance undefined on the zero vector"),
+            (JaccardDistance(), (0.0, 0.5, 1.0), NotBinaryError, "set-valued features must be 0/1"),
+            (NormalizedHamming(4), None, DimensionMismatchError, "expected dimension 4, got 3"),
+        ],
+    )
+    @pytest.mark.parametrize("pairs", [[(0, 1)], [(1, 2), (0, 2)], []])
+    def test_point_outside_the_pairs_fails_the_pass(self, metric, odd, error, message, pairs):
+        points = [pt(1, 0, 1), pt(0, 1, 1), pt(1, 1, 0)] + ([pt(*odd)] if odd else [])
+        i, j = (list(side) for side in zip(*pairs)) if pairs else ([], [])
+        with pytest.raises(error, match=message):
+            metric.pair_distances(Dataset(points), pairs_of(len(points), i, j))
+
+    def test_one_point_pass_checks_the_point(self):
+        with pytest.raises(DimensionMismatchError, match="expected dimension 3, got 2"):
+            NormalizedHamming(3).pair_distances(Dataset([pt(0, 1)]), PairSet(1))
+
+
+MAGNITUDES = st.floats(min_value=1e-8, max_value=1e8)
+DECIMALS = st.sampled_from([0.1, 0.2, 0.3, 0.6, 0.7, 0.9])  # whose products and sums round
+REALS = st.one_of(st.just(0.0), st.just(-0.0), MAGNITUDES, DECIMALS).flatmap(lambda m: st.sampled_from([m, -m]))
+BINARY = st.sampled_from([0.0, -0.0, 1.0])
+GRADED = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0])
+
+
+@st.composite
+def matrices(draw, entries, factors):
+    """Rows of entries, with some rows repeated (identical) or scaled by
+    factors (parallel)."""
+    dim = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=1, max_size=8))
+    copies = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), st.sampled_from(factors)), max_size=4))
+    return rows + [[c * f for c in rows[r]] for r, f in copies]
+
+
+class TestMatchesReference:
+    """Property: on any matrix, pair_distances is the scalar reference in
+    value and type at every pair of a full or keyed PairSet, or, where the
+    reference is undefined on some point, raises its error."""
+
+    @pytest.mark.parametrize(
+        "make_metric,entries,factors",
+        [
+            (NormalizedHamming, BINARY, [1.0]),
+            (NormalizedHamming, GRADED, [1.0, -1.0, 2.0]),
+            (lambda dim: JaccardDistance(), BINARY, [1.0]),
+            (lambda dim: JaccardDistance(), GRADED, [1.0]),
+            (lambda dim: Angular(), REALS, [1.0, -1.0, 2.0, 0.5, 3.0, 1e-8, 1e8]),
+            (lambda dim: Angular(), BINARY, [1.0]),
+            (lambda dim: ScaledEuclidean(1.5), REALS, [1.0, -1.0, 2.0, 0.5, 3.0, 1e-8, 1e8]),
+            (lambda dim: ScaledEuclidean(1e-3), GRADED, [1.0, 0.5]),
+        ],
+        ids=["hamming-binary", "hamming-graded", "jaccard-binary", "jaccard-graded",
+             "angular-real", "angular-binary", "euclidean-real", "euclidean-graded"],
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_pair_distances_equal_reference(self, make_metric, entries, factors, data):
+        rows = data.draw(matrices(entries, factors))
+        points, n = [pt(*row) for row in rows], len(rows)
+        metric = make_metric(len(rows[0]))
+        if data.draw(st.booleans()):
+            i, j = (side.tolist() for side in np.triu_indices(n, 1))
+            pairs = PairSet(n)
+        else:
+            keyed = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+            i, j = ([p[0] for p in keyed], [p[1] for p in keyed])
+            pairs = pairs_of(n, i, j)
+        try:
+            for p in points:
+                reference_distance(metric, p, p)
+        except (ZeroVectorError, NotBinaryError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                metric.pair_distances(Dataset(points), pairs)
+            return
+        codes, values = metric.pair_distances(Dataset(points), pairs)
+        assert len(codes) == len(i)
+        for p, (a, b) in enumerate(zip(i, j)):
+            expected, got = reference_distance(metric, points[a], points[b]), values[codes[p]]
+            assert got == expected and type(got) is type(expected), (rows[a], rows[b])
+
+
+def test_float_pass_makes_no_python_call_per_pair():
+    """Python code in the metrics module runs once per block, not once per pair."""
+    dataset, calls = random_real_dataset(random.Random(3), 300, 4), 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_globals.get("__name__") == "fairderand.metrics"
+
+    pairs = PairSet(len(dataset))
+    n_blocks = sum(1 for _ in pairs.blocks(np.zeros((len(dataset), 5))))  # each row and its norm
+    sys.setprofile(profile)
+    try:
+        Angular().pair_distances(dataset, pairs)
+    finally:
+        sys.setprofile(None)
+    assert calls <= 8 * n_blocks < len(pairs)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fairderand import (
@@ -15,7 +16,7 @@ from fairderand import (
     TabularScorer,
 )
 from fairderand.measure import family_beta, family_mean, prediction_table, scorer_beta
-from fairderand.metrics import NormalizedHamming, ScaledEuclidean
+from fairderand.metrics import NormalizedHamming, PairSet, ScaledEuclidean
 from fairderand.strategic import best_responses
 
 from conftest import brute_mean, random_binary_dataset, random_real_dataset, random_scorer
@@ -108,11 +109,12 @@ class TestBestResponse:
         ds = line_dataset()
         means = scores(TabularScorer({p.id: p.features[0] for p in ds}), ds)
 
-        class Shifted(ScaledEuclidean):
-            def distance(self, x, y):
-                base = super().distance(x, y)
-                return min(base + 0.1, 1.0) if x.id != y.id else base
+        class Shifted(ScaledEuclidean):  # every move costs 0.1 more: a pass pairs no point with itself
+            def _float_blocks(self, x):
+                rows, block = super()._float_blocks(x)
+                return rows, lambda a, b: np.fmin(block(a, b) + 0.1, 1.0)
 
+        assert min(Shifted(1.0).pair_distances(ds, PairSet(len(ds)))[1]) == pytest.approx(0.2)  # 0.1 apart, plus 0.1
         plain = best_responses(means, ds, ScaledEuclidean(1.0), 1, 0)
         shifted = best_responses(means, ds, Shifted(1.0), 1, 0)
         assert [r["response"] for r in plain] == [r["response"] for r in shifted] == [p.id for p in ds]
