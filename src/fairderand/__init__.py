@@ -7,11 +7,9 @@ from .core import (
     AffineScorer,
     ConstantScorer,
     Dataset,
-    Point,
     StochasticScorer,
     TabularScorer,
     as_score,
-    threshold_count,
 )
 from .derandomize import (
     Derandomizer,

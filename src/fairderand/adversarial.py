@@ -7,7 +7,8 @@ Two procedures live here:
   the scorer is perfectly fair;
 
 * a grid-scan certificate that any finite family with a nontrivial member
-  violates (alpha, beta)-fairness for beta below 1/|family|.
+  violates (alpha, beta)-fairness for beta below 1/|family|, over a grid
+  given as a ``Dataset`` of one row per step, witnessed by two rows.
 
 Both read the audit's own evaluation path: one exact ``prediction_table``
 for the family's gaps, and ``Metric.pair_distances`` for the distances.
@@ -18,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, Point, TabularScorer
+from .core import Dataset, TabularScorer
 from .derandomize import Derandomizer, IdentityBucketer
 from .errors import GridTooCoarseError, InvalidParameterError
 from .measure import EstimatorConfig, prediction_table, quantity, scorer_beta
@@ -33,7 +34,7 @@ from .metrics import Metric, PairSet, ScaledEuclidean
 class SphereConstruction:
     """Parameters of the adversarial dataset.
 
-    Points sit on the sphere of radius ``delta_sphere`` about the origin;
+    The points sit on the sphere of radius ``delta_sphere`` about the origin;
     the score gap and minimum pairwise distance are both ``eps_gap``.  The
     parameter constraints make every pair's expected prediction gap under
     the hashed-threshold family exceed alpha*d + beta.
@@ -84,22 +85,18 @@ def sphere_counterexample(
     """Build the adversarial dataset, its perfectly fair scorer, and the
     metric they are measured under.
 
-    Points are placed on the radius-``delta_sphere`` circle in the first
-    two coordinates at the uniform angular step whose chord is ``eps_gap``,
+    The points lie on the radius-``delta_sphere`` circle in the first two
+    coordinates at the uniform angular step whose chord is ``eps_gap``,
     so the minimum pairwise distance equals ``eps_gap`` by placement.
     Scores alternate between (1 +- gap)/2 along the arc, where the gap is
     the float-realized minimum distance: this makes the scorer exactly
     (1, 0, d)-fair.
     """
     step = 2.0 * math.asin(cfg.eps_gap / (2.0 * cfg.delta_sphere))
-    points = []
-    for i in range(cfg.n_points):
-        angle = i * step
-        coords = [0.0] * cfg.dimension
-        coords[0] = cfg.delta_sphere * math.cos(angle)
-        coords[1] = cfg.delta_sphere * math.sin(angle)
-        points.append(Point(f"s{i:03d}", tuple(coords)))
-    dataset = Dataset(points)
+    coords = np.zeros((cfg.n_points, cfg.dimension))
+    coords[:, :2] = [(cfg.delta_sphere * math.cos(i * step), cfg.delta_sphere * math.sin(i * step))
+                     for i in range(cfg.n_points)]
+    dataset = Dataset([f"s{i:03d}" for i in range(cfg.n_points)], coords)
 
     metric = ScaledEuclidean(1.0)
     _, distances = metric.pair_distances(dataset, PairSet(len(dataset)))
@@ -127,15 +124,10 @@ def verify_sphere_counterexample(
 
     residual = scorer_beta(scorer, dataset, metric, 1)
     pairs = table.pair_classes(metric)
-    classes = zip(pairs.class_codes.tolist(), pairs.class_counts.tolist(), pairs.weights.tolist())
-    pairs_below_floor = 0
-    pairs_not_violating = 0
-    for code, n_diff, weight in classes:
-        gap = Fraction(n_diff, table.size)
-        if gap < floor_value:
-            pairs_below_floor += weight
-        if not gap > cfg.alpha * pairs.values[code] + Fraction(str(cfg.beta)):
-            pairs_not_violating += weight
+    classes = list(zip(pairs.class_codes.tolist(), pairs.class_counts.tolist(), pairs.weights.tolist()))
+    pairs_below_floor = sum(w for _, n_diff, w in classes if Fraction(n_diff, table.size) < floor_value)
+    budget = [cfg.alpha * d + Fraction(str(cfg.beta)) for d in pairs.values]  # each distance's
+    pairs_not_violating = sum(w for code, n_diff, w in classes if not Fraction(n_diff, table.size) > budget[code])
 
     return {
         "pairs_checked": quantity(int(pairs.weights.sum())),
@@ -155,16 +147,17 @@ def verify_sphere_counterexample(
 def finite_family_violation_search(
     derand: Derandomizer,
     metric: Metric,
-    grid: Sequence[Point],
+    grid: Dataset,
     alpha: float,
     beta: float,
-) -> Optional[tuple[Point, Point]]:
+) -> Optional[tuple[int, int]]:
     """Find a pair of adjacent grid points witnessing that the family is
     not (alpha, beta, d)-fair, by scanning for member discontinuities.
 
-    The grid is an ordered path through the domain; one exact prediction
-    table over it counts the members that flip between neighbors.  Returns
-    None when no member flips.  With beta < 1/|family| and adjacent spacing
+    The grid is an ordered path through the domain, one point per row; one
+    exact prediction table over it counts the members that flip between
+    neighbors.  Returns the rows (i, i + 1) of the first flip, or None when
+    no member flips.  With beta < 1/|family| and adjacent spacing
     below (1/|family| - beta)/alpha, any flip certifies a violation.
     """
     if len(grid) < 2:
@@ -173,7 +166,6 @@ def finite_family_violation_search(
     if not beta < 1.0 / size:
         raise InvalidParameterError(f"beta must be below 1/|family| = {1.0 / size}")
 
-    grid = Dataset(grid)
     table = prediction_table(derand, grid, EstimatorConfig(mode="exact"))
     adjacent = PairSet(len(grid), np.arange(len(grid) - 1) * (len(grid) + 1) + 1)  # keys i * n + i + 1
     flips = np.flatnonzero(table.split_counts(adjacent))
@@ -187,4 +179,4 @@ def finite_family_violation_search(
         )
     # every flip splits at least 1/|family| > alpha*d + beta of the family
     p = int(flips[0])
-    return grid[p], grid[p + 1]
+    return p, p + 1

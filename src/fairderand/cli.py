@@ -33,7 +33,7 @@ from .adversarial import (
     sphere_counterexample,
     verify_sphere_counterexample,
 )
-from .core import AffineScorer, ConstantScorer, Dataset, Point, threshold_counts
+from .core import AffineScorer, ConstantScorer, Dataset, threshold_counts
 from .dataio import load_dataset, save_dataset
 from .derandomize import Derandomizer, GridBucketer, IdentityBucketer
 from .errors import ConfigError, DataError, DataFormatError, InvalidParameterError, NotEnumerableError
@@ -267,6 +267,9 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
     else:
         quantities["aggregate_variance"] = quantity(variance.value, variance.stderr)
 
+    n_classifiers = int(config.get("n_classifiers", 0)) if derand.bucketing.locality_sensitive else 0
+    if n_classifiers:  # the tail check reads every pair: one pass, which histograms the capped sample too
+        table.pair_classes(metric)
     fairness = metric_fairness_check(table, metric, alpha, beta)
     quantities["metric_fairness"] = fairness
 
@@ -277,7 +280,6 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
             worst_case_aggregate_bound(alpha, beta, tau, delta, Fraction(2, derand.k)),
             bound_source="worst-case aggregate fairness budget",
         )
-        n_classifiers = int(config.get("n_classifiers", 0))
         if n_classifiers:
             quantities["aggregate_fairness_tail"] = aggregate_fairness_tail_check(
                 table, metric, alpha, tau, delta, n_classifiers, CountingRng(cfg.seed)
@@ -338,22 +340,15 @@ def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
                    for v in (start, stop)):
             raise ConfigError(f"grid_start and grid_stop must be lists of {dim} numbers")
         start, stop = np.asarray(start, dtype=float), np.asarray(stop, dtype=float)
-        grid = [
-            Point(f"g{i:05d}", tuple(start + (stop - start) * (i / (steps - 1))))
-            for i in range(steps)
-        ]
+        share = np.arange(steps)[:, None] / (steps - 1)  # each i / (steps - 1) rounded once, as Python's
+        grid = Dataset([f"g{i:05d}" for i in range(steps)], start + (stop - start) * share)
         found = finite_family_violation_search(
             derand, metric, grid,
             float(config.get("alpha", 1.0)), float(config.get("beta", 0.0)),
         )
-        payload["violation"] = (
-            None
-            if found is None
-            else {
-                "x": {"id": found[0].id, "features": list(found[0].features)},
-                "x_star": {"id": found[1].id, "features": list(found[1].features)},
-            }
-        )
+        payload["violation"] = None if found is None else {
+            name: {"id": grid.ids[r], "features": grid.features[r].tolist()} for name, r in zip(("x", "x_star"), found)
+        }
         return _write_report(out_dir, "adversarial.json", payload)
 
     raise ConfigError(f"unknown construction {construction!r}")

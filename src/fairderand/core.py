@@ -1,22 +1,20 @@
-"""Domain types: datasets, points and scorers.
+"""Domain types: datasets and scorers.
 
 A ``Dataset`` is columnar: ids, a float64 feature matrix, a fairness
-matrix or None, and labels.  A ``Point`` is one row, built on demand where
-an API takes single points.  Scores are exact rationals throughout.  Float
-inputs are read through their shortest round-trip decimal form (``0.3``
-means 3/10, not the nearest binary double), so that threshold comparisons
-against the grid {1/k, ..., k/k} are exact and boundary ties are
-reproducible.  A scorer scores a whole dataset (``scores``) as integer
-numerators over one common denominator, so every t = floor(score * k) is
-one array operation (``threshold_counts``).
+matrix or None, and labels, checked by its one constructor.  Scores are
+exact rationals throughout.  Float inputs are read through their shortest
+round-trip decimal form (``0.3`` means 3/10, not the nearest binary
+double), so that threshold comparisons against the grid {1/k, ..., k/k}
+are exact and boundary ties are reproducible.  A scorer scores a dataset
+(``scores``) as integer numerators over one denominator, so every
+t = floor(score * k) is one array operation (``threshold_counts``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,20 +38,11 @@ def as_score(value: ScoreLike) -> Fraction:
     return score
 
 
-def threshold_count(score: Fraction, k: int) -> int:
-    """Number of grid thresholds u in {1..k} with score >= u/k.
-
-    Equals floor(score * k), computed exactly, so u/k == score counts as a
-    hit (closed comparison).  This single integer determines every
-    prediction a grid-threshold classifier makes at the point.
-    """
-    return (score.numerator * k) // score.denominator
-
-
 def threshold_counts(numerators: np.ndarray, den: int, k: int) -> np.ndarray:
-    """``threshold_count`` of every score numerators/den, as int64 (each
-    t <= k); the products n * k are formed in Python ints where den * k
-    passes int64."""
+    """t = floor(score * k) of every score numerators/den, as int64: the
+    number of grid thresholds u/k <= score (a closed comparison), all that a
+    threshold classifier reads of a score.  The products n * k are formed in
+    Python ints where den * k passes int64."""
     wide = den * k >= 2**63
     return ((numerators.astype(object) if wide else numerators) * k // den).astype(np.int64)
 
@@ -67,67 +56,44 @@ def over_common_denominator(ratios: Sequence[tuple[int, int]]) -> tuple[np.ndarr
     return np.array(values, dtype=np.int64 if max(map(abs, values), default=0) < 2**63 else object), den
 
 
-@dataclass(frozen=True)
-class Point:
-    """A classified individual: id, inference features, optional fairness
-    features and label."""
-
-    id: str
-    features: tuple[float, ...]
-    fairness_features: Optional[tuple[float, ...]] = None
-    label: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", tuple(float(v) for v in self.features))
-        if not self.features:
-            raise InvalidParameterError(f"point {self.id!r} has no features")
-        if not all(math.isfinite(v) for v in self.features):
-            raise InvalidParameterError(f"point {self.id!r} has non-finite features")
-        if self.fairness_features is not None:
-            ff = tuple(float(v) for v in self.fairness_features)
-            if not ff or not all(math.isfinite(v) for v in ff):
-                raise InvalidParameterError(
-                    f"point {self.id!r} has invalid fairness features"
-                )
-            object.__setattr__(self, "fairness_features", ff)
-        if self.label is not None and self.label not in (0, 1):
-            raise InvalidParameterError(f"label of {self.id!r} must be 0 or 1")
-
-    @property
-    def fairness_vector(self) -> tuple[float, ...]:
-        """Features the fairness metric (and LSH) sees: the dedicated
-        fairness features when present, the inference features otherwise."""
-        return self.fairness_features if self.fairness_features is not None else self.features
+def _checked_rows(rows, ids: tuple, what: str) -> np.ndarray:
+    """A float64 matrix of one row per id, each row non-empty and finite."""
+    try:
+        x = np.asarray(rows, dtype=np.float64)
+    except ValueError:  # ragged rows, or a text that is no number
+        if len({len(row) for row in rows}) > 1:
+            raise DimensionMismatchError(f"{what} dimensions are not uniform") from None
+        raise
+    if x.ndim != 2 or len(x) != len(ids):
+        raise DimensionMismatchError(f"{what} must be one row for each of the {len(ids)} ids")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1)) if x.shape[1] else [0]  # no entry at all: every point
+    if len(bad):
+        problem = ("non-finite" if x.shape[1] else "no") if what == "feature" else "invalid fairness"
+        raise InvalidParameterError(f"point {ids[bad[0]]!r} has {problem} features")
+    return x
 
 
 class Dataset:
-    """Ordered points with unique ids and uniform dimensions, as the columns
-    ``ids``, ``features``, ``fairness`` (or None) and ``labels``; an index
-    gives a ``Point``, a slice a dataset.  The data distribution is the
-    empirical uniform distribution, so expectations are plain averages.
-    """
+    """Ordered points as the columns ``ids``, ``features``, ``fairness`` (or
+    None) and ``labels``, checked: at least one point, unique ids, finite
+    float64 rows of one width, and labels 0, 1 or None (all None when labels
+    is None).  A slice gives a dataset.  The data distribution is the
+    empirical uniform distribution, so expectations are plain averages."""
 
-    def __init__(self, points: Iterable[Point] = (), columns: Optional[tuple] = None):
-        """From points, or from checked ``columns`` (ids, features, fairness,
-        labels): unique ids, finite float64 rows, and labels 0, 1 or None
-        (all None when labels is None)."""
-        if columns is None:
-            points = tuple(points)
-            if not points:
-                raise InvalidParameterError("dataset must contain at least one point")
-            ids = [p.id for p in points]
-            if len(set(ids)) != len(ids):
-                raise InvalidParameterError("dataset ids must be unique")
-            if len({len(p.features) for p in points}) > 1:
-                raise DimensionMismatchError("feature dimensions are not uniform")
-            fairness = [p.fairness_features for p in points]
-            if len({None if f is None else len(f) for f in fairness}) > 1:  # all or none, of one length
-                raise DimensionMismatchError("fairness feature dimensions are not uniform")
-            columns = (ids, np.array([p.features for p in points]),
-                       None if fairness[0] is None else np.array(fairness), [p.label for p in points])
-        ids, self.features, self.fairness, labels = columns
+    def __init__(self, ids: Sequence[str], features, fairness=None, labels: Optional[Sequence] = None):
         self.ids = tuple(ids)
+        if not self.ids:
+            raise InvalidParameterError("dataset must contain at least one point")
+        if len(set(self.ids)) != len(self.ids):
+            raise InvalidParameterError("dataset ids must be unique")
+        self.features = _checked_rows(features, self.ids, "feature")
+        self.fairness = None if fairness is None else _checked_rows(fairness, self.ids, "fairness feature")
         self.labels = (None,) * len(self.ids) if labels is None else tuple(labels)
+        if len(self.labels) != len(self.ids):
+            raise DimensionMismatchError(f"labels must be one for each of the {len(self.ids)} ids")
+        for point, label in zip(self.ids, self.labels):
+            if label is not None and label not in (0, 1):
+                raise InvalidParameterError(f"label of {point!r} must be 0 or 1")
 
     @property
     def fairness_vectors(self) -> np.ndarray:
@@ -137,32 +103,19 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self) -> Iterator[Point]:
-        return map(self.__getitem__, range(len(self.ids)))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            fairness = None if self.fairness is None else self.fairness[index]
-            return Dataset(columns=(self.ids[index], self.features[index], fairness, self.labels[index]))
-        fairness = None if self.fairness is None else tuple(self.fairness[index].tolist())
-        return Point(self.ids[index], tuple(self.features[index].tolist()), fairness, self.labels[index])
-
-    def get(self, point_id: str) -> Point:
-        try:
-            return self[self.ids.index(point_id)]
-        except ValueError:
-            raise UnknownPointError(f"no point {point_id!r} in the dataset") from None
+    def __getitem__(self, rows: slice) -> "Dataset":
+        if not isinstance(rows, slice):  # no single points, and so no iteration either
+            raise TypeError(f"a dataset is indexed by slices, not by {type(rows).__name__}")
+        fairness = None if self.fairness is None else self.fairness[rows]
+        return Dataset(self.ids[rows], self.features[rows], fairness, self.labels[rows])
 
 
 class StochasticScorer:
     """A total map from points to scores in [0, 1], read as Pr[predict 1]."""
 
-    def score(self, point: Point) -> Fraction:
-        raise NotImplementedError
-
     def scores(self, data: Dataset) -> tuple[np.ndarray, int]:
         """Every point's score, in dataset order, over one common denominator."""
-        return over_common_denominator([self.score(p).as_integer_ratio() for p in data])
+        raise NotImplementedError
 
 
 class TabularScorer(StochasticScorer):
@@ -176,42 +129,37 @@ class TabularScorer(StochasticScorer):
         self.numerators, self.den = columns or over_common_denominator(ratios)
         self._rows: Optional[dict[str, int]] = None  # id -> row, made on the first lookup
 
-    def _row(self, point_id: str) -> int:
-        self._rows = self._rows or {p: r for r, p in enumerate(self.ids)}
-        try:
-            return self._rows[point_id]
-        except KeyError:
-            why = "a tabular scorer, such as a dataset's score column, scores only the ids in its table"
-            raise UnknownPointError(f"no score for point {point_id!r}: {why}") from None
-
-    def score(self, point: Point) -> Fraction:
-        return Fraction(int(self.numerators[self._row(point.id)]), self.den)
-
     def scores(self, data: Dataset) -> tuple[np.ndarray, int]:
         if data.ids == self.ids:  # a dataset and its own score column
             return self.numerators, self.den
-        return self.numerators[[self._row(p) for p in data.ids]], self.den
+        self._rows = self._rows or {p: r for r, p in enumerate(self.ids)}
+        missing = next((p for p in data.ids if p not in self._rows), None)
+        if missing is not None:
+            why = "a tabular scorer, such as a dataset's score column, scores only the ids in its table"
+            raise UnknownPointError(f"no score for point {missing!r}: {why}")
+        return self.numerators[[self._rows[p] for p in data.ids]], self.den
 
 
 class AffineScorer(StochasticScorer):
-    """score = clamp(w . features + b, 0, 1)."""
+    """score = clamp(w . features + b, 0, 1), each sum rounded once (``math.fsum``)."""
 
     def __init__(self, weights: Sequence[float], bias: float = 0.0):
         self.weights = tuple(float(w) for w in weights)
         self.bias = float(bias)
 
-    def score(self, point: Point) -> Fraction:
-        if len(point.features) != len(self.weights):
+    def scores(self, data: Dataset) -> tuple[np.ndarray, int]:
+        if data.features.shape[1] != len(self.weights):
             raise DimensionMismatchError(
-                f"scorer expects {len(self.weights)} features, got {len(point.features)}"
+                f"scorer expects {len(self.weights)} features, got {data.features.shape[1]}"
             )
-        raw = math.fsum([*(w * v for w, v in zip(self.weights, point.features)), self.bias])  # one rounding
-        return as_score(min(1.0, max(0.0, raw)))
+        terms = np.column_stack([data.features * self.weights, np.full(len(data), self.bias)]).tolist()
+        raws = map(math.fsum, terms)
+        return over_common_denominator([as_score(min(1.0, max(0.0, raw))).as_integer_ratio() for raw in raws])
 
 
 class ConstantScorer(StochasticScorer):
     def __init__(self, value: ScoreLike):
         self.value = as_score(value)
 
-    def score(self, point: Point) -> Fraction:
-        return self.value
+    def scores(self, data: Dataset) -> tuple[np.ndarray, int]:
+        return over_common_denominator([self.value.as_integer_ratio()] * len(data))

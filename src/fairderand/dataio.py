@@ -3,13 +3,14 @@
 Format: header ``id,feat_0..feat_{n-1}[,z_0..z_{m-1}][,label][,score]``,
 UTF-8, comma separated, decimal-point reals.  ``load_dataset`` streams the
 rows into the columns of a ``Dataset``, ``BLOCK_ROWS`` at a time: a block
-is parsed straight into one float matrix and checked as a whole, and a
-block that fails is read again row by row through ``Point``, for the line
-and message of its first bad row.  A ``score`` column defines a tabular
-scorer, read exactly from its text: a plain decimal as integer digits over
-a power of ten, any other text through ``as_score``.  ``save_dataset``
-writes a score as its float text where that reads back as the score, and
-as a fraction otherwise.
+is parsed straight into one float matrix and checked as a whole by the
+``Dataset`` constructor, and a block that fails is read again row by row,
+each row a one-point ``Dataset``, for the line and message of its first
+bad row.  A ``score`` column defines a tabular scorer, read exactly from
+its text: a plain decimal as integer digits over a power of ten, any
+other text through ``as_score``.  ``save_dataset`` writes a score as its
+float text where that reads back as the score, and as a fraction
+otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, Point, TabularScorer, as_score, over_common_denominator
+from .core import Dataset, TabularScorer, as_score, over_common_denominator
 from .errors import DataFormatError, InvalidParameterError
 
 _FEAT = re.compile(r"^feat_(\d+)$")
@@ -74,23 +75,24 @@ def _read(path, reader) -> tuple[Dataset, Optional[TabularScorer]]:
     if fair_cols and [header[i] for i in fair_cols] != [f"z_{i}" for i in range(len(fair_cols))]:
         raise DataFormatError(f"{path}: z_* columns must be z_0..z_{len(fair_cols) - 1} in order")
 
-    ids, blocks, labels, scores, bad_score = [], [], [], [], None
+    ids, blocks, labels, scores, bad_score, d = [], [], [], [], None, len(feat_cols)
     for line_no in itertools.count(2, BLOCK_ROWS):
         block = list(itertools.islice(reader, BLOCK_ROWS))
         rows = [row for row in block if row]
-        try:  # numpy reads a str field as float() does
+        try:  # numpy reads a str field as float() does; the block's rows are checked as a dataset's
             if set(map(len, rows)) - {len(header)}:
                 raise ValueError
             x = np.array(list(map(itemgetter(*feat_cols, *fair_cols), rows)), dtype=float)
-            tags = [int(v) if v != "" else None for v in map(itemgetter(label_col), rows)] if label_col else ()
-            if not (np.isfinite(x).all() and {None, 0, 1}.issuperset(tags)):
-                raise ValueError
+            x = x.reshape(len(rows), d + len(fair_cols))
+            tags = [int(v) if v != "" else None for v in map(itemgetter(label_col), rows)] if label_col else None
+            if rows:  # numbered, not by id: a repeated id is reported once every row is read
+                Dataset(range(len(rows)), x[:, :d], x[:, d:] if fair_cols else None, tags)
         except ValueError:
             _check_rows(path, header, block, line_no, feat_cols, fair_cols, label_col)
             raise
         ids += map(itemgetter(0), rows)
-        blocks.append(x.reshape(len(rows), len(feat_cols) + len(fair_cols)))
-        labels += tags
+        blocks.append(x)
+        labels += tags or ()
         for text in map(itemgetter(score_col), rows) if score_col else ():
             try:
                 scores.append(_score(text))
@@ -100,29 +102,27 @@ def _read(path, reader) -> tuple[Dataset, Optional[TabularScorer]]:
         if len(block) < BLOCK_ROWS:
             break
 
-    if not ids:
-        raise DataFormatError(f"{path}: dataset must contain at least one point")
-    if len(set(ids)) != len(ids):
-        raise DataFormatError(f"{path}: dataset ids must be unique")
+    x = np.concatenate(blocks)
+    try:  # no row, or a repeated id
+        dataset = Dataset(ids, x[:, :d], x[:, d:] if fair_cols else None, labels if label_col else None)
+    except InvalidParameterError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     if bad_score is not None:
         raise DataFormatError(f"{path}: {bad_score}")
-    x = np.concatenate(blocks)
-    d = len(feat_cols)
-    dataset = Dataset(columns=(ids, x[:, :d], x[:, d:] if fair_cols else None, labels if label_col else None))
     return dataset, TabularScorer(dataset.ids, over_common_denominator(scores)) if score_col else None
 
 
 def _check_rows(path, header, block, line_no, feat_cols, fair_cols, label_col):
-    """Read the rows of a block as single points: raises at the first bad row."""
+    """Read the rows of a block as one-point datasets: raises at the first bad row."""
     for line_no, row in enumerate(block, start=line_no):
         if not row:
             continue
         if len(row) != len(header):
             raise DataFormatError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
         try:
-            Point(row[0], tuple(float(row[i]) for i in feat_cols),
-                  tuple(float(row[i]) for i in fair_cols) if fair_cols else None,
-                  int(row[label_col]) if label_col is not None and row[label_col] != "" else None)
+            Dataset([row[0]], [[float(row[i]) for i in feat_cols]],
+                    [[float(row[i]) for i in fair_cols]] if fair_cols else None,
+                    [int(row[label_col]) if label_col is not None and row[label_col] != "" else None])
         except Exception as exc:
             raise DataFormatError(f"{path}:{line_no}: {exc}") from exc
 
@@ -143,9 +143,9 @@ def _score(text: str) -> tuple[int, int]:
 def save_dataset(path, dataset: Dataset, scorer: Optional[TabularScorer] = None) -> None:
     """Write a dataset (and optional tabular scores) in the CSV format."""
     has_label = any(label is not None for label in dataset.labels)
-    header = ["id"] + [f"feat_{i}" for i in range(dataset.features.shape[1])]
-    if dataset.fairness is not None:
-        header += [f"z_{i}" for i in range(dataset.fairness.shape[1])]
+    fairness = dataset.features[:, :0] if dataset.fairness is None else dataset.fairness  # no z_*: empty rows
+    header = ["id", *(f"feat_{i}" for i in range(dataset.features.shape[1]))]
+    header += [f"z_{i}" for i in range(fairness.shape[1])]
     if has_label:
         header.append("label")
     if scorer is not None:
@@ -155,12 +155,11 @@ def save_dataset(path, dataset: Dataset, scorer: Optional[TabularScorer] = None)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r, p in enumerate(dataset):
-            row = [p.id] + [repr(v) for v in p.features]
-            if p.fairness_features is not None:
-                row += [repr(v) for v in p.fairness_features]
+        for r, (point, x, z, label) in enumerate(zip(dataset.ids, dataset.features.tolist(), fairness.tolist(),
+                                                      dataset.labels)):
+            row = [point, *map(repr, x), *map(repr, z)]
             if has_label:
-                row.append("" if p.label is None else str(p.label))
+                row.append("" if label is None else str(label))
             if scorer is not None:  # the float text only where it reads back as the score
                 score = Fraction(int(numerators[r]), den)
                 row.append(repr(float(score)) if Fraction(repr(float(score))) == score else str(score))

@@ -27,20 +27,22 @@ check evaluates its own drawn batch at every point, in one call, and
 ``sample_classifier`` the one classifier of ``fairderand derandomize``:
 each drawn classifier is evaluated by ``_ClassifierBatch.bits`` only.
 
-A single point needs no table: c is uniform on [k], so under every family
+A point's mean needs no table: c is uniform on [k], so under every family
 (RT, Pi and each LS family, SimHash included) a member predicts 1 at x with
-probability exactly t/k (``family_mean``).  ``decomposition_check`` reads
-its bias and variances from that, and ``fairderand strategic`` its family
-means, from one array of t (``threshold_counts``).
+probability exactly t/k.  ``family_mean``, ``decomposition_check`` and
+``fairderand strategic`` answer every point of a dataset at once from one
+array of t (``threshold_counts``).
 
 Pair quantities read one pass per table and metric over every pair, or
 the capped ``sample_pairs``, which holds only its ``cap`` sorted keys and
 a block of draws.  The pass folds each block's split counts (the closed
 form, or a popcount of the XOR of packed rows) and distance keys straight
 into the histogram of (distance, split count) classes; only a pass over
-every pair keeps a per-pair array, its distance codes.  Reductions
-evaluate their Python expression at a bisection of each distance's
-classes, so rationals stay exact and parameters keep their arithmetic.
+every pair keeps a per-pair array, its distance codes.  Above the cap it
+also histograms the capped sample's pairs as it meets them (both in
+i * n + j order), so an audit makes one pass.  Reductions evaluate their
+Python expression at a bisection of each distance's classes, so
+rationals stay exact and parameters keep their arithmetic.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Dataset, Point, StochasticScorer, threshold_count, threshold_counts
+from .core import Dataset, StochasticScorer, threshold_counts
 from .derandomize import Derandomizer
 from .errors import EmptyPairSetError, FamilyTooLargeError, InvalidParameterError
 from .hashing import BitBudget
@@ -230,7 +232,7 @@ class PredictionTable:
     rows: np.ndarray
     vectors: Optional[np.ndarray]  # derand.bucketing.vectors(dataset)
     sums: Optional[np.ndarray]  # in the smallest unsigned dtype that holds len(dataset)
-    _passes: list = field(default_factory=list, init=False, repr=False)
+    _passes: dict = field(default_factory=dict, init=False, repr=False)  # (metric, capped): classes
 
     def split_counts(self, pairs: PairSet) -> np.ndarray:
         """Members (or trials) that predict differently at each pair's points."""
@@ -256,32 +258,50 @@ class PredictionTable:
 
     def pair_classes(self, metric: Metric, capped: bool = False) -> PairClasses:
         """The pass over every pair (or the capped ``sample_pairs``) under
-        the metric, computed once; a capped pass of every pair serves both.
-        It counts the keys distance key * (size + 1) + split count."""
-        for m, c, classes in self._passes:
-            if m is metric and (c == capped or (c and classes.pair_seed is None)):
-                return classes
+        the metric, computed once; below the cap they are one pass, and a
+        pass over every pair also histograms the sample.  It counts the
+        keys distance key * (size + 1) + split count."""
+        if (metric, capped) in self._passes:
+            return self._passes[metric, capped]
         n = len(self.dataset)
-        pairs, seed = sample_pairs(n, self.cfg.pairs_cap if capped else n * n, self.cfg.seed)
+        sample, seed = sample_pairs(n, self.cfg.pairs_cap, self.cfg.seed)
+        pairs = sample if capped else PairSet(n)
         key, points, bound, decode = metric._pair_keys(self.dataset, len(pairs))
         rows, width = self._split_rows(), self.size + 1
-        codes = np.empty(len(pairs), np.min_scalar_type(max(bound - 1, 0))) if seed is None else None
+        codes = np.empty(len(pairs), np.min_scalar_type(max(bound - 1, 0))) if pairs.keys is None else None
         dtype = np.min_scalar_type(max(bound, 1) * width)  # object past 2**64
+        sampled = None
+        if not capped and seed is not None:  # each sampled pair's position among every pair, over its key
+            at, sampled = sample.keys, np.empty(len(sample), dtype)
+            for c in range(0, at.size, SAMPLE_BLOCK):  # pair i * n + j is at i * n + j - (i + 1)(i + 2) / 2
+                i = at[c : c + SAMPLE_BLOCK] // n
+                at[c : c + SAMPLE_BLOCK] = at[c : c + SAMPLE_BLOCK] - (i.astype(np.int64) + 1) * (i + 2) // 2
 
-        def blocks(s=0):
+        def blocks(s=0, hi=0):
             for pa, pb, ra, rb in pairs.blocks(points, rows):
                 keys = key(pa, pb)
+                both = keys.astype(dtype) * width + self._splits(ra, rb).astype(dtype)
                 if codes is not None:
-                    codes[s : s + keys.size], s = keys, s + keys.size
-                yield keys.astype(dtype) * width + self._splits(ra, rb).astype(dtype)
+                    codes[s : s + keys.size] = keys
+                if sampled is not None:
+                    lo, hi = hi, int(at.searchsorted(at.dtype.type(s + keys.size)))  # a Python int would cast all of at
+                    sampled[lo:hi] = both[at[lo:hi] - s]
+                s += keys.size
+                yield both
 
-        keys, weights = _histogram(blocks(), dtype)
-        keys, counts = (keys // width).astype(np.int64), (keys % width).astype(np.int64)  # < bound, <= size < 2**63
-        distinct = keys[firsts := _run_firsts(keys)]
-        codes = None if codes is None else rank_keys(codes, distinct)
-        classes = PairClasses(seed, decode(distinct), codes, np.cumsum(firsts) - 1, counts, weights)
-        self._passes.append((metric, capped, classes))
-        return classes
+        def classes(histogram, pair_seed, codes=None):
+            keys, weights = histogram
+            keys, counts = (keys // width).astype(np.int64), (keys % width).astype(np.int64)  # < bound, <= size < 2**63
+            distinct = keys[firsts := _run_firsts(keys)]
+            codes = None if codes is None else rank_keys(codes, distinct)
+            return PairClasses(pair_seed, decode(distinct), codes, np.cumsum(firsts) - 1, counts, weights)
+
+        self._passes[metric, capped] = classes(_histogram(blocks(), dtype), seed if capped else None, codes)
+        if seed is None:
+            self._passes[metric, not capped] = self._passes[metric, capped]
+        elif sampled is not None:
+            self._passes[metric, True] = classes(_histogram(iter([sampled]), dtype), seed)
+        return self._passes[metric, capped]
 
 
 def _histogram(blocks: Iterator[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -368,17 +388,22 @@ def _excesses(table: PredictionTable, classes: PairClasses, budget: Callable) ->
     return violations, tops
 
 
-def _close_pairs(n_points: int, codes: np.ndarray, values: list[Distance], tau: Number) -> tuple:
-    """(i, j) of the pairs within distance tau, from the codes of every pair
-    in np.triu_indices order, read a block at a time: each close position p
-    lies in the row i of the last row start <= p."""
-    close, step = np.array([d <= tau for d in values], dtype=bool), PAIR_CHUNK_BYTES // 8
+def _close_pairs(table: PredictionTable, metric: Metric, tau: Number) -> tuple[PairClasses, np.ndarray, np.ndarray]:
+    """The pass over every pair, and (i, j) of the pairs within distance
+    tau, from its codes in np.triu_indices order, read a block at a time:
+    each close position p lies in the row i of the last row start <= p.
+    With no pair within tau there is nothing to check, and it raises."""
+    classes = table.pair_classes(metric)
+    codes, step = classes.codes, PAIR_CHUNK_BYTES // 8
+    close = np.array([d <= tau for d in classes.values], dtype=bool)
     p = np.concatenate([np.zeros(0, np.int64),
                         *(np.flatnonzero(close[codes[s : s + step]]) + s for s in range(0, codes.size, step))])
-    rows = np.arange(n_points, dtype=np.int64)
-    starts = rows * (2 * n_points - rows - 1) // 2  # the position of pair (i, i + 1)
+    rows = np.arange(len(table.dataset), dtype=np.int64)
+    starts = rows * (2 * len(table.dataset) - rows - 1) // 2  # the position of pair (i, i + 1)
     i = np.searchsorted(starts, p, side="right") - 1
-    return i, p - starts[i] + i + 1
+    if i.size == 0:
+        raise EmptyPairSetError(f"no pairs within distance {tau}")
+    return classes, i, p - starts[i] + i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +502,7 @@ def sampled_aggregate_fairness(
     """Split fraction of tau-close pairs for each of the n classifiers of
     ``derand.draw(rng, n)``, one batch evaluated at every point of the
     table in one call."""
-    classes = table.pair_classes(metric)
-    i, j = _close_pairs(len(table.dataset), classes.codes, classes.values, tau)
-    if i.size == 0:
-        raise EmptyPairSetError(f"no pairs within distance {tau}")
+    _, i, j = _close_pairs(table, metric, tau)
     bits = _ClassifierBatch(table.derand, n_classifiers, rng).bits(table.dataset, table.t, table.vectors)
     return [Fraction(int((column[i] != column[j]).sum()), i.size) for column in bits.T]
 
@@ -523,10 +545,7 @@ def threshold_fairness_check(
     With no pair within sigma there is nothing to check, and it raises."""
     if not (0 < sigma < 1 and 0 < tau < 1):
         raise InvalidParameterError("sigma and tau must lie in (0, 1)")
-    classes = table.pair_classes(metric)
-    i, j = _close_pairs(len(table.dataset), classes.codes, classes.values, sigma)
-    if i.size == 0:
-        raise EmptyPairSetError(f"no pairs within distance {sigma}")
+    classes, i, j = _close_pairs(table, metric, sigma)
     n_diff = int(classes.class_counts[np.array([d <= sigma for d in classes.values])[classes.class_codes]].max())
     # max() keeps its first maximal argument: an int 0 when no pair differs
     worst: Number = max(0, Fraction(n_diff, table.size) if table.cfg.exact else n_diff / table.size)
@@ -547,29 +566,33 @@ def threshold_fairness_check(
 
 
 # ---------------------------------------------------------------------------
-# single points: the family mean and the bias-variance decomposition
+# per point: the family mean and the bias-variance decomposition
 
-def family_mean(derand: Derandomizer, point: Point) -> Fraction:
-    """The share of the family that predicts 1 at the point: t/k, with
+def family_mean(derand: Derandomizer, data: Dataset) -> list[Fraction]:
+    """The share of the family that predicts 1 at each point: t/k, with
     t = floor(score * k), under every family."""
-    return Fraction(threshold_count(derand.scorer.score(point), derand.k), derand.k)
+    return [Fraction(t, derand.k) for t in threshold_counts(*derand.scorer.scores(data), derand.k).tolist()]
 
 
-def decomposition_check(derand: Derandomizer, point: Point) -> dict:
-    """The error decomposition at one point, exact and drawing nothing: a
+def decomposition_check(derand: Derandomizer, data: Dataset) -> list[dict]:
+    """The error decomposition at each point, exact and drawing nothing: a
     member predicts 1 with probability p = ``family_mean``, so its expected
     gap to a Bernoulli realization of the score s is p + s - 2ps, which for
     0/1 variables is the identity (p - s)^2 + s(1 - s) + p(1 - p).  The
     bound is |bias| + 2 * (score variance + family variance)^(2/3)."""
-    score, p = derand.scorer.score(point), family_mean(derand, point)
-    bias, var_bern, var_family = p - score, score * (1 - score), p * (1 - p)
-    rhs = decomposition_bound(abs(bias), var_bern, var_family)
-    return {
-        "bias_abs": quantity(abs(bias)),
-        "score_variance": quantity(var_bern),
-        "family_variance": quantity(var_family),
-        "expected_gap": quantity(bias * bias + var_bern + var_family, None, rhs, "bias-variance decomposition"),
-    }
+    numerators, den = derand.scorer.scores(data)
+    reports = []
+    for n, t in zip(numerators.tolist(), threshold_counts(numerators, den, derand.k).tolist()):
+        score, p = Fraction(n, den), Fraction(t, derand.k)
+        bias, var_bern, var_family = p - score, score * (1 - score), p * (1 - p)
+        rhs = decomposition_bound(abs(bias), var_bern, var_family)
+        reports.append({
+            "bias_abs": quantity(abs(bias)),
+            "score_variance": quantity(var_bern),
+            "family_variance": quantity(var_family),
+            "expected_gap": quantity(bias * bias + var_bern + var_family, None, rhs, "bias-variance decomposition"),
+        })
+    return reports
 
 
 # ---------------------------------------------------------------------------

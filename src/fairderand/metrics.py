@@ -18,7 +18,11 @@ the popcount of the XOR of 0/1 rows packed into uint64 words (or the
 count of differing floats), Jaccard by |A n B| * (d + 1) + |A u B|, from
 popcounts of the AND and the OR.  The float metrics compute a block's
 distances as arrays, with ``math.fsum`` sums and libm's ``math.acos``, and
-number its distinct values by first occurrence.
+number its distinct values by first occurrence.  A row (angular) or a
+difference (scaled Euclidean) whose largest magnitude lies outside
+[2**-500, 2**500] is first scaled by a power of two, which is exact, so no
+square or product overflows or underflows; every other value is the
+unscaled computation's, bit for bit.
 """
 
 from __future__ import annotations
@@ -103,6 +107,14 @@ def _packed_rows(x: np.ndarray) -> Optional[np.ndarray]:
     return np.packbits(np.pad(x.astype(bool), [(0, 0), (0, -x.shape[1] % 64)]), axis=1).view(np.uint64)
 
 
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x * 2**-e, e) with e per row: 0 where its largest magnitude lies in
+    [2**-500, 2**500], else the power of two that brings it into [1/2, 1)."""
+    top = np.abs(x).max(axis=-1)
+    e = np.where((top > 2.0**500) | (top < 2.0**-500), np.frexp(top)[1], 0)  # frexp(0) gives 0
+    return np.ldexp(x, -e[:, None]), e
+
+
 def _fsums(terms: np.ndarray) -> np.ndarray:
     """Each row's sum, correctly rounded (``math.fsum``'s, which ``np.sum``'s is not)."""
     return np.fromiter(map(math.fsum, terms.tolist()), np.float64, len(terms))
@@ -139,7 +151,7 @@ class Metric:
             values, inverse = np.unique(block(a, b), return_inverse=True)
             return np.array([index.setdefault(v, len(index)) for v in values.tolist()], np.int64)[inverse]
 
-        return key, rows, n_pairs, lambda keys: list(index)  # all keys occur
+        return key, rows, n_pairs, lambda keys: list(map(list(index).__getitem__, keys.tolist()))
 
     def _float_blocks(self, x: np.ndarray) -> tuple[np.ndarray, Callable]:
         raise NotImplementedError
@@ -167,18 +179,20 @@ class Angular(Metric):
     collision probability is exactly 1 - distance."""
 
     def _float_blocks(self, x):
+        x, e = _scaled(x)  # the angle of a row does not change with its scale
         norms = np.sqrt(_fsums(x * x))  # each point's, once
         if not norms.all():
             raise ZeroVectorError("angular distance undefined on the zero vector")
 
-        def block(a, b):  # a row's last entry is its norm
-            u, v = a[..., :-1], b[..., :-1]
+        def block(a, b):  # a row is the scaled point, its exponent e and its norm
+            u, v = a[..., :-2], b[..., :-2]
             cos = _fsums(u * v) / (a[..., -1] * b[..., -1])
             cos = np.fmin(1.0, np.fmax(-1.0, cos))  # Python's min(1, max(-1, cos)), for NaN too
             angles = np.fromiter(map(math.acos, cos.tolist()), np.float64, cos.size) / math.pi
-            return np.where((u == v).all(axis=-1), 0.0, angles)  # keep the identity axiom exact despite acos noise
+            # equal rows and exponents: keep the identity axiom exact despite acos noise
+            return np.where((a[..., :-1] == b[..., :-1]).all(axis=-1), 0.0, angles)
 
-        return np.column_stack([x, norms]), block
+        return np.column_stack([x, e, norms]), block
 
 
 class JaccardDistance(Metric):
@@ -215,7 +229,7 @@ class ScaledEuclidean(Metric):
 
     def _float_blocks(self, x):
         def block(a, b):
-            d = a - b
-            return np.fmin(np.sqrt(_fsums(d * d)) / self.scale, 1.0)
+            d, e = _scaled(a - b)  # the norm of a - b is 2**e times that of d
+            return np.fmin(np.ldexp(np.sqrt(_fsums(d * d)), e) / self.scale, 1.0)
 
         return x, block

@@ -1,9 +1,12 @@
 """Shared builders, independent brute-force oracles and scalar references.
 
-The oracles evaluate every classifier of a family one point at a time,
-through this module's own ``ReferenceClassifier``, written from the
-formula 1 iff ((a * e + c) mod k) + 1 <= floor(score * k), and its
-bucketing members (``reference_member``), written from each family's
+Datasets are built by ``dataset_of`` from an id -> feature row mapping;
+a single point is a one-row dataset (``each_point`` lists them, ``joined``
+puts points together).  The oracles evaluate every classifier of a family
+one point at a time, through this module's own ``ReferenceClassifier``,
+written from the formula 1 iff ((a * e + c) mod k) + 1 <= floor(score * k)
+with the score from ``reference_score`` (each scorer's scalar form), and
+its bucketing members (``reference_member``), written from each family's
 definition, each giving a point's integer bucket e; a fixed bucketing's
 member numbers buckets by its own first-seen map.  The library evaluates
 classifiers only as arrays, and its exact closed form, which enumerates
@@ -11,11 +14,11 @@ only the bucketing members and averages the affine layer, must agree with
 them exactly.  The references redo the library's array draws one scalar
 draw at a time (``draw_bits``, ``uniform_int``, ``normal_pair``), its
 one-pass ``scorer_beta`` pair by pair, and its columnar CSV loader row by
-row through ``Point``; ``reference_excesses`` keeps the per-class list
-form of the verdicts' reduction over pair classes.  ``reference_distance``
-is each metric's distance written from its definition, one pair of
-``Point``s at a time, with each float sum a ``math.fsum`` over Python
-floats; the library evaluates metrics only over blocks of pairs.
+row; ``reference_excesses`` keeps the per-class list form of the verdicts'
+reduction over pair classes.  ``reference_distance`` is each metric's
+distance written from its definition, one pair of points at a time, with
+each float sum a ``math.fsum`` over Python floats; the library evaluates
+metrics only over blocks of pairs.
 """
 
 import bisect
@@ -31,14 +34,15 @@ import numpy as np
 import pytest
 
 from fairderand import (
+    AffineScorer,
     Angular,
     BitBudget,
     BitSamplingFamily,
+    ConstantScorer,
     Dataset,
     JaccardDistance,
     MinHashFamily,
     NormalizedHamming,
-    Point,
     ScaledEuclidean,
     SimHashFamily,
     TabularScorer,
@@ -51,12 +55,89 @@ from fairderand.errors import (
     InvalidParameterError,
     NotBinaryError,
     UnknownBucketError,
+    UnknownPointError,
     ZeroVectorError,
 )
 from fairderand.hashing import FixedFamily
-from fairderand.measure import prediction_table, sample_pairs
+from fairderand.measure import decomposition_bound, prediction_table, sample_pairs
 from fairderand.metrics import PairSet
 from fairderand.rng import _GOLDEN, _MASK64, _mix64
+
+
+def dataset_of(rows: dict, fairness=None, labels=None) -> Dataset:
+    """The dataset of the id -> feature row items of rows, in order, with
+    fairness rows and labels listed in the same order."""
+    return Dataset(list(rows), [tuple(row) for row in rows.values()], fairness, labels)
+
+
+def each_point(data: Dataset) -> list[Dataset]:
+    """Each point of the dataset as a one-row dataset, in order."""
+    return [data[r : r + 1] for r in range(len(data))]
+
+
+def joined(*parts: Dataset) -> Dataset:
+    """The datasets' points, in order, as one dataset built from their rows."""
+    def rows(column):
+        return [row for part in parts for row in column(part)]
+
+    fairness = None if parts[0].fairness is None else rows(lambda p: p.fairness.tolist())
+    return Dataset(rows(lambda p: p.ids), rows(lambda p: p.features.tolist()), fairness, rows(lambda p: p.labels))
+
+
+def vector_of(point: Dataset) -> tuple:
+    """The fairness vector of a one-point dataset, as Python floats."""
+    return tuple(point.fairness_vectors[0].tolist())
+
+
+def reference_score(scorer, point: Dataset) -> Fraction:
+    """The score of a one-point dataset, from each scorer's definition: the
+    table's entry for the id, clamp(fsum(w * x, b), 0, 1) read through its
+    shortest decimal, or the constant."""
+    if isinstance(scorer, TabularScorer):
+        if point.ids[0] not in scorer.ids:
+            raise UnknownPointError(f"no score for point {point.ids[0]!r}")
+        return Fraction(int(scorer.numerators[scorer.ids.index(point.ids[0])]), scorer.den)
+    if isinstance(scorer, AffineScorer):
+        x = point.features[0].tolist()
+        if len(x) != len(scorer.weights):
+            raise DimensionMismatchError(f"scorer expects {len(scorer.weights)} features, got {len(x)}")
+        raw = math.fsum([*(w * v for w, v in zip(scorer.weights, x)), scorer.bias])  # one rounding
+        return as_score(min(1.0, max(0.0, raw)))
+    assert isinstance(scorer, ConstantScorer)
+    return scorer.value
+
+
+def score_list(scorer, data: Dataset) -> list[Fraction]:
+    """Each point's score, from the scorer's one array of numerators."""
+    numerators, den = scorer.scores(data)
+    return [Fraction(int(n), den) for n in numerators.tolist()]
+
+
+def reference_threshold_count(score: Fraction, k: int) -> int:
+    """Number of grid thresholds u in {1..k} with score >= u/k: floor(score * k)."""
+    return (score.numerator * k) // score.denominator
+
+
+def reference_family_mean(derand, point: Dataset) -> Fraction:
+    """t/k at one point, with t = floor(score * k) from its scalar score."""
+    return Fraction(reference_threshold_count(reference_score(derand.scorer, point), derand.k), derand.k)
+
+
+def reference_decomposition(derand, point: Dataset) -> dict:
+    """The error decomposition at one point, from its scalar score s and
+    family mean p: |p - s|, s(1 - s), p(1 - p), and (p - s)^2 + s(1 - s) +
+    p(1 - p) against |bias| + 2 * (s(1 - s) + p(1 - p))^(2/3)."""
+    score, p = reference_score(derand.scorer, point), reference_family_mean(derand, point)
+    bias, var_bern, var_family = p - score, score * (1 - score), p * (1 - p)
+    rhs = decomposition_bound(abs(bias), var_bern, var_family)
+    gap = bias * bias + var_bern + var_family
+    return {
+        "bias_abs": {"value": abs(bias)},
+        "score_variance": {"value": var_bern},
+        "family_variance": {"value": var_family},
+        "expected_gap": {"value": gap, "bound": rhs, "satisfied": gap <= rhs,
+                         "bound_source": "bias-variance decomposition"},
+    }
 
 
 def random_binary_dataset(rng: random.Random, n_points: int, dim: int) -> Dataset:
@@ -64,30 +145,25 @@ def random_binary_dataset(rng: random.Random, n_points: int, dim: int) -> Datase
     non-empty sets)."""
     if n_points > 2**dim - 1:
         raise ValueError(f"only {2**dim - 1} distinct non-zero points in dimension {dim}")
-    points = []
+    rows = {}
     seen = set()
-    while len(points) < n_points:
+    while len(rows) < n_points:
         feats = tuple(float(rng.randint(0, 1)) for _ in range(dim))
         if feats in seen or not any(feats):
             continue
         seen.add(feats)
-        points.append(Point(f"p{len(points):03d}", feats))
-    return Dataset(points)
+        rows[f"p{len(rows):03d}"] = feats
+    return dataset_of(rows)
 
 
 def random_real_dataset(rng: random.Random, n_points: int, dim: int) -> Dataset:
-    return Dataset(
-        [
-            Point(f"p{i:03d}", tuple(rng.uniform(-1, 1) for _ in range(dim)))
-            for i in range(n_points)
-        ]
-    )
+    return dataset_of({f"p{i:03d}": tuple(rng.uniform(-1, 1) for _ in range(dim)) for i in range(n_points)})
 
 
 def random_scorer(rng: random.Random, dataset: Dataset, denominator: int = 997) -> TabularScorer:
     """Tabular scorer with exact rational scores i/denominator."""
     return TabularScorer(
-        {p.id: Fraction(rng.randint(0, denominator), denominator) for p in dataset}
+        {p: Fraction(rng.randint(0, denominator), denominator) for p in dataset.ids}
     )
 
 
@@ -109,7 +185,7 @@ class Shared:
     family: object
 
     def bucket(self, point):
-        bucket = self.family.bucketer.buckets(Dataset([point]))[0]
+        bucket = self.family.bucketer.buckets(point)[0]
         numbering = _NUMBERINGS.setdefault(self.family, {})
         if bucket not in numbering:
             if bucket not in self.family.index:
@@ -126,7 +202,7 @@ class Coordinate:
     index: int
 
     def bucket(self, point):
-        vector = point.fairness_vector
+        vector = vector_of(point)
         if self.index >= len(vector):
             raise DimensionMismatchError(f"bit sampling reads coordinate {self.index} of a {len(vector)}-dimensional point")
         if vector[self.index] not in (0.0, 1.0):
@@ -141,7 +217,7 @@ class Permutation:
     ranks: tuple
 
     def bucket(self, point):
-        vector = point.fairness_vector
+        vector = vector_of(point)
         if any(v not in (0.0, 1.0) for v in vector):
             raise NotBinaryError("set-valued features must be 0/1")
         support = [e for e, v in enumerate(vector) if v == 1.0]
@@ -159,7 +235,7 @@ class Hyperplane:
     normal: tuple
 
     def bucket(self, point):
-        vector = point.fairness_vector
+        vector = vector_of(point)
         if len(vector) != len(self.normal):
             raise DimensionMismatchError("dimension mismatch in hyperplane hash")
         return 1 if sum(a * b for a, b in zip(self.normal, vector)) >= 0.0 else 0
@@ -189,7 +265,7 @@ class ReferenceClassifier:
     def predict(self, point) -> int:
         k = self.derand.k
         u = (self.a * self.member.bucket(point) + self.c) % k + 1
-        return 1 if u <= math.floor(self.derand.scorer.score(point) * k) else 0
+        return 1 if u <= math.floor(reference_score(self.derand.scorer, point) * k) else 0
 
 
 def enumerate_members(derand) -> list:
@@ -226,13 +302,13 @@ def binary_support(vector: tuple[float, ...]) -> frozenset[int]:
     return frozenset(support)
 
 
-def reference_distance(metric, x: Point, y: Point):
-    """The metric's distance between the fairness vectors of x and y, from
-    its definition: a Fraction for Hamming and Jaccard, a float for angular
-    and scaled Euclidean distance."""
-    u, v = x.fairness_vector, y.fairness_vector
+def reference_distance(metric, x: Dataset, y: Dataset):
+    """The metric's distance between the fairness vectors of the points x
+    and y, from its definition: a Fraction for Hamming and Jaccard, a float
+    for angular and scaled Euclidean distance."""
+    u, v = vector_of(x), vector_of(y)
     if len(u) != len(v):
-        raise DimensionMismatchError(f"points {x.id!r} and {y.id!r} have dimensions {len(u)} and {len(v)}")
+        raise DimensionMismatchError(f"points {x.ids[0]!r} and {y.ids[0]!r} have dimensions {len(u)} and {len(v)}")
     if isinstance(metric, NormalizedHamming):
         if len(u) != metric.n:
             raise DimensionMismatchError(f"expected dimension {metric.n}, got {len(u)}")
@@ -345,10 +421,8 @@ def brute_pairwise(derand, x, y) -> Fraction:
 
 
 def brute_aggregate_variance(derand, dataset) -> Fraction:
-    members = enumerate_members(derand)
-    means = [
-        Fraction(sum(c.predict(p) for p in dataset), len(dataset)) for c in members
-    ]
+    members, rows = enumerate_members(derand), each_point(dataset)
+    means = [Fraction(sum(c.predict(p) for p in rows), len(rows)) for c in members]
     overall = sum(means) / len(means)
     return sum((m - overall) ** 2 for m in means) / len(means)
 
@@ -380,15 +454,15 @@ def reference_excesses(table, classes, budget):
 def reference_gap(derand, x, y, cfg):
     """The family's expected prediction gap at one pair: brute force in
     exact mode, the seeded batch's estimate in Monte Carlo mode."""
-    return brute_pairwise(derand, x, y) if cfg.exact else split_share(prediction_table(derand, Dataset((x, y)), cfg), 0, 1)
+    return brute_pairwise(derand, x, y) if cfg.exact else split_share(prediction_table(derand, joined(x, y), cfg), 0, 1)
 
 
 def reference_fairness_check(derand, dataset, metric, alpha, beta, cfg, pairs):
     """(violations, worst excess) of gap <= alpha*d + beta, pair by pair."""
-    violations, worst = 0, -math.inf
+    violations, worst, rows = 0, -math.inf, each_point(dataset)
     for i, j in pairs:
-        gap = reference_gap(derand, dataset[i], dataset[j], cfg)
-        excess = gap - (alpha * reference_distance(metric, dataset[i], dataset[j]) + beta)
+        gap = reference_gap(derand, rows[i], rows[j], cfg)
+        excess = gap - (alpha * reference_distance(metric, rows[i], rows[j]) + beta)
         if excess > 0:
             violations += 1
         if excess > worst:
@@ -399,10 +473,8 @@ def reference_fairness_check(derand, dataset, metric, alpha, beta, cfg, pairs):
 def reference_family_beta(derand, dataset, metric, alpha, cfg):
     """max(0, max over all pairs of gap - alpha*d), pair by pair."""
     worst = 0
-    for i, j in itertools.combinations(range(len(dataset)), 2):
-        excess = reference_gap(derand, dataset[i], dataset[j], cfg) - alpha * reference_distance(
-            metric, dataset[i], dataset[j]
-        )
+    for x, y in itertools.combinations(each_point(dataset), 2):
+        excess = reference_gap(derand, x, y, cfg) - alpha * reference_distance(metric, x, y)
         if excess > worst:
             worst = excess
     return worst
@@ -411,7 +483,7 @@ def reference_family_beta(derand, dataset, metric, alpha, cfg):
 def reference_scorer_beta(scorer, dataset, metric, alpha):
     """max(0, max over pairs of |score gap| - alpha*d), pair by pair, with
     each pair's distance from ``pair_distances``."""
-    scores = [scorer.score(p) for p in dataset]
+    scores = [reference_score(scorer, p) for p in each_point(dataset)]
     i, j = np.triu_indices(len(dataset), 1)
     codes, values = metric.pair_distances(dataset, PairSet(len(dataset)))
     pairs = zip(i.tolist(), j.tolist(), codes.tolist())
@@ -420,32 +492,34 @@ def reference_scorer_beta(scorer, dataset, metric, alpha):
 
 
 def reference_load(path):
-    """The dataset CSV read whole and row by row, each row a ``Point`` and
-    each score a ``Fraction``: (points, {id: score} or None)."""
+    """The dataset CSV read whole and row by row, each score a ``Fraction``:
+    (ids, feature rows, fairness rows or None, labels, {id: score} or None)."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     header = [h.strip() for h in rows[0]]
     feat = [c for c, name in enumerate(header) if name.startswith("feat_")]
     fair = [c for c, name in enumerate(header) if name.startswith("z_")]
     label, score = (header.index(name) if name in header else None for name in ("label", "score"))
-    points, scores = [], {}
+    ids, features, fairness, labels, scores = [], [], [], [], {}
     for row in filter(None, rows[1:]):
-        labelled = label is not None and row[label] != ""
-        points.append(Point(row[0], tuple(float(row[c]) for c in feat),
-                            tuple(float(row[c]) for c in fair) if fair else None, int(row[label]) if labelled else None))
+        ids.append(row[0])
+        features.append([float(row[c]) for c in feat])
+        fairness.append([float(row[c]) for c in fair])
+        labels.append(int(row[label]) if label is not None and row[label] != "" else None)
         if score is not None:
             scores[row[0]] = as_score(row[score])
-    return points, None if score is None else scores
+    return ids, features, fairness if fair else None, labels, None if score is None else scores
 
 
 def aggregate_fairness(classifier, dataset, metric, tau) -> Fraction:
     """Fraction of tau-close pairs to which the classifier assigns
     different predictions, point by point and pair by pair."""
-    bits = [classifier.predict(p) for p in dataset]
+    rows = each_point(dataset)
+    bits = [classifier.predict(p) for p in rows]
     close = [
         (i, j)
         for i, j in itertools.combinations(range(len(dataset)), 2)
-        if reference_distance(metric, dataset[i], dataset[j]) <= tau
+        if reference_distance(metric, rows[i], rows[j]) <= tau
     ]
     if not close:
         raise EmptyPairSetError(f"no pairs within distance {tau}")
@@ -455,8 +529,9 @@ def aggregate_fairness(classifier, dataset, metric, tau) -> Fraction:
 def brute_violation_search(derand, metric, grid, alpha, beta):
     """The per-member grid scan: every enumerated member's prediction at
     every grid point, then the first adjacent pair whose flip share
-    exceeds alpha*d + beta, or None when every member is constant."""
-    classifiers = enumerate_members(derand)
+    exceeds alpha*d + beta, as its rows (i, i + 1), or None when every
+    member is constant."""
+    classifiers, grid = enumerate_members(derand), each_point(grid)
     if len(grid) < 2:
         raise InvalidParameterError("grid needs at least 2 points")
     size = len(classifiers)
@@ -472,7 +547,7 @@ def brute_violation_search(derand, metric, grid, alpha, beta):
         flips = sum(row[i] != row[i + 1] for row in bits)
         budget = Fraction(alpha) * Fraction(reference_distance(metric, grid[i], grid[i + 1])) + Fraction(beta)
         if flips and Fraction(flips, size) > budget:
-            return grid[i], grid[i + 1]
+            return i, i + 1
     return None
 
 

@@ -7,12 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 from fairderand import (
     AffineScorer,
     ConstantScorer,
-    Dataset,
     Derandomizer,
     EstimatorConfig,
     GridBucketer,
     IdentityBucketer,
-    Point,
 )
 from fairderand.adversarial import (
     SphereConstruction,
@@ -24,7 +22,15 @@ from fairderand.errors import FairderandError, GridTooCoarseError, InvalidParame
 from fairderand.measure import prediction_table, scorer_beta
 from fairderand.metrics import NormalizedHamming, ScaledEuclidean
 
-from conftest import brute_violation_search, enumerate_members, reference_distance, split_share
+from conftest import (
+    brute_violation_search,
+    dataset_of,
+    enumerate_members,
+    each_point,
+    reference_distance,
+    reference_score,
+    split_share,
+)
 
 EXACT = EstimatorConfig(mode="exact")
 
@@ -80,17 +86,15 @@ class TestSphereCounterexample:
     def test_points_on_sphere_with_min_gap(self):
         cfg = small_construction()
         dataset, scorer, metric = sphere_counterexample(cfg)
-        origin = Point("origin", (0.0, 0.0))
-        for p in dataset:
+        origin = dataset_of({"origin": (0.0, 0.0)})
+        for p in each_point(dataset):
             assert reference_distance(metric, p, origin) == pytest.approx(cfg.delta_sphere)
-        min_d = min(
-            reference_distance(metric, dataset[i], dataset[j]) for i, j in itertools.combinations(range(len(dataset)), 2)
-        )
+        min_d = min(reference_distance(metric, x, y) for x, y in itertools.combinations(each_point(dataset), 2))
         assert min_d == pytest.approx(cfg.eps_gap, rel=1e-9)
 
     def test_scores_split_half_and_half(self):
         dataset, scorer, _ = sphere_counterexample(small_construction())
-        highs = sum(scorer.score(p) > Fraction(1, 2) for p in dataset)
+        highs = sum(reference_score(scorer, p) > Fraction(1, 2) for p in each_point(dataset))
         assert highs == len(dataset) // 2
 
     def test_every_pair_unfair_under_hashed_thresholds(self):
@@ -100,11 +104,11 @@ class TestSphereCounterexample:
         floor_value = (
             Fraction(1, 2) - Fraction(str(cfg.eps_gap)) - Fraction(1, 2 * cfg.k)
         )
-        table = prediction_table(derand, dataset, EXACT)
+        table, rows = prediction_table(derand, dataset, EXACT), each_point(dataset)
         for i, j in itertools.combinations(range(len(dataset)), 2):
             gap = split_share(table, i, j)
             assert gap >= floor_value
-            d = reference_distance(metric, dataset[i], dataset[j])
+            d = reference_distance(metric, rows[i], rows[j])
             assert gap > cfg.alpha * d + Fraction(str(cfg.beta))
 
     def test_verification_report(self):
@@ -123,7 +127,12 @@ class TestSphereCounterexample:
 
 
 def unit_interval_grid(steps=1001):
-    return [Point(f"g{i:05d}", (i / (steps - 1),)) for i in range(steps)]
+    return dataset_of({f"g{i:05d}": (i / (steps - 1),) for i in range(steps)})
+
+
+def found_points(grid, found):
+    """The grid points at the rows of a found pair, as one-row datasets."""
+    return tuple(grid[r : r + 1] for r in found)
 
 
 class TestViolationSearch:
@@ -145,19 +154,18 @@ class TestViolationSearch:
             derand, ScaledEuclidean(1.0), grid, alpha=1.0, beta=0.1
         )
         assert found is not None
-        x, y = found
-        assert x.features[0] < 0.5 <= y.features[0]
+        x, y = found_points(grid, found)
+        assert x.features[0, 0] < 0.5 <= y.features[0, 0]
         gap = mean_gap(family, x, y)
         assert gap == 1
         assert gap > 1.0 * reference_distance(ScaledEuclidean(1.0), x, y) + 0.1
 
     def test_ten_threshold_family(self):
         derand = Derandomizer.rt(AffineScorer((1.0,)), 10)
-        found = finite_family_violation_search(
-            derand, ScaledEuclidean(1.0), unit_interval_grid(2001), alpha=1.0, beta=0.05
-        )
+        grid = unit_interval_grid(2001)
+        found = finite_family_violation_search(derand, ScaledEuclidean(1.0), grid, alpha=1.0, beta=0.05)
         assert found is not None
-        x, y = found
+        x, y = found_points(grid, found)
         gap = mean_gap(enumerate_members(derand), x, y)
         assert gap > 1.0 * reference_distance(ScaledEuclidean(1.0), x, y) + 0.05
 
@@ -180,7 +188,7 @@ class TestViolationSearch:
         # spacing 0.1 passes alpha*d < 1/7 alone, but alpha*d + beta = 0.15 does not
         derand = Derandomizer.rt(AffineScorer((1.0,)), 7)
         grid = unit_interval_grid(11)
-        assert finite_family_violation_search(derand, ScaledEuclidean(1.0), grid, 1.0, 0.0) == (grid[1], grid[2])
+        assert finite_family_violation_search(derand, ScaledEuclidean(1.0), grid, 1.0, 0.0) == (1, 2)
         with pytest.raises(GridTooCoarseError):
             finite_family_violation_search(derand, ScaledEuclidean(1.0), grid, 1.0, 0.05)
 
@@ -189,8 +197,8 @@ class TestViolationSearch:
         # exactly; the float cap (1 - 0)/3 rounds to that same double, and the
         # float test d >= cap rejected this grid
         derand = Derandomizer.rt(AffineScorer((3.0,)), 1)
-        grid = [Point("a", (0.0,)), Point("b", (1 / 3,))]
-        assert finite_family_violation_search(derand, ScaledEuclidean(1.0), grid, 3.0, 0.0) == (grid[0], grid[1])
+        grid = dataset_of({"a": (0.0,), "b": (1 / 3,)})
+        assert finite_family_violation_search(derand, ScaledEuclidean(1.0), grid, 3.0, 0.0) == (0, 1)
 
     def test_found_pair_verifiably_violates(self):
         derand = Derandomizer.rt(AffineScorer((1.0,)), 4)
@@ -198,19 +206,18 @@ class TestViolationSearch:
         found = finite_family_violation_search(
             derand, ScaledEuclidean(1.0), grid, 1.0, 0.1
         )
-        x, y = found
+        x, y = found_points(grid, found)
         metric = ScaledEuclidean(1.0)
         assert float(mean_gap(enumerate_members(derand), x, y)) > 1.0 * reference_distance(metric, x, y) + 0.1
 
 
 def outcome(fn):
-    """The ids of the pair fn returns, None, or the class of the
+    """The rows of the pair fn returns, None, or the class of the
     FairderandError it raises."""
     try:
-        found = fn()
+        return fn()
     except FairderandError as exc:
         return type(exc)
-    return None if found is None else (found[0].id, found[1].id)
 
 
 class TestViolationSearchEqualsScan:
@@ -236,9 +243,9 @@ class TestViolationSearchEqualsScan:
         else:
             top = int(1 / resolution)  # the bucket of the grid's last point, 1.0
             centers = [(b + 0.5) * resolution for b in range(top)] + ([] if drop_top else [1.0])
-            dataset = Dataset([Point(f"d{b}", (x,)) for b, x in enumerate(centers)])
+            dataset = dataset_of({f"d{b}": (x,) for b, x in enumerate(centers)})
             assume(k >= len(centers))  # every k drawn is 1 or a prime: the affine family exists
             derand = Derandomizer.pi(scorer, dataset, GridBucketer(resolution), k)
-        grid = unit_interval_grid(steps)
-        got = outcome(lambda: finite_family_violation_search(derand, metric, grid, alpha, beta))
-        assert got == outcome(lambda: brute_violation_search(derand, metric, grid, alpha, beta))
+        # no grid of 0 points can be built: both then raise the dataset's error
+        got = outcome(lambda: finite_family_violation_search(derand, metric, unit_interval_grid(steps), alpha, beta))
+        assert got == outcome(lambda: brute_violation_search(derand, metric, unit_interval_grid(steps), alpha, beta))

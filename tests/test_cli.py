@@ -17,7 +17,6 @@ import fairderand
 from fairderand import cli, measure
 from fairderand.cli import main
 from fairderand.dataio import load_dataset, save_dataset
-from fairderand import Dataset, Point, TabularScorer
 from fairderand.errors import (
     DataError,
     DataFormatError,
@@ -82,14 +81,14 @@ class TestDataIO:
         dataset, scorer = load_dataset(scored_csv)
         assert len(dataset) == 4
         assert scorer is not None
-        assert float(scorer.score(dataset.get("b"))) == 0.45
+        numerators, den = scorer.scores(dataset)
+        assert float(Fraction(int(numerators[dataset.ids.index("b")]), den)) == 0.45
         out = tmp_path / "copy.csv"
         save_dataset(out, dataset, scorer)
         dataset2, scorer2 = load_dataset(out)
-        assert [p.id for p in dataset2] == [p.id for p in dataset]
-        for p in dataset:
-            assert scorer2.score(p) == scorer.score(p)
-            assert dataset2.get(p.id).features == p.features
+        assert dataset2.ids == dataset.ids
+        assert scorer2.scores(dataset)[0].tolist() == numerators.tolist() and scorer2.scores(dataset)[1] == den
+        assert dataset2.features.tolist() == dataset.features.tolist()
 
     def test_fairness_features_and_labels(self, tmp_path):
         path = tmp_path / "z.csv"
@@ -100,12 +99,11 @@ class TestDataIO:
         )
         dataset, scorer = load_dataset(path)
         assert scorer is None
-        assert dataset.get("a").fairness_features == (1.0, 0.0)
-        assert dataset.get("a").label == 1
-        assert dataset.get("b").label is None
+        assert dataset.fairness.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert dataset.labels == (1, None)
         out = tmp_path / "z2.csv"
         save_dataset(out, dataset)
-        assert load_dataset(out)[0].get("b").fairness_features == (0.0, 1.0)
+        assert load_dataset(out)[0].fairness.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_rejects_unknown_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -144,7 +142,7 @@ class TestDataIO:
         path = tmp_path / "blank.csv"
         path.write_text("id,feat_0\na,1\n\nb,0\n", encoding="utf-8")
         dataset, scorer = load_dataset(path)
-        assert [p.id for p in dataset] == ["a", "b"] and scorer is None
+        assert dataset.ids == ("a", "b") and scorer is None
 
 
 def audited_predictions(config_path, seed: int) -> dict:
@@ -320,7 +318,8 @@ class TestAuditCommand:
         (1 - p)(t_i (k - t_j) + t_j (k - t_i)) / k**2, and the variance sums
         p (k min(t_i, t_j) - t_i t_j) over ordered pairs, over k**2 n**2."""
         dataset, scorer = load_dataset(path)
-        x, s = [p.features for p in dataset], [scorer.score(p) for p in dataset]
+        numerators, den = scorer.scores(dataset)
+        x, s = dataset.features.tolist(), [Fraction(v, den) for v in numerators.tolist()]
         n, t = len(x), [math.floor(v * k) for v in s]
         d = lambda i, j: Fraction(sum(a != b for a, b in zip(x[i], x[j])), len(x[i]))
         gap = lambda i, j: (p(x[i], x[j]) * Fraction(abs(t[i] - t[j]), k) + (1 - p(x[i], x[j]))
@@ -482,26 +481,11 @@ class TestAuditCommand:
         assert calls == {"points": len(batches) * 4}
         assert sizes == batches
 
-    @pytest.mark.parametrize("extra", [dict(), dict(pairs_cap=3, curve_alphas=[0.0, 1.0])])
-    def test_exact_rt_audit_of_a_scored_csv_builds_no_point(self, scored_csv, config_factory, monkeypatch, extra):
-        # the dataset is columns, scores included: no stage reads single points
-        built = []
-
-        def counting(self):
-            built.append(self.id)
-            post_init(self)
-
-        post_init = Point.__post_init__
-        monkeypatch.setattr(Point, "__post_init__", counting)
-        config = config_factory(input=str(scored_csv), scheme="rt", k=11, mode="exact", **extra)
-        assert main(["audit", "--config", str(config)]) == 0
-        assert built == []
-        Point("x", (0.0,))
-        assert built == ["x"]  # the count sees a point that is built
-
-    def test_one_pair_pass_per_audit(self, scored_csv, config_factory, monkeypatch):
+    @pytest.mark.parametrize("pairs_cap", [200_000, 3], ids=["every-pair", "capped"])
+    def test_one_pair_pass_per_audit(self, scored_csv, config_factory, monkeypatch, tmp_path, pairs_cap):
         # the fairness check, family beta, the tail check's close pairs and
-        # the curve all read one pass over the pairs
+        # the curve all read one pass over the pairs; above the cap (3 of the
+        # 6 pairs) the pass over every pair also histograms the capped sample
         calls = {"distances": 0, "passes": 0}
 
         def counting(key, fn):
@@ -513,13 +497,18 @@ class TestAuditCommand:
         # each pass selects its pairs and reads the metric's pair keys once
         monkeypatch.setattr(JaccardDistance, "_pair_keys", counting("distances", JaccardDistance._pair_keys))
         monkeypatch.setattr(measure, "sample_pairs", counting("passes", measure.sample_pairs))
-        config = config_factory(
-            input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "minhash"},
-            metric={"kind": "jaccard"}, mode="mc", trials=300, tau=0.5, n_classifiers=5,
-            curve_alphas=[0.0, 1.0],
-        )
+        settings = dict(input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "minhash"}, metric={"kind": "jaccard"},
+                        mode="mc", trials=300, tau=0.5, curve_alphas=[0.0, 1.0], pairs_cap=pairs_cap)
+        config = config_factory(**settings, n_classifiers=5)
         assert main(["audit", "--config", str(config)]) == 0
         assert calls == {"distances": 1, "passes": 1}
+        # the capped classes of that pass are those of a capped pass alone
+        tail = [json.loads((tmp_path / "reports" / "audit.json").read_text())["quantities"]["metric_fairness"],
+                (tmp_path / "reports" / "fairness_curve.csv").read_bytes()]
+        assert main(["audit", "--config", str(config_factory(**settings))]) == 0
+        alone = [json.loads((tmp_path / "reports" / "audit.json").read_text())["quantities"]["metric_fairness"],
+                 (tmp_path / "reports" / "fairness_curve.csv").read_bytes()]
+        assert tail == alone and ("pair_sample_seed" in tail[0]) == (pairs_cap == 3)
 
     @staticmethod
     def heavy_modules_after_audit(config):

@@ -11,12 +11,10 @@ from fairderand import (
     Dataset,
     Derandomizer,
     MinHashFamily,
-    Point,
     TabularScorer,
     as_score,
-    threshold_count,
 )
-from fairderand.core import threshold_counts
+from fairderand.core import over_common_denominator, threshold_counts
 from fairderand.errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -24,6 +22,13 @@ from fairderand.errors import (
 )
 from fairderand.measure import sample_classifier
 from fairderand.rng import CountingRng
+
+from conftest import dataset_of, reference_threshold_count, score_list
+
+
+def counts(scores, k):
+    """threshold_counts of Fractions, over their common denominator."""
+    return threshold_counts(*over_common_denominator([s.as_integer_ratio() for s in scores]), k).tolist()
 
 
 class TestScores:
@@ -42,15 +47,14 @@ class TestScores:
             as_score(float("nan"))
 
     def test_threshold_count_floor_with_ties(self):
-        assert threshold_count(Fraction(3, 10), 10) == 3
-        assert threshold_count(Fraction(1, 4), 10) == 2
-        assert threshold_count(Fraction(1), 7) == 7
-        assert threshold_count(Fraction(0), 7) == 0
+        assert counts([Fraction(3, 10)], 10) == [3]
+        assert counts([Fraction(1, 4)], 10) == [2]
+        assert counts([Fraction(1), Fraction(0)], 7) == [7, 0]
 
     @given(st.integers(0, 997), st.integers(1, 50))
     def test_threshold_count_matches_comparison(self, num, k):
         score = Fraction(num, 997)
-        t = threshold_count(score, k)
+        (t,) = threshold_counts(np.array([num]), 997, k).tolist()
         # u <= t iff score >= u/k, for every grid threshold
         for u in range(1, k + 1):
             assert (u <= t) == (score >= Fraction(u, k))
@@ -61,104 +65,98 @@ class TestScores:
         numerators = [n % (den + 1) for n in numerators]
         got = threshold_counts(np.array(numerators, dtype=np.int64), den, k)
         assert got.dtype == np.int64
-        assert got.tolist() == [threshold_count(Fraction(n, den), k) for n in numerators]
+        assert got.tolist() == [reference_threshold_count(Fraction(n, den), k) for n in numerators]
 
 
 class TestScorers:
     def test_constant(self):
-        p = Point("a", (1.0, 2.0))
-        assert ConstantScorer(0.5).score(p) == Fraction(1, 2)
+        assert score_list(ConstantScorer(0.5), dataset_of({"a": (1.0, 2.0), "b": (0.0, 0.0)})) == [Fraction(1, 2)] * 2
 
     def test_tabular_lookup_and_missing_id(self):
         scorer = TabularScorer({"p1": 0.3})
-        assert scorer.score(Point("p1", (0.0,))) == Fraction(3, 10)
+        assert score_list(scorer, dataset_of({"p1": (0.0,)})) == [Fraction(3, 10)]
         with pytest.raises(UnknownPointError):
-            scorer.score(Point("p2", (0.0,)))
+            scorer.scores(dataset_of({"p2": (0.0,)}))
 
     def test_affine_clamped_dot(self):
         scorer = AffineScorer((1.0, 0.0))
-        assert scorer.score(Point("x", (0.7, 9.9))) == Fraction(7, 10)
-        assert scorer.score(Point("x", (5.0, 0.0))) == 1
-        assert scorer.score(Point("x", (-5.0, 0.0))) == 0
-        with pytest.raises(DimensionMismatchError):
-            scorer.score(Point("x", (1.0,)))
+        points = dataset_of({"x": (0.7, 9.9), "y": (5.0, 0.0), "z": (-5.0, 0.0)})
+        assert score_list(scorer, points) == [Fraction(7, 10), 1, 0]
+        with pytest.raises(DimensionMismatchError, match="scorer expects 2 features, got 1"):
+            scorer.scores(dataset_of({"x": (1.0,)}))
 
     def test_affine_dot_is_rounded_once(self):
+        ones = dataset_of({"a": (1.0, 1.0, 1.0)})
         # w . x = 1, which a left-to-right float sum loses against 1e16
-        assert AffineScorer([1e16, 1.0, -1e16]).score(Point("a", (1.0, 1.0, 1.0))) == 1
+        assert score_list(AffineScorer([1e16, 1.0, -1e16]), ones) == [1]
         # 0.1 + 0.2 + 0.3 rounds to 0.6 in every order, bias included
         for weights in itertools.permutations((0.1, 0.2, 0.3)):
-            assert AffineScorer(weights).score(Point("a", (1.0, 1.0, 1.0))) == Fraction(3, 5)
-            assert AffineScorer(weights[1:], weights[0]).score(Point("a", (1.0, 1.0))) == Fraction(3, 5)
+            assert score_list(AffineScorer(weights), ones) == [Fraction(3, 5)]
+            assert score_list(AffineScorer(weights[1:], weights[0]), dataset_of({"a": (1.0, 1.0)})) == [Fraction(3, 5)]
 
 
-class TestPointsAndDatasets:
+class TestDatasets:
     def test_point_validation(self):
-        with pytest.raises(InvalidParameterError):
-            Point("a", ())
-        with pytest.raises(InvalidParameterError):
-            Point("a", (float("inf"),))
-        with pytest.raises(InvalidParameterError):
-            Point("a", (0.0,), label=2)
+        with pytest.raises(InvalidParameterError, match="point 'a' has no features"):
+            Dataset(["a"], [()])
+        with pytest.raises(InvalidParameterError, match="point 'b' has non-finite features"):
+            Dataset(["a", "b"], [(0.0,), (float("inf"),)])
+        with pytest.raises(InvalidParameterError, match="point 'a' has invalid fairness features"):
+            Dataset(["a"], [(0.0,)], [(float("nan"),)])
+        with pytest.raises(InvalidParameterError, match="label of 'a' must be 0 or 1"):
+            Dataset(["a"], [(0.0,)], labels=[2])
 
     def test_fairness_vector_falls_back_to_features(self):
-        bare = Point("a", (1.0, 0.0))
-        assert bare.fairness_vector == (1.0, 0.0)
-        tagged = Point("b", (1.0, 0.0), fairness_features=(0.0, 1.0, 1.0))
-        assert tagged.fairness_vector == (0.0, 1.0, 1.0)
+        bare = dataset_of({"a": (1.0, 0.0)})
+        assert bare.fairness_vectors.tolist() == [[1.0, 0.0]]
+        tagged = dataset_of({"b": (1.0, 0.0)}, fairness=[(0.0, 1.0, 1.0)])
+        assert tagged.fairness_vectors.tolist() == [[0.0, 1.0, 1.0]]
 
     def test_dataset_validation(self):
-        with pytest.raises(InvalidParameterError):
-            Dataset([Point("a", (0.0,)), Point("a", (1.0,))])
+        with pytest.raises(InvalidParameterError, match="dataset ids must be unique"):
+            Dataset(["a", "a"], [(0.0,), (1.0,)])
+        with pytest.raises(DimensionMismatchError, match="feature dimensions are not uniform"):
+            Dataset(["a", "b"], [(0.0,), (1.0, 2.0)])
+        with pytest.raises(InvalidParameterError, match="dataset must contain at least one point"):
+            Dataset([], [])
         with pytest.raises(DimensionMismatchError):
-            Dataset([Point("a", (0.0,)), Point("b", (1.0, 2.0))])
-        with pytest.raises(InvalidParameterError):
-            Dataset([])
-
-    def test_dataset_lookup(self):
-        ds = Dataset([Point("a", (0.0,)), Point("b", (1.0,))])
-        assert ds.get("b").id == "b"
-        with pytest.raises(UnknownPointError):
-            ds.get("missing")
+            Dataset(["a", "b"], [(0.0,)])
 
 
 class TestColumns:
-    def test_points_become_columns_and_rows_become_points(self):
-        a = Point("a", (1, 2), fairness_features=(0.0,), label=1)
-        b = Point("b", (3, 4), fairness_features=(1.0,))
-        ds = Dataset([a, b])
+    def test_columns_are_checked_and_slices_are_datasets(self):
+        ds = Dataset(["a", "b"], [(1, 2), (3, 4)], [(0.0,), (1.0,)], [1, None])
         assert ds.ids == ("a", "b") and ds.labels == (1, None)
         assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]] and ds.features.dtype == np.float64
         assert ds.fairness_vectors is ds.fairness and ds.fairness.tolist() == [[0.0], [1.0]]
-        assert list(ds) == [a, b] and ds[-1] == b
         tail = ds[1:]
-        assert isinstance(tail, Dataset) and tail.ids == ("b",) and list(tail) == [b]
-        bare = Dataset([Point("c", (5.0,))])
+        assert isinstance(tail, Dataset) and tail.ids == ("b",) and tail.fairness.tolist() == [[1.0]]
+        assert tail.labels == (None,)
+        bare = dataset_of({"c": (5.0,)})
         assert bare.fairness is None and bare.fairness_vectors is bare.features
 
-    def test_checked_columns_are_taken_as_they_are(self):
+    def test_float64_columns_are_taken_as_they_are(self):
         features = np.array([[0.0, 1.0], [1.0, 1.0]])
-        ds = Dataset(columns=(["x", "y"], features, None, None))
+        ds = Dataset(["x", "y"], features)
         assert ds.features is features and ds.labels == (None, None)
-        assert ds.get("y") == Point("y", (1.0, 1.0))
 
-    def test_fairness_features_on_some_points_only(self):
-        with pytest.raises(DimensionMismatchError):
-            Dataset([Point("a", (0.0,), fairness_features=(1.0,)), Point("b", (1.0,))])
+    def test_fairness_features_of_other_widths(self):
+        with pytest.raises(DimensionMismatchError, match="fairness feature dimensions are not uniform"):
+            Dataset(["a", "b"], [(0.0,), (1.0,)], [(1.0,), ()])
 
     def test_scores_in_dataset_order(self):
         scorer = TabularScorer({"b": "0.5", "a": Fraction(1, 3), "c": 1})
-        numerators, den = scorer.scores(Dataset([Point("a", (0.0,)), Point("b", (1.0,))]))
+        numerators, den = scorer.scores(dataset_of({"a": (0.0,), "b": (1.0,)}))
         assert den == 6 and numerators.tolist() == [2, 3]
         with pytest.raises(UnknownPointError, match="no score for point 'd'"):
-            scorer.scores(Dataset([Point("d", (0.0,))]))
-        assert ConstantScorer(0.25).scores(Dataset([Point("a", (0.0,))]))[0].tolist() == [1]
+            scorer.scores(dataset_of({"d": (0.0,)}))
+        assert ConstantScorer(0.25).scores(dataset_of({"a": (0.0,)}))[0].tolist() == [1]
 
 
 class TestClassifiers:
     def test_prediction_idempotent(self):
         derand = Derandomizer(TabularScorer({"a": 0.5}), MinHashFamily(3), 7)
-        ds = Dataset([Point("a", (1.0, 0.0, 1.0))])
+        ds = dataset_of({"a": (1.0, 0.0, 1.0)})
         first = sample_classifier(derand, ds, CountingRng(3))[2].tolist()
         assert first in ([0], [1])
         assert all(sample_classifier(derand, ds, CountingRng(3))[2].tolist() == first for _ in range(10))

@@ -1,5 +1,5 @@
 """The columnar CSV loader: the same dataset, scores and errors as a
-per-row read through ``Point``, and scores that survive a save."""
+per-row read, and scores that survive a save."""
 
 import random
 from fractions import Fraction
@@ -14,7 +14,7 @@ from fairderand.adversarial import SphereConstruction, sphere_counterexample
 from fairderand.dataio import load_dataset, save_dataset
 from fairderand.errors import DataFormatError
 
-from conftest import reference_load
+from conftest import reference_load, score_list
 
 HEADER = "id,feat_0,feat_1,z_0,label,score\n"
 GOOD = ["a,0,1,0.5,1,0.25", "b,1,0,0.25,0,0.5", "c,0.5,0.5,1,,1"]
@@ -127,21 +127,18 @@ def csv_texts(draw):
 def test_columns_equal_per_row_read(tmp_path_factory, text, block_rows):
     path = tmp_path_factory.mktemp("csv") / "data.csv"
     path.write_text(text, encoding="utf-8")
-    points, scores = reference_load(path)
+    ids, features, fairness, labels, scores = reference_load(path)
     with mock.patch.object(dataio, "BLOCK_ROWS", block_rows):
         dataset, scorer = load_dataset(path)
-    assert dataset.ids == tuple(p.id for p in points)
-    assert dataset.features.tolist() == [list(p.features) for p in points]
-    assert (None if dataset.fairness is None else dataset.fairness.tolist()) == (
-        None if points[0].fairness_features is None else [list(p.fairness_features) for p in points]
-    )
-    assert dataset.labels == tuple(p.label for p in points)
-    assert list(dataset) == points
+    assert dataset.ids == tuple(ids)
+    assert dataset.features.tolist() == features
+    assert (None if dataset.fairness is None else dataset.fairness.tolist()) == fairness
+    assert dataset.labels == tuple(labels)
     if scores is None:
         assert scorer is None
     else:
         numerators, den = scorer.scores(dataset)
-        assert [Fraction(int(n), den) for n in numerators] == [scores[p.id] for p in points]
+        assert [Fraction(int(n), den) for n in numerators] == [scores[p] for p in ids]
 
 
 class TestSave:
@@ -153,14 +150,14 @@ class TestSave:
         text = (tmp_path / "copy.csv").read_text(encoding="utf-8")
         assert text.splitlines()[1:] == ["a,0.0,1234567890123456789/10000000000000000000", "b,1.0,1/3", "c,0.0,0.25"]
         reloaded, rescorer = load_dataset(tmp_path / "copy.csv")
-        assert [rescorer.score(p) for p in reloaded] == [scorer.score(p) for p in dataset]
+        assert score_list(rescorer, reloaded) == score_list(scorer, dataset)
 
     def test_sphere_scores_round_trip(self, tmp_path):
         cons = SphereConstruction(n_points=6, dimension=2, delta_sphere=0.15, eps_gap=0.05, k=101)
         dataset, scorer, _ = sphere_counterexample(cons)
         save_dataset(tmp_path / "sphere.csv", dataset, scorer)
         reloaded, rescorer = load_dataset(tmp_path / "sphere.csv")
-        assert [rescorer.score(p) for p in reloaded] == [scorer.score(p) for p in dataset]
+        assert score_list(rescorer, reloaded) == score_list(scorer, dataset)
         assert np.array_equal(reloaded.features, dataset.features)
 
 

@@ -12,7 +12,6 @@ from fairderand import (
     GridBucketer,
     IdentityBucketer,
     MinHashFamily,
-    Point,
     SimHashFamily,
     TabularScorer,
 )
@@ -23,6 +22,8 @@ from fairderand.rng import CountingRng
 
 from conftest import (
     brute_mean,
+    dataset_of,
+    each_point,
     enumerate_members,
     random_binary_dataset,
     random_scorer,
@@ -32,26 +33,26 @@ from conftest import (
 
 
 def two_point_dataset():
-    return Dataset([Point("x1", (0.0, 0.0)), Point("x2", (0.0, 1.0))])
+    return dataset_of({"x1": (0.0, 0.0), "x2": (0.0, 1.0)})
 
 
 class TestBucketers:
     def test_grid_groups_by_cell(self):
-        ds = Dataset([Point("a", (0.2, 0.3)), Point("b", (0.4, 0.9))])
+        ds = dataset_of({"a": (0.2, 0.3), "b": (0.4, 0.9)})
         first, second = GridBucketer(1.0).buckets(ds)
         assert first == second
         first, second = GridBucketer(0.5).buckets(ds)
         assert first != second
 
     def test_fine_grid_separates_distinct_points(self):
-        first, second = GridBucketer(0.001).buckets(Dataset([Point("a", (0.2, 0.3)), Point("b", (0.21, 0.3))]))
+        first, second = GridBucketer(0.001).buckets(dataset_of({"a": (0.2, 0.3), "b": (0.21, 0.3)}))
         assert first != second
 
     def test_identity_bucketer(self):
-        assert IdentityBucketer().buckets(Dataset([Point("a", (0.0,)), Point("b", (0.0,))])) == ["a", "b"]
+        assert IdentityBucketer().buckets(dataset_of({"a": (0.0,), "b": (0.0,)})) == ["a", "b"]
 
     def test_realized_buckets_first_seen_order(self):
-        ds = Dataset([Point("a", (0.2,)), Point("b", (5.3,)), Point("c", (0.7,))])
+        ds = dataset_of({"a": (0.2,), "b": (5.3,), "c": (0.7,)})
         family = FixedFamily(GridBucketer(1.0), GridBucketer(1.0).buckets(ds))
         assert family.n_buckets == 2
         assert family.embedder(family.all_keys())(ds, None).tolist() == [[0], [1], [0]]
@@ -75,7 +76,7 @@ class TestDegenerateScorers:
         for derand in families:
             assert sample_classifier(derand, ds, rng)[2].tolist() == [expected] * len(ds)
             for member in enumerate_members(derand):
-                assert all(member.predict(p) == expected for p in ds)
+                assert all(member.predict(p) == expected for p in each_point(ds))
 
 
 class TestFamilySizes:
@@ -108,7 +109,7 @@ class TestRtScheme:
         ds = two_point_dataset()
         scorer = TabularScorer({"x1": 0.35, "x2": 0.8})
         members = enumerate_members(Derandomizer.rt(scorer, 10))
-        for p in ds:
+        for p in each_point(ds):
             bits = [m.predict(p) for m in members]  # ordered by u
             assert all(b1 >= b2 for b1, b2 in zip(bits, bits[1:]))
 
@@ -117,15 +118,15 @@ class TestRtScheme:
         members = enumerate_members(Derandomizer.rt(scorer, 4))
         top = members[-1]
         assert top.c + 1 == 4  # the shared threshold u = c + 1
-        assert top.predict(Point("x1", (0.0,))) == 1
-        assert top.predict(Point("x2", (0.0,))) == 0
+        assert top.predict(dataset_of({"x1": (0.0,)})) == 1
+        assert top.predict(dataset_of({"x2": (0.0,)})) == 0
 
     def test_exact_mean_is_grid_floor(self):
         # scores on the grid reproduce exactly; off-grid floor down
         scorer = TabularScorer({"a": 0.3, "b": 0.25})
         derand = Derandomizer.rt(scorer, 10)
-        assert brute_mean(derand, Point("a", (0.0,))) == Fraction(3, 10)
-        assert brute_mean(derand, Point("b", (0.0,))) == Fraction(2, 10)
+        assert brute_mean(derand, dataset_of({"a": (0.0,)})) == Fraction(3, 10)
+        assert brute_mean(derand, dataset_of({"b": (0.0,)})) == Fraction(2, 10)
 
     def test_k_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -185,7 +186,7 @@ class TestSampleEqualsScalarReference:
         non-empty 0/1 vectors of the bucketing family's width for LS."""
         gen = random.Random(kind)
         if kind in ("rt", "pi_grid", "pi_identity"):
-            return Dataset([Point(f"r{i}", (gen.uniform(0, 2), gen.uniform(0, 2))) for i in range(12)])
+            return dataset_of({f"r{i}": (gen.uniform(0, 2), gen.uniform(0, 2)) for i in range(12)})
         return random_binary_dataset(gen, 12, {"bit_sampling": 10, "minhash5": 5, "minhash16": 16, "simhash": 7}[kind])
 
     @classmethod
@@ -230,7 +231,7 @@ class TestFamilyMeanConsistency:
         score = Fraction(numerator, 997)
         ds = two_point_dataset()
         scorer = TabularScorer({"x1": score, "x2": score})
-        point = ds[0]
+        point = ds[:1]
         for derand in (
             Derandomizer.rt(scorer, k),
             Derandomizer.pi(scorer, ds, IdentityBucketer(), k),
@@ -244,11 +245,7 @@ class TestFairnessProjection:
     def test_lsh_reads_fairness_features(self):
         # inference features are identical; fairness features differ, so
         # the sampled hash must be able to split the pair
-        points = [
-            Point("a", (0.5,), fairness_features=(0.0, 0.0)),
-            Point("b", (0.5,), fairness_features=(1.0, 1.0)),
-        ]
-        ds = Dataset(points)
+        ds = dataset_of({"a": (0.5,), "b": (0.5,)}, fairness=[(0.0, 0.0), (1.0, 1.0)])
         scorer = TabularScorer({"a": 0.4, "b": 0.6})
         derand = Derandomizer(scorer, BitSamplingFamily(2), 5)
         x = derand.bucketing.vectors(ds)
@@ -257,7 +254,7 @@ class TestFairnessProjection:
 
 class TestValidation:
     def test_pi_k_must_cover_realized_buckets(self):
-        ds = Dataset([Point(str(i), (float(i),)) for i in range(5)])
+        ds = dataset_of({str(i): (float(i),) for i in range(5)})
         with pytest.raises(InvalidParameterError):
             Derandomizer.pi(ConstantScorer(0), ds, IdentityBucketer(), 3)
 
@@ -265,5 +262,5 @@ class TestValidation:
         ds = random_binary_dataset(py_rng, 4, 3)
         scorer = random_scorer(py_rng, ds)
         derand = Derandomizer(scorer, BitSamplingFamily(3), 7)
-        for p in ds:
+        for p in each_point(ds):
             assert brute_mean(derand, p) is not None  # smoke: oracle runs

@@ -1,5 +1,6 @@
-"""Golden reports: five exact audits, four derandomizations, a strategic
-analysis and an adversarial sphere construction, run from inputs built
+"""Golden reports: six exact audits, four derandomizations, a strategic
+analysis, an adversarial sphere construction and a violation search over
+a grid, run from inputs built
 here from fixed seeds, must write their report files byte for byte as the
 files under ``tests/golden/``.
 
@@ -72,6 +73,13 @@ CASES = {  # name: (input, config, command)
          "metric": {"kind": "scaled_euclidean", "scale": 2}, "alpha": 1, "beta": 0.1},
         "audit",
     ),
+    "pi-grid-affine": (
+        dict(seed=18, n_points=40, dim=4, real=True),
+        {"scheme": "pi", "k": 101, "bucketer": {"kind": "grid", "resolution": 0.5},
+         "scorer": {"kind": "affine", "weights": [0.8, -0.6, 0.5, 0.3], "bias": 0.5},
+         "metric": {"kind": "angular"}, "alpha": 1, "beta": 0.05, "curve_alphas": [0, 0.5, 1]},
+        "audit",
+    ),
     "strategic-scaled-euclidean": (
         dict(seed=16, n_points=30, dim=2, real=True),
         {"scheme": "rt", "k": 11, "metric": {"kind": "scaled_euclidean", "scale": 1.5}, "alpha": 1, "beta": 0.05},
@@ -81,6 +89,14 @@ CASES = {  # name: (input, config, command)
         None,
         {"adversarial": {"construction": "sphere", "n_points": 12, "dimension": 3,
                          "delta_sphere": 0.2, "eps_gap": 0.05}, "k": 101, "alpha": 1, "beta": 0},
+        "adversarial",
+    ),
+    "adversarial-violation-search": (
+        dict(seed=17, n_points=20, dim=2, real=True),
+        {"adversarial": {"construction": "violation_search", "grid_steps": 1001, "grid_start": [-1, -1],
+                         "grid_stop": [1, 0.5]},
+         "scorer": {"kind": "affine", "weights": [0.35, -0.2], "bias": 0.45}, "scheme": "rt", "k": 11,
+         "metric": {"kind": "scaled_euclidean", "scale": 2}, "alpha": 1, "beta": 0.01},
         "adversarial",
     ),
     "derandomize-rt": (dict(seed=21, n_points=30, dim=8), {"scheme": "rt", "k": 101}, "derandomize"),

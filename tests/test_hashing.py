@@ -11,14 +11,12 @@ from hypothesis import assume, given, settings, strategies as st
 from fairderand import (
     BitSamplingFamily,
     ConstantScorer,
-    Dataset,
     Derandomizer,
     EstimatorConfig,
     GridBucketer,
     IdentityBucketer,
     MinHashFamily,
     PiFamily,
-    Point,
     SimHashFamily,
     TabularScorer,
 )
@@ -37,7 +35,7 @@ from fairderand.measure import prediction_table
 from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming
 from fairderand.rng import CountingRng
 
-from conftest import brute_collision, reference_distance, reference_member, split_share
+from conftest import brute_collision, dataset_of, each_point, reference_distance, reference_member, split_share
 
 
 def every_coefficient(fam: PiFamily) -> tuple[np.ndarray, np.ndarray]:
@@ -60,7 +58,7 @@ class TestPiEval:
         # the fixed bucketing numbers only the buckets it was built on
         fam = FixedFamily(IdentityBucketer(), ["a"])
         with pytest.raises(UnknownBucketError, match="no hash value for bucket 'zzz'"):
-            fam.embedder(fam.all_keys())(Dataset([Point("zzz", (0.0,))]), None)
+            fam.embedder(fam.all_keys())(dataset_of({"zzz": (0.0,)}), None)
 
 
 class TestFamilyValidation:
@@ -102,7 +100,7 @@ class TestExactPairwiseIndependence:
     def test_enumeration_cap(self):
         # no cap on the family size: over two buckets the family has k * k members, and the
         # exact table counts them in int64, so up to 3037000499**2 < 2**63 <= 3037000500**2
-        points = Dataset([Point("x", (0.0,)), Point("y", (1.0,))])
+        points = dataset_of({"x": (0.0,), "y": (1.0,)})
         scorer = TabularScorer({"x": "0.25", "y": "0.75"})
         for k in (1009, 3_037_000_499):
             derand = Derandomizer(scorer, FixedFamily(SharedBucketer(), (0, 1)), k)
@@ -154,7 +152,7 @@ class TestBitSampling:
 
     def test_exact_collision_matches_hamming(self):
         fam = BitSamplingFamily(2)
-        x, y = Point("x", (0.0, 0.0)), Point("y", (0.0, 1.0))
+        x, y = dataset_of({"x": (0.0, 0.0)}), dataset_of({"y": (0.0, 1.0)})
         assert brute_collision(fam, x, y) == Fraction(1, 2)
         assert 1 - reference_distance(NormalizedHamming(2), x, y) == Fraction(1, 2)
 
@@ -163,8 +161,8 @@ class TestBitSampling:
         metric = NormalizedHamming(6)
         fam = BitSamplingFamily(6)
         for _ in range(50):
-            x = Point("x", tuple(float(rng.randint(0, 1)) for _ in range(6)))
-            y = Point("y", tuple(float(rng.randint(0, 1)) for _ in range(6)))
+            x = dataset_of({"x": tuple(float(rng.randint(0, 1)) for _ in range(6))})
+            y = dataset_of({"y": tuple(float(rng.randint(0, 1)) for _ in range(6))})
             assert brute_collision(fam, x, y) == 1 - reference_distance(metric, x, y)
 
     def test_sampled_coordinate_uniform(self):
@@ -176,17 +174,17 @@ class TestBitSampling:
 
     def test_requires_binary_features(self):
         with pytest.raises(NotBinaryError, match="^bit sampling requires 0/1 features$"):
-            BitSamplingFamily(2).vectors(Dataset([Point("x", (0.0, 1.0)), Point("y", (0.5, 0.0))]))
+            BitSamplingFamily(2).vectors(dataset_of({"x": (0.0, 1.0), "y": (0.5, 0.0)}))
 
     def test_wider_than_the_data_is_a_dimension_mismatch(self):
         fam = BitSamplingFamily(5)
-        points = Dataset([Point("x", (0.0, 1.0, 1.0)), Point("y", (1.0, 1.0, 0.0))])
+        points = dataset_of({"x": (0.0, 1.0, 1.0), "y": (1.0, 1.0, 0.0)})
         with pytest.raises(DimensionMismatchError, match="^bit sampling reads coordinate 3 of a 3-dimensional point$"):
             fam.vectors(points)
         with pytest.raises(NotBinaryError):  # the first point is not 0/1 before it is too narrow
-            fam.vectors(Dataset([Point("x", (0.0, 0.5, 1.0))]))
-        wider = Point("z", (1.0, 0.0, 0.0, 1.0, 1.0, 0.0))  # reads the first 5 coordinates
-        assert fam.vectors(Dataset([wider])).tolist() == [[True, False, False, True, True]]
+            fam.vectors(dataset_of({"x": (0.0, 0.5, 1.0)}))
+        wider = dataset_of({"z": (1.0, 0.0, 0.0, 1.0, 1.0, 0.0)})  # reads the first 5 coordinates
+        assert fam.vectors(wider).tolist() == [[True, False, False, True, True]]
 
 
 class TestMinHash:
@@ -197,8 +195,8 @@ class TestMinHash:
 
     def test_exact_collision_is_jaccard_similarity(self):
         fam = MinHashFamily(3)
-        a = Point("a", (1.0, 0.0, 0.0))  # {0}
-        b = Point("b", (1.0, 1.0, 0.0))  # {0, 1}
+        a = dataset_of({"a": (1.0, 0.0, 0.0)})  # {0}
+        b = dataset_of({"b": (1.0, 1.0, 0.0)})  # {0, 1}
         assert brute_collision(fam, a, b) == Fraction(1, 2)
 
     def test_exact_collision_randomized(self):
@@ -206,9 +204,9 @@ class TestMinHash:
         fam = MinHashFamily(5)
         metric = JaccardDistance()
         for _ in range(30):
-            a = Point("a", tuple(float(rng.randint(0, 1)) for _ in range(5)))
-            b = Point("b", tuple(float(rng.randint(0, 1)) for _ in range(5)))
-            if not any(a.features) or not any(b.features):
+            a = dataset_of({"a": tuple(float(rng.randint(0, 1)) for _ in range(5))})
+            b = dataset_of({"b": tuple(float(rng.randint(0, 1)) for _ in range(5))})
+            if not a.features.any() or not b.features.any():
                 continue
             assert brute_collision(fam, a, b) == 1 - reference_distance(metric, a, b)
 
@@ -217,7 +215,7 @@ class TestMinHash:
             MinHashFamily(8).all_keys()
 
     def test_empty_set_rejected(self):
-        points = Dataset([Point("x", (1.0, 0.0)), Point("y", (0.0, 0.0)), Point("z", (0.5, 0.0))])
+        points = dataset_of({"x": (1.0, 0.0), "y": (0.0, 0.0), "z": (0.5, 0.0)})
         with pytest.raises(NotBinaryError, match="^min-wise hashing is undefined on the empty set$"):
             MinHashFamily(2).vectors(points)
 
@@ -235,7 +233,7 @@ class TestSimHash:
 
     def test_right_angle_collision_frequency(self):
         fam = SimHashFamily(2)
-        points = Dataset([Point("x", (1.0, 0.0)), Point("y", (0.0, 1.0))])
+        points = dataset_of({"x": (1.0, 0.0), "y": (0.0, 1.0)})
         n = 100_000
         sides = fam.embedder(fam.draw(CountingRng(53), n))(points, fam.vectors(points))
         assert abs(float((sides[0] == sides[1]).mean()) - 0.5) < 0.01
@@ -249,11 +247,11 @@ class TestSimHash:
         angular = Angular()
         gen = random.Random(8)
         for _ in range(20):
-            x = Point("x", tuple(gen.uniform(-1, 1) for _ in range(3)))
-            y = Point("y", tuple(gen.uniform(-1, 1) for _ in range(3)))
+            x = dataset_of({"x": tuple(gen.uniform(-1, 1) for _ in range(3))})
+            y = dataset_of({"y": tuple(gen.uniform(-1, 1) for _ in range(3))})
             expected = 1 - reference_distance(angular, x, y)
-            side_x = normals @ np.array(x.features) >= 0
-            side_y = normals @ np.array(y.features) >= 0
+            side_x = normals @ x.features[0] >= 0
+            side_y = normals @ y.features[0] >= 0
             freq = float((side_x == side_y).mean())
             sigma = math.sqrt(max(expected * (1 - expected), 1e-12) / n)
             assert abs(freq - expected) <= max(3 * sigma, 1e-3)
@@ -263,9 +261,9 @@ class TestSimHash:
         assert math.isclose(sum(v * v for v in normal), 1.0, rel_tol=1e-12)
 
     def test_dimension_mismatch_is_a_data_error(self):
-        family, point = SimHashFamily(4), Point("x", (1.0, 0.0, 1.0))
+        family, point = SimHashFamily(4), dataset_of({"x": (1.0, 0.0, 1.0)})
         with pytest.raises(DimensionMismatchError, match="dimension mismatch in hyperplane hash"):
-            family.vectors(Dataset([point]))
+            family.vectors(point)
 
 
 class TestAllKeys:
@@ -336,7 +334,7 @@ class TestEmbedAll:
         if bad is not None:
             vectors.insert(at % (n_points + 1), (bad,) * dim)
         assume(vectors)  # a dataset holds at least one point
-        points = Dataset([Point(f"p{r}", v) for r, v in enumerate(vectors)])
+        points = dataset_of({f"p{r}": v for r, v in enumerate(vectors)})
         if isinstance(family, Bucketer):
             family = FixedFamily(family, family.buckets(points))
         try:
@@ -346,7 +344,7 @@ class TestEmbedAll:
         if keys is None or len(keys) > 8:
             keys = family.draw(CountingRng(seed), 2)
         members = [reference_member(family, key) for key in keys]
-        expected = self.outcome(lambda: [[m.bucket(p) for m in members] for p in points])
+        expected = self.outcome(lambda: [[m.bucket(p) for m in members] for p in each_point(points)])
         embedder = family.embedder(keys)
         got = self.outcome(lambda: embedder(points, family.vectors(points)).tolist())
         assert got == expected
@@ -358,7 +356,7 @@ class TestEmbedAll:
         rng = random.Random(seed)
         dim, family = self.FAMILIES[kind]
         vectors = [tuple(float(rng.randint(0, 1)) for _ in range(dim)) for _ in range(n_points)]
-        points = Dataset([Point(f"p{r}", v if any(v) else (1.0,) * dim) for r, v in enumerate(vectors)])
+        points = dataset_of({f"p{r}": v if any(v) else (1.0,) * dim for r, v in enumerate(vectors)})
         if isinstance(family, Bucketer):
             family = FixedFamily(family, family.buckets(points))
         try:

@@ -12,18 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairderand import (
+    AffineScorer,
     BitSamplingFamily,
     ConstantScorer,
-    Dataset,
     Derandomizer,
     EstimatorConfig,
     GridBucketer,
     IdentityBucketer,
     MinHashFamily,
-    Point,
     SimHashFamily,
     TabularScorer,
-    threshold_count,
 )
 from fairderand import measure
 from fairderand.errors import (
@@ -72,21 +70,29 @@ from conftest import (
     brute_aggregate_variance,
     brute_mean,
     brute_pairwise,
+    dataset_of,
+    each_point,
     enumerate_members,
+    joined,
     normal_pair,
     pairs_of,
     random_binary_dataset,
     random_real_dataset,
     random_scorer,
+    reference_decomposition,
     reference_distance,
     reference_excesses,
     reference_fairness_check,
     reference_family_beta,
+    reference_family_mean,
     reference_member,
+    reference_score,
     reference_scorer_beta,
+    reference_threshold_count,
     select_pairs,
     split_share,
     uniform_int,
+    vector_of,
 )
 
 EXACT = EstimatorConfig(mode="exact")
@@ -99,17 +105,16 @@ class IdBits:
         self.table = table
 
     def predict(self, point):
-        return self.table[point.id]
+        return self.table[point.ids[0]]
 
 
 def binary_dataset():
-    return Dataset(
-        [
-            Point("x1", (1.0, 0.0)),
-            Point("x2", (0.0, 1.0)),
-            Point("x3", (1.0, 1.0)),
-        ]
-    )
+    return dataset_of({"x1": (1.0, 0.0), "x2": (0.0, 1.0), "x3": (1.0, 1.0)})
+
+
+def scores_of(scorer, ds):
+    """Each point's score, from the scalar reference."""
+    return [reference_score(scorer, p) for p in each_point(ds)]
 
 
 def small_families(dataset, scorer, k=5):
@@ -154,11 +159,10 @@ class TestOracleAgreement:
         ds = binary_dataset()
         scorer = random_scorer(py_rng, ds)
         for derand in small_families(ds, scorer):
-            table = prediction_table(derand, ds, EXACT)
-            for p in ds:
-                assert family_mean(derand, p) == brute_mean(derand, p)
+            table, points = prediction_table(derand, ds, EXACT), each_point(ds)
+            assert family_mean(derand, ds) == [brute_mean(derand, p) for p in points]
             assert aggregate_variance(table).value == brute_aggregate_variance(derand, ds)
-            assert split_share(table, 0, 1) == brute_pairwise(derand, ds[0], ds[1])
+            assert split_share(table, 0, 1) == brute_pairwise(derand, points[0], points[1])
 
     def test_monte_carlo_within_four_sigma_of_exact(self, py_rng):
         ds = binary_dataset()
@@ -181,7 +185,7 @@ class TestOracleAgreement:
     def test_monte_carlo_simhash_matches_score(self):
         # non-enumerable family: sampled mean still lands within 1/k of the
         # score, up to Monte Carlo noise
-        ds = Dataset([Point("x", (0.6, 0.8))])
+        ds = dataset_of({"x": (0.6, 0.8)})
         scorer = TabularScorer({"x": 0.37})
         derand = Derandomizer(scorer, SimHashFamily(2), 25)
         mc = EstimatorConfig(mode="mc", trials=200_000, seed=3)
@@ -203,19 +207,19 @@ class TestOracleAgreement:
         # a shared bucket (probability p = 1 - d) gives the same threshold;
         # distinct buckets give independent uniform thresholds
         k = 11
-        px, py = Point("x", tuple(map(float, x))), Point("y", tuple(map(float, y)))
+        px, py = dataset_of({"x": x}), dataset_of({"y": y})
         scorer = TabularScorer({"x": "0.3", "y": "0.75"})
-        tx, ty = threshold_count(scorer.score(px), k), threshold_count(scorer.score(py), k)
+        tx, ty = (reference_threshold_count(reference_score(scorer, p), k) for p in (px, py))
         p = 1 - float(reference_distance(metric, px, py))
         expected = p * abs(tx - ty) / k + (1 - p) * (tx * (k - ty) + ty * (k - tx)) / k**2
         mc = EstimatorConfig(mode="mc", trials=200_000, seed=13)
-        est = split_share(prediction_table(Derandomizer(scorer, family, k), Dataset((px, py)), mc), 0, 1)
+        est = split_share(prediction_table(Derandomizer(scorer, family, k), joined(px, py), mc), 0, 1)
         assert abs(est - expected) <= 4 * math.sqrt(est * (1 - est) / mc.trials)
 
     def test_exact_mode_rejects_simhash(self):
         derand = Derandomizer(ConstantScorer(0.5), SimHashFamily(2), 5)
         with pytest.raises(NotEnumerableError):
-            prediction_table(derand, Dataset([Point("x", (1.0, 0.0))]), EXACT)
+            prediction_table(derand, dataset_of({"x": (1.0, 0.0)}), EXACT)
 
 
 class TestBias:
@@ -227,27 +231,27 @@ class TestBias:
     def test_pi_bias_exact_example(self):
         ds = binary_dataset()
         derand = Derandomizer.pi(ConstantScorer(0.5), ds, IdentityBucketer(), 5)
-        assert brute_mean(derand, ds[0]) - Fraction(1, 2) == Fraction(-1, 10)
+        assert brute_mean(derand, ds[:1]) - Fraction(1, 2) == Fraction(-1, 10)
         assert aggregate_bias(prediction_table(derand, ds, EXACT)).value == Fraction(-1, 10)
 
     def test_constant_one_family_zero_bias(self):
         ds = binary_dataset()
         derand = Derandomizer.rt(ConstantScorer(1), 5)
-        assert brute_mean(derand, ds[0]) == 1
+        assert brute_mean(derand, ds[:1]) == 1
         assert aggregate_bias(prediction_table(derand, ds, EXACT)).value == 0
 
     def test_singleton_dataset_aggregate_equals_pointwise(self):
-        ds = Dataset([Point("only", (0.0, 1.0))])
+        ds = dataset_of({"only": (0.0, 1.0)})
         derand = Derandomizer.rt(TabularScorer({"only": 0.41}), 7)
         table = prediction_table(derand, ds, EXACT)
-        assert aggregate_bias(table).value == brute_mean(derand, ds[0]) - derand.scorer.score(ds[0])
+        assert aggregate_bias(table).value == brute_mean(derand, ds) - reference_score(derand.scorer, ds)
 
     def test_mc_mean_score_is_one_rounding(self):
         # 0.1 + 0.2 + 0.3 left to right is 0.6000000000000001, and 0.6 right
         # to left; the correctly rounded sum is 0.6 in every order
         scorer, values = TabularScorer({"a": "0.1", "b": "0.2", "c": "0.3"}), []
         for ids in itertools.permutations("abc"):
-            ds = Dataset([Point(i, (0.0,)) for i in ids])
+            ds = dataset_of({i: (0.0,) for i in ids})
             table = prediction_table(Derandomizer.rt(scorer, 10), ds, EstimatorConfig(mode="mc", trials=50, seed=3))
             values.append(aggregate_bias(table).value)
             assert values[-1] == float(table.sums.mean() / 3) - 0.6 / 3
@@ -273,7 +277,7 @@ class TestVariance:
         assert aggregate_variance(prediction_table(Derandomizer.rt(scorer, 9), ds, EXACT)).value == 0
 
     def test_half_score_single_point(self):
-        ds = Dataset([Point("q", (0.0,))])
+        ds = dataset_of({"q": (0.0,)})
         derand = Derandomizer.rt(TabularScorer({"q": 0.5}), 10)
         assert aggregate_variance(prediction_table(derand, ds, EXACT)).value == Fraction(1, 4)
 
@@ -282,7 +286,7 @@ class TestVariance:
         scorer = random_scorer(py_rng, ds)
         derand = Derandomizer.pi(scorer, ds, IdentityBucketer(), 11)
         value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
-        mean_fvar = sum((s := scorer.score(p)) * (1 - s) for p in ds) / len(ds)
+        mean_fvar = sum((s := reference_score(scorer, p)) * (1 - s) for p in each_point(ds)) / len(ds)
         # separating bucketer: max bucket mass is 1/|B|
         assert value <= pi_variance_bound(Fraction(1, len(ds)), mean_fvar, 11)
 
@@ -291,13 +295,13 @@ class TestVariance:
         scorer = random_scorer(py_rng, ds)
         derand = Derandomizer(scorer, BitSamplingFamily(3), 11)
         value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
-        mean_fvar = sum((s := scorer.score(p)) * (1 - s) for p in ds) / len(ds)
+        mean_fvar = sum((s := reference_score(scorer, p)) * (1 - s) for p in each_point(ds)) / len(ds)
         # mean over members of the max bucket mass, exact
         members = [reference_member(derand.bucketing, key) for key in derand.bucketing.all_keys()]
         masses = []
         for m in members:
             counts: dict = {}
-            for p in ds:
+            for p in each_point(ds):
                 b = m.bucket(p)
                 counts[b] = counts.get(b, 0) + 1
             masses.append(Fraction(max(counts.values()), len(ds)))
@@ -310,7 +314,7 @@ class TestVariance:
             scorer = random_scorer(py_rng, ds)
             derand = Derandomizer.rt(scorer, 13)
             value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
-            mean_fvar = sum((s := scorer.score(p)) * (1 - s) for p in ds) / len(ds)
+            mean_fvar = sum((s := reference_score(scorer, p)) * (1 - s) for p in each_point(ds)) / len(ds)
             assert value <= rt_variance_bound(mean_fvar) + Fraction(1, 13)
 
 
@@ -321,7 +325,7 @@ class TestPairwiseUnfairness:
         assert split_share(prediction_table(derand, ds, EXACT), 0, 1) == 0
 
     def test_ls_worked_example(self):
-        ds = Dataset([Point("x1", (0.0, 0.0)), Point("x2", (0.0, 1.0))])
+        ds = dataset_of({"x1": (0.0, 0.0), "x2": (0.0, 1.0)})
         scorer = TabularScorer({"x1": 0.2, "x2": 0.6})
         derand = Derandomizer(scorer, BitSamplingFamily(2), 5)
         value = split_share(prediction_table(derand, ds, EXACT), 0, 1)
@@ -335,10 +339,10 @@ class TestPairwiseUnfairness:
         ds = binary_dataset()
         for _ in range(10):
             scorer = random_scorer(py_rng, ds)
-            table = prediction_table(Derandomizer.rt(scorer, 10), ds, EXACT)
+            table, scores = prediction_table(Derandomizer.rt(scorer, 10), ds, EXACT), scores_of(scorer, ds)
             for i, j in itertools.combinations(range(len(ds)), 2):
                 value = split_share(table, i, j)
-                gap = abs(scorer.score(ds[i]) - scorer.score(ds[j]))
+                gap = abs(scores[i] - scores[j])
                 assert abs(value - gap) <= Fraction(1, 10)
 
 
@@ -368,7 +372,7 @@ class TestScorerBeta:
         assert got == expected and type(got) is type(expected)
 
     def test_huge_denominators_stay_exact(self):
-        ds = Dataset([Point("a", (0.0,)), Point("b", (1.0,)), Point("c", (0.5,))])
+        ds = dataset_of({"a": (0.0,), "b": (1.0,), "c": (0.5,)})
         scorer = TabularScorer({"a": Fraction(1, 3), "b": Fraction(2**70 - 1, 2**70), "c": 0})
         assert scorer.scores(ds)[0].dtype == object
         for alpha in (0, 1, Fraction(1, 7)):
@@ -414,7 +418,7 @@ class TestMetricFairnessCheck:
         assert report["fairness_violations"]["value"] == 0
 
     def test_single_point_has_no_pairs_to_check(self):
-        ds = Dataset([Point("a", (0.0, 1.0))])
+        ds = dataset_of({"a": (0.0, 1.0)})
         with pytest.raises(EmptyPairSetError):
             metric_fairness_check(
                 prediction_table(Derandomizer.rt(ConstantScorer(0.5), 4), ds, EXACT), NormalizedHamming(2), 1, 0
@@ -573,8 +577,8 @@ class TestThresholdFairnessCheck:
     def test_rt_reports_grid_guarantee(self):
         derand = Derandomizer.rt(TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9}), 11)
         report = self.check(derand)
-        ds = binary_dataset()
-        gaps = [brute_pairwise(derand, ds[i], ds[j]) for i, j in ((0, 2), (1, 2))]  # the pairs within sigma
+        pts = each_point(binary_dataset())
+        gaps = [brute_pairwise(derand, pts[i], pts[j]) for i, j in ((0, 2), (1, 2))]  # the pairs within sigma
         assert report["pairs_within_sigma"]["value"] == 2
         assert report["max_gap"]["value"] == max(gaps)
         assert report["max_gap_vs_grid_guarantee"]["bound"] == self.TAU + Fraction(1, 11)
@@ -595,9 +599,9 @@ class TestThresholdFairnessCheck:
         mc = EstimatorConfig(mode="mc", trials=500, seed=4)
         report = threshold_fairness_check(prediction_table(derand, ds, mc), metric, 0.3, 0.5)
         gaps = [
-            split_share(prediction_table(derand, Dataset((ds[i], ds[j])), mc), 0, 1)
-            for i, j in itertools.combinations(range(len(ds)), 2)
-            if reference_distance(metric, ds[i], ds[j]) <= 0.3
+            split_share(prediction_table(derand, joined(x, y), mc), 0, 1)
+            for x, y in itertools.combinations(each_point(ds), 2)
+            if reference_distance(metric, x, y) <= 0.3
         ]
         assert report["pairs_within_sigma"]["value"] == len(gaps)
         assert report["max_gap"]["value"] == max(gaps)
@@ -617,13 +621,14 @@ class TestThresholdFairnessCheck:
         ds = random_binary_dataset(rng, n_points, 3)
         derand, metric = TestPairPathMatchesReferenceLoop.family(kind, random_scorer(rng, ds, 20), ds, 5)
         table = prediction_table(derand, ds, EstimatorConfig(mode="mc" if mc else "exact", trials=300, seed=seed))
-        close = [(a, b) for a, b in itertools.combinations(range(n_points), 2) if reference_distance(metric, ds[a], ds[b]) <= sigma]
+        pts = each_point(ds)
+        close = [(a, b) for a, b in itertools.combinations(range(n_points), 2) if reference_distance(metric, pts[a], pts[b]) <= sigma]
         if not close:
             with pytest.raises(EmptyPairSetError):
                 threshold_fairness_check(table, metric, sigma, self.TAU)
             return
         report = threshold_fairness_check(table, metric, sigma, self.TAU)
-        expected = max([0, *(split_share(table, a, b) if mc else brute_pairwise(derand, ds[a], ds[b]) for a, b in close)])
+        expected = max([0, *(split_share(table, a, b) if mc else brute_pairwise(derand, pts[a], pts[b]) for a, b in close)])
         assert report["pairs_within_sigma"]["value"] == len(close)
         got = report["max_gap"]["value"]
         assert got == expected and type(got) is type(expected)
@@ -653,16 +658,16 @@ class TestThresholdFairnessCheck:
 class TestAggregateFairness:
     def test_constant_classifier(self):
         ds = binary_dataset()
-        clf = IdBits({p.id: 1 for p in ds})
+        clf = IdBits({p: 1 for p in ds.ids})
         assert aggregate_fairness(clf, ds, NormalizedHamming(2), 1.0) == 0
 
     def test_two_point_split(self):
-        ds = Dataset([Point("a", (0.0,)), Point("b", (1.0,))])
+        ds = dataset_of({"a": (0.0,), "b": (1.0,)})
         clf = IdBits({"a": 0, "b": 1})
         assert aggregate_fairness(clf, ds, NormalizedHamming(1), 1.0) == 1
 
     def test_empty_pair_set(self):
-        ds = Dataset([Point("a", (0.0, 0.0)), Point("b", (1.0, 1.0))])
+        ds = dataset_of({"a": (0.0, 0.0), "b": (1.0, 1.0)})
         clf = IdBits({"a": 0, "b": 1})
         with pytest.raises(EmptyPairSetError):
             aggregate_fairness(clf, ds, NormalizedHamming(2), 0.25)
@@ -724,7 +729,7 @@ class TestSplitCounts:
         assert table.split_counts(pairs_of(len(ds), i, j)).tolist() == expected
 
 
-def per_point_mc_bits(derand, points, trials, seed):
+def per_point_mc_bits(derand, data, trials, seed):
     """The per-point Monte Carlo oracle, drawn by scalar CountingRng calls
     in the order of ``Derandomizer.draw`` (the bucketing members of every
     trial, then every a, then every c), then one point at a time."""
@@ -740,7 +745,7 @@ def per_point_mc_bits(derand, points, trials, seed):
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
         def embeds(point):
-            return np.where(normals @ np.asarray(point.fairness_vector) >= 0.0, 1, 0)
+            return np.where(normals @ np.asarray(vector_of(point)) >= 0.0, 1, 0)
     elif isinstance(family, MinHashFamily):
         ranks = [list(range(family.universe_size)) for _ in range(trials)]
         for i in range(family.universe_size - 1, 0, -1):  # Fisher-Yates, one step of every trial at a time
@@ -750,7 +755,7 @@ def per_point_mc_bits(derand, points, trials, seed):
         ranks = np.array(ranks, dtype=np.int64).reshape(trials, family.universe_size)
 
         def embeds(point):
-            support = sorted(binary_support(point.fairness_vector))
+            support = sorted(binary_support(vector_of(point)))
             if not support:
                 raise NotBinaryError("min-wise hashing is undefined on the empty set")
             return np.array(support, dtype=np.int64)[np.argmin(ranks[:, support], axis=1)]
@@ -764,10 +769,10 @@ def per_point_mc_bits(derand, points, trials, seed):
     c = np.array([uniform_int(rng, pi.k) for _ in range(trials)], dtype=np.int64)
 
     rows = []
-    for point in points:
-        t = threshold_count(derand.scorer.score(point), derand.k)
+    for point in each_point(data):
+        t = reference_threshold_count(reference_score(derand.scorer, point), derand.k)
         rows.append((a * embeds(point) + c) % pi.k < t)
-    return np.array(rows, dtype=bool).reshape(len(points), trials)
+    return np.array(rows, dtype=bool).reshape(len(data), trials)
 
 
 def outcome(fn):
@@ -787,11 +792,11 @@ class TestBlockOracle:
     @staticmethod
     def derandomizer(kind, rng, n_points):
         if kind in ("grid", "one_bucket"):
-            ds = Dataset([Point(f"p{i}", (rng.uniform(-1, 1), rng.uniform(-1, 1))) for i in range(n_points)])
+            ds = dataset_of({f"p{i}": (rng.uniform(-1, 1), rng.uniform(-1, 1)) for i in range(n_points)})
             bucketer = GridBucketer(0.5 if kind == "grid" else 100.0)
             return ds, Derandomizer.pi(random_scorer(rng, ds, 20), ds, bucketer, 11)
         if kind == "simhash":
-            ds = Dataset([Point(f"p{i}", tuple(rng.uniform(-1, 1) for _ in range(3))) for i in range(n_points)])
+            ds = dataset_of({f"p{i}": tuple(rng.uniform(-1, 1) for _ in range(3)) for i in range(n_points)})
             return ds, Derandomizer(random_scorer(rng, ds, 20), SimHashFamily(3), 7)
         dim = 16 if kind == "minhash16" else 5
         ds = random_binary_dataset(rng, n_points, dim)
@@ -819,13 +824,13 @@ class TestBlockOracle:
             table = prediction_table(derand, ds, EXACT)
             variance = aggregate_variance(table)
         members = enumerate_members(derand)
-        predictions = [[c.predict(point) for c in members] for point in ds]
+        predictions = [[c.predict(point) for c in members] for point in each_point(ds)]
         assert table.size == len(members)
         assert [sum(row) * derand.k for row in predictions] == [int(t) * len(members) for t in table.t]
         i, j = np.triu_indices(len(ds), 1)
         expected = [sum(x != y for x, y in zip(predictions[a], predictions[b])) for a, b in zip(i, j)]
         assert table.split_counts(pairs_of(len(ds), i, j)).tolist() == expected
-        scores = [derand.scorer.score(point) for point in ds]
+        scores = scores_of(derand.scorer, ds)
         mean_bias = sum(Fraction(sum(row), len(members)) - s for row, s in zip(predictions, scores)) / len(ds)
         assert aggregate_bias(table).value == mean_bias
         assert variance.value == brute_aggregate_variance(derand, ds)
@@ -841,7 +846,7 @@ class TestBlockOracle:
         monkeypatch.setattr(PiFamily, "residues", residues)
         table = prediction_table(derand, ds, EXACT)
         aggregate_bias(table), aggregate_variance(table)
-        report = metric_fairness_check(table, NormalizedHamming(len(ds[0].features)), 1, 0)
+        report = metric_fairness_check(table, NormalizedHamming(ds.features.shape[1]), 1, 0)
         assert report["pairs_checked"]["value"] == 36
         with pytest.raises(AssertionError, match="hash values"):
             prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=5))
@@ -881,25 +886,71 @@ class TestBlockOracle:
         ds, derand = self.derandomizer(kind, rng, 8)
         if mode == "exact" and kind == "minhash16":
             return  # not enumerable
-        dim = len(ds[0].features)
-        points = list(ds)
+        dim = ds.features.shape[1]
+        points = each_point(ds)
         for kind_of_bad, where in zip(bad, at):
             vector = (0.0,) * dim if kind_of_bad == "empty" else (1.0, 0.5) + (0.0,) * (dim - 2)
-            points.insert(where % (len(points) + 1), Point(f"bad{len(points)}", vector))
-        scorer = TabularScorer({p.id: Fraction(rng.randint(0, 20), 20) for p in points})
+            points.insert(where % (len(points) + 1), dataset_of({f"bad{len(points)}": vector}))
+        points = joined(*points)
+        scorer = TabularScorer({p: Fraction(rng.randint(0, 20), 20) for p in points.ids})
         derand = Derandomizer(scorer, derand.bucketing, derand.k)
         cfg = EstimatorConfig(mode=mode, trials=37, seed=seed)
         per_point = len(derand.bucketing.all_keys()) if mode == "exact" else 37
         with mock.patch.object(measure, "PAIR_CHUNK_BYTES", 3 * per_point):
-            table = outcome(lambda: prediction_table(derand, Dataset(points), cfg))
+            table = outcome(lambda: prediction_table(derand, points, cfg))
         if mode == "exact":  # the members that predict 1, point by point
             got = table if isinstance(table, tuple) else [int(t) * table.size // derand.k for t in table.t]
             members = enumerate_members(derand)
-            expected = outcome(lambda: [sum(c.predict(p) for c in members) for p in points])
+            expected = outcome(lambda: [sum(c.predict(p) for c in members) for p in each_point(points)])
         else:
             got = table if isinstance(table, tuple) else np.unpackbits(table.rows[0], count=37).tolist()
             expected = outcome(lambda: per_point_mc_bits(derand, points, 37, seed)[0].tolist())
         assert got == expected
+
+
+GRID_KS = [1, 2, 4, 5, 8, 10, 20, 25, 100]  # each u/k a short decimal, which a float reads back exactly
+TERMS = st.one_of(st.floats(-2, 2), st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0, -0.1, -0.3]))
+
+
+@st.composite
+def scored_columns(draw):
+    """(scorer, rows, k): an affine scorer whose weights may cancel, clamp
+    at 0 or 1, or hit the grid u/k exactly, or a constant scorer."""
+    k = draw(st.sampled_from(GRID_KS))
+    kind = draw(st.sampled_from(["affine", "cancelling", "on_grid", "constant"]))
+    n = draw(st.integers(1, 6))
+    if kind == "constant":
+        on_grid = st.integers(0, k).map(lambda u: Fraction(u, k))
+        value = draw(st.one_of(on_grid, st.fractions(0, 1, max_denominator=997)))
+        return ConstantScorer(value), [(0.0,)] * n, k
+    if kind == "on_grid":  # score = x = u/k exactly
+        return AffineScorer((1.0,)), [(draw(st.integers(0, k)) / k,) for _ in range(n)], k
+    if kind == "cancelling":  # w . x = 1 exactly, which a left-to-right sum loses against 1e16
+        weights, bias = [1e16, 1.0, -1e16], draw(st.sampled_from([-1.0, -0.5, 0.0, 0.25]))
+        return AffineScorer(weights, bias), [(1.0, draw(TERMS), 1.0) for _ in range(n)], k
+    dim = draw(st.integers(1, 4))  # with a bias in [-3, 3], many scores clamp at 0 or 1
+    weights, bias = draw(st.lists(TERMS, min_size=dim, max_size=dim)), draw(st.floats(-3, 3))
+    rows = draw(st.lists(st.lists(TERMS, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    return AffineScorer(weights, bias), rows, k
+
+
+class TestColumnsEqualScalarReferences:
+    """A scorer's ``scores``, ``family_mean`` and ``decomposition_check``
+    answer every point of a dataset at once; point by point they equal
+    conftest's scalar references."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=scored_columns())
+    def test_point_by_point(self, case):
+        scorer, rows, k = case
+        ds = dataset_of({f"p{r}": row for r, row in enumerate(rows)})
+        derand = Derandomizer.rt(scorer, k)
+        numerators, den = scorer.scores(ds)
+        means, reports = family_mean(derand, ds), decomposition_check(derand, ds)
+        for point, n, mean, report in zip(each_point(ds), numerators.tolist(), means, reports, strict=True):
+            assert Fraction(n, den) == reference_score(scorer, point)
+            assert mean == reference_family_mean(derand, point)
+            assert report == reference_decomposition(derand, point)
 
 
 class TestSinglePointClosedForm:
@@ -911,21 +962,20 @@ class TestSinglePointClosedForm:
     @given(kind=st.sampled_from(TestBlockOracle.EXACT_KINDS), seed=st.integers(0, 10**6), n_points=st.integers(4, 9))
     def test_members_predicting_one_number_t_of_every_k(self, kind, seed, n_points):
         ds, derand = TestBlockOracle.derandomizer(kind, random.Random(seed), n_points)
-        members = enumerate_members(derand)
-        for point in ds:
-            t = threshold_count(derand.scorer.score(point), derand.k)
+        members, means = enumerate_members(derand), family_mean(derand, ds)
+        for point, mean in zip(each_point(ds), means, strict=True):
+            t = reference_threshold_count(reference_score(derand.scorer, point), derand.k)
             assert sum(c.predict(point) for c in members) * derand.k == t * len(members)
-            assert family_mean(derand, point) == Fraction(t, derand.k)
+            assert mean == Fraction(t, derand.k)
 
     @settings(max_examples=30, deadline=None)
     @given(kind=st.sampled_from(TestBlockOracle.EXACT_KINDS), seed=st.integers(0, 10**6))
     def test_decomposition_equals_brute_force(self, kind, seed):
         # the expected gap between a member and a Bernoulli(s) draw, member by member
         ds, derand = TestBlockOracle.derandomizer(kind, random.Random(seed), 4)
-        members = enumerate_members(derand)
-        for point in ds:
-            s, bits = derand.scorer.score(point), [c.predict(point) for c in members]
-            report = decomposition_check(derand, point)
+        members, reports = enumerate_members(derand), decomposition_check(derand, ds)
+        for point, report in zip(each_point(ds), reports, strict=True):
+            s, bits = reference_score(derand.scorer, point), [c.predict(point) for c in members]
             mean = Fraction(sum(bits), len(bits))
             assert report["expected_gap"]["value"] == sum(b * (1 - s) + (1 - b) * s for b in bits) / len(bits)
             assert report["expected_gap"]["satisfied"]
@@ -936,22 +986,17 @@ class TestSinglePointClosedForm:
     def test_mc_row_means_lie_within_four_se_of_t_over_k(self, kind):
         ds, derand = TestBlockOracle.derandomizer(kind, random.Random(kind), 12)
         table = prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=20_000, seed=7))
-        for r, point in enumerate(ds):
-            p = float(family_mean(derand, point))
+        for r, p in enumerate(map(float, family_mean(derand, ds))):
             mean = float(np.unpackbits(table.rows[r], count=table.size).mean())
             assert abs(mean - p) <= 4 * math.sqrt(p * (1 - p) / table.size)
 
 
 class TestMinHashOverSevenElements:
     @pytest.mark.parametrize("mode", ["exact", "mc"])
-    def test_table_builds_no_point(self, py_rng, mode):
+    def test_table_size(self, py_rng, mode):
         ds = random_binary_dataset(py_rng, 12, 7)
         derand = Derandomizer(random_scorer(py_rng, ds), MinHashFamily(7), 7)
-        calls = []
-        init = Point.__post_init__
-        with mock.patch.object(Point, "__post_init__", lambda self: calls.append(self) or init(self)):
-            table = prediction_table(derand, ds, EstimatorConfig(mode=mode, trials=300))
-        assert calls == []
+        table = prediction_table(derand, ds, EstimatorConfig(mode=mode, trials=300))
         assert table.size == (derand.family_size if mode == "exact" else 300)
 
 
@@ -963,11 +1008,17 @@ class TestClosePairs:
         ti, tj = np.triu_indices(n, 1)
         masks = [np.random.default_rng(n).integers(0, 3, size=total), np.zeros(total, dtype=np.int64)]
         for codes in masks + [np.full(total, 2)]:  # the last: no close pair
+            classes = PairClasses(None, values, codes, np.arange(3), np.zeros(3), np.ones(3))
+            table = types.SimpleNamespace(dataset=range(n), pair_classes=lambda metric, classes=classes: classes)
+            close = codes <= 1
             for chunk_bytes in (8, 72, 1 << 18):  # blocks of 1 and 9 codes, and one block
                 with mock.patch.object(measure, "PAIR_CHUNK_BYTES", chunk_bytes):
-                    i, j = measure._close_pairs(n, codes, values, Fraction(1, 2))
-                close = codes <= 1
-                assert (i.tolist(), j.tolist()) == (ti[close].tolist(), tj[close].tolist())
+                    if not close.any():
+                        with pytest.raises(EmptyPairSetError, match="no pairs within distance 1/2"):
+                            measure._close_pairs(table, None, Fraction(1, 2))
+                        continue
+                    got, i, j = measure._close_pairs(table, None, Fraction(1, 2))
+                assert got is classes and (i.tolist(), j.tolist()) == (ti[close].tolist(), tj[close].tolist())
 
 
 class TestLossApproximation:
@@ -984,15 +1035,15 @@ class TestLossApproximation:
         members = enumerate_members(derand)
         ones = sum(c.predict(point) for c in members)
         mean = Fraction(ones * loss[1, y] + (len(members) - ones) * loss[0, y], len(members))
-        score = derand.scorer.score(point)
+        score = reference_score(derand.scorer, point)
         return abs(mean - (score * loss[1, y] + (1 - score) * loss[0, y])), mean * (1 - mean)
 
     def test_all_sixteen_tables_bounded_by_output_moments(self):
         ds = binary_dataset()
         scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
         derand = Derandomizer.rt(scorer, 10)
-        p = ds[0]
-        report = decomposition_check(derand, p)
+        p = ds[:1]
+        (report,) = decomposition_check(derand, p)
         out_bias, out_var = report["bias_abs"]["value"], report["family_variance"]["value"]
         for bits in itertools.product((0, 1), repeat=4):
             table = dict(zip([(0, 0), (0, 1), (1, 0), (1, 1)], bits))
@@ -1003,30 +1054,30 @@ class TestLossApproximation:
 
     def test_constant_table_gives_zero_moments(self):
         derand = Derandomizer.rt(TabularScorer({"x1": 0.3}), 10)
-        p = Point("x1", (0.0,))
+        p = dataset_of({"x1": (0.0,)})
         table = {key: 1 for key in self.MISCLASSIFICATION}
         assert self.loss_moments(derand, p, 1, table) == (0, 0)
 
     def test_unit_slope_loss_matches_output_bias(self):
         derand = Derandomizer.rt(TabularScorer({"x1": 0.33}), 7)
-        p = Point("x1", (0.0,))
+        p = dataset_of({"x1": (0.0,)})
         lbias, _ = self.loss_moments(derand, p, 1, self.MISCLASSIFICATION)
-        assert lbias == decomposition_check(derand, p)["bias_abs"]["value"]
+        assert lbias == decomposition_check(derand, p)[0]["bias_abs"]["value"]
 
 
 class TestDecomposition:
     def test_zero_variance_family(self):
         # deterministic score and a constant family: the gap equals |bias|
-        ds = Dataset([Point("x", (0.0,))])
+        ds = dataset_of({"x": (0.0,)})
         derand = Derandomizer.rt(TabularScorer({"x": 1.0}), 5)
-        report = decomposition_check(derand, ds[0])
+        report = decomposition_check(derand, ds)[0]
         assert report["expected_gap"]["satisfied"]
         assert report["expected_gap"]["value"] == 0
 
     def test_half_score_rt(self):
-        ds = Dataset([Point("x", (0.0,))])
+        ds = dataset_of({"x": (0.0,)})
         derand = Derandomizer.rt(TabularScorer({"x": 0.5}), 10)
-        report = decomposition_check(derand, ds[0])
+        report = decomposition_check(derand, ds)[0]
         assert report["score_variance"]["value"] == Fraction(1, 4)
         assert report["family_variance"]["value"] == Fraction(1, 4)
         assert report["expected_gap"]["value"] == Fraction(1, 2)  # 1/4 + 1/4, no bias
@@ -1035,28 +1086,28 @@ class TestDecomposition:
 
     def test_family_above_the_old_enumeration_cap_is_exact(self):
         # 1009**2 = 1,018,081 members, above the 10**6 cap that once sent this to Monte Carlo
-        ds = Dataset([Point(f"x{i}", (float(i),)) for i in range(3)])
+        ds = dataset_of({f"x{i}": (float(i),) for i in range(3)})
         derand = Derandomizer.pi(TabularScorer({"x0": 0.3, "x1": 0.6, "x2": 0.9}), ds, IdentityBucketer(), 1009)
         assert derand.family_size == 1_018_081
-        report = decomposition_check(derand, ds[0])
+        report = decomposition_check(derand, ds)[0]
         t = 302  # floor(0.3 * 1009)
         assert report["family_variance"]["value"] == Fraction(t, 1009) * Fraction(1009 - t, 1009)
         assert report["expected_gap"]["satisfied"]
 
     def test_family_that_cannot_be_listed_is_exact(self):
         # SimHash members cannot be listed, yet each predicts 1 with probability t/k = 3/11
-        ds = Dataset([Point("x", (1.0, 0.0))])
+        ds = dataset_of({"x": (1.0, 0.0)})
         derand = Derandomizer(TabularScorer({"x": 0.3}), SimHashFamily(2), 11)
-        report = decomposition_check(derand, ds[0])
+        report = decomposition_check(derand, ds)[0]
         assert report["family_variance"]["value"] == Fraction(3, 11) * Fraction(8, 11)
         assert report["bias_abs"]["value"] == Fraction(3, 10) - Fraction(3, 11)
         assert "stderr" not in report["expected_gap"]
         assert report["expected_gap"]["satisfied"]
 
     def test_ls_small_instance(self):
-        ds = Dataset([Point("x", (0.0, 1.0))])
+        ds = dataset_of({"x": (0.0, 1.0)})
         derand = Derandomizer(TabularScorer({"x": 0.9}), BitSamplingFamily(2), 5)
-        report = decomposition_check(derand, ds[0])
+        report = decomposition_check(derand, ds)[0]
         assert report["expected_gap"]["satisfied"]
 
 
@@ -1069,7 +1120,7 @@ class TestFairnessCurve:
 
     def test_zero_alpha_gives_mean_gap(self):
         # a shared threshold splits the two points with chance |t_a - t_b|/k = 7/10
-        ds = Dataset([Point("a", (0.0,)), Point("b", (1.0,))])
+        ds = dataset_of({"a": (0.0,), "b": (1.0,)})
         table = prediction_table(Derandomizer.rt(TabularScorer({"a": 0.2, "b": 0.9}), 10), ds, EXACT)
         curve = empirical_fairness_curve(table, NormalizedHamming(1), [0.0])
         assert curve[0][1] == pytest.approx(0.7)
@@ -1107,7 +1158,8 @@ class TestFairnessCurve:
         metric, cfg = self.METRICS[kind], EstimatorConfig(mode="exact", seed=seed, pairs_cap=cap or 10**6)
         curve = empirical_fairness_curve(prediction_table(derand, ds, cfg), metric, alphas)
         i, j, _ = select_pairs(len(ds), cfg.pairs_cap, seed)
-        pairs = [(ds[a], ds[b]) for a, b in zip(i.tolist(), j.tolist())]
+        pts = each_point(ds)
+        pairs = [(pts[a], pts[b]) for a, b in zip(i.tolist(), j.tolist())]
         gaps = [(float(brute_pairwise(derand, x, y)), float(reference_distance(metric, x, y))) for x, y in pairs]
         for (alpha, beta), a in zip(curve, alphas):
             expected = math.fsum(max(g - a * d, 0.0) for g, d in gaps) / len(gaps)
@@ -1243,8 +1295,8 @@ class TestStreamedPairPass:
         if kind == "angular":
             ds = random_real_dataset(rng, n_points, 3)
         elif kind == "graded":  # not 0/1: Hamming compares the floats
-            ds = Dataset([Point(f"g{i}", tuple(rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in range(4)))
-                          for i in range(n_points)])
+            ds = dataset_of({f"g{i}": tuple(rng.choice((0.0, 0.5, 1.0, 2.0)) for _ in range(4))
+                             for i in range(n_points)})
         else:
             ds = random_binary_dataset(rng, n_points, 6)
         metric = {"hamming": NormalizedHamming(6), "graded": NormalizedHamming(4),
@@ -1265,11 +1317,13 @@ class TestStreamedPairPass:
         mc=st.booleans(),
         cap=st.sampled_from(["all", "one", "inside", "all but one"]),
         chunk_bytes=st.sampled_from([72, 400, 1 << 18]),
+        every_pair_first=st.booleans(),
     )
-    def test_equals_per_pair_reference(self, case, seed, n_points, mc, cap, chunk_bytes):
+    def test_equals_per_pair_reference(self, case, seed, n_points, mc, cap, chunk_bytes, every_pair_first):
         # 72-byte chunks read one pair a block and buffer 9 histogram keys;
         # 400-byte chunks read up to 5 pairs a block (64 bytes a pair besides
-        # its rows), so a cap of 7 can end inside one
+        # its rows), so a cap of 7 can end inside one; after a pass over
+        # every pair, the capped classes are the ones that pass histogrammed
         rng = random.Random(seed)
         ds, derand, metric = self.setup(*case, rng, n_points)
         total = n_points * (n_points - 1) // 2
@@ -1278,12 +1332,15 @@ class TestStreamedPairPass:
         table = prediction_table(derand, ds, cfg)
         with mock.patch.object(measure, "PAIR_CHUNK_BYTES", chunk_bytes), \
                 mock.patch.object(metrics, "PAIR_CHUNK_BYTES", chunk_bytes):
+            every = table.pair_classes(metric) if every_pair_first else None
             classes = table.pair_classes(metric, capped=True)
+        assert every is None or (classes is every) == (classes.pair_seed is None)
 
         i, j, pair_seed = select_pairs(n_points, pairs_cap, seed)
         if pairs_cap >= total:
             assert (i.tolist(), j.tolist()) == tuple(t.tolist() for t in np.triu_indices(n_points, 1))
-        distances = [reference_distance(metric, ds[a], ds[b]) for a, b in zip(i.tolist(), j.tolist())]
+        pts = each_point(ds)
+        distances = [reference_distance(metric, pts[a], pts[b]) for a, b in zip(i.tolist(), j.tolist())]
         counts = [round(split_share(table, a, b) * table.size) for a, b in zip(i.tolist(), j.tolist())]
         assert classes.pair_seed == pair_seed
         if pair_seed is None:  # a pass over every pair keeps each pair's code
@@ -1305,7 +1362,7 @@ class TestStreamedPairPass:
         # code, and the block temporaries take a constant; a subsampled pass
         # keeps no array of its pairs
         rng = random.Random(3)
-        ds = Dataset([Point(f"p{r}", tuple(float(rng.getrandbits(1)) for _ in range(16))) for r in range(1500)])
+        ds = dataset_of({f"p{r}": tuple(float(rng.getrandbits(1)) for _ in range(16)) for r in range(1500)})
         table = prediction_table(Derandomizer.rt(random_scorer(rng, ds, 100), 101), ds, EXACT)
         tracemalloc.start()
         try:

@@ -9,24 +9,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairderand import Angular, Dataset, JaccardDistance, NormalizedHamming, Point, ScaledEuclidean
+from fairderand import Angular, JaccardDistance, NormalizedHamming, ScaledEuclidean
 from fairderand.errors import DimensionMismatchError, NotBinaryError, ZeroVectorError
 from fairderand.metrics import PairSet
 
-from conftest import pairs_of, random_real_dataset, reference_distance
+from conftest import dataset_of, joined, pairs_of, random_real_dataset, reference_distance
 
 
 _IDS = itertools.count()
 
 
-def pt(*coords, z=None):
-    return Point(f"x{next(_IDS)}", tuple(coords), fairness_features=z)
+def pt(*coords):
+    """A one-point dataset at the coordinates."""
+    return dataset_of({f"x{next(_IDS)}": coords})
 
 
 def distances(metric, points, pairs):
     """The metric's distance at each (a, b) of pairs of the points, from one pass."""
     i, j = zip(*pairs)
-    codes, values = metric.pair_distances(Dataset(points), pairs_of(len(points), i, j))
+    codes, values = metric.pair_distances(joined(*points), pairs_of(len(points), i, j))
     return [values[c] for c in codes.tolist()]
 
 
@@ -81,6 +82,21 @@ class TestValues:
         assert dist(ScaledEuclidean(4.0), pt(*u), pt(*v)) == math.sqrt(float(sum(squares))) / 4.0
 
 
+    @pytest.mark.parametrize(
+        "metric,x,y,expected",
+        [
+            (Angular(), (1e200, 0.0), (1e200, 1e200), 0.25),  # the squares overflow
+            (Angular(), (1e-200, 0.0), (0.0, 1e-200), 0.5),  # the squares underflow to 0
+            (ScaledEuclidean(1e300), (0.0, 0.0), (3e299, 4e299), 0.5),
+            (ScaledEuclidean(1e-300), (0.0, 0.0), (3e-301, 4e-301), 0.5),
+        ],
+        ids=["angular-huge", "angular-tiny", "euclidean-huge", "euclidean-tiny"],
+    )
+    def test_float_distances_neither_overflow_nor_underflow(self, metric, x, y, expected):
+        # rows (or differences) are scaled by a power of two first; warnings are errors here
+        assert dist(metric, pt(*x), pt(*y)) == expected
+
+
 class TestErrors:
     def test_zero_vector(self):
         with pytest.raises(ZeroVectorError):
@@ -93,8 +109,8 @@ class TestErrors:
 
 def test_metric_reads_fairness_features_when_present():
     d = NormalizedHamming(2)
-    a = Point("a", (9.0, 9.0, 9.0), fairness_features=(0.0, 1.0))
-    b = Point("b", (9.0, 9.0, 9.0), fairness_features=(1.0, 1.0))
+    a = dataset_of({"a": (9.0, 9.0, 9.0)}, fairness=[(0.0, 1.0)])
+    b = dataset_of({"b": (9.0, 9.0, 9.0)}, fairness=[(1.0, 1.0)])
     assert dist(d, a, b) == Fraction(1, 2)
 
 
@@ -192,7 +208,7 @@ class TestPairDistances:
         points = make(rng, 30, 6)
         i, j = np.triu_indices(len(points), 1)
         i, j = np.concatenate([i, [3, 0]]), np.concatenate([j, [3, 0]])  # and x == y
-        codes, values = metric.pair_distances(Dataset(points), pairs_of(len(points), i, j))
+        codes, values = metric.pair_distances(joined(*points), pairs_of(len(points), i, j))
         assert len(codes) == len(i)
         for p, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
             expected = reference_distance(metric, points[a], points[b])
@@ -207,17 +223,17 @@ class TestPairDistances:
         with pytest.raises(DimensionMismatchError):
             reference_distance(metric, points[1], points[2])
         with pytest.raises(DimensionMismatchError):
-            metric.pair_distances(Dataset(points), pairs_of(len(points), [0, 1], [1, 2]))
+            metric.pair_distances(joined(*points), pairs_of(len(points), [0, 1], [1, 2]))
 
     def test_non_binary_jaccard_raises_like_distance(self):
         points = [pt(1, 0), pt(0, 1), pt(0.5, 1)]
         with pytest.raises(NotBinaryError):
             reference_distance(JaccardDistance(), points[0], points[2])
         with pytest.raises(NotBinaryError):
-            JaccardDistance().pair_distances(Dataset(points), pairs_of(len(points), [0, 0], [1, 2]))
+            JaccardDistance().pair_distances(joined(*points), pairs_of(len(points), [0, 0], [1, 2]))
         # the whole matrix is checked: a point in no pair fails the pass too
         with pytest.raises(NotBinaryError, match="set-valued features must be 0/1"):
-            JaccardDistance().pair_distances(Dataset(points), pairs_of(len(points), [0], [1]))
+            JaccardDistance().pair_distances(joined(*points), pairs_of(len(points), [0], [1]))
 
 
 class TestWholeMatrixChecks:
@@ -237,11 +253,11 @@ class TestWholeMatrixChecks:
         points = [pt(1, 0, 1), pt(0, 1, 1), pt(1, 1, 0)] + ([pt(*odd)] if odd else [])
         i, j = (list(side) for side in zip(*pairs)) if pairs else ([], [])
         with pytest.raises(error, match=message):
-            metric.pair_distances(Dataset(points), pairs_of(len(points), i, j))
+            metric.pair_distances(joined(*points), pairs_of(len(points), i, j))
 
     def test_one_point_pass_checks_the_point(self):
         with pytest.raises(DimensionMismatchError, match="expected dimension 3, got 2"):
-            NormalizedHamming(3).pair_distances(Dataset([pt(0, 1)]), PairSet(1))
+            NormalizedHamming(3).pair_distances(pt(0, 1), PairSet(1))
 
 
 MAGNITUDES = st.floats(min_value=1e-8, max_value=1e8)
@@ -299,13 +315,36 @@ class TestMatchesReference:
                 reference_distance(metric, p, p)
         except (ZeroVectorError, NotBinaryError) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                metric.pair_distances(Dataset(points), pairs)
+                metric.pair_distances(joined(*points), pairs)
             return
-        codes, values = metric.pair_distances(Dataset(points), pairs)
+        codes, values = metric.pair_distances(joined(*points), pairs)
         assert len(codes) == len(i)
         for p, (a, b) in enumerate(zip(i, j)):
             expected, got = reference_distance(metric, points[a], points[b]), values[codes[p]]
             assert got == expected and type(got) is type(expected), (rows[a], rows[b])
+
+
+class TestScaleInvariance:
+    """Rows scaled by 2**k, far outside the range where their squares stay
+    normal doubles, are at the angles of the unscaled rows, and at their
+    scaled Euclidean distances over a scale times 2**k, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=matrices(REALS, [1.0, -1.0, 2.0, 1e-8, 1e8]),
+           k=st.one_of(st.integers(-900, -600), st.integers(600, 900)))
+    def test_power_of_two_scaling_keeps_every_distance(self, rows, k):
+        n = len(rows)
+        scaled = [[math.ldexp(c, k) for c in row] for row in rows]
+        for metric, scaled_metric in ((Angular(), Angular()),
+                                      (ScaledEuclidean(1.5), ScaledEuclidean(math.ldexp(1.5, k)))):
+            try:
+                expected = metric.pair_distances(joined(*(pt(*row) for row in rows)), PairSet(n))
+            except ZeroVectorError:
+                with pytest.raises(ZeroVectorError):
+                    scaled_metric.pair_distances(joined(*(pt(*row) for row in scaled)), PairSet(n))
+                continue
+            codes, values = scaled_metric.pair_distances(joined(*(pt(*row) for row in scaled)), PairSet(n))
+            assert [values[c] for c in codes.tolist()] == [expected[1][c] for c in expected[0].tolist()]
 
 
 def test_float_pass_makes_no_python_call_per_pair():
@@ -317,7 +356,7 @@ def test_float_pass_makes_no_python_call_per_pair():
         calls += event == "call" and frame.f_globals.get("__name__") == "fairderand.metrics"
 
     pairs = PairSet(len(dataset))
-    n_blocks = sum(1 for _ in pairs.blocks(np.zeros((len(dataset), 5))))  # each row and its norm
+    n_blocks = sum(1 for _ in pairs.blocks(np.zeros((len(dataset), 6))))  # each row, its exponent and its norm
     sys.setprofile(profile)
     try:
         Angular().pair_distances(dataset, pairs)

@@ -6,12 +6,10 @@ import pytest
 from fairderand import (
     BitSamplingFamily,
     ConstantScorer,
-    Dataset,
     Derandomizer,
     EstimatorConfig,
     IdentityBucketer,
     MinHashFamily,
-    Point,
     SimHashFamily,
     TabularScorer,
 )
@@ -19,44 +17,44 @@ from fairderand.measure import family_beta, family_mean, prediction_table, score
 from fairderand.metrics import NormalizedHamming, PairSet, ScaledEuclidean
 from fairderand.strategic import best_responses
 
-from conftest import brute_mean, random_binary_dataset, random_real_dataset, random_scorer
+from conftest import (
+    brute_mean,
+    dataset_of,
+    each_point,
+    random_binary_dataset,
+    random_real_dataset,
+    random_scorer,
+    score_list,
+)
 
 EXACT = EstimatorConfig(mode="exact")
 
 
 def line_dataset():
-    return Dataset([Point(f"p{i}", (i / 10,)) for i in range(5)])
-
-
-def scores(scorer, ds):
-    return [scorer.score(p) for p in ds]
-
-
-def family_means(derand, ds):
-    return [family_mean(derand, p) for p in ds]
+    return dataset_of({f"p{i}": (i / 10,) for i in range(5)})
 
 
 class TestUtility:
     def test_staying_put_costs_nothing(self):
         ds = line_dataset()
-        scorer = TabularScorer({p.id: 0.4 for p in ds})
-        for origin, row in zip(ds, best_responses(scores(scorer, ds), ds, NormalizedHamming(1), 1, 0)):
-            assert row["response"] == origin.id
+        scorer = TabularScorer({p: 0.4 for p in ds.ids})
+        for origin, row in zip(ds.ids, best_responses(score_list(scorer, ds), ds, NormalizedHamming(1), 1, 0)):
+            assert row["response"] == origin
             assert row["gain"]["value"] == 0
 
     def test_direct_formula(self):
-        a, b = Point("a", (0.0,)), Point("b", (0.4,))
-        ds = Dataset([a, b])
-        moves, stays = best_responses(scores(TabularScorer({"a": 0.1, "b": 1.0}), ds), ds, ScaledEuclidean(1.0), 1, 0)
+        ds = dataset_of({"a": (0.0,), "b": (0.4,)})
+        means = score_list(TabularScorer({"a": 0.1, "b": 1.0}), ds)
+        moves, stays = best_responses(means, ds, ScaledEuclidean(1.0), 1, 0)
         # score(b) - cost(a, b) = 1 - 0.4 against staying at score(a) = 0.1
         assert (moves["response"], stays["response"]) == ("b", "b")
         assert moves["gain"]["value"] == Fraction(1, 2)
         assert stays["gain"]["value"] == 0
 
     def test_family_version_uses_exact_mean(self):
-        ds = Dataset([Point("a", (0.0, 0.0)), Point("b", (0.0, 1.0))])
+        ds = dataset_of({"a": (0.0, 0.0), "b": (0.0, 1.0)})
         derand = Derandomizer.rt(TabularScorer({"a": 0.31, "b": 0.95}), 10)
-        row = best_responses(family_means(derand, ds), ds, NormalizedHamming(2), 1, 0)[0]
+        row = best_responses(family_mean(derand, ds), ds, NormalizedHamming(2), 1, 0)[0]
         # family means floor to the grid: 9/10 - 1/2 - 3/10, where the scores give 0.14
         assert row["response"] == "b"
         assert row["gain"]["value"] == Fraction(1, 10)
@@ -66,15 +64,16 @@ class TestBestResponse:
     def test_perfectly_fair_scorer_gains_nothing(self):
         ds = line_dataset()
         # scores scale like 0.5 * distance from p0: (1, 0)-fair under d
-        scorer = TabularScorer({p.id: 0.5 * p.features[0] for p in ds})
-        for row in best_responses(scores(scorer, ds), ds, ScaledEuclidean(1.0), 1, 0):
+        scorer = TabularScorer({p: 0.5 * x for p, x in zip(ds.ids, ds.features[:, 0].tolist())})
+        for row in best_responses(score_list(scorer, ds), ds, ScaledEuclidean(1.0), 1, 0):
             assert row["gain"]["value"] <= 0
             assert row["gain"]["satisfied"]
 
     def test_constant_scorer_stays_put(self):
         ds = line_dataset()
-        for origin, row in zip(ds, best_responses(scores(ConstantScorer(0.5), ds), ds, ScaledEuclidean(1.0), 1, 0)):
-            assert row["response"] == origin.id
+        rows = best_responses(score_list(ConstantScorer(0.5), ds), ds, ScaledEuclidean(1.0), 1, 0)
+        for origin, row in zip(ds.ids, rows):
+            assert row["response"] == origin
             assert row["gain"]["value"] == 0
 
     def test_certified_fair_scorer_respects_gain_bound(self, py_rng):
@@ -84,20 +83,20 @@ class TestBestResponse:
             scorer = random_scorer(py_rng, ds)
             alpha = Fraction(3, 2)
             beta = scorer_beta(scorer, ds, cost, alpha)
-            for row in best_responses(scores(scorer, ds), ds, cost, alpha, beta):
+            for row in best_responses(score_list(scorer, ds), ds, cost, alpha, beta):
                 assert row["gain"]["satisfied"]
                 assert row["gain"]["value"] <= row["gain"]["bound"]
 
     def test_ties_break_to_lowest_id(self):
         # identical scores at one location: every move ties with staying, and the lowest id wins
-        ds = Dataset([Point("b", (1.0,)), Point("a", (1.0,)), Point("c", (1.0,))])
+        ds = dataset_of({"b": (1.0,), "a": (1.0,), "c": (1.0,)})
         scorer = TabularScorer({"a": 0.5, "b": 0.5, "c": 0.5})
-        rows = best_responses(scores(scorer, ds), ds, ScaledEuclidean(1.0), 1, 0.5)
+        rows = best_responses(score_list(scorer, ds), ds, ScaledEuclidean(1.0), 1, 0.5)
         assert [r["response"] for r in rows] == ["a", "a", "a"]
 
     def test_ties_between_float_costs_are_exact(self):
         # 3/10 - 0.06 equals 11/20 - 0.31, though in floats the second is larger
-        ds = Dataset([Point("o", (0.0,)), Point("a", (0.06,)), Point("b", (0.31,))])
+        ds = dataset_of({"o": (0.0,), "a": (0.06,), "b": (0.31,)})
         assert float(Fraction(11, 20)) - 0.31 > float(Fraction(3, 10)) - 0.06
         row = best_responses([0, Fraction(3, 10), Fraction(11, 20)], ds, ScaledEuclidean(1.0), 1, 1)[0]
         assert row["response"] == "a"
@@ -107,7 +106,7 @@ class TestBestResponse:
         # score = feature: every move up ties with staying (|0.3 - 0.1| is 0.19999999999999998 in floats,
         # yet the move from p1 to p3 gains nothing), and a shift of the cost of every move keeps that
         ds = line_dataset()
-        means = scores(TabularScorer({p.id: p.features[0] for p in ds}), ds)
+        means = score_list(TabularScorer(dict(zip(ds.ids, ds.features[:, 0].tolist()))), ds)
 
         class Shifted(ScaledEuclidean):  # every move costs 0.1 more: a pass pairs no point with itself
             def _float_blocks(self, x):
@@ -117,19 +116,19 @@ class TestBestResponse:
         assert min(Shifted(1.0).pair_distances(ds, PairSet(len(ds)))[1]) == pytest.approx(0.2)  # 0.1 apart, plus 0.1
         plain = best_responses(means, ds, ScaledEuclidean(1.0), 1, 0)
         shifted = best_responses(means, ds, Shifted(1.0), 1, 0)
-        assert [r["response"] for r in plain] == [r["response"] for r in shifted] == [p.id for p in ds]
+        assert [r["response"] for r in plain] == [r["response"] for r in shifted] == list(ds.ids)
         assert all(r["gain"]["value"] == 0 and r["gain"]["satisfied"] for r in plain)
 
     def test_report_serialization(self):
         ds = line_dataset()
-        row = best_responses(scores(ConstantScorer(1), ds), ds, ScaledEuclidean(1.0), 1, 0)[0]
+        row = best_responses(score_list(ConstantScorer(1), ds), ds, ScaledEuclidean(1.0), 1, 0)[0]
         assert set(row) == {"origin", "response", "gain"}
         assert set(row["gain"]) == {"value", "bound", "bound_source", "satisfied"}
         assert row["gain"]["satisfied"] is True
 
     def test_gain_over_the_budget_is_not_satisfied(self):
         # moving from a (0.1) to b (1) at cost 0.4 gains 1/2 against (alpha - 1) * 0.4 + beta
-        ds = Dataset([Point("a", (0.0,)), Point("b", (0.4,))])
+        ds = dataset_of({"a": (0.0,), "b": (0.4,)})
         means = [Fraction(1, 10), Fraction(1)]
         tight = best_responses(means, ds, ScaledEuclidean(1.0), 1, Fraction(1, 4))[0]["gain"]
         loose = best_responses(means, ds, ScaledEuclidean(1.0), 2, Fraction(1, 10))[0]["gain"]
@@ -146,7 +145,7 @@ class TestFamilyVersion:
         alpha = Fraction(3, 2)
         # certify the family itself, then the gain bound must hold exactly
         beta = family_beta(prediction_table(derand, ds, EXACT), cost, alpha)
-        for row in best_responses(family_means(derand, ds), ds, cost, alpha, beta):
+        for row in best_responses(family_mean(derand, ds), ds, cost, alpha, beta):
             assert row["gain"]["satisfied"]
             assert row["gain"]["value"] <= row["gain"]["bound"]
 
@@ -161,16 +160,16 @@ class TestFamilyVersion:
             Derandomizer(scorer, BitSamplingFamily(3), 7),
             Derandomizer(scorer, MinHashFamily(3), 7),
         ):
-            brute = [brute_mean(derand, p) for p in ds]
-            assert family_means(derand, ds) == brute
-            assert best_responses(family_means(derand, ds), ds, cost, 1, 0) == best_responses(brute, ds, cost, 1, 0)
+            brute = [brute_mean(derand, p) for p in each_point(ds)]
+            assert family_mean(derand, ds) == brute
+            assert best_responses(family_mean(derand, ds), ds, cost, 1, 0) == best_responses(brute, ds, cost, 1, 0)
 
     def test_family_that_cannot_be_listed_has_exact_means(self, py_rng):
         # SimHash members cannot be listed, yet every family mean is t/k = 5/11: nobody moves
         ds = random_real_dataset(py_rng, 5, 3)
         derand = Derandomizer(ConstantScorer(0.5), SimHashFamily(3), 11)
-        assert family_means(derand, ds) == [Fraction(5, 11)] * 5
-        rows = best_responses(family_means(derand, ds), ds, ScaledEuclidean(2.0), 1, 0)
-        for origin, row in zip(ds, rows):
-            assert (row["response"], row["gain"]["value"]) == (origin.id, 0)
+        assert family_mean(derand, ds) == [Fraction(5, 11)] * 5
+        rows = best_responses(family_mean(derand, ds), ds, ScaledEuclidean(2.0), 1, 0)
+        for origin, row in zip(ds.ids, rows):
+            assert (row["response"], row["gain"]["value"]) == (origin, 0)
 
