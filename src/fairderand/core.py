@@ -77,8 +77,8 @@ class Dataset:
     """Ordered points as the columns ``ids``, ``features``, ``fairness`` (or
     None) and ``labels``, checked: at least one point, unique ids, finite
     float64 rows of one width, and labels 0, 1 or None (all None when labels
-    is None).  A slice gives a dataset.  The data distribution is the
-    empirical uniform distribution, so expectations are plain averages."""
+    is None).  The data distribution is the empirical uniform
+    distribution, so expectations are plain averages."""
 
     def __init__(self, ids: Sequence[str], features, fairness=None, labels: Optional[Sequence] = None):
         self.ids = tuple(ids)
@@ -102,12 +102,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, rows: slice) -> "Dataset":
-        if not isinstance(rows, slice):  # no single points, and so no iteration either
-            raise TypeError(f"a dataset is indexed by slices, not by {type(rows).__name__}")
-        fairness = None if self.fairness is None else self.fairness[rows]
-        return Dataset(self.ids[rows], self.features[rows], fairness, self.labels[rows])
 
 
 class StochasticScorer:

@@ -28,8 +28,9 @@ RT, whatever built it, and a ``locality_sensitive`` family carries LS's.
 Classifiers are drawn only by ``Derandomizer.draw``, as arrays through a
 CountingRng: the keys of every bucketing member (one array draw of the
 bucketing family), then every a, then every c, with the bits of each step
-counted.  A drawn classifier is its (key, a, c); ``measure`` evaluates it
-over a dataset's arrays.  The family is finite exactly when its bucketing
+counted.  A drawn classifier is its (key, a, c), and ``Derandomizer.predict``
+is the one place that evaluates drawn classifiers, over a block of a
+dataset's arrays.  The family is finite exactly when its bucketing
 family lists its members (``all_keys``).
 """
 
@@ -69,6 +70,8 @@ class GridBucketer(Bucketer):
             raise InvalidParameterError("resolution must be positive")
 
     def buckets(self, data: Dataset) -> list:
+        if float(np.abs(data.features).max()) / self.resolution == math.inf:  # the largest cell index, in a float
+            raise InvalidParameterError(f"bucketer.resolution {self.resolution!r} puts a grid cell beyond the float range")
         return [tuple(map(math.floor, row)) for row in (data.features / self.resolution).tolist()]
 
 
@@ -116,6 +119,13 @@ class Derandomizer:
         lsh_bits = rng.bits_consumed - start
         a, c = self.pi_family.draw(rng, trials)
         return keys, a, c, BitBudget(rng.bits_consumed - start - lsh_bits, lsh_bits)
+
+    def predict(self, keys: np.ndarray, a: np.ndarray, c: np.ndarray, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The (points, classifiers) bool matrix of u = residue + 1 <= t of
+        the drawn classifiers (keys, a, c) at a block of points, with t their
+        floor(score * k) and x their rows of ``bucketing.vectors``."""
+        residues = self.pi_family.residues(a, c, self.bucketing.embed(keys, x))
+        return residues < t[:, None].astype(residues.dtype)  # t <= k < k * k
 
     @property
     def family_size(self) -> int:

@@ -29,13 +29,13 @@ CountingRng, or all of them by ``all_keys()``, which raises
 more than ``MINHASH_ENUM_MAX`` elements to permute); ``params(key)`` is
 the report entry of the member a key stands for.  Its buckets are the
 integers 0..``n_buckets``-1, which the affine family takes as they are.
-It evaluates members over points one way only: its ``embedder(keys)``
-maps a block of a dataset and its ``vectors`` (read and checked once, as
-arrays; the first point that the family cannot bucket raises) to the
-(points, members) matrix of each point's bucket under each member, or one
-column for a fixed bucketing, which numbers the buckets it was built on
-in first-seen order.  A fixed ``locality_sensitive`` class attribute marks
-the three LSH families, whose schemes carry the paper's LS bounds.  The
+It evaluates members over points one way only, on arrays: ``vectors(data)``
+reads and checks a dataset once (the first point that the family cannot
+bucket raises), and ``embed(keys, x)`` maps a block x of those rows to the
+(points, members) matrix of each point's bucket under each member.  A fixed
+bucketing's rows are its one column of buckets, numbered in the first-seen
+order of the buckets it was built on.  A fixed ``locality_sensitive`` class
+attribute marks the three LSH families, whose schemes carry the paper's LS bounds.  The
 affine family draws (a, c) the same way, every a and then every c, and
 ``residues`` is its one array spelling of the hash values; exact audits
 average (a, c) in closed form instead.
@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
 import numpy as np
 
@@ -138,7 +138,7 @@ class PiFamily:
 
 class BucketingFamily:
     """A uniform family of bucketings into the integers 0..``n_buckets``-1,
-    with the block embedder of the module docstring."""
+    evaluated as the module docstring says."""
 
     n_buckets: int
     locality_sensitive = False
@@ -148,8 +148,9 @@ class BucketingFamily:
         where the family has no finite list."""
         raise NotImplementedError
 
-    def vectors(self, data: Dataset) -> np.ndarray | None:
-        return None
+    def vectors(self, data: Dataset) -> np.ndarray:
+        """The rows of the dataset that ``embed`` reads, checked."""
+        raise NotImplementedError
 
     def draw(self, rng: CountingRng, trials: int) -> np.ndarray:
         """The keys of ``trials`` uniform members; here, by index into ``all_keys``."""
@@ -161,13 +162,16 @@ class BucketingFamily:
         row of ``all_keys`` or ``draw``) stands for."""
         return {}
 
-    def embedder(self, keys: np.ndarray) -> Callable:
+    def embed(self, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The (points, members) buckets of a block x of ``vectors`` under
+        the members of the keys."""
         raise NotImplementedError
 
 
 class FixedFamily(BucketingFamily):
     """A deterministic bucketing as a one-member family: it draws no bits,
-    not even in ``draw``, and embeds one column that all members share.
+    not even in ``draw``, and its ``vectors`` are the one column of buckets
+    that all members share, which ``embed`` returns as it is.
     The bucketer lists each point's bucket by ``buckets(data)``; the family
     numbers the distinct ``buckets`` it is built on in first-seen order, and
     has no number for any other."""
@@ -180,15 +184,15 @@ class FixedFamily(BucketingFamily):
     def all_keys(self):
         return np.zeros(1, dtype=np.int64)
 
-    def embedder(self, keys):
-        def embeds(data, x):
-            try:
-                return np.array([self.index[b] for b in self.bucketer.buckets(data)], dtype=np.int64).reshape(-1, 1)
-            except KeyError as exc:
-                why = "the family embeds only the buckets it was built on (for Pi, those of the input dataset's points)"
-                raise UnknownBucketError(f"no hash value for bucket {exc.args[0]!r}: {why}") from None
+    def vectors(self, data):
+        try:
+            return np.array([self.index[b] for b in self.bucketer.buckets(data)], dtype=np.int64).reshape(-1, 1)
+        except KeyError as exc:
+            why = "the family embeds only the buckets it was built on (for Pi, those of the input dataset's points)"
+            raise UnknownBucketError(f"no hash value for bucket {exc.args[0]!r}: {why}") from None
 
-        return embeds
+    def embed(self, keys, x):
+        return x
 
 
 class BitSamplingFamily(BucketingFamily):
@@ -221,8 +225,8 @@ class BitSamplingFamily(BucketingFamily):
     def params(self, key):
         return {"lsh_member": {"kind": "coordinate", "index": int(key)}}
 
-    def embedder(self, keys):
-        return lambda data, x: x[:, keys].view(np.uint8)
+    def embed(self, keys, x):
+        return x[:, keys].view(np.uint8)
 
 
 class MinHashFamily(BucketingFamily):
@@ -278,22 +282,18 @@ class MinHashFamily(BucketingFamily):
     def params(self, key):
         return {"lsh_member": {"kind": "permutation", "ranks": key.tolist()}}
 
-    def embedder(self, keys):
+    def embed(self, keys, member):
         """A running minimum over each set of rank * 2**b + element, in the
         smallest dtype."""
         top = self.universe_size - 1
         b = top.bit_length()
         dtype = np.min_scalar_type(top << b | top)
         codes = (keys.T << b | np.arange(self.universe_size)[:, None]).astype(dtype)  # one row per element
-
-        def embeds(data, member):
-            best = np.full((len(member), len(keys)), np.iinfo(dtype).max, dtype=dtype)
-            for e, code in enumerate(codes):  # every set is non-empty, so every row is lowered
-                rows = member[:, e]
-                best[rows] = np.minimum(best[rows], code)
-            return best & dtype.type((1 << b) - 1)
-
-        return embeds
+        best = np.full((len(member), len(keys)), np.iinfo(dtype).max, dtype=dtype)
+        for e, code in enumerate(codes):  # every set is non-empty, so every row is lowered
+            rows = member[:, e]
+            best[rows] = np.minimum(best[rows], code)
+        return best & dtype.type((1 << b) - 1)
 
 
 class SimHashFamily(BucketingFamily):
@@ -325,7 +325,7 @@ class SimHashFamily(BucketingFamily):
     def params(self, key):
         return {"lsh_member": {"kind": "hyperplane", "normal": key.tolist()}}
 
-    def embedder(self, keys):
+    def embed(self, keys, x):
         # one matrix-vector product per point: a block product may round differently and flip a sign
-        return lambda data, x: (np.reshape([keys @ v for v in x], (len(x), len(keys))) >= 0.0).view(np.uint8)
+        return (np.reshape([keys @ v for v in x], (len(x), len(keys))) >= 0.0).view(np.uint8)
 

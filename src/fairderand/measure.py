@@ -9,8 +9,8 @@ over trials, and reports standard errors.  Every report entry comes from
 |value| <= bound + 4 * stderr, with stderr 0 for an exact value.
 
 Every audited quantity reduces one ``PredictionTable``, filled a block of
-about ``PAIR_CHUNK_BYTES`` at a time through the bucketing's one embedder
-from its ``vectors``, read once.  An exact table lists only the B
+about ``PAIR_CHUNK_BYTES`` at a time from slices of the bucketing's
+``vectors``, read once, and of t.  An exact table lists only the B
 bucketing members (``all_keys``), not the family: it holds each point's
 t = floor(score * k) and integer bucket e under each member, and averages
 the affine layer (a, c) in closed form.  On one bucket u - 1 is uniform on
@@ -25,7 +25,7 @@ packs the prediction bits (a * e + c) mod k < t of ``Derandomizer.draw``:
 the keys of every bucketing member, then every a, then every c.  The tail
 check evaluates its own drawn batch at every point, in one call, and
 ``sample_classifier`` the one classifier of ``fairderand derandomize``:
-each drawn classifier is evaluated by ``_ClassifierBatch.bits`` only.
+every drawn classifier is evaluated by ``Derandomizer.predict`` only.
 
 A point's mean needs no table: c is uniform on [k], so under every family
 (RT, Pi and each LS family, SimHash included) a member predicts 1 at x with
@@ -181,23 +181,6 @@ def _run_firsts(keys: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the oracle and the prediction table
 
-class _ClassifierBatch:
-    """The ``trials`` classifiers of ``derand.draw(rng, trials)`` and the bits
-    of the draw, drawn once, at construction, and shared across blocks, so
-    pairwise quantities see each classifier at both points."""
-
-    def __init__(self, derand: Derandomizer, trials: int, rng: CountingRng):
-        self.pi_family, self.size = derand.pi_family, trials
-        self.keys, *self.coefficients, self.budget = derand.draw(rng, trials)
-        self.embeds = derand.bucketing.embedder(self.keys)
-
-    def bits(self, data: Dataset, t: np.ndarray, x: Optional[np.ndarray]) -> np.ndarray:
-        """The (points, classifiers) bool matrix of u = residue + 1 <= t over
-        a block, with x its ``bucketing.vectors``."""
-        residues = self.pi_family.residues(*self.coefficients, self.embeds(data, x))
-        return residues < t[:, None].astype(residues.dtype)  # t <= k < k * k
-
-
 @dataclass(frozen=True)
 class PairClasses:
     """One pass over pairs, as arrays over the sorted distinct (distance,
@@ -230,7 +213,7 @@ class PredictionTable:
     t: np.ndarray  # floor(score * k) per point
     size: int  # members or trials
     rows: np.ndarray
-    vectors: Optional[np.ndarray]  # derand.bucketing.vectors(dataset)
+    vectors: np.ndarray  # derand.bucketing.vectors(dataset)
     sums: Optional[np.ndarray]  # in the smallest unsigned dtype that holds len(dataset)
     _passes: dict = field(default_factory=dict, init=False, repr=False)  # (metric, capped): classes
 
@@ -338,10 +321,9 @@ def prediction_table(
         size, per_point = len(keys) * derand.pi_family.size, len(keys)
         if size >= 2**63:
             raise FamilyTooLargeError(f"{size} members: the closed form counts split members in int64, below 2**63")
-        embeds = derand.bucketing.embedder(keys)
     else:
-        batch = _ClassifierBatch(derand, cfg.trials, CountingRng(cfg.seed))
-        size = per_point = batch.size
+        keys, a, c, _ = derand.draw(CountingRng(cfg.seed), cfg.trials)
+        size = per_point = cfg.trials
     numerators, den = derand.scorer.scores(dataset)
     t = threshold_counts(numerators, den, derand.k)
     x = derand.bucketing.vectors(dataset)
@@ -350,11 +332,11 @@ def prediction_table(
     sums = None if cfg.exact else np.zeros(size, dtype=np.min_scalar_type(len(dataset)))  # counts <= len(dataset)
     step = max(1, PAIR_CHUNK_BYTES // (per_point if cfg.exact else 8 * per_point))  # MC forms int64 residues
     for s in range(0, len(dataset), step):
-        block, xb = slice(s, s + step), None if x is None else x[s : s + step]
+        block = slice(s, s + step)
         if cfg.exact:
-            rows[block] = np.column_stack((t[block], embeds(dataset[block], xb)))
+            rows[block] = np.column_stack((t[block], derand.bucketing.embed(keys, x[block])))
         else:
-            bits = batch.bits(dataset[block], t[block], xb)
+            bits = derand.predict(keys, a, c, t[block], x[block])
             rows[block, : (size + 7) // 8] = np.packbits(bits, axis=1)
             sums += np.add.reduce(bits, axis=0, dtype=sums.dtype)
     return PredictionTable(derand, dataset, cfg, numerators, den, t, size, rows, x, sums)
@@ -364,12 +346,11 @@ def sample_classifier(derand: Derandomizer, dataset: Dataset, rng: CountingRng) 
     """The classifier of ``derand.draw(rng, 1)``: its report entry, the bits
     of its draw, and its 0/1 prediction at every point, evaluated as the
     Monte Carlo table and the tail check evaluate theirs."""
-    batch = _ClassifierBatch(derand, 1, rng)
+    keys, a, c, budget = derand.draw(rng, 1)
     t = threshold_counts(*derand.scorer.scores(dataset), derand.k)
-    bits = batch.bits(dataset, t, derand.bucketing.vectors(dataset))
-    (key,), ((a,), (c,)) = batch.keys, batch.coefficients
-    params = {**derand.pi_family.params(a, c), **derand.bucketing.params(key)}
-    return params, batch.budget, bits[:, 0].astype(np.uint8)
+    bits = derand.predict(keys, a, c, t, derand.bucketing.vectors(dataset))
+    params = {**derand.pi_family.params(a[0], c[0]), **derand.bucketing.params(keys[0])}
+    return params, budget, bits[:, 0].astype(np.uint8)
 
 
 def _excesses(table: PredictionTable, classes: PairClasses, budget: Callable) -> tuple[int, list[Number]]:
@@ -503,7 +484,8 @@ def sampled_aggregate_fairness(
     ``derand.draw(rng, n)``, one batch evaluated at every point of the
     table in one call."""
     _, i, j = _close_pairs(table, metric, tau)
-    bits = _ClassifierBatch(table.derand, n_classifiers, rng).bits(table.dataset, table.t, table.vectors)
+    keys, a, c, _ = table.derand.draw(rng, n_classifiers)
+    bits = table.derand.predict(keys, a, c, table.t, table.vectors)
     return [Fraction(int((column[i] != column[j]).sum()), i.size) for column in bits.T]
 
 

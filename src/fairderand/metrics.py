@@ -151,7 +151,7 @@ class Metric:
             values, inverse = np.unique(block(a, b), return_inverse=True)
             return np.array([index.setdefault(v, len(index)) for v in values.tolist()], np.int64)[inverse]
 
-        return key, rows, n_pairs, lambda keys: list(map(list(index).__getitem__, keys.tolist()))
+        return key, rows, n_pairs, lambda keys: np.array(list(index), dtype=object)[keys].tolist()
 
     def _float_blocks(self, x: np.ndarray) -> tuple[np.ndarray, Callable]:
         raise NotImplementedError
@@ -229,7 +229,8 @@ class ScaledEuclidean(Metric):
 
     def _float_blocks(self, x):
         def block(a, b):
-            d, e = _scaled(a - b)  # the norm of a - b is 2**e times that of d
+            with np.errstate(over="ignore"):  # a difference past the largest double is inf, at distance 1.0
+                d, e = _scaled(a - b)  # the norm of a - b is 2**e times that of d
             return np.fmin(np.ldexp(np.sqrt(_fsums(d * d)), e) / self.scale, 1.0)
 
         return x, block

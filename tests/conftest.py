@@ -1,24 +1,25 @@
 """Shared builders, independent brute-force oracles and scalar references.
 
-Datasets are built by ``dataset_of`` from an id -> feature row mapping;
-a single point is a one-row dataset (``each_point`` lists them, ``joined``
-puts points together).  The oracles evaluate every classifier of a family
-one point at a time, through this module's own ``ReferenceClassifier``,
-written from the formula 1 iff ((a * e + c) mod k) + 1 <= floor(score * k)
-with the score from ``reference_score`` (each scorer's scalar form), and
-its bucketing members (``reference_member``), written from each family's
-definition, each giving a point's integer bucket e; a fixed bucketing's
-member numbers buckets by its own first-seen map.  The library evaluates
+Datasets are built by ``dataset_of`` from an id -> feature row mapping; a
+single point is a one-row dataset (``point_of`` takes one row of a
+dataset, ``each_point`` lists them, ``joined`` puts points together).  The
+oracles evaluate every classifier of a family one point at a time,
+through this module's own ``ReferenceClassifier``, written from the
+formula 1 iff ((a * e + c) mod k) + 1 <= floor(score * k) with the score
+from ``reference_score`` (each scorer's scalar form), and its bucketing
+members (``reference_member``), written from each family's definition,
+each giving a point's integer bucket e; a fixed bucketing's member
+numbers buckets by its own first-seen map.  The library evaluates
 classifiers only as arrays, and its exact closed form, which enumerates
 only the bucketing members and averages the affine layer, must agree with
 them exactly.  The references redo the library's array draws one scalar
 draw at a time (``draw_bits``, ``uniform_int``, ``normal_pair``), its
 one-pass ``scorer_beta`` pair by pair, and its columnar CSV loader row by
-row; ``reference_excesses`` keeps the per-class list form of the verdicts'
-reduction over pair classes.  ``reference_distance`` is each metric's
-distance written from its definition, one pair of points at a time, with
-each float sum a ``math.fsum`` over Python floats; the library evaluates
-metrics only over blocks of pairs.
+row; ``reference_excesses`` keeps the per-class list form of the
+verdicts' reduction over pair classes.  ``reference_distance`` is each
+metric's distance written from its definition, one pair of points at a
+time, with each float sum a ``math.fsum`` over Python floats; the library
+evaluates metrics only over blocks of pairs.
 """
 
 import bisect
@@ -70,9 +71,15 @@ def dataset_of(rows: dict, fairness=None, labels=None) -> Dataset:
     return Dataset(list(rows), [tuple(row) for row in rows.values()], fairness, labels)
 
 
+def point_of(data: Dataset, r: int) -> Dataset:
+    """Point r of the dataset as a one-row dataset."""
+    fairness = None if data.fairness is None else data.fairness[r : r + 1]
+    return Dataset(data.ids[r : r + 1], data.features[r : r + 1], fairness, data.labels[r : r + 1])
+
+
 def each_point(data: Dataset) -> list[Dataset]:
     """Each point of the dataset as a one-row dataset, in order."""
-    return [data[r : r + 1] for r in range(len(data))]
+    return [point_of(data, r) for r in range(len(data))]
 
 
 def joined(*parts: Dataset) -> Dataset:

@@ -27,6 +27,7 @@ from conftest import (
     dataset_of,
     enumerate_members,
     each_point,
+    point_of,
     reference_distance,
     reference_score,
     split_share,
@@ -132,7 +133,7 @@ def unit_interval_grid(steps=1001):
 
 def found_points(grid, found):
     """The grid points at the rows of a found pair, as one-row datasets."""
-    return tuple(grid[r : r + 1] for r in found)
+    return tuple(point_of(grid, r) for r in found)
 
 
 class TestViolationSearch:

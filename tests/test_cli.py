@@ -17,6 +17,7 @@ import fairderand
 from fairderand import cli, measure
 from fairderand.cli import main
 from fairderand.dataio import load_dataset, save_dataset
+from fairderand.derandomize import Derandomizer
 from fairderand.errors import (
     DataError,
     DataFormatError,
@@ -455,23 +456,23 @@ class TestAuditCommand:
         ],
     )
     def test_one_oracle_evaluation_per_point(self, scored_csv, config_factory, monkeypatch, mode, extra):
-        # the oracle answers a block of points per call: its rows total one
-        # per point and batch, from the tail check's n_classifiers drawn
+        # predict answers a block of points per call: its rows total one per
+        # point and drawn batch, from the tail check's n_classifiers drawn
         # classifiers and, in Monte Carlo mode, the table's batch (an exact
         # table averages the affine layer in closed form and draws none)
         calls, sizes = {"points": 0}, []
 
-        def bits(self, points, t, x):
-            calls["points"] += len(points)
-            return oracle(self, points, t, x)
+        def predict(self, keys, a, c, t, x):
+            calls["points"] += len(t)
+            return evaluate(self, keys, a, c, t, x)
 
-        def init(self, *args, **kwargs):
-            batch_init(self, *args, **kwargs)
-            sizes.append(self.size)
+        def draw(self, rng, trials):
+            sizes.append(trials)
+            return drawing(self, rng, trials)
 
-        oracle, batch_init = measure._ClassifierBatch.bits, measure._ClassifierBatch.__init__
-        monkeypatch.setattr(measure._ClassifierBatch, "bits", bits)
-        monkeypatch.setattr(measure._ClassifierBatch, "__init__", init)
+        evaluate, drawing = Derandomizer.predict, Derandomizer.draw
+        monkeypatch.setattr(Derandomizer, "predict", predict)
+        monkeypatch.setattr(Derandomizer, "draw", draw)
         config = config_factory(
             input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "bit_sampling"},
             mode=mode, trials=200, tau=0.4, n_classifiers=5, **extra,
@@ -557,10 +558,8 @@ class TestAuditCommand:
             for name, obj in list(vars(module).items()):
                 if id(obj) in functions:
                     monkeypatch.setattr(module, name, recording("measure", obj))
-        for name in ("__init__", "bits"):
-            monkeypatch.setattr(
-                measure._ClassifierBatch, name, recording("batch", getattr(measure._ClassifierBatch, name))
-            )
+        for name in ("draw", "predict"):
+            monkeypatch.setattr(Derandomizer, name, recording("batch", getattr(Derandomizer, name)))
         config = config_factory(
             input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "bit_sampling"},
             mode="mc", trials=200, tau=0.4, n_classifiers=5,
@@ -734,6 +733,18 @@ class TestConfigHandling:
         assert main(["audit", "--config", str(config)]) == 2
         assert "config error: no pairs to check" in capsys.readouterr().err
         assert not (tmp_path / "reports" / "audit.json").exists()
+
+    @pytest.mark.parametrize("resolution,code", [(1e-10, 2), (1e-5, 0)], ids=["inf-cell", "finite-cell"])
+    def test_grid_cell_beyond_float_range_exits_2(self, tmp_path, config_factory, capsys, resolution, code):
+        # 1e300 / 1e-10 is inf as a float, which no grid cell index is; 1e300 / 1e-5 is a finite cell
+        path = tmp_path / "far.csv"
+        write_dataset(path, [["a", "1e300", "0.2"], ["b", 0, "0.7"]], ["id", "feat_0", "score"])
+        config = config_factory(input=str(path), scheme="pi", k=11, metric={"kind": "scaled_euclidean"},
+                                bucketer={"kind": "grid", "resolution": resolution})
+        assert main(["audit", "--config", str(config)]) == code
+        if code:
+            message = "config error: bucketer.resolution 1e-10 puts a grid cell beyond the float range"
+            assert message in capsys.readouterr().err
 
     def test_zero_pairs_cap_exits_2(self, scored_csv, config_factory, capsys, tmp_path):
         config = config_factory(input=str(scored_csv))

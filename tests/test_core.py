@@ -124,14 +124,11 @@ class TestDatasets:
 
 
 class TestColumns:
-    def test_columns_are_checked_and_slices_are_datasets(self):
+    def test_columns_are_checked(self):
         ds = Dataset(["a", "b"], [(1, 2), (3, 4)], [(0.0,), (1.0,)], [1, None])
         assert ds.ids == ("a", "b") and ds.labels == (1, None)
         assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]] and ds.features.dtype == np.float64
         assert ds.fairness_vectors is ds.fairness and ds.fairness.tolist() == [[0.0], [1.0]]
-        tail = ds[1:]
-        assert isinstance(tail, Dataset) and tail.ids == ("b",) and tail.fairness.tolist() == [[1.0]]
-        assert tail.labels == (None,)
         bare = dataset_of({"c": (5.0,)})
         assert bare.fairness is None and bare.fairness_vectors is bare.features
 

@@ -25,6 +25,7 @@ from conftest import (
     dataset_of,
     each_point,
     enumerate_members,
+    point_of,
     random_binary_dataset,
     random_scorer,
     reference_member,
@@ -55,7 +56,7 @@ class TestBucketers:
         ds = dataset_of({"a": (0.2,), "b": (5.3,), "c": (0.7,)})
         family = FixedFamily(GridBucketer(1.0), GridBucketer(1.0).buckets(ds))
         assert family.n_buckets == 2
-        assert family.embedder(family.all_keys())(ds, None).tolist() == [[0], [1], [0]]
+        assert family.embed(family.all_keys(), family.vectors(ds)).tolist() == [[0], [1], [0]]
 
     def test_resolution_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -231,7 +232,7 @@ class TestFamilyMeanConsistency:
         score = Fraction(numerator, 997)
         ds = two_point_dataset()
         scorer = TabularScorer({"x1": score, "x2": score})
-        point = ds[:1]
+        point = point_of(ds, 0)
         for derand in (
             Derandomizer.rt(scorer, k),
             Derandomizer.pi(scorer, ds, IdentityBucketer(), k),
@@ -249,7 +250,7 @@ class TestFairnessProjection:
         scorer = TabularScorer({"a": 0.4, "b": 0.6})
         derand = Derandomizer(scorer, BitSamplingFamily(2), 5)
         x = derand.bucketing.vectors(ds)
-        assert derand.bucketing.embedder(derand.bucketing.all_keys())(ds, x).tolist() == [[0, 0], [1, 1]]
+        assert derand.bucketing.embed(derand.bucketing.all_keys(), x).tolist() == [[0, 0], [1, 1]]
 
 
 class TestValidation:

@@ -58,7 +58,7 @@ class TestPiEval:
         # the fixed bucketing numbers only the buckets it was built on
         fam = FixedFamily(IdentityBucketer(), ["a"])
         with pytest.raises(UnknownBucketError, match="no hash value for bucket 'zzz'"):
-            fam.embedder(fam.all_keys())(dataset_of({"zzz": (0.0,)}), None)
+            fam.vectors(dataset_of({"zzz": (0.0,)}))
 
 
 class TestFamilyValidation:
@@ -235,7 +235,7 @@ class TestSimHash:
         fam = SimHashFamily(2)
         points = dataset_of({"x": (1.0, 0.0), "y": (0.0, 1.0)})
         n = 100_000
-        sides = fam.embedder(fam.draw(CountingRng(53), n))(points, fam.vectors(points))
+        sides = fam.embed(fam.draw(CountingRng(53), n), fam.vectors(points))
         assert abs(float((sides[0] == sides[1]).mean()) - 0.5) < 0.01
 
     def test_collision_matches_angle_on_random_pairs(self):
@@ -291,7 +291,7 @@ class TestAllKeys:
 
 
 class TestEmbedAll:
-    """A family's one embedder, over its members' keys and the points'
+    """A family's one ``embed``, over its members' keys and the points'
     vectors, equals the integer bucket of p under the reference members
     point by point and member by member, and raises the error class and
     message that the reference raises at the first bad point.  The members
@@ -345,8 +345,7 @@ class TestEmbedAll:
             keys = family.draw(CountingRng(seed), 2)
         members = [reference_member(family, key) for key in keys]
         expected = self.outcome(lambda: [[m.bucket(p) for m in members] for p in each_point(points)])
-        embedder = family.embedder(keys)
-        got = self.outcome(lambda: embedder(points, family.vectors(points)).tolist())
+        got = self.outcome(lambda: family.embed(keys, family.vectors(points)).tolist())
         assert got == expected
 
     @settings(max_examples=60, deadline=None)
@@ -364,7 +363,7 @@ class TestEmbedAll:
         except NotEnumerableError:
             listed = []
         for keys in [*listed, family.draw(CountingRng(seed), 3)]:
-            got = self.outcome(lambda: family.embedder(keys)(points, family.vectors(points)))
+            got = self.outcome(lambda: family.embed(keys, family.vectors(points)))
             if isinstance(got, tuple):  # a family too narrow or too wide for the points raises
                 continue
             assert got.shape == (n_points, 1 if isinstance(family, FixedFamily) else len(keys))

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 import random
@@ -76,6 +77,7 @@ from conftest import (
     joined,
     normal_pair,
     pairs_of,
+    point_of,
     random_binary_dataset,
     random_real_dataset,
     random_scorer,
@@ -231,13 +233,13 @@ class TestBias:
     def test_pi_bias_exact_example(self):
         ds = binary_dataset()
         derand = Derandomizer.pi(ConstantScorer(0.5), ds, IdentityBucketer(), 5)
-        assert brute_mean(derand, ds[:1]) - Fraction(1, 2) == Fraction(-1, 10)
+        assert brute_mean(derand, point_of(ds, 0)) - Fraction(1, 2) == Fraction(-1, 10)
         assert aggregate_bias(prediction_table(derand, ds, EXACT)).value == Fraction(-1, 10)
 
     def test_constant_one_family_zero_bias(self):
         ds = binary_dataset()
         derand = Derandomizer.rt(ConstantScorer(1), 5)
-        assert brute_mean(derand, ds[:1]) == 1
+        assert brute_mean(derand, point_of(ds, 0)) == 1
         assert aggregate_bias(prediction_table(derand, ds, EXACT)).value == 0
 
     def test_singleton_dataset_aggregate_equals_pointwise(self):
@@ -1042,7 +1044,7 @@ class TestLossApproximation:
         ds = binary_dataset()
         scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
         derand = Derandomizer.rt(scorer, 10)
-        p = ds[:1]
+        p = point_of(ds, 0)
         (report,) = decomposition_check(derand, p)
         out_bias, out_var = report["bias_abs"]["value"], report["family_variance"]["value"]
         for bits in itertools.product((0, 1), repeat=4):
@@ -1379,6 +1381,52 @@ class TestStreamedPairPass:
         assert sampled.pair_seed is not None and sampled.codes is None
         assert int(sampled.weights.sum()) == EXACT.pairs_cap
         assert kept < EXACT.pairs_cap  # the class arrays only: no byte per pair
+
+
+class TestMonteCarloBitsPinned:
+    """SHA-256 digests of the Monte Carlo table's integer arrays and of the
+    tail check's drawn-classifier bits, recorded before the classifier
+    evaluation became ``Derandomizer.predict``: a refactor of the
+    evaluation must leave every bit where it was.  They are integers, so
+    they read the same on every numpy build; SimHash, whose signs follow
+    float rounding, is left out.  The bits of the tail check are its one
+    batch's residues (every drawn classifier goes through
+    ``PiFamily.residues``) below each point's t."""
+
+    DIGESTS = {
+        "minhash16": ("ccf14831d6ec8fb150f8adddab30b58452a03c73442839f3c8e97780d1c591ff",
+                      "40ae125bdaf687a732f5ecf918433e3f71eede038d06b2281af558a9dc2d79f9",
+                      "4725c5a1630d951cc09c7a502b55691e63fbdd9702b29d5e22f55a78387a1b7c"),
+        "bit_sampling": ("d0da172e00b9a8f02266e8adabb0fa9b70932d755846fa7a681f0c29e400bbd4",
+                         "7a9131d13d94b08066fde25d329af1d83e36adc553e8bba4e6f2d02fc11af4d4",
+                         "26a0afd4ccc3a450bb24509295a04e5f201fcb14eba9197cb2e07d70927d614e"),
+    }
+
+    @staticmethod
+    def sha(array: np.ndarray) -> str:
+        return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("kind", sorted(DIGESTS))
+    def test_digests(self, kind, monkeypatch):
+        rng = random.Random(kind)
+        dim, family, metric = (16, MinHashFamily(16), JaccardDistance()) if kind == "minhash16" else (
+            8, BitSamplingFamily(8), NormalizedHamming(8))
+        ds = random_binary_dataset(rng, 120, dim)  # 120 points: sums fit uint8, so the bytes have no byte order
+        derand = Derandomizer(random_scorer(rng, ds, 20), family, 17)
+        table = prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=2000, seed=5))  # 8 blocks
+        assert table.rows.dtype == table.sums.dtype == np.uint8
+        residues, recorded = PiFamily.residues, []
+
+        def recording(*args):
+            recorded.append(residues(*args))
+            return recorded[-1]
+
+        monkeypatch.setattr(PiFamily, "residues", recording)
+        aggregate_fairness_tail_check(table, metric, 1, 0.5, 0.1, 300, CountingRng(9))
+        (tail,) = recorded
+        bits = tail < table.t[:, None]
+        assert bits.shape == (120, 300)
+        assert (self.sha(table.rows), self.sha(table.sums), self.sha(bits)) == self.DIGESTS[kind]
 
 
 class TestOneTrial:

@@ -57,6 +57,13 @@ class TestValues:
         assert dist(d, pt(0, 0), pt(0, 1)) == pytest.approx(0.5)
         assert dist(d, pt(0, 0), pt(0, 100)) == 1.0
 
+    def test_scaled_euclidean_difference_past_the_largest_double(self):
+        # 1e308 - (-1e308) is no double; the distance is past any scale, and no overflow warning is raised
+        assert dist(ScaledEuclidean(1e308), pt(1e308, 0), pt(-1e308, 0)) == 1.0
+        points = [pt(1e308, 0), pt(-1e308, 0), pt(0, 0)]  # the other pairs of the block keep their values
+        expected = [1.0, 1e308 / 1.5e308, 1e308 / 1.5e308]
+        assert distances(ScaledEuclidean(1.5e308), points, [(0, 1), (0, 2), (1, 2)]) == expected
+
     def test_float_distances_round_each_sum_once(self):
         # each sum is the float nearest the exact sum of its float terms, in
         # every coordinate order; a left-to-right sum moves the last digit
