@@ -11,7 +11,7 @@ Two procedures live here:
   given as a ``Dataset`` of one row per step, witnessed by two rows.
 
 Both read the audit's own evaluation path: one exact ``prediction_table``
-for the family's gaps, and ``Metric.pair_distances`` for the distances.
+for the family's gaps, and the pair pass ``pair_classes`` for distances.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .core import Dataset, TabularScorer
 from .derandomize import Derandomizer, IdentityBucketer
 from .errors import GridTooCoarseError, InvalidParameterError
-from .measure import EstimatorConfig, prediction_table, quantity, scorer_beta
+from .measure import EstimatorConfig, Number, pair_classes, prediction_table, quantity, scorer_beta
 from .metrics import Metric, PairSet, ScaledEuclidean
 
 
@@ -99,8 +99,7 @@ def sphere_counterexample(
     dataset = Dataset([f"s{i:03d}" for i in range(cfg.n_points)], coords)
 
     metric = ScaledEuclidean(1.0)
-    _, distances = metric.pair_distances(dataset, PairSet(len(dataset)))
-    gap = Fraction(min(distances))  # exact binary value of the realized float
+    gap = Fraction(min(pair_classes(dataset, metric, PairSet(len(dataset))).values))  # the realized float, exactly
     high = (1 + gap) / 2
     low = (1 - gap) / 2
     scorer = TabularScorer(
@@ -145,11 +144,7 @@ def verify_sphere_counterexample(
 
 
 def finite_family_violation_search(
-    derand: Derandomizer,
-    metric: Metric,
-    grid: Dataset,
-    alpha: float,
-    beta: float,
+    derand: Derandomizer, metric: Metric, grid: Dataset, alpha: Number, beta: Number
 ) -> Optional[tuple[int, int]]:
     """Find a pair of adjacent grid points witnessing that the family is
     not (alpha, beta, d)-fair, by scanning for member discontinuities.
@@ -158,21 +153,21 @@ def finite_family_violation_search(
     exact prediction table over it counts the members that flip between
     neighbors.  Returns the rows (i, i + 1) of the first flip, or None when
     no member flips.  With beta < 1/|family| and adjacent spacing
-    below (1/|family| - beta)/alpha, any flip certifies a violation.
+    below (1/|family| - beta)/alpha (both exact), any flip certifies a violation.
     """
     if len(grid) < 2:
         raise InvalidParameterError("grid needs at least 2 points")
     size = derand.family_size
-    if not beta < 1.0 / size:
+    if not beta < Fraction(1, size):
         raise InvalidParameterError(f"beta must be below 1/|family| = {1.0 / size}")
 
     table = prediction_table(derand, grid, EstimatorConfig(mode="exact"))
-    adjacent = PairSet(len(grid), np.arange(len(grid) - 1) * (len(grid) + 1) + 1)  # keys i * n + i + 1
-    flips = np.flatnonzero(table.split_counts(adjacent))
+    flips = np.flatnonzero(table._splits(table.rows[:-1], table.rows[1:]))  # each row and the next
     if flips.size == 0:
         return None
 
-    spacing = max(metric.pair_distances(grid, adjacent)[1])
+    adjacent = PairSet(len(grid), np.arange(len(grid) - 1) * (len(grid) + 1) + 1)  # keys i * n + i + 1
+    spacing = max(pair_classes(grid, metric, adjacent).values)
     if not Fraction(alpha) * Fraction(spacing) + Fraction(beta) < Fraction(1, size):
         raise GridTooCoarseError(
             f"adjacent spacing {float(spacing)} must be below {(1.0 / size - beta) / alpha}"

@@ -342,10 +342,8 @@ def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
         start, stop = np.asarray(start, dtype=float), np.asarray(stop, dtype=float)
         share = np.arange(steps)[:, None] / (steps - 1)  # each i / (steps - 1) rounded once, as Python's
         grid = Dataset([f"g{i:05d}" for i in range(steps)], start + (stop - start) * share)
-        found = finite_family_violation_search(
-            derand, metric, grid,
-            float(config.get("alpha", 1.0)), float(config.get("beta", 0.0)),
-        )
+        alpha, beta = Fraction(str(config.get("alpha", 1))), Fraction(str(config.get("beta", 0)))  # as audit reads them
+        found = finite_family_violation_search(derand, metric, grid, alpha, beta)
         payload["violation"] = None if found is None else {
             name: {"id": grid.ids[r], "features": grid.features[r].tolist()} for name, r in zip(("x", "x_star"), found)
         }

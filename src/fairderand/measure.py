@@ -33,15 +33,15 @@ probability exactly t/k.  ``family_mean``, ``decomposition_check`` and
 ``fairderand strategic`` answer every point of a dataset at once from one
 array of t (``threshold_counts``).
 
-Pair quantities read one pass per table and metric over every pair, or
-the capped ``sample_pairs``, which holds only its ``cap`` sorted keys and
-a block of draws.  The pass folds each block's split counts (the closed
-form, or a popcount of the XOR of packed rows) and distance keys straight
-into the histogram of (distance, split count) classes; only a pass over
-every pair keeps a per-pair array, its distance codes.  Above the cap it
-also histograms the capped sample's pairs as it meets them (both in
-i * n + j order), so an audit makes one pass.  Reductions evaluate their
-Python expression at a bisection of each distance's classes, so
+Every pair quantity reads ``pair_classes``, the one block loop over
+pairs: it folds each block's distance keys and integer gaps (a table's
+split counts, the scorer's numerator gaps, or none) straight into a
+histogram of (distance, gap) classes, and keeps each pair's distance code
+only where a caller reads them.  A table passes once per metric over
+every pair, or over the capped ``sample_pairs``, which holds only its
+``cap`` sorted keys; a pass over every pair also histograms the sample's
+pairs as it meets them (both in i * n + j order).  Reductions evaluate
+their Python expression at a bisection of each distance's classes, so
 rationals stay exact and parameters keep their arithmetic.
 """
 
@@ -51,7 +51,7 @@ import bisect
 import inspect
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -61,7 +61,7 @@ from .core import Dataset, StochasticScorer, threshold_counts
 from .derandomize import Derandomizer
 from .errors import EmptyPairSetError, FamilyTooLargeError, InvalidParameterError
 from .hashing import BitBudget
-from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, PairSet, over_pairs, popcounts, rank_keys
+from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, PairSet, popcounts, rank_keys
 from .rng import CountingRng
 
 Number = Union[Fraction, float, int]
@@ -183,9 +183,9 @@ def _run_firsts(keys: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairClasses:
-    """One pass over pairs, as arrays over the sorted distinct (distance,
-    split count) classes: each one's code into ``values`` and number of pairs;
-    over every pair (pair_seed None) each pair's code, np.triu_indices order."""
+    """One pass over pairs, as arrays over the sorted distinct (distance, gap)
+    classes: each one's code into ``values``, gap and number of pairs; each
+    pair's code if kept, in the pairs' order; and the sample's classes."""
 
     pair_seed: Optional[int]
     values: list[Distance]
@@ -193,6 +193,45 @@ class PairClasses:
     class_codes: np.ndarray
     class_counts: np.ndarray
     weights: np.ndarray
+    sampled: Optional[PairClasses] = None
+
+
+def pair_classes(data: Dataset, metric: Metric, pairs: PairSet, rows: Optional[np.ndarray] = None,
+                 gap: Optional[Callable] = None, size: int = 0, codes: bool = False,
+                 sample: Optional[np.ndarray] = None) -> PairClasses:
+    """The one pass over pairs: a block at a time, it histograms the keys
+    distance key * (size + 1) + gap, with gap(ra, rb) the integer gaps in
+    [0, size] of the block's pairs at their rows ra, rb of ``rows`` (0
+    without a gap).  It keeps each pair's distance code when asked, and
+    histograms into ``sampled`` the pairs at the sorted positions
+    ``sample`` of the pass as it meets them.  Gaps are Python ints from
+    size 2**63 on."""
+    (key, points, bound, decode), width = metric._pair_keys(data, len(pairs)), size + 1
+    kept = np.empty(len(pairs), np.min_scalar_type(max(bound - 1, 0))) if codes else None
+    dtype = np.min_scalar_type(max(bound, 1) * width)  # object past 2**64
+    folded = None if sample is None else np.empty(sample.size, dtype)
+
+    def blocks(s=0, hi=0):
+        for pa, pb, *r in pairs.blocks(points, *([] if gap is None else [rows])):
+            keys = key(pa, pb)
+            both = keys.astype(dtype) * width + (gap(*r).astype(dtype) if r else 0)
+            if kept is not None:
+                kept[s : s + keys.size] = keys
+            if folded is not None:
+                lo, hi = hi, int(sample.searchsorted(sample.dtype.type(s + keys.size)))  # a Python int would cast all
+                folded[lo:hi] = both[sample[lo:hi] - s]
+            s += keys.size
+            yield both
+
+    def classes(histogram, codes=None):
+        keys, weights = histogram
+        keys, counts = (keys // width).astype(np.int64), (keys % width).astype(np.int64 if size < 2**63 else object)
+        distinct = keys[firsts := _run_firsts(keys)]
+        codes = None if codes is None else rank_keys(codes, distinct)
+        return PairClasses(None, decode(distinct), codes, np.cumsum(firsts) - 1, counts, weights)
+
+    every = classes(_histogram(blocks(), dtype), kept)
+    return every if folded is None else replace(every, sampled=classes(_histogram(iter([folded]), dtype)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,17 +256,13 @@ class PredictionTable:
     sums: Optional[np.ndarray]  # in the smallest unsigned dtype that holds len(dataset)
     _passes: dict = field(default_factory=dict, init=False, repr=False)  # (metric, capped): classes
 
-    def split_counts(self, pairs: PairSet) -> np.ndarray:
-        """Members (or trials) that predict differently at each pair's points."""
-        return over_pairs(self._splits, pairs, self._split_rows(), np.min_scalar_type(self.size))
-
     def _split_rows(self) -> np.ndarray:
         return self.rows if self.cfg.exact else self.rows.view(np.uint64)
 
     def _splits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The split counts, as int64, of a block of pairs at their rows a, b
-        of ``_split_rows``.  Monte Carlo: popcounts of XORed rows.  Exact: when
-        S of the B bucketing members put the pair in one bucket,
+        """Members (or trials) that split each pair at its rows a, b of
+        ``_split_rows``, as int64.  Monte Carlo: popcounts of XORed rows.
+        Exact: when S of the B bucketing members put the pair in one bucket,
         S * a_range * |t_i - t_j| + (B - S) * (t_i (k - t_j) + t_j (k - t_i))."""
         if not self.cfg.exact:
             return popcounts(a ^ b)
@@ -240,50 +275,25 @@ class PredictionTable:
         return same * (a_range * abs(ta - tb) - cross) + members * cross
 
     def pair_classes(self, metric: Metric, capped: bool = False) -> PairClasses:
-        """The pass over every pair (or the capped ``sample_pairs``) under
-        the metric, computed once; below the cap they are one pass, and a
-        pass over every pair also histograms the sample.  It counts the
-        keys distance key * (size + 1) + split count."""
+        """The (distance, split count) classes of every pair (or of the
+        capped ``sample_pairs``) under the metric, from one cached pass;
+        below the cap they are one pass, and a pass over every pair also
+        histograms the sample."""
         if (metric, capped) in self._passes:
             return self._passes[metric, capped]
-        n = len(self.dataset)
+        n, splits = len(self.dataset), (self._split_rows(), self._splits, self.size)
         sample, seed = sample_pairs(n, self.cfg.pairs_cap, self.cfg.seed)
-        pairs = sample if capped else PairSet(n)
-        key, points, bound, decode = metric._pair_keys(self.dataset, len(pairs))
-        rows, width = self._split_rows(), self.size + 1
-        codes = np.empty(len(pairs), np.min_scalar_type(max(bound - 1, 0))) if pairs.keys is None else None
-        dtype = np.min_scalar_type(max(bound, 1) * width)  # object past 2**64
-        sampled = None
-        if not capped and seed is not None:  # each sampled pair's position among every pair, over its key
-            at, sampled = sample.keys, np.empty(len(sample), dtype)
+        if capped and seed is not None:
+            self._passes[metric, True] = replace(pair_classes(self.dataset, metric, sample, *splits), pair_seed=seed)
+            return self._passes[metric, True]
+        at = sample.keys  # None below the cap
+        if at is not None:  # each sampled pair's position among every pair, over its key
             for c in range(0, at.size, SAMPLE_BLOCK):  # pair i * n + j is at i * n + j - (i + 1)(i + 2) / 2
                 i = at[c : c + SAMPLE_BLOCK] // n
                 at[c : c + SAMPLE_BLOCK] = at[c : c + SAMPLE_BLOCK] - (i.astype(np.int64) + 1) * (i + 2) // 2
-
-        def blocks(s=0, hi=0):
-            for pa, pb, ra, rb in pairs.blocks(points, rows):
-                keys = key(pa, pb)
-                both = keys.astype(dtype) * width + self._splits(ra, rb).astype(dtype)
-                if codes is not None:
-                    codes[s : s + keys.size] = keys
-                if sampled is not None:
-                    lo, hi = hi, int(at.searchsorted(at.dtype.type(s + keys.size)))  # a Python int would cast all of at
-                    sampled[lo:hi] = both[at[lo:hi] - s]
-                s += keys.size
-                yield both
-
-        def classes(histogram, pair_seed, codes=None):
-            keys, weights = histogram
-            keys, counts = (keys // width).astype(np.int64), (keys % width).astype(np.int64)  # < bound, <= size < 2**63
-            distinct = keys[firsts := _run_firsts(keys)]
-            codes = None if codes is None else rank_keys(codes, distinct)
-            return PairClasses(pair_seed, decode(distinct), codes, np.cumsum(firsts) - 1, counts, weights)
-
-        self._passes[metric, capped] = classes(_histogram(blocks(), dtype), seed if capped else None, codes)
-        if seed is None:
-            self._passes[metric, not capped] = self._passes[metric, capped]
-        elif sampled is not None:
-            self._passes[metric, True] = classes(_histogram(iter([sampled]), dtype), seed)
+        every = pair_classes(self.dataset, metric, PairSet(n), *splits, codes=True, sample=at)
+        self._passes[metric, False] = every
+        self._passes[metric, True] = every if seed is None else replace(every.sampled, pair_seed=seed)
         return self._passes[metric, capped]
 
 
@@ -297,7 +307,8 @@ def _histogram(blocks: Iterator[np.ndarray], dtype) -> tuple[np.ndarray, np.ndar
             buffered += block.size
             if buffered < PAIR_CHUNK_BYTES // 8:
                 continue
-        new = np.sort(np.concatenate([keys[:0], *pending]))
+        new = np.concatenate([keys[:0], *pending])
+        new.sort(kind="stable" if new.itemsize == 1 else None)  # one-byte keys: numpy's radix sort, ~20x its quicksort
         starts = np.flatnonzero(_run_firsts(new))
         new, counted = new[starts], np.diff(starts, append=new.size)
         at = np.searchsorted(keys, new)
@@ -353,12 +364,12 @@ def sample_classifier(derand: Derandomizer, dataset: Dataset, rng: CountingRng) 
     return params, budget, bits[:, 0].astype(np.uint8)
 
 
-def _excesses(table: PredictionTable, classes: PairClasses, budget: Callable) -> tuple[int, list[Number]]:
+def _excesses(size: int, exact: bool, classes: PairClasses, budget: Callable) -> tuple[int, list[Number]]:
     """The pairs whose gap count/size exceeds budget(d), and gap - budget(d)
     at the largest count of each distance d, the gap exact or a float, from a
     bisection that indexes the class arrays, ascending in count at each d."""
-    size, counts, weights = table.size, classes.class_counts, classes.weights
-    gap = (lambda c: Fraction(int(counts[c]), size)) if table.cfg.exact else (lambda c: int(counts[c]) / size)
+    counts, weights = classes.class_counts, classes.weights
+    gap = (lambda c: Fraction(int(counts[c]), size)) if exact else (lambda c: int(counts[c]) / size)
     bounds = np.searchsorted(classes.class_codes, np.arange(len(classes.values) + 1))  # each distance's first class
     violations, tops = 0, []
     for start, end, d in zip(bounds[:-1], bounds[1:], classes.values):
@@ -462,7 +473,7 @@ def metric_fairness_check(
     classes = table.pair_classes(metric, capped=True)
     if classes.weights.size == 0:
         raise EmptyPairSetError(f"no pairs to check among {len(table.dataset)} point(s)")
-    violations, excesses = _excesses(table, classes, lambda d: alpha * d + beta)
+    violations, excesses = _excesses(table.size, table.cfg.exact, classes, lambda d: alpha * d + beta)
     worst_excess = max(excesses)  # the first maximum, as a loop keeps
 
     report = {"pairs_checked": quantity(int(classes.weights.sum()))}
@@ -594,27 +605,21 @@ def empirical_fairness_curve(
     return [(float(a), math.fsum(classes.weights * np.maximum(g - float(a) * d, 0.0)) / n) for a in alphas]
 
 
-def scorer_beta(
-    scorer: StochasticScorer, dataset: Dataset, metric: Metric, alpha: Number
-) -> Number:
+def scorer_beta(scorer: StochasticScorer, dataset: Dataset, metric: Metric, alpha: Number) -> Number:
     """Smallest beta for which the scorer is (alpha, beta)-fair on the
-    dataset: max over pairs of (|score gap| - alpha*d)+, from one pass over
-    every pair.  The excess is monotone in the gap, so each distance needs
-    only its largest numerator gap."""
+    dataset: max over pairs of (|score gap| - alpha*d)+, from the pass over
+    every pair's (distance, |numerator gap|) classes, gaps over den."""
     numerators, den = scorer.scores(dataset)
-    pairs = PairSet(len(dataset))
-    codes, values = metric.pair_distances(dataset, pairs)
-    gaps = np.zeros(len(values), dtype=numerators.dtype)  # |gap| <= den
-    np.maximum.at(gaps, codes, over_pairs(lambda a, b: abs(a - b), pairs, numerators, numerators.dtype))
+    classes = pair_classes(dataset, metric, PairSet(len(dataset)), numerators, lambda a, b: abs(a - b), den)
     # max() keeps its first maximal argument: an int 0 when no excess is positive
-    return max([0, *(Fraction(int(g), den) - alpha * d for g, d in zip(gaps, values))])
+    return max([0, *_excesses(den, True, classes, lambda d: alpha * d)[1]])
 
 
 def family_beta(table: PredictionTable, metric: Metric, alpha: Number) -> Number:
     """Smallest beta for which the family is (alpha, beta)-fair on the
     dataset pairs, from exact (or estimated) pairwise gaps."""
     # max() keeps its first maximal argument: an int 0 when no excess is positive
-    return max([0, *_excesses(table, table.pair_classes(metric), lambda d: alpha * d)[1]])
+    return max([0, *_excesses(table.size, table.cfg.exact, table.pair_classes(metric), lambda d: alpha * d)[1]])
 
 
 # ---------------------------------------------------------------------------

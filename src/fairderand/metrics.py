@@ -10,19 +10,18 @@ locality-sensitive hashes see; the pair pass reads them as the dataset's
 ``fairness_vectors`` matrix, which each metric checks whole when a pass
 starts, so an input it is undefined on fails whichever pairs are read.
 
-``Metric.pair_distances`` evaluates a ``PairSet`` in blocks of about
-``PAIR_CHUNK_BYTES`` of rows per side, into codes (of the smallest dtype)
-into a list of distinct values.  The exact metrics key pairs by integers,
-ranked once at the end through a table over the keys' range: Hamming by
-the popcount of the XOR of 0/1 rows packed into uint64 words (or the
-count of differing floats), Jaccard by |A n B| * (d + 1) + |A u B|, from
-popcounts of the AND and the OR.  The float metrics compute a block's
-distances as arrays, with ``math.fsum`` sums and libm's ``math.acos``, and
-number its distinct values by first occurrence.  A row (angular) or a
-difference (scaled Euclidean) whose largest magnitude lies outside
-[2**-500, 2**500] is first scaled by a power of two, which is exact, so no
-square or product overflows or underflows; every other value is the
-unscaled computation's, bit for bit.
+The one pass over pairs, ``measure.pair_classes``, reads a ``PairSet`` in
+blocks of about ``PAIR_CHUNK_BYTES`` of rows per side and keys each pair
+by an integer; its sorted distinct keys decode to the distances.  Hamming
+keys by the popcount of the XOR of 0/1 rows packed into uint64 words (or
+the count of differing floats), Jaccard by |A n B| * (d + 1) + |A u B|,
+from popcounts of the AND and the OR.  The float metrics compute a
+block's distances as arrays, with ``math.fsum`` sums and libm's
+``math.acos``, and number its distinct values by first occurrence.  A row
+(angular) or a difference (scaled Euclidean) whose largest magnitude lies
+outside [2**-500, 2**500] is first scaled by a power of two, which is
+exact, so no square or product overflows or underflows; every other
+value is the unscaled computation's, bit for bit.
 """
 
 from __future__ import annotations
@@ -71,17 +70,6 @@ class PairSet:
         return ([v for x in xs for v in (x.take(i, axis=0), x.take(j, axis=0))] for i, j in sides)
 
 
-def over_pairs(fn: Callable, pairs: PairSet, x: np.ndarray, dtype) -> np.ndarray:
-    """The array of fn(xa, xb) over the blocks of the pairs, in dtype, with
-    (xa, xb) their rows of x."""
-    out, s = np.empty(len(pairs), dtype=dtype), 0
-    for a, b in pairs.blocks(x):
-        block = fn(a, b)
-        out[s : s + block.size] = block
-        s += block.size
-    return out
-
-
 def rank_keys(keys: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     """Each key's rank among the sorted distinct keys, which hold every key,
     in the smallest unsigned dtype: ranked in place through a table over the
@@ -122,23 +110,11 @@ def _fsums(terms: np.ndarray) -> np.ndarray:
 
 class Metric:
     """A distance between the rows of a dataset's fairness matrix, into
-    [0, 1], evaluated only over blocks of pairs (``pair_distances``).  The
+    [0, 1], read only over blocks of pairs by ``measure.pair_classes``.  The
     one extension point is ``_pair_keys``, which checks the whole matrix
     and keys a block's pairs.  Its base form keys float distances: a float
     metric gives only ``_float_blocks(x)``, the rows a pass reads and
     block(xa, xb), the distances of a block's pairs at their rows."""
-
-    def pair_distances(self, data: Dataset, pairs: PairSet) -> tuple[np.ndarray, list[Distance]]:
-        """(codes, values): values[codes[p]] is the distance of the points of
-        pair p, all of one type, with codes in the smallest unsigned dtype."""
-        key, rows, bound, decode = self._pair_keys(data, len(pairs))
-        keys = over_pairs(key, pairs, rows, np.min_scalar_type(max(bound - 1, 0)))
-        lo, hi = (int(keys.min()), int(keys.max()) + 1) if keys.size else (0, 0)
-        present = np.zeros(hi - lo, dtype=bool)  # a table over the keys' range only
-        for s in range(0, keys.size, PAIR_CHUNK_BYTES // 8):  # chunks keep the intp index temporaries small
-            present[keys[s : s + PAIR_CHUNK_BYTES // 8] - lo] = True
-        distinct = np.flatnonzero(present) + lo
-        return rank_keys(keys, distinct), decode(distinct)
 
     def _pair_keys(self, data: Dataset, n_pairs: int):
         """(key, rows, bound, decode): key(xa, xb) gives the pairs of a block,

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import Dataset, over_common_denominator
-from .measure import Number, manipulation_gain_bound, quantity
+from .measure import Number, manipulation_gain_bound, pair_classes, quantity
 from .metrics import Metric, PairSet, decimal_distance
 
 
@@ -23,7 +23,8 @@ def best_responses(
     """Best response of every candidate as an origin, given the mean
     prediction at each candidate in dataset order; ties go to the lowest id."""
     n = len(candidates)
-    codes, distances = cost.pair_distances(candidates, PairSet(n))  # each pair's distance, once
+    pairs = pair_classes(candidates, cost, PairSet(n), codes=True)  # each pair's distance, once
+    codes, distances = pairs.codes, pairs.values
     values = [Fraction(m) for m in means] + [decimal_distance(d) for d in distances]
     numerators, den = over_common_denominator([v.as_integer_ratio() for v in values])
     numerators = numerators.tolist()

@@ -60,7 +60,7 @@ from fairderand.errors import (
     ZeroVectorError,
 )
 from fairderand.hashing import FixedFamily
-from fairderand.measure import decomposition_bound, prediction_table, sample_pairs
+from fairderand.measure import decomposition_bound, pair_classes, prediction_table, sample_pairs
 from fairderand.metrics import PairSet
 from fairderand.rng import _GOLDEN, _MASK64, _mix64
 
@@ -436,18 +436,22 @@ def brute_aggregate_variance(derand, dataset) -> Fraction:
 
 def split_share(table, a, b):
     """The share of the table's members (or trials) that predict
-    differently at points a and b: exact, or a float in Monte Carlo mode."""
-    n_diff = int(table.split_counts(pairs_of(len(table.dataset), [a], [b]))[0])
+    differently at points a and b, from the one pass over that pair under
+    the table's split counts: exact, or a float in Monte Carlo mode."""
+    metric = NormalizedHamming(table.dataset.fairness_vectors.shape[1])  # any metric: only the gap is read
+    pair = pairs_of(len(table.dataset), [a], [b])
+    n_diff = int(pair_classes(table.dataset, metric, pair, table._split_rows(), table._splits, table.size)
+                 .class_counts[0])
     return Fraction(n_diff, table.size) if table.cfg.exact else n_diff / table.size
 
 
-def reference_excesses(table, classes, budget):
+def reference_excesses(size, exact, classes, budget):
     """``measure._excesses`` over Python lists of the class counts and of
     the running pair total: (pairs whose gap count/size exceeds budget(d),
     gap - budget(d) at the largest count of each distance d), each distance's
     first excess found by a bisection of its classes, ascending in count."""
-    size, counts, cumulative = table.size, classes.class_counts.tolist(), [0, *np.cumsum(classes.weights).tolist()]
-    gap = (lambda n: Fraction(n, size)) if table.cfg.exact else (lambda n: n / size)
+    counts, cumulative = classes.class_counts.tolist(), [0, *np.cumsum(classes.weights).tolist()]
+    gap = (lambda n: Fraction(n, size)) if exact else (lambda n: n / size)
     ends = [*(np.flatnonzero(np.diff(classes.class_codes)) + 1).tolist(), len(counts)][: len(classes.values)]
     violations, tops = 0, []
     for start, end, d in zip([0, *ends], ends, classes.values):
@@ -489,13 +493,13 @@ def reference_family_beta(derand, dataset, metric, alpha, cfg):
 
 def reference_scorer_beta(scorer, dataset, metric, alpha):
     """max(0, max over pairs of |score gap| - alpha*d), pair by pair, with
-    each pair's distance from ``pair_distances``."""
-    scores = [reference_score(scorer, p) for p in each_point(dataset)]
-    i, j = np.triu_indices(len(dataset), 1)
-    codes, values = metric.pair_distances(dataset, PairSet(len(dataset)))
-    pairs = zip(i.tolist(), j.tolist(), codes.tolist())
+    each pair's distance from ``reference_distance``."""
+    rows = each_point(dataset)
+    scores = [reference_score(scorer, p) for p in rows]
+    pairs = itertools.combinations(range(len(rows)), 2)
     # max() keeps its first maximal argument: an int 0 when no excess is positive
-    return max([0, *(abs(scores[a] - scores[b]) - alpha * values[c] for a, b, c in pairs)])
+    return max([0, *(abs(scores[a] - scores[b]) - alpha * reference_distance(metric, rows[a], rows[b])
+                     for a, b in pairs)])
 
 
 def reference_load(path):
@@ -542,7 +546,7 @@ def brute_violation_search(derand, metric, grid, alpha, beta):
     if len(grid) < 2:
         raise InvalidParameterError("grid needs at least 2 points")
     size = len(classifiers)
-    if not beta < 1.0 / size:
+    if not beta < Fraction(1, size):
         raise InvalidParameterError(f"beta must be below 1/|family| = {1.0 / size}")
     bits = [[c.predict(p) for p in grid] for c in classifiers]
     if all(len(set(row)) == 1 for row in bits):

@@ -613,6 +613,25 @@ class TestAdversarialCommand:
         assert abs(x[0] - y[0]) <= 1 / 800 + 1e-12
 
 
+    def test_violation_search_reads_alpha_and_beta_exactly(self, tmp_path, config_factory, capsys):
+        # RT at k = 10 splits 1/10 of the family between scores 0.08 and 0.12, at distance 0.04, whose
+        # double is 0.04000000000000000083: 1/10 is below 1 * d + 6/100, so audit finds no violation.
+        # Read as floats, 0.06 lies below 6/100 and the search certified a violation on this grid.
+        data = tmp_path / "two.csv"
+        write_dataset(data, [["a", "0"], ["b", "0.04"]], ["id", "feat_0"])
+        common = dict(input=str(data), scheme="rt", k=10, alpha=1, beta=0.06,
+                      scorer={"kind": "affine", "weights": [1], "bias": 0.08},
+                      metric={"kind": "scaled_euclidean", "scale": 1})
+        assert main(["audit", "--config", str(config_factory(**common))]) == 0
+        audit = json.loads((tmp_path / "reports" / "audit.json").read_text())
+        assert audit["quantities"]["metric_fairness"]["fairness_violations"]["value"] == 0
+        search = {"construction": "violation_search", "grid_steps": 2, "grid_start": [0], "grid_stop": [0.04]}
+        capsys.readouterr()
+        assert main(["adversarial", "--config", str(config_factory(**common, adversarial=search))]) == 2
+        assert capsys.readouterr().err.startswith("config error: adjacent spacing 0.04 must be below")
+        assert not (tmp_path / "reports" / "adversarial.json").exists()
+
+
 class TestStrategicCommand:
     def test_rows_and_bound_flags(self, scored_csv, config_factory, tmp_path):
         config = config_factory(

@@ -76,7 +76,6 @@ from conftest import (
     enumerate_members,
     joined,
     normal_pair,
-    pairs_of,
     point_of,
     random_binary_dataset,
     random_real_dataset,
@@ -382,6 +381,33 @@ class TestScorerBeta:
             assert got == reference_scorer_beta(scorer, ds, ScaledEuclidean(1.0), alpha)
 
 
+class TestRtOnGridScores:
+    """When every score is a multiple of 1/k, t = score * k, so exact RT's
+    gap at each pair is |s_i - s_j|: the family is exactly as fair as the
+    scorer, with no grid slack (the paper's RT preservation), and its
+    certified beta is the scorer's in value and in type."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        kind=st.sampled_from(["hamming", "jaccard", "euclidean"]),
+        n_points=st.integers(1, 12),
+        k=st.sampled_from([1, 2, 7, 10, 101]),
+        alpha=st.sampled_from([0, 1, Fraction(1, 3), 1.5]),
+    )
+    def test_family_beta_equals_scorer_beta(self, seed, kind, n_points, k, alpha):
+        rng = random.Random(seed)
+        if kind == "euclidean":
+            ds, metric = random_real_dataset(rng, n_points, 3), ScaledEuclidean(1.5)
+        else:
+            ds = random_binary_dataset(rng, n_points, 4)
+            metric = NormalizedHamming(4) if kind == "hamming" else JaccardDistance()
+        scorer = random_scorer(rng, ds, k)  # every score i/k
+        got = family_beta(prediction_table(Derandomizer.rt(scorer, k), ds, EXACT), metric, alpha)
+        expected = scorer_beta(scorer, ds, metric, alpha)
+        assert got == expected and type(got) is type(expected)
+
+
 class TestMetricFairnessCheck:
     def test_rt_preserves_fairness_with_grid_slack(self, py_rng):
         metric = NormalizedHamming(3)
@@ -488,8 +514,8 @@ class TestPairPathMatchesReferenceLoop:
 
 @st.composite
 def synthetic_classes(draw):
-    """(table, classes, budgets): sorted distinct (distance code, split
-    count) classes of a table of ``size`` members (exact) or trials (MC),
+    """(size, exact, classes, budgets): sorted distinct (distance code,
+    split count) classes of a table of ``size`` members (exact) or trials (MC),
     up to 60 a code, and per distance a budget: an int, a Fraction, a
     float, or a class's own gap (a tie), exact or as a float.  As Jaccard's
     codes do, two codes may decode to one distance, which has one budget."""
@@ -507,9 +533,8 @@ def synthetic_classes(draw):
             budgets[d] = draw(st.sampled_from([0, 1, Fraction(tie, size), tie / size, float(Fraction(tie, size))])
                               | st.fractions(-1, 2, max_denominator=10**6) | st.floats(-1, 2))
     weights = draw(st.lists(st.integers(1, 10**6), min_size=len(counts), max_size=len(counts)))
-    table = types.SimpleNamespace(size=size, cfg=EstimatorConfig(mode="exact" if exact else "mc"))
     arrays = (np.array(a, dtype=np.int64) for a in (codes, counts, weights))
-    return table, PairClasses(None, values, None, *arrays), budgets
+    return size, exact, PairClasses(None, values, None, *arrays), budgets
 
 
 class TestExcesses:
@@ -520,25 +545,24 @@ class TestExcesses:
     @settings(max_examples=200, deadline=None)
     @given(case=synthetic_classes())
     def test_equals_list_reference(self, case):
-        table, classes, budgets = case
-        violations, tops = _excesses(table, classes, budgets.__getitem__)
-        expected = reference_excesses(table, classes, budgets.__getitem__)
+        size, exact, classes, budgets = case
+        violations, tops = _excesses(size, exact, classes, budgets.__getitem__)
+        expected = reference_excesses(size, exact, classes, budgets.__getitem__)
         assert type(violations) is int and violations == expected[0]
         assert [repr(t) for t in tops] == [repr(t) for t in expected[1]]
         # a class counts when its gap is above the budget; a tie does not count
-        gap = (lambda n: Fraction(n, table.size)) if table.cfg.exact else (lambda n: n / table.size)
+        gap = (lambda n: Fraction(n, size)) if exact else (lambda n: n / size)
         classes_of = zip(classes.class_codes.tolist(), classes.class_counts.tolist(), classes.weights.tolist())
         assert violations == sum(w for c, n, w in classes_of if gap(n) - budgets[classes.values[c]] > 0)
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_a_tie_does_not_count(self, exact):
         size = 2**63 - 1 if exact else 300
-        table = types.SimpleNamespace(size=size, cfg=EstimatorConfig(mode="exact" if exact else "mc"))
         classes = PairClasses(None, [Fraction(1, 4)], None, *(np.array(a, dtype=np.int64) for a in
                                                                ([0, 0, 0], [5, 9, 12], [3, 4, 2])))
         top, nine = Fraction(12, size) if exact else 12 / size, Fraction(9, size)
-        assert repr(_excesses(table, classes, lambda d: top)) == repr((0, [top - top]))
-        assert repr(_excesses(table, classes, lambda d: nine)) == repr((2, [top - nine]))
+        assert repr(_excesses(size, exact, classes, lambda d: top)) == repr((0, [top - top]))
+        assert repr(_excesses(size, exact, classes, lambda d: nine)) == repr((2, [top - nine]))
 
     def test_verdicts_hold_no_object_per_class(self):
         # 400 points in MC mode: 37,046 (distance, split count) classes over
@@ -557,7 +581,7 @@ class TestExcesses:
         finally:
             tracemalloc.stop()
         assert peak < (16 << 10) + 256 * len(classes.values)
-        violations, tops = reference_excesses(table, classes, lambda d: 1 * d + 0)
+        violations, tops = reference_excesses(table.size, table.cfg.exact, classes, lambda d: 1 * d + 0)
         assert report["fairness_violations"]["value"] == violations and report["worst_excess"]["value"] == max(tops)
         assert beta == max([0, *tops])
 
@@ -728,7 +752,8 @@ class TestSplitCounts:
         i, j = np.triu_indices(len(ds), 1)
         rows = [np.packbits(np.unpackbits(table.rows[r], count=table.size)) for r in range(len(ds))]
         expected = [int(np.bitwise_count(rows[a] ^ rows[b]).sum()) for a, b in zip(i, j)]
-        assert table.split_counts(pairs_of(len(ds), i, j)).tolist() == expected
+        words = table._split_rows()
+        assert table._splits(words[i], words[j]).tolist() == expected
 
 
 def per_point_mc_bits(derand, data, trials, seed):
@@ -831,7 +856,7 @@ class TestBlockOracle:
         assert [sum(row) * derand.k for row in predictions] == [int(t) * len(members) for t in table.t]
         i, j = np.triu_indices(len(ds), 1)
         expected = [sum(x != y for x, y in zip(predictions[a], predictions[b])) for a, b in zip(i, j)]
-        assert table.split_counts(pairs_of(len(ds), i, j)).tolist() == expected
+        assert table._splits(table.rows[i], table.rows[j]).tolist() == expected
         scores = scores_of(derand.scorer, ds)
         mean_bias = sum(Fraction(sum(row), len(members)) - s for row, s in zip(predictions, scores)) / len(ds)
         assert aggregate_bias(table).value == mean_bias

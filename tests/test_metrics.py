@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairderand import Angular, JaccardDistance, NormalizedHamming, ScaledEuclidean
 from fairderand.errors import DimensionMismatchError, NotBinaryError, ZeroVectorError
+from fairderand.measure import pair_classes
 from fairderand.metrics import PairSet
 
 from conftest import dataset_of, joined, pairs_of, random_real_dataset, reference_distance
@@ -24,10 +25,17 @@ def pt(*coords):
     return dataset_of({f"x{next(_IDS)}": coords})
 
 
+def pass_of(metric, data, pairs):
+    """(codes, values) of the one pass over the pairs that keeps their
+    codes: values[codes[p]] is the distance of the points of pair p."""
+    classes = pair_classes(data, metric, pairs, codes=True)
+    return classes.codes, classes.values
+
+
 def distances(metric, points, pairs):
     """The metric's distance at each (a, b) of pairs of the points, from one pass."""
     i, j = zip(*pairs)
-    codes, values = metric.pair_distances(joined(*points), pairs_of(len(points), i, j))
+    codes, values = pass_of(metric, joined(*points), pairs_of(len(points), i, j))
     return [values[c] for c in codes.tolist()]
 
 
@@ -194,7 +202,7 @@ def one_graded_point(rng, n, dim):
 
 
 class TestPairDistances:
-    """pair_distances gives, pair by pair, the value and type of the scalar
+    """The pass gives, pair by pair, the value and type of the scalar
     reference distance."""
 
     @pytest.mark.parametrize(
@@ -215,7 +223,7 @@ class TestPairDistances:
         points = make(rng, 30, 6)
         i, j = np.triu_indices(len(points), 1)
         i, j = np.concatenate([i, [3, 0]]), np.concatenate([j, [3, 0]])  # and x == y
-        codes, values = metric.pair_distances(joined(*points), pairs_of(len(points), i, j))
+        codes, values = pass_of(metric, joined(*points), pairs_of(len(points), i, j))
         assert len(codes) == len(i)
         for p, (a, b) in enumerate(zip(i.tolist(), j.tolist())):
             expected = reference_distance(metric, points[a], points[b])
@@ -230,17 +238,17 @@ class TestPairDistances:
         with pytest.raises(DimensionMismatchError):
             reference_distance(metric, points[1], points[2])
         with pytest.raises(DimensionMismatchError):
-            metric.pair_distances(joined(*points), pairs_of(len(points), [0, 1], [1, 2]))
+            pass_of(metric, joined(*points), pairs_of(len(points), [0, 1], [1, 2]))
 
     def test_non_binary_jaccard_raises_like_distance(self):
         points = [pt(1, 0), pt(0, 1), pt(0.5, 1)]
         with pytest.raises(NotBinaryError):
             reference_distance(JaccardDistance(), points[0], points[2])
         with pytest.raises(NotBinaryError):
-            JaccardDistance().pair_distances(joined(*points), pairs_of(len(points), [0, 0], [1, 2]))
+            pass_of(JaccardDistance(), joined(*points), pairs_of(len(points), [0, 0], [1, 2]))
         # the whole matrix is checked: a point in no pair fails the pass too
         with pytest.raises(NotBinaryError, match="set-valued features must be 0/1"):
-            JaccardDistance().pair_distances(joined(*points), pairs_of(len(points), [0], [1]))
+            pass_of(JaccardDistance(), joined(*points), pairs_of(len(points), [0], [1]))
 
 
 class TestWholeMatrixChecks:
@@ -260,11 +268,11 @@ class TestWholeMatrixChecks:
         points = [pt(1, 0, 1), pt(0, 1, 1), pt(1, 1, 0)] + ([pt(*odd)] if odd else [])
         i, j = (list(side) for side in zip(*pairs)) if pairs else ([], [])
         with pytest.raises(error, match=message):
-            metric.pair_distances(joined(*points), pairs_of(len(points), i, j))
+            pass_of(metric, joined(*points), pairs_of(len(points), i, j))
 
     def test_one_point_pass_checks_the_point(self):
         with pytest.raises(DimensionMismatchError, match="expected dimension 3, got 2"):
-            NormalizedHamming(3).pair_distances(pt(0, 1), PairSet(1))
+            pass_of(NormalizedHamming(3), pt(0, 1), PairSet(1))
 
 
 MAGNITUDES = st.floats(min_value=1e-8, max_value=1e8)
@@ -285,7 +293,7 @@ def matrices(draw, entries, factors):
 
 
 class TestMatchesReference:
-    """Property: on any matrix, pair_distances is the scalar reference in
+    """Property: on any matrix, the pass's distance is the scalar reference in
     value and type at every pair of a full or keyed PairSet, or, where the
     reference is undefined on some point, raises its error."""
 
@@ -322,9 +330,9 @@ class TestMatchesReference:
                 reference_distance(metric, p, p)
         except (ZeroVectorError, NotBinaryError) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                metric.pair_distances(joined(*points), pairs)
+                pass_of(metric, joined(*points), pairs)
             return
-        codes, values = metric.pair_distances(joined(*points), pairs)
+        codes, values = pass_of(metric, joined(*points), pairs)
         assert len(codes) == len(i)
         for p, (a, b) in enumerate(zip(i, j)):
             expected, got = reference_distance(metric, points[a], points[b]), values[codes[p]]
@@ -345,12 +353,12 @@ class TestScaleInvariance:
         for metric, scaled_metric in ((Angular(), Angular()),
                                       (ScaledEuclidean(1.5), ScaledEuclidean(math.ldexp(1.5, k)))):
             try:
-                expected = metric.pair_distances(joined(*(pt(*row) for row in rows)), PairSet(n))
+                expected = pass_of(metric, joined(*(pt(*row) for row in rows)), PairSet(n))
             except ZeroVectorError:
                 with pytest.raises(ZeroVectorError):
-                    scaled_metric.pair_distances(joined(*(pt(*row) for row in scaled)), PairSet(n))
+                    pass_of(scaled_metric, joined(*(pt(*row) for row in scaled)), PairSet(n))
                 continue
-            codes, values = scaled_metric.pair_distances(joined(*(pt(*row) for row in scaled)), PairSet(n))
+            codes, values = pass_of(scaled_metric, joined(*(pt(*row) for row in scaled)), PairSet(n))
             assert [values[c] for c in codes.tolist()] == [expected[1][c] for c in expected[0].tolist()]
 
 
@@ -366,7 +374,7 @@ def test_float_pass_makes_no_python_call_per_pair():
     n_blocks = sum(1 for _ in pairs.blocks(np.zeros((len(dataset), 6))))  # each row, its exponent and its norm
     sys.setprofile(profile)
     try:
-        Angular().pair_distances(dataset, pairs)
+        pass_of(Angular(), dataset, pairs)
     finally:
         sys.setprofile(None)
     assert calls <= 8 * n_blocks < len(pairs)

@@ -13,7 +13,7 @@ from fairderand import (
     SimHashFamily,
     TabularScorer,
 )
-from fairderand.measure import family_beta, family_mean, prediction_table, scorer_beta
+from fairderand.measure import family_beta, family_mean, pair_classes, prediction_table, scorer_beta
 from fairderand.metrics import NormalizedHamming, PairSet, ScaledEuclidean
 from fairderand.strategic import best_responses
 
@@ -113,7 +113,7 @@ class TestBestResponse:
                 rows, block = super()._float_blocks(x)
                 return rows, lambda a, b: np.fmin(block(a, b) + 0.1, 1.0)
 
-        assert min(Shifted(1.0).pair_distances(ds, PairSet(len(ds)))[1]) == pytest.approx(0.2)  # 0.1 apart, plus 0.1
+        assert min(pair_classes(ds, Shifted(1.0), PairSet(len(ds))).values) == pytest.approx(0.2)  # 0.1 apart, plus 0.1
         plain = best_responses(means, ds, ScaledEuclidean(1.0), 1, 0)
         shifted = best_responses(means, ds, Shifted(1.0), 1, 0)
         assert [r["response"] for r in plain] == [r["response"] for r in shifted] == list(ds.ids)
