@@ -1,6 +1,6 @@
 """Batch experiment driver.
 
-Subcommands: derandomize | audit | adversarial | strategic | bounds.
+Commands: derandomize | audit | adversarial | strategic | bounds.
 Configuration is a single strict-JSON file (no NaN or Infinity, as in
 the reports); --seed/--out/--mode/--trials/--pairs-cap flags override the
 file.  Every command is a pure function of (config, dataset, seed):
@@ -11,6 +11,10 @@ Exit codes come from the error bases in ``errors``: 0 success, 2 config
 error (``InvalidParameterError``), 3 data error (``DataError``, or a file
 that cannot be read or written), 4 exact mode on a family whose members
 cannot be listed, or counted below 2**63 (``NotEnumerableError``).
+
+A process pays once for its imports: about 22,000 objects the collector
+tracks.  Only as the process entry (``argv`` None, so no caller's objects
+are caught) does ``main()`` freeze them, sparing every later collection.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -27,14 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adversarial import (
-    SphereConstruction,
-    finite_family_violation_search,
-    sphere_counterexample,
-    verify_sphere_counterexample,
-)
 from .core import AffineScorer, ConstantScorer, Dataset, threshold_counts
-from .dataio import load_dataset, save_dataset
+from .dataio import load_dataset
 from .derandomize import Derandomizer, GridBucketer, IdentityBucketer
 from .errors import ConfigError, DataError, DataFormatError, InvalidParameterError, NotEnumerableError
 from .hashing import BitSamplingFamily, MinHashFamily, SimHashFamily
@@ -55,7 +54,6 @@ from .measure import (
 )
 from .metrics import Angular, JaccardDistance, NormalizedHamming, ScaledEuclidean
 from .rng import CountingRng
-from .strategic import best_responses
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -304,13 +302,14 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
 
 
 def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
+    from . import adversarial, dataio
     spec = config.get("adversarial", {})
     construction = spec.get("construction", "sphere")
     out_dir = Path(config["out"])
     payload = _report_skeleton(config)
 
     if construction == "sphere":
-        cons = SphereConstruction(
+        cons = adversarial.SphereConstruction(
             n_points=int(spec.get("n_points", 10)),
             dimension=int(spec.get("dimension", 2)),
             delta_sphere=float(spec.get("delta_sphere", 0.15)),
@@ -319,11 +318,11 @@ def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
             alpha=float(config.get("alpha", 1.0)),
             beta=float(config.get("beta", 0.0)),
         )
-        dataset, scorer, metric = sphere_counterexample(cons)
+        dataset, scorer, metric = adversarial.sphere_counterexample(cons)
         out_dir.mkdir(parents=True, exist_ok=True)
-        save_dataset(out_dir / "sphere.csv", dataset, scorer)
+        dataio.save_dataset(out_dir / "sphere.csv", dataset, scorer)
         payload["dataset"] = "sphere.csv"
-        payload["quantities"] = verify_sphere_counterexample(cons, dataset, scorer, metric)
+        payload["quantities"] = adversarial.verify_sphere_counterexample(cons, dataset, scorer, metric)
         return _write_report(out_dir, "adversarial.json", payload)
 
     if construction == "violation_search":
@@ -343,7 +342,7 @@ def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
         share = np.arange(steps)[:, None] / (steps - 1)  # each i / (steps - 1) rounded once, as Python's
         grid = Dataset([f"g{i:05d}" for i in range(steps)], start + (stop - start) * share)
         alpha, beta = Fraction(str(config.get("alpha", 1))), Fraction(str(config.get("beta", 0)))  # as audit reads them
-        found = finite_family_violation_search(derand, metric, grid, alpha, beta)
+        found = adversarial.finite_family_violation_search(derand, metric, grid, alpha, beta)
         payload["violation"] = None if found is None else {
             name: {"id": grid.ids[r], "features": grid.features[r].tolist()} for name, r in zip(("x", "x_star"), found)
         }
@@ -353,6 +352,7 @@ def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
 
 
 def cmd_strategic(config: dict, cfg: EstimatorConfig) -> Path:
+    from .strategic import best_responses
     dataset, scorer = _load_input(config)
     cost = _build_metric(config, dataset)
     derand = _build_derandomizer(config, dataset, scorer) if "scheme" in config else None
@@ -400,20 +400,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Derandomize stochastic classifiers and audit the guarantees.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="JSON experiment config")
-        cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--out", default=None, help="override output directory")
-        cmd.add_argument("--mode", choices=("exact", "mc"), default=None)
-        cmd.add_argument("--trials", type=int, default=None)
-        cmd.add_argument("--pairs-cap", type=int, default=None, dest="pairs_cap")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON experiment config")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--out", default=None, help="override output directory")
+    parser.add_argument("--mode", choices=("exact", "mc"), default=None)
+    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--pairs-cap", type=int, default=None, dest="pairs_cap")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if argv is None:
+        gc.freeze()
     try:
         path = COMMANDS[args.command](*_resolve(_load_config(args.config), args))
     except InvalidParameterError as exc:

@@ -1,5 +1,6 @@
 import copy
 import csv
+import gc
 import json
 import math
 import os
@@ -34,6 +35,12 @@ from fairderand.metrics import JaccardDistance
 from fairderand.rng import CountingRng
 
 from conftest import random_binary_dataset, random_scorer
+
+
+def run_python(*args):
+    """A child interpreter on this checkout's package, which must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fairderand.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=True)
 
 
 def write_dataset(path, rows, header):
@@ -515,14 +522,13 @@ class TestAuditCommand:
     def heavy_modules_after_audit(config):
         # numpy.unique without flags imports numpy.ma (about 15 ms) to test
         # for a mask; numpy.random (about 6 MiB, with hashlib and secrets)
-        # has no use, since CountingRng serves every draw
-        modules = ["numpy.ma", "numpy.random", "hashlib", "secrets"]
+        # has no use, since CountingRng serves every draw; an audit needs
+        # neither the adversarial nor the strategic command's module
+        modules = ["numpy.ma", "numpy.random", "hashlib", "secrets", "fairderand.adversarial", "fairderand.strategic"]
         code = ("import sys; from fairderand.cli import main; "
                 f"assert main(['audit', '--config', {str(config)!r}]) == 0; "
                 f"print([m for m in {modules!r} if m in sys.modules])")
-        env = dict(os.environ, PYTHONPATH=str(Path(fairderand.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        return out.stdout.splitlines()[-1]
+        return run_python("-c", code).stdout.splitlines()[-1]
 
     def test_jaccard_audit_leaves_numpy_ma_unimported(self, scored_csv, config_factory):
         config = config_factory(
@@ -718,6 +724,46 @@ class TestBoundsCommand:
     def test_unknown_bound_exits_2(self, config_factory):
         config = config_factory(bounds=[{"name": "nope"}])
         assert main(["bounds", "--config", str(config)]) == 2
+
+
+class TestCommandLine:
+    FLAGS = ["--seed", "3", "--out", "elsewhere", "--mode", "mc", "--trials", "50", "--pairs-cap", "9"]
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_command_takes_the_shared_flags(self, command):
+        args = cli.build_parser().parse_args([command, "--config", "c.json", *self.FLAGS])
+        assert vars(args) == {"command": command, "config": "c.json", "seed": 3, "out": "elsewhere",
+                              "mode": "mc", "trials": 50, "pairs_cap": 9}
+        merged, cfg = cli._resolve({"out": "reports", "seed": 1, "trials": 7}, args)
+        assert cfg == measure.EstimatorConfig(mode="mc", trials=50, seed=3, pairs_cap=9)
+        assert merged["out"] == "elsewhere"
+
+    @pytest.mark.parametrize("argv", [[], ["--config", "c.json"], ["nope", "--config", "c.json"], ["audit"],
+                                      ["audit", "--config", "c.json", "--mode", "fast"]])
+    def test_malformed_command_line_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: fairderand")
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"{fairderand.__version__}\n"
+
+    def test_in_process_call_leaves_the_collector_unfrozen(self, scored_csv, config_factory):
+        frozen = gc.get_freeze_count()
+        assert main(["audit", "--config", str(config_factory(input=str(scored_csv)))]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_process_entry_freezes_the_import_heap(self, scored_csv, config_factory):
+        # main() reads the process's own sys.argv, as the console script does
+        config = config_factory(input=str(scored_csv))
+        code = ("import gc, sys; from fairderand.cli import main; "
+                f"sys.argv = ['fairderand', 'audit', '--config', {str(config)!r}]; "
+                "assert main() == 0; print(gc.get_freeze_count())")
+        assert int(run_python("-c", code).stdout.splitlines()[-1]) > 0
 
 
 class TestConfigHandling:

@@ -19,15 +19,21 @@ sphere's coordinates from its ``cos``, ``sin`` and ``asin``; the files
 were written with glibc's.
 
 The configs name their files by relative paths, so each command runs with
-the test's temporary directory as its working directory.
+the test's temporary directory as its working directory.  One case of each
+command also runs as its own ``python -m fairderand.cli`` process, the
+entry that freezes the import heap before the command runs.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fairderand
 from fairderand.cli import main
 from fairderand.dataio import save_dataset
 
@@ -114,21 +120,28 @@ CASES = {  # name: (input, config, command)
 }
 
 
-def run_case(name: str, directory: Path) -> Path:
+def run_process(argv: list) -> int:
+    """The exit code of the command line argv, run as its own process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fairderand.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "fairderand.cli", *argv], env=env).returncode
+
+
+def run_case(name: str, directory: Path, run=main) -> Path:
     """Write the case's input and config into directory and run its command
-    there; the report directory, relative to directory."""
+    there, in this process or by run; the report directory, relative to
+    directory."""
     data, config, command = CASES[name]
     config = {**config, "mode": "exact", "seed": 5, "out": "reports"}
     if data is not None:
         write_scored(directory / "data.csv", **data)
         config["input"] = "data.csv"
     (directory / "config.json").write_text(json.dumps(config), encoding="utf-8")
-    assert main([command, "--config", "config.json"]) == 0
+    assert run([command, "--config", "config.json"]) == 0
     return Path("reports")
 
 
-def check_case(name: str, directory: Path) -> None:
-    out = run_case(name, directory)
+def check_case(name: str, directory: Path, run=main) -> None:
+    out = run_case(name, directory, run)
     expected = sorted(p.name for p in (GOLDEN / name).iterdir())
     assert sorted(p.name for p in out.iterdir()) == expected
     for file_name in expected:
@@ -151,3 +164,10 @@ def test_derandomize_matches_golden(name, tmp_path, monkeypatch):
 def test_float_report_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     check_case(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", ["ls-bit-sampling-curve", "derandomize-rt", "strategic-scaled-euclidean",
+                                  "adversarial-sphere"])
+def test_process_entry_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    check_case(name, tmp_path, run_process)

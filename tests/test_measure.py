@@ -892,7 +892,7 @@ class TestBlockOracle:
         rng = random.Random(seed)
         ds, derand = self.derandomizer(kind, rng, n_points)
         cfg = EstimatorConfig(mode="mc", trials=trials, seed=seed)
-        with mock.patch.object(measure, "PAIR_CHUNK_BYTES", per_block * trials):
+        with mock.patch.object(measure, "PAIR_CHUNK_BYTES", 8 * per_block * trials):  # 8 bytes per (point, trial)
             table = prediction_table(derand, ds, cfg)
         expected = per_point_mc_bits(derand, ds, trials, seed)
         assert np.array_equal([np.unpackbits(table.rows[r], count=trials) for r in range(len(ds))], expected)
@@ -922,7 +922,7 @@ class TestBlockOracle:
         scorer = TabularScorer({p: Fraction(rng.randint(0, 20), 20) for p in points.ids})
         derand = Derandomizer(scorer, derand.bucketing, derand.k)
         cfg = EstimatorConfig(mode=mode, trials=37, seed=seed)
-        per_point = len(derand.bucketing.all_keys()) if mode == "exact" else 37
+        per_point = len(derand.bucketing.all_keys()) if mode == "exact" else 8 * 37  # a block's bytes per point
         with mock.patch.object(measure, "PAIR_CHUNK_BYTES", 3 * per_point):
             table = outcome(lambda: prediction_table(derand, points, cfg))
         if mode == "exact":  # the members that predict 1, point by point
