@@ -23,6 +23,6 @@ from .hashing import (
     PiFamily,
     SimHashFamily,
 )
-from .measure import Estimate, EstimatorConfig
+from .measure import EstimatorConfig
 from .metrics import Angular, JaccardDistance, Metric, NormalizedHamming, ScaledEuclidean
 from .rng import CountingRng

@@ -26,7 +26,7 @@ import numpy as np
 from .core import Dataset, TabularScorer
 from .derandomize import Derandomizer, IdentityBucketer
 from .errors import GridTooCoarseError, InvalidParameterError
-from .measure import EstimatorConfig, Number, pair_classes, prediction_table, quantity, scorer_beta
+from .measure import EstimatorConfig, Number, _excesses, pair_classes, prediction_table, quantity, scorer_beta
 from .metrics import Metric, PairSet, ScaledEuclidean
 
 
@@ -123,13 +123,13 @@ def verify_sphere_counterexample(
 
     residual = scorer_beta(scorer, dataset, metric, 1)
     pairs = table.pair_classes(metric)
-    classes = list(zip(pairs.class_codes.tolist(), pairs.class_counts.tolist(), pairs.weights.tolist()))
-    pairs_below_floor = sum(w for _, n_diff, w in classes if Fraction(n_diff, table.size) < floor_value)
-    budget = [cfg.alpha * d + Fraction(str(cfg.beta)) for d in pairs.values]  # each distance's
-    pairs_not_violating = sum(w for code, n_diff, w in classes if not Fraction(n_diff, table.size) > budget[code])
+    pairs_below_floor = sum(w for n_diff, w in zip(pairs.class_counts.tolist(), pairs.weights.tolist())
+                            if Fraction(n_diff, table.size) < floor_value)
+    checked, beta = int(pairs.weights.sum()), Fraction(str(cfg.beta))
+    pairs_not_violating = checked - _excesses(table.size, True, pairs, lambda d: cfg.alpha * d + beta)[0]
 
     return {
-        "pairs_checked": quantity(int(pairs.weights.sum())),
+        "pairs_checked": quantity(checked),
         "scorer_unfairness_residual": quantity(
             residual, bound=0, bound_source="scorer is (1, 0, d)-fair by construction"
         ),

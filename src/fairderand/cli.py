@@ -4,8 +4,10 @@ Commands: derandomize | audit | adversarial | strategic | bounds.
 Configuration is a single strict-JSON file (no NaN or Infinity, as in
 the reports); --seed/--out/--mode/--trials/--pairs-cap flags override the
 file.  Every command is a pure function of (config, dataset, seed):
-re-running writes identical files.  ``strategic`` reads a scheme's family
-means t/k, else the scores; a row is {origin, response, gain: quantity()}.
+re-running writes identical files.  A command only wires: ``measure``
+builds every audit entry, bound and verdict included, and ``_write_report``
+adds {version, config}.  ``strategic`` reads a scheme's ``family_mean``,
+else the scores; a row is {origin, response, gain: quantity()}.
 
 Exit codes come from the error bases in ``errors``: 0 success, 2 config
 error (``InvalidParameterError``), 3 data error (``DataError``, or a file
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import AffineScorer, ConstantScorer, Dataset, threshold_counts
+from .core import AffineScorer, ConstantScorer, Dataset
 from .dataio import load_dataset
 from .derandomize import Derandomizer, GridBucketer, IdentityBucketer
 from .errors import ConfigError, DataError, DataFormatError, InvalidParameterError, NotEnumerableError
@@ -42,13 +44,12 @@ from .measure import (
     aggregate_bias,
     aggregate_fairness_tail_check,
     aggregate_variance,
-    bias_bound,
     compute_bound,
     empirical_fairness_curve,
+    family_mean,
     metric_fairness_check,
     prediction_table,
     quantity,
-    rt_variance_bound,
     sample_classifier,
     worst_case_aggregate_bound,
 )
@@ -209,34 +210,30 @@ def _json_number(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _write_report(out_dir: Path, name: str, payload: dict) -> Path:
-    # serialize first: a payload that cannot be written leaves no file
+def _write_report(config: dict, name: str, body: dict) -> Path:
+    """Writes the report {version, config, **body} to the config's out
+    directory and returns its path; a body that cannot be serialized as
+    strict JSON leaves no file."""
+    payload = {"version": __version__, "config": config, **body}
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_json_number)
+    out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     path.write_text(text + "\n", encoding="utf-8")
     return path
 
 
-def _report_skeleton(config: dict) -> dict:
-    return {"version": __version__, "config": config}
-
-
 def cmd_derandomize(config: dict, cfg: EstimatorConfig) -> Path:
     dataset, scorer = _load_input(config)
     derand = _build_derandomizer(config, dataset, scorer)
     params, budget, predictions = sample_classifier(derand, dataset, CountingRng(cfg.seed))
-    payload = _report_skeleton(config)
-    payload.update(
-        {
-            "scheme": config["scheme"],
-            "seed": cfg.seed,
-            "classifier": params,
-            "bit_budget": budget.as_dict(),
-            "predictions": dict(zip(dataset.ids, predictions.tolist())),
-        }
-    )
-    return _write_report(Path(config["out"]), "derandomize.json", payload)
+    return _write_report(config, "derandomize.json", {
+        "scheme": config["scheme"],
+        "seed": cfg.seed,
+        "classifier": params,
+        "bit_budget": budget.as_dict(),
+        "predictions": dict(zip(dataset.ids, predictions.tolist())),
+    })
 
 
 def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
@@ -247,29 +244,12 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
     alpha = Fraction(str(config.get("alpha", 1)))
     beta = Fraction(str(config.get("beta", 0)))
 
-    payload = _report_skeleton(config)
     table = prediction_table(derand, dataset, cfg)
-
-    bias = aggregate_bias(table)
-    budget = bias_bound(derand.k)
-    quantities = {"aggregate_bias": quantity(bias.value, bias.stderr, budget, "family bias budget 1/k")}
-
-    variance = aggregate_variance(table)
-    if derand.bucketing.n_buckets == 1:  # the shared-threshold family, whichever scheme built it
-        den = table.den
-        mean_fvar = Fraction(sum(p * (den - p) for p in table.numerators.tolist()), den * den * len(dataset))
-        bound = float(rt_variance_bound(mean_fvar)) + float(budget)
-        quantities["aggregate_variance"] = quantity(
-            variance.value, variance.stderr, bound, "mean score variance budget (grid slack 1/k)"
-        )
-    else:
-        quantities["aggregate_variance"] = quantity(variance.value, variance.stderr)
-
+    quantities = {"aggregate_bias": aggregate_bias(table), "aggregate_variance": aggregate_variance(table)}
     n_classifiers = int(config.get("n_classifiers", 0)) if derand.bucketing.locality_sensitive else 0
     if n_classifiers:  # the tail check reads every pair: one pass, which histograms the capped sample too
         table.pair_classes(metric)
-    fairness = metric_fairness_check(table, metric, alpha, beta)
-    quantities["metric_fairness"] = fairness
+    fairness = quantities["metric_fairness"] = metric_fairness_check(table, metric, alpha, beta)
 
     if derand.bucketing.locality_sensitive:
         tau = Fraction(str(config.get("tau", 0.05)))  # exact too: a pair at distance 3/10 is within 0.3
@@ -282,7 +262,7 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
             quantities["aggregate_fairness_tail"] = aggregate_fairness_tail_check(
                 table, metric, alpha, tau, delta, n_classifiers, CountingRng(cfg.seed)
             )
-    payload["quantities"] = quantities
+    payload = {"quantities": quantities}
 
     alphas = config.get("curve_alphas")
     out_dir = Path(config["out"])
@@ -298,16 +278,13 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
     if "pair_sample_seed" in fairness:
         payload["pair_sample_seed"] = fairness["pair_sample_seed"]["value"]
 
-    return _write_report(out_dir, "audit.json", payload)
+    return _write_report(config, "audit.json", payload)
 
 
 def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
     from . import adversarial, dataio
     spec = config.get("adversarial", {})
     construction = spec.get("construction", "sphere")
-    out_dir = Path(config["out"])
-    payload = _report_skeleton(config)
-
     if construction == "sphere":
         cons = adversarial.SphereConstruction(
             n_points=int(spec.get("n_points", 10)),
@@ -319,11 +296,11 @@ def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
             beta=float(config.get("beta", 0.0)),
         )
         dataset, scorer, metric = adversarial.sphere_counterexample(cons)
+        out_dir = Path(config["out"])
         out_dir.mkdir(parents=True, exist_ok=True)
         dataio.save_dataset(out_dir / "sphere.csv", dataset, scorer)
-        payload["dataset"] = "sphere.csv"
-        payload["quantities"] = adversarial.verify_sphere_counterexample(cons, dataset, scorer, metric)
-        return _write_report(out_dir, "adversarial.json", payload)
+        quantities = adversarial.verify_sphere_counterexample(cons, dataset, scorer, metric)
+        return _write_report(config, "adversarial.json", {"dataset": "sphere.csv", "quantities": quantities})
 
     if construction == "violation_search":
         dataset, scorer = _load_input(config)
@@ -343,10 +320,10 @@ def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
         grid = Dataset([f"g{i:05d}" for i in range(steps)], start + (stop - start) * share)
         alpha, beta = Fraction(str(config.get("alpha", 1))), Fraction(str(config.get("beta", 0)))  # as audit reads them
         found = adversarial.finite_family_violation_search(derand, metric, grid, alpha, beta)
-        payload["violation"] = None if found is None else {
+        violation = None if found is None else {
             name: {"id": grid.ids[r], "features": grid.features[r].tolist()} for name, r in zip(("x", "x_star"), found)
         }
-        return _write_report(out_dir, "adversarial.json", payload)
+        return _write_report(config, "adversarial.json", {"violation": violation})
 
     raise ConfigError(f"unknown construction {construction!r}")
 
@@ -355,16 +332,15 @@ def cmd_strategic(config: dict, cfg: EstimatorConfig) -> Path:
     from .strategic import best_responses
     dataset, scorer = _load_input(config)
     cost = _build_metric(config, dataset)
-    derand = _build_derandomizer(config, dataset, scorer) if "scheme" in config else None
-    numerators, den = scorer.scores(dataset)
-    if derand is not None:  # the family's means t/k
-        numerators, den = threshold_counts(numerators, den, derand.k), derand.k
-    means = [Fraction(n, den) for n in numerators.tolist()]
+    if "scheme" in config:  # the family's means t/k
+        means = family_mean(_build_derandomizer(config, dataset, scorer), dataset)
+    else:
+        numerators, den = scorer.scores(dataset)
+        means = [Fraction(n, den) for n in numerators.tolist()]
     alpha, beta = Fraction(str(config.get("alpha", 1))), Fraction(str(config.get("beta", 0)))  # as audit reads them
     rows = best_responses(means, dataset, cost, alpha, beta)
-    payload = {**_report_skeleton(config), "responses": rows}
-    payload["all_within_bound"] = all(row["gain"]["satisfied"] for row in rows)
-    return _write_report(Path(config["out"]), "strategic.json", payload)
+    all_within = all(row["gain"]["satisfied"] for row in rows)
+    return _write_report(config, "strategic.json", {"responses": rows, "all_within_bound": all_within})
 
 
 def cmd_bounds(config: dict, cfg: EstimatorConfig) -> Path:
@@ -380,9 +356,7 @@ def cmd_bounds(config: dict, cfg: EstimatorConfig) -> Path:
         if not all(type(v) is int or type(v) is float and math.isfinite(v) for v in spec.values()):
             raise ConfigError(f"the inputs of bound {name!r} must be finite numbers")
         results.append({"name": name, "inputs": spec, "value": float(compute_bound(name, **spec))})
-    payload = _report_skeleton(config)
-    payload["bounds"] = results
-    return _write_report(Path(config["out"]), "bounds.json", payload)
+    return _write_report(config, "bounds.json", {"bounds": results})
 
 
 COMMANDS = {

@@ -4,9 +4,12 @@ Exact mode averages over the full classifier family and reports rationals
 (integer counts over family-size denominators), so comparisons against
 bounds like 1/k are free of float noise.  Monte Carlo mode samples
 classifiers with the array draws of ``CountingRng(seed)``, vectorized
-over trials, and reports standard errors.  Every report entry comes from
-``quantity()``, which holds the one verdict rule: a value meets its bound when
-|value| <= bound + 4 * stderr, with stderr 0 for an exact value.
+over trials, and reports standard errors.  Every report entry is built
+here, by ``quantity()``, with its family's bound (the bias 1/k, and a
+one-bucket family's variance the mean score variance plus 1/k) and the one
+verdict rule: |value| <= bound + 4 * stderr, with stderr 0 for an exact value.
+A pair verdict compares count/size with its budget in integers, so a float
+budget counts at its exact value.
 
 Every audited quantity reduces one ``PredictionTable``, filled a block of
 about ``PAIR_CHUNK_BYTES`` at a time from slices of the bucketing's
@@ -92,14 +95,6 @@ class EstimatorConfig:
     @property
     def exact(self) -> bool:
         return self.mode == "exact"
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """A measured quantity: exact rational, or float with a standard error."""
-
-    value: Number
-    stderr: Optional[float] = None
 
 
 def quantity(
@@ -365,16 +360,19 @@ def sample_classifier(derand: Derandomizer, dataset: Dataset, rng: CountingRng) 
 
 
 def _excesses(size: int, exact: bool, classes: PairClasses, budget: Callable) -> tuple[int, list[Number]]:
-    """The pairs whose gap count/size exceeds budget(d), and gap - budget(d)
-    at the largest count of each distance d, the gap exact or a float, from a
-    bisection that indexes the class arrays, ascending in count at each d."""
+    """The pairs whose gap count/size exceeds budget(d), decided in integers
+    as count * den > num * size for budget(d) = num/den (no gap exceeds an
+    infinite budget), and gap - budget(d) at the largest count of each
+    distance d, the gap exact or a float, from a bisection that indexes the
+    class arrays, ascending in count at each d."""
     counts, weights = classes.class_counts, classes.weights
     gap = (lambda c: Fraction(int(counts[c]), size)) if exact else (lambda c: int(counts[c]) / size)
     bounds = np.searchsorted(classes.class_codes, np.arange(len(classes.values) + 1))  # each distance's first class
     violations, tops = 0, []
     for start, end, d in zip(bounds[:-1], bounds[1:], classes.values):
         b = budget(d)
-        over = bisect.bisect_left(range(start, end), True, key=lambda c: gap(c) - b > 0) + start
+        num, den = (1, 0) if b == math.inf else b.as_integer_ratio()
+        over = bisect.bisect_left(range(start, end), True, key=lambda c: int(counts[c]) * den > num * size) + start
         violations += int(weights[over:end].sum())
         tops.append(gap(end - 1) - b)
     return violations, tops
@@ -401,31 +399,40 @@ def _close_pairs(table: PredictionTable, metric: Metric, tau: Number) -> tuple[P
 # ---------------------------------------------------------------------------
 # bias and variance
 
-def aggregate_bias(table: PredictionTable) -> Estimate:
-    """Dataset average of the pointwise bias."""
-    n = len(table.dataset)
+def aggregate_bias(table: PredictionTable) -> dict:
+    """Dataset average of the pointwise bias, against the bias budget 1/k."""
+    n, k = len(table.dataset), table.derand.k
     numerators = table.numerators.tolist()
     if table.cfg.exact:  # each mean prediction is t/k
-        return Estimate((Fraction(int(table.t.sum()), table.derand.k) - Fraction(sum(numerators), table.den)) / n)
-    _check_trials(table.size)
-    mu = table.sums / n
-    mean_score = math.fsum(v / table.den for v in numerators) / n  # each score's float, as int / int rounds
-    return Estimate(float(mu.mean()) - mean_score, float(mu.std(ddof=1)) / math.sqrt(table.size))
+        value, stderr = (Fraction(int(table.t.sum()), k) - Fraction(sum(numerators), table.den)) / n, None
+    else:
+        _check_trials(table.size)
+        mu = table.sums / n
+        mean_score = math.fsum(v / table.den for v in numerators) / n  # each score's float, as int / int rounds
+        value, stderr = float(mu.mean()) - mean_score, float(mu.std(ddof=1)) / math.sqrt(table.size)
+    return quantity(value, stderr, bias_bound(k), "family bias budget 1/k")
 
 
-def aggregate_variance(table: PredictionTable) -> Estimate:
+def aggregate_variance(table: PredictionTable) -> dict:
     """Variance, across family members, of the member's dataset-mean
     prediction.  Exact: E[f_i f_j] is min(t_i, t_j)/k on one bucket and
     t_i t_j / k^2 on two, so the variance is the sum of
     k min(t_i, t_j) - t_i t_j over the B bucketing members and the ordered
-    pairs (i, j) in one of its buckets, over B k^2 n^2."""
-    n = len(table.dataset)
+    pairs (i, j) in one of its buckets, over B k^2 n^2.  A one-bucket
+    family (the shared threshold, whichever scheme built it) is set against
+    the mean score variance plus 1/k."""
+    n, k, den = len(table.dataset), table.derand.k, table.den
     if table.cfg.exact:
-        k, members = table.derand.k, table.rows.shape[1] - 1
-        return Estimate(Fraction(1, members * k * k * n * n) * _same_bucket_sum(table.rows, k))
-    _check_trials(table.size)
-    mu = table.sums / n
-    return Estimate(float(mu.var(ddof=1)), _variance_stderr(mu))
+        value, stderr = Fraction(1, (table.rows.shape[1] - 1) * k * k * n * n) * _same_bucket_sum(table.rows, k), None
+    else:
+        _check_trials(table.size)
+        mu = table.sums / n
+        value, stderr = float(mu.var(ddof=1)), _variance_stderr(mu)
+    if table.derand.bucketing.n_buckets > 1:
+        return quantity(value, stderr)
+    mean_fvar = Fraction(sum(p * (den - p) for p in table.numerators.tolist()), den * den * n)
+    bound = float(rt_variance_bound(mean_fvar)) + float(bias_bound(k))
+    return quantity(value, stderr, bound, "mean score variance budget (grid slack 1/k)")
 
 
 def _same_bucket_sum(rows: np.ndarray, k: int) -> int:
@@ -517,7 +524,7 @@ def aggregate_fairness_tail_check(
     rhos = sampled_aggregate_fairness(table, metric, tau, n_classifiers, rng)
     beta = family_beta(table, metric, alpha)
     bound = aggregate_tail_bound(alpha, beta, tau, delta)
-    violating = sum(float(r) > bound for r in rhos)
+    violating = sum(r > bound for r in rhos)  # exact: a Fraction against the float
     fraction = violating / n_classifiers
     return {
         "certified_beta": quantity(beta),

@@ -449,14 +449,15 @@ def reference_excesses(size, exact, classes, budget):
     """``measure._excesses`` over Python lists of the class counts and of
     the running pair total: (pairs whose gap count/size exceeds budget(d),
     gap - budget(d) at the largest count of each distance d), each distance's
-    first excess found by a bisection of its classes, ascending in count."""
+    first excess found by a bisection of its classes, ascending in count,
+    comparing Fraction(count, size) with Fraction(budget(d))."""
     counts, cumulative = classes.class_counts.tolist(), [0, *np.cumsum(classes.weights).tolist()]
     gap = (lambda n: Fraction(n, size)) if exact else (lambda n: n / size)
     ends = [*(np.flatnonzero(np.diff(classes.class_codes)) + 1).tolist(), len(counts)][: len(classes.values)]
     violations, tops = 0, []
     for start, end, d in zip([0, *ends], ends, classes.values):
         b = budget(d)
-        over = bisect.bisect_left(range(start, end), True, key=lambda c: gap(counts[c]) - b > 0) + start
+        over = bisect.bisect_left(range(start, end), True, key=lambda c: Fraction(counts[c], size) > Fraction(b)) + start
         violations += cumulative[end] - cumulative[over]
         tops.append(gap(counts[end - 1]) - b)
     return violations, tops

@@ -312,6 +312,18 @@ class TestAuditCommand:
         assert reports[0] == reports[1]
         assert "bound" in reports[1]["aggregate_variance"]
 
+    def test_exact_verdict_on_a_float_distance_tie(self, tmp_path, config_factory):
+        # the gap is 3/10 and the loaded distance is the double nearest 0.3,
+        # just below it: compared exactly, the pair violates alpha * d + beta
+        path = tmp_path / "tie.csv"
+        write_dataset(path, [["a", "0", "0.05"], ["b", "0.3", "0.35"]], ["id", "feat_0", "score"])
+        config = config_factory(input=str(path), scheme="rt", k=10, alpha=1, beta=0,
+                                metric={"kind": "scaled_euclidean", "scale": 1})
+        assert main(["audit", "--config", str(config)]) == 0
+        fairness = json.loads((tmp_path / "reports" / "audit.json").read_text())["quantities"]["metric_fairness"]
+        assert fairness["fairness_violations"]["value"] == 1
+        assert fairness["fairness_violations"]["satisfied"] is False
+
     def test_exact_mode_on_simhash_exits_4(self, scored_csv, config_factory):
         config = config_factory(
             input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "simhash"},
@@ -904,7 +916,7 @@ class TestConfigHandling:
 
     def test_unwritable_report_leaves_no_file(self, tmp_path):
         with pytest.raises(ValueError):
-            cli._write_report(tmp_path, "audit.json", {"value": math.nan})
+            cli._write_report({"out": str(tmp_path)}, "audit.json", {"value": math.nan})
         assert not (tmp_path / "audit.json").exists()
 
     def test_missing_input_file_exits_3(self, config_factory):

@@ -162,7 +162,7 @@ class TestOracleAgreement:
         for derand in small_families(ds, scorer):
             table, points = prediction_table(derand, ds, EXACT), each_point(ds)
             assert family_mean(derand, ds) == [brute_mean(derand, p) for p in points]
-            assert aggregate_variance(table).value == brute_aggregate_variance(derand, ds)
+            assert aggregate_variance(table)["value"] == brute_aggregate_variance(derand, ds)
             assert split_share(table, 0, 1) == brute_pairwise(derand, points[0], points[1])
 
     def test_monte_carlo_within_four_sigma_of_exact(self, py_rng):
@@ -170,13 +170,13 @@ class TestOracleAgreement:
         scorer = random_scorer(py_rng, ds)
         mc = EstimatorConfig(mode="mc", trials=100_000, seed=11)
         for derand in small_families(ds, scorer, k=7):
-            exact_bias = aggregate_bias(prediction_table(derand, ds, EXACT)).value
+            exact_bias = aggregate_bias(prediction_table(derand, ds, EXACT))["value"]
             est = aggregate_bias(prediction_table(derand, ds, mc))
-            assert abs(est.value - float(exact_bias)) <= 4 * est.stderr + 1e-12
+            assert abs(est["value"] - float(exact_bias)) <= 4 * est["stderr"] + 1e-12
 
-            exact_var = aggregate_variance(prediction_table(derand, ds, EXACT)).value
+            exact_var = aggregate_variance(prediction_table(derand, ds, EXACT))["value"]
             est = aggregate_variance(prediction_table(derand, ds, mc))
-            assert abs(est.value - float(exact_var)) <= 4 * est.stderr + 1e-12
+            assert abs(est["value"] - float(exact_var)) <= 4 * est["stderr"] + 1e-12
 
             exact_pair = split_share(prediction_table(derand, ds, EXACT), 0, 2)
             est = split_share(prediction_table(derand, ds, mc), 0, 2)
@@ -227,25 +227,25 @@ class TestBias:
     def test_rt_grid_aligned_bias_zero(self):
         ds = binary_dataset()
         scorer = TabularScorer({"x1": 0.3, "x2": 0.7, "x3": 1.0})
-        assert aggregate_bias(prediction_table(Derandomizer.rt(scorer, 10), ds, EXACT)).value == 0
+        assert aggregate_bias(prediction_table(Derandomizer.rt(scorer, 10), ds, EXACT))["value"] == 0
 
     def test_pi_bias_exact_example(self):
         ds = binary_dataset()
         derand = Derandomizer.pi(ConstantScorer(0.5), ds, IdentityBucketer(), 5)
         assert brute_mean(derand, point_of(ds, 0)) - Fraction(1, 2) == Fraction(-1, 10)
-        assert aggregate_bias(prediction_table(derand, ds, EXACT)).value == Fraction(-1, 10)
+        assert aggregate_bias(prediction_table(derand, ds, EXACT))["value"] == Fraction(-1, 10)
 
     def test_constant_one_family_zero_bias(self):
         ds = binary_dataset()
         derand = Derandomizer.rt(ConstantScorer(1), 5)
         assert brute_mean(derand, point_of(ds, 0)) == 1
-        assert aggregate_bias(prediction_table(derand, ds, EXACT)).value == 0
+        assert aggregate_bias(prediction_table(derand, ds, EXACT))["value"] == 0
 
     def test_singleton_dataset_aggregate_equals_pointwise(self):
         ds = dataset_of({"only": (0.0, 1.0)})
         derand = Derandomizer.rt(TabularScorer({"only": 0.41}), 7)
         table = prediction_table(derand, ds, EXACT)
-        assert aggregate_bias(table).value == brute_mean(derand, ds) - reference_score(derand.scorer, ds)
+        assert aggregate_bias(table)["value"] == brute_mean(derand, ds) - reference_score(derand.scorer, ds)
 
     def test_mc_mean_score_is_one_rounding(self):
         # 0.1 + 0.2 + 0.3 left to right is 0.6000000000000001, and 0.6 right
@@ -254,7 +254,7 @@ class TestBias:
         for ids in itertools.permutations("abc"):
             ds = dataset_of({i: (0.0,) for i in ids})
             table = prediction_table(Derandomizer.rt(scorer, 10), ds, EstimatorConfig(mode="mc", trials=50, seed=3))
-            values.append(aggregate_bias(table).value)
+            values.append(aggregate_bias(table)["value"])
             assert values[-1] == float(table.sums.mean() / 3) - 0.6 / 3
         assert len(set(values)) == 1
 
@@ -267,7 +267,7 @@ class TestBias:
                     Derandomizer.pi(scorer, ds, IdentityBucketer(), k),
                     Derandomizer(scorer, BitSamplingFamily(3), k),
                 ):
-                    value = aggregate_bias(prediction_table(derand, ds, EXACT)).value
+                    value = aggregate_bias(prediction_table(derand, ds, EXACT))["value"]
                     assert abs(value) <= bias_bound(k)
 
 
@@ -275,18 +275,18 @@ class TestVariance:
     def test_deterministic_scores_give_zero_rt_variance(self):
         ds = binary_dataset()
         scorer = TabularScorer({"x1": 0, "x2": 1, "x3": 1})
-        assert aggregate_variance(prediction_table(Derandomizer.rt(scorer, 9), ds, EXACT)).value == 0
+        assert aggregate_variance(prediction_table(Derandomizer.rt(scorer, 9), ds, EXACT))["value"] == 0
 
     def test_half_score_single_point(self):
         ds = dataset_of({"q": (0.0,)})
         derand = Derandomizer.rt(TabularScorer({"q": 0.5}), 10)
-        assert aggregate_variance(prediction_table(derand, ds, EXACT)).value == Fraction(1, 4)
+        assert aggregate_variance(prediction_table(derand, ds, EXACT))["value"] == Fraction(1, 4)
 
     def test_pi_variance_bound_separating_bucketer(self, py_rng):
         ds = random_binary_dataset(py_rng, 4, 4)
         scorer = random_scorer(py_rng, ds)
         derand = Derandomizer.pi(scorer, ds, IdentityBucketer(), 11)
-        value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
+        value = aggregate_variance(prediction_table(derand, ds, EXACT))["value"]
         mean_fvar = sum((s := reference_score(scorer, p)) * (1 - s) for p in each_point(ds)) / len(ds)
         # separating bucketer: max bucket mass is 1/|B|
         assert value <= pi_variance_bound(Fraction(1, len(ds)), mean_fvar, 11)
@@ -295,7 +295,7 @@ class TestVariance:
         ds = random_binary_dataset(py_rng, 4, 3)
         scorer = random_scorer(py_rng, ds)
         derand = Derandomizer(scorer, BitSamplingFamily(3), 11)
-        value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
+        value = aggregate_variance(prediction_table(derand, ds, EXACT))["value"]
         mean_fvar = sum((s := reference_score(scorer, p)) * (1 - s) for p in each_point(ds)) / len(ds)
         # mean over members of the max bucket mass, exact
         members = [reference_member(derand.bucketing, key) for key in derand.bucketing.all_keys()]
@@ -314,9 +314,33 @@ class TestVariance:
             ds = random_binary_dataset(py_rng, 5, 3)
             scorer = random_scorer(py_rng, ds)
             derand = Derandomizer.rt(scorer, 13)
-            value = aggregate_variance(prediction_table(derand, ds, EXACT)).value
+            value = aggregate_variance(prediction_table(derand, ds, EXACT))["value"]
             mean_fvar = sum((s := reference_score(scorer, p)) * (1 - s) for p in each_point(ds)) / len(ds)
             assert value <= rt_variance_bound(mean_fvar) + Fraction(1, 13)
+
+    @pytest.mark.parametrize("family,bounded", [
+        (lambda scorer, ds: Derandomizer.rt(scorer, 11), True),
+        (lambda scorer, ds: Derandomizer.pi(scorer, ds, GridBucketer(10.0), 11), True),  # one realized cell
+        (lambda scorer, ds: Derandomizer(scorer, BitSamplingFamily(2), 11), False),
+        (lambda scorer, ds: Derandomizer.pi(scorer, ds, GridBucketer(0.5), 11), False),  # three cells
+    ], ids=["rt", "pi-one-cell", "ls-bit-sampling", "pi-three-cells"])
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_one_bucket_families_carry_the_score_variance_bound(self, family, bounded, mode):
+        # the shared-threshold family, whichever scheme built it, is set
+        # against the mean score variance plus 1/k; bias always against 1/k
+        ds = binary_dataset()
+        scorer = TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9})
+        table = prediction_table(family(scorer, ds), ds, EstimatorConfig(mode=mode, trials=200, seed=1))
+        bias, variance = aggregate_bias(table), aggregate_variance(table)
+        assert (bias["bound"], bias["bound_source"]) == (Fraction(1, 11), "family bias budget 1/k")
+        assert ("stderr" in variance) is (mode == "mc")
+        if not bounded:
+            assert not {"bound", "bound_source", "satisfied"} & set(variance)
+            return
+        mean_fvar = sum(s * (1 - s) for s in scores_of(scorer, ds)) / len(ds)
+        assert variance["bound"] == float(mean_fvar) + 1 / 11
+        assert variance["bound_source"] == "mean score variance budget (grid slack 1/k)"
+        assert variance["satisfied"] is True
 
 
 class TestPairwiseUnfairness:
@@ -550,10 +574,9 @@ class TestExcesses:
         expected = reference_excesses(size, exact, classes, budgets.__getitem__)
         assert type(violations) is int and violations == expected[0]
         assert [repr(t) for t in tops] == [repr(t) for t in expected[1]]
-        # a class counts when its gap is above the budget; a tie does not count
-        gap = (lambda n: Fraction(n, size)) if exact else (lambda n: n / size)
+        # a class counts when its gap is above the budget, both exact; a tie does not count
         classes_of = zip(classes.class_codes.tolist(), classes.class_counts.tolist(), classes.weights.tolist())
-        assert violations == sum(w for c, n, w in classes_of if gap(n) - budgets[classes.values[c]] > 0)
+        assert violations == sum(w for c, n, w in classes_of if Fraction(n, size) > Fraction(budgets[classes.values[c]]))
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_a_tie_does_not_count(self, exact):
@@ -563,6 +586,12 @@ class TestExcesses:
         top, nine = Fraction(12, size) if exact else 12 / size, Fraction(9, size)
         assert repr(_excesses(size, exact, classes, lambda d: top)) == repr((0, [top - top]))
         assert repr(_excesses(size, exact, classes, lambda d: nine)) == repr((2, [top - nine]))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_no_gap_exceeds_an_infinite_budget(self, exact):
+        # alpha * d + beta overflows to inf under a float metric with alpha and beta near 1e308
+        classes = PairClasses(None, [0.5], None, *(np.array(a, dtype=np.int64) for a in ([0, 0], [0, 7], [1, 2])))
+        assert repr(_excesses(7, exact, classes, lambda d: math.inf)) == repr((0, [-math.inf]))
 
     def test_verdicts_hold_no_object_per_class(self):
         # 400 points in MC mode: 37,046 (distance, split count) classes over
@@ -859,8 +888,8 @@ class TestBlockOracle:
         assert table._splits(table.rows[i], table.rows[j]).tolist() == expected
         scores = scores_of(derand.scorer, ds)
         mean_bias = sum(Fraction(sum(row), len(members)) - s for row, s in zip(predictions, scores)) / len(ds)
-        assert aggregate_bias(table).value == mean_bias
-        assert variance.value == brute_aggregate_variance(derand, ds)
+        assert aggregate_bias(table)["value"] == mean_bias
+        assert variance["value"] == brute_aggregate_variance(derand, ds)
 
     @pytest.mark.parametrize("kind", EXACT_KINDS)
     def test_exact_table_calls_no_residues(self, kind, monkeypatch):
