@@ -213,9 +213,12 @@ def _json_number(value):
 def _write_report(config: dict, name: str, body: dict) -> Path:
     """Writes the report {version, config, **body} to the config's out
     directory and returns its path; a body that cannot be serialized as
-    strict JSON leaves no file."""
+    strict JSON leaves no file, and a value beyond a float's range raises."""
     payload = {"version": __version__, "config": config, **body}
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_json_number)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False, default=_json_number)
+    except (ValueError, OverflowError):  # an inf from float arithmetic, or a Fraction beyond a float's range
+        raise InvalidParameterError(f"{name} holds a value beyond a float's range on these inputs") from None
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -246,9 +249,6 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
 
     table = prediction_table(derand, dataset, cfg)
     quantities = {"aggregate_bias": aggregate_bias(table), "aggregate_variance": aggregate_variance(table)}
-    n_classifiers = int(config.get("n_classifiers", 0)) if derand.bucketing.locality_sensitive else 0
-    if n_classifiers:  # the tail check reads every pair: one pass, which histograms the capped sample too
-        table.pair_classes(metric)
     fairness = quantities["metric_fairness"] = metric_fairness_check(table, metric, alpha, beta)
 
     if derand.bucketing.locality_sensitive:
@@ -258,6 +258,7 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
             worst_case_aggregate_bound(alpha, beta, tau, delta, Fraction(2, derand.k)),
             bound_source="worst-case aggregate fairness budget",
         )
+        n_classifiers = int(config.get("n_classifiers", 0))
         if n_classifiers:
             quantities["aggregate_fairness_tail"] = aggregate_fairness_tail_check(
                 table, metric, alpha, tau, delta, n_classifiers, CountingRng(cfg.seed)
@@ -265,20 +266,19 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
     payload = {"quantities": quantities}
 
     alphas = config.get("curve_alphas")
-    out_dir = Path(config["out"])
     if alphas:
         curve = empirical_fairness_curve(table, metric, alphas)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "fairness_curve.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha_hat", "beta_hat"])
-            writer.writerows(curve)
         payload["fairness_curve"] = "fairness_curve.csv"
-
     if "pair_sample_seed" in fairness:
         payload["pair_sample_seed"] = fairness["pair_sample_seed"]["value"]
 
-    return _write_report(config, "audit.json", payload)
+    path = _write_report(config, "audit.json", payload)
+    if alphas:  # after the report, so a report that cannot be serialized leaves neither file
+        with open(path.with_name("fairness_curve.csv"), "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["alpha_hat", "beta_hat"])
+            writer.writerows(curve)
+    return path
 
 
 def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:

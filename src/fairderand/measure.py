@@ -41,9 +41,8 @@ pairs: it folds each block's distance keys and integer gaps (a table's
 split counts, the scorer's numerator gaps, or none) straight into a
 histogram of (distance, gap) classes, and keeps each pair's distance code
 only where a caller reads them.  A table passes once per metric over
-every pair, or over the capped ``sample_pairs``, which holds only its
-``cap`` sorted keys; a pass over every pair also histograms the sample's
-pairs as it meets them (both in i * n + j order).  Reductions evaluate
+every pair, and once over the capped ``sample_pairs``, which holds only
+its ``cap`` sorted keys (both in i * n + j order).  Reductions evaluate
 their Python expression at a bisection of each distance's classes, so
 rationals stay exact and parameters keep their arithmetic.
 """
@@ -179,8 +178,8 @@ def _run_firsts(keys: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PairClasses:
     """One pass over pairs, as arrays over the sorted distinct (distance, gap)
-    classes: each one's code into ``values``, gap and number of pairs; each
-    pair's code if kept, in the pairs' order; and the sample's classes."""
+    classes: each one's code into ``values``, gap and number of pairs; and
+    each pair's code if kept, in the pairs' order."""
 
     pair_seed: Optional[int]
     values: list[Distance]
@@ -188,45 +187,32 @@ class PairClasses:
     class_codes: np.ndarray
     class_counts: np.ndarray
     weights: np.ndarray
-    sampled: Optional[PairClasses] = None
 
 
 def pair_classes(data: Dataset, metric: Metric, pairs: PairSet, rows: Optional[np.ndarray] = None,
-                 gap: Optional[Callable] = None, size: int = 0, codes: bool = False,
-                 sample: Optional[np.ndarray] = None) -> PairClasses:
+                 gap: Optional[Callable] = None, size: int = 0, codes: bool = False) -> PairClasses:
     """The one pass over pairs: a block at a time, it histograms the keys
     distance key * (size + 1) + gap, with gap(ra, rb) the integer gaps in
     [0, size] of the block's pairs at their rows ra, rb of ``rows`` (0
-    without a gap).  It keeps each pair's distance code when asked, and
-    histograms into ``sampled`` the pairs at the sorted positions
-    ``sample`` of the pass as it meets them.  Gaps are Python ints from
-    size 2**63 on."""
+    without a gap), and keeps each pair's distance code when asked.  Gaps
+    are Python ints from size 2**63 on."""
     (key, points, bound, decode), width = metric._pair_keys(data, len(pairs)), size + 1
     kept = np.empty(len(pairs), np.min_scalar_type(max(bound - 1, 0))) if codes else None
     dtype = np.min_scalar_type(max(bound, 1) * width)  # object past 2**64
-    folded = None if sample is None else np.empty(sample.size, dtype)
 
-    def blocks(s=0, hi=0):
+    def blocks(s=0):
         for pa, pb, *r in pairs.blocks(points, *([] if gap is None else [rows])):
             keys = key(pa, pb)
-            both = keys.astype(dtype) * width + (gap(*r).astype(dtype) if r else 0)
             if kept is not None:
                 kept[s : s + keys.size] = keys
-            if folded is not None:
-                lo, hi = hi, int(sample.searchsorted(sample.dtype.type(s + keys.size)))  # a Python int would cast all
-                folded[lo:hi] = both[sample[lo:hi] - s]
             s += keys.size
-            yield both
+            yield keys.astype(dtype) * width + (gap(*r).astype(dtype) if r else 0)
 
-    def classes(histogram, codes=None):
-        keys, weights = histogram
-        keys, counts = (keys // width).astype(np.int64), (keys % width).astype(np.int64 if size < 2**63 else object)
-        distinct = keys[firsts := _run_firsts(keys)]
-        codes = None if codes is None else rank_keys(codes, distinct)
-        return PairClasses(None, decode(distinct), codes, np.cumsum(firsts) - 1, counts, weights)
-
-    every = classes(_histogram(blocks(), dtype), kept)
-    return every if folded is None else replace(every, sampled=classes(_histogram(iter([folded]), dtype)))
+    keys, weights = _histogram(blocks(), dtype)
+    keys, counts = (keys // width).astype(np.int64), (keys % width).astype(np.int64 if size < 2**63 else object)
+    distinct = keys[firsts := _run_firsts(keys)]
+    kept = None if kept is None else rank_keys(kept, distinct)
+    return PairClasses(None, decode(distinct), kept, np.cumsum(firsts) - 1, counts, weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,24 +257,15 @@ class PredictionTable:
 
     def pair_classes(self, metric: Metric, capped: bool = False) -> PairClasses:
         """The (distance, split count) classes of every pair (or of the
-        capped ``sample_pairs``) under the metric, from one cached pass;
-        below the cap they are one pass, and a pass over every pair also
-        histograms the sample."""
-        if (metric, capped) in self._passes:
-            return self._passes[metric, capped]
-        n, splits = len(self.dataset), (self._split_rows(), self._splits, self.size)
-        sample, seed = sample_pairs(n, self.cfg.pairs_cap, self.cfg.seed)
-        if capped and seed is not None:
-            self._passes[metric, True] = replace(pair_classes(self.dataset, metric, sample, *splits), pair_seed=seed)
-            return self._passes[metric, True]
-        at = sample.keys  # None below the cap
-        if at is not None:  # each sampled pair's position among every pair, over its key
-            for c in range(0, at.size, SAMPLE_BLOCK):  # pair i * n + j is at i * n + j - (i + 1)(i + 2) / 2
-                i = at[c : c + SAMPLE_BLOCK] // n
-                at[c : c + SAMPLE_BLOCK] = at[c : c + SAMPLE_BLOCK] - (i.astype(np.int64) + 1) * (i + 2) // 2
-        every = pair_classes(self.dataset, metric, PairSet(n), *splits, codes=True, sample=at)
-        self._passes[metric, False] = every
-        self._passes[metric, True] = every if seed is None else replace(every.sampled, pair_seed=seed)
+        capped ``sample_pairs``) under the metric, from one cached pass per
+        pair set; below the cap both read the pass over every pair."""
+        n = len(self.dataset)
+        capped = capped and n * (n - 1) // 2 > self.cfg.pairs_cap
+        if (metric, capped) not in self._passes:
+            pairs, seed = sample_pairs(n, self.cfg.pairs_cap, self.cfg.seed) if capped else (PairSet(n), None)
+            classes = pair_classes(self.dataset, metric, pairs, self._split_rows(), self._splits, self.size,
+                                   codes=not capped)
+            self._passes[metric, capped] = replace(classes, pair_seed=seed)
         return self._passes[metric, capped]
 
 

@@ -324,6 +324,21 @@ class TestAuditCommand:
         assert fairness["fairness_violations"]["value"] == 1
         assert fairness["fairness_violations"]["satisfied"] is False
 
+    @pytest.mark.parametrize("feature,metric,curve", [
+        ("3", {"kind": "scaled_euclidean", "scale": 1}, [0.0, 1.0]),
+        ("1", {"kind": "hamming"}, None),
+    ], ids=["scaled_euclidean-inf-curve", "hamming-fraction"])
+    def test_report_value_beyond_float_range_exits_2(self, tmp_path, config_factory, capsys, feature, metric, curve):
+        # worst_excess is gap - (alpha * d + beta) with alpha = beta = 1e308:
+        # -inf under a float distance, a Fraction below -2e308 under Hamming
+        path = tmp_path / "far.csv"
+        write_dataset(path, [["a", "0", "0.05"], ["b", feature, "0.35"]], ["id", "feat_0", "score"])
+        config = config_factory(input=str(path), scheme="rt", k=10, alpha=1e308, beta=1e308, metric=metric,
+                                **({} if curve is None else {"curve_alphas": curve}))
+        assert main(["audit", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == "config error: audit.json holds a value beyond a float's range on these inputs\n"
+        assert not (tmp_path / "reports").exists()
+
     def test_exact_mode_on_simhash_exits_4(self, scored_csv, config_factory):
         config = config_factory(
             input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "simhash"},
@@ -501,28 +516,29 @@ class TestAuditCommand:
         assert calls == {"points": len(batches) * 4}
         assert sizes == batches
 
-    @pytest.mark.parametrize("pairs_cap", [200_000, 3], ids=["every-pair", "capped"])
-    def test_one_pair_pass_per_audit(self, scored_csv, config_factory, monkeypatch, tmp_path, pairs_cap):
+    @pytest.mark.parametrize("pairs_cap,n_classifiers,passes", [
+        (200_000, 5, [6]), (3, 5, [3, 6]), (3, 0, [3]),
+    ], ids=["every-pair", "capped-tail", "capped"])
+    def test_one_pass_per_pair_set(self, scored_csv, config_factory, monkeypatch, tmp_path,
+                                   pairs_cap, n_classifiers, passes):
         # the fairness check, family beta, the tail check's close pairs and
-        # the curve all read one pass over the pairs; above the cap (3 of the
-        # 6 pairs) the pass over every pair also histograms the capped sample
-        calls = {"distances": 0, "passes": 0}
+        # the curve read one pass over each pair set: below the cap (6 pairs)
+        # the pass over every pair; above it (3 pairs) the capped sample, and
+        # every pair too when the tail check reads it
+        sizes = []
 
-        def counting(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def pair_keys(self, data, n_pairs):
+            sizes.append(n_pairs)
+            return keying(self, data, n_pairs)
 
-        # each pass selects its pairs and reads the metric's pair keys once
-        monkeypatch.setattr(JaccardDistance, "_pair_keys", counting("distances", JaccardDistance._pair_keys))
-        monkeypatch.setattr(measure, "sample_pairs", counting("passes", measure.sample_pairs))
+        keying = JaccardDistance._pair_keys
+        monkeypatch.setattr(JaccardDistance, "_pair_keys", pair_keys)
         settings = dict(input=str(scored_csv), scheme="ls", k=11, lsh={"kind": "minhash"}, metric={"kind": "jaccard"},
                         mode="mc", trials=300, tau=0.5, curve_alphas=[0.0, 1.0], pairs_cap=pairs_cap)
-        config = config_factory(**settings, n_classifiers=5)
+        config = config_factory(**settings, n_classifiers=n_classifiers)
         assert main(["audit", "--config", str(config)]) == 0
-        assert calls == {"distances": 1, "passes": 1}
-        # the capped classes of that pass are those of a capped pass alone
+        assert sizes == passes
+        # the capped classes do not depend on the tail check's pass
         tail = [json.loads((tmp_path / "reports" / "audit.json").read_text())["quantities"]["metric_fairness"],
                 (tmp_path / "reports" / "fairness_curve.csv").read_bytes()]
         assert main(["audit", "--config", str(config_factory(**settings))]) == 0

@@ -1378,8 +1378,8 @@ class TestStreamedPairPass:
     def test_equals_per_pair_reference(self, case, seed, n_points, mc, cap, chunk_bytes, every_pair_first):
         # 72-byte chunks read one pair a block and buffer 9 histogram keys;
         # 400-byte chunks read up to 5 pairs a block (64 bytes a pair besides
-        # its rows), so a cap of 7 can end inside one; after a pass over
-        # every pair, the capped classes are the ones that pass histogrammed
+        # its rows), so a cap of 7 can end inside one; below the cap the
+        # capped classes are the pass over every pair
         rng = random.Random(seed)
         ds, derand, metric = self.setup(*case, rng, n_points)
         total = n_points * (n_points - 1) // 2
@@ -1412,6 +1412,33 @@ class TestStreamedPairPass:
             histogram[type(classes.values[c]), classes.values[c], n] += w
         assert histogram == collections.Counter((type(d), d, n) for d, n in zip(distances, counts))
         assert int(classes.weights.sum()) == len(i)  # pairs_checked
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(CASES), seed=st.integers(0, 10**6), n_points=st.integers(2, 12),
+           mc=st.booleans(), every_pair_first=st.booleans())
+    def test_capped_pass_reads_the_sample(self, case, seed, n_points, mc, every_pair_first):
+        # at every cap the capped classes are one pass over sample_pairs,
+        # field by field, whether or not the pass over every pair ran first;
+        # below the cap they are that pass itself
+        rng = random.Random(seed)
+        ds, derand, metric = self.setup(*case, rng, n_points)
+        for cap in range(1, n_points * (n_points - 1) // 2 + 1):
+            cfg = EstimatorConfig(mode="mc" if mc else "exact", trials=37, seed=seed, pairs_cap=cap)
+            table = prediction_table(derand, ds, cfg)
+            every = table.pair_classes(metric) if every_pair_first else None
+            classes = table.pair_classes(metric, capped=True)
+            every = table.pair_classes(metric) if every is None else every
+            pairs, pair_seed = sample_pairs(n_points, cap, seed)
+            alone = measure.pair_classes(ds, metric, pairs, table._split_rows(), table._splits, table.size,
+                                         codes=pair_seed is None)
+            assert (classes is every) == (pair_seed is None)
+            assert classes.pair_seed == pair_seed
+            for name in ("values", "codes", "class_codes", "class_counts", "weights"):
+                got, want = getattr(classes, name), getattr(alone, name)
+                if isinstance(want, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), name
+                else:
+                    assert got == want and [type(v) for v in got or []] == [type(v) for v in want or []], name
 
     def test_memory_is_a_few_bytes_per_pair(self):
         # every pair of 1,500 points: the pass keeps one byte per pair, its
