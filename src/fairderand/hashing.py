@@ -29,16 +29,18 @@ CountingRng, or all of them by ``all_keys()``, which raises
 more than ``MINHASH_ENUM_MAX`` elements to permute); ``params(key)`` is
 the report entry of the member a key stands for.  Its buckets are the
 integers 0..``n_buckets``-1, which the affine family takes as they are.
-It evaluates members over points one way only, on arrays: ``vectors(data)``
-reads and checks a dataset once (the first point that the family cannot
-bucket raises), and ``embed(keys, x)`` maps a block x of those rows to the
-(points, members) matrix of each point's bucket under each member.  A fixed
-bucketing's rows are its one column of buckets, numbered in the first-seen
-order of the buckets it was built on.  A fixed ``locality_sensitive`` class
-attribute marks the three LSH families, whose schemes carry the paper's LS bounds.  The
-affine family draws (a, c) the same way, every a and then every c, and
-``residues`` is its one array spelling of the hash values; exact audits
-average (a, c) in closed form instead.
+It evaluates members on arrays only: ``vectors(data)`` reads and checks a
+dataset once (the first point that the family cannot bucket raises),
+``embed(keys, x)`` maps a block x of those rows to the (points, members)
+matrix of each point's bucket under each member, and ``collisions(xa, xb)``
+counts the ``all_keys`` members that put rows xa, xb in one bucket, listing
+none: u! |A n B| / |A u B| for MinHash over u elements, else the equal
+entries.  A fixed bucketing's rows are its one column of buckets, numbered
+in the first-seen order of the buckets it was built on.  A fixed
+``locality_sensitive`` class attribute marks the three LSH families, whose
+schemes carry the paper's LS bounds.  The affine family draws (a, c) the
+same way, every a and then every c, and ``residues`` is its one array
+spelling of the hash values; exact audits average (a, c) in closed form.
 """
 
 from __future__ import annotations
@@ -167,6 +169,11 @@ class BucketingFamily:
         the members of the keys."""
         raise NotImplementedError
 
+    def collisions(self, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        """The ``all_keys`` members that put each pair of rows xa, xb of ``vectors`` in
+        one bucket, as int64: the equal entries, exact where ``embed(all_keys(), x)`` is x."""
+        return np.einsum("...j->...", xa == xb, dtype=np.int64)  # a row sum, faster than sum()
+
 
 class FixedFamily(BucketingFamily):
     """A deterministic bucketing as a one-member family: it draws no bits,
@@ -294,6 +301,12 @@ class MinHashFamily(BucketingFamily):
             rows = member[:, e]
             best[rows] = np.minimum(best[rows], code)
         return best & dtype.type((1 << b) - 1)
+
+    def collisions(self, xa, xb):
+        """u! |A n B| // |A u B|: a uniform permutation's minimum over A u B is uniform
+        on it, and collides iff it lies in A n B (Broder 1997); |A u B| <= u divides u!."""
+        meet, join = (np.einsum("...j->...", v, dtype=np.int64) for v in (xa & xb, xa | xb))
+        return math.factorial(self.universe_size) * meet // join
 
 
 class SimHashFamily(BucketingFamily):

@@ -11,21 +11,21 @@ verdict rule: |value| <= bound + 4 * stderr, with stderr 0 for an exact value.
 A pair verdict compares count/size with its budget in integers, so a float
 budget counts at its exact value.
 
-Every audited quantity reduces one ``PredictionTable``, filled a block of
-about ``PAIR_CHUNK_BYTES`` at a time from slices of the bucketing's
-``vectors``, read once, and of t.  An exact table lists only the B
-bucketing members (``all_keys``), not the family: it holds each point's
-t = floor(score * k) and integer bucket e under each member, and averages
-the affine layer (a, c) in closed form.  On one bucket u - 1 is uniform on
-[k] under every a; on two distinct buckets the two hash values hit each
-cell of [k]^2 once (Carter & Wegman 1979).  So a point's members predict 1
-at t of every k values of c, a pair's split count is linear in the number
-S of members that put it in one bucket, and the variance sums
-k * min(t_i, t_j) - t_i t_j over the points of each bucket, from sorted t.
+Every audited quantity reduces one ``PredictionTable`` over t = floor(score * k)
+and the bucketing's ``vectors``, read once.  An exact table evaluates no
+member: a point's row is t and its row of ``vectors``, and the affine layer
+(a, c) is averaged in closed form.  On one bucket u - 1 is uniform on [k]
+under every a; on two distinct buckets the two hash values hit each cell of
+[k]^2 once (Carter & Wegman 1979).  So a point's members predict 1 at t of
+every k values of c, a pair's split count is linear in the number S of the B
+bucketing members that put it in one bucket, which ``collisions`` counts from
+its two rows, and the variance sums k * min(t_i, t_j) - t_i t_j over the
+points of each bucket of each listed member (``all_keys``), from sorted t.
 Split counts are int64, so the one gate on an exact family is its size:
-below 2**63 members, else ``FamilyTooLargeError``.  A Monte Carlo table
-packs the prediction bits (a * e + c) mod k < t of ``Derandomizer.draw``:
-the keys of every bucketing member, then every a, then every c.  The tail
+below 2**63 members, else ``FamilyTooLargeError``.  A Monte Carlo table,
+filled a block of about ``PAIR_CHUNK_BYTES`` at a time, packs the bits
+(a * e + c) mod k < t of ``Derandomizer.draw``: the keys of every bucketing
+member, then every a, then every c.  The tail
 check evaluates its own drawn batch at every point, in one call, and
 ``sample_classifier`` the one classifier of ``fairderand derandomize``:
 every drawn classifier is evaluated by ``Derandomizer.predict`` only.
@@ -62,7 +62,7 @@ import numpy as np
 from .core import Dataset, StochasticScorer, threshold_counts
 from .derandomize import Derandomizer
 from .errors import EmptyPairSetError, FamilyTooLargeError, InvalidParameterError
-from .hashing import BitBudget
+from .hashing import BitBudget, BucketingFamily
 from .metrics import PAIR_CHUNK_BYTES, Distance, Metric, PairSet, popcounts, rank_keys
 from .rng import CountingRng
 
@@ -219,11 +219,10 @@ def pair_classes(data: Dataset, metric: Metric, pairs: PairSet, rows: Optional[n
 class PredictionTable:
     """What the pair and aggregate quantities read of f_h(x) for every
     family member h (exact) or every classifier of one seeded batch (Monte
-    Carlo), at every dataset point x.  Exact: ``rows[r]`` is t_r, then the
-    bucket of point r under each of the B bucketing members; no prediction
-    is held.  Monte Carlo: ``rows[r]`` is the prediction row of point r, in
-    whole uint64 words, and ``sums`` counts the points each trial predicts 1.
-    The scores are ``numerators`` over ``den``."""
+    Carlo), at every dataset point x.  Exact: ``rows[r]`` is t_r, then row
+    r of ``vectors``; no prediction is held.  Monte Carlo: ``rows[r]`` is
+    the prediction row of point r, in whole uint64 words, and ``sums``
+    counts the points each trial predicts 1.  The scores are ``numerators`` over ``den``."""
 
     derand: Derandomizer
     dataset: Dataset
@@ -247,9 +246,9 @@ class PredictionTable:
         S * a_range * |t_i - t_j| + (B - S) * (t_i (k - t_j) + t_j (k - t_i))."""
         if not self.cfg.exact:
             return popcounts(a ^ b)
-        k, a_range, members = self.derand.k, self.derand.pi_family.a_range, self.rows.shape[1] - 1
+        k, a_range, members = self.derand.k, self.derand.pi_family.a_range, self.size // self.derand.pi_family.size
         ta, tb = a[..., 0].astype(np.int64), b[..., 0].astype(np.int64)  # int64: each term is at most B * a_range * k
-        same = np.einsum("...j->...", a[..., 1:] == b[..., 1:], dtype=np.int64)  # a row sum, faster than sum()
+        same = self.derand.bucketing.collisions(a[..., 1:], b[..., 1:])
         if a_range == 1:  # one bucket, so S = B; t_i * (k - t_j) may pass 2**63 and is not formed
             return same * abs(ta - tb)
         cross = ta * (k - tb) + tb * (k - ta)
@@ -296,33 +295,28 @@ def prediction_table(
     derand: Derandomizer, dataset: Dataset, cfg: EstimatorConfig
 ) -> PredictionTable:
     """The table of the whole family (exact) or of one batch seeded with
-    cfg.seed (Monte Carlo), filled one block of points at a time: exact
-    mode embeds the block under the B listed bucketing members, Monte
-    Carlo mode evaluates the batch on it."""
-    if cfg.exact:
-        keys = derand.bucketing.all_keys()
-        size, per_point = len(keys) * derand.pi_family.size, len(keys)
-        if size >= 2**63:
-            raise FamilyTooLargeError(f"{size} members: the closed form counts split members in int64, below 2**63")
-    else:
-        keys, a, c, _ = derand.draw(CountingRng(cfg.seed), cfg.trials)
-        size = per_point = cfg.trials
+    cfg.seed (Monte Carlo): exact mode stacks t with the vectors, each
+    entry below k (a bucket id is below ``n_buckets`` <= k), and Monte Carlo
+    mode evaluates the batch one block of points at a time."""
     numerators, den = derand.scorer.scores(dataset)
     t = threshold_counts(numerators, den, derand.k)
     x = derand.bucketing.vectors(dataset)
-    width = 1 + per_point if cfg.exact else (size + 63) // 64 * 8
-    rows = np.zeros((len(dataset), width), dtype=np.min_scalar_type(derand.k) if cfg.exact else np.uint8)
-    sums = None if cfg.exact else np.zeros(size, dtype=np.min_scalar_type(len(dataset)))  # counts <= len(dataset)
-    step = max(1, PAIR_CHUNK_BYTES // (per_point if cfg.exact else 8 * per_point))  # MC forms int64 residues
+    if cfg.exact:
+        size = derand.family_size
+        if size >= 2**63:
+            raise FamilyTooLargeError(f"{size} members: the closed form counts split members in int64, below 2**63")
+        rows = np.column_stack((t, x)).astype(np.min_scalar_type(derand.k))
+        return PredictionTable(derand, dataset, cfg, numerators, den, t, size, rows, x, None)
+    keys, a, c, _ = derand.draw(CountingRng(cfg.seed), cfg.trials)
+    rows = np.zeros((len(dataset), (cfg.trials + 63) // 64 * 8), dtype=np.uint8)
+    sums = np.zeros(cfg.trials, dtype=np.min_scalar_type(len(dataset)))  # counts <= len(dataset)
+    step = max(1, PAIR_CHUNK_BYTES // (8 * cfg.trials))  # forms int64 residues
     for s in range(0, len(dataset), step):
         block = slice(s, s + step)
-        if cfg.exact:
-            rows[block] = np.column_stack((t[block], derand.bucketing.embed(keys, x[block])))
-        else:
-            bits = derand.predict(keys, a, c, t[block], x[block])
-            rows[block, : (size + 7) // 8] = np.packbits(bits, axis=1)
-            sums += np.add.reduce(bits, axis=0, dtype=sums.dtype)
-    return PredictionTable(derand, dataset, cfg, numerators, den, t, size, rows, x, sums)
+        bits = derand.predict(keys, a, c, t[block], x[block])
+        rows[block, : (cfg.trials + 7) // 8] = np.packbits(bits, axis=1)
+        sums += np.add.reduce(bits, axis=0, dtype=sums.dtype)
+    return PredictionTable(derand, dataset, cfg, numerators, den, t, cfg.trials, rows, x, sums)
 
 
 def sample_classifier(derand: Derandomizer, dataset: Dataset, rng: CountingRng) -> tuple[dict, BitBudget, np.ndarray]:
@@ -340,8 +334,8 @@ def _excesses(size: int, exact: bool, classes: PairClasses, budget: Callable) ->
     """The pairs whose gap count/size exceeds budget(d), decided in integers
     as count * den > num * size for budget(d) = num/den (no gap exceeds an
     infinite budget), and gap - budget(d) at the largest count of each
-    distance d, the gap exact or a float, from a bisection that indexes the
-    class arrays, ascending in count at each d."""
+    distance d, exact or a float (under a float budget, the exact difference
+    rounded once), from a bisection of the class arrays, ascending in count at each d."""
     counts, weights = classes.class_counts, classes.weights
     gap = (lambda c: Fraction(int(counts[c]), size)) if exact else (lambda c: int(counts[c]) / size)
     bounds = np.searchsorted(classes.class_codes, np.arange(len(classes.values) + 1))  # each distance's first class
@@ -351,7 +345,8 @@ def _excesses(size: int, exact: bool, classes: PairClasses, budget: Callable) ->
         num, den = (1, 0) if b == math.inf else b.as_integer_ratio()
         over = bisect.bisect_left(range(start, end), True, key=lambda c: int(counts[c]) * den > num * size) + start
         violations += int(weights[over:end].sum())
-        tops.append(gap(end - 1) - b)
+        top = gap(end - 1)
+        tops.append(float(top - Fraction(num, den)) if exact and isinstance(b, float) and den else top - b)
     return violations, tops
 
 
@@ -400,7 +395,8 @@ def aggregate_variance(table: PredictionTable) -> dict:
     the mean score variance plus 1/k."""
     n, k, den = len(table.dataset), table.derand.k, table.den
     if table.cfg.exact:
-        value, stderr = Fraction(1, (table.rows.shape[1] - 1) * k * k * n * n) * _same_bucket_sum(table.rows, k), None
+        members, bucketing = table.size // table.derand.pi_family.size, table.derand.bucketing
+        value, stderr = Fraction(_same_bucket_sum(bucketing, table.vectors, table.t, k), members * k * k * n * n), None
     else:
         _check_trials(table.size)
         mu = table.sums / n
@@ -412,15 +408,16 @@ def aggregate_variance(table: PredictionTable) -> dict:
     return quantity(value, stderr, bound, "mean score variance budget (grid slack 1/k)")
 
 
-def _same_bucket_sum(rows: np.ndarray, k: int) -> int:
-    """The exact variance numerator, a block of members at a time: sorted
-    by (bucket, t), each bucket is a run of ascending t, in which t_i is the
-    min of its pairs with the later points of the run."""
-    total, step = 0, max(1, PAIR_CHUNK_BYTES // (8 * rows.shape[0]))
-    dtype = np.int64 if (step * rows.shape[0]) ** 2 * k < 2**63 else object  # ends @ sums < (step * n)^2 * k
-    for s in range(1, rows.shape[1], step):
+def _same_bucket_sum(bucketing: BucketingFamily, x: np.ndarray, ts: np.ndarray, k: int) -> int:
+    """The exact variance numerator, a block of the listed members at a time,
+    embedded at rows x of ``vectors``: sorted by (bucket, t), each bucket is a
+    run of ascending t, in which t_i is the min of its pairs with the later points."""
+    keys, total, step = bucketing.all_keys(), 0, max(1, PAIR_CHUNK_BYTES // (8 * len(ts)))
+    dtype = np.int64 if (step * len(ts)) ** 2 * k < 2**63 else object  # ends @ sums < (step * n)^2 * k
+    for s in range(0, len(keys), step):
         # bucket * (k + 1) + t fits uint64: over two or more buckets k * k < 2**63, and over one the bucket is 0
-        bucket, t = np.divmod(np.sort(rows[:, s : s + step].T * np.uint64(k + 1) + rows[:, 0], axis=1), np.uint64(k + 1))
+        codes = bucketing.embed(keys[s : s + step], x).T.astype(np.uint64) * np.uint64(k + 1) + ts.astype(np.uint64)
+        bucket, t = np.divmod(np.sort(codes, axis=1), np.uint64(k + 1))
         firsts = np.ones(t.shape, dtype=bool)  # each member's runs start afresh
         firsts[:, 1:] = bucket[:, 1:] != bucket[:, :-1]
         starts, t = np.flatnonzero(firsts), t.reshape(-1).astype(dtype)

@@ -16,7 +16,8 @@ them exactly.  The references redo the library's array draws one scalar
 draw at a time (``draw_bits``, ``uniform_int``, ``normal_pair``), its
 one-pass ``scorer_beta`` pair by pair, and its columnar CSV loader row by
 row; ``reference_excesses`` keeps the per-class list form of the
-verdicts' reduction over pair classes.  ``reference_distance`` is each
+verdicts' reduction over pair classes, and every reference reports a gap
+less its budget by ``excess``, rounded once.  ``reference_distance`` is each
 metric's distance written from its definition, one pair of points at a
 time, with each float sum a ``math.fsum`` over Python floats; the library
 evaluates metrics only over blocks of pairs.
@@ -445,6 +446,16 @@ def split_share(table, a, b):
     return Fraction(n_diff, table.size) if table.cfg.exact else n_diff / table.size
 
 
+def excess(gap, budget):
+    """gap - budget as a report gives it: an exact gap less a finite float
+    budget is their exact difference rounded once to a float, and any other
+    difference is formed as it is (a float gap, or an infinite budget, in
+    float; a Fraction or int budget exactly)."""
+    if isinstance(gap, Fraction) and isinstance(budget, float) and math.isfinite(budget):
+        return float(gap - Fraction(budget))
+    return gap - budget
+
+
 def reference_excesses(size, exact, classes, budget):
     """``measure._excesses`` over Python lists of the class counts and of
     the running pair total: (pairs whose gap count/size exceeds budget(d),
@@ -459,7 +470,7 @@ def reference_excesses(size, exact, classes, budget):
         b = budget(d)
         over = bisect.bisect_left(range(start, end), True, key=lambda c: Fraction(counts[c], size) > Fraction(b)) + start
         violations += cumulative[end] - cumulative[over]
-        tops.append(gap(counts[end - 1]) - b)
+        tops.append(excess(gap(counts[end - 1]), b))
     return violations, tops
 
 
@@ -474,11 +485,11 @@ def reference_fairness_check(derand, dataset, metric, alpha, beta, cfg, pairs):
     violations, worst, rows = 0, -math.inf, each_point(dataset)
     for i, j in pairs:
         gap = reference_gap(derand, rows[i], rows[j], cfg)
-        excess = gap - (alpha * reference_distance(metric, rows[i], rows[j]) + beta)
-        if excess > 0:
+        e = excess(gap, alpha * reference_distance(metric, rows[i], rows[j]) + beta)
+        if e > 0:
             violations += 1
-        if excess > worst:
-            worst = excess
+        if e > worst:
+            worst = e
     return violations, worst
 
 
@@ -486,9 +497,9 @@ def reference_family_beta(derand, dataset, metric, alpha, cfg):
     """max(0, max over all pairs of gap - alpha*d), pair by pair."""
     worst = 0
     for x, y in itertools.combinations(each_point(dataset), 2):
-        excess = reference_gap(derand, x, y, cfg) - alpha * reference_distance(metric, x, y)
-        if excess > worst:
-            worst = excess
+        e = excess(reference_gap(derand, x, y, cfg), alpha * reference_distance(metric, x, y))
+        if e > worst:
+            worst = e
     return worst
 
 
@@ -499,7 +510,7 @@ def reference_scorer_beta(scorer, dataset, metric, alpha):
     scores = [reference_score(scorer, p) for p in rows]
     pairs = itertools.combinations(range(len(rows)), 2)
     # max() keeps its first maximal argument: an int 0 when no excess is positive
-    return max([0, *(abs(scores[a] - scores[b]) - alpha * reference_distance(metric, rows[a], rows[b])
+    return max([0, *(excess(abs(scores[a] - scores[b]), alpha * reference_distance(metric, rows[a], rows[b]))
                      for a, b in pairs)])
 
 

@@ -314,7 +314,8 @@ class TestAuditCommand:
 
     def test_exact_verdict_on_a_float_distance_tie(self, tmp_path, config_factory):
         # the gap is 3/10 and the loaded distance is the double nearest 0.3,
-        # just below it: compared exactly, the pair violates alpha * d + beta
+        # just below it: compared exactly, the pair violates alpha * d + beta,
+        # and its excess is the exact difference rounded once, not 0.0
         path = tmp_path / "tie.csv"
         write_dataset(path, [["a", "0", "0.05"], ["b", "0.3", "0.35"]], ["id", "feat_0", "score"])
         config = config_factory(input=str(path), scheme="rt", k=10, alpha=1, beta=0,
@@ -323,6 +324,7 @@ class TestAuditCommand:
         fairness = json.loads((tmp_path / "reports" / "audit.json").read_text())["quantities"]["metric_fairness"]
         assert fairness["fairness_violations"]["value"] == 1
         assert fairness["fairness_violations"]["satisfied"] is False
+        assert fairness["worst_excess"]["value"] == float(Fraction(3, 10) - Fraction(0.3)) > 0
 
     @pytest.mark.parametrize("feature,metric,curve", [
         ("3", {"kind": "scaled_euclidean", "scale": 1}, [0.0, 1.0]),

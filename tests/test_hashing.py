@@ -369,3 +369,36 @@ class TestEmbedAll:
             assert got.shape == (n_points, 1 if isinstance(family, FixedFamily) else len(keys))
             assert np.issubdtype(got.dtype, np.integer)
             assert 0 <= got.min() and got.max() < family.n_buckets
+
+
+class TestCollisions:
+    """``collisions`` counts, listing none, the ``all_keys`` members under
+    which ``embed`` puts a pair's two rows in one bucket: block against
+    block, and one row against a block, on the rows of ``vectors`` and on
+    the same rows in the exact table's unsigned dtype."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["rt", "grid", "identity", "bit_sampling", "minhash"]),
+        dim=st.integers(1, 8),
+        seed=st.integers(0, 10**6),
+        n_points=st.integers(1, 10),
+    )
+    def test_counts_the_members_that_embed_puts_in_one_bucket(self, kind, dim, seed, n_points):
+        assume(kind != "minhash" or dim <= 5)
+        rng = random.Random(seed)
+        vectors = [tuple(float(rng.randint(0, 1)) for _ in range(dim)) for _ in range(n_points)]
+        points = dataset_of({f"p{r}": v if any(v) else (1.0,) * dim for r, v in enumerate(vectors)})
+        bucketers = {"rt": SharedBucketer(), "grid": GridBucketer(0.5), "identity": IdentityBucketer()}
+        if kind in bucketers:
+            family = FixedFamily(bucketers[kind], bucketers[kind].buckets(points))
+        else:
+            family = BitSamplingFamily(dim) if kind == "bit_sampling" else MinHashFamily(dim)
+        x = family.vectors(points)
+        buckets = family.embed(family.all_keys(), x)  # (points, members)
+        i, j = np.triu_indices(n_points, 1)
+        for rows in (x, x.astype(np.min_scalar_type(family.n_buckets))):
+            got = family.collisions(rows[i], rows[j])
+            assert got.dtype == np.int64 and got.tolist() == (buckets[i] == buckets[j]).sum(axis=1).tolist()
+            for r in range(n_points):
+                assert family.collisions(rows[r], rows).tolist() == (buckets[r] == buckets).sum(axis=1).tolist()

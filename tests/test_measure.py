@@ -840,9 +840,10 @@ def outcome(fn):
 
 
 class TestBlockOracle:
-    """The table is built a block of points at a time; with a byte budget
-    small enough for several blocks and a partial last one, its closed
-    forms equal the per-member predictions (exact) and its rows the
+    """A Monte Carlo table is built a block of points at a time, and the
+    exact variance a block of listed members at a time; with a byte budget
+    small enough for several blocks and a partial last one, the closed
+    forms equal the per-member predictions (exact) and the rows the
     per-point oracle on the same seed (Monte Carlo)."""
 
     @staticmethod
@@ -890,6 +891,14 @@ class TestBlockOracle:
         mean_bias = sum(Fraction(sum(row), len(members)) - s for row, s in zip(predictions, scores)) / len(ds)
         assert aggregate_bias(table)["value"] == mean_bias
         assert variance["value"] == brute_aggregate_variance(derand, ds)
+
+    def test_exact_minhash7_rows_are_t_and_the_sets(self):
+        # a column of t and one per element, not one per listed permutation
+        rng = random.Random(7)
+        ds = random_binary_dataset(rng, 6, 7)
+        table = prediction_table(Derandomizer(random_scorer(rng, ds, 20), MinHashFamily(7), 7), ds, EXACT)
+        assert table.rows.shape == (6, 8) and table.size == math.factorial(7) * 7 * 7
+        assert table.rows[:, 0].tolist() == table.t.tolist() and table.rows[:, 1:].tolist() == table.vectors.tolist()
 
     @pytest.mark.parametrize("kind", EXACT_KINDS)
     def test_exact_table_calls_no_residues(self, kind, monkeypatch):
@@ -1330,12 +1339,11 @@ class TestSameBucketSum:
         # sum of min(t_i, t_j) over ordered pairs passes 2**63
         k, n = 3 * 10**9, 60_000
         t = np.random.default_rng(0).integers(k - 1000, k + 1, size=n)
-        rows = np.zeros((n, 2), dtype=np.min_scalar_type(k))
-        rows[:, 0] = t
         ts = sorted(t.tolist())
         mins = sum(v * (2 * (n - i) - 1) for i, v in enumerate(ts))
         assert mins > 2**63
-        assert measure._same_bucket_sum(rows, k) == k * mins - sum(ts) ** 2
+        one_bucket = FixedFamily(SharedBucketer(), (0,))
+        assert measure._same_bucket_sum(one_bucket, np.zeros((n, 1), np.int64), t, k) == k * mins - sum(ts) ** 2
 
 
 class TestStreamedPairPass:
