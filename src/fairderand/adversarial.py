@@ -45,8 +45,8 @@ class SphereConstruction:
     delta_sphere: float
     eps_gap: float
     k: int
-    alpha: float = 1.0
-    beta: float = 0.0
+    alpha: Number = 1
+    beta: Number = 0
 
     def __post_init__(self):
         if self.n_points < 2 or self.n_points % 2:
@@ -125,8 +125,8 @@ def verify_sphere_counterexample(
     pairs = table.pair_classes(metric)
     pairs_below_floor = sum(w for n_diff, w in zip(pairs.class_counts.tolist(), pairs.weights.tolist())
                             if Fraction(n_diff, table.size) < floor_value)
-    checked, beta = int(pairs.weights.sum()), Fraction(str(cfg.beta))
-    pairs_not_violating = checked - _excesses(table.size, True, pairs, lambda d: cfg.alpha * d + beta)[0]
+    checked = int(pairs.weights.sum())
+    pairs_not_violating = checked - _excesses(table.size, pairs, cfg.alpha, cfg.beta)[0]
 
     return {
         "pairs_checked": quantity(checked),

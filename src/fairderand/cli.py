@@ -136,6 +136,11 @@ def _resolve(config: dict, args) -> tuple[dict, EstimatorConfig]:
     )
 
 
+def _fairness_params(config: dict) -> tuple[Fraction, Fraction]:
+    """alpha and beta as exact decimals, as scores are read: 1.1 is 11/10, not the nearest double."""
+    return Fraction(str(config.get("alpha", 1))), Fraction(str(config.get("beta", 0)))
+
+
 def _build_metric(config: dict, dataset: Dataset):
     spec = config.get("metric", {"kind": "hamming"})
     kind = spec.get("kind", "hamming")
@@ -243,9 +248,7 @@ def cmd_audit(config: dict, cfg: EstimatorConfig) -> Path:
     dataset, scorer = _load_input(config)
     derand = _build_derandomizer(config, dataset, scorer)
     metric = _build_metric(config, dataset)
-    # exact decimals, as scores are read: 1.1 is 11/10, not the nearest double
-    alpha = Fraction(str(config.get("alpha", 1)))
-    beta = Fraction(str(config.get("beta", 0)))
+    alpha, beta = _fairness_params(config)
 
     table = prediction_table(derand, dataset, cfg)
     quantities = {"aggregate_bias": aggregate_bias(table), "aggregate_variance": aggregate_variance(table)}
@@ -285,6 +288,7 @@ def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
     from . import adversarial, dataio
     spec = config.get("adversarial", {})
     construction = spec.get("construction", "sphere")
+    alpha, beta = _fairness_params(config)
     if construction == "sphere":
         cons = adversarial.SphereConstruction(
             n_points=int(spec.get("n_points", 10)),
@@ -292,8 +296,8 @@ def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
             delta_sphere=float(spec.get("delta_sphere", 0.15)),
             eps_gap=float(spec.get("eps_gap", 0.05)),
             k=int(config.get("k", 101)),
-            alpha=float(config.get("alpha", 1.0)),
-            beta=float(config.get("beta", 0.0)),
+            alpha=alpha,
+            beta=beta,
         )
         dataset, scorer, metric = adversarial.sphere_counterexample(cons)
         out_dir = Path(config["out"])
@@ -318,7 +322,6 @@ def cmd_adversarial(config: dict, cfg: EstimatorConfig) -> Path:
         start, stop = np.asarray(start, dtype=float), np.asarray(stop, dtype=float)
         share = np.arange(steps)[:, None] / (steps - 1)  # each i / (steps - 1) rounded once, as Python's
         grid = Dataset([f"g{i:05d}" for i in range(steps)], start + (stop - start) * share)
-        alpha, beta = Fraction(str(config.get("alpha", 1))), Fraction(str(config.get("beta", 0)))  # as audit reads them
         found = adversarial.finite_family_violation_search(derand, metric, grid, alpha, beta)
         violation = None if found is None else {
             name: {"id": grid.ids[r], "features": grid.features[r].tolist()} for name, r in zip(("x", "x_star"), found)
@@ -337,8 +340,7 @@ def cmd_strategic(config: dict, cfg: EstimatorConfig) -> Path:
     else:
         numerators, den = scorer.scores(dataset)
         means = [Fraction(n, den) for n in numerators.tolist()]
-    alpha, beta = Fraction(str(config.get("alpha", 1))), Fraction(str(config.get("beta", 0)))  # as audit reads them
-    rows = best_responses(means, dataset, cost, alpha, beta)
+    rows = best_responses(means, dataset, cost, *_fairness_params(config))
     all_within = all(row["gain"]["satisfied"] for row in rows)
     return _write_report(config, "strategic.json", {"responses": rows, "all_within_bound": all_within})
 

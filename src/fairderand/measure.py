@@ -8,8 +8,9 @@ over trials, and reports standard errors.  Every report entry is built
 here, by ``quantity()``, with its family's bound (the bias 1/k, and a
 one-bucket family's variance the mean score variance plus 1/k) and the one
 verdict rule: |value| <= bound + 4 * stderr, with stderr 0 for an exact value.
-A pair verdict compares count/size with its budget in integers, so a float
-budget counts at its exact value.
+Every pair verdict, in both modes, is ``_excesses``'s: a gap count/size
+against alpha * d + beta formed in integers from alpha, beta and d read
+exactly (a float at its binary value), each excess an exact Fraction.
 
 Every audited quantity reduces one ``PredictionTable`` over t = floor(score * k)
 and the bucketing's ``vectors``, read once.  An exact table evaluates no
@@ -32,7 +33,8 @@ every drawn classifier is evaluated by ``Derandomizer.predict`` only.
 
 A point's mean needs no table: c is uniform on [k], so under every family
 (RT, Pi and each LS family, SimHash included) a member predicts 1 at x with
-probability exactly t/k.  ``family_mean``, ``decomposition_check`` and
+probability exactly t/k.  ``family_mean``, ``aggregate_bias`` (exact in
+both modes: stderr 0 in Monte Carlo mode), ``decomposition_check`` and
 ``fairderand strategic`` answer every point of a dataset at once from one
 array of t (``threshold_counts``).
 
@@ -42,9 +44,8 @@ split counts, the scorer's numerator gaps, or none) straight into a
 histogram of (distance, gap) classes, and keeps each pair's distance code
 only where a caller reads them.  A table passes once per metric over
 every pair, and once over the capped ``sample_pairs``, which holds only
-its ``cap`` sorted keys (both in i * n + j order).  Reductions evaluate
-their Python expression at a bisection of each distance's classes, so
-rationals stay exact and parameters keep their arithmetic.
+its ``cap`` sorted keys (both in i * n + j order).  Reductions bisect
+each distance's classes, ascending in count.
 """
 
 from __future__ import annotations
@@ -330,24 +331,29 @@ def sample_classifier(derand: Derandomizer, dataset: Dataset, rng: CountingRng) 
     return params, budget, bits[:, 0].astype(np.uint8)
 
 
-def _excesses(size: int, exact: bool, classes: PairClasses, budget: Callable) -> tuple[int, list[Number]]:
-    """The pairs whose gap count/size exceeds budget(d), decided in integers
-    as count * den > num * size for budget(d) = num/den (no gap exceeds an
-    infinite budget), and gap - budget(d) at the largest count of each
-    distance d, exact or a float (under a float budget, the exact difference
-    rounded once), from a bisection of the class arrays, ascending in count at each d."""
+def _excesses(size: int, classes: PairClasses, alpha: Number, beta: Number) -> tuple[int, Optional[Fraction]]:
+    """(pairs whose gap count/size exceeds alpha * d + beta, the largest excess
+    gap - (alpha * d + beta) or None over no class), in integers: alpha, beta
+    and each d (a float at its binary value) read by ``as_integer_ratio`` give
+    a budget num/den, a class counts when count * den > num * size (a bisection
+    of each distance's classes, ascending in count), and the excess of its
+    largest count is (count * den - num * size) / (size * den)."""
+    try:
+        (an, ad), (bn, bd) = alpha.as_integer_ratio(), beta.as_integer_ratio()
+    except (OverflowError, ValueError):  # an infinity or a NaN
+        raise InvalidParameterError("alpha and beta must be finite") from None
     counts, weights = classes.class_counts, classes.weights
-    gap = (lambda c: Fraction(int(counts[c]), size)) if exact else (lambda c: int(counts[c]) / size)
     bounds = np.searchsorted(classes.class_codes, np.arange(len(classes.values) + 1))  # each distance's first class
-    violations, tops = 0, []
+    violations, top = 0, None
     for start, end, d in zip(bounds[:-1], bounds[1:], classes.values):
-        b = budget(d)
-        num, den = (1, 0) if b == math.inf else b.as_integer_ratio()
+        dn, dd = d.as_integer_ratio()
+        num, den = an * dn * bd + bn * ad * dd, ad * dd * bd
         over = bisect.bisect_left(range(start, end), True, key=lambda c: int(counts[c]) * den > num * size) + start
         violations += int(weights[over:end].sum())
-        top = gap(end - 1)
-        tops.append(float(top - Fraction(num, den)) if exact and isinstance(b, float) and den else top - b)
-    return violations, tops
+        excess = (int(counts[end - 1]) * den - num * size, size * den)
+        if top is None or excess[0] * top[1] > top[0] * excess[1]:
+            top = excess
+    return violations, None if top is None else Fraction(*top)
 
 
 def _close_pairs(table: PredictionTable, metric: Metric, tau: Number) -> tuple[PairClasses, np.ndarray, np.ndarray]:
@@ -372,17 +378,10 @@ def _close_pairs(table: PredictionTable, metric: Metric, tau: Number) -> tuple[P
 # bias and variance
 
 def aggregate_bias(table: PredictionTable) -> dict:
-    """Dataset average of the pointwise bias, against the bias budget 1/k."""
+    """Dataset average of the pointwise bias t/k - score, against the bias budget 1/k."""
     n, k = len(table.dataset), table.derand.k
-    numerators = table.numerators.tolist()
-    if table.cfg.exact:  # each mean prediction is t/k
-        value, stderr = (Fraction(int(table.t.sum()), k) - Fraction(sum(numerators), table.den)) / n, None
-    else:
-        _check_trials(table.size)
-        mu = table.sums / n
-        mean_score = math.fsum(v / table.den for v in numerators) / n  # each score's float, as int / int rounds
-        value, stderr = float(mu.mean()) - mean_score, float(mu.std(ddof=1)) / math.sqrt(table.size)
-    return quantity(value, stderr, bias_bound(k), "family bias budget 1/k")
+    value = (Fraction(int(table.t.sum()), k) - Fraction(sum(table.numerators.tolist()), table.den)) / n
+    return quantity(value, None if table.cfg.exact else 0.0, bias_bound(k), "family bias budget 1/k")
 
 
 def aggregate_variance(table: PredictionTable) -> dict:
@@ -397,8 +396,9 @@ def aggregate_variance(table: PredictionTable) -> dict:
     if table.cfg.exact:
         members, bucketing = table.size // table.derand.pi_family.size, table.derand.bucketing
         value, stderr = Fraction(_same_bucket_sum(bucketing, table.vectors, table.t, k), members * k * k * n * n), None
+    elif table.size < 2:
+        raise InvalidParameterError("an mc audit needs at least 2 trials: its variance divides by trials - 1")
     else:
-        _check_trials(table.size)
         mu = table.sums / n
         value, stderr = float(mu.var(ddof=1)), _variance_stderr(mu)
     if table.derand.bucketing.n_buckets > 1:
@@ -427,11 +427,6 @@ def _same_bucket_sum(bucketing: BucketingFamily, x: np.ndarray, ts: np.ndarray, 
     return total
 
 
-def _check_trials(trials: int):  # for every Monte Carlo variance, ddof=1
-    if trials < 2:
-        raise InvalidParameterError("an mc audit needs at least 2 trials: its variance divides by trials - 1")
-
-
 def _variance_stderr(samples: np.ndarray) -> float:
     """Asymptotic standard error of the sample variance via the fourth
     central moment."""
@@ -454,8 +449,7 @@ def metric_fairness_check(
     classes = table.pair_classes(metric, capped=True)
     if classes.weights.size == 0:
         raise EmptyPairSetError(f"no pairs to check among {len(table.dataset)} point(s)")
-    violations, excesses = _excesses(table.size, table.cfg.exact, classes, lambda d: alpha * d + beta)
-    worst_excess = max(excesses)  # the first maximum, as a loop keeps
+    violations, worst_excess = _excesses(table.size, classes, alpha, beta)
 
     report = {"pairs_checked": quantity(int(classes.weights.sum()))}
     if classes.pair_seed is not None:
@@ -522,7 +516,7 @@ def threshold_fairness_check(
     classes, i, j = _close_pairs(table, metric, sigma)
     n_diff = int(classes.class_counts[np.array([d <= sigma for d in classes.values])[classes.class_codes]].max())
     # max() keeps its first maximal argument: an int 0 when no pair differs
-    worst: Number = max(0, Fraction(n_diff, table.size) if table.cfg.exact else n_diff / table.size)
+    worst: Number = max(0, Fraction(n_diff, table.size))
     scorer_worst: Number = max(0, Fraction(int(abs(table.numerators[i] - table.numerators[j]).max()), table.den))
 
     report = {"pairs_within_sigma": quantity(int(i.size)), "scorer_max_gap": quantity(scorer_worst)}
@@ -593,14 +587,14 @@ def scorer_beta(scorer: StochasticScorer, dataset: Dataset, metric: Metric, alph
     numerators, den = scorer.scores(dataset)
     classes = pair_classes(dataset, metric, PairSet(len(dataset)), numerators, lambda a, b: abs(a - b), den)
     # max() keeps its first maximal argument: an int 0 when no excess is positive
-    return max([0, *_excesses(den, True, classes, lambda d: alpha * d)[1]])
+    return max(0, _excesses(den, classes, alpha, 0)[1] or 0)
 
 
 def family_beta(table: PredictionTable, metric: Metric, alpha: Number) -> Number:
     """Smallest beta for which the family is (alpha, beta)-fair on the
     dataset pairs, from exact (or estimated) pairwise gaps."""
     # max() keeps its first maximal argument: an int 0 when no excess is positive
-    return max([0, *_excesses(table.size, table.cfg.exact, table.pair_classes(metric), lambda d: alpha * d)[1]])
+    return max(0, _excesses(table.size, table.pair_classes(metric), alpha, 0)[1] or 0)
 
 
 # ---------------------------------------------------------------------------

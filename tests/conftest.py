@@ -17,13 +17,13 @@ draw at a time (``draw_bits``, ``uniform_int``, ``normal_pair``), its
 one-pass ``scorer_beta`` pair by pair, and its columnar CSV loader row by
 row; ``reference_excesses`` keeps the per-class list form of the
 verdicts' reduction over pair classes, and every reference reports a gap
-less its budget by ``excess``, rounded once.  ``reference_distance`` is each
+less its budget alpha * d + beta by ``excess``: exactly, in both modes, a
+float read at its binary value.  ``reference_distance`` is each
 metric's distance written from its definition, one pair of points at a
 time, with each float sum a ``math.fsum`` over Python floats; the library
 evaluates metrics only over blocks of pairs.
 """
 
-import bisect
 import csv
 import itertools
 import math
@@ -435,43 +435,29 @@ def brute_aggregate_variance(derand, dataset) -> Fraction:
     return sum((m - overall) ** 2 for m in means) / len(means)
 
 
-def split_share(table, a, b):
+def split_share(table, a, b) -> Fraction:
     """The share of the table's members (or trials) that predict
     differently at points a and b, from the one pass over that pair under
-    the table's split counts: exact, or a float in Monte Carlo mode."""
+    the table's split counts, exact in both modes."""
     metric = NormalizedHamming(table.dataset.fairness_vectors.shape[1])  # any metric: only the gap is read
     pair = pairs_of(len(table.dataset), [a], [b])
     n_diff = int(pair_classes(table.dataset, metric, pair, table._split_rows(), table._splits, table.size)
                  .class_counts[0])
-    return Fraction(n_diff, table.size) if table.cfg.exact else n_diff / table.size
+    return Fraction(n_diff, table.size)
 
 
-def excess(gap, budget):
-    """gap - budget as a report gives it: an exact gap less a finite float
-    budget is their exact difference rounded once to a float, and any other
-    difference is formed as it is (a float gap, or an infinite budget, in
-    float; a Fraction or int budget exactly)."""
-    if isinstance(gap, Fraction) and isinstance(budget, float) and math.isfinite(budget):
-        return float(gap - Fraction(budget))
-    return gap - budget
+def excess(gap, alpha, d, beta=0) -> Fraction:
+    """gap - (alpha * d + beta), every term read exactly: a float at its binary value."""
+    return Fraction(gap) - (Fraction(alpha) * Fraction(d) + Fraction(beta))
 
 
-def reference_excesses(size, exact, classes, budget):
-    """``measure._excesses`` over Python lists of the class counts and of
-    the running pair total: (pairs whose gap count/size exceeds budget(d),
-    gap - budget(d) at the largest count of each distance d), each distance's
-    first excess found by a bisection of its classes, ascending in count,
-    comparing Fraction(count, size) with Fraction(budget(d))."""
-    counts, cumulative = classes.class_counts.tolist(), [0, *np.cumsum(classes.weights).tolist()]
-    gap = (lambda n: Fraction(n, size)) if exact else (lambda n: n / size)
-    ends = [*(np.flatnonzero(np.diff(classes.class_codes)) + 1).tolist(), len(counts)][: len(classes.values)]
-    violations, tops = 0, []
-    for start, end, d in zip([0, *ends], ends, classes.values):
-        b = budget(d)
-        over = bisect.bisect_left(range(start, end), True, key=lambda c: Fraction(counts[c], size) > Fraction(b)) + start
-        violations += cumulative[end] - cumulative[over]
-        tops.append(excess(gap(counts[end - 1]), b))
-    return violations, tops
+def reference_excesses(size, classes, alpha, beta):
+    """``measure._excesses`` over Python lists of the classes, each one's
+    gap count/size less its budget by ``excess``: (the pairs of the classes
+    whose excess is positive, the largest excess or None over no class)."""
+    classes_of = zip(classes.class_codes.tolist(), classes.class_counts.tolist(), classes.weights.tolist())
+    excesses = [(excess(Fraction(n, size), alpha, classes.values[c], beta), w) for c, n, w in classes_of]
+    return sum(w for e, w in excesses if e > 0), max((e for e, _ in excesses), default=None)
 
 
 def reference_gap(derand, x, y, cfg):
@@ -482,13 +468,12 @@ def reference_gap(derand, x, y, cfg):
 
 def reference_fairness_check(derand, dataset, metric, alpha, beta, cfg, pairs):
     """(violations, worst excess) of gap <= alpha*d + beta, pair by pair."""
-    violations, worst, rows = 0, -math.inf, each_point(dataset)
+    violations, worst, rows = 0, None, each_point(dataset)
     for i, j in pairs:
-        gap = reference_gap(derand, rows[i], rows[j], cfg)
-        e = excess(gap, alpha * reference_distance(metric, rows[i], rows[j]) + beta)
+        e = excess(reference_gap(derand, rows[i], rows[j], cfg), alpha, reference_distance(metric, rows[i], rows[j]), beta)
         if e > 0:
             violations += 1
-        if e > worst:
+        if worst is None or e > worst:
             worst = e
     return violations, worst
 
@@ -497,7 +482,7 @@ def reference_family_beta(derand, dataset, metric, alpha, cfg):
     """max(0, max over all pairs of gap - alpha*d), pair by pair."""
     worst = 0
     for x, y in itertools.combinations(each_point(dataset), 2):
-        e = excess(reference_gap(derand, x, y, cfg), alpha * reference_distance(metric, x, y))
+        e = excess(reference_gap(derand, x, y, cfg), alpha, reference_distance(metric, x, y))
         if e > worst:
             worst = e
     return worst
@@ -510,7 +495,7 @@ def reference_scorer_beta(scorer, dataset, metric, alpha):
     scores = [reference_score(scorer, p) for p in rows]
     pairs = itertools.combinations(range(len(rows)), 2)
     # max() keeps its first maximal argument: an int 0 when no excess is positive
-    return max([0, *(excess(abs(scores[a] - scores[b]), alpha * reference_distance(metric, rows[a], rows[b]))
+    return max([0, *(excess(abs(scores[a] - scores[b]), alpha, reference_distance(metric, rows[a], rows[b]))
                      for a, b in pairs)])
 
 

@@ -619,6 +619,24 @@ class TestAdversarialCommand:
         assert len(dataset) == 6
         assert scorer is not None
 
+    def test_sphere_reads_alpha_and_beta_as_audit_does(self, config_factory, monkeypatch):
+        # as exact decimals, as audit reads them: its budgets are 11/10 * d + 1/10, not those of the nearest doubles
+        from fairderand import adversarial
+        verify, seen = adversarial.verify_sphere_counterexample, []
+
+        def recording(cons, *rest):
+            seen.append((cons.alpha, cons.beta))
+            return verify(cons, *rest)
+
+        monkeypatch.setattr(adversarial, "verify_sphere_counterexample", recording)
+        config = config_factory(
+            scheme="pi", k=101, alpha=1.1, beta=0.1,
+            adversarial={"construction": "sphere", "n_points": 6,
+                         "dimension": 2, "delta_sphere": 0.15, "eps_gap": 0.05},
+        )
+        assert main(["adversarial", "--config", str(config)]) == 0
+        assert seen == [(Fraction(11, 10), Fraction(1, 10))]
+
     def test_invalid_beta_exits_2(self, config_factory):
         config = config_factory(
             scheme="pi", k=101, alpha=1.0, beta=0.5,
@@ -1202,6 +1220,18 @@ class TestExactAlphaBeta:
         assert fairness["fairness_violations"]["value"] == 0
         assert fairness["fairness_violations"]["satisfied"] is True
         assert fairness["worst_excess"]["value"] == 0
+
+    def test_a_float_distance_budget_is_exact(self, tmp_path, config_factory):
+        # RT at k = 10 splits 1/2 of the family between scores 0 and 0.5, at the distance d = 0.45454545454545453:
+        # 11/10 * d lies 1.7e-17 below 1/2, where the double 1.1 * d is 0.5 and counted no violation
+        path = tmp_path / "two.csv"
+        write_dataset(path, [["x", "0", "0"], ["y", "0.45454545454545453", "0.5"]], ["id", "feat_0", "score"])
+        config = config_factory(input=str(path), k=10, alpha=1.1, beta=0, metric={"kind": "scaled_euclidean", "scale": 1})
+        assert main(["audit", "--config", str(config)]) == 0
+        fairness = json.loads((tmp_path / "reports" / "audit.json").read_text())["quantities"]["metric_fairness"]
+        assert fairness["fairness_violations"]["value"] == 1
+        assert fairness["worst_excess"]["value"] == float(Fraction(1, 2) - Fraction(11, 10) * Fraction(0.45454545454545453))
+        assert fairness["worst_excess"]["value"] == 1.6653345369377347e-17
 
     @pytest.mark.parametrize("scheme", [{"scheme": "rt"}, {"scheme": "pi", "bucketer": {"kind": "identity"}},
                                         {"scheme": "ls", "lsh": {"kind": "bit_sampling"}}], ids=["rt", "pi", "ls"])

@@ -170,10 +170,6 @@ class TestOracleAgreement:
         scorer = random_scorer(py_rng, ds)
         mc = EstimatorConfig(mode="mc", trials=100_000, seed=11)
         for derand in small_families(ds, scorer, k=7):
-            exact_bias = aggregate_bias(prediction_table(derand, ds, EXACT))["value"]
-            est = aggregate_bias(prediction_table(derand, ds, mc))
-            assert abs(est["value"] - float(exact_bias)) <= 4 * est["stderr"] + 1e-12
-
             exact_var = aggregate_variance(prediction_table(derand, ds, EXACT))["value"]
             est = aggregate_variance(prediction_table(derand, ds, mc))
             assert abs(est["value"] - float(exact_var)) <= 4 * est["stderr"] + 1e-12
@@ -247,16 +243,18 @@ class TestBias:
         table = prediction_table(derand, ds, EXACT)
         assert aggregate_bias(table)["value"] == brute_mean(derand, ds) - reference_score(derand.scorer, ds)
 
-    def test_mc_mean_score_is_one_rounding(self):
-        # 0.1 + 0.2 + 0.3 left to right is 0.6000000000000001, and 0.6 right
-        # to left; the correctly rounded sum is 0.6 in every order
-        scorer, values = TabularScorer({"a": "0.1", "b": "0.2", "c": "0.3"}), []
-        for ids in itertools.permutations("abc"):
-            ds = dataset_of({i: (0.0,) for i in ids})
-            table = prediction_table(Derandomizer.rt(scorer, 10), ds, EstimatorConfig(mode="mc", trials=50, seed=3))
-            values.append(aggregate_bias(table)["value"])
-            assert values[-1] == float(table.sums.mean() / 3) - 0.6 / 3
-        assert len(set(values)) == 1
+    @pytest.mark.parametrize("trials", [1, 50])
+    def test_mc_bias_is_the_exact_bias(self, py_rng, trials):
+        # every member predicts 1 at x with probability t/k, so no trial is read: the
+        # Monte Carlo entry is the exact one with stderr 0, even over one trial
+        ds = binary_dataset()
+        scorer = random_scorer(py_rng, ds)
+        mc = EstimatorConfig(mode="mc", trials=trials, seed=3)
+        for derand in [*small_families(ds, scorer), Derandomizer(scorer, SimHashFamily(2), 5)]:
+            expected = sum(reference_family_mean(derand, p) - reference_score(scorer, p) for p in each_point(ds)) / len(ds)
+            entry = aggregate_bias(prediction_table(derand, ds, mc))
+            assert entry == quantity(expected, 0.0, bias_bound(5), "family bias budget 1/k")
+            assert type(entry["value"]) is Fraction
 
     def test_bias_bound_holds_exactly_on_random_configs(self, py_rng):
         for _ in range(5):
@@ -373,8 +371,8 @@ class TestPairwiseUnfairness:
 
 class TestScorerBeta:
     """The one-pass scorer_beta (the largest numerator gap per distance)
-    equals the pair-by-pair maximum, in value and in type: an int 0, a
-    Fraction from exact distances, a float from float ones or a float alpha."""
+    equals the pair-by-pair maximum, in value and in type: an int 0 or a
+    Fraction, float distances and a float alpha read at their binary values."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -493,7 +491,7 @@ PARAMETERS = [1, 2, Fraction(3, 2), Fraction(1, 20), 1.25, 0.05, 0]
 
 class TestPairPathMatchesReferenceLoop:
     """The array pair path equals the per-pair loops in conftest: same
-    counts, same values and the same int, Fraction or float type."""
+    counts, same values and the same int or Fraction type, in both modes."""
 
     @staticmethod
     def family(kind, scorer, dataset, k):
@@ -538,60 +536,65 @@ class TestPairPathMatchesReferenceLoop:
 
 @st.composite
 def synthetic_classes(draw):
-    """(size, exact, classes, budgets): sorted distinct (distance code,
-    split count) classes of a table of ``size`` members (exact) or trials (MC),
-    up to 60 a code, and per distance a budget: an int, a Fraction, a
-    float, or a class's own gap (a tie), exact or as a float.  As Jaccard's
-    codes do, two codes may decode to one distance, which has one budget."""
-    exact = draw(st.booleans())
-    size = draw(st.sampled_from([1, 7, 300, 2**53 + 1, 2**63 - 1] if exact else [1, 7, 300, 2000]))
-    value = st.fractions(0, 1, max_denominator=6) if draw(st.booleans()) else st.sampled_from([0.0, 0.25, 1 / 3, 1.0])
+    """(size, classes, alpha, beta): sorted distinct (distance code, split
+    count) classes of a table of ``size`` members or trials, up to 60 a
+    code, over float and rational distances, and alpha and beta as an int, a
+    Fraction or a float, or beta set so that one class's gap ties its budget.
+    As Jaccard's codes do, two codes may decode to one distance."""
+    size = draw(st.sampled_from([1, 7, 300, 2000, 2**53 + 1, 2**63 - 1]))
+    value = st.fractions(0, 1, max_denominator=6) | st.sampled_from([0.0, 0.25, 1 / 3, 0.1, 1.0]) | st.floats(0, 1)
     values = draw(st.lists(value, max_size=6))
-    codes, counts, budgets = [], [], {}
+    codes, counts = [], []
     for code, d in enumerate(values):
         ns = sorted(draw(st.sets(st.integers(0, size), min_size=1, max_size=60)))
         codes += [code] * len(ns)
         counts += ns
-        if d not in budgets:
-            tie = draw(st.sampled_from(ns))
-            budgets[d] = draw(st.sampled_from([0, 1, Fraction(tie, size), tie / size, float(Fraction(tie, size))])
-                              | st.fractions(-1, 2, max_denominator=10**6) | st.floats(-1, 2))
     weights = draw(st.lists(st.integers(1, 10**6), min_size=len(counts), max_size=len(counts)))
+    parameter = st.sampled_from([0, 1, 2]) | st.fractions(-1, 2, max_denominator=10**6) | st.floats(-1, 2)
+    alpha, beta = draw(parameter), draw(parameter)
+    if counts and draw(st.booleans()):  # a tie: alpha * d + beta is the class's gap, exactly
+        c = draw(st.sampled_from(range(len(counts))))
+        beta = Fraction(counts[c], size) - Fraction(alpha) * Fraction(values[codes[c]])
     arrays = (np.array(a, dtype=np.int64) for a in (codes, counts, weights))
-    return size, exact, PairClasses(None, values, None, *arrays), budgets
+    return size, PairClasses(None, values, None, *arrays), alpha, beta
+
+
+def one_distance(d, counts, weights) -> PairClasses:
+    return PairClasses(None, [d], None, *(np.array(a, dtype=np.int64) for a in ([0] * len(counts), counts, weights)))
 
 
 class TestExcesses:
     """``_excesses`` reads the class arrays in place and equals the list
-    form of conftest: same violations and, per distance, the same top
-    excess, value and int, Fraction or float type."""
+    form of conftest: the same violations and the same largest excess, an
+    exact Fraction (None over no class), under every alpha, beta and d."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=synthetic_classes())
     def test_equals_list_reference(self, case):
-        size, exact, classes, budgets = case
-        violations, tops = _excesses(size, exact, classes, budgets.__getitem__)
-        expected = reference_excesses(size, exact, classes, budgets.__getitem__)
+        size, classes, alpha, beta = case
+        violations, top = _excesses(size, classes, alpha, beta)
+        expected = reference_excesses(size, classes, alpha, beta)
         assert type(violations) is int and violations == expected[0]
-        assert [repr(t) for t in tops] == [repr(t) for t in expected[1]]
-        # a class counts when its gap is above the budget, both exact; a tie does not count
-        classes_of = zip(classes.class_codes.tolist(), classes.class_counts.tolist(), classes.weights.tolist())
-        assert violations == sum(w for c, n, w in classes_of if Fraction(n, size) > Fraction(budgets[classes.values[c]]))
+        assert top == expected[1] and type(top) is type(expected[1])
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_a_tie_does_not_count(self, exact):
-        size = 2**63 - 1 if exact else 300
-        classes = PairClasses(None, [Fraction(1, 4)], None, *(np.array(a, dtype=np.int64) for a in
-                                                               ([0, 0, 0], [5, 9, 12], [3, 4, 2])))
-        top, nine = Fraction(12, size) if exact else 12 / size, Fraction(9, size)
-        assert repr(_excesses(size, exact, classes, lambda d: top)) == repr((0, [top - top]))
-        assert repr(_excesses(size, exact, classes, lambda d: nine)) == repr((2, [top - nine]))
+    @pytest.mark.parametrize("size", [2**63 - 1, 300])
+    @pytest.mark.parametrize("d", [Fraction(1, 4), 0.1], ids=["quarter", "float-tenth"])
+    def test_a_tie_does_not_count(self, size, d):
+        # 0.1 is read at its binary value, 0.1000000000000000055...: the tie is exact
+        classes = one_distance(d, [5, 9, 12], [3, 4, 2])
+        top, nine = Fraction(12, size), Fraction(9, size)
+        assert _excesses(size, classes, 1, top - Fraction(d)) == (0, 0)
+        assert _excesses(size, classes, 1, nine - Fraction(d)) == (2, top - nine)
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_no_gap_exceeds_an_infinite_budget(self, exact):
-        # alpha * d + beta overflows to inf under a float metric with alpha and beta near 1e308
-        classes = PairClasses(None, [0.5], None, *(np.array(a, dtype=np.int64) for a in ([0, 0], [0, 7], [1, 2])))
-        assert repr(_excesses(7, exact, classes, lambda d: math.inf)) == repr((0, [-math.inf]))
+    @pytest.mark.parametrize("alpha,beta", [(math.inf, 0), (1, math.inf), (math.nan, 0), (1, math.nan)])
+    def test_a_non_finite_alpha_or_beta_raises(self, alpha, beta):
+        # alpha >= 1 and beta >= 0 hold for an infinity, and every comparison with a NaN is false
+        with pytest.raises(InvalidParameterError, match="alpha and beta must be finite"):
+            _excesses(7, one_distance(0.5, [0, 7], [1, 2]), alpha, beta)
+        ds = binary_dataset()
+        table = prediction_table(Derandomizer.rt(TabularScorer({"x1": 0.3, "x2": 0.55, "x3": 0.9}), 5), ds, EXACT)
+        with pytest.raises(InvalidParameterError, match="alpha and beta must be finite"):
+            metric_fairness_check(table, NormalizedHamming(2), alpha, beta)
 
     def test_verdicts_hold_no_object_per_class(self):
         # 400 points in MC mode: 37,046 (distance, split count) classes over
@@ -610,9 +613,57 @@ class TestExcesses:
         finally:
             tracemalloc.stop()
         assert peak < (16 << 10) + 256 * len(classes.values)
-        violations, tops = reference_excesses(table.size, table.cfg.exact, classes, lambda d: 1 * d + 0)
-        assert report["fairness_violations"]["value"] == violations and report["worst_excess"]["value"] == max(tops)
-        assert beta == max([0, *tops])
+        violations, top = reference_excesses(table.size, classes, 1, 0)
+        assert report["fairness_violations"]["value"] == violations and report["worst_excess"]["value"] == top
+        assert beta == max(0, top)
+
+
+DECIMAL_ALPHA = st.integers(100, 300).map(lambda c: Fraction(c, 100))  # 1.00 to 3.00, as the CLI reads them
+DECIMAL_BETA = st.integers(0, 50).map(lambda c: Fraction(c, 100))
+
+
+class TestOneExactRule:
+    """One rule decides every pair verdict, in both modes and under float
+    (at their binary value) and rational distances alike: the exact gap
+    less the exact alpha * d + beta, pair by pair as conftest forms it.  A
+    single point has no pair: its pass has no class, both betas are 0, and
+    the check has nothing to check."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n_points=st.integers(1, 6),
+        kind=st.sampled_from(["rt-euclidean", "rt-angular", "simhash-angular", "bit_sampling", "minhash"]),
+        mc=st.booleans(),
+        alpha=DECIMAL_ALPHA,
+        beta=DECIMAL_BETA,
+    )
+    def test_equals_pair_by_pair(self, seed, n_points, kind, mc, alpha, beta):
+        rng = random.Random(seed)
+        if kind in ("bit_sampling", "minhash"):
+            ds = random_binary_dataset(rng, n_points, 3)
+            derand, metric = TestPairPathMatchesReferenceLoop.family(kind, random_scorer(rng, ds, 20), ds, 5)
+        else:
+            ds, scheme = random_real_dataset(rng, n_points, 3), kind.split("-")[0]
+            scorer = random_scorer(rng, ds, 20)
+            derand = Derandomizer.rt(scorer, 5) if scheme == "rt" else Derandomizer(scorer, SimHashFamily(3), 5)
+            metric = ScaledEuclidean(0.75) if kind.endswith("euclidean") else Angular()
+            mc = mc or scheme == "simhash"  # no list of hyperplanes
+        cfg = EstimatorConfig(mode="mc" if mc else "exact", trials=300, seed=seed)
+        table = prediction_table(derand, ds, cfg)
+        beta_hat = family_beta(table, metric, alpha)
+        assert beta_hat == reference_family_beta(derand, ds, metric, alpha, cfg)
+        assert scorer_beta(derand.scorer, ds, metric, alpha) == reference_scorer_beta(derand.scorer, ds, metric, alpha)
+        if n_points == 1:
+            assert beta_hat == 0 and type(beta_hat) is int
+            with pytest.raises(EmptyPairSetError):
+                metric_fairness_check(table, metric, alpha, beta)
+            return
+        i, j = np.triu_indices(n_points, 1)
+        violations, worst = reference_fairness_check(derand, ds, metric, alpha, beta, cfg, zip(i.tolist(), j.tolist()))
+        report = metric_fairness_check(table, metric, alpha, beta)
+        assert report["fairness_violations"]["value"] == violations
+        assert report["worst_excess"]["value"] == worst and type(report["worst_excess"]["value"]) is Fraction
 
 
 class TestThresholdFairnessCheck:
@@ -1520,7 +1571,7 @@ class TestMonteCarloBitsPinned:
 
 class TestOneTrial:
     """A ddof=1 variance over one Monte Carlo trial is undefined: every
-    quantity that takes one raises."""
+    quantity that takes one raises (the bias takes none)."""
 
     @pytest.fixture
     def table(self, py_rng):
@@ -1528,9 +1579,7 @@ class TestOneTrial:
         derand = Derandomizer(random_scorer(py_rng, ds), BitSamplingFamily(4), 7)
         return prediction_table(derand, ds, EstimatorConfig(mode="mc", trials=1))
 
-    @pytest.mark.parametrize("quantity_of", [
-        aggregate_variance, aggregate_bias,
-    ], ids=["aggregate_variance", "aggregate_bias"])
+    @pytest.mark.parametrize("quantity_of", [aggregate_variance], ids=["aggregate_variance"])
     def test_variance_needs_two_trials(self, table, quantity_of):
         with pytest.raises(InvalidParameterError, match="needs at least 2 trials"):
             quantity_of(table)
