@@ -42,9 +42,12 @@ def threshold_counts(numerators: np.ndarray, den: int, k: int) -> np.ndarray:
     """t = floor(score * k) of every score numerators/den, as int64: the
     number of grid thresholds u/k <= score (a closed comparison), all that a
     threshold classifier reads of a score.  The products n * k are formed in
-    Python ints where den * k passes int64."""
+    Python ints where den * k passes int64, and a t past int64 raises."""
     wide = den * k >= 2**63
-    return ((numerators.astype(object) if wide else numerators) * k // den).astype(np.int64)
+    t = (numerators.astype(object) if wide else numerators) * k // den
+    if wide and (t >= 2**63).any():
+        raise InvalidParameterError(f"k = {k} puts a threshold count floor(score * k) past 2**63")
+    return t.astype(np.int64)
 
 
 def over_common_denominator(ratios: Sequence[tuple[int, int]]) -> tuple[np.ndarray, int]:
@@ -146,8 +149,13 @@ class AffineScorer(StochasticScorer):
             raise DimensionMismatchError(
                 f"scorer expects {len(self.weights)} features, got {data.features.shape[1]}"
             )
-        terms = np.column_stack([data.features * self.weights, np.full(len(data), self.bias)]).tolist()
-        raws = map(math.fsum, terms)
+        with np.errstate(over="ignore"):  # a product past the float range is inf, and its score clamps
+            terms = np.column_stack([data.features * self.weights, np.full(len(data), self.bias)]).tolist()
+        raws = []
+        try:
+            raws.extend(map(math.fsum, terms))  # on a failure, raws holds the sums of the rows before it
+        except (OverflowError, ValueError):  # finite terms whose sum passes the float range, or inf - inf
+            raise InvalidParameterError(f"the affine score of point {data.ids[len(raws)]!r} overflows") from None
         return over_common_denominator([as_score(min(1.0, max(0.0, raw))).as_integer_ratio() for raw in raws])
 
 

@@ -323,10 +323,10 @@ def prediction_table(
 def sample_classifier(derand: Derandomizer, dataset: Dataset, rng: CountingRng) -> tuple[dict, BitBudget, np.ndarray]:
     """The classifier of ``derand.draw(rng, 1)``: its report entry, the bits
     of its draw, and its 0/1 prediction at every point, evaluated as the
-    Monte Carlo table and the tail check evaluate theirs."""
+    Monte Carlo table and the tail check evaluate theirs, the data read first."""
+    t, x = threshold_counts(*derand.scorer.scores(dataset), derand.k), derand.bucketing.vectors(dataset)
     keys, a, c, budget = derand.draw(rng, 1)
-    t = threshold_counts(*derand.scorer.scores(dataset), derand.k)
-    bits = derand.predict(keys, a, c, t, derand.bucketing.vectors(dataset))
+    bits = derand.predict(keys, a, c, t, x)
     params = {**derand.pi_family.params(a[0], c[0]), **derand.bucketing.params(keys[0])}
     return params, budget, bits[:, 0].astype(np.uint8)
 
@@ -366,8 +366,7 @@ def _close_pairs(table: PredictionTable, metric: Metric, tau: Number) -> tuple[P
     close = np.array([d <= tau for d in classes.values], dtype=bool)
     p = np.concatenate([np.zeros(0, np.int64),
                         *(np.flatnonzero(close[codes[s : s + step]]) + s for s in range(0, codes.size, step))])
-    rows = np.arange(len(table.dataset), dtype=np.int64)
-    starts = rows * (2 * len(table.dataset) - rows - 1) // 2  # the position of pair (i, i + 1)
+    starts = PairSet(len(table.dataset)).row_starts()
     i = np.searchsorted(starts, p, side="right") - 1
     if i.size == 0:
         raise EmptyPairSetError(f"no pairs within distance {tau}")

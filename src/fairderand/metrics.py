@@ -58,6 +58,11 @@ class PairSet:
     def __len__(self) -> int:
         return self.n * (self.n - 1) // 2 if self.keys is None else self.keys.size
 
+    def row_starts(self) -> np.ndarray:
+        """The position of each row i's first pair (i, i + 1) among every pair in np.triu_indices order, as int64."""
+        rows = np.arange(self.n, dtype=np.int64)
+        return rows * (2 * self.n - rows - 1) // 2
+
     def blocks(self, *xs: np.ndarray) -> Iterator[list]:
         """The rows xa, xb of each x at the two points of consecutive blocks
         of pairs, about PAIR_CHUNK_BYTES of rows and of the 64 bytes a pair
@@ -205,8 +210,8 @@ class ScaledEuclidean(Metric):
 
     def _float_blocks(self, x):
         def block(a, b):
-            with np.errstate(over="ignore"):  # a difference past the largest double is inf, at distance 1.0
+            with np.errstate(over="ignore"):  # a difference, norm or ratio past the largest double is inf, at 1.0
                 d, e = _scaled(a - b)  # the norm of a - b is 2**e times that of d
-            return np.fmin(np.ldexp(np.sqrt(_fsums(d * d)), e) / self.scale, 1.0)
+                return np.fmin(np.ldexp(np.sqrt(_fsums(d * d)), e) / self.scale, 1.0)
 
         return x, block

@@ -4,7 +4,8 @@ An agent at x who presents x' receives m(x') - cost(x, x'), with m the
 classifier's mean prediction (a score, or t/k for a family).  Under an
 (alpha, beta)-fair classifier no move gains more than (alpha - 1)*cost +
 beta; a row {origin, response, gain} holds a best response and its gain, a
-``quantity()`` entry against that budget, exact from exact costs.
+``quantity()`` entry against that budget, exact from exact costs.  Each
+origin's costs are read from the pass's distance codes where it left them.
 """
 
 from fractions import Fraction
@@ -24,22 +25,18 @@ def best_responses(
     prediction at each candidate in dataset order; ties go to the lowest id."""
     n = len(candidates)
     pairs = pair_classes(candidates, cost, PairSet(n), codes=True)  # each pair's distance, once
-    codes, distances = pairs.codes, pairs.values
-    values = [Fraction(m) for m in means] + [decimal_distance(d) for d in distances]
-    numerators, den = over_common_denominator([v.as_integer_ratio() for v in values])
-    numerators = numerators.tolist()
-    costs = np.array(numerators[n:] + [0], dtype=object)  # the last code: staying put
-    code = np.full((n, n), len(distances), dtype=np.min_scalar_type(len(distances)))
-    code[np.triu_indices(n, 1)] = codes
-    order = np.argsort(candidates.ids, kind="stable")
-    code = np.minimum(code, code.T)[:, order]  # by origin, then candidate in id order
-    by_id = np.array(numerators[:n], dtype=object)[order]
+    codes, stay = pairs.codes, np.array([len(pairs.values)])  # staying put: the last code, at cost 0
+    values = [Fraction(m) for m in means] + [decimal_distance(d) for d in pairs.values] + [0]
+    numerators, den = over_common_denominator([v.as_integer_ratio() for v in values])  # int64 where all fit
+    costs, order, starts = numerators[n:], np.argsort(candidates.ids, kind="stable"), PairSet(n).row_starts()
+    by_id, earlier = numerators[:n][order], starts - np.arange(n) - 1  # pair (j, o) for j < o is at earlier[j] + o
     rows = []
-    for o, origin in enumerate(candidates.ids):
-        utilities = by_id - costs[code[o]]  # integer numerators over den
+    for o, origin in enumerate(candidates.ids):  # (j, o) for j < o, staying put, then the run (o, j) for j > o
+        code = np.concatenate([codes[earlier[:o] + o], stay, codes[starts[o] : starts[o] + n - o - 1]])[order]
+        utilities = by_id - costs[code]  # integer numerators over den, candidates in id order
         best = int(np.argmax(utilities))  # the first maximum: ties go to the lowest id
-        bound = manipulation_gain_bound(alpha, beta, Fraction(costs[code[o, best]], den))
-        gain = Fraction(utilities[best] - numerators[o], den)
+        bound = manipulation_gain_bound(alpha, beta, Fraction(int(costs[code[best]]), den))
+        gain = Fraction(int(utilities[best]) - int(numerators[o]), den)  # in Python ints, whatever the dtype
         rows.append({"origin": origin, "response": candidates.ids[order[best]],
                      "gain": quantity(gain, None, bound, "manipulation budget (alpha - 1) * cost + beta")})
     return rows

@@ -21,7 +21,8 @@ less its budget alpha * d + beta by ``excess``: exactly, in both modes, a
 float read at its binary value.  ``reference_distance`` is each
 metric's distance written from its definition, one pair of points at a
 time, with each float sum a ``math.fsum`` over Python floats; the library
-evaluates metrics only over blocks of pairs.
+evaluates metrics only over blocks of pairs.  ``reference_best_responses``
+answers every strategic origin from a whole n x n matrix of distance codes.
 """
 
 import csv
@@ -49,7 +50,7 @@ from fairderand import (
     SimHashFamily,
     TabularScorer,
 )
-from fairderand.core import as_score
+from fairderand.core import as_score, over_common_denominator
 from fairderand.errors import (
     DimensionMismatchError,
     EmptyPairSetError,
@@ -61,8 +62,15 @@ from fairderand.errors import (
     ZeroVectorError,
 )
 from fairderand.hashing import FixedFamily
-from fairderand.measure import decomposition_bound, pair_classes, prediction_table, sample_pairs
-from fairderand.metrics import PairSet
+from fairderand.measure import (
+    decomposition_bound,
+    manipulation_gain_bound,
+    pair_classes,
+    prediction_table,
+    quantity,
+    sample_pairs,
+)
+from fairderand.metrics import PairSet, decimal_distance
 from fairderand.rng import _GOLDEN, _MASK64, _mix64
 
 
@@ -497,6 +505,34 @@ def reference_scorer_beta(scorer, dataset, metric, alpha):
     # max() keeps its first maximal argument: an int 0 when no excess is positive
     return max([0, *(excess(abs(scores[a] - scores[b]), alpha, reference_distance(metric, rows[a], rows[b]))
                      for a, b in pairs)])
+
+
+def reference_best_responses(means, candidates, cost, alpha, beta):
+    """``strategic.best_responses`` in its n x n form: each pair's distance
+    code scattered into a symmetric code matrix (staying put is the code
+    ``len(distances)``, at cost 0), its columns in id order, and each
+    origin's utilities as a row of Python ints over one denominator."""
+    n = len(candidates)
+    pairs = pair_classes(candidates, cost, PairSet(n), codes=True)  # each pair's distance, once
+    codes, distances = pairs.codes, pairs.values
+    values = [Fraction(m) for m in means] + [decimal_distance(d) for d in distances]
+    numerators, den = over_common_denominator([v.as_integer_ratio() for v in values])
+    numerators = numerators.tolist()
+    costs = np.array(numerators[n:] + [0], dtype=object)  # the last code: staying put
+    code = np.full((n, n), len(distances), dtype=np.min_scalar_type(len(distances)))
+    code[np.triu_indices(n, 1)] = codes
+    order = np.argsort(candidates.ids, kind="stable")
+    code = np.minimum(code, code.T)[:, order]  # by origin, then candidate in id order
+    by_id = np.array(numerators[:n], dtype=object)[order]
+    rows = []
+    for o, origin in enumerate(candidates.ids):
+        utilities = by_id - costs[code[o]]  # integer numerators over den
+        best = int(np.argmax(utilities))  # the first maximum: ties go to the lowest id
+        bound = manipulation_gain_bound(alpha, beta, Fraction(costs[code[o, best]], den))
+        gain = Fraction(utilities[best] - numerators[o], den)
+        rows.append({"origin": origin, "response": candidates.ids[order[best]],
+                     "gain": quantity(gain, None, bound, "manipulation budget (alpha - 1) * cost + beta")})
+    return rows
 
 
 def reference_load(path):

@@ -1263,13 +1263,18 @@ READ_KEYS = {
     "lsh.dim": {"lsh": {"kind": "simhash"}, "mode": "mc"},
 }
 
+EXTREME = [1e308, -1e308, 5e-324, [1e308, 1e308, -1e308]]
+# the keys of READ_KEYS that hold numbers; n_classifiers at 1e308 is a draw size numpy refuses, a resource limit
+NUMERIC_KEYS = ["seed", "trials", "pairs_cap", "k", "alpha", "beta", "tau", "delta", "curve_alphas", "metric.n",
+                "metric.scale", "scorer.weights", "scorer.bias", "scorer.value", "bucketer.resolution", "lsh.n",
+                "lsh.universe_size", "lsh.dim"]
+
 
 class TestMalformedConfigGrid:
-    @pytest.mark.parametrize("command", ["derandomize", "audit", "strategic"])
-    @pytest.mark.parametrize("key", list(READ_KEYS))
-    def test_never_raises(self, scored_csv, tmp_path, monkeypatch, capsys, command, key):
-        monkeypatch.chdir(tmp_path)  # "out": "x" writes to ./x
-        for value in MALFORMED:
+    @staticmethod
+    def exits_cleanly(scored_csv, tmp_path, capsys, command, key, values):
+        """Each value at the key exits 0, or 2 or 3 with one stderr line, in a config that makes the command read it."""
+        for value in values:
             config = {
                 "input": str(scored_csv), "out": "reports", "scheme": "ls", "k": 5, "seed": 7, "mode": "exact",
                 "trials": 20, "lsh": {"kind": "bit_sampling"}, "metric": {"kind": "hamming"}, "tau": 0.5,
@@ -1284,6 +1289,19 @@ class TestMalformedConfigGrid:
             assert code in (0, 2, 3), (key, value)
             if code:
                 assert err.count("\n") == 1 and err.startswith(("config error: ", "data error: ")), (key, value)
+
+    @pytest.mark.parametrize("command", ["derandomize", "audit", "strategic"])
+    @pytest.mark.parametrize("key", list(READ_KEYS))
+    def test_never_raises(self, scored_csv, tmp_path, monkeypatch, capsys, command, key):
+        monkeypatch.chdir(tmp_path)  # "out": "x" writes to ./x
+        self.exits_cleanly(scored_csv, tmp_path, capsys, command, key, MALFORMED)
+
+    @pytest.mark.parametrize("command", ["derandomize", "audit", "strategic"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_extreme_finite_values_never_raise(self, scored_csv, tmp_path, monkeypatch, capsys, command, key):
+        # the largest and smallest doubles, and a list whose sum passes the float range, in every numeric key
+        monkeypatch.chdir(tmp_path)
+        self.exits_cleanly(scored_csv, tmp_path, capsys, command, key, EXTREME)
 
     @pytest.mark.parametrize("alphas", [[-1, 0], [0, -0.5], [-1e-9]])
     def test_negative_curve_alphas_exit_2(self, scored_csv, config_factory, capsys, tmp_path, alphas):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from fairderand import (
     AffineScorer,
+    BitSamplingFamily,
     ConstantScorer,
     Dataset,
     Derandomizer,
@@ -67,6 +68,13 @@ class TestScores:
         assert got.dtype == np.int64
         assert got.tolist() == [reference_threshold_count(Fraction(n, den), k) for n in numerators]
 
+    def test_threshold_count_past_int64_is_a_config_error(self):
+        # floor(score * k) at k = 2**63 fits below 1, and passes int64 at 1, or anywhere at k = 2**64
+        assert counts([Fraction(1, 2), Fraction(2**63 - 1, 2**63)], 2**63) == [2**62, 2**63 - 1]
+        for scores, k in (([Fraction(1)], 2**63), ([Fraction(1, 2)], 2**64)):
+            with pytest.raises(InvalidParameterError, match=f"k = {k} puts a threshold count"):
+                counts(scores, k)
+
 
 class TestScorers:
     def test_constant(self):
@@ -93,6 +101,14 @@ class TestScorers:
         for weights in itertools.permutations((0.1, 0.2, 0.3)):
             assert score_list(AffineScorer(weights), ones) == [Fraction(3, 5)]
             assert score_list(AffineScorer(weights[1:], weights[0]), dataset_of({"a": (1.0, 1.0)})) == [Fraction(3, 5)]
+
+    def test_affine_products_past_the_float_range(self):
+        # an infinite product clamps; a sum past the float range, or inf - inf, names its point
+        assert score_list(AffineScorer([1e308, 0.0]), dataset_of({"a": (10.0, 0.0), "b": (-10.0, 0.0)})) == [1, 0]
+        for weights, row in (([1e308, 1e308, -1e308], (1.0, 1.0, 0.0)), ([1e308, 1e308], (10.0, -10.0))):
+            data = dataset_of({"fine": (0.0,) * len(row), "far": row})
+            with pytest.raises(InvalidParameterError, match="affine score of point 'far' overflows"):
+                AffineScorer(weights).scores(data)
 
 
 class TestDatasets:
@@ -151,6 +167,12 @@ class TestColumns:
 
 
 class TestClassifiers:
+    def test_sample_reads_the_data_before_it_draws(self):
+        # a bit-sampling family of 10**308 coordinates cannot be drawn from; the data error comes first
+        derand = Derandomizer(TabularScorer({"a": 0.5}), BitSamplingFamily(10**308), 7)
+        with pytest.raises(DimensionMismatchError, match="bit sampling reads coordinate"):
+            sample_classifier(derand, dataset_of({"a": (1.0, 0.0, 1.0)}), CountingRng(3))
+
     def test_prediction_idempotent(self):
         derand = Derandomizer(TabularScorer({"a": 0.5}), MinHashFamily(3), 7)
         ds = dataset_of({"a": (1.0, 0.0, 1.0)})

@@ -72,6 +72,13 @@ class TestValues:
         expected = [1.0, 1e308 / 1.5e308, 1e308 / 1.5e308]
         assert distances(ScaledEuclidean(1.5e308), points, [(0, 1), (0, 2), (1, 2)]) == expected
 
+    @pytest.mark.parametrize("scale,x,y", [(5e-324, (0.0,), (1.0,)), (1e-10, (0.0,), (1.7e308,)),
+                                           (1.0, (0.0, 0.0), (1.7e308, 1.7e308))],
+                             ids=["ratio-past-the-range", "ratio-of-a-huge-norm", "norm-past-the-range"])
+    def test_scaled_euclidean_saturates_without_a_warning(self, scale, x, y):
+        # the norm (ldexp) or its ratio to the scale passes the largest double; warnings are errors here
+        assert dist(ScaledEuclidean(scale), pt(*x), pt(*y)) == 1.0
+
     def test_float_distances_round_each_sum_once(self):
         # each sum is the float nearest the exact sum of its float terms, in
         # every coordinate order; a left-to-right sum moves the last digit

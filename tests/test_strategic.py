@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairderand import (
     BitSamplingFamily,
@@ -14,7 +15,8 @@ from fairderand import (
     TabularScorer,
 )
 from fairderand.measure import family_beta, family_mean, pair_classes, prediction_table, scorer_beta
-from fairderand.metrics import NormalizedHamming, PairSet, ScaledEuclidean
+from fairderand.core import over_common_denominator
+from fairderand.metrics import Angular, JaccardDistance, NormalizedHamming, PairSet, ScaledEuclidean
 from fairderand.strategic import best_responses
 
 from conftest import (
@@ -24,6 +26,7 @@ from conftest import (
     random_binary_dataset,
     random_real_dataset,
     random_scorer,
+    reference_best_responses,
     score_list,
 )
 
@@ -173,3 +176,51 @@ class TestFamilyVersion:
         for origin, row in zip(ds.ids, rows):
             assert (row["response"], row["gain"]["value"]) == (origin, 0)
 
+
+
+@st.composite
+def strategic_cases(draw):
+    """(means, candidates, cost, alpha, beta): 1-12 points drawn from a pool
+    of rows, so points repeat, under ids out of dataset order; 0/1 rows for
+    Hamming and Jaccard, rows of tenths for scaled Euclidean and angular
+    (never the zero row); means on a coarse grid, so that they tie, either
+    the scores themselves or the RT family's t/k."""
+    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["hamming", "jaccard", "scaled_euclidean", "angular"]))
+    entry = st.integers(0, 1) if kind in ("hamming", "jaccard") else st.integers(-3, 3).map(lambda v: v / 10)
+    row = st.lists(entry, min_size=dim, max_size=dim)
+    pool = draw(st.lists(row.filter(any) if kind == "angular" else row, min_size=1, max_size=n))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    ids = draw(st.permutations([f"p{i:02d}" for i in range(n)]))
+    candidates = dataset_of(dict(zip(ids, rows)))
+    scores = draw(st.lists(st.fractions(0, 1, max_denominator=4), min_size=n, max_size=n))
+    scorer = TabularScorer(dict(zip(ids, scores)))
+    k = draw(st.none() | st.integers(1, 10))
+    means = score_list(scorer, candidates) if k is None else family_mean(Derandomizer.rt(scorer, k), candidates)
+    cost = {"hamming": NormalizedHamming(dim), "jaccard": JaccardDistance(), "angular": Angular(),
+            "scaled_euclidean": ScaledEuclidean(draw(st.sampled_from([0.25, 1.0, 2.5])))}[kind]
+    alpha, beta = draw(st.sampled_from([1, Fraction(3, 2), 2])), draw(st.sampled_from([0, Fraction(1, 10)]))
+    return means, candidates, cost, alpha, beta
+
+
+class TestEqualsReference:
+    """``best_responses`` reads each origin's codes where the pass left them;
+    conftest's reference scatters them into an n x n matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=strategic_cases())
+    def test_rows_equal_the_reference(self, case):
+        assert best_responses(*case) == reference_best_responses(*case)
+
+    def test_numerators_past_int64_take_python_ints(self):
+        # means over the prime 2**62 - 57 against decimal costs: the common denominator is 10 * (2**62 - 57)
+        p = 2**62 - 57
+        ds = dataset_of({"c": (0.0,), "a": (0.3,), "b": (0.7,)})
+        means = [Fraction(1, p), Fraction(p // 2, p), Fraction(p - 1, p)]
+        assert over_common_denominator([m.as_integer_ratio() for m in means] + [(7, 10)])[0].dtype == object
+        rows = best_responses(means, ds, ScaledEuclidean(1.0), 1, 0)
+        assert rows == reference_best_responses(means, ds, ScaledEuclidean(1.0), 1, 0)
+        # from c, b gains (p - 1)/p - 7/10 - 1/p, above a's (p // 2)/p - 3/10 - 1/p
+        assert [r["response"] for r in rows] == ["b", "b", "b"]
+        assert rows[0]["gain"]["value"] == Fraction(p - 2, p) - Fraction(7, 10)
+        assert rows[0]["gain"]["satisfied"] is False
